@@ -5,21 +5,10 @@ rendered series table under ``benchmarks/results/``, records headline
 numbers in the pytest-benchmark ``extra_info``, and asserts the figure's
 shape checks.  EXPERIMENTS.md is written from these result files.
 
-Two extras support long parallel studies:
-
-* :func:`checkpointed_sweep` is now a thin shim over the library's
-  crash-safe journal (:func:`repro.experiments.checkpointed_sweep`):
-  every finished *trial* is durably appended (CRC-checked, fsync'd) to
-  ``results/<name>.trials.jsonl``, and a rerun only executes the
-  ``(x, seed)`` pairs it is missing.  An interrupted sweep therefore
-  *resumes* instead of silently re-running hours of finished trials from
-  scratch — and survives ``kill -9``, not just polite interrupts.  (The
-  pre-library ``<name>.points.jsonl`` format is no longer read; those
-  sweeps re-run once.)
-* :func:`bench_cli` gives a benchmark module a ``python bench_x.py
-  --jobs N`` entry point that times its figure drivers under the parallel
-  sweep executor and prints the wall-clock per figure — the quickest way
-  to see the speedup (or, on tiny topologies, the worker-startup cost).
+Long parallel studies journal their trials through the library's one
+entry point, :func:`repro.experiments.checkpointed_sweep` (see
+``bench_churn.py``); ``python -m repro figure <id> --jobs N`` runs any
+figure driver on the parallel sweep executor.
 
 Committed vs machine-written results
 ------------------------------------
@@ -30,23 +19,17 @@ Committed vs machine-written results
   :func:`save_figure` writes.  EXPERIMENTS.md is generated from these;
   refreshing one is a reviewed change.
 * **Machine-written** (gitignored) — per-machine state no commit should
-  carry: sweep trial journals (``*.trials.jsonl``, and the retired
-  ``*.points.jsonl``), the continuous-bench perf trajectory
-  (``perf_trajectory.jsonl``), and the candidate bench documents the
-  service gates (``CANDIDATE_*.json``).
+  carry: sweep trial journals (``*.trials.jsonl`` and their ``.lock``
+  files) and the continuous-bench files of :mod:`repro.service.bench`
+  (``perf_trajectory.jsonl``, ``E2E_candidate.json``, ``E2E_base.json``).
 
-Timing *baselines* never live here at all: the JSON documents that
-``compare_baselines.py`` gates against are committed under
-``benchmarks/baselines/`` and refreshed deliberately (see README).
+Timing is not measured here at all: ``benchmarks/e2e`` is the repository's
+one benchmark, and ``BENCHMARK.json`` holds its bounds.
 """
 
 from __future__ import annotations
 
-import argparse
-import time
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence
 
 RESULTS_DIR = Path(__file__).parent / "results"
 
@@ -77,141 +60,3 @@ def record(benchmark, figure, require_checks: bool = True) -> None:
     if require_checks:
         failures = figure.check_failures()
         assert not failures, "; ".join(str(f) for f in failures)
-
-
-# ----------------------------------------------------------------------
-# Incremental (resumable) sweeps
-# ----------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class PointRecord:
-    """One sweep point's journaled trials, aggregated for table rendering."""
-
-    x: float
-    succeeded: int
-    failed: int
-    metrics: Dict[str, float]
-
-    @classmethod
-    def from_summary(cls, summary) -> "PointRecord":
-        """From a library :class:`repro.experiments.PointSummary`."""
-        return cls(
-            x=summary.x,
-            succeeded=summary.succeeded,
-            failed=summary.failed,
-            metrics=dict(summary.metrics),
-        )
-
-
-def point_journal_path(name: str) -> Path:
-    """Where :func:`checkpointed_sweep` journals trials for ``name``."""
-    return RESULTS_DIR / f"{name}.trials.jsonl"
-
-
-def load_point_journal(path: Path) -> Dict[float, PointRecord]:
-    """Completed points from a previous (possibly interrupted) run.
-
-    Thin wrapper over :class:`repro.experiments.SweepJournal`: corrupt
-    records and a torn final line are skipped by the library loader, so
-    the journal is always safe to resume from.  Trials aggregate per x.
-    """
-    from repro.experiments import SweepJournal
-    from repro.experiments.journal import summarize_point
-
-    records, _recovery = SweepJournal(path).load()
-    by_x: Dict[float, list] = {}
-    for record_ in records.values():
-        by_x.setdefault(record_.x, []).append(record_)
-    return {
-        x: PointRecord.from_summary(summarize_point(x, trials))
-        for x, trials in sorted(by_x.items())
-    }
-
-
-def checkpointed_sweep(
-    name: str,
-    xs: Sequence[float],
-    make_scenario,
-    make_config,
-    *,
-    seeds: Sequence[int] = (0,),
-    settings=None,
-    jobs: int = 1,
-    fresh: bool = False,
-    path: Optional[Path] = None,
-    on_trial_error=None,
-    policy=None,
-) -> List[PointRecord]:
-    """A sweep that journals each finished trial and resumes on rerun.
-
-    Thin shim over :func:`repro.experiments.checkpointed_sweep` (which
-    owns the durability semantics: per-record CRC, fsync'd appends,
-    atomic checkpoint compaction, SIGTERM/SIGINT-safe finalization).
-    ``fresh=True`` discards the journal first; ``policy`` threads a
-    :class:`repro.experiments.ResiliencePolicy` through to the sweep.
-    Returns records for every x in request order; a point whose trials
-    all failed reports ``metrics == {}`` rather than raising, so one
-    dead point cannot wedge the resume loop.
-    """
-    from repro.experiments import checkpointed_sweep as journaled_sweep
-
-    journal = path if path is not None else point_journal_path(name)
-    journal.parent.mkdir(exist_ok=True)
-    summaries = journaled_sweep(
-        xs,
-        make_scenario,
-        make_config,
-        journal=journal,
-        seeds=seeds,
-        settings=settings,
-        jobs=jobs,
-        policy=policy,
-        fresh=fresh,
-        on_trial_error=on_trial_error,
-    )
-    return [PointRecord.from_summary(summary) for summary in summaries]
-
-
-# ----------------------------------------------------------------------
-# Direct bench entry points (python bench_x.py --jobs N)
-# ----------------------------------------------------------------------
-
-
-def bench_cli(
-    drivers: Dict[str, Callable[[int], object]],
-    argv: Optional[Sequence[str]] = None,
-    description: str = "Run figure drivers and report wall-clock time.",
-) -> int:
-    """Argparse front end shared by the ``__main__`` blocks of bench files.
-
-    ``drivers`` maps a figure id to ``fn(jobs) -> FigureData``.  Each
-    requested driver runs once under the given ``--jobs`` and prints its
-    table plus the wall-clock seconds, so ``--jobs 4`` vs ``--jobs 1`` is a
-    direct speedup measurement.
-    """
-    parser = argparse.ArgumentParser(description=description)
-    parser.add_argument(
-        "figures", nargs="*", choices=[[], *sorted(drivers)],
-        help="figure ids to run (default: all)",
-    )
-    parser.add_argument(
-        "--jobs", type=int, default=1, metavar="N",
-        help="worker processes for sweep trials (0 = one per CPU)",
-    )
-    args = parser.parse_args(argv)
-    chosen = args.figures or sorted(drivers)
-
-    total = 0.0
-    for figure_id in chosen:
-        start = time.perf_counter()
-        figure = drivers[figure_id](args.jobs)
-        elapsed = time.perf_counter() - start
-        total += elapsed
-        save_figure(figure)
-        print(figure.render())
-        print(f"[{figure_id}] wall-clock {elapsed:.2f}s (jobs={args.jobs})")
-        print()
-    print(f"total wall-clock {total:.2f}s for {len(chosen)} figure(s) "
-          f"with --jobs {args.jobs}")
-    return 0

@@ -13,21 +13,12 @@ fails to converge is recorded with its diagnostic snapshot instead of
 aborting the study, and the table reports the per-point success count.
 
 Run directly — ``python benchmarks/bench_churn.py --jobs 4`` — the sweep
-fans trials out to worker processes and journals every finished point to
-``results/churn.points.jsonl``; an interrupted run resumes from the
-journal instead of repeating completed points (``--fresh`` starts over).
-
-With ``--output PATH`` the script instead times the sequential sweep per
-flap period (median of ``--repeat``) and emits the ``compare_baselines.py``
-JSON schema, so the ``bench-regression`` CI job and the service's
-continuous-bench scheduler can gate it against
-``benchmarks/baselines/BENCH_churn.json``.
+fans trials out to worker processes and journals every finished trial to
+``results/churn.trials.jsonl``; an interrupted run resumes from the
+journal instead of repeating completed trials (``--fresh`` starts over).
 """
 
-import statistics
-import time
-
-from _support import RESULTS_DIR, checkpointed_sweep
+from _support import RESULTS_DIR
 
 from repro.bgp import BgpConfig
 from repro.experiments import (
@@ -52,47 +43,6 @@ SETTINGS = RunSettings(packet_rate=5.0, failure_guard=1.0, horizon=500.0)
 #: and the parallel/checkpointed CLI path below.
 MAKE_SCENARIO = factory_ref(bclique_tflap_trial, size=SIZE, count=FLAP_COUNT)
 MAKE_CONFIG = factory_ref(constant_config, config=CONFIG)
-
-SCHEMA_VERSION = 1
-
-
-def measure_json(repeat: int):
-    """Median-of-``repeat`` sweep timing per flap period (JSON bench mode)."""
-    results = {}
-    # One untimed warm-up sweep: the first trial in a fresh interpreter
-    # pays import and intern-table costs that would otherwise dominate a
-    # --repeat 1 gate run.
-    sweep(
-        PERIODS[:1],
-        make_scenario=MAKE_SCENARIO,
-        make_config=MAKE_CONFIG,
-        seeds=SEEDS[:1],
-        settings=SETTINGS,
-    )
-    for period in PERIODS:
-        samples = []
-        updates = 0
-        for _ in range(repeat):
-            start = time.perf_counter()
-            points = sweep(
-                (period,),
-                make_scenario=MAKE_SCENARIO,
-                make_config=MAKE_CONFIG,
-                seeds=SEEDS,
-                settings=SETTINGS,
-            )
-            samples.append(time.perf_counter() - start)
-            updates = int(points[0].metrics()["updates_sent"])
-        wall = statistics.median(samples)
-        results[f"flap{period:g}"] = {
-            "scenario": f"bclique-{SIZE}-tflap-{FLAP_COUNT}x-p{period:g}",
-            "wall_clock_s": round(wall, 6),
-            "samples_s": [round(s, 6) for s in samples],
-            "updates": updates,
-            "updates_per_s": round(updates / wall, 1),
-        }
-    return results
-
 
 def test_flap_period_drives_looping(benchmark):
     def run_sweep():
@@ -155,50 +105,21 @@ def test_flap_period_drives_looping(benchmark):
 
 if __name__ == "__main__":
     import argparse
-    import json
-    import platform
-    from pathlib import Path
+
+    from repro.experiments import SweepJournal, checkpointed_sweep
 
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--jobs", type=int, default=1, metavar="N",
                         help="worker processes (0 = one per CPU)")
     parser.add_argument("--fresh", action="store_true",
-                        help="discard the journal and re-run every point")
-    parser.add_argument("--repeat", type=int, default=3, metavar="N",
-                        help="timed trials per period in --output mode "
-                        "(the median is reported; default 3)")
-    parser.add_argument("--output", type=Path, default=None, metavar="PATH",
-                        help="emit the compare_baselines.py JSON document "
-                        "here instead of running the journaled sweep")
+                        help="discard the journal and re-run every trial")
     args = parser.parse_args()
 
-    if args.output is not None:
-        results = measure_json(repeat=args.repeat)
-        for name, result in results.items():
-            print(
-                f"[{name}] {result['scenario']}: "
-                f"median {result['wall_clock_s'] * 1e3:.1f} ms, "
-                f"{result['updates']} updates (repeat={args.repeat})"
-            )
-        document = {
-            "schema": SCHEMA_VERSION,
-            "benchmark": "churn",
-            "repeat": args.repeat,
-            "python": platform.python_version(),
-            "results": results,
-        }
-        args.output.write_text(
-            json.dumps(document, indent=2, sort_keys=True) + "\n",
-            encoding="utf-8",
-        )
-        print(f"wrote {args.output}")
-        raise SystemExit(0)
-
-    records = checkpointed_sweep(
-        "churn",
+    summaries = checkpointed_sweep(
         PERIODS,
         MAKE_SCENARIO,
         MAKE_CONFIG,
+        journal=SweepJournal(RESULTS_DIR / "churn.trials.jsonl"),
         seeds=SEEDS,
         settings=SETTINGS,
         jobs=args.jobs,
@@ -208,14 +129,14 @@ if __name__ == "__main__":
         ["period_s", "ok", "loops", "loop_dur_s", "updates", "conv_s"],
         [
             [
-                r.x,
-                f"{r.succeeded}/{r.succeeded + r.failed}",
-                r.metrics.get("distinct_loops", float("nan")),
-                round(r.metrics.get("looping_duration", float("nan")), 2),
-                r.metrics.get("updates_sent", float("nan")),
-                round(r.metrics.get("convergence_time", float("nan")), 2),
+                point.x,
+                f"{point.succeeded}/{point.trials}",
+                point.metrics.get("distinct_loops", float("nan")),
+                round(point.metrics.get("looping_duration", float("nan")), 2),
+                point.metrics.get("updates_sent", float("nan")),
+                round(point.metrics.get("convergence_time", float("nan")), 2),
             ]
-            for r in records
+            for point in summaries
         ],
         title=(
             f"Tflap on B-Clique-{SIZE} ({FLAP_COUNT} flaps, MRAI "

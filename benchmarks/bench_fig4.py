@@ -4,13 +4,12 @@ Paper shape being reproduced: the looping duration tracks the convergence
 time — nearly coinciding for Tdown (panels a, c), trailing by roughly one
 MRAI round for Tlong (panel b).
 
-Runs two ways: under pytest-benchmark (the recorded studies below), or
-directly — ``python benchmarks/bench_fig4.py --jobs 4`` — to time the
-same sweeps on the parallel executor; trials fan out to worker processes
-with bit-identical results.
+Runs under pytest-benchmark (the recorded studies below); ``python -m
+repro figure fig4a --jobs 4`` runs the same driver on the parallel
+executor, trials fanned out to worker processes with bit-identical results.
 """
 
-from _support import bench_cli, record
+from _support import record
 
 from repro.experiments.figures import figure4a, figure4b, figure4c
 
@@ -62,23 +61,3 @@ def test_fig4c_tdown_internet(benchmark):
     conv = figure.series["convergence_time"]
     assert conv[-1] > conv[0]
 
-
-if __name__ == "__main__":
-    import sys
-
-    sys.exit(
-        bench_cli(
-            {
-                "fig4a": lambda jobs: figure4a(
-                    sizes=CLIQUE_SIZES, mrai=30.0, seeds=(0, 1), jobs=jobs
-                ),
-                "fig4b": lambda jobs: figure4b(
-                    sizes=BCLIQUE_SIZES, mrai=30.0, seeds=(0, 1), jobs=jobs
-                ),
-                "fig4c": lambda jobs: figure4c(
-                    sizes=INTERNET_SIZES, mrai=30.0, seeds=(0, 1, 2), jobs=jobs
-                ),
-            },
-            description=__doc__.splitlines()[0],
-        )
-    )

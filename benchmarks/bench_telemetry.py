@@ -11,19 +11,14 @@ The estimate must stay under 2% of the baseline run — the subsystem's
 "free when off" contract.
 
 Runs under pytest-benchmark (the recorded study below) or directly:
-``python benchmarks/bench_telemetry.py --jobs 1``.
-
-With ``--output PATH`` the script emits the ``compare_baselines.py`` JSON
-schema — one result per telemetry mode (off / metrics / timeline), each
-gated on its best-of-``--repeat`` wall-clock — so CI's ``bench-regression``
-job and the continuous-bench scheduler can gate it against
-``benchmarks/baselines/BENCH_telemetry.json``.
+``python benchmarks/bench_telemetry.py`` also saves the table to
+``results/telemetry_overhead.txt``.
 """
 
 from dataclasses import dataclass
 from typing import Tuple
 
-from _support import bench_cli
+from _support import save_figure
 
 from repro.experiments import RunSettings
 from repro.experiments.figures import figure4a
@@ -111,23 +106,21 @@ class TelemetryOverheadResult:
         return "\n".join(lines)
 
 
-def _run(settings: RunSettings, jobs: int):
-    return figure4a(
-        sizes=SIZES, mrai=MRAI, seeds=SEEDS, settings=settings, jobs=jobs
-    )
+def _run(settings: RunSettings):
+    return figure4a(sizes=SIZES, mrai=MRAI, seeds=SEEDS, settings=settings)
 
 
-def measure(jobs: int = 1, repeats: int = REPEATS) -> TelemetryOverheadResult:
+def measure() -> TelemetryOverheadResult:
     """Time the three telemetry modes and estimate the disabled-path cost."""
     off_seconds, _ = time_callable(
-        lambda: _run(RunSettings(), jobs), repeats=repeats
+        lambda: _run(RunSettings()), repeats=REPEATS
     )
     metrics_seconds, traced = time_callable(
-        lambda: _run(RunSettings(telemetry=True), jobs), repeats=repeats
+        lambda: _run(RunSettings(telemetry=True)), repeats=REPEATS
     )
     timeline_seconds, _ = time_callable(
-        lambda: _run(RunSettings(telemetry=True, timeline=True), jobs),
-        repeats=repeats,
+        lambda: _run(RunSettings(telemetry=True, timeline=True)),
+        repeats=REPEATS,
     )
     # Counter totals from the enabled run stand in for how many guards the
     # disabled run executed.  Excluded: byte counters (their value is a byte
@@ -170,79 +163,8 @@ def test_telemetry_overhead(benchmark):
     _assert_contract(result)
 
 
-def _driver(jobs: int) -> TelemetryOverheadResult:
-    result = measure(jobs=jobs)
-    _assert_contract(result)
-    return result
-
-
-SCHEMA_VERSION = 1
-
-
-def measure_json(repeat: int):
-    """One result per telemetry mode, in the compare_baselines.py schema.
-
-    ``updates`` carries the enabled run's hook-fire count for context;
-    only ``wall_clock_s`` is gated.
-    """
-    result = measure(jobs=1, repeats=repeat)
-    _assert_contract(result)
-    walls = {
-        "telemetry-off": result.off_seconds,
-        "telemetry-metrics": result.metrics_seconds,
-        "telemetry-timeline": result.timeline_seconds,
-    }
-    return {
-        name: {
-            "scenario": f"fig4a-{name}",
-            "wall_clock_s": round(wall, 6),
-            "updates": result.hook_fires,
-            "updates_per_s": round(result.hook_fires / wall, 1),
-        }
-        for name, wall in walls.items()
-    }
-
-
 if __name__ == "__main__":
-    import sys
-
-    if "--output" in sys.argv or "--repeat" in sys.argv:
-        import argparse
-        import json
-        import platform
-        from pathlib import Path
-
-        parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-        parser.add_argument("--repeat", type=int, default=REPEATS, metavar="N",
-                            help="timed repeats per mode; the best is "
-                            f"reported (default {REPEATS})")
-        parser.add_argument("--output", type=Path, default=None,
-                            metavar="PATH",
-                            help="write the compare_baselines.py JSON "
-                            "document here (default: stdout only)")
-        args = parser.parse_args()
-        results = measure_json(repeat=args.repeat)
-        for name, entry in results.items():
-            print(f"[{name}] {entry['wall_clock_s'] * 1e3:.1f} ms "
-                  f"(best of {args.repeat})")
-        document = {
-            "schema": SCHEMA_VERSION,
-            "benchmark": "telemetry",
-            "repeat": args.repeat,
-            "python": platform.python_version(),
-            "results": results,
-        }
-        payload = json.dumps(document, indent=2, sort_keys=True) + "\n"
-        if args.output is not None:
-            args.output.write_text(payload, encoding="utf-8")
-            print(f"wrote {args.output}")
-        else:
-            print(payload, end="")
-        sys.exit(0)
-
-    sys.exit(
-        bench_cli(
-            {"telemetry_overhead": _driver},
-            description=__doc__.splitlines()[0],
-        )
-    )
+    result = measure()
+    save_figure(result)
+    print(result.render())
+    _assert_contract(result)

@@ -457,13 +457,14 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--bench-interval", type=float, default=None, metavar="SECONDS",
         help=(
-            "submit a continuous-benchmarking job every N seconds, recording "
-            "the per-commit perf trajectory under benchmarks/results/"
+            "submit a benchmarks/e2e bench job every N seconds (skipped while "
+            "one is still queued or running), recording the per-commit perf "
+            "trajectory under benchmarks/results/"
         ),
     )
     serve.add_argument(
         "--bench-repeat", type=int, default=1, metavar="N",
-        help="timed repetitions per scheduled bench scenario (default: 1)",
+        help="run.py --repeat of each scheduled bench cycle (default: 1)",
     )
 
     submit = commands.add_parser(
@@ -484,7 +485,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     what.add_argument(
         "--bench", action="store_true",
-        help="run one continuous-benchmarking cycle against the baselines",
+        help=(
+            "run one benchmarks/e2e cycle, gated against this machine's "
+            "last passing cycle"
+        ),
     )
     submit.add_argument(
         "--xs", default=None, metavar="X,X,...",
@@ -515,7 +519,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     submit.add_argument(
         "--repeat", type=int, default=1, metavar="N",
-        help="bench jobs: timed repetitions per scenario (default: 1)",
+        help="bench jobs: run.py --repeat, runs per workload (default: 1)",
     )
     submit.add_argument(
         "--follow", action="store_true",

@@ -27,9 +27,7 @@ Retry/timeout/restart counts are accumulated in a
 :class:`SupervisionReport`, returned by :func:`run_tasks_supervised` and
 threaded to callers through ``sweep(..., on_report=...)`` — one report
 per supervised sweep, owned by that sweep's caller, so a daemon running
-many concurrent sweeps never sees another job's counters.  (The older
-process-wide :func:`last_report` accessor survives as a deprecated
-shim.)
+many concurrent sweeps never sees another job's counters.
 
 Determinism boundary: this file is harness-side supervision *about* the
 simulation, never inside it — like :mod:`repro.telemetry.profiler` it is
@@ -205,42 +203,6 @@ class SupervisionReport:
                 MetricsSnapshot.aggregate(snapshots) if snapshots else None
             ),
         )
-
-
-#: Deprecated: the most recent supervised run's report, per process.
-#: Kept only so :func:`last_report` keeps answering; new code receives
-#: reports through ``sweep(..., on_report=...)`` /
-#: :func:`run_tasks_supervised`'s return value instead — a process-wide
-#: global is wrong once one daemon runs many concurrent sweeps.
-_LAST_REPORT: Optional[SupervisionReport] = None
-
-
-def last_report() -> Optional[SupervisionReport]:
-    """Deprecated: the report of the most recent supervised sweep in this
-    process (``None`` before the first one).
-
-    .. deprecated::
-        Process-global state cannot distinguish concurrent sweeps (the
-        service daemon runs many).  Pass ``on_report=`` to
-        :func:`~repro.experiments.sweep.sweep` /
-        :func:`~repro.experiments.journal.checkpointed_sweep`, or use the
-        report returned by :func:`run_tasks_supervised`.
-    """
-    import warnings
-
-    warnings.warn(
-        "last_report() is deprecated: receive SupervisionReports through "
-        "sweep(..., on_report=...) or run_tasks_supervised()'s return "
-        "value instead of process-global state",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return _LAST_REPORT
-
-
-def _publish_report(report: SupervisionReport) -> None:
-    global _LAST_REPORT
-    _LAST_REPORT = report
 
 
 def _mp_context():
@@ -472,7 +434,6 @@ def run_tasks_supervised(
         counters.bump("exhausted")
         if policy.on_exhausted == "raise":
             _kill_slots(slots)
-            _publish_report(counters.report(len(tasks)))
             raise error
         finish(slot, _exhausted_failure(slot.task, error, slot.attempt, elapsed))
 
@@ -556,7 +517,6 @@ def run_tasks_supervised(
                 _reap(slot)
                 if kind == "raise":
                     _kill_slots([s for s in slots if s is not slot])
-                    _publish_report(counters.report(len(tasks)))
                     raise payload
                 if isinstance(payload, TrialFailure):
                     payload = replace(
@@ -572,9 +532,7 @@ def run_tasks_supervised(
         _kill_slots(slots)
         raise
 
-    report = counters.report(len(tasks))
-    _publish_report(report)
-    return outcomes, report
+    return outcomes, counters.report(len(tasks))
 
 
 def run_trial_resilient(task: "TrialTask", policy: Optional[ResiliencePolicy] = None):

@@ -58,7 +58,6 @@ from .config import RunSettings
 from .resilience import (
     ResiliencePolicy,
     SupervisionReport,
-    _publish_report,
     run_tasks_supervised,
     run_trial_resilient,
 )
@@ -406,9 +405,7 @@ def sweep(
     sweep finishes (only when ``policy`` is set; the jobs=1 path
     synthesizes a report with zero supervision activity).  This is the
     report's home — each sweep's caller owns its own counters, so
-    concurrent sweeps in one process never alias.  The deprecated
-    :func:`~repro.experiments.resilience.last_report` shim still mirrors
-    the most recent report.
+    concurrent sweeps in one process never alias.
     """
     if not xs:
         raise AnalysisError("sweep needs at least one x value")
@@ -460,7 +457,6 @@ def sweep(
             report = SupervisionReport(
                 trials=len(tasks), completed=len(outcomes)
             )
-            _publish_report(report)
     elif policy is not None:
         _check_tasks_picklable(tasks[0])
         outcomes, report = run_tasks_supervised(

@@ -1,8 +1,8 @@
 """The always-on sweep job service.
 
 ``repro.service`` turns the batch machinery — journaled sweeps, the
-supervised resilient executor, telemetry snapshots, benchmark baselines
-— into a long-lived local service:
+supervised resilient executor, telemetry snapshots, the ``benchmarks/e2e``
+harness — into a long-lived local service:
 
 * :mod:`~repro.service.daemon` — the asyncio daemon: Unix-socket
   protocol server, serial job worker, bench scheduler;
@@ -13,7 +13,8 @@ supervised resilient executor, telemetry snapshots, benchmark baselines
   sweep-spec → executable-plan resolver;
 * :mod:`~repro.service.executor` — runs one job: sweeps through
   :func:`~repro.experiments.journal.checkpointed_sweep` with per-trial
-  digests, figures into artifact tables, bench cycles against baselines;
+  digests, figures into artifact tables, bench cycles through
+  ``benchmarks/e2e``;
 * :mod:`~repro.service.events` — the event vocabulary and asyncio fan-out
   ``repro watch`` streams;
 * :mod:`~repro.service.bench` — continuous benchmarking and the
@@ -28,14 +29,7 @@ and the resumed job's per-trial digests are bit-identical to an
 undisturbed foreground run of the same plan.
 """
 
-from .bench import (
-    BenchCycle,
-    BenchTarget,
-    DEFAULT_TARGETS,
-    EXTRA_TARGETS,
-    TrajectoryStore,
-    run_bench_cycle,
-)
+from .bench import TrajectoryStore, run_bench_cycle
 from .client import ServiceClient
 from .daemon import ServiceDaemon, serve
 from .events import (
@@ -63,11 +57,7 @@ from .queue import DurableJobQueue
 from .state import ServiceState
 
 __all__ = [
-    "BenchCycle",
-    "BenchTarget",
     "CANCELLED",
-    "DEFAULT_TARGETS",
-    "EXTRA_TARGETS",
     "DONE",
     "DurableJobQueue",
     "EventBus",

@@ -1,89 +1,35 @@
-"""Continuous benchmarking: run bench scripts, gate against baselines,
-record a per-commit perf trajectory.
+"""Continuous benchmarking: one ``benchmarks/e2e`` cycle per bench job.
 
-A *bench cycle* runs each configured target's ``benchmarks/bench_*.py``
-script in a subprocess (fresh interpreter — benchmark numbers must not
-inherit this process's warmed-up state), gates the resulting document
-with ``benchmarks/compare_baselines.py --format json``, and appends one
-CRC-framed record per target to
-``benchmarks/results/perf_trajectory.jsonl``:
+A cycle runs ``benchmarks/e2e/run.py --repeat R --output
+<results>/E2E_candidate.json`` in a fresh interpreter (benchmark numbers must
+not inherit this process's warmed-up state), gates it with ``compare.py
+<results>/E2E_base.json <candidate>`` — the bounds are ``BENCHMARK.json``'s,
+nothing here knows them — and appends one record to
+``<results>/perf_trajectory.jsonl``: ``ts``, ``commit`` (the candidate's
+``meta``), ``base`` (the commit gated against, ``None`` on a first cycle),
+``ok``, the ``worse``/``MISMATCH`` ``rows`` ``compare.py`` printed, every
+``<workload>/<metric>`` median, and ``error`` when a harness script failed.
 
-.. code-block:: text
-
-    {"crc": N, "record": {"ts": ..., "commit": "816f12a", "target":
-        "hotpath", "ok": true, "regressions": 0,
-        "wall_clock_s": {"clique8": 0.41, ...}}}
-
-The trajectory file uses the same framing as every other durable file in
-the system (:func:`~repro.experiments.journal.frame_line`), so partial
-writes from a killed daemon are detected, not parsed.
-
-The service daemon runs a cycle on a timer (``repro serve
---bench-interval``); ``repro submit --bench`` queues one on demand; and
-the module works standalone for tests, which point ``bench_dir`` at a
-fixture directory with a stub bench script.
+The base is the last passing cycle *on this machine*: the candidate becomes
+``E2E_base.json`` when the cycle passes or no base exists yet; a failing cycle
+leaves the base in place (delete it to re-base after an intended change).
 """
 
 from __future__ import annotations
 
 import json
 import os
+import shutil
 import subprocess
 import sys
 import time
-from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List
 
 from ..errors import JournalError, ServiceError
 from ..experiments.journal import frame_line, unframe_line
 
-
-@dataclass(frozen=True)
-class BenchTarget:
-    """One benchmark script plus its committed baseline."""
-
-    name: str
-    script: str  # path relative to the bench directory
-    baseline: str  # path relative to the bench directory
-    args: tuple = ()
-
-
-#: The machine-readable benchmarks with committed JSON baselines, run on
-#: every ``repro serve --bench-interval`` cycle.
-DEFAULT_TARGETS = (
-    BenchTarget(
-        name="hotpath",
-        script="bench_hotpath.py",
-        baseline="baselines/BENCH_hotpath.json",
-    ),
-    BenchTarget(
-        name="multiprefix",
-        script="bench_multiprefix.py",
-        baseline="baselines/BENCH_multiprefix.json",
-    ),
-    BenchTarget(
-        name="churn",
-        script="bench_churn.py",
-        baseline="baselines/BENCH_churn.json",
-    ),
-    BenchTarget(
-        name="telemetry",
-        script="bench_telemetry.py",
-        baseline="baselines/BENCH_telemetry.json",
-    ),
-)
-
-#: Heavyweight targets addressable by name (``repro submit --bench`` /
-#: the nightly scaling workflow) but too slow for the default cycle.
-EXTRA_TARGETS = (
-    BenchTarget(
-        name="scaling",
-        script="bench_multiprefix.py",
-        baseline="baselines/BENCH_scaling.json",
-        args=("--population", "1024", "4096", "10240"),
-    ),
-)
+STOP_GRACE_S = 60.0  # between SIGTERM and SIGKILL for a timed-out harness
 
 
 def default_bench_dir() -> Path:
@@ -92,71 +38,13 @@ def default_bench_dir() -> Path:
     return Path(__file__).resolve().parents[3] / "benchmarks"
 
 
-def current_commit(repo_root: Path) -> str:
-    """The repository's short HEAD hash, or ``"unknown"`` outside git."""
-    try:
-        completed = subprocess.run(
-            ["git", "rev-parse", "--short", "HEAD"],
-            cwd=str(repo_root),
-            capture_output=True,
-            text=True,
-            timeout=10,
-        )
-    except (OSError, subprocess.TimeoutExpired):
-        return "unknown"
-    if completed.returncode != 0:
-        return "unknown"
-    return completed.stdout.strip() or "unknown"
-
-
-@dataclass
-class TargetResult:
-    """One target's outcome within a cycle."""
-
-    name: str
-    ok: bool
-    regressions: int = 0
-    error: str = ""
-    wall_clock_s: Dict[str, float] = field(default_factory=dict)
-
-    def to_json(self) -> Dict:
-        return {
-            "name": self.name,
-            "ok": self.ok,
-            "regressions": self.regressions,
-            "error": self.error,
-            "wall_clock_s": dict(self.wall_clock_s),
-        }
-
-
-@dataclass
-class BenchCycle:
-    """One full cycle: every target's result plus provenance."""
-
-    commit: str
-    started: float
-    results: List[TargetResult] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return all(result.ok for result in self.results)
-
-    def summary(self) -> Dict:
-        return {
-            "commit": self.commit,
-            "started": self.started,
-            "ok": self.ok,
-            "targets": [result.to_json() for result in self.results],
-        }
-
-
 class TrajectoryStore:
-    """Append-only, CRC-framed perf history under ``benchmarks/results/``."""
+    """Append-only, CRC-framed perf history, one record per bench cycle."""
 
     def __init__(self, path) -> None:
         self.path = Path(path)
 
-    def append(self, cycle: BenchCycle) -> None:
+    def append(self, record: Dict) -> None:
         self.path.parent.mkdir(parents=True, exist_ok=True)
         with self.path.open("a", encoding="utf-8") as handle:
             # A torn tail (writer killed mid-line) must not garble the next
@@ -166,16 +54,7 @@ class TrajectoryStore:
                     peek.seek(-1, os.SEEK_END)
                     if peek.read(1) != b"\n":
                         handle.write("\n")
-            for result in cycle.results:
-                record = {
-                    "ts": cycle.started,
-                    "commit": cycle.commit,
-                    "target": result.name,
-                    "ok": result.ok,
-                    "regressions": result.regressions,
-                    "wall_clock_s": dict(result.wall_clock_s),
-                }
-                handle.write(frame_line(record) + "\n")
+            handle.write(frame_line(record) + "\n")
             handle.flush()
             os.fsync(handle.fileno())
 
@@ -196,150 +75,97 @@ class TrajectoryStore:
         return out
 
 
-def _run_target(
-    target: BenchTarget,
-    bench_dir: Path,
-    repeat: int,
-    publish: Callable[[str], None],
-    timeout: float,
-) -> TargetResult:
-    script = bench_dir / target.script
-    baseline = bench_dir / target.baseline
-    if not script.exists():
-        return TargetResult(
-            name=target.name, ok=False, error=f"missing bench script {script}"
-        )
-    if not baseline.exists():
-        return TargetResult(
-            name=target.name, ok=False, error=f"missing baseline {baseline}"
-        )
-    src_dir = Path(__file__).resolve().parents[2]
-    env = dict(os.environ)
-    env["PYTHONPATH"] = (
-        f"{src_dir}{os.pathsep}{env['PYTHONPATH']}"
-        if env.get("PYTHONPATH")
-        else str(src_dir)
-    )
-    candidate = bench_dir / "results" / f"CANDIDATE_{target.name}.json"
-    candidate.parent.mkdir(parents=True, exist_ok=True)
-    command = [
-        sys.executable,
-        str(script),
-        "--repeat",
-        str(repeat),
-        "--output",
-        str(candidate),
-        *target.args,
-    ]
-    publish(f"bench[{target.name}]: {' '.join(command[1:])}")
-    try:
-        measured = subprocess.run(
-            command,
-            cwd=str(bench_dir),
-            env=env,
-            capture_output=True,
-            text=True,
-            timeout=timeout,
-        )
-    except subprocess.TimeoutExpired:
-        return TargetResult(
-            name=target.name, ok=False, error=f"bench timed out after {timeout}s"
-        )
-    if measured.returncode != 0:
-        tail = (measured.stderr or measured.stdout).strip().splitlines()[-3:]
-        return TargetResult(
-            name=target.name,
-            ok=False,
-            error=f"bench exited {measured.returncode}: {' / '.join(tail)}",
-        )
-
-    gate = subprocess.run(
-        [
-            sys.executable,
-            str(bench_dir / "compare_baselines.py"),
-            str(baseline),
-            str(candidate),
-            "--format",
-            "json",
-        ],
-        cwd=str(bench_dir),
-        env=env,
-        capture_output=True,
+def _run(script: Path, arguments: List[str], timeout: float, verdicts=(0,)):
+    """One harness script to its end: ``(exit code, output)``; a timeout or a
+    code outside ``verdicts`` raises :class:`~repro.errors.ServiceError`."""
+    process = subprocess.Popen(
+        [sys.executable, str(script), *arguments],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.STDOUT,
         text=True,
-        timeout=timeout,
     )
-    if gate.returncode not in (0, 1):
-        tail = (gate.stderr or gate.stdout).strip().splitlines()[-3:]
-        return TargetResult(
-            name=target.name,
-            ok=False,
-            error=f"compare exited {gate.returncode}: {' / '.join(tail)}",
-        )
     try:
-        report = json.loads(gate.stdout)
-    except json.JSONDecodeError as exc:
-        return TargetResult(
-            name=target.name, ok=False, error=f"bad compare JSON: {exc}"
-        )
-    walls = {
-        scenario["name"]: scenario.get("candidate_wall_s")
-        for scenario in report.get("scenarios", [])
-        if scenario.get("candidate_wall_s") is not None
-    }
-    regressions = int(report.get("regressions", 0))
-    publish(
-        f"bench[{target.name}]: {len(walls)} scenario(s), "
-        f"{regressions} regression(s)"
-    )
-    return TargetResult(
-        name=target.name,
-        ok=(gate.returncode == 0),
-        regressions=regressions,
-        wall_clock_s=walls,
-    )
+        output, _ = process.communicate(timeout=timeout)
+    except subprocess.TimeoutExpired:
+        # SIGTERM first: run.py then ends its workers' process groups.
+        process.terminate()
+        try:
+            process.communicate(timeout=STOP_GRACE_S)
+        except subprocess.TimeoutExpired:
+            process.kill()
+            process.communicate()
+        raise ServiceError(f"{script.name} timed out after {timeout:g}s") from None
+    if process.returncode not in verdicts:
+        tail = " / ".join(output.strip().splitlines()[-3:])
+        raise ServiceError(f"{script.name} exited {process.returncode}: {tail}")
+    return process.returncode, output
 
 
 def run_bench_cycle(
-    targets: Optional[Sequence] = None,
     repeat: int = 1,
     bench_dir=None,
     results_dir=None,
     publish: Callable[[str], None] = lambda message: None,
     timeout: float = 600.0,
-) -> BenchCycle:
-    """Run every target once and append the cycle to the trajectory.
+) -> Dict:
+    """Run one cycle, append its record to the trajectory, and return it.
 
-    ``targets`` may be :class:`BenchTarget` objects or names from
-    :data:`DEFAULT_TARGETS`; ``None`` runs all defaults.  Unknown names
-    raise :class:`~repro.errors.ServiceError`.
+    ``timeout`` is seconds per repetition for ``run.py`` (a repetition takes
+    about 95 s) and in all for ``compare.py``.  A harness that crashes or
+    times out is reported in the record's ``error``, not raised.
     """
     bench_dir = Path(bench_dir) if bench_dir is not None else default_bench_dir()
     if not bench_dir.is_dir():
         raise ServiceError(f"bench directory {bench_dir} does not exist")
-    chosen: List[BenchTarget] = []
-    by_name = {
-        target.name: target for target in (*DEFAULT_TARGETS, *EXTRA_TARGETS)
+    results_dir = Path(results_dir) if results_dir else bench_dir / "results"
+    results_dir.mkdir(parents=True, exist_ok=True)
+    candidate = results_dir / "E2E_candidate.json"
+    base = results_dir / "E2E_base.json"
+    run_py = bench_dir / "e2e" / "run.py"
+    record: Dict = {
+        "ts": time.time(), "commit": "unknown", "base": None,
+        "ok": False, "rows": [], "medians": {},
     }
-    for entry in targets if targets is not None else DEFAULT_TARGETS:
-        if isinstance(entry, BenchTarget):
-            chosen.append(entry)
-        elif entry in by_name:
-            chosen.append(by_name[entry])
-        else:
-            raise ServiceError(
-                f"unknown bench target {entry!r}; expected one of "
-                f"{', '.join(sorted(by_name))}"
+    publish(f"bench: {run_py} --repeat {repeat} --output {candidate}")
+    # A leftover candidate must not be gated as this cycle's measurement.
+    candidate.unlink(missing_ok=True)
+    try:
+        arguments = ["--repeat", str(repeat), "--output", str(candidate)]
+        code, _ = _run(run_py, arguments, timeout * repeat)
+        document = json.loads(candidate.read_text(encoding="utf-8"))
+        record["commit"] = document["meta"]["commit"]
+        record["medians"] = {
+            f"{workload}/{metric}": reading["value"]
+            for workload, entry in document["workloads"].items()
+            for metric, reading in entry["metrics"].items()
+        }
+        if base.exists():
+            gated = json.loads(base.read_text(encoding="utf-8"))
+            record["base"] = gated["meta"]["commit"]
+            compare_py = run_py.with_name("compare.py")
+            code, output = _run(
+                compare_py, [str(base), str(candidate)], timeout, verdicts=(0, 1)
             )
-
-    cycle = BenchCycle(
-        commit=current_commit(bench_dir.parent), started=time.time()
+            record["rows"] = [
+                line
+                for line in output.splitlines()
+                if line.startswith("MISMATCH ") or line.endswith("  worse")
+            ]
+            # A crashed interpreter exits 1 too, but names nothing as worse.
+            if code == 1 and not record["rows"]:
+                crash = output.strip().splitlines()[-1:]
+                raise ServiceError(f"compare.py exited 1, no verdict: {crash}")
+        record["ok"] = code == 0
+    except ServiceError as exc:
+        record["error"] = str(exc)
+    if record["ok"]:
+        # Copy then rename: a killed daemon never leaves a torn base.
+        shutil.copyfile(candidate, base.with_suffix(".tmp.json"))
+        os.replace(base.with_suffix(".tmp.json"), base)
+    publish(
+        f"bench: commit {record['commit'][:12]} against base "
+        f"{(record['base'] or 'none')[:12]}: "
+        + (record.get("error") or ("ok" if record["ok"] else "; ".join(record["rows"])))
     )
-    for target in chosen:
-        cycle.results.append(
-            _run_target(target, bench_dir, repeat, publish, timeout)
-        )
-    results_dir = (
-        Path(results_dir) if results_dir is not None else bench_dir / "results"
-    )
-    TrajectoryStore(results_dir / "perf_trajectory.jsonl").append(cycle)
-    return cycle
+    TrajectoryStore(results_dir / "perf_trajectory.jsonl").append(record)
+    return record

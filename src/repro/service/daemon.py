@@ -11,7 +11,8 @@ One asyncio process per state directory:
   concurrent sweeps would fight for the same cores and wreck both their
   benchmark numbers;
 * an optional bench scheduler that submits a ``bench`` job every
-  ``bench_interval`` seconds, building the per-commit perf trajectory;
+  ``bench_interval`` seconds — unless one is still queued or running —
+  building the per-commit perf trajectory;
 * an :class:`~repro.service.events.EventBus` fanning per-trial progress,
   metrics snapshots, and lifecycle events out to ``watch`` subscribers.
 
@@ -56,7 +57,8 @@ class ServiceDaemon:
     ) -> None:
         self.state = ServiceState(state_dir)
         self.bench_interval = bench_interval
-        self.bench_repeat = bench_repeat
+        self.bench_spec = JobSpec(kind="bench", params={"repeat": bench_repeat})
+        validate_spec(self.bench_spec)  # a bad --bench-repeat fails at start
         self.queue: Optional[DurableJobQueue] = None
         self.bus: Optional[EventBus] = None
         self._pending: Optional[asyncio.Queue] = None
@@ -205,14 +207,30 @@ class ServiceDaemon:
 
     async def _bench_loop(self) -> None:
         assert self.queue is not None and self._pending is not None
+        waiting_on = None
         while not self._stopping:
             await asyncio.sleep(self.bench_interval or 0)
             if self._stopping:
                 return
-            spec = JobSpec(
-                kind="bench", params={"repeat": self.bench_repeat}
-            )
-            view = self.queue.submit(spec)
+            # A cycle outlasts any short interval; piling jobs onto the
+            # durable queue would only measure the same commit again.
+            unfinished = [
+                view.job_id
+                for view in self.queue.pending()
+                if view.spec.kind == "bench"
+            ]
+            if unfinished:
+                if waiting_on != unfinished[0] and self.bus is not None:
+                    self.bus.publish(
+                        log_event(
+                            unfinished[0],
+                            "bench scheduler: no new cycle while this one "
+                            "is unfinished",
+                        )
+                    )
+                waiting_on = unfinished[0]
+                continue
+            view = self.queue.submit(self.bench_spec)
             if self.bus is not None:
                 self.bus.publish(
                     log_event(view.job_id, "scheduled bench cycle")

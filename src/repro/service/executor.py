@@ -238,22 +238,20 @@ def execute_bench(
     publish: Callable[[Dict], None] = _noop_publish,
     should_cancel: Callable[[], bool] = _never_cancel,
 ) -> ExecutionOutcome:
-    """Run one continuous-benchmarking cycle and record the trajectory."""
+    """Run one ``benchmarks/e2e`` cycle; the trajectory record is the detail."""
     from .bench import run_bench_cycle
 
     if should_cancel():
         raise JobCancelled(f"job {view.job_id} cancelled")
     params = view.spec.params
-    cycle = run_bench_cycle(
-        targets=params.get("targets") or None,
-        repeat=int(params.get("repeat", 1)),
+    record = run_bench_cycle(
+        repeat=params.get("repeat", 1),
         bench_dir=params.get("bench_dir"),
         results_dir=params.get("results_dir"),
         publish=lambda message: publish(log_event(view.job_id, message)),
     )
     return ExecutionOutcome(
-        state="done" if cycle.ok else "failed",
-        detail=cycle.summary(),
+        state="done" if record["ok"] else "failed", detail=record
     )
 
 

@@ -39,6 +39,9 @@ from ..experiments import (
 
 #: Job kinds the executor knows how to run.
 JOB_KINDS = ("sweep", "figure", "bench")
+#: Everything a bench spec may carry: ``run.py --repeat`` and the two
+#: deployment paths (``benchmarks/`` and where machine-written files land).
+BENCH_PARAMS = ("repeat", "bench_dir", "results_dir")
 
 #: Job lifecycle states, in the order a healthy job passes through them.
 QUEUED = "queued"
@@ -200,9 +203,9 @@ def validate_spec(spec: JobSpec) -> None:
     """Reject invalid specs at submit time (the daemon's gate).
 
     Sweep specs are fully resolved (factories, config, policy); figure
-    specs are checked against the CLI's figure registry; bench specs are
-    structurally checked (target names are validated when the cycle
-    runs, against the bench directory that exists *then*).
+    specs are checked against the CLI's figure registry; bench specs may
+    carry only :data:`BENCH_PARAMS` (the directories themselves are
+    looked at when the cycle runs, as they exist *then*).
     """
     if spec.kind not in JOB_KINDS:
         raise ServiceError(
@@ -221,11 +224,30 @@ def validate_spec(spec: JobSpec) -> None:
                 f"{', '.join(sorted(FIGURES))}"
             )
     else:  # bench
-        names = spec.params.get("targets", [])
-        if not isinstance(names, (list, tuple)):
+        params = spec.params
+        if "targets" in params:
             raise ServiceError(
-                f"bench spec 'targets' must be a list, got {names!r}"
+                "bench spec 'targets' is retired: a bench job runs the whole "
+                "benchmarks/e2e harness (every workload), there is nothing "
+                "to select"
             )
+        unknown = sorted(set(params) - set(BENCH_PARAMS))
+        if unknown:
+            raise ServiceError(
+                f"unknown bench spec parameter(s) {', '.join(unknown)}; "
+                f"expected only {', '.join(BENCH_PARAMS)}"
+            )
+        repeat = params.get("repeat", 1)
+        if isinstance(repeat, bool) or not isinstance(repeat, int) or repeat < 1:
+            raise ServiceError(
+                f"bench spec 'repeat' must be an int >= 1, got {repeat!r}"
+            )
+        for key in ("bench_dir", "results_dir"):
+            if not isinstance(params.get(key, ""), str):
+                raise ServiceError(
+                    f"bench spec {key!r} must be a path string, "
+                    f"got {params[key]!r}"
+                )
 
 
 @dataclass

@@ -8,6 +8,7 @@ record was truncated mid-write — lives in
 import json
 import os
 import signal
+import sys
 import zlib
 
 import pytest
@@ -32,6 +33,9 @@ from repro.experiments.journal import (
 
 FAST = BgpConfig(mrai=1.0, processing_delay=(0.01, 0.05))
 SETTINGS = RunSettings(failure_guard=0.5)
+#: Budget that kills a 6-clique but lets a 3-clique finish (see
+#: tests/experiments/test_parallel_sweep.py for the calibration).
+TIGHT = RunSettings(failure_guard=0.5, event_budget=200)
 MAKE_CONFIG = factory_ref(constant_config, config=FAST)
 
 
@@ -222,14 +226,14 @@ class TestSummaries:
 
 
 class TestCheckpointedSweep:
-    def run_sweep(self, path, xs=(3, 4), seeds=(0, 1)):
+    def run_sweep(self, path, xs=(3, 4), seeds=(0, 1), settings=SETTINGS):
         return checkpointed_sweep(
             list(xs),
             clique_tdown_trial,
             MAKE_CONFIG,
             journal=path,
             seeds=tuple(seeds),
-            settings=SETTINGS,
+            settings=settings,
         )
 
     def test_fresh_run_journals_every_trial(self, tmp_path):
@@ -241,30 +245,64 @@ class TestCheckpointedSweep:
         assert set(records) == {(3, 0), (3, 1), (4, 0), (4, 1)}
         assert recovery.clean
 
-    def test_rerun_executes_nothing(self, tmp_path):
+    def test_rerun_executes_nothing(self, tmp_path, monkeypatch):
+        # The library resolves ``sweep`` lazily from its defining module
+        # (the package attribute is shadowed by the function itself).
+        module = sys.modules["repro.experiments.sweep"]
+        real_sweep, executed = module.sweep, []
+
+        def recording_sweep(xs, *args, seeds, **kwargs):
+            executed.extend((x, seed) for x in xs for seed in seeds)
+            return real_sweep(xs, *args, seeds=seeds, **kwargs)
+
+        monkeypatch.setattr(module, "sweep", recording_sweep)
         path = tmp_path / "sweep.jsonl"
+        # "Interrupted": the first invocation only got through x=3 ...
+        partial = self.run_sweep(path, xs=(3,))
+        del executed[:]
+        # ... so the resumed one executes x=4 alone and loads x=3.
         first = self.run_sweep(path)
+        assert executed == [(4, 0), (4, 1)]
+        assert first[0] == partial[0]
         before = path.read_text(encoding="utf-8")
+        del executed[:]
         again = self.run_sweep(path)
+        assert executed == []
         assert [s.metrics for s in again] == [s.metrics for s in first]
         assert path.read_text(encoding="utf-8") == before
 
     def test_resume_from_truncated_final_record(self, tmp_path):
         """Acceptance criterion: a journal whose final record was torn
         mid-write resumes — only the torn trial re-runs, and its result
-        matches what the undisturbed sweep produced."""
+        matches what the undisturbed sweep produced.  The same holds for
+        a record damaged in the middle of the file (CRC mismatch)."""
         path = tmp_path / "sweep.jsonl"
         complete = self.run_sweep(path)
         lines = path.read_text(encoding="utf-8").splitlines()
         assert len(lines) == 4
-        path.write_text(
-            "\n".join(lines[:-1]) + "\n" + lines[-1][:-10], encoding="utf-8"
-        )
-        resumed = self.run_sweep(path)
-        assert [s.metrics for s in resumed] == [s.metrics for s in complete]
-        records, recovery = SweepJournal(path).load()
-        assert set(records) == {(3, 0), (3, 1), (4, 0), (4, 1)}
-        assert recovery.clean  # close() checkpointed the repaired view
+        torn_tail = "\n".join(lines[:-1]) + "\n" + lines[-1][:-10]
+        flipped = [lines[0].replace('"seed":0', '"seed":9', 1), *lines[1:]]
+        for damaged, survivors in (
+            (torn_tail, {(3, 0), (3, 1), (4, 0)}),
+            ("\n".join(flipped) + "\n", {(3, 1), (4, 0), (4, 1)}),
+        ):
+            path.write_text(damaged, encoding="utf-8")
+            assert set(SweepJournal(path).load()[0]) == survivors
+            resumed = self.run_sweep(path)
+            assert [s.metrics for s in resumed] == [s.metrics for s in complete]
+            records, recovery = SweepJournal(path).load()
+            assert set(records) == {(3, 0), (3, 1), (4, 0), (4, 1)}
+            assert recovery.clean  # close() checkpointed the repaired view
+
+    def test_all_failed_point_is_journaled_not_raised(self, tmp_path):
+        path = tmp_path / "sweep.jsonl"
+        [point] = self.run_sweep(path, xs=(6,), seeds=(0,), settings=TIGHT)
+        assert (point.succeeded, point.failed, point.metrics) == (0, 1, {})
+        # The journaled failure is a valid record: a rerun loads it instead
+        # of looping on the dead point.
+        before = path.read_text(encoding="utf-8")
+        assert self.run_sweep(path, xs=(6,), seeds=(0,), settings=TIGHT) == [point]
+        assert path.read_text(encoding="utf-8") == before
 
     def test_fresh_flag_discards_previous_journal(self, tmp_path):
         path = tmp_path / "sweep.jsonl"

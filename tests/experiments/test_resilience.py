@@ -24,7 +24,6 @@ from repro.experiments import (
     constant_config,
     factory_ref,
     failures_of,
-    last_report,
     sweep,
 )
 
@@ -384,18 +383,3 @@ class TestReportThreading:
         assert merged.worker_deaths == 1
         assert merged.exhausted == 1
         assert merged.metrics.counter("resilience.retries") == 3
-
-    def test_last_report_shim_still_mirrors_and_deprecates(self):
-        sweep(
-            [3],
-            clique_tdown_trial,
-            MAKE_CONFIG,
-            seeds=(0,),
-            settings=SETTINGS,
-            jobs=1,
-            policy=ResiliencePolicy(),
-        )
-        with pytest.deprecated_call():
-            report = last_report()
-        assert report is not None
-        assert report.completed >= 1

@@ -1,13 +1,14 @@
-"""Continuous benchmarking against a stub bench directory.
+"""Continuous benchmarking against a stub repository tree.
 
-The stub directory carries a tiny bench script that honors the real
-``--repeat``/``--output`` contract plus the *real* ``compare_baselines.py``
-(copied in), so the gating path exercised here is the one CI and the
-daemon run — only the measured workload is fake.
+The tree carries copies of the *real* ``BENCHMARK.json``, ``run.py`` and
+``compare.py``, so the measuring and gating path exercised here is the one CI
+and the daemon run — only the measured workload is fake: a stub ``worker.py``
+prints canned worker documents, steered through ``canned.json`` beside it.
 """
 
 import json
 import shutil
+import time
 from pathlib import Path
 
 import pytest
@@ -17,119 +18,185 @@ from repro.service import (
     JobSpec,
     JobView,
     ServiceState,
-    execute_job,
-)
-from repro.service.bench import (
-    BenchCycle,
-    BenchTarget,
-    TargetResult,
     TrajectoryStore,
-    current_commit,
+    execute_job,
     run_bench_cycle,
 )
 
-REPO_ROOT = Path(__file__).resolve().parents[2]
+from daemon_harness import DaemonHarness
 
-STUB_SCRIPT = """\
-import argparse, json
+REPO_ROOT = Path(__file__).resolve().parents[2]
+SPEC = json.loads((REPO_ROOT / "BENCHMARK.json").read_text())
+
+STUB_WORKER = """\
+import argparse, json, sys, time
+from pathlib import Path
 
 parser = argparse.ArgumentParser()
-parser.add_argument("--repeat", type=int, default=1)
-parser.add_argument("--output", required=True)
-args = parser.parse_args()
-assert args.repeat >= 1
-document = {
-    "schema": 1,
-    "results": {
-        "stub": {"wall_clock_s": 0.05, "updates": 100, "updates_per_s": 2000.0}
-    },
+parser.add_argument("--workload")
+parser.add_argument("--setup-only", action="store_true")
+args, _rest = parser.parse_known_args()
+canned = json.loads((Path(__file__).parent / "canned.json").read_text())
+time.sleep(canned["sleep_s"])
+if canned["exit"]:
+    sys.exit(canned["exit"])
+if args.setup_only:
+    print(json.dumps({"setup_s": 0.01}))
+    sys.exit(0)
+wall = canned["job_wall_s"]
+readings = {
+    "job_wall_s": (wall, "s"),
+    "events_per_s": (100 / wall, "1/s"),
+    "route_updates_per_s": (10 / wall, "1/s"),
+    "peak_rss_mb": (30.0, "MiB"),
 }
-with open(args.output, "w") as handle:
-    json.dump(document, handle)
+print(json.dumps({
+    "attempted": 3,
+    "failed": 0,
+    "setup_s": 0.01,
+    "metrics": {
+        name: {"value": value, "unit": unit}
+        for name, (value, unit) in readings.items()
+    },
+    "detail": {
+        "job_wall_samples_s": [wall] * 3,
+        "sim_digest": canned["sim_digest"] + args.workload,
+        "events": 100,
+        "route_updates": 10,
+        "failures": [],
+    },
+}))
 """
 
 
-def baseline_document(wall: float) -> dict:
-    return {
-        "schema": 1,
-        "results": {
-            "stub": {"wall_clock_s": wall, "updates": 100, "updates_per_s": 1.0}
-        },
-    }
+def build_tree(root: Path) -> Path:
+    """A stub repository under ``root``; returns its ``benchmarks/``."""
+    harness = root / "benchmarks" / "e2e"
+    harness.mkdir(parents=True)
+    # run.py refuses to start without a program to measure.
+    (root / "src" / "repro").mkdir(parents=True, exist_ok=True)
+    shutil.copy(REPO_ROOT / "BENCHMARK.json", root)
+    for script in ("run.py", "compare.py"):
+        shutil.copy(REPO_ROOT / "benchmarks" / "e2e" / script, harness)
+    (harness / "worker.py").write_text(STUB_WORKER)
+    can(root / "benchmarks")
+    return root / "benchmarks"
+
+
+def can(bench_dir: Path, job_wall_s=0.05, sim_digest="d-", exit=0, sleep_s=0.0):
+    """Steer what the stub workers of the next cycle print."""
+    (bench_dir / "e2e" / "canned.json").write_text(
+        json.dumps(
+            {
+                "job_wall_s": job_wall_s,
+                "sim_digest": sim_digest,
+                "exit": exit,
+                "sleep_s": sleep_s,
+            }
+        )
+    )
 
 
 @pytest.fixture
 def bench_dir(tmp_path) -> Path:
-    """A stub benchmarks/ directory with a matching baseline (wall 0.05)."""
-    stub = tmp_path / "benchmarks"
-    (stub / "baselines").mkdir(parents=True)
-    (stub / "bench_stub.py").write_text(STUB_SCRIPT)
-    (stub / "baselines" / "BENCH_stub.json").write_text(
-        json.dumps(baseline_document(0.05))
-    )
-    shutil.copy(REPO_ROOT / "benchmarks" / "compare_baselines.py", stub)
-    return stub
+    return build_tree(tmp_path / "repo")
 
 
-STUB_TARGET = BenchTarget(
-    name="stub",
-    script="bench_stub.py",
-    baseline="baselines/BENCH_stub.json",
-)
+def trajectory(bench_dir: Path):
+    return TrajectoryStore(bench_dir / "results" / "perf_trajectory.jsonl").records()
 
 
 class TestRunBenchCycle:
-    def test_matching_baseline_passes(self, bench_dir):
+    def test_first_cycle_has_no_base_and_creates_it(self, bench_dir):
         messages = []
-        cycle = run_bench_cycle(
-            targets=[STUB_TARGET], bench_dir=bench_dir, publish=messages.append
+        record = run_bench_cycle(bench_dir=bench_dir, publish=messages.append)
+        assert record["ok"] and record["base"] is None and record["rows"] == []
+        assert "error" not in record
+        assert record["commit"] == "unknown"  # the stub tree is not a checkout
+        # Every <workload>/<metric> median, under the names run.py prints.
+        assert sorted(record["medians"]) == sorted(
+            f"{workload['name']}/{metric['name']}"
+            for workload in SPEC["workloads"]
+            for metric in SPEC["end_to_end"]
         )
-        assert cycle.ok
-        [result] = cycle.results
-        assert result.name == "stub"
-        assert result.regressions == 0
-        assert result.wall_clock_s == {"stub": 0.05}
-        assert any("0 regression(s)" in message for message in messages)
+        assert record["medians"]["clique_tdown/job_wall_s"] == 0.05
+        assert any("run.py --repeat 1" in message for message in messages)
+        assert trajectory(bench_dir) == [record]
+        results = bench_dir / "results"
+        assert (results / "E2E_base.json").read_bytes() == (
+            results / "E2E_candidate.json"
+        ).read_bytes()
 
-        # The cycle landed in the trajectory with provenance attached.
-        [record] = TrajectoryStore(
-            bench_dir / "results" / "perf_trajectory.jsonl"
-        ).records()
-        assert record["target"] == "stub"
-        assert record["ok"] is True
-        assert record["commit"]
+    def test_matching_baseline_passes(self, bench_dir):
+        run_bench_cycle(bench_dir=bench_dir)
+        record = run_bench_cycle(bench_dir=bench_dir, repeat=2)
+        # Gated by compare.py this time: a base existed.
+        assert record["ok"] and record["base"] == "unknown"
+        assert record["rows"] == []
+        assert [entry["ok"] for entry in trajectory(bench_dir)] == [True, True]
+        # The passing candidate is the next cycle's base.
+        base = json.loads((bench_dir / "results" / "E2E_base.json").read_text())
+        assert base["meta"]["repeat"] == 2
 
     def test_regression_fails_cycle(self, bench_dir):
-        (bench_dir / "baselines" / "BENCH_stub.json").write_text(
-            json.dumps(baseline_document(0.001))  # stub reports 0.05 → 50x
+        run_bench_cycle(bench_dir=bench_dir)
+        can(bench_dir, job_wall_s=0.10)  # 2x the base, bound 0.25
+        record = run_bench_cycle(bench_dir=bench_dir)
+        assert not record["ok"]
+        assert "error" not in record  # the bench ran fine; the gate said no
+        worse = [row for row in record["rows"] if row.endswith("  worse")]
+        assert any(
+            row.startswith("clique_tdown") and "job_wall_s" in row for row in worse
         )
-        cycle = run_bench_cycle(targets=[STUB_TARGET], bench_dir=bench_dir)
-        assert not cycle.ok
-        [result] = cycle.results
-        assert result.regressions == 1
-        assert not result.error  # the bench ran fine; the gate said no
-        [record] = TrajectoryStore(
-            bench_dir / "results" / "perf_trajectory.jsonl"
-        ).records()
-        assert record["ok"] is False and record["regressions"] == 1
+        assert any(
+            row == "MISMATCH clique_tdown: job_wall_s is worse by more than its bound"
+            for row in record["rows"]
+        )
+        assert trajectory(bench_dir)[-1] == record
+        # The base stays the last passing cycle.
+        base = json.loads((bench_dir / "results" / "E2E_base.json").read_text())
+        assert base["workloads"]["clique_tdown"]["metrics"]["job_wall_s"]["value"] == 0.05
 
-    def test_unknown_target_name_rejected(self, bench_dir):
-        with pytest.raises(ServiceError, match="unknown bench target"):
-            run_bench_cycle(targets=["mystery"], bench_dir=bench_dir)
+    def test_changed_sim_digest_is_a_mismatch(self, bench_dir):
+        run_bench_cycle(bench_dir=bench_dir)
+        before = (bench_dir / "results" / "E2E_base.json").read_bytes()
+        can(bench_dir, sim_digest="other-")
+        record = run_bench_cycle(bench_dir=bench_dir)
+        assert not record["ok"]
+        assert "MISMATCH clique_tdown: untraced sim_digest differs" in record["rows"]
+        assert (bench_dir / "results" / "E2E_base.json").read_bytes() == before
 
     def test_missing_script_reported_not_raised(self, bench_dir):
-        broken = BenchTarget(
-            name="ghost", script="bench_ghost.py", baseline=STUB_TARGET.baseline
-        )
-        cycle = run_bench_cycle(targets=[broken], bench_dir=bench_dir)
-        assert not cycle.ok
-        assert "missing bench script" in cycle.results[0].error
+        (bench_dir / "e2e" / "run.py").unlink()
+        record = run_bench_cycle(bench_dir=bench_dir)
+        assert not record["ok"]
+        assert "run.py exited 2" in record["error"]
+        assert trajectory(bench_dir) == [record]
 
     def test_crashing_script_reported_not_raised(self, bench_dir):
-        (bench_dir / "bench_stub.py").write_text("raise SystemExit(3)\n")
-        cycle = run_bench_cycle(targets=[STUB_TARGET], bench_dir=bench_dir)
-        assert not cycle.ok
-        assert "exited 3" in cycle.results[0].error
+        can(bench_dir, exit=3)
+        record = run_bench_cycle(bench_dir=bench_dir)
+        assert not record["ok"] and record["medians"] == {}
+        assert "run.py exited 1" in record["error"]
+        assert "worker exited with code 3" in record["error"]
+        assert not (bench_dir / "results" / "E2E_base.json").exists()
+
+        # compare.py crashing exits 1 as well; that is no verdict either.
+        can(bench_dir)
+        run_bench_cycle(bench_dir=bench_dir)
+        (bench_dir / "results" / "E2E_base.json").write_text('{"meta": {"commit": "x"}}')
+        record = run_bench_cycle(bench_dir=bench_dir)
+        assert not record["ok"]
+        assert "compare.py exited 1, no verdict" in record["error"]
+
+    def test_timed_out_script_reported_not_raised(self, bench_dir):
+        can(bench_dir, sleep_s=30.0)
+        started = time.monotonic()
+        record = run_bench_cycle(bench_dir=bench_dir, timeout=0.5)
+        assert time.monotonic() - started < 20.0  # run.py ended its worker
+        assert not record["ok"]
+        assert record["error"] == "run.py timed out after 0.5s"
+        assert trajectory(bench_dir) == [record]
 
     def test_missing_bench_dir_rejected(self, tmp_path):
         with pytest.raises(ServiceError, match="does not exist"):
@@ -137,10 +204,18 @@ class TestRunBenchCycle:
 
     def test_custom_results_dir(self, bench_dir, tmp_path):
         results = tmp_path / "elsewhere"
-        run_bench_cycle(
-            targets=[STUB_TARGET], bench_dir=bench_dir, results_dir=results
-        )
-        assert TrajectoryStore(results / "perf_trajectory.jsonl").records()
+        results.mkdir()
+        # A daemon killed mid-append left a torn tail: the cycle seals it.
+        (results / "perf_trajectory.jsonl").write_text('{"crc": 1, "record"')
+        record = run_bench_cycle(bench_dir=bench_dir, results_dir=results)
+        assert TrajectoryStore(results / "perf_trajectory.jsonl").records() == [record]
+        # Every machine-written file lands there, none beside the scripts.
+        assert sorted(path.name for path in results.iterdir()) == [
+            "E2E_base.json",
+            "E2E_candidate.json",
+            "perf_trajectory.jsonl",
+        ]
+        assert not (bench_dir / "results").exists()
 
 
 class TestBenchJob:
@@ -148,72 +223,83 @@ class TestBenchJob:
         state = ServiceState(tmp_path / "state")
         state.ensure_layout()
         events = []
-        view = JobView(
-            job_id="job-1",
-            spec=JobSpec(
-                kind="bench",
-                params={
-                    "targets": ["stub"],
-                    "bench_dir": str(bench_dir),
-                },
-            ),
-        )
-        # "stub" is not a default target name, so resolution fails — the
-        # job fails cleanly rather than crashing the worker.
+        params = {"bench_dir": str(bench_dir), "results_dir": str(tmp_path / "out")}
+        view = JobView(job_id="job-1", spec=JobSpec(kind="bench", params=params))
         outcome = execute_job(view, state, events.append)
-        assert outcome.state == "failed"
-        assert "unknown bench target" in outcome.detail["error"]
+        assert outcome.state == "done"
+        assert outcome.detail["ok"] and len(outcome.detail["medians"]) == 25
+        assert any(event["event"] == "log" for event in events)
 
-        view = JobView(
-            job_id="job-2",
-            spec=JobSpec(kind="bench", params={"bench_dir": str(bench_dir)}),
-        )
-        # Default targets against the stub dir: scripts are absent, so the
-        # cycle completes with per-target errors and the job is "failed".
+        can(bench_dir, job_wall_s=0.10)
+        view = JobView(job_id="job-2", spec=JobSpec(kind="bench", params=params))
         outcome = execute_job(view, state, events.append)
         assert outcome.state == "failed"
-        assert all(not t["ok"] for t in outcome.detail["targets"])
+        assert outcome.detail["rows"]
+
+        # A bad deployment path fails the job cleanly, not the worker.
+        view = JobView(
+            job_id="job-3",
+            spec=JobSpec(kind="bench", params={"bench_dir": str(tmp_path / "nope")}),
+        )
+        outcome = execute_job(view, state, events.append)
+        assert outcome.state == "failed"
+        assert "does not exist" in outcome.detail["error"]
+
+
+class TestBenchScheduler:
+    def test_short_interval_never_piles_up_jobs(self, tmp_path):
+        """A cycle (seconds here, minutes for real) outlasts the interval:
+        the scheduler waits for it instead of queueing one job per tick."""
+        root = tmp_path / "repo"
+        # The daemon finds benchmarks/ relative to the package it runs from.
+        shutil.copytree(
+            REPO_ROOT / "src" / "repro",
+            root / "src" / "repro",
+            ignore=shutil.ignore_patterns("__pycache__"),
+        )
+        bench_dir = build_tree(root)
+        can(bench_dir, sleep_s=0.08)  # 25 workers: a cycle takes 2 s at least
+        daemon = DaemonHarness(
+            tmp_path / "state", bench_interval=0.1, src_dir=root / "src"
+        ).start()
+        try:
+            deadline = time.monotonic() + 3.0
+            while time.monotonic() < deadline:
+                jobs = daemon.client.jobs()
+                assert all(job["kind"] == "bench" for job in jobs)
+                unfinished = [
+                    job for job in jobs if job["state"] in ("queued", "running")
+                ]
+                assert len(unfinished) <= 1, jobs
+                time.sleep(0.1)
+            # 30 ticks went by; a job per tick is what used to happen.
+            assert 1 <= len(daemon.client.jobs()) <= 3
+        finally:
+            daemon.stop()
 
 
 class TestTrajectoryStore:
+    RECORD = {
+        "ts": 12.5,
+        "commit": "abc1234",
+        "base": None,
+        "ok": True,
+        "rows": [],
+        "medians": {"clique_tdown/job_wall_s": 0.4},
+    }
+
     def test_append_and_records_round_trip(self, tmp_path):
         store = TrajectoryStore(tmp_path / "results" / "trajectory.jsonl")
-        cycle = BenchCycle(commit="abc1234", started=12.5)
-        cycle.results.append(
-            TargetResult(
-                name="hotpath", ok=True, wall_clock_s={"clique8": 0.4}
-            )
-        )
-        store.append(cycle)
-        [record] = store.records()
-        assert record == {
-            "ts": 12.5,
-            "commit": "abc1234",
-            "target": "hotpath",
-            "ok": True,
-            "regressions": 0,
-            "wall_clock_s": {"clique8": 0.4},
-        }
+        store.append(self.RECORD)
+        assert store.records() == [self.RECORD]
 
     def test_damaged_lines_skipped(self, tmp_path):
         store = TrajectoryStore(tmp_path / "trajectory.jsonl")
-        cycle = BenchCycle(commit="abc1234", started=1.0)
-        cycle.results.append(TargetResult(name="hotpath", ok=True))
-        store.append(cycle)
+        store.append(self.RECORD)
         with store.path.open("a") as handle:
             handle.write('{"crc": 1, "record"')  # torn mid-write
-        store.append(cycle)
+        store.append(self.RECORD)
         assert len(store.records()) == 2
 
     def test_missing_file_is_empty(self, tmp_path):
         assert TrajectoryStore(tmp_path / "absent.jsonl").records() == []
-
-
-class TestCurrentCommit:
-    def test_inside_repo(self):
-        commit = current_commit(REPO_ROOT)
-        assert commit != "unknown"
-        assert len(commit) >= 7
-
-    def test_outside_repo(self, tmp_path):
-        assert current_commit(tmp_path) == "unknown"

@@ -119,10 +119,25 @@ class TestValidateSpec:
         with pytest.raises(ServiceError, match="figure"):
             validate_spec(JobSpec(kind="figure", params={"id": "fig99"}))
 
-    def test_bench_targets_must_be_list(self):
+    def test_bench_accepts_only_its_three_parameters(self):
         validate_spec(JobSpec(kind="bench", params={}))
-        with pytest.raises(ServiceError, match="targets"):
-            validate_spec(JobSpec(kind="bench", params={"targets": "hotpath"}))
+        validate_spec(
+            JobSpec(
+                kind="bench",
+                params={"repeat": 3, "bench_dir": "b", "results_dir": "r"},
+            )
+        )
+        for params, complaint in (
+            ({"targets": ["hotpath"]}, "retired.*benchmarks/e2e"),
+            ({"repeats": 3}, "unknown bench spec parameter.*repeats"),
+            ({"repeat": 0}, "'repeat' must be an int >= 1"),
+            ({"repeat": 2.0}, "'repeat' must be an int >= 1"),
+            ({"repeat": True}, "'repeat' must be an int >= 1"),
+            ({"repeat": "3"}, "'repeat' must be an int >= 1"),
+            ({"results_dir": 7}, "'results_dir' must be a path string"),
+        ):
+            with pytest.raises(ServiceError, match=complaint):
+                validate_spec(JobSpec(kind="bench", params=params))
 
 
 class TestJobView:
