@@ -19,14 +19,12 @@ from __future__ import annotations
 
 import functools
 import hashlib
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, List, Optional, Tuple
+from typing import TYPE_CHECKING, Optional, Tuple
 
 from ..bgp import BgpConfig
 from ..errors import AnalysisError
-from ..experiments import RunSettings, Scenario, run_experiment
+from ..experiments import RunSettings, Scenario, constant_config, sweep
 
 if TYPE_CHECKING:  # pragma: no cover - annotation only
     from ..experiments.resilience import ResiliencePolicy
@@ -150,35 +148,10 @@ def fingerprint_run(run) -> RunFingerprint:
     )
 
 
-def fingerprint_once(
-    scenario: Scenario,
-    config: BgpConfig,
-    settings: RunSettings,
-    seed: int,
-) -> RunFingerprint:
-    """One run reduced to its fingerprint; module-level so pool workers
-    can execute repetitions of a parallel determinism check."""
-    run = run_experiment(
-        scenario, config, settings=settings, seed=seed, keep_network=True
-    )
-    return fingerprint_run(run)
-
-
-def _constant_scenario(x: float, seed: int, scenario: Scenario = None) -> Scenario:
-    """Module-level constant factory (picklable via ``functools.partial``)."""
+def _constant_scenario(x: float, seed: int, *, scenario: Scenario) -> Scenario:
+    """``make_scenario`` that ignores x and seed (module-level, so a
+    ``functools.partial`` of it can follow a trial into a worker)."""
     return scenario
-
-
-def _constant_config(x: float, config: BgpConfig = None) -> BgpConfig:
-    """Module-level constant factory (picklable via ``functools.partial``)."""
-    return config
-
-
-def _fingerprint_worker(task) -> RunFingerprint:
-    """Supervised-executor worker: one repetition reduced to its digest."""
-    scenario = task.make_scenario(task.x, task.seed)
-    config = task.make_config(task.x)
-    return fingerprint_once(scenario, config, task.settings, task.seed)
 
 
 def check_determinism(
@@ -196,70 +169,39 @@ def check_determinism(
     executes under the full sanitizer suite, so the check covers both
     reproducibility and runtime invariants in one pass.
 
-    ``jobs > 1`` (or ``0`` for one per CPU) strengthens the check: run 0
-    executes in *this* process — the sequential baseline — while the
-    remaining repetitions execute in pool worker processes.  Identical
-    digests then certify that a trial is bit-identical whether it runs
-    in-process or in a parallel-sweep worker, which is exactly the
-    guarantee ``sweep(..., jobs=N)`` relies on.
-
-    ``policy`` (with ``jobs > 1``) runs the worker repetitions under the
-    supervised resilient executor instead of a bare pool: a worker killed
-    mid-repetition is restarted and retried per the policy, and the
-    digests must *still* match the in-process baseline — the strongest
-    form of the retries-don't-perturb-determinism guarantee.  A
-    repetition that exhausts its retries raises its final error (a
-    determinism check cannot compare digests it never got).
+    Every repetition is a ``digests=True`` trial of
+    :func:`~repro.experiments.sweep.sweep`: run 0 in this process — the
+    sequential baseline — and the rest with the caller's ``jobs`` and
+    ``policy``, which mean exactly what they mean there.  ``jobs > 1``
+    (or ``0`` for one per CPU) strengthens the check: identical digests
+    then certify that a trial is bit-identical whether it runs in-process
+    or in a sweep worker, the guarantee ``sweep(..., jobs=N)`` relies on;
+    with a ``policy`` a worker killed mid-repetition is retried and must
+    *still* match the baseline.  A repetition that fails, or exhausts its
+    retries, raises its error (a determinism check cannot compare digests
+    it never got).
     """
     if runs < 2:
         raise AnalysisError(f"a determinism check needs >= 2 runs, got {runs}")
-    if jobs == 0:
-        jobs = os.cpu_count() or 1
-    if jobs < 0:
-        raise AnalysisError(f"jobs must be >= 0 (0 = one per CPU), got {jobs}")
-    fingerprints: List[RunFingerprint] = []
-    if jobs == 1:
-        for _ in range(runs):
-            fingerprints.append(
-                fingerprint_once(scenario, config, settings, seed)
-            )
-    elif policy is not None:
-        from ..experiments.resilience import run_tasks_supervised
-        from ..experiments.sweep import TrialFailure, TrialTask
 
-        fingerprints.append(fingerprint_once(scenario, config, settings, seed))
-        tasks = [
-            TrialTask(
-                index=index,
-                x=0.0,
-                seed=seed,
-                make_scenario=functools.partial(
-                    _constant_scenario, scenario=scenario
-                ),
-                make_config=functools.partial(_constant_config, config=config),
-                settings=settings,
-            )
-            for index in range(runs - 1)
-        ]
-        outcomes, _report = run_tasks_supervised(
-            tasks, min(jobs, runs - 1), policy, worker_fn=_fingerprint_worker
+    def repetitions(count: int, workers: int):
+        # One x per repetition; the factories ignore it.
+        return sweep(
+            list(range(count)),
+            functools.partial(_constant_scenario, scenario=scenario),
+            functools.partial(constant_config, config=config),
+            seeds=(seed,),
+            settings=settings,
+            on_error="raise",
+            jobs=workers,
+            digests=True,
+            policy=policy,
         )
-        for index in range(runs - 1):
-            outcome = outcomes[index]
-            if isinstance(outcome, TrialFailure):
-                raise outcome.error
-            fingerprints.append(outcome)
-    else:
-        fingerprints.append(fingerprint_once(scenario, config, settings, seed))
-        with ProcessPoolExecutor(max_workers=min(jobs, runs - 1)) as pool:
-            futures = [
-                pool.submit(fingerprint_once, scenario, config, settings, seed)
-                for _ in range(runs - 1)
-            ]
-            for future in futures:
-                fingerprints.append(future.result())
+
+    others = repetitions(runs - 1, jobs)  # first: it validates ``jobs``
+    points = repetitions(1, 1) + others
     return DeterminismReport(
         scenario_name=scenario.name,
         seed=seed,
-        fingerprints=tuple(fingerprints),
+        fingerprints=tuple(point.runs[0].fingerprint for point in points),
     )

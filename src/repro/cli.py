@@ -23,8 +23,9 @@ Service subcommands (the always-on sweep job service)::
 Also reachable as ``python -m repro``.  Every command is deterministic for
 a given ``--seed`` — and ``repro determinism`` proves it.  ``figure``,
 ``sweep``, and ``determinism`` accept ``--retries``/``--trial-timeout`` to
-run their parallel trials under the resilient supervised executor (worker
-restarts, watchdog timeouts, retry with backoff — results unchanged).
+set how the supervised worker pool behind ``--jobs N`` treats a dead or hung
+worker (restart and retry with backoff, watchdog timeouts — results
+unchanged; without them the first dead worker aborts the command).
 The service verbs wrap the same machinery: a sweep submitted to the
 daemon produces bit-identical per-trial digests to the equivalent
 foreground ``repro sweep`` — even across a ``kill -9`` and restart.
@@ -140,22 +141,22 @@ def _add_resilience_arguments(parser: argparse.ArgumentParser) -> None:
         "--retries", type=int, default=None, metavar="N",
         help=(
             "retry trials lost to worker death or timeout up to N times "
-            "with capped, deterministically-jittered backoff (enables the "
-            "supervised executor)"
+            "with capped, deterministically-jittered backoff (default: no "
+            "retries, a dead worker aborts; needs --jobs > 1)"
         ),
     )
     parser.add_argument(
         "--trial-timeout", type=float, default=None, metavar="SECONDS",
         help=(
             "kill and retry any single trial running longer than this "
-            "(supervised executor; needs --jobs > 1 to preempt)"
+            "(default: no watchdog; needs --jobs > 1 to preempt)"
         ),
     )
 
 
 def _policy_of(args):
     """A :class:`ResiliencePolicy` from CLI flags, or ``None`` when the
-    resilience flags were not used (legacy executors)."""
+    resilience flags were not used (no retries, no supervision report)."""
     retries = getattr(args, "retries", None)
     trial_timeout = getattr(args, "trial_timeout", None)
     if retries is None and trial_timeout is None:
@@ -1009,6 +1010,8 @@ def _stream_job(client, job_id: str) -> int:
         kind = event.get("event")
         if kind == "trial":
             status = "ok" if event.get("ok") else "FAILED"
+            if event.get("error"):
+                status += f" ({event['error']})"
             print(f"trial x={event['x']:g} seed={event['seed']}: {status}")
         elif kind == "point":
             stats = event.get("stats", {})

@@ -93,6 +93,11 @@ class ServiceError(ReproError):
     daemon unreachable, protocol violation)."""
 
 
+class JobCancelled(ReproError):
+    """Raised inside a running service job when the daemon asks it to stop
+    (``repro cancel``, or a shutdown that re-queues the job)."""
+
+
 class SanitizerError(ReproError):
     """A runtime sanitizer observed an invariant violation.
 

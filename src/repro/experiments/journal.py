@@ -10,8 +10,9 @@ service needs the journal to be the system of record across restarts:
   canonical record payload, so a torn write, a flipped bit, or a
   half-synced page is *detected* on resume instead of silently parsed
   into wrong statistics;
-* **append + flush + fsync** per record — a completed trial survives the
-  very next SIGKILL;
+* **append + flush + fsync** per record, written from the sweep's outcome
+  stream before anyone is told the trial finished — a completed trial
+  survives the very next SIGKILL;
 * **atomic checkpoints** — :meth:`SweepJournal.checkpoint` rewrites the
   journal through a temp file + ``os.replace`` rename, compacting
   duplicate ``(x, seed)`` records (last write wins) and dropping corrupt
@@ -23,7 +24,9 @@ service needs the journal to be the system of record across restarts:
 * **single-writer locking** — the first write acquires an exclusive
   ``flock`` on a sidecar ``<path>.lock`` file; a second writer opening
   the same journal path fails fast with :class:`~repro.errors.
-  JournalError` instead of interleaving frames (readers never lock);
+  JournalError` instead of interleaving frames (readers never lock, and
+  a forked child — a sweep worker — drops the lock it inherited, so an
+  orphaned worker cannot keep a dead writer's journal locked);
 * **signal-safe finalization** — :meth:`SweepJournal.guarded` installs
   SIGTERM/SIGINT handlers that write a final checkpoint before the
   default behavior proceeds, so a politely-terminated sweep leaves a
@@ -45,6 +48,7 @@ import json
 import os
 import signal
 import threading
+import weakref
 import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -189,15 +193,31 @@ class WriterLock:
     locked because checkpointing atomically replaces the data file's
     inode, which would silently drop a lock held on it.
 
+    ``flock`` belongs to the open file description, which a forked child
+    (a sweep worker) shares and would keep locked for as long as it
+    lives, even after the writer was SIGKILLed.  A child is never the
+    writer, so every held lock closes its inherited descriptor there
+    (closing, unlike ``LOCK_UN``, leaves the parent's lock in place).
+
     On platforms without ``fcntl`` the lock degrades to a no-op (the
     durability format stays valid; only the two-writer guard is lost).
     """
+
+    #: Every lock currently held in this process, for the at-fork hook.
+    _held: "weakref.WeakSet[WriterLock]" = weakref.WeakSet()
 
     def __init__(self, path) -> None:
         #: The data file this lock guards; the sidecar is ``<path>.lock``.
         self.path = Path(path)
         self.lock_path = self.path.with_suffix(self.path.suffix + ".lock")
         self._handle = None
+
+    @classmethod
+    def _drop_inherited(cls) -> None:
+        for lock in list(cls._held):
+            lock._handle.close()
+            lock._handle = None
+        cls._held.clear()
 
     @property
     def held(self) -> bool:
@@ -219,15 +239,21 @@ class WriterLock:
                 f"{self.lock_path} is held); refusing to interleave frames"
             ) from exc
         self._handle = handle
+        self._held.add(self)
 
     def release(self) -> None:
         if self._handle is not None:
+            self._held.discard(self)
             try:
                 fcntl.flock(self._handle.fileno(), fcntl.LOCK_UN)
             except OSError:  # pragma: no cover - defensive
                 pass
             self._handle.close()
             self._handle = None
+
+
+if hasattr(os, "register_at_fork"):  # pragma: no branch - POSIX
+    os.register_at_fork(after_in_child=WriterLock._drop_inherited)
 
 
 @dataclass(frozen=True)
@@ -481,19 +507,37 @@ def summarize_point(x: float, records: Sequence[TrialRecord]) -> PointSummary:
     )
 
 
-def record_of_failure(failure) -> TrialRecord:
-    """Reduce a :class:`~repro.experiments.sweep.TrialFailure` (or
-    :class:`~repro.experiments.sweep.TrialTimeout`) to its journal record."""
-    from .sweep import TrialTimeout
+def record_of_outcome(x: float, outcome) -> TrialRecord:
+    """Reduce one finished trial at ``x`` — an :class:`~repro.experiments.
+    runner.ExperimentRun` or a :class:`~repro.experiments.sweep.
+    TrialFailure` (:class:`~repro.experiments.sweep.TrialTimeout`
+    included) — to its journal record."""
+    from .sweep import TrialFailure, TrialTimeout
 
-    status = "timeout" if isinstance(failure, TrialTimeout) else "failed"
+    if isinstance(outcome, TrialFailure):
+        return TrialRecord(
+            x=x,
+            seed=outcome.seed,
+            status="timeout" if isinstance(outcome, TrialTimeout) else "failed",
+            attempt=outcome.attempt,
+            error=str(outcome.error),
+            kind=type(outcome.error).__name__,
+        )
+    try:
+        metrics = {
+            key: float(value)
+            for key, value in outcome.result.summary_row().items()
+        }
+    except AnalysisError:  # pragma: no cover - defensive
+        metrics = {}
+    fingerprint = outcome.fingerprint
     return TrialRecord(
-        x=failure.x,
-        seed=failure.seed,
-        status=status,
-        attempt=failure.attempt,
-        error=str(failure.error),
-        kind=type(failure.error).__name__,
+        x=x,
+        seed=outcome.seed,
+        status="ok",
+        attempt=outcome.attempt,
+        metrics=metrics,
+        digest=fingerprint.digest if fingerprint is not None else "",
     )
 
 
@@ -519,11 +563,15 @@ def checkpointed_sweep(
     ``journal`` is a path or :class:`SweepJournal`.  Trials whose
     ``(x, seed)`` keys are already journaled are loaded, not re-run; the
     remaining trials go through :func:`~repro.experiments.sweep.sweep`
-    one x at a time (with ``jobs``/``policy`` resilience), each trial
-    appended durably the moment its point completes.  ``fresh=True``
-    discards the journal first.  SIGTERM/SIGINT during the run leave a
-    compacted checkpoint behind (:meth:`SweepJournal.guarded`), and the
-    normal exit path writes one too.
+    one x at a time (with ``jobs``/``policy`` resilience).  Each trial is
+    appended durably the moment it finishes — from the sweep's outcome
+    stream, *before* ``on_progress`` hears of it — so whatever a caller
+    was told is done survives a SIGKILL, a cancellation raised from
+    ``on_progress``, or any other abort of the point it belongs to.
+    ``fresh=True`` discards the journal first.  SIGTERM/SIGINT during
+    the run leave a compacted checkpoint behind
+    (:meth:`SweepJournal.guarded`), and the normal exit path writes one
+    too.
 
     ``digests=True`` fingerprints every trial (``sweep(..., digests=
     True)``) and stores the SHA-256 digest in its journal record, so a
@@ -550,17 +598,25 @@ def checkpointed_sweep(
     journal = journal if isinstance(journal, SweepJournal) else SweepJournal(journal)
     if fresh:
         journal.discard()
-    completed, _recovery = journal.load()
+    journal.load()
+
+    def journal_then_report(progress) -> None:
+        journal.append(record_of_outcome(progress.x, progress.outcome))
+        if on_progress is not None:
+            on_progress(progress)
 
     try:
         with journal.guarded():
+            # One x at a time on purpose: it bounds the ExperimentRuns held
+            # here to one point's and gives ``on_point`` its SweepPoint.
             for x in xs:
+                journaled = journal.records
                 missing = [
-                    seed for seed in seeds if (x, seed) not in completed
+                    seed for seed in seeds if (x, seed) not in journaled
                 ]
                 if not missing:
                     continue
-                points = sweep(
+                [point] = sweep(
                     [x],
                     make_scenario,
                     make_config,
@@ -570,36 +626,9 @@ def checkpointed_sweep(
                     policy=policy,
                     digests=digests,
                     on_trial_error=on_trial_error,
-                    on_progress=on_progress,
+                    on_progress=journal_then_report,
                     on_report=on_report,
                 )
-                point = points[0]
-                for run in point.runs:
-                    try:
-                        metrics = {
-                            key: float(value)
-                            for key, value in run.result.summary_row().items()
-                        }
-                    except AnalysisError:  # pragma: no cover - defensive
-                        metrics = {}
-                    fingerprint = getattr(run, "fingerprint", None)
-                    journal.append(
-                        TrialRecord(
-                            x=x,
-                            seed=run.seed,
-                            status="ok",
-                            attempt=getattr(run, "attempt", 1),
-                            metrics=metrics,
-                            digest=(
-                                fingerprint.digest
-                                if fingerprint is not None
-                                else ""
-                            ),
-                        )
-                    )
-                for failure in point.failures:
-                    journal.append(record_of_failure(failure))
-                completed = journal.records
                 if on_point is not None:
                     on_point(x, point)
     finally:

@@ -1,26 +1,33 @@
-"""Resilient sweep execution: supervision, timeouts, and retry with backoff.
+"""The trial executor: a supervised worker pool with timeouts and retries.
 
-The parallel sweep executor (PR 3) assumed a well-behaved pool: a worker
-OOM-killed mid-trial raised ``BrokenProcessPool`` out of the whole sweep
-and discarded every completed trial, and a hung trial held its worker
-forever.  Fleet-scale runs (the ROADMAP's always-on sweep service,
-Internet-scale trials) make those events routine, so this module replaces
-the anonymous pool with a *supervised* executor:
+Every ``sweep(..., jobs > 1)`` runs here — this module is the only code
+that starts a trial worker process.  An anonymous pool loses the whole
+sweep when one worker is OOM-killed and lets a hung trial hold its worker
+forever; fleet-scale runs (the always-on sweep service, Internet-scale
+trials) make those events routine, so the pool is *supervised*:
 
-* **one worker process per in-flight trial**, connected by its own pipe,
-  so the supervisor always knows exactly which PID runs which
-  :class:`~repro.experiments.sweep.TrialTask`;
-* **worker death** (killed PID, crash, nonzero exit) loses only that one
-  in-flight trial — the supervisor spawns a replacement and re-submits
-  the identical task, never the finished ones;
+* **at most ``jobs`` worker processes, reused**: each takes one
+  :class:`~repro.experiments.sweep.TrialTask` after another off its own
+  pipe, so the supervisor always knows exactly which PID runs which
+  trial, and a trial of a few milliseconds does not pay for a fork;
+* **worker death** (killed PID, crash, nonzero exit) loses only the one
+  trial that worker was running — the supervisor starts a replacement
+  and re-submits the identical task, never the finished ones;
 * **per-trial wall-clock timeouts**: a harness-side watchdog kills the
-  worker of any trial that exceeds ``policy.trial_timeout`` and converts
-  the hang into a :class:`~repro.errors.TrialTimeoutError`;
+  worker of any trial that exceeds ``policy.trial_timeout`` — a deadline
+  per assignment, not per process — and converts the hang into a
+  :class:`~repro.errors.TrialTimeoutError`;
 * **retry with capped exponential backoff** and *deterministic seeded
   jitter* for the transient failure kinds (death, timeout).  A retry
-  re-runs the identical ``TrialTask`` in a fresh process, so a retried
-  trial's digest is bit-identical to an undisturbed run — resilience
-  never perturbs ``digests=True`` equivalence.
+  re-runs the identical ``TrialTask``, so a retried trial's digest is
+  bit-identical to an undisturbed run — resilience never perturbs
+  ``digests=True`` equivalence;
+* **no orphans**: a worker whose supervisor was SIGKILLed exits when its
+  current trial ends (:func:`_worker_main`).
+
+A :class:`ResiliencePolicy` does not select this executor, it sets its
+retries and timeouts; a sweep without one runs with no retries and
+aborts on the first dead worker.
 
 Retry/timeout/restart counts are accumulated in a
 :class:`~repro.telemetry.registry.MetricsRegistry` and surfaced as a
@@ -45,7 +52,7 @@ import multiprocessing.connection
 import random
 import time
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from ..errors import (
     AnalysisError,
@@ -61,10 +68,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (annotation only)
 #: Supervisor poll tick (seconds): the upper bound on how stale the
 #: watchdog's view of worker liveness/deadlines can be.
 _TICK = 0.05
-
-#: Exit code a worker reports when it finished its trial and shipped the
-#: outcome; anything else (or a signal death) is a worker crash.
-_CLEAN_EXIT = 0
 
 
 @dataclass(frozen=True)
@@ -89,9 +92,8 @@ class ResiliencePolicy:
         identically.
     ``trial_timeout``
         Wall-clock seconds one attempt may run before the watchdog kills
-        its worker (``None`` disables the watchdog).  Only enforceable in
-        supervised (``jobs > 1``) mode: an in-process trial cannot be
-        preempted.
+        its worker (``None`` disables the watchdog).  Only enforceable
+        with ``jobs > 1``: an in-process trial cannot be preempted.
     ``on_exhausted``
         ``"record"`` (default) — a trial whose retries are exhausted is
         recorded as a :class:`~repro.experiments.sweep.TrialTimeout` /
@@ -206,53 +208,73 @@ class SupervisionReport:
 
 
 def _mp_context():
-    """Prefer ``fork`` (cheap per-trial workers, inherited imports); fall
-    back to the platform default where fork is unavailable."""
+    """Prefer ``fork`` (cheap workers that inherit the imports); fall back
+    to the platform default where fork is unavailable."""
     methods = multiprocessing.get_all_start_methods()
     if "fork" in methods:
         return multiprocessing.get_context("fork")
     return multiprocessing.get_context()
 
 
-def _supervised_child(conn, worker_fn, task) -> None:
-    """Worker-process body: run one task, ship the outcome, exit clean.
+def _worker_main(conn, inherited) -> None:
+    """Worker-process body: run tasks off the pipe until it closes.
 
     Everything — including non-isolated errors like ``SanitizerError`` —
     goes back through the pipe so the supervisor can distinguish "the
     trial raised" from "the worker died".  An outcome that cannot be
     pickled is downgraded to a transportable error.
+
+    The supervisor's end closing is the one stop signal, whether the
+    sweep is done or the supervisor was SIGKILLed: the worker exits when
+    it next touches the pipe (EOF on ``recv``, ``EPIPE`` on ``send``).
+    Under ``fork`` that never fires unless ``inherited`` — the
+    supervisor's end of this pipe and of every pipe opened before it,
+    which a forked worker holds too — is closed first.  (Ends of
+    *another* sweep running concurrently in the same process are not
+    covered; the service runs one job at a time.)
     """
+    from .sweep import run_trial
+
+    for end in inherited:
+        end.close()
     try:
-        try:
-            payload = ("ok", worker_fn(task))
-        except BaseException as exc:  # noqa: BLE001 - ferried to supervisor
-            payload = ("raise", exc)
-        try:
-            conn.send(payload)
-        except Exception as exc:
-            conn.send(
-                (
-                    "raise",
-                    AnalysisError(
-                        f"trial outcome for task {task.index} could not "
-                        f"cross the process boundary: {exc}"
-                    ),
+        while True:
+            task = conn.recv()
+            try:
+                payload = ("ok", run_trial(task))
+            except BaseException as exc:  # noqa: BLE001 - ferried to supervisor
+                payload = ("raise", exc)
+            try:
+                conn.send(payload)
+            except OSError:  # the pipe broke, not the pickling
+                raise
+            except Exception as exc:
+                conn.send(
+                    (
+                        "raise",
+                        AnalysisError(
+                            f"trial outcome for task {task.index} could not "
+                            f"cross the process boundary: {exc}"
+                        ),
+                    )
                 )
-            )
+    except (EOFError, OSError):
+        pass  # the supervisor is done, or gone: no more trials to run
     finally:
         conn.close()
 
 
 @dataclass
-class _Slot:
-    """One live worker: its process, pipe, task, and deadlines."""
+class _Worker:
+    """One live worker: its process and pipe and, while it runs a trial,
+    that assignment and its deadline (``task is None`` means idle)."""
 
     process: multiprocessing.Process
     conn: multiprocessing.connection.Connection
-    task: "TrialTask"
-    attempt: int
-    started: float
-    deadline: Optional[float]
+    task: Optional["TrialTask"] = None
+    attempt: int = 0
+    started: float = 0.0
+    deadline: Optional[float] = None
 
 
 @dataclass
@@ -292,33 +314,33 @@ def _drain(conn):
         return "died"
 
 
-def _reap(slot: _Slot) -> None:
-    """Join a finished/killed worker (hard-kill stragglers) and close up."""
-    slot.process.join(timeout=5.0)
-    if slot.process.is_alive():  # pragma: no cover - defensive
-        slot.process.kill()
-        slot.process.join(timeout=5.0)
+def _reap(worker: _Worker) -> None:
+    """Join a stopped/killed worker (hard-kill stragglers) and close up."""
+    worker.process.join(timeout=5.0)
+    if worker.process.is_alive():  # pragma: no cover - defensive
+        worker.process.kill()
+        worker.process.join(timeout=5.0)
     try:
-        slot.conn.close()
+        worker.conn.close()
     except OSError:  # pragma: no cover - already closed
         pass
 
 
-def _kill_slots(slots: List[_Slot]) -> None:
+def _kill_workers(workers: List[_Worker]) -> None:
     """Hard-stop every live worker (abort path); never raises."""
-    for slot in slots:
+    for worker in workers:
         try:
-            if slot.process.is_alive():
-                slot.process.kill()
+            if worker.process.is_alive():
+                worker.process.kill()
         except Exception:
             pass
-    for slot in slots:
+    for worker in workers:
         try:
-            slot.process.join(timeout=5.0)
+            worker.process.join(timeout=5.0)
         except Exception:
             pass
         try:
-            slot.conn.close()
+            worker.conn.close()
         except Exception:
             pass
 
@@ -345,29 +367,23 @@ def run_tasks_supervised(
     tasks: Sequence["TrialTask"],
     jobs: int,
     policy: ResiliencePolicy,
-    worker_fn: Optional[Callable] = None,
     on_progress: Optional["ProgressCallback"] = None,
 ) -> Tuple[Dict[int, object], SupervisionReport]:
-    """Run every task to a final outcome under supervision.
+    """Run every task to a final outcome on at most ``jobs`` workers.
 
     Returns ``(outcomes keyed by task index, report)``.  Outcomes are
-    whatever ``worker_fn`` returned (:class:`~repro.experiments.sweep.
-    TrialOutcome` for sweeps) or, for trials whose transient failures
-    exhausted the retry budget under ``on_exhausted="record"``, a
-    :class:`~repro.experiments.sweep.TrialFailure` /
-    :class:`~repro.experiments.sweep.TrialTimeout`.
+    what :func:`~repro.experiments.sweep.run_trial` returned or, for
+    trials whose transient failures exhausted the retry budget under
+    ``on_exhausted="record"``, a :class:`~repro.experiments.sweep.
+    TrialFailure` / :class:`~repro.experiments.sweep.TrialTimeout`.
+    ``on_progress`` hears of each final outcome as it lands (completion
+    order); tasks are handed out in task order.
 
     A worker that *reports* an exception (rather than dying) aborts the
     whole run — that path carries non-isolated errors such as
-    :class:`~repro.errors.SanitizerError`, exactly as the unsupervised
-    executor propagates them.
+    :class:`~repro.errors.SanitizerError`.
     """
-    from .sweep import TrialFailure, TrialProgress, run_trial
-
-    if worker_fn is None:
-        worker_fn = run_trial
-    if not tasks:
-        return {}, _Counters().report(0)
+    from .sweep import TrialFailure, TrialProgress
 
     context = _mp_context()
     counters = _Counters()
@@ -376,69 +392,57 @@ def run_tasks_supervised(
     pending: List[Tuple["TrialTask", int]] = [(task, 1) for task in tasks]
     #: (ready_at, task, attempt) sitting out a backoff cooldown.
     cooling: List[Tuple[float, "TrialTask", int]] = []
-    slots: List[_Slot] = []
+    workers: List[_Worker] = []
 
-    def spawn(task: "TrialTask", attempt: int) -> None:
-        parent_conn, child_conn = context.Pipe(duplex=False)
+    def spawn() -> _Worker:
+        parent_conn, child_conn = context.Pipe()
         process = context.Process(
-            target=_supervised_child,
-            args=(child_conn, worker_fn, task),
-            name=f"repro-trial-{task.index}-a{attempt}",
+            target=_worker_main,
+            args=(child_conn, [w.conn for w in workers] + [parent_conn]),
+            name="repro-trial-worker",
         )
         process.start()
         child_conn.close()
-        now = time.monotonic()
-        deadline = (
-            now + policy.trial_timeout
+        worker = _Worker(process=process, conn=parent_conn)
+        workers.append(worker)
+        return worker
+
+    def assign(worker: _Worker, task: "TrialTask", attempt: int) -> None:
+        worker.task, worker.attempt = task, attempt
+        worker.started = time.monotonic()
+        worker.deadline = (
+            worker.started + policy.trial_timeout
             if policy.trial_timeout is not None
             else None
         )
-        slots.append(
-            _Slot(
-                process=process,
-                conn=parent_conn,
-                task=task,
-                attempt=attempt,
-                started=now,
-                deadline=deadline,
-            )
-        )
+        try:
+            worker.conn.send(task)
+        except OSError:
+            pass  # died while idle: the liveness check reports the death
 
-    def finish(slot: _Slot, outcome: object) -> None:
-        outcomes[slot.task.index] = outcome
+    def finish(task: "TrialTask", outcome: object) -> None:
+        outcomes[task.index] = outcome
         counters.bump("completed")
         if on_progress is not None:
-            on_progress(
-                TrialProgress(
-                    done=len(outcomes),
-                    total=len(tasks),
-                    x=slot.task.x,
-                    seed=slot.task.seed,
-                    ok=not isinstance(outcome, TrialFailure),
-                )
-            )
+            on_progress(TrialProgress.of(len(outcomes), len(tasks), task, outcome))
 
-    def transient_failure(slot: _Slot, error) -> None:
+    def transient_failure(worker: _Worker, error) -> None:
         """Worker death or timeout: retry with backoff, or exhaust."""
-        elapsed = time.monotonic() - slot.started
-        if slot.attempt < policy.max_attempts:
+        task, attempt = worker.task, worker.attempt
+        elapsed = time.monotonic() - worker.started
+        if attempt < policy.max_attempts:
             counters.bump("retries")
             counters.bump("worker_restarts")
-            delay = policy.backoff_delay(
-                slot.task.index, slot.task.seed, slot.attempt + 1
-            )
-            cooling.append(
-                (time.monotonic() + delay, slot.task, slot.attempt + 1)
-            )
+            delay = policy.backoff_delay(task.index, task.seed, attempt + 1)
+            cooling.append((time.monotonic() + delay, task, attempt + 1))
             return
         counters.bump("exhausted")
         if policy.on_exhausted == "raise":
-            _kill_slots(slots)
             raise error
-        finish(slot, _exhausted_failure(slot.task, error, slot.attempt, elapsed))
+        finish(task, _exhausted_failure(task, error, attempt, elapsed))
 
     try:
-        while pending or cooling or slots:
+        while len(outcomes) < len(tasks):
             now = time.monotonic()
             # Cooldowns that elapsed rejoin the queue in task order.
             ready = [item for item in cooling if item[0] <= now]
@@ -450,101 +454,105 @@ def run_tasks_supervised(
                         ready, key=lambda item: item[1].index
                     )
                 )
-            while pending and len(slots) < jobs:
-                task, attempt = pending.pop(0)
-                spawn(task, attempt)
+            idle = [worker for worker in workers if worker.task is None]
+            while pending and (idle or len(workers) < jobs):
+                assign(idle.pop(0) if idle else spawn(), *pending.pop(0))
 
-            if not slots:
+            busy = [worker for worker in workers if worker.task is not None]
+            if not busy:
                 # Everything is cooling down; sleep until the first wake.
                 wake = min(at for at, _t, _a in cooling)
                 time.sleep(max(0.0, min(wake - time.monotonic(), _TICK)))
                 continue
 
             timeout = _TICK
-            deadlines = [s.deadline for s in slots if s.deadline is not None]
+            deadlines = [w.deadline for w in busy if w.deadline is not None]
             if deadlines:
                 timeout = max(0.0, min(min(deadlines) - now, _TICK))
             readable = multiprocessing.connection.wait(
-                [slot.conn for slot in slots], timeout=timeout
+                [worker.conn for worker in busy], timeout=timeout
             )
 
             now = time.monotonic()
-            retained: List[_Slot] = []
-            for slot in slots:
+            for worker in busy:
                 # One of: ("ok"|"raise", payload), "died", or None (running).
                 result = None
-                if slot.conn in readable or slot.conn.poll():
-                    result = _drain(slot.conn)
-                if result is None and not slot.process.is_alive():
+                if worker.conn in readable or worker.conn.poll():
+                    result = _drain(worker.conn)
+                if result is None and not worker.process.is_alive():
                     # Re-poll once: the result may have landed between the
                     # wait() call and the liveness check.
-                    result = _drain(slot.conn) if slot.conn.poll() else "died"
+                    result = _drain(worker.conn) if worker.conn.poll() else "died"
                 if result is None:
-                    if slot.deadline is not None and now >= slot.deadline:
-                        slot.process.kill()
-                        _reap(slot)
+                    if worker.deadline is not None and now >= worker.deadline:
+                        worker.process.kill()
+                        _reap(worker)
+                        workers.remove(worker)
                         counters.bump("timeouts")
                         transient_failure(
-                            slot,
+                            worker,
                             TrialTimeoutError(
-                                f"trial (x={slot.task.x}, "
-                                f"seed={slot.task.seed}) exceeded its "
+                                f"trial (x={worker.task.x}, "
+                                f"seed={worker.task.seed}) exceeded its "
                                 f"{policy.trial_timeout}s wall-clock budget "
-                                f"on attempt {slot.attempt} and was killed",
+                                f"on attempt {worker.attempt} and was killed",
                                 timeout=policy.trial_timeout or 0.0,
-                                attempts=slot.attempt,
+                                attempts=worker.attempt,
                             ),
                         )
-                    else:
-                        retained.append(slot)
                     continue
                 if result == "died":
-                    _reap(slot)
-                    exitcode = slot.process.exitcode or 0
+                    _reap(worker)
+                    workers.remove(worker)
+                    exitcode = worker.process.exitcode or 0
                     counters.bump("worker_deaths")
                     transient_failure(
-                        slot,
+                        worker,
                         WorkerCrashError(
-                            f"worker running trial (x={slot.task.x}, "
-                            f"seed={slot.task.seed}) died with exit code "
-                            f"{exitcode} on attempt {slot.attempt}",
+                            f"worker running trial (x={worker.task.x}, "
+                            f"seed={worker.task.seed}) died with exit code "
+                            f"{exitcode} on attempt {worker.attempt}",
                             exitcode=exitcode,
-                            attempts=slot.attempt,
+                            attempts=worker.attempt,
                         ),
                     )
                     continue
                 kind, payload = result
-                _reap(slot)
                 if kind == "raise":
-                    _kill_slots([s for s in slots if s is not slot])
                     raise payload
                 if isinstance(payload, TrialFailure):
                     payload = replace(
                         payload,
-                        attempt=slot.attempt,
-                        elapsed=now - slot.started,
+                        attempt=worker.attempt,
+                        elapsed=now - worker.started,
                     )
                 elif hasattr(payload, "attempt"):
-                    payload.attempt = slot.attempt
-                finish(slot, payload)
-            slots = retained
+                    payload.attempt = worker.attempt
+                task, worker.task = worker.task, None
+                if pending:
+                    # Hand over the next task first: the worker runs it while
+                    # this outcome is reported (journaled, fsync'd, published).
+                    assign(worker, *pending.pop(0))
+                finish(task, payload)
     except BaseException:
-        _kill_slots(slots)
+        _kill_workers(workers)
         raise
 
+    for worker in workers:
+        worker.conn.close()  # EOF tells an idle worker to exit
+    for worker in workers:
+        _reap(worker)
     return outcomes, counters.report(len(tasks))
 
 
-def run_trial_resilient(task: "TrialTask", policy: Optional[ResiliencePolicy] = None):
+def run_trial_resilient(task: "TrialTask"):
     """Execute one trial in-process with attempt/elapsed provenance.
 
-    The ``jobs=1`` resilient path: no subprocess, no preemption (an
-    in-process hang cannot be killed, so ``policy.trial_timeout`` is not
-    enforced here — that requires the supervised ``jobs > 1`` executor),
-    but outcomes carry the same ``attempt``/``elapsed`` provenance as
-    supervised ones, and the wrapper's overhead over a bare
-    :func:`~repro.experiments.sweep.run_trial` is one clock read per
-    trial — benchmarked under 5% by the ``chaos-smoke`` CI job.
+    The ``jobs=1`` runner: no subprocess, so no preemption (an in-process
+    hang cannot be killed; ``policy.trial_timeout`` takes ``jobs > 1``),
+    but outcomes carry the same provenance as supervised ones.  It lives
+    here, not in :mod:`~repro.experiments.sweep`, because the clock read
+    needs this file's REP101 exemption.
     """
     from .sweep import TrialFailure, run_trial
 

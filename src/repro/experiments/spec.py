@@ -3,7 +3,8 @@
 The sweep API takes *factories* — ``make_scenario(x, seed)`` and
 ``make_config(x)`` — and almost every call site writes them as closures
 over local state.  Closures cannot be pickled, so they cannot follow a
-trial into a :class:`concurrent.futures.ProcessPoolExecutor` worker.
+trial down the pipe to a sweep worker process
+(:func:`~repro.experiments.resilience.run_tasks_supervised`).
 
 :class:`FactoryRef` is the serializable alternative: a reference to a
 *module-level* factory function (stored as ``"package.module:qualname"``)

@@ -20,9 +20,11 @@ Parallel execution
 
 Trials are independent by construction (each builds its own scheduler,
 network, and RNG streams from ``(x, seed)``), which makes the trial the
-natural unit of fan-out.  ``sweep(..., jobs=N)`` runs trials on a
-:class:`concurrent.futures.ProcessPoolExecutor` with ``N`` workers
-(``jobs=0`` means one per CPU); results are reassembled into
+natural unit of fan-out.  ``sweep(..., jobs=N)`` runs trials on the one
+executor there is — the supervised pool of ``N`` reused worker processes
+in :mod:`~repro.experiments.resilience` (``jobs=0`` means one per CPU;
+``jobs=1`` runs in-process and is the reference the parallel path is
+compared against); results are reassembled into
 :class:`SweepPoint` lists in deterministic ``(x, seed)`` order no matter
 which worker finished first, so a parallel sweep is *bit-identical* to a
 sequential one — a property the test suite proves with the PR-2
@@ -36,14 +38,15 @@ drivers already comply).  Fault isolation survives the boundary — a worker
 trial that raises :class:`~repro.errors.SimulationError` comes back as a
 picklable :class:`TrialFailure` carrying its diagnostic snapshot, while
 :class:`~repro.errors.SanitizerError` (the simulator itself is wrong)
-still aborts the whole sweep from any worker.
+still aborts the whole sweep from any worker, and so does a worker that
+dies (:class:`~repro.errors.WorkerCrashError`) unless a
+:class:`~repro.experiments.resilience.ResiliencePolicy` grants retries.
 """
 
 from __future__ import annotations
 
 import os
 import pickle
-from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Union
 
@@ -88,7 +91,7 @@ class TrialFailure:
     #: times before giving up).
     attempt: int = 1
     #: Wall-clock seconds the final attempt ran (harness-side
-    #: observability; 0.0 outside the resilient paths).
+    #: observability).
     elapsed: float = 0.0
 
     @property
@@ -113,10 +116,10 @@ class TrialTimeout(TrialFailure):
     A :class:`TrialFailure` subclass so every existing consumer
     (``failures_of``, ``SweepPoint.failed``, ``on_trial_error``) sees it
     transparently; ``error`` is always a
-    :class:`~repro.errors.TrialTimeoutError`.  Only the supervised
-    (``jobs > 1`` + :class:`~repro.experiments.resilience.
-    ResiliencePolicy` with ``trial_timeout``) executor produces these —
-    an in-process trial cannot be preempted.
+    :class:`~repro.errors.TrialTimeoutError`.  Only ``jobs > 1`` with a
+    :class:`~repro.experiments.resilience.ResiliencePolicy` that sets
+    ``trial_timeout`` produces these — an in-process trial cannot be
+    preempted.
     """
 
     #: The wall-clock budget (seconds) the trial exceeded.
@@ -135,7 +138,10 @@ class TrialProgress:
 
     ``done``/``total`` count attempted trials; in parallel mode callbacks
     arrive in *completion* order (the only nondeterministic observable —
-    the returned points are always in task order).
+    the returned points are always in task order).  ``outcome`` is the
+    finished trial itself, run or failure, so the callback is the sweep's
+    outcome stream: a consumer can journal or publish each trial the
+    moment it lands instead of waiting for the sweep to return.
     """
 
     done: int
@@ -143,6 +149,21 @@ class TrialProgress:
     x: float
     seed: int
     ok: bool
+    outcome: Optional["TrialOutcome"] = None
+
+    @classmethod
+    def of(
+        cls, done: int, total: int, task: "TrialTask", outcome: "TrialOutcome"
+    ) -> "TrialProgress":
+        """The report for ``task`` having ended in ``outcome``."""
+        return cls(
+            done=done,
+            total=total,
+            x=task.x,
+            seed=task.seed,
+            ok=not isinstance(outcome, TrialFailure),
+            outcome=outcome,
+        )
 
 
 ProgressCallback = Callable[[TrialProgress], None]
@@ -273,6 +294,11 @@ def run_trial(task: TrialTask) -> TrialOutcome:
     return run
 
 
+#: What ``policy=None`` means to the executor: no retries, no watchdog, and
+#: a dead worker aborts the sweep.
+_NO_RETRIES = ResiliencePolicy(max_retries=0, on_exhausted="raise")
+
+
 def _resolve_jobs(jobs: int) -> int:
     if not isinstance(jobs, int) or isinstance(jobs, bool):
         raise AnalysisError(f"jobs must be an int, got {jobs!r}")
@@ -284,7 +310,7 @@ def _resolve_jobs(jobs: int) -> int:
 
 
 def _check_tasks_picklable(task: TrialTask) -> None:
-    """Fail fast, with a remedy, before submitting closures to the pool."""
+    """Fail fast, with a remedy, before sending closures to a worker."""
     try:
         pickle.dumps(task)
     except Exception as exc:
@@ -294,48 +320,6 @@ def _check_tasks_picklable(task: TrialTask) -> None:
             f"repro.experiments.factory_ref(...) wrappers — closures and "
             f"lambdas only work with jobs=1"
         ) from exc
-
-
-def _run_tasks_parallel(
-    tasks: Sequence[TrialTask],
-    jobs: int,
-    on_progress: Optional[ProgressCallback],
-) -> Dict[int, TrialOutcome]:
-    """Fan tasks out to a process pool; return outcomes keyed by task index.
-
-    Completion order is nondeterministic; the caller reassembles in task
-    order.  A non-isolated error in any worker cancels what it can and
-    propagates.
-    """
-    _check_tasks_picklable(tasks[0])
-    outcomes: Dict[int, TrialOutcome] = {}
-    with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
-        index_of = {pool.submit(run_trial, task): task.index for task in tasks}
-        try:
-            for future in as_completed(index_of):
-                index = index_of[future]
-                outcome = future.result()
-                outcomes[index] = outcome
-                if on_progress is not None:
-                    task = tasks[index]
-                    on_progress(
-                        TrialProgress(
-                            done=len(outcomes),
-                            total=len(tasks),
-                            x=task.x,
-                            seed=task.seed,
-                            ok=not isinstance(outcome, TrialFailure),
-                        )
-                    )
-        except BaseException:
-            # Per-future ``cancel()`` only catches futures not yet grabbed
-            # by a worker, and the ``with`` exit alone would then *run*
-            # every still-queued straggler before returning.  Cancel the
-            # queue wholesale and drain only the in-flight trials, so a
-            # sanitizer abort surfaces promptly even mid-sweep.
-            pool.shutdown(wait=True, cancel_futures=True)
-            raise
-    return outcomes
 
 
 def sweep(
@@ -375,37 +359,41 @@ def sweep(
     Non-simulation errors (protocol invariant violations, sanitizer trips,
     bad configuration) always propagate — from workers too.
 
-    ``jobs`` selects the executor: ``1`` (default) runs in-process exactly
-    as before; ``N > 1`` fans trials out to ``N`` worker processes;
-    ``0`` uses one worker per CPU.  Parallel results are reassembled in
-    ``(x, seed)`` task order and are digest-identical to sequential runs.
+    ``jobs``: ``1`` (default) runs in-process — the reference path, and
+    the only one that accepts closures; ``N > 1`` fans trials out to the
+    supervised pool of ``N`` reused worker processes; ``0`` uses one
+    worker per CPU.  Parallel results are reassembled in ``(x, seed)``
+    task order and are digest-identical to sequential runs.
 
     ``digests=True`` attaches a SHA-256
     :class:`~repro.analysis.determinism.RunFingerprint` (trace, FIB log,
     summary metrics) to each successful ``run.fingerprint`` — the
     equivalence oracle for the parallel path.
 
-    ``on_progress`` observes every completed trial (completion order when
-    parallel) — wire it to a counter or log line for long sweeps.
+    ``on_progress`` observes every completed trial with its outcome
+    (completion order when parallel) — the sweep's outcome stream: wire
+    it to a counter, a log line, or a journal.
 
     ``policy`` (a :class:`~repro.experiments.resilience.ResiliencePolicy`)
-    turns on resilient execution.  With ``jobs > 1`` trials run under the
-    supervised executor: worker death and watchdog timeouts are retried
-    with capped, deterministically-jittered backoff, and trials that
-    exhaust their retries land in ``failures`` as
+    sets the executor's retries and timeouts.  With ``jobs > 1`` worker
+    death and watchdog timeouts are retried with capped,
+    deterministically-jittered backoff, and trials that exhaust their
+    retries land in ``failures`` as
     :class:`TrialFailure`/:class:`TrialTimeout` (or abort the sweep,
-    per ``policy.on_exhausted``).  With ``jobs=1`` the policy only adds
-    attempt/elapsed provenance — an in-process trial cannot be preempted
-    or survive its own crash.  A retried trial re-runs the *identical*
-    :class:`TrialTask`, so resilience never perturbs ``digests=True``
-    equivalence.
+    per ``policy.on_exhausted``).  Without one there are no retries and
+    no watchdog: the first dead worker aborts the sweep with a
+    :class:`~repro.errors.WorkerCrashError` naming the trial.  With
+    ``jobs=1`` the policy changes nothing — an in-process trial cannot
+    be preempted or survive its own crash.  A retried trial re-runs the
+    *identical* :class:`TrialTask`, so resilience never perturbs
+    ``digests=True`` equivalence.
 
     ``on_report`` receives this sweep's
     :class:`~repro.experiments.resilience.SupervisionReport` once the
     sweep finishes (only when ``policy`` is set; the jobs=1 path
-    synthesizes a report with zero supervision activity).  This is the
-    report's home — each sweep's caller owns its own counters, so
-    concurrent sweeps in one process never alias.
+    reports zero supervision activity).  This is the report's home —
+    each sweep's caller owns its own counters, so concurrent sweeps in
+    one process never alias.
     """
     if not xs:
         raise AnalysisError("sweep needs at least one x value")
@@ -430,41 +418,26 @@ def sweep(
                 )
             )
 
-    report: Optional[SupervisionReport] = None
     if jobs == 1:
         outcomes: Dict[int, TrialOutcome] = {}
         for task in tasks:
-            if policy is not None:
-                outcome = run_trial_resilient(task, policy)
-            else:
-                outcome = run_trial(task)
+            outcome = run_trial_resilient(task)
             if isinstance(outcome, TrialFailure) and on_error == "raise":
                 raise outcome.error
             outcomes[task.index] = outcome
             if on_progress is not None:
                 on_progress(
-                    TrialProgress(
-                        done=len(outcomes),
-                        total=len(tasks),
-                        x=task.x,
-                        seed=task.seed,
-                        ok=not isinstance(outcome, TrialFailure),
-                    )
+                    TrialProgress.of(len(outcomes), len(tasks), task, outcome)
                 )
-        if policy is not None:
-            # In-process trials cannot be preempted or restarted, so the
-            # report records completions only — zero supervision events.
-            report = SupervisionReport(
-                trials=len(tasks), completed=len(outcomes)
-            )
-    elif policy is not None:
+        # In-process trials cannot be preempted or restarted, so the
+        # report records completions only — zero supervision events.
+        report = SupervisionReport(trials=len(tasks), completed=len(outcomes))
+    else:
         _check_tasks_picklable(tasks[0])
         outcomes, report = run_tasks_supervised(
-            tasks, jobs, policy, on_progress=on_progress
+            tasks, jobs, policy or _NO_RETRIES, on_progress=on_progress
         )
-    else:
-        outcomes = _run_tasks_parallel(tasks, jobs, on_progress)
-    if on_report is not None and report is not None:
+    if on_report is not None and policy is not None:
         on_report(report)
 
     # Deterministic reassembly: walk tasks in submission order — the

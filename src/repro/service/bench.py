@@ -13,6 +13,11 @@ nothing here knows them — and appends one record to
 The base is the last passing cycle *on this machine*: the candidate becomes
 ``E2E_base.json`` when the cycle passes or no base exists yet; a failing cycle
 leaves the base in place (delete it to re-base after an intended change).
+
+A cycle can be cancelled: ``should_cancel`` is polled about once a second
+while a harness script runs; a positive answer stops the script the way a
+timeout does and raises :class:`~repro.errors.JobCancelled` — no candidate,
+no record, the base untouched.
 """
 
 from __future__ import annotations
@@ -26,10 +31,11 @@ import time
 from pathlib import Path
 from typing import Callable, Dict, List
 
-from ..errors import JournalError, ServiceError
+from ..errors import JobCancelled, JournalError, ServiceError
 from ..experiments.journal import frame_line, unframe_line
 
-STOP_GRACE_S = 60.0  # between SIGTERM and SIGKILL for a timed-out harness
+STOP_GRACE_S = 60.0  # between SIGTERM and SIGKILL for a stopped harness
+CANCEL_POLL_S = 1.0  # how often a running harness script asks should_cancel
 
 
 def default_bench_dir() -> Path:
@@ -75,26 +81,38 @@ class TrajectoryStore:
         return out
 
 
-def _run(script: Path, arguments: List[str], timeout: float, verdicts=(0,)):
+def _run(
+    script: Path, arguments: List[str], timeout: float, should_cancel, verdicts=(0,)
+):
     """One harness script to its end: ``(exit code, output)``; a timeout or a
-    code outside ``verdicts`` raises :class:`~repro.errors.ServiceError`."""
+    code outside ``verdicts`` raises :class:`~repro.errors.ServiceError`, a
+    positive ``should_cancel()`` :class:`~repro.errors.JobCancelled`."""
     process = subprocess.Popen(
         [sys.executable, str(script), *arguments],
         stdout=subprocess.PIPE,
         stderr=subprocess.STDOUT,
         text=True,
     )
-    try:
-        output, _ = process.communicate(timeout=timeout)
-    except subprocess.TimeoutExpired:
-        # SIGTERM first: run.py then ends its workers' process groups.
-        process.terminate()
+    deadline = time.monotonic() + timeout
+    output = None
+    while output is None:
+        wait = min(CANCEL_POLL_S, max(0.0, deadline - time.monotonic()))
         try:
-            process.communicate(timeout=STOP_GRACE_S)
+            output, _ = process.communicate(timeout=wait)
         except subprocess.TimeoutExpired:
-            process.kill()
-            process.communicate()
-        raise ServiceError(f"{script.name} timed out after {timeout:g}s") from None
+            cancelled = should_cancel()
+            if not cancelled and time.monotonic() < deadline:
+                continue
+            # SIGTERM first: run.py then ends its workers' process groups.
+            process.terminate()
+            try:
+                process.communicate(timeout=STOP_GRACE_S)
+            except subprocess.TimeoutExpired:
+                process.kill()
+                process.communicate()
+            if cancelled:
+                raise JobCancelled(f"{script.name} stopped: job cancelled") from None
+            raise ServiceError(f"{script.name} timed out after {timeout:g}s") from None
     if process.returncode not in verdicts:
         tail = " / ".join(output.strip().splitlines()[-3:])
         raise ServiceError(f"{script.name} exited {process.returncode}: {tail}")
@@ -107,12 +125,14 @@ def run_bench_cycle(
     results_dir=None,
     publish: Callable[[str], None] = lambda message: None,
     timeout: float = 600.0,
+    should_cancel: Callable[[], bool] = lambda: False,
 ) -> Dict:
     """Run one cycle, append its record to the trajectory, and return it.
 
     ``timeout`` is seconds per repetition for ``run.py`` (a repetition takes
     about 95 s) and in all for ``compare.py``.  A harness that crashes or
-    times out is reported in the record's ``error``, not raised.
+    times out is reported in the record's ``error``, not raised; a cancelled
+    cycle raises :class:`~repro.errors.JobCancelled` and leaves no record.
     """
     bench_dir = Path(bench_dir) if bench_dir is not None else default_bench_dir()
     if not bench_dir.is_dir():
@@ -131,7 +151,7 @@ def run_bench_cycle(
     candidate.unlink(missing_ok=True)
     try:
         arguments = ["--repeat", str(repeat), "--output", str(candidate)]
-        code, _ = _run(run_py, arguments, timeout * repeat)
+        code, _ = _run(run_py, arguments, timeout * repeat, should_cancel)
         document = json.loads(candidate.read_text(encoding="utf-8"))
         record["commit"] = document["meta"]["commit"]
         record["medians"] = {
@@ -144,7 +164,7 @@ def run_bench_cycle(
             record["base"] = gated["meta"]["commit"]
             compare_py = run_py.with_name("compare.py")
             code, output = _run(
-                compare_py, [str(base), str(candidate)], timeout, verdicts=(0, 1)
+                compare_py, [str(base), str(candidate)], timeout, should_cancel, (0, 1)
             )
             record["rows"] = [
                 line
@@ -158,6 +178,9 @@ def run_bench_cycle(
         record["ok"] = code == 0
     except ServiceError as exc:
         record["error"] = str(exc)
+    except JobCancelled:
+        candidate.unlink(missing_ok=True)  # nothing was measured
+        raise
     if record["ok"]:
         # Copy then rename: a killed daemon never leaves a torn base.
         shutil.copyfile(candidate, base.with_suffix(".tmp.json"))

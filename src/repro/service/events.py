@@ -6,9 +6,11 @@ Every event carries ``event`` (its type) and ``job`` (the job id):
 ``state``
     Job lifecycle transition (queued → running → done/failed/cancelled).
 ``trial``
-    One ``(x, seed)`` trial finished — ok or failed, with its digest
-    when fingerprinting is on.  Emitted per completion, so a watcher
-    sees progress trial-by-trial, not just at the end.
+    One ``(x, seed)`` trial finished and is in the job's journal — ok
+    (with its ``digest`` when fingerprinting is on) or failed (with
+    ``error``, the exception class and message).  Emitted per
+    completion, so a watcher sees progress trial-by-trial, not just at
+    the end.
 ``point``
     One sweep x-value completed with its aggregated loop statistics.
 ``snapshot``

@@ -17,10 +17,12 @@ missing ``(x, seed)`` trials, and the journal's digests are directly
 comparable to an undisturbed foreground run of the same plan.
 
 Cancellation is cooperative: the daemon's ``should_cancel`` callback is
-polled at every trial completion, and a positive answer raises
-:class:`JobCancelled` — the journal checkpoint in the ``finally`` block
-keeps everything finished so far, so a cancelled job resubmitted later
-resumes rather than restarts.
+polled at every trial completion (about once a second while a bench
+job's harness runs), and a positive answer raises :class:`JobCancelled`.
+A trial is journaled before its completion is reported, so every trial
+whose ``trial`` event was published is in the job's journal — finished
+trials of a half-done point included — and a cancelled job resubmitted
+later runs only the rest.
 """
 
 from __future__ import annotations
@@ -30,16 +32,12 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional
 
-from ..errors import ReproError, ServiceError
+from ..errors import JobCancelled, ReproError, ServiceError
 from ..experiments import SweepJournal, checkpointed_sweep
 from ..telemetry import MetricsSnapshot, Timeline
 from .events import log_event, point_event, snapshot_event, trial_event
 from .jobs import JobView, resolve_sweep_plan
 from .state import ServiceState
-
-
-class JobCancelled(ReproError):
-    """Raised inside the executor when the daemon requests cancellation."""
 
 
 @dataclass
@@ -87,22 +85,37 @@ def execute_sweep(
     started = time.monotonic()
     snapshots: List[MetricsSnapshot] = []
     reports: List = []
-    counts = {"ok": 0, "failed": 0}
+    # Progress counts over what this execution runs: a resumed job reads
+    # k/missing, not 1..trials once per x.
+    journaled, _recovery = journal.load()
+    total = sum(
+        (x, seed) not in journaled for x in plan.xs for seed in plan.seeds
+    )
+    done = 0
 
     def on_progress(progress) -> None:
+        nonlocal done
         if should_cancel():
             raise JobCancelled(f"job {job_id} cancelled")
-        counts["ok" if progress.ok else "failed"] += 1
+        done += 1
+        outcome = progress.outcome
+        digest = error = ""
+        if not progress.ok:
+            error = f"{type(outcome.error).__name__}: {outcome.error}"
+        elif outcome.fingerprint is not None:
+            digest = outcome.fingerprint.digest
         timeline.instant(
             time.monotonic() - started,
             f"trial x={progress.x:g} seed={progress.seed}",
             "service.trial",
             ok=progress.ok,
-            done=progress.done,
-            total=progress.total,
+            done=done,
+            total=total,
         )
         publish(
-            trial_event(job_id, progress.x, progress.seed, progress.ok)
+            trial_event(
+                job_id, progress.x, progress.seed, progress.ok, digest, error
+            )
         )
 
     def on_point(x: float, point) -> None:
@@ -147,8 +160,8 @@ def execute_sweep(
             on_report=reports.append,
         )
     finally:
-        # Checkpoint whatever finished — this is the resume point after
-        # a cancel, a trial-level crash, or a daemon SIGKILL mid-close.
+        # Compact whatever finished — the resume point after a cancel or
+        # a trial-level crash (a SIGKILL leaves the fsync'd appends).
         journal.close()
 
     records = journal.records
@@ -241,14 +254,13 @@ def execute_bench(
     """Run one ``benchmarks/e2e`` cycle; the trajectory record is the detail."""
     from .bench import run_bench_cycle
 
-    if should_cancel():
-        raise JobCancelled(f"job {view.job_id} cancelled")
     params = view.spec.params
     record = run_bench_cycle(
         repeat=params.get("repeat", 1),
         bench_dir=params.get("bench_dir"),
         results_dir=params.get("results_dir"),
         publish=lambda message: publish(log_event(view.job_id, message)),
+        should_cancel=should_cancel,
     )
     return ExecutionOutcome(
         state="done" if record["ok"] else "failed", detail=record

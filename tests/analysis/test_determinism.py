@@ -64,6 +64,27 @@ class TestCheckDeterminism:
                 tdown_clique(3), variant("standard", mrai=1.0), runs=1
             )
 
+    def test_worker_repetitions_match_the_in_process_baseline(self):
+        """jobs > 1: run 0 executes here, the rest in sweep workers."""
+        scenario = tdown_clique(4)
+        config = variant("standard", mrai=1.0)
+        report = check_determinism(scenario, config, seed=5, runs=3, jobs=2)
+        assert report.identical and len(report.fingerprints) == 3
+        assert report.digest == check_determinism(scenario, config, seed=5).digest
+
+    def test_jobs_zero_means_one_per_cpu(self):
+        report = check_determinism(
+            tdown_clique(3), variant("standard", mrai=1.0), jobs=0
+        )
+        assert report.identical
+
+    @pytest.mark.parametrize("jobs", [True, 1.5, -1])
+    def test_bad_jobs_rejected_the_way_sweep_rejects_them(self, jobs):
+        with pytest.raises(AnalysisError, match="jobs must be"):
+            check_determinism(
+                tdown_clique(3), variant("standard", mrai=1.0), jobs=jobs
+            )
+
     def test_fingerprint_counts_artifacts(self):
         report = check_determinism(
             tdown_clique(4), variant("standard", mrai=1.0), seed=5

@@ -18,8 +18,9 @@ import os
 import signal
 import time
 from pathlib import Path
+from typing import List, Tuple
 
-from repro.experiments.scenarios import tdown_clique
+from repro.experiments.scenarios import clique_tdown_trial, tdown_clique
 
 
 def _marker(marker_dir: str, kind: str, x: float, seed: int) -> Path:
@@ -77,8 +78,34 @@ def chaotic_tdown(x, seed, marker_dir="", kill_key=(3, 0), hang_key=(4, 1), slee
     return tdown_clique(int(x))
 
 
-def slow_tdown(x, seed, delay_s=1.0):
-    """Stall inside the worker before building, widening the window in
-    which an external test can ``kill -9`` the worker or the driver."""
+def logged(x, seed, log_dir="", delay_s=0.0, inner=clique_tdown_trial):
+    """Append ``pid x seed`` to ``<log_dir>/trials.log`` (one short
+    ``O_APPEND`` write, so concurrent workers never interleave), stall
+    ``delay_s`` — widening the window in which a test can ``kill -9`` the
+    worker or the driver — then build through ``inner``, any factory
+    above bound with ``functools.partial``.  The log is how a test learns
+    which worker process executed which trial, and in what order."""
+    with open(Path(log_dir) / "trials.log", "a", encoding="utf-8") as handle:
+        handle.write(f"{os.getpid()} {x:g} {seed}\n")
     time.sleep(delay_s)
-    return tdown_clique(int(x))
+    return inner(x, seed)
+
+
+def trial_log(log_dir) -> List[Tuple[int, int, int]]:
+    """The ``(pid, x, seed)`` entries :func:`logged` wrote, oldest first."""
+    path = Path(log_dir) / "trials.log"
+    if not path.exists():
+        return []
+    return [
+        tuple(int(field) for field in line.split())
+        for line in path.read_text(encoding="utf-8").splitlines()
+    ]
+
+
+def process_alive(pid: int) -> bool:
+    """True while ``pid`` runs (a zombie awaiting its reaper is not alive)."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text(encoding="utf-8")
+    except OSError:
+        return False
+    return stat.rsplit(")", 1)[-1].split()[0] != "Z"

@@ -271,6 +271,34 @@ class TestCheckpointedSweep:
         assert [s.metrics for s in again] == [s.metrics for s in first]
         assert path.read_text(encoding="utf-8") == before
 
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_trial_is_journaled_before_it_is_reported(self, tmp_path, jobs):
+        """Per-trial durability: by the time ``on_progress`` hears of a
+        trial — ok or failed — its own record is already on disk, so what
+        a caller was told is done survives the very next SIGKILL."""
+        path = tmp_path / "sweep.jsonl"
+        counts, statuses = [], {}
+
+        def on_progress(progress):
+            on_disk, _ = SweepJournal(path).load()
+            counts.append(len(on_disk))
+            statuses[(progress.x, progress.ok)] = on_disk[
+                (progress.x, progress.seed)
+            ].status
+
+        checkpointed_sweep(
+            [3, 6],
+            clique_tdown_trial,
+            MAKE_CONFIG,
+            journal=path,
+            seeds=(0, 1),
+            settings=TIGHT,
+            jobs=jobs,
+            on_progress=on_progress,
+        )
+        assert counts == [1, 2, 3, 4]  # not 0, 0, 2, 2: nothing waits for its point
+        assert statuses == {(3, True): "ok", (6, False): "failed"}
+
     def test_resume_from_truncated_final_record(self, tmp_path):
         """Acceptance criterion: a journal whose final record was torn
         mid-write resumes — only the torn trial re-runs, and its result

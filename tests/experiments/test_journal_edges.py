@@ -6,6 +6,8 @@ These are the failure modes the sweep service leans on hardest — its
 durable queue and per-job trial journals share this exact machinery.
 """
 
+import os
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -103,6 +105,48 @@ class TestTwoWriters:
         lock.release()
         other.acquire()
         other.release()
+
+
+    def test_forked_child_does_not_keep_a_dead_writers_lock(self, tmp_path):
+        """A writer forks a child (a sweep worker) and is SIGKILLed.  The
+        child shares the flock's open file description, so unless it drops
+        what it inherited, the journal stays locked for as long as the
+        orphan lives — and the resumed sweep cannot append."""
+        path = tmp_path / "j.jsonl"
+        writer = subprocess.run(
+            [
+                sys.executable,
+                "-c",
+                "import os, signal, sys, time\n"
+                "from repro.experiments import SweepJournal, TrialRecord\n"
+                "journal = SweepJournal(sys.argv[1])\n"
+                "journal.append(TrialRecord(x=3.0, seed=0, status='ok'))\n"
+                "child = os.fork()\n"
+                "if child == 0:\n"
+                "    os.close(1)  # or the test waits for this end of the pipe\n"
+                "    time.sleep(60)\n"
+                "    os._exit(0)\n"
+                "print(child, flush=True)\n"
+                "os.kill(os.getpid(), signal.SIGKILL)\n",
+                str(path),
+            ],
+            env={"PYTHONPATH": str(SRC_DIR), "PATH": "/usr/bin:/bin"},
+            stdout=subprocess.PIPE,
+            stderr=subprocess.DEVNULL,
+            text=True,
+            timeout=60,
+        )
+        orphan = int(writer.stdout)
+        try:
+            assert writer.returncode == -signal.SIGKILL
+            os.kill(orphan, 0)  # the orphan is alive ...
+            resumed = SweepJournal(path)
+            resumed.load()
+            resumed.append(ok_record(4.0, 0))  # ... and does not hold the lock
+            assert set(resumed.records) == {(3.0, 0), (4.0, 0)}
+            resumed.close()
+        finally:
+            os.kill(orphan, signal.SIGKILL)
 
 
 class TestCrashDuringCheckpoint:

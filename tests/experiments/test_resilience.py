@@ -6,6 +6,7 @@ tests cover the :class:`ResiliencePolicy` contract and each failure
 kind's bookkeeping in (mostly) isolation.
 """
 
+import os
 import pickle
 from functools import partial
 
@@ -326,6 +327,115 @@ class TestSupervisedExecutor:
         assert {(p.x, p.seed) for p in seen} == {
             (3, 0), (3, 1), (4, 0), (4, 1),
         }
+        # The callback is the outcome stream: each report carries its run.
+        assert all((p.outcome.seed, p.outcome.attempt) == (p.seed, 1) for p in seen)
+
+    def test_workers_are_reused(self, tmp_path):
+        reports = []
+        points = sweep(
+            [3],
+            partial(chaos_helpers.logged, log_dir=str(tmp_path)),
+            MAKE_CONFIG,
+            seeds=tuple(range(6)),
+            settings=SETTINGS,
+            jobs=2,
+            policy=ResiliencePolicy(trial_timeout=SLACK),
+            on_report=reports.append,
+        )
+        assert points[0].succeeded == 6
+        log = chaos_helpers.trial_log(tmp_path)
+        assert sorted((x, seed) for _pid, x, seed in log) == [
+            (3, seed) for seed in range(6)
+        ]
+        pids = {pid for pid, _x, _seed in log}
+        assert 1 <= len(pids) <= 2  # six trials, two processes: no fork per trial
+        assert os.getpid() not in pids
+        assert reports[0].worker_restarts == 0
+
+    def test_dead_worker_is_replaced_and_the_survivor_kept(self, tmp_path):
+        reports = []
+        points = sweep(
+            [3],
+            partial(
+                chaos_helpers.logged,
+                log_dir=str(tmp_path),
+                delay_s=0.1,
+                inner=partial(
+                    chaos_helpers.kill_once_tdown,
+                    marker_dir=str(tmp_path),
+                    kill_key=(3, 2),
+                ),
+            ),
+            MAKE_CONFIG,
+            seeds=tuple(range(6)),
+            settings=SETTINGS,
+            jobs=2,
+            policy=ResiliencePolicy(max_retries=1, trial_timeout=SLACK),
+            on_report=reports.append,
+        )
+        assert points[0].succeeded == 6
+        log = chaos_helpers.trial_log(tmp_path)
+        died_at = log.index(next(e for e in log if e[1:] == (3, 2)))
+        victim = log[died_at][0]
+        before = {pid for pid, _x, _seed in log[:died_at]} | {victim}
+        after = {pid for pid, _x, _seed in log[died_at + 1:]}
+        assert victim not in after  # it is dead
+        [survivor] = before - {victim}
+        assert survivor in after  # kept its PID, and kept working
+        assert len(after - before) == 1  # exactly one replacement
+        assert (reports[0].worker_deaths, reports[0].worker_restarts) == (1, 1)
+
+    def test_deadline_belongs_to_the_assignment_not_the_process(self, tmp_path):
+        """One trial hangs and is killed at SNAP; meanwhile the surviving
+        worker runs trial after trial for longer than SNAP in all, and the
+        hung trial's retry starts on a fresh clock — one timeout, no more."""
+        reports = []
+        points = sweep(
+            [3],
+            partial(
+                chaos_helpers.logged,
+                log_dir=str(tmp_path),
+                delay_s=0.3,
+                inner=partial(
+                    chaos_helpers.hang_once_tdown,
+                    marker_dir=str(tmp_path),
+                    hang_key=(3, 0),
+                ),
+            ),
+            MAKE_CONFIG,
+            seeds=tuple(range(5)),
+            settings=SETTINGS,
+            jobs=2,
+            policy=ResiliencePolicy(
+                max_retries=1, trial_timeout=SNAP, backoff_base=0.01
+            ),
+            on_report=reports.append,
+        )
+        assert points[0].succeeded == 5
+        assert {run.seed: run.attempt for run in points[0].runs}[0] == 2
+        assert (reports[0].timeouts, reports[0].retries) == (1, 1)
+        log = chaos_helpers.trial_log(tmp_path)
+        survivor = next(pid for pid, _x, seed in log if seed == 1)
+        assert sum(pid == survivor for pid, _x, _seed in log) >= 3  # > SNAP
+
+    def test_no_policy_dead_worker_aborts_with_a_typed_error(self, tmp_path):
+        """Without a policy nothing is retried: the first dead worker ends
+        the sweep, and the error says which trial and how it died."""
+        with pytest.raises(WorkerCrashError) as excinfo:
+            sweep(
+                [3],
+                partial(
+                    chaos_helpers.kill_once_tdown,
+                    marker_dir=str(tmp_path),
+                    kill_key=(3, 1),
+                ),
+                MAKE_CONFIG,
+                seeds=(0, 1, 2),
+                settings=SETTINGS,
+                jobs=2,
+            )
+        assert excinfo.value.exitcode == -9
+        assert "(x=3, seed=1)" in str(excinfo.value)
 
 
 class TestReportThreading:

@@ -114,31 +114,39 @@ from repro.experiments import (
     factory_ref,
 )
 
+seeds = {seeds!r}
 summaries = checkpointed_sweep(
     [3, 4],
-    partial(chaos_helpers.slow_tdown, delay_s={delay!r}),
+    partial(chaos_helpers.logged, log_dir={log_dir!r}, delay_s={delay!r}),
     factory_ref(
         constant_config,
         config=BgpConfig(mrai=1.0, processing_delay=(0.01, 0.05)),
     ),
     journal={journal!r},
-    seeds=(0, 1),
+    seeds=seeds,
     settings=RunSettings(failure_guard=0.5),
     jobs=2,
     policy=ResiliencePolicy(
         max_retries=3, backoff_base=0.01, trial_timeout=60.0
     ),
 )
-assert all(s.succeeded == 2 for s in summaries), summaries
+assert all(s.succeeded == len(seeds) for s in summaries), summaries
 print("DRIVER-OK")
 """
 
 
-def write_driver(tmp_path, journal, delay=0.8):
+def write_driver(tmp_path, journal, delay=0.8, seeds=(0, 1)):
+    """A driver script whose workers log ``pid x seed`` per executed trial
+    to ``tmp_path/trials.log`` (read it with ``chaos_helpers.trial_log``)."""
     script = tmp_path / "driver.py"
     script.write_text(
         DRIVER.format(
-            src=SRC, helpers=HELPERS, journal=str(journal), delay=delay
+            src=SRC,
+            helpers=HELPERS,
+            journal=str(journal),
+            log_dir=str(tmp_path),
+            delay=delay,
+            seeds=tuple(seeds),
         ),
         encoding="utf-8",
     )
@@ -202,10 +210,14 @@ class TestSubprocessChaos:
         assert recovery.clean
 
     def test_driver_sigkill_then_resume_preserves_journal(self, tmp_path):
-        """``kill -9`` the *driver* mid-sweep; the rerun must trust every
-        journaled record and only execute the missing trials."""
+        """``kill -9`` the *driver* mid-point; its workers must not outlive
+        it, and the rerun must trust every journaled record and execute
+        exactly the trials that have none."""
         journal = tmp_path / "sweep.jsonl"
-        script = write_driver(tmp_path, journal, delay=0.6)
+        delay = 0.6
+        seeds = (0, 1, 2, 3)
+        every = {(x, seed) for x in (3, 4) for seed in seeds}
+        script = write_driver(tmp_path, journal, delay=delay, seeds=seeds)
         proc = subprocess.Popen(
             [sys.executable, str(script)],
             stdout=subprocess.DEVNULL,
@@ -228,25 +240,46 @@ class TestSubprocessChaos:
             if proc.poll() is None:
                 proc.kill()
                 proc.wait()
-        for worker in child_pids_of(proc.pid):  # no orphan leakage check
-            os.kill(worker, signal.SIGKILL)
 
+        # Two seeds of four were in flight: the journal holds part of a point.
         partial_records, _ = SweepJournal(journal).load()
         assert partial_records, "expected journaled trials before the kill"
+        assert set(partial_records) < every
         before = {
             key: record.metrics for key, record in partial_records.items()
         }
 
-        rerun = subprocess.run(
+        # The resumed driver starts while the orphans may still be inside
+        # their last trial: they must neither hold the journal's writer
+        # lock nor linger once that trial is over.
+        first_run = chaos_helpers.trial_log(tmp_path)
+        rerun = subprocess.Popen(
             [sys.executable, str(script)],
             stdout=subprocess.PIPE,
             stderr=subprocess.STDOUT,
             text=True,
-            timeout=120,
         )
-        assert rerun.returncode == 0, rerun.stdout
+        try:
+            time.sleep(delay + 1.0)
+            orphans = {
+                pid
+                for pid, _x, _seed in first_run
+                if chaos_helpers.process_alive(pid)
+            }
+            assert not orphans, "workers outlived their SIGKILLed driver"
+            output, _ = rerun.communicate(timeout=120)
+        finally:
+            if rerun.poll() is None:
+                rerun.kill()
+                rerun.wait()
+        assert rerun.returncode == 0, output
         records, recovery = SweepJournal(journal).load()
-        assert set(records) == {(3, 0), (3, 1), (4, 0), (4, 1)}
+        assert set(records) == every
         assert recovery.clean
         for key, metrics in before.items():
             assert records[key].metrics == metrics  # journaled work kept
+        resumed = [
+            (x, seed)
+            for _pid, x, seed in chaos_helpers.trial_log(tmp_path)[len(first_run):]
+        ]
+        assert sorted(resumed) == sorted(every - set(partial_records))

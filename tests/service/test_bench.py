@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.errors import ServiceError
+from repro.errors import JobCancelled, ServiceError
 from repro.service import (
     JobSpec,
     JobView,
@@ -104,6 +104,22 @@ def bench_dir(tmp_path) -> Path:
 
 def trajectory(bench_dir: Path):
     return TrajectoryStore(bench_dir / "results" / "perf_trajectory.jsonl").records()
+
+
+def harness_processes(bench_dir: Path):
+    """PIDs of every live ``run.py``/``worker.py`` of this stub tree (a
+    worker is its own process group's leader; zombies have no cmdline)."""
+    needle = str(bench_dir / "e2e")
+    found = []
+    for entry in Path("/proc").iterdir():
+        if entry.name.isdigit():
+            try:
+                cmdline = (entry / "cmdline").read_bytes().decode(errors="replace")
+            except OSError:
+                continue
+            if needle in cmdline:
+                found.append(int(entry.name))
+    return found
 
 
 class TestRunBenchCycle:
@@ -198,6 +214,23 @@ class TestRunBenchCycle:
         assert record["error"] == "run.py timed out after 0.5s"
         assert trajectory(bench_dir) == [record]
 
+    def test_cancelled_cycle_stops_the_harness_and_records_nothing(self, bench_dir):
+        run_bench_cycle(bench_dir=bench_dir)  # a base and one record exist
+        results = bench_dir / "results"
+        base = (results / "E2E_base.json").read_bytes()
+        can(bench_dir, sleep_s=30.0)
+        flag_at = time.monotonic() + 1.5
+        with pytest.raises(JobCancelled):
+            run_bench_cycle(
+                bench_dir=bench_dir,
+                should_cancel=lambda: time.monotonic() >= flag_at,
+            )
+        assert time.monotonic() - flag_at < 5.0  # not 30 s, not the 600 s timeout
+        assert harness_processes(bench_dir) == []  # run.py and its worker's group
+        assert len(trajectory(bench_dir)) == 1  # no record for the cancelled cycle
+        assert (results / "E2E_base.json").read_bytes() == base
+        assert not (results / "E2E_candidate.json").exists()
+
     def test_missing_bench_dir_rejected(self, tmp_path):
         with pytest.raises(ServiceError, match="does not exist"):
             run_bench_cycle(bench_dir=tmp_path / "nope")
@@ -246,6 +279,22 @@ class TestBenchJob:
         assert "does not exist" in outcome.detail["error"]
 
 
+    def test_cancelled_bench_job_ends_cancelled(self, bench_dir, tmp_path):
+        state = ServiceState(tmp_path / "state")
+        state.ensure_layout()
+        can(bench_dir, sleep_s=30.0)
+        view = JobView(
+            job_id="job-1",
+            spec=JobSpec(kind="bench", params={"bench_dir": str(bench_dir)}),
+        )
+        flag_at = time.monotonic() + 1.0
+        outcome = execute_job(
+            view, state, should_cancel=lambda: time.monotonic() >= flag_at
+        )
+        assert outcome.state == "cancelled"
+        assert trajectory(bench_dir) == []
+
+
 class TestBenchScheduler:
     def test_short_interval_never_piles_up_jobs(self, tmp_path):
         """A cycle (seconds here, minutes for real) outlasts the interval:
@@ -274,6 +323,30 @@ class TestBenchScheduler:
                 time.sleep(0.1)
             # 30 ticks went by; a job per tick is what used to happen.
             assert 1 <= len(daemon.client.jobs()) <= 3
+        finally:
+            daemon.stop()
+
+
+    def test_running_bench_job_can_be_cancelled(self, bench_dir, tmp_path):
+        """``repro cancel`` on a bench job takes effect within seconds, not
+        at the end of the cycle, and the daemon stays serviceable."""
+        can(bench_dir, sleep_s=30.0)
+        daemon = DaemonHarness(tmp_path / "state").start()
+        try:
+            job = daemon.client.submit(
+                {"kind": "bench", "params": {"bench_dir": str(bench_dir)}}
+            )
+            stream = daemon.client.watch(job)
+            for event in stream:
+                if event["event"] == "log":  # "bench: .../run.py --repeat 1 ..."
+                    break
+            started = time.monotonic()
+            assert daemon.client.cancel(job)["cancelling"]
+            assert list(stream)[-1] == {"event": "end", "job": job, "state": "cancelled"}
+            assert time.monotonic() - started < 8.0
+            assert harness_processes(bench_dir) == []
+            assert trajectory(bench_dir) == []
+            daemon.client.ping()
         finally:
             daemon.stop()
 

@@ -74,6 +74,25 @@ class TestEventBuilders:
             )
 
 
+class TestWatchRendering:
+    def test_failed_trial_line_names_its_error(self, capsys):
+        """``repro watch`` prints what the ``trial`` event's ``error`` says."""
+        from repro.cli import _stream_job
+
+        class CannedClient:
+            def watch(self, job_id):
+                yield trial_event(
+                    job_id, 3.0, 0, False, error="TrialTimeoutError: too slow"
+                )
+                yield trial_event(job_id, 3.0, 1, True, digest="ab" * 32)
+                yield end_event(job_id, "done")
+
+        assert _stream_job(CannedClient(), "job-1") == 0
+        out = capsys.readouterr().out
+        assert "trial x=3 seed=0: FAILED (TrialTimeoutError: too slow)" in out
+        assert "trial x=3 seed=1: ok\n" in out
+
+
 class TestEventBus:
     def test_publish_reaches_subscriber(self):
         async def scenario():

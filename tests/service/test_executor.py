@@ -53,6 +53,52 @@ class TestSweepExecution:
         assert kinds.count("snapshot") == 1
         # The snapshot aggregation is the last metrics the watcher sees.
         assert kinds.index("snapshot") > kinds.index("point")
+        # Each trial event carries the digest its journal record holds.
+        records, _ = SweepJournal(state.journal_path("job-1")).load()
+        trials = [event for event in events if event["event"] == "trial"]
+        assert {(e["x"], e["seed"]): e["digest"] for e in trials} == {
+            key: record.digest for key, record in records.items()
+        }
+        assert all(len(e["digest"]) == 64 and "error" not in e for e in trials)
+
+    def test_failed_trial_events_carry_the_error(self, state):
+        # A 1 ms watchdog no trial can meet: every trial ends as a timeout.
+        params = {"family": "tdown", "xs": [6.0], "trials": 2,
+                  "jobs": 2, "retries": 0, "trial_timeout": 0.001}
+        events = []
+        outcome = execute_job(make_view("job-1", "sweep", params), state, events.append)
+        assert outcome.state == "done" and outcome.detail["failed"] == 2
+        trials = [event for event in events if event["event"] == "trial"]
+        assert [e["ok"] for e in trials] == [False, False]
+        for event in trials:
+            assert event["error"].startswith("TrialTimeoutError: trial (x=6.0")
+            assert "digest" not in event
+
+    def test_progress_counts_over_the_whole_execution(self, state):
+        """done/total run 1/4 .. 4/4 once, not 1/2, 2/2 at every x; after a
+        cancel the resumed execution counts only what is left."""
+
+        def progress_marks(job_id):
+            payload = json.loads(
+                (state.artifact_dir(job_id) / "timeline.json").read_text()
+            )
+            return [
+                (entry["args"]["done"], entry["args"]["total"])
+                for entry in payload["traceEvents"]
+                if entry.get("cat") == "service.trial"
+            ]
+
+        execute_job(make_view("job-1", "sweep", SWEEP_PARAMS), state)
+        assert progress_marks("job-1") == [(1, 4), (2, 4), (3, 4), (4, 4)]
+
+        view = make_view("job-2", "sweep", SWEEP_PARAMS)
+        seen = []
+        execute_job(view, state, seen.append, lambda: bool(seen))
+        journaled, _ = SweepJournal(state.journal_path("job-2")).load()
+        left = 4 - len(journaled)
+        assert 0 < left < 4
+        execute_job(view, state)
+        assert progress_marks("job-2") == [(k, left) for k in range(1, left + 1)]
 
     def test_digests_match_foreground_sweep(self, state, tmp_path):
         outcome = execute_job(make_view("job-1", "sweep", SWEEP_PARAMS), state)
@@ -117,6 +163,36 @@ class TestSweepExecution:
         final = execute_job(make_view("job-1", "sweep", SWEEP_PARAMS), state)
         assert final.state == "done"
         assert final.detail["trials"] == 4
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_cancel_mid_point_keeps_every_reported_trial(self, state, jobs):
+        """Per-trial durability at the service boundary: a ``trial`` event
+        is only ever published for a trial already in the job's journal,
+        so a cancel in the middle of a point loses nothing a watcher saw,
+        and the resubmitted job runs only the rest."""
+        params = {"family": "tdown", "xs": [3.0, 4.0], "trials": 4, "jobs": jobs}
+        every = {(x, seed) for x in (3.0, 4.0) for seed in range(4)}
+        seen = []
+
+        def trials_of(events):
+            return {(e["x"], e["seed"]) for e in events if e["event"] == "trial"}
+
+        outcome = execute_job(
+            make_view("job-1", "sweep", params),
+            state,
+            seen.append,
+            lambda: bool(trials_of(seen)),  # cancel once one trial was reported
+        )
+        assert outcome.state == "cancelled"
+        assert not [e for e in seen if e["event"] == "point"]  # mid-point
+        records, _ = SweepJournal(state.journal_path("job-1")).load()
+        assert trials_of(seen) and trials_of(seen) <= set(records)
+        assert set(records) < every
+
+        events = []
+        final = execute_job(make_view("job-1", "sweep", params), state, events.append)
+        assert final.state == "done" and final.detail["trials"] == 8
+        assert trials_of(events) == every - set(records)
 
     def test_supervised_sweep_reports_supervision(self, state):
         params = dict(SWEEP_PARAMS, jobs=2, retries=1)
