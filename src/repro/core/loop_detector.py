@@ -3,18 +3,21 @@
 A forwarding graph for one destination is *functional* (each node has at most
 one next hop), so its loops are exactly the cycles of a functional graph and
 can all be found in O(nodes) by the classic three-color walk.  On top of the
-per-snapshot detector, :func:`loop_timeline` scans a FIB change log and
+per-snapshot detector, :func:`loop_timeline` replays a FIB change log and
 reports each distinct loop's lifetime — the per-loop statistics the paper
-lists as future work ("the loop size and duration").
+lists as future work ("the loop size and duration").  It runs the detector
+once, on the state at the window's start, and from then on looks only where
+a change happened: a cycle dies only when a member changes, and a new one
+must pass through a node that changed.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
-from ..dataplane import FibChangeLog, ForwardingGraph, canonical_cycle
-from ..errors import AnalysisError
+from ..dataplane import FibChangeLog, ForwardingGraph, canonical_cycle, walk
 
 Cycle = Tuple[int, ...]
 
@@ -97,24 +100,44 @@ def loop_timeline(
     Consecutive epochs in which the same cycle persists are merged into one
     interval.  This is the paper's "next steps" measurement: it turns the
     aggregate looping metrics into per-loop size/duration statistics.
+
+    Change-driven: :func:`find_loops` scans the graph once, for the state at
+    ``start``.  After that a cycle can only die at an instant that changes
+    one of its members, and a cycle can only form through a node that
+    changed, so each instant follows next hops from its changed nodes alone.
     """
-    if end < start:
-        raise AnalysisError(f"window end {end} before start {start}")
-    open_intervals: Dict[Cycle, float] = {}
+    graph = ForwardingGraph()
+    on_cycle: Dict[int, Cycle] = {}  # member node -> the live cycle it sits on
+    opened: Dict[Cycle, float] = {}
     finished: List[LoopInterval] = []
-    cursor = start
-    for t0, t1, graph in log.epochs(prefix, start, end):
-        present = set(find_loops(graph))
-        for cycle in sorted(present):
-            open_intervals.setdefault(cycle, t0)
-        for cycle in list(open_intervals):
-            if cycle not in present:
-                finished.append(
-                    LoopInterval(cycle=cycle, start=open_intervals.pop(cycle), end=t0)
-                )
-        cursor = t1
-    for cycle, opened in open_intervals.items():
-        finished.append(LoopInterval(cycle=cycle, start=opened, end=cursor))
+    scanned = False
+    for t0, _t1, batch in log.instants(start, end, prefix):
+        for change in batch:
+            graph.set_next_hop(change.node, change.next_hop)
+        broken: Set[Cycle] = set()
+        if not scanned:
+            formed = set(find_loops(graph))
+            scanned = True
+        else:
+            changed = sorted({change.node for change in batch})
+            broken = {on_cycle[node] for node in changed if node in on_cycle}
+            for cycle in sorted(broken):
+                for member in cycle:
+                    del on_cycle[member]
+            # A walk with no TTL to run out ends in the cycle it enters, if
+            # any: one this instant formed, or one already open (a no-op).
+            formed = {walk(graph, node, ttl=sys.maxsize).loop for node in changed}
+            formed.discard(None)
+        for cycle in sorted(formed):
+            # A cycle broken and re-formed within one instant never ceased
+            # to exist between epochs: its interval stays open.
+            opened.setdefault(cycle, t0)
+            for member in cycle:
+                on_cycle[member] = cycle
+        for cycle in sorted(broken - formed):
+            finished.append(LoopInterval(cycle=cycle, start=opened.pop(cycle), end=t0))
+    for cycle, since in opened.items():
+        finished.append(LoopInterval(cycle=cycle, start=since, end=end))
     return sorted(finished, key=lambda i: (i.start, i.cycle))
 
 

@@ -18,6 +18,7 @@ from .fib import (
 )
 from .packet import (
     DEFAULT_TTL,
+    ForwardingTracker,
     PacketFate,
     WalkResult,
     canonical_cycle,
@@ -45,6 +46,7 @@ __all__ = [
     "FibLookup",
     "Flow",
     "ForwardingGraph",
+    "ForwardingTracker",
     "LoopSighting",
     "MultiPrefixFib",
     "PacketFate",

@@ -4,7 +4,10 @@ The data-plane analysis needs the forwarding graph — "which node forwards to
 which" — at every instant of the convergence window.  Speakers report each
 next-hop change to a :class:`FibChangeLog`; the log can replay itself into a
 :class:`ForwardingGraph` snapshot at any time, or stream the sequence of
-*epochs* (maximal intervals over which the graph is constant).
+*epochs* (maximal intervals over which the graph is constant).  Both epoch
+streams, and the change-driven evaluators that skip the snapshots, read one
+replay loop: :meth:`FibChangeLog.instants`, the window cut at its change
+instants with the batch of changes that opens each piece.
 
 Next-hop encoding, shared with :class:`~repro.bgp.speaker.BgpSpeaker`:
 
@@ -17,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict, FrozenSet, Iterator, List, Optional, Set, Tuple, Union
+from typing import Dict, FrozenSet, Iterator, List, Optional, Tuple, Union
 
 from ..errors import AnalysisError
 from ..prefixes import PrefixSpec, parse_prefix
@@ -137,6 +140,42 @@ class FibChangeLog:
                 graph.set_next_hop(change.node, change.next_hop)
         return graph
 
+    def instants(
+        self, start: float, end: float, prefix: Optional[Prefix] = None
+    ) -> Iterator[Tuple[float, float, List[FibChange]]]:
+        """Yield ``(t0, t1, batch)``: the window ``[start, end)`` cut at its
+        change instants.
+
+        ``batch`` holds the changes (of ``prefix``, or of every prefix) that
+        take effect at ``t0`` and nothing else moves before ``t1``.  The
+        first batch is everything recorded at or before ``start`` — possibly
+        nothing — and opens at ``start``; each later one is every change
+        sharing one instant, so zero-length epochs never appear; changes at
+        or after ``end`` are ignored and ``start == end`` yields nothing.
+        This is the one replay loop: :meth:`epochs` and :meth:`multi_epochs`
+        materialize snapshots from it, the change-driven evaluators read
+        the batches directly.
+        """
+        if end < start:
+            raise AnalysisError(f"window end {end} before start {start}")
+        changes = self._changes if prefix is None else self.changes_for(prefix)
+        index = 0
+        while index < len(changes) and changes[index].time <= start:
+            index += 1
+        first, cursor = 0, start
+        while cursor < end:
+            upcoming = changes[index].time if index < len(changes) else end
+            t1 = min(upcoming, end)
+            yield (cursor, t1, changes[first:index])
+            first, cursor = index, t1
+            # lint: allow(float-time-eq) -- cursor was read from this very
+            # list, so equality groups records sharing one float value.
+            while (
+                index < len(changes)
+                and changes[index].time == cursor  # lint: allow(float-time-eq)
+            ):
+                index += 1
+
     def epochs(
         self, prefix: Prefix, start: float, end: float
     ) -> Iterator[Tuple[float, float, ForwardingGraph]]:
@@ -147,33 +186,11 @@ class FibChangeLog:
         accumulated up to (and including) ``start``.  Zero-length epochs
         (several changes at one instant) are merged away.
         """
-        if end < start:
-            raise AnalysisError(f"epoch window end {end} before start {start}")
-        relevant = [c for c in self._changes if c.prefix == prefix]
         graph = ForwardingGraph()
-        index = 0
-        while index < len(relevant) and relevant[index].time <= start:
-            graph.set_next_hop(relevant[index].node, relevant[index].next_hop)
-            index += 1
-
-        cursor = start
-        while cursor < end:
-            # Absorb every change at the next change instant (if within window).
-            next_time = relevant[index].time if index < len(relevant) else None
-            if next_time is None or next_time >= end:
-                yield (cursor, end, graph.copy())
-                return
-            if next_time > cursor:
-                yield (cursor, next_time, graph.copy())
-                cursor = next_time
-            # lint: allow(float-time-eq) -- next_time was read from this
-            # very list, so equality groups records sharing one float value.
-            while (
-                index < len(relevant)
-                and relevant[index].time == next_time  # lint: allow(float-time-eq)
-            ):
-                graph.set_next_hop(relevant[index].node, relevant[index].next_hop)
-                index += 1
+        for t0, t1, batch in self.instants(start, end, prefix):
+            for change in batch:
+                graph.set_next_hop(change.node, change.next_hop)
+            yield (t0, t1, graph.copy())
 
     # ------------------------------------------------------------------
     # Multi-prefix reconstruction
@@ -199,36 +216,11 @@ class FibChangeLog:
         (copying N-prefix state per epoch would be quadratic in exactly the
         workloads this exists for).
         """
-        if end < start:
-            raise AnalysisError(f"epoch window end {end} before start {start}")
         fib = MultiPrefixFib()
-        index = 0
-        changes = self._changes
-        changed: Set[Prefix] = set()
-        while index < len(changes) and changes[index].time <= start:
-            fib.set_entry(changes[index].node, changes[index].prefix, changes[index].next_hop)
-            changed.add(changes[index].prefix)
-            index += 1
-
-        cursor = start
-        while cursor < end:
-            next_time = changes[index].time if index < len(changes) else None
-            if next_time is None or next_time >= end:
-                yield (cursor, end, fib, frozenset(changed))
-                return
-            if next_time > cursor:
-                yield (cursor, next_time, fib, frozenset(changed))
-                cursor = next_time
-                changed = set()
-            # lint: allow(float-time-eq) -- equality groups same-instant
-            # records sharing one float value read from this very list.
-            while (
-                index < len(changes)
-                and changes[index].time == next_time  # lint: allow(float-time-eq)
-            ):
-                fib.set_entry(changes[index].node, changes[index].prefix, changes[index].next_hop)
-                changed.add(changes[index].prefix)
-                index += 1
+        for t0, t1, batch in self.instants(start, end):
+            for change in batch:
+                fib.set_entry(change.node, change.prefix, change.next_hop)
+            yield (t0, t1, fib, frozenset(change.prefix for change in batch))
 
 
 # ----------------------------------------------------------------------

@@ -7,14 +7,17 @@ packet's fate against one :class:`~repro.dataplane.fib.ForwardingGraph`
 snapshot.  Because the graph is functional (one next hop per node), a walk
 that revisits any node is provably stuck in a cycle and will burn its whole
 TTL there — the walk short-circuits as soon as the revisit is seen instead of
-iterating all 128 hops.
+iterating all 128 hops.  :func:`walk`, :func:`walk_lpm` and
+:class:`ForwardingTracker` — the live per-destination state the change-driven
+evaluators keep, which re-walks an origin only after a node its last walk
+read has changed — share that one loop.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from .fib import Destination, ForwardingGraph, MultiPrefixFib
 
@@ -66,6 +69,45 @@ def canonical_cycle(cycle: Tuple[int, ...]) -> Tuple[int, ...]:
     return cycle[pivot:] + cycle[:pivot]
 
 
+def _walk(
+    next_hop_of: Callable[[int], Optional[int]], source: int, ttl: int
+) -> Tuple[WalkResult, List[int]]:
+    """The one packet-walk loop: the fate from ``source``, and the trail.
+
+    The trail lists exactly the nodes whose next hop the walk read — the
+    terminal node, the re-entered node and, for death by path length, the
+    last node consulted included — so the result stays valid until one of
+    *them* changes its next hop, and no longer.
+    """
+    if ttl < 1:
+        raise ValueError(f"ttl must be >= 1, got {ttl}")
+    visited = {source: 0}
+    trail = [source]
+    node = source
+    hops = 0
+    while True:
+        next_hop = next_hop_of(node)
+        if next_hop == node:
+            return WalkResult(PacketFate.DELIVERED, hops), trail
+        if next_hop is None:
+            return WalkResult(PacketFate.DROPPED_NO_ROUTE, hops), trail
+        hops += 1
+        if hops > ttl:
+            # Died of path length without provably looping.
+            return WalkResult(PacketFate.TTL_EXPIRED, ttl), trail
+        node = next_hop
+        if node in visited:
+            # Entered a cycle; in a static graph the packet now spins until
+            # its TTL is gone.
+            cycle = tuple(trail[visited[node]:])
+            return (
+                WalkResult(PacketFate.TTL_EXPIRED, ttl, loop=canonical_cycle(cycle)),
+                trail,
+            )
+        visited[node] = len(trail)
+        trail.append(node)
+
+
 def walk(
     graph: ForwardingGraph,
     source: int,
@@ -77,32 +119,7 @@ def walk(
     itself delivers locally.  The source's own entry is consulted first; a
     source with no route drops immediately (0 hops).
     """
-    if ttl < 1:
-        raise ValueError(f"ttl must be >= 1, got {ttl}")
-    visited = {source: 0}
-    trail = [source]
-    node = source
-    hops = 0
-    while True:
-        if graph.delivers_locally(node):
-            return WalkResult(PacketFate.DELIVERED, hops)
-        next_hop = graph.next_hop(node)
-        if next_hop is None:
-            return WalkResult(PacketFate.DROPPED_NO_ROUTE, hops)
-        hops += 1
-        if hops > ttl:
-            # Died of path length without provably looping.
-            return WalkResult(PacketFate.TTL_EXPIRED, ttl)
-        node = next_hop
-        if node in visited:
-            # Entered a cycle; in a static graph the packet now spins until
-            # its TTL is gone.
-            cycle = tuple(trail[visited[node]:])
-            return WalkResult(
-                PacketFate.TTL_EXPIRED, ttl, loop=canonical_cycle(cycle)
-            )
-        visited[node] = len(trail)
-        trail.append(node)
+    return _walk(graph.next_hop, source, ttl)[0]
 
 
 def walk_lpm(
@@ -119,26 +136,45 @@ def walk_lpm(
     Per fixed destination the graph is still functional (one next hop per
     node), so revisit-short-circuiting is as sound as in :func:`walk`.
     """
-    if ttl < 1:
-        raise ValueError(f"ttl must be >= 1, got {ttl}")
-    visited = {source: 0}
-    trail = [source]
-    node = source
-    hops = 0
-    while True:
-        next_hop = fib.next_hop(node, destination)
-        if next_hop == node:
-            return WalkResult(PacketFate.DELIVERED, hops)
-        if next_hop is None:
-            return WalkResult(PacketFate.DROPPED_NO_ROUTE, hops)
-        hops += 1
-        if hops > ttl:
-            return WalkResult(PacketFate.TTL_EXPIRED, ttl)
-        node = next_hop
-        if node in visited:
-            cycle = tuple(trail[visited[node]:])
-            return WalkResult(
-                PacketFate.TTL_EXPIRED, ttl, loop=canonical_cycle(cycle)
-            )
-        visited[node] = len(trail)
-        trail.append(node)
+    return _walk(lambda node: fib.next_hop(node, destination), source, ttl)[0]
+
+
+class ForwardingTracker:
+    """One destination's live forwarding state with change-driven walks.
+
+    Holds every node's resolved next hop and memoizes one
+    :class:`WalkResult` per origin together with the trail that walk read.
+    :meth:`set_next_hop` drops exactly the memoized walks that read the
+    changed node, so between two FIB changes only the origins a change can
+    reach are ever walked again.  Invalidation scans the memo (a trail is a
+    handful of nodes): a reverse node -> origins index was measured, cost
+    more memory and was not faster.  ``walks`` counts the walks actually
+    performed (memo misses).
+    """
+
+    __slots__ = ("_next_hops", "_ttl", "_memo", "walks")
+
+    def __init__(self, ttl: int = DEFAULT_TTL) -> None:
+        self._next_hops: Dict[int, Optional[int]] = {}
+        self._ttl = ttl
+        self._memo: Dict[int, Tuple[WalkResult, List[int]]] = {}
+        self.walks = 0
+
+    def set_next_hop(self, node: int, next_hop: Optional[int]) -> List[int]:
+        """Set ``node``'s next hop; drop and return the origins whose
+        memoized walk read it (none when the hop did not move)."""
+        if self._next_hops.get(node) == next_hop:
+            return []
+        self._next_hops[node] = next_hop
+        stale = [origin for origin, (_, trail) in self._memo.items() if node in trail]
+        for origin in stale:
+            del self._memo[origin]
+        return stale
+
+    def walk(self, origin: int) -> WalkResult:
+        """The fate of a packet from ``origin`` under the current state."""
+        memo = self._memo.get(origin)
+        if memo is None:
+            memo = self._memo[origin] = _walk(self._next_hops.get, origin, self._ttl)
+            self.walks += 1
+        return memo[0]

@@ -3,54 +3,51 @@
 The paper's ``looping_ratio`` treats every packet equally and one destination
 at a time.  Production damage is weighted: a loop that catches the heaviest
 flows of a 256-prefix table hurts more than one catching a trickle.
-:class:`TrafficMatrixEvaluator` replays the run's FIB log as *multi-prefix*
-epochs (any change to any prefix is a boundary), resolves every flow by
-longest prefix match, and reports the **fraction of offered traffic** that
-was looped / blackholed / delivered — the ROADMAP's millions-of-users metric.
+:class:`TrafficMatrixEvaluator` replays the run's FIB log across *all*
+prefixes, resolves every flow by longest prefix match, and reports the
+**fraction of offered traffic** that was looped / blackholed / delivered —
+the ROADMAP's millions-of-users metric.
 
-Per epoch the forwarding state for one destination address is a functional
-graph, so all sources sharing a destination are classified in one pass.  With
-numpy available that pass is vectorized pointer doubling (``nxt = nxt[nxt]``
-until every walk is absorbed); without it, a memoized per-source walk
-computes the identical classification.  All accounting is integer packet
-counts from the CBR arithmetic, so results are bit-identical across both
-paths, platforms, and process counts.
+Work is per FIB *change*, not per epoch.  Each destination address owns one
+:class:`~repro.dataplane.packet.ForwardingTracker` holding every node's
+LPM-resolved next hop for it:
 
-Two structural facts keep this O(changes), not O(epochs × flows):
+* a change to prefix ``p`` at node ``n`` can move only the destinations ``p``
+  covers (structured) or names (opaque), and only ``n``'s hop for them — so
+  it costs one :meth:`MultiPrefixFib.resolve` per (node, covered
+  destination), not one per step of every re-walk;
+* the tracker hands back exactly the flows whose memoized walk read ``n``;
+  only those close their constant-fate segment and are walked again;
+* CBR counting is a first-index difference, so a flow's count over a merged
+  segment equals the sum of its per-epoch counts exactly — accounting once
+  per segment is bit-identical to accounting once per epoch.
 
-* a destination's fate can change **only** when a prefix containing its
-  address changed at the epoch boundary (:meth:`FibChangeLog.multi_epochs`
-  reports exactly that set), so classifications are cached and epochs with
-  no relevant change extend the current constant-fate *segment*;
-* CBR counting is an index difference, so per-flow counts over a merged
-  segment equal the sum of its per-epoch counts exactly — accounting can
-  happen once per segment (vectorized over every flow at once with numpy)
-  with bit-identical totals.
+All accounting is integer packet counts, so results are identical across
+platforms and process counts.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Tuple, Union
 
 from ..errors import AnalysisError
 from ..prefixes import ADDRESS_BITS, PrefixSpec, parse_prefix
 from ..prefixes.trie import RadixTrie
-from .fib import FibChangeLog, MultiPrefixFib
-from .packet import DEFAULT_TTL, PacketFate, walk_lpm
-from .traffic import TrafficMatrix
+from .fib import FibChangeLog, MultiPrefixFib, Prefix
+from .packet import DEFAULT_TTL, ForwardingTracker, PacketFate
+from .traffic import CbrSource, TrafficMatrix
 
-_parse_spec = lru_cache(maxsize=None)(parse_prefix)
+_FATE_INDEX = {
+    PacketFate.DELIVERED: 0,
+    PacketFate.DROPPED_NO_ROUTE: 1,
+    PacketFate.TTL_EXPIRED: 2,
+}
+"""Tally slots: delivered, blackholed, looped."""
 
-try:  # numpy is optional: the pure-python path is exactly equivalent.
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised on numpy-free installs
-    _np = None
-
-_DELIVERED = 0
-_BLACKHOLED = 1
-_LOOPED = 2
+Destination = Union[int, str]
+FlowKey = Tuple[Destination, int]
+"""``(destination, source node)``: flows sharing it share every fate."""
 
 
 @dataclass(frozen=True, slots=True)
@@ -129,24 +126,19 @@ class TrafficMatrixEvaluator:
     matrix:
         The offered demand.
     ttl:
-        Initial TTL.  The vectorized path requires ``ttl`` to exceed the
-        node count (so cycle membership and TTL death coincide); epochs
-        violating that fall back to the walk-based path automatically.
-    use_numpy:
-        ``None`` (default) uses numpy when importable; ``False`` forces the
-        pure-python path; ``True`` raises if numpy is missing.  Both paths
-        produce identical classifications — the switch exists for the
-        equivalence tests and numpy-free installs.
+        Initial TTL.
     epoch_rows:
         ``True`` (default) collects one :class:`EpochTraffic` row per
-        constant-fate segment, which costs one whole-matrix accounting
-        pass per segment — O(segments × flows), quadratic in population
-        at routing-table scale since both factors grow with the prefix
-        count.  ``False`` switches to per-destination segment accounting:
-        the report's totals (and every derived fraction) are bit-identical
-        — per-flow CBR counts telescope exactly across any partition of
-        the window — but ``report.epoch_rows`` stays empty.  Use for 10k+
-        prefix populations where per-epoch detail is not worth O(P²).
+        interval between instants at which a changed prefix covers some
+        destination, which costs one whole-matrix accounting pass per row —
+        O(rows × flows), quadratic in population at routing-table scale
+        since both factors grow with the prefix count.  ``False`` accounts
+        each flow only when *its* fate is invalidated (and once at the
+        end): the report's totals (and every derived fraction) are
+        bit-identical — per-flow CBR counts telescope exactly across any
+        partition of the window — but ``report.epoch_rows`` stays empty.
+        Use for 10k+ prefix populations where per-epoch detail is not worth
+        O(P²).
     """
 
     def __init__(
@@ -154,363 +146,127 @@ class TrafficMatrixEvaluator:
         log: FibChangeLog,
         matrix: TrafficMatrix,
         ttl: int = DEFAULT_TTL,
-        use_numpy: Optional[bool] = None,
         epoch_rows: bool = True,
     ) -> None:
         if not matrix.flows:
             raise AnalysisError("traffic matrix has no flows")
-        if use_numpy and _np is None:
-            raise AnalysisError("numpy requested but not importable")
         self._log = log
         self._matrix = matrix
         self._ttl = ttl
-        self._numpy = (_np is not None) if use_numpy is None else bool(use_numpy)
         self._epoch_rows = bool(epoch_rows)
-        # Group flows by destination once: all flows to one address share a
-        # functional graph per epoch and classify together.
-        self._by_destination: Dict[Union[int, str], List] = {}
+        # One arrival process per flow, grouped by what decides its fate.
+        self._streams: Dict[FlowKey, List[CbrSource]] = {}
         for flow in matrix.flows:
-            self._by_destination.setdefault(flow.destination, []).append(flow)
-        self._destinations = list(self._by_destination)
-        self._sources_of = {
-            dest: [f.source for f in flows]
-            for dest, flows in self._by_destination.items()
-        }
-        # Flat flow order (grouped by destination) for whole-matrix
-        # accounting; each destination owns the slice [lo, hi) of it.
-        self._flat_flows = [
-            flow for dest in self._destinations
-            for flow in self._by_destination[dest]
-        ]
-        self._dest_slice: Dict[Union[int, str], Tuple[int, int]] = {}
-        lo = 0
-        for dest in self._destinations:
-            hi = lo + len(self._by_destination[dest])
-            self._dest_slice[dest] = (lo, hi)
-            lo = hi
-        if _np is not None:
-            self._flat_starts = _np.array(
-                [f.start for f in self._flat_flows], dtype=_np.float64
+            self._streams.setdefault((flow.destination, flow.source), []).append(
+                flow.as_cbr()
             )
-            self._flat_rates = _np.array(
-                [f.rate for f in self._flat_flows], dtype=_np.float64
-            )
-        # The node universe for vectorized classification: anywhere a packet
-        # can start or be forwarded through.
-        nodes = {flow.source for flow in matrix.flows}
-        nodes.update(change.node for change in log)
-        for change in log:
-            if change.next_hop is not None:
-                nodes.add(change.next_hop)
-        self._nodes = sorted(nodes)
-        self._node_index = {node: i for i, node in enumerate(self._nodes)}
-        self._flat_fates: List[int] = [_BLACKHOLED] * len(self._flat_flows)
         # Inverted destination index: every integer destination as a /32
         # radix-trie entry, so "which destinations does this changed prefix
-        # touch?" is a subtree walk (specifics enumeration), not a scan over
-        # every destination.  Opaque destinations match exactly, by name.
-        self._dest_order = {dest: i for i, dest in enumerate(self._destinations)}
+        # touch?" is a subtree walk (specifics enumeration), asked once per
+        # prefix and memoized.  Opaque destinations match exactly, by name.
+        self._destinations = dict.fromkeys(dest for dest, _ in self._streams)
         self._dest_trie = RadixTrie()
-        self._opaque_dests: Dict[str, str] = {}
         for dest in self._destinations:
             if isinstance(dest, int):
                 self._dest_trie.insert(PrefixSpec(dest, ADDRESS_BITS), dest)
-            else:
-                self._opaque_dests[dest] = dest
+        self._covered: Dict[Prefix, Tuple[Destination, ...]] = {}
+        # What the last evaluate() did, for telemetry.
+        self.change_instants = 0
+        self.walks = 0
+        self.walks_invalidated = 0
+        self.lpm_resolves = 0
 
-    # ------------------------------------------------------------------
+    def _covered_by(self, prefix: Prefix) -> Tuple[Destination, ...]:
+        """The destinations whose LPM resolution a change to ``prefix`` can
+        move: exact, since a lookup only ever returns a containing prefix."""
+        hit = self._covered.get(prefix)
+        if hit is None:
+            spec = parse_prefix(prefix)
+            if spec is not None:
+                hit = tuple(dest for _spec, dest in self._dest_trie.covered(spec))
+            else:
+                hit = (prefix,) if prefix in self._destinations else ()
+            self._covered[prefix] = hit
+        return hit
 
     def evaluate(self, start: float, end: float) -> TrafficReport:
         """Evaluate flow fates over ``[start, end)``."""
-        if end < start:
-            raise AnalysisError(f"window end {end} before start {start}")
         report = TrafficReport(
             window=(start, end),
             flows=len(self._matrix.flows),
             prefixes=len(self._matrix.prefixes()),
         )
-        if not self._epoch_rows:
-            return self._evaluate_totals(report, start, end)
-        segment: Optional[List[float]] = None
-        classified = False
-        for t0, t1, fib, changed in self._log.multi_epochs(start, end):
-            if not classified:
-                self._reclassify(fib, self._destinations)
-                classified = True
-                segment = [t0, t1]
-                continue
-            invalid = self._invalidated(changed)
-            if invalid:
-                assert segment is not None
-                self._flush_segment(report, segment[0], segment[1])
-                self._reclassify(fib, invalid)
-                segment = [t0, t1]
-            else:
-                assert segment is not None
-                segment[1] = t1
-        if segment is not None:
-            self._flush_segment(report, segment[0], segment[1])
+        fib = MultiPrefixFib()
+        trackers = {dest: ForwardingTracker(self._ttl) for dest in self._destinations}
+        # flow key -> [opened, fate index]: its open constant-fate segment.
+        segments: Dict[FlowKey, List] = {}
+        row_start = start
+        self.change_instants = self.walks_invalidated = self.lpm_resolves = 0
+        for t0, _t1, batch in self._log.instants(start, end):
+            self.change_instants += 1
+            for change in batch:
+                fib.set_entry(change.node, change.prefix, change.next_hop)
+            # With the whole instant in the tables, resolve once per (node,
+            # covered destination); dict.fromkeys keeps first-seen order.
+            moved = dict.fromkeys(
+                (change.node, dest)
+                for change in batch
+                for dest in self._covered_by(change.prefix)
+            )
+            stale: List[FlowKey] = []
+            for node, dest in moved:
+                hit = fib.resolve(node, dest)
+                hop = None if hit is None else hit[1]
+                for origin in trackers[dest].set_next_hop(node, hop):
+                    stale.append((dest, origin))
+            self.lpm_resolves += len(moved)
+            self.walks_invalidated += len(stale)
+            if not segments:
+                stale = list(self._streams)  # the classification at ``start``
+            elif not self._epoch_rows:
+                self._account(report, segments, stale, t0)
+            elif moved:
+                # Rows split wherever a changed prefix covers a destination,
+                # whether or not any fate moved.
+                self._account(report, segments, segments, t0, row_start)
+                row_start = t0
+            for key in stale:
+                fate = trackers[key[0]].walk(key[1]).fate
+                segments[key] = [t0, _FATE_INDEX[fate]]
+        if segments:
+            self._account(
+                report, segments, segments, end,
+                row_start if self._epoch_rows else None,
+            )
+        self.walks = sum(tracker.walks for tracker in trackers.values())
         return report
 
-    def _evaluate_totals(
-        self, report: TrafficReport, start: float, end: float
-    ) -> TrafficReport:
-        """Totals-only evaluation with per-destination segments.
-
-        Instead of closing a whole-matrix segment whenever *any*
-        destination reclassifies, each destination carries its own segment
-        start and is accounted only when *it* reclassifies (and once at the
-        end).  Per-flow CBR counts telescope exactly across partitions of
-        the window, so the report totals are bit-identical to the
-        epoch-row path; only the per-epoch rows are not materialized.
-        """
-        segment_start: Dict[Union[int, str], float] = {}
-        classified = False
-        for t0, _t1, fib, changed in self._log.multi_epochs(start, end):
-            if not classified:
-                self._reclassify(fib, self._destinations)
-                classified = True
-                for dest in self._destinations:
-                    segment_start[dest] = t0
-                continue
-            invalid = self._invalidated(changed)
-            if invalid:
-                for dest in invalid:
-                    self._flush_destination(report, dest, segment_start[dest], t0)
-                    segment_start[dest] = t0
-                self._reclassify(fib, invalid)
-        if classified:
-            for dest in self._destinations:
-                self._flush_destination(report, dest, segment_start[dest], end)
-        return report
-
-    def _flush_destination(
-        self, report: TrafficReport, dest: Union[int, str], t0: float, t1: float
+    def _account(
+        self,
+        report: TrafficReport,
+        segments: Dict[FlowKey, List],
+        keys: Iterable[FlowKey],
+        until: float,
+        row_start: Optional[float] = None,
     ) -> None:
-        """Account one destination's flows over ``[t0, t1)`` (totals only)."""
-        lo, hi = self._dest_slice[dest]
-        for index in range(lo, hi):
-            count = self._flat_flows[index].count_in(t0, t1)
-            if not count:
-                continue
-            report.offered += count
-            fate = self._flat_fates[index]
-            if fate == _DELIVERED:
-                report.delivered += count
-            elif fate == _BLACKHOLED:
-                report.blackholed += count
-            else:
-                report.looped += count
-
-    # ------------------------------------------------------------------
-    # Segment machinery: cached fates, invalidation, exact accounting
-    # ------------------------------------------------------------------
-
-    def _invalidated(
-        self, changed: FrozenSet
-    ) -> List[Union[int, str]]:
-        """Destinations whose LPM resolution could differ after ``changed``.
-
-        Exact, not heuristic: a destination's functional graph reads
-        ``fib.next_hop(node, address)`` at every node, which can only move
-        when a changed prefix *contains* the address (structured) or equals
-        it (opaque legacy name)."""
-        if not changed:
-            return []
-        touched: Set[Union[int, str]] = set()
-        for prefix in changed:
-            spec = _parse_spec(prefix)
-            if spec is None:
-                dest = self._opaque_dests.get(prefix)
-                if dest is not None:
-                    touched.add(dest)
-            else:
-                # Subtree walk over the /32 destination entries the changed
-                # prefix covers — O(hits), not O(destinations).
-                for _spec, dest in self._dest_trie.covered(spec):
-                    touched.add(dest)
-        return sorted(touched, key=self._dest_order.__getitem__)
-
-    def _reclassify(
-        self, fib: MultiPrefixFib, destinations: Sequence[Union[int, str]]
-    ) -> None:
-        for dest in destinations:
-            fates = self._classify(fib, dest, self._sources_of[dest])
-            lo, _hi = self._dest_slice[dest]
-            for offset, fate in enumerate(fates):
-                self._flat_fates[lo + offset] = fate
-
-    def _flush_segment(
-        self, report: TrafficReport, t0: float, t1: float
-    ) -> None:
-        """Account ``[t0, t1)`` under the current (constant) classification.
+        """Account the flows of ``keys`` up to ``until`` and reopen their
+        segments there; with ``row_start``, also emit the tally as a row.
 
         Per-flow counts over a merged segment telescope to the sum of its
-        per-epoch counts (CBR counting is a first-index difference), so
-        this is bit-identical to per-epoch accounting."""
-        offered = delivered = blackholed = looped = 0
-        if self._numpy:
-            counts = self._counts_vector(t0, t1)
-            fates = _np.array(self._flat_fates, dtype=_np.int64)
-            offered = int(counts.sum())
-            if offered:
-                delivered = int(counts[fates == _DELIVERED].sum())
-                blackholed = int(counts[fates == _BLACKHOLED].sum())
-                looped = offered - delivered - blackholed
-        else:
-            for flow, fate in zip(self._flat_flows, self._flat_fates):
-                count = flow.count_in(t0, t1)
-                if not count:
-                    continue
-                offered += count
-                if fate == _DELIVERED:
-                    delivered += count
-                elif fate == _BLACKHOLED:
-                    blackholed += count
-                else:
-                    looped += count
-        report.offered += offered
-        report.delivered += delivered
-        report.blackholed += blackholed
-        report.looped += looped
-        report.epoch_rows.append(
-            EpochTraffic(t0, t1, offered, delivered, blackholed, looped)
-        )
-
-    def _counts_vector(self, t0: float, t1: float):
-        """Vectorized :meth:`CbrSource.count_in` over every flow at once.
-
-        Replicates the scalar arithmetic operation for operation (same
-        float64 subtraction/multiply/ceil, same epsilon), so each element
-        equals ``flow.count_in(t0, t1)`` bitwise."""
-
-        def first_index(time: float):
-            raw = _np.ceil(
-                (time - self._flat_starts) * self._flat_rates - 1e-12
-            )
-            return _np.where(
-                time <= self._flat_starts, 0.0, raw
-            ).astype(_np.int64)
-
-        return _np.maximum(first_index(t1) - first_index(t0), 0)
-
-    # ------------------------------------------------------------------
-    # Classification backends
-    # ------------------------------------------------------------------
-
-    def _classify(
-        self, fib: MultiPrefixFib, destination: Union[int, str], sources: List[int]
-    ) -> List[int]:
-        # Vectorization has fixed per-call numpy overhead; on small graphs
-        # the memoized walks win.  Both backends produce the identical
-        # classification (pinned by the equivalence tests), so the cutover
-        # is a pure performance knob.
-        n = len(self._nodes)
-        if self._numpy and self._ttl >= n and n >= 16:
-            return self._classify_vectorized(fib, destination, sources)
-        return self._classify_walks(fib, destination, sources)
-
-    def _classify_walks(
-        self, fib: MultiPrefixFib, destination: Union[int, str], sources: List[int]
-    ) -> List[int]:
-        if self._ttl < len(self._nodes):
-            # TTL can die of sheer path length; only the full hop-by-hop
-            # walk reproduces that fate exactly.
-            return self._classify_walks_ttl(fib, destination, sources)
-        # ttl >= node count: TTL death coincides with cycle membership, so
-        # one memoized walk classifies every node it touches.  Each trail's
-        # terminal fate (delivered / no-route / entered-a-cycle / reached an
-        # already-classified node) propagates to the whole trail — every
-        # node feeding a cycle spins with it.
-        fate_of: Dict[int, int] = {}
-        fates = []
-        for source in sources:
-            fate = fate_of.get(source)
-            if fate is None:
-                trail = []
-                on_trail: Dict[int, None] = {}
-                node = source
-                while True:
-                    fate = fate_of.get(node)
-                    if fate is not None:
-                        break
-                    hop = fib.next_hop(node, destination)
-                    if hop == node:
-                        fate = _DELIVERED
-                        trail.append(node)
-                        break
-                    if hop is None:
-                        fate = _BLACKHOLED
-                        trail.append(node)
-                        break
-                    if hop in on_trail:
-                        fate = _LOOPED
-                        trail.append(node)
-                        break
-                    on_trail[node] = None
-                    trail.append(node)
-                    node = hop
-                for walked in trail:
-                    fate_of[walked] = fate
-            fates.append(fate)
-        return fates
-
-    def _classify_walks_ttl(
-        self, fib: MultiPrefixFib, destination: Union[int, str], sources: List[int]
-    ) -> List[int]:
-        cache: Dict[int, int] = {}
-        fates = []
-        for source in sources:
-            fate = cache.get(source)
-            if fate is None:
-                result = walk_lpm(fib, source, destination, self._ttl)
-                if result.fate is PacketFate.DELIVERED:
-                    fate = _DELIVERED
-                elif result.fate is PacketFate.DROPPED_NO_ROUTE:
-                    fate = _BLACKHOLED
-                else:
-                    fate = _LOOPED
-                cache[source] = fate
-            fates.append(fate)
-        return fates
-
-    def _classify_vectorized(
-        self, fib: MultiPrefixFib, destination: Union[int, str], sources: List[int]
-    ) -> List[int]:
-        """Pointer-doubling classification of every node at once.
-
-        Index ``n`` is a sink sentinel ("no route"); delivery nodes and the
-        sentinel are absorbing self-loops, so after ``2**k >= n`` doubled
-        hops every walk rests at its delivery node, at the sentinel, or
-        inside a forwarding cycle.  Requires ``ttl >= n`` (checked by the
-        caller) so "inside a cycle" and "TTL death" coincide with
-        :func:`~repro.dataplane.packet.walk_lpm`.
+        per-epoch counts (CBR counting is a first-index difference), so this
+        is bit-identical to per-epoch accounting.
         """
-        n = len(self._nodes)
-        nxt = _np.full(n + 1, n, dtype=_np.int64)
-        delivers = _np.zeros(n + 1, dtype=bool)
-        for i, node in enumerate(self._nodes):
-            hop = fib.next_hop(node, destination)
-            if hop is None:
-                continue
-            if hop == node:
-                nxt[i] = i
-                delivers[i] = True
-            else:
-                nxt[i] = self._node_index.get(hop, n)
-        steps = 1
-        while steps < n:
-            nxt = nxt[nxt]
-            steps *= 2
-        final = nxt
-        fates = []
-        for source in sources:
-            i = self._node_index[source]
-            f = int(final[i])
-            if f < n and delivers[f]:
-                fates.append(_DELIVERED)
-            elif f == n:
-                fates.append(_BLACKHOLED)
-            else:
-                fates.append(_LOOPED)
-        return fates
+        tally = [0, 0, 0]
+        for key in keys:
+            segment = segments[key]
+            opened, fate = segment
+            for stream in self._streams[key]:
+                tally[fate] += stream.count_in(opened, until)
+            segment[0] = until
+        offered = sum(tally)
+        report.offered += offered
+        report.delivered += tally[0]
+        report.blackholed += tally[1]
+        report.looped += tally[2]
+        if row_start is not None:
+            report.epoch_rows.append(EpochTraffic(row_start, until, offered, *tally))

@@ -319,7 +319,7 @@ def run_experiment(
     # (source, prefix) over the steady-state originated specifics,
     # classified by LPM forwarding across *all* prefixes.  The matrix seed
     # is the run seed, so jobs=1 and jobs=N workers rebuild it identically.
-    traffic = None
+    traffic = traffic_evaluator = None
     if settings.traffic_matrix:
         matrix = TrafficMatrix.seeded(
             nodes=scenario.topology.nodes,
@@ -328,12 +328,13 @@ def run_experiment(
             rate_range=(min(1.0, settings.packet_rate), settings.packet_rate),
             origins=scenario.origins_by_prefix(),
         )
-        traffic = TrafficMatrixEvaluator(
+        traffic_evaluator = TrafficMatrixEvaluator(
             fib_log,
             matrix,
             ttl=settings.ttl,
             epoch_rows=settings.traffic_epoch_rows,
-        ).evaluate(*window)
+        )
+        traffic = traffic_evaluator.evaluate(*window)
     result = LoopStudyResult(
         convergence=convergence,
         dataplane=dataplane,
@@ -361,6 +362,21 @@ def run_experiment(
         registry.counter("dataplane.packets_delivered").inc(dataplane.delivered)
         registry.counter("dataplane.packets_dropped_no_route").inc(
             dataplane.dropped_no_route
+        )
+        # The data-plane pass's own work, summed over both evaluators:
+        # walks performed, how many of them a FIB change forced, over how
+        # many change instants, and the LPM resolves the matrix pass made.
+        for done in (evaluator, traffic_evaluator):
+            if done is not None:
+                registry.counter("dataplane.walks").inc(done.walks)
+                registry.counter("dataplane.walks_invalidated").inc(
+                    done.walks_invalidated
+                )
+                registry.counter("dataplane.change_instants").inc(
+                    done.change_instants
+                )
+        registry.counter("dataplane.lpm_resolves").inc(
+            traffic_evaluator.lpm_resolves if traffic_evaluator is not None else 0
         )
         for kind, total in network.trace.kind_counts().items():
             registry.counter(f"trace.messages.{kind}").inc(total)

@@ -3,11 +3,16 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import settings
 
 from repro.bgp import BgpConfig, BgpSpeaker
 from repro.dataplane import FibChangeLog
 from repro.engine import RandomStreams, Scheduler
 from repro.net import Network
+
+# Nightly depth for properties that do not pin their own example count
+# (select with ``--hypothesis-profile=deep``); tier-1 keeps the default 100.
+settings.register_profile("deep", max_examples=2000, deadline=None)
 
 
 @pytest.fixture

@@ -101,3 +101,73 @@ class TestLoopTimeline:
         assert longest_loop_duration(intervals) == 4.0
         assert loop_size_histogram(intervals) == {2: 2}
         assert longest_loop_duration([]) == 0.0
+
+
+class TestLoopTimelineIsChangeDriven:
+    """After the scan at ``start`` only changed nodes are followed; these are
+    the cases where that could lose or invent a loop."""
+
+    @staticmethod
+    def log_of(changes):
+        log = FibChangeLog()
+        for time, node, hop in changes:
+            log.record(time, node, P, hop)
+        return log
+
+    def test_broken_and_re_formed_within_one_instant_is_one_interval(self):
+        log = self.log_of(
+            [(1.0, 1, 2), (1.0, 2, 1), (2.0, 1, None), (2.0, 1, 2), (3.0, 2, 2)]
+        )
+        assert loop_timeline(log, P, 0.0, 5.0) == [LoopInterval((1, 2), 1.0, 3.0)]
+
+    def test_a_tail_joining_a_live_cycle_opens_nothing(self):
+        log = self.log_of([(1.0, 1, 2), (1.0, 2, 1), (2.0, 3, 1), (3.0, 3, None)])
+        assert loop_timeline(log, P, 0.0, 5.0) == [LoopInterval((1, 2), 1.0, 5.0)]
+
+    def test_the_last_changed_member_closes_the_cycle(self):
+        log = self.log_of([(1.0, 1, 2), (2.0, 2, 3), (3.0, 3, 1)])
+        assert loop_timeline(log, P, 0.0, 5.0) == [LoopInterval((1, 2, 3), 3.0, 5.0)]
+
+    def test_every_changed_node_of_an_instant_is_followed(self):
+        # Two nodes move at t=2; only the second one closes a cycle.
+        log = self.log_of([(1.0, 6, 5), (2.0, 1, None), (2.0, 5, 6)])
+        assert loop_timeline(log, P, 0.0, 5.0) == [LoopInterval((5, 6), 2.0, 5.0)]
+
+    def test_one_change_breaks_one_cycle_and_forms_another(self):
+        log = self.log_of([(1.0, 3, 1), (1.0, 1, 2), (1.0, 2, 1), (2.0, 2, 3)])
+        assert loop_timeline(log, P, 0.0, 5.0) == [
+            LoopInterval((1, 2), 1.0, 2.0),
+            LoopInterval((1, 2, 3), 2.0, 5.0),
+        ]
+
+    def test_a_member_that_starts_delivering_breaks_its_cycle(self):
+        log = self.log_of([(1.0, 1, 1), (2.0, 1, 2), (2.0, 2, 1), (3.0, 2, 2)])
+        assert loop_timeline(log, P, 0.0, 5.0) == [LoopInterval((1, 2), 2.0, 3.0)]
+
+    def test_window_edges(self):
+        log = self.log_of([(0.0, 1, 2), (0.0, 2, 1), (2.0, 3, 4), (2.0, 4, 3), (4.0, 1, 1)])
+        # Alive before the window: found by the scan at start, clipped to it.
+        # A change at t == start is absorbed, one at t == end is ignored.
+        assert loop_timeline(log, P, 2.0, 4.0) == [
+            LoopInterval((1, 2), 2.0, 4.0),
+            LoopInterval((3, 4), 2.0, 4.0),
+        ]
+        assert loop_timeline(log, P, 4.0, 4.0) == []
+        assert loop_timeline(log, P, 4.0, 9.0) == [LoopInterval((3, 4), 4.0, 9.0)]
+
+    def test_find_loops_scans_the_graph_once_per_call(self, monkeypatch):
+        from repro.core import loop_detector
+
+        calls = []
+
+        def counting(graph):
+            calls.append(graph)
+            return find_loops(graph)
+
+        monkeypatch.setattr(loop_detector, "find_loops", counting)
+        log = self.log_of(
+            [(float(t), 1 + t % 3, 1 + (t + 1) % 3) for t in range(12)]
+        )
+        assert len(log.change_times(P)) == 12
+        assert loop_timeline(log, P, 0.0, 20.0)
+        assert len(calls) == 1

@@ -1,9 +1,10 @@
-"""The traffic-matrix evaluator: seeded matrices, LPM walks, backend parity.
+"""The traffic-matrix evaluator: seeded matrices, LPM walks, and the edge
+cases of change-driven evaluation.
 
-The load-bearing contract: the vectorized (numpy pointer-doubling) and
-pure-python (memoized ``walk_lpm``) classification backends are *bit
-identical* — same integer packet counts, same fractions — so a run's digest
-does not depend on whether numpy is importable.
+The load-bearing contract — the change-driven report equals the naive
+per-epoch ``multi_epochs`` + ``walk_lpm`` evaluation, rows and totals — is a
+hypothesis property in ``tests/property/test_evaluator_properties.py``; the
+cases here pin the enumerated traps by hand.
 """
 
 import pytest
@@ -17,10 +18,7 @@ from repro.dataplane import (
     TrafficMatrixEvaluator,
     walk_lpm,
 )
-from repro.dataplane import traffic_eval
 from repro.errors import AnalysisError, ConfigError
-
-HAVE_NUMPY = traffic_eval._np is not None
 
 # Two /24s under one /22 cover, plus an opaque legacy name.
 SPEC_A = "00000000/24"
@@ -146,7 +144,7 @@ def matrix_for_log():
 class TestEvaluator:
     def test_report_accounting_consistent(self):
         report = TrafficMatrixEvaluator(
-            scripted_log(), matrix_for_log(), use_numpy=False
+            scripted_log(), matrix_for_log()
         ).evaluate(0.0, 3.0)
         assert report.offered > 0
         assert (
@@ -161,7 +159,7 @@ class TestEvaluator:
 
     def test_epoch_rows_cover_window(self):
         report = TrafficMatrixEvaluator(
-            scripted_log(), matrix_for_log(), use_numpy=False
+            scripted_log(), matrix_for_log()
         ).evaluate(0.0, 3.0)
         assert report.epoch_rows[0].start == 0.0
         assert report.epoch_rows[-1].end == 3.0
@@ -171,7 +169,7 @@ class TestEvaluator:
 
     def test_worst_epoch_is_the_looping_one(self):
         report = TrafficMatrixEvaluator(
-            scripted_log(), matrix_for_log(), use_numpy=False
+            scripted_log(), matrix_for_log()
         ).evaluate(0.0, 3.0)
         worst = report.worst_epoch()
         assert worst is not None
@@ -183,50 +181,42 @@ class TestEvaluator:
 
     def test_backward_window_rejected(self):
         evaluator = TrafficMatrixEvaluator(
-            scripted_log(), matrix_for_log(), use_numpy=False
+            scripted_log(), matrix_for_log()
         )
         with pytest.raises(AnalysisError):
             evaluator.evaluate(2.0, 1.0)
 
-    @pytest.mark.skipif(not HAVE_NUMPY, reason="numpy not importable")
-    def test_numpy_and_python_backends_identical(self):
+    def test_small_ttl_dies_of_path_length_like_the_reference(self):
+        """ttl=1 is below the two-hop paths 1 -> 2 -> 3 (SPEC_B) and
+        3 -> 2 -> 1 (SPEC_A), so those packets expire in the loop-free first
+        epoch; every row must equal that epoch's hop-by-hop ``walk_lpm``
+        classification."""
         log, matrix = scripted_log(), matrix_for_log()
-        fast = TrafficMatrixEvaluator(log, matrix, use_numpy=True).evaluate(
-            0.0, 3.0
-        )
-        slow = TrafficMatrixEvaluator(log, matrix, use_numpy=False).evaluate(
-            0.0, 3.0
-        )
-        assert (fast.offered, fast.delivered, fast.blackholed, fast.looped) == (
-            slow.offered,
-            slow.delivered,
-            slow.blackholed,
-            slow.looped,
-        )
-        assert fast.epoch_rows == slow.epoch_rows
-
-    @pytest.mark.skipif(not HAVE_NUMPY, reason="numpy not importable")
-    def test_small_ttl_falls_back_to_walks(self):
-        log, matrix = scripted_log(), matrix_for_log()
-        # ttl=2 < node count disables the vectorized path even with numpy.
-        fast = TrafficMatrixEvaluator(
-            log, matrix, ttl=2, use_numpy=True
-        ).evaluate(0.0, 3.0)
-        slow = TrafficMatrixEvaluator(
-            log, matrix, ttl=2, use_numpy=False
-        ).evaluate(0.0, 3.0)
-        assert fast.epoch_rows == slow.epoch_rows
+        report = TrafficMatrixEvaluator(log, matrix, ttl=1).evaluate(0.0, 3.0)
+        assert len(report.epoch_rows) == 3
+        # multi_epochs yields a live view: classify before advancing.
+        for row, (t0, t1, fib, _changed) in zip(
+            report.epoch_rows, log.multi_epochs(0.0, 3.0)
+        ):
+            looped = sum(
+                flow.count_in(t0, t1)
+                for flow in matrix.flows
+                if walk_lpm(fib, flow.source, flow.destination, 1).fate
+                is PacketFate.TTL_EXPIRED
+            )
+            assert (row.start, row.end, row.looped) == (t0, t1, looped)
+        assert report.epoch_rows[0].looped > 0
 
     def test_totals_mode_matches_epoch_rows_mode(self):
         """``epoch_rows=False`` is the memory-lean 10k-prefix path: the
         totals must be bit-identical to the row-keeping evaluation, with
         the row log simply absent."""
         log, matrix = scripted_log(), matrix_for_log()
-        full = TrafficMatrixEvaluator(log, matrix, use_numpy=False).evaluate(
+        full = TrafficMatrixEvaluator(log, matrix).evaluate(
             0.0, 3.0
         )
         lean = TrafficMatrixEvaluator(
-            log, matrix, use_numpy=False, epoch_rows=False
+            log, matrix, epoch_rows=False
         ).evaluate(0.0, 3.0)
         assert (lean.offered, lean.delivered, lean.blackholed, lean.looped) == (
             full.offered,
@@ -237,26 +227,10 @@ class TestEvaluator:
         assert lean.epoch_rows == []
         assert full.epoch_rows
 
-    @pytest.mark.skipif(not HAVE_NUMPY, reason="numpy not importable")
-    def test_totals_mode_backend_parity(self):
-        log, matrix = scripted_log(), matrix_for_log()
-        fast = TrafficMatrixEvaluator(
-            log, matrix, use_numpy=True, epoch_rows=False
-        ).evaluate(0.0, 3.0)
-        slow = TrafficMatrixEvaluator(
-            log, matrix, use_numpy=False, epoch_rows=False
-        ).evaluate(0.0, 3.0)
-        assert (fast.offered, fast.delivered, fast.blackholed, fast.looped) == (
-            slow.offered,
-            slow.delivered,
-            slow.blackholed,
-            slow.looped,
-        )
-
     def test_flow_count_matches_matrix(self):
         matrix = matrix_for_log()
         report = TrafficMatrixEvaluator(
-            scripted_log(), matrix, use_numpy=False
+            scripted_log(), matrix
         ).evaluate(0.0, 1.0)
         assert report.flows == len(matrix.flows)
         assert report.prefixes == 2
@@ -276,3 +250,137 @@ class TestMultiEpochs:
         for _t0, _t1, fib, _changed in log.multi_epochs(0.0, 3.0):
             states.append(fib.next_hop(2, 0x00000150))  # SPEC_B space
         assert states == [3, 1, 3]
+
+
+ADDR_A = 0x00000050  # inside SPEC_A
+ADDR_B = 0x00000150  # inside SPEC_B
+
+
+def totals(report):
+    return (report.offered, report.delivered, report.blackholed, report.looped)
+
+
+class TestChangeDriven:
+    """The traps of resolving and re-walking only what a change can reach."""
+
+    @staticmethod
+    def log_of(changes):
+        log = FibChangeLog()
+        for time, node, prefix, hop in changes:
+            log.record(time, node, prefix, hop)
+        return log
+
+    @staticmethod
+    def flows(*triples):
+        return TrafficMatrix(
+            flows=tuple(
+                Flow(source=s, prefix=p, destination=d, rate=10.0) for s, p, d in triples
+            )
+        )
+
+    def test_withdrawn_specific_falls_back_to_its_cover(self):
+        # Node 1 rides SPEC_A into a dead end until the specific is withdrawn
+        # and the /22 cover (towards the delivering node 2) takes over.
+        log = self.log_of(
+            [(0.0, 2, COVER, 2), (0.0, 1, COVER, 2), (0.0, 1, SPEC_A, 3),
+             (1.0, 1, SPEC_A, None)]
+        )
+        ev = TrafficMatrixEvaluator(log, self.flows((1, SPEC_A, ADDR_A)))
+        report = ev.evaluate(0.0, 2.0)
+        assert [(r.blackholed, r.delivered) for r in report.epoch_rows] == [
+            (10, 0), (0, 10)
+        ]
+
+    def test_cover_change_under_a_shadowing_specific_moves_no_fate(self):
+        # The cover moves at node 1, but SPEC_A still wins the match there:
+        # one resolve, no re-walk — yet a row boundary, as there always was.
+        log = self.log_of(
+            [(0.0, 2, SPEC_A, 2), (0.0, 1, SPEC_A, 2), (0.0, 1, COVER, 2),
+             (1.0, 1, COVER, 3)]
+        )
+        ev = TrafficMatrixEvaluator(log, self.flows((1, SPEC_A, ADDR_A)))
+        report = ev.evaluate(0.0, 2.0)
+        assert [(r.start, r.end, r.delivered) for r in report.epoch_rows] == [
+            (0.0, 1.0, 10), (1.0, 2.0, 10)
+        ]
+        assert (ev.walks, ev.walks_invalidated) == (1, 0)
+        # Start: nodes 1 and 2, once each (1's two entries share a resolve).
+        assert ev.lpm_resolves == 2 + 1
+
+    def test_change_covering_no_destination_costs_nothing(self):
+        log = self.log_of(
+            [(0.0, 2, SPEC_A, 2), (0.0, 1, SPEC_A, 2),
+             (1.0, 1, SPEC_B, 3), (1.5, 1, "other", 3)]
+        )
+        ev = TrafficMatrixEvaluator(log, self.flows((1, SPEC_A, ADDR_A)))
+        report = ev.evaluate(0.0, 2.0)
+        assert [(r.start, r.end) for r in report.epoch_rows] == [(0.0, 2.0)]
+        assert (ev.lpm_resolves, ev.change_instants) == (2, 3)
+
+    def test_one_resolve_per_node_and_covered_destination(self):
+        # The cover change at node 1 reaches both destinations under it; the
+        # two changes node 2 makes in one instant resolve once.
+        log = self.log_of(
+            [(1.0, 1, COVER, 2), (2.0, 2, SPEC_A, 2), (2.0, 2, SPEC_A, 1)]
+        )
+        matrix = self.flows((1, SPEC_A, ADDR_A), (1, SPEC_B, ADDR_B))
+        ev = TrafficMatrixEvaluator(log, matrix)
+        ev.evaluate(0.0, 3.0)
+        assert ev.lpm_resolves == 2 + 1
+
+    def test_changes_of_one_instant_are_applied_before_any_re_walk(self):
+        # Between the two records of t=1 node 1 would blackhole; no packet
+        # ever saw that, and the flow — invalidated twice — is counted once.
+        log = self.log_of(
+            [(0.0, 3, SPEC_A, 3), (0.0, 2, SPEC_A, 3), (0.0, 1, SPEC_A, 2),
+             (1.0, 2, SPEC_A, None), (1.0, 1, SPEC_A, 3)]
+        )
+        for rows in (True, False):
+            ev = TrafficMatrixEvaluator(
+                log, self.flows((1, SPEC_A, ADDR_A)), epoch_rows=rows
+            )
+            assert totals(ev.evaluate(0.0, 2.0)) == (20, 20, 0, 0)
+            assert (ev.walks, ev.walks_invalidated) == (2, 1)
+
+    def test_repeated_pairs_unknown_sources_and_the_destination_itself(self):
+        log = self.log_of(
+            [(0.0, 2, SPEC_A, 2), (0.0, 1, SPEC_A, 2), (0.0, 1, "dest", 1),
+             (1.0, 1, SPEC_A, None)]
+        )
+        matrix = TrafficMatrix(
+            flows=(
+                Flow(1, SPEC_A, ADDR_A, rate=10.0),
+                Flow(1, SPEC_A, ADDR_A, rate=5.0),   # the same pair again
+                Flow(2, SPEC_A, ADDR_A, rate=10.0),  # sits on the deliverer
+                Flow(9, SPEC_A, ADDR_A, rate=10.0),  # a node the log never names
+                Flow(1, "dest", "dest", rate=10.0),  # opaque, matched by name
+                Flow(2, "dest", "dest", rate=10.0),
+            )
+        )
+        for rows in (True, False):
+            ev = TrafficMatrixEvaluator(log, matrix, epoch_rows=rows)
+            report = ev.evaluate(0.0, 2.0)
+            # [0, 1): 15 + 10 + 10 delivered, 10 + 10 blackholed; then node
+            # 1's two SPEC_A flows blackhole too.
+            assert totals(report) == (110, 55, 55, 0)
+            assert ev.walks == 5 + 1  # five distinct pairs, one re-walk
+
+    def test_window_edges_absorb_at_start_and_ignore_at_end(self):
+        log = self.log_of(
+            [(0.0, 2, SPEC_A, 2), (1.0, 1, SPEC_A, 2), (2.0, 1, SPEC_A, None)]
+        )
+        matrix = self.flows((1, SPEC_A, ADDR_A))
+        ev = TrafficMatrixEvaluator(log, matrix)
+        assert totals(ev.evaluate(1.0, 2.0)) == (10, 10, 0, 0)
+        assert totals(ev.evaluate(2.0, 3.0)) == (10, 0, 10, 0)
+        empty = ev.evaluate(1.5, 1.5)
+        assert totals(empty) == (0, 0, 0, 0) and empty.epoch_rows == []
+        assert (empty.flows, empty.prefixes) == (1, 1)
+
+    def test_one_instance_evaluates_several_windows_independently(self):
+        log, matrix = scripted_log(), matrix_for_log()
+        for rows in (True, False):
+            shared = TrafficMatrixEvaluator(log, matrix, epoch_rows=rows)
+            for window in [(0.0, 3.0), (1.5, 2.5), (0.0, 3.0), (1.0, 1.0)]:
+                fresh = TrafficMatrixEvaluator(log, matrix, epoch_rows=rows)
+                assert shared.evaluate(*window) == fresh.evaluate(*window)

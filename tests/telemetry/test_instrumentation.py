@@ -56,6 +56,18 @@ class TestMetricsCoherence:
             == result.dataplane.packets_sent
         )
 
+    def test_dataplane_pass_reports_its_own_work(self, traced_run):
+        snap = traced_run.metrics
+        sources = len(traced_run.scenario.topology.nodes) - 1
+        walks = snap.counter("dataplane.walks")
+        instants = snap.counter("dataplane.change_instants")
+        # Useful over attempted: one walk per source at the window's start,
+        # every other one because a FIB change reached that source — far
+        # fewer than the naive "every source at every instant".
+        assert snap.counter("dataplane.walks_invalidated") == walks - sources
+        assert 0 < walks < instants * sources
+        assert snap.counter("dataplane.lpm_resolves") == 0  # no traffic matrix
+
     def test_bgp_activity_recorded(self, traced_run):
         snap = traced_run.metrics
         assert snap.counter("bgp.decision_runs") > 0
