@@ -1,45 +1,47 @@
-"""Crash-safe sweep journal: per-trial records, CRC-verified, resumable.
+"""Crash-safe durable logs: one framing, one replay rule, one compaction.
 
-PR 3's ``checkpointed_sweep`` lived in ``benchmarks/_support.py`` as a
-benchmarks-only helper whose journal could be corrupted by anything
-sharper than a polite Ctrl-C.  This module promotes it into the library
-with real durability semantics, because the ROADMAP's always-on sweep
-service needs the journal to be the system of record across restarts:
+Every durable JSONL file the system writes — a sweep's trial journal
+(:class:`SweepJournal`), the service's job queue
+(:class:`~repro.service.queue.DurableJobQueue`) and the perf trajectory
+(:class:`~repro.service.bench.TrajectoryStore`) — is a :class:`DurableLog`
+plus a record codec and a fold over what it replays.  The log is the only
+code that opens, appends to, replays, truncates or rewrites such a file:
 
-* **per-record CRC-32** — every JSONL line carries a checksum over its
-  canonical record payload, so a torn write, a flipped bit, or a
-  half-synced page is *detected* on resume instead of silently parsed
-  into wrong statistics;
-* **append + flush + fsync** per record, written from the sweep's outcome
-  stream before anyone is told the trial finished — a completed trial
-  survives the very next SIGKILL;
-* **atomic checkpoints** — :meth:`SweepJournal.checkpoint` rewrites the
-  journal through a temp file + ``os.replace`` rename, compacting
-  duplicate ``(x, seed)`` records (last write wins) and dropping corrupt
-  ones, so the on-disk file is always either the old complete journal or
-  the new complete journal, never a halfway state;
-* **recovery on load** — a truncated final line (the crash arrived
-  mid-write) and CRC-mismatched records are skipped and *counted*
-  (:class:`JournalRecovery`), never fatal;
-* **single-writer locking** — the first write acquires an exclusive
-  ``flock`` on a sidecar ``<path>.lock`` file; a second writer opening
-  the same journal path fails fast with :class:`~repro.errors.
-  JournalError` instead of interleaving frames (readers never lock, and
-  a forked child — a sweep worker — drops the lock it inherited, so an
-  orphaned worker cannot keep a dead writer's journal locked);
-* **signal-safe finalization** — :meth:`SweepJournal.guarded` installs
-  SIGTERM/SIGINT handlers that write a final checkpoint before the
-  default behavior proceeds, so a politely-terminated sweep leaves a
-  compacted journal behind.
+* **per-record CRC-32** — every line carries a checksum over its
+  canonical payload (:func:`frame_line`), so a torn write, a flipped
+  bit, or a half-synced page is *detected* on replay instead of silently
+  parsed into wrong statistics;
+* **append = write + fsync** — a record is on disk before
+  :meth:`DurableLog.append` returns; a sweep appends each trial from its
+  outcome stream before anyone is told the trial finished, so a completed
+  trial survives the very next SIGKILL;
+* **one replay rule, on bytes** — split on ``\\n``; a line that is not
+  UTF-8, not a frame, fails its CRC or is refused by the codec is
+  *corrupt*: counted, skipped, and replay goes on (a record glued onto
+  it by a damaged newline is still read from its frame start).  Only
+  bytes after the last newline are a *torn tail*.  Replay never raises
+  on damage and never writes, and every caller gets its
+  :class:`JournalRecovery` tally;
+* **single writer** — the first write takes an exclusive ``flock`` on a
+  sidecar ``<path>.lock`` (:class:`WriterLock`); a second writer fails
+  fast with :class:`~repro.errors.JournalError` instead of interleaving
+  frames.  Readers never lock, and a forked child (a sweep worker) drops
+  the lock it inherited, so an orphaned worker cannot keep a dead
+  writer's log locked;
+* **the writer, never a reader, cuts a torn tail off** — before its
+  first append, and again after an append that raised, so a new record
+  never lands glued to the bytes of a partial one;
+* **one compaction** — :meth:`DurableLog.rewrite` writes ``<path>.tmp``,
+  fsyncs it, renames it over the log and fsyncs the directory
+  (:func:`write_atomically`): the file is the old complete log or the new
+  one, never a halfway state, and the rename survives a power loss.
 
-Records are *per trial* (``(x, seed)``-keyed), not per point: a resumed
-sweep re-runs only the individual trials that never finished, even when
-a point's seeds were half done.
-
-The CRC line framing is generic (:func:`frame_line` / :func:`unframe_line`)
-and shared with :mod:`repro.service.queue`, whose durable job queue rides
-the same format — one framing, one recovery taxonomy, for every durable
-JSONL file the system writes.
+:class:`SweepJournal` is the trial codec.  Its records are *per trial*
+(``(x, seed)``-keyed, last write wins), not per point: a resumed sweep
+re-runs only the individual trials that never finished, even when a
+point's seeds were half done.  :meth:`SweepJournal.guarded` turns
+SIGTERM/SIGINT into a final checkpoint before the default behavior
+proceeds, so a politely-terminated sweep leaves a compacted journal.
 """
 
 from __future__ import annotations
@@ -50,9 +52,10 @@ import signal
 import threading
 import weakref
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, Optional
+from typing import Sequence, Tuple, TypeVar
 
 try:  # pragma: no cover - always present on POSIX
     import fcntl
@@ -70,6 +73,7 @@ if TYPE_CHECKING:  # pragma: no cover - annotation only
 SCHEMA_VERSION = 1
 
 Key = Tuple[float, int]
+T = TypeVar("T")
 
 
 @dataclass(frozen=True)
@@ -134,11 +138,10 @@ def _canonical(payload: Dict) -> str:
 
 
 def frame_line(payload: Dict) -> str:
-    """Wrap one JSON-able payload as a CRC-32-framed journal line.
+    """Wrap one JSON-able payload as a CRC-32-framed log line.
 
-    Generic over the payload schema: the trial journal and the service's
-    durable job queue both write this frame, so both inherit the same
-    torn-tail/corrupt-record recovery semantics.
+    Generic over the payload schema: every :class:`DurableLog` writes this
+    frame, whatever its codec puts inside.
     """
     body = _canonical(payload)
     crc = zlib.crc32(body.encode("utf-8")) & 0xFFFFFFFF
@@ -167,6 +170,14 @@ def unframe_line(line: str) -> Dict:
     return body
 
 
+def _trial_of(payload: Dict) -> TrialRecord:
+    """The trial codec's decode half, for :meth:`DurableLog.replay`."""
+    try:
+        return TrialRecord.from_payload(payload)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise JournalError(f"journal record missing fields: {exc}") from exc
+
+
 def encode_record(record: TrialRecord) -> str:
     """One journal line: the record payload wrapped with its CRC-32."""
     return frame_line(record.payload())
@@ -175,18 +186,14 @@ def encode_record(record: TrialRecord) -> str:
 def decode_record(line: str) -> TrialRecord:
     """Parse one journal line, raising :class:`JournalError` on any damage
     (malformed JSON, missing fields, CRC mismatch)."""
-    body = unframe_line(line)
-    try:
-        return TrialRecord.from_payload(body)
-    except (KeyError, TypeError) as exc:
-        raise JournalError(f"journal record missing fields: {exc}") from exc
+    return _trial_of(unframe_line(line))
 
 
 class WriterLock:
     """An exclusive, non-blocking ``flock`` on a sidecar ``.lock`` file.
 
-    One durable file, one writer: the lock is acquired the moment a
-    journal (or the service's job queue) first writes, and a second
+    One durable file, one writer: a :class:`DurableLog` acquires it
+    before it first writes (a job queue, as it opens), and a second
     writer — another process *or* another handle in the same process —
     fails fast with :class:`~repro.errors.JournalError` instead of
     interleaving frames.  The sidecar (never the data file itself) is
@@ -258,7 +265,7 @@ if hasattr(os, "register_at_fork"):  # pragma: no branch - POSIX
 
 @dataclass(frozen=True)
 class JournalRecovery:
-    """What loading a journal found besides the good records."""
+    """What replaying a log found besides the good records."""
 
     loaded: int = 0
     corrupt: int = 0
@@ -269,7 +276,7 @@ class JournalRecovery:
     def clean(self) -> bool:
         return not (self.corrupt or self.duplicates or self.truncated_tail)
 
-    def render(self) -> str:
+    def render(self, kind: str = "trial") -> str:
         notes = []
         if self.corrupt:
             notes.append(f"{self.corrupt} corrupt record(s) dropped")
@@ -278,7 +285,131 @@ class JournalRecovery:
         if self.truncated_tail:
             notes.append("truncated final line skipped")
         suffix = f" ({'; '.join(notes)})" if notes else ""
-        return f"journal: {self.loaded} trial record(s) loaded{suffix}"
+        return f"journal: {self.loaded} {kind} record(s) loaded{suffix}"
+
+
+def _write_all(fd: int, data: bytes) -> None:
+    """``os.write`` until every byte is out: a write may be short."""
+    view = memoryview(data)
+    while view:
+        view = view[os.write(fd, view):]
+
+
+def write_atomically(path: Path, data: bytes) -> None:
+    """Make ``data`` the content of ``path``: tmp + fsync + rename +
+    directory fsync, so a crash or power loss leaves the old content or the
+    new, never an empty or partial file (a stale ``.tmp`` is overwritten)."""
+    temp = path.with_name(path.name + ".tmp")
+    fd = os.open(temp, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o644)
+    try:
+        _write_all(fd, data)
+        os.fsync(fd)
+    finally:
+        os.close(fd)
+    os.replace(temp, path)
+    directory = os.open(path.parent, os.O_RDONLY)
+    try:
+        os.fsync(directory)
+    finally:
+        os.close(directory)
+
+
+class DurableLog:
+    """One CRC-framed JSONL file of JSON-object payloads, under the rules
+    above.  :meth:`replay` only reads; every other method takes the
+    :class:`WriterLock` first."""
+
+    def __init__(self, path) -> None:
+        self.path = Path(path)
+        self._lock = WriterLock(self.path)
+        self._fd: Optional[int] = None
+
+    def replay(
+        self, decode: Callable[[Dict], T]
+    ) -> Tuple[List[T], JournalRecovery]:
+        """Every intact record, oldest first, through the codec's
+        ``decode`` (which refuses a payload with :class:`JournalError`),
+        plus the :class:`JournalRecovery` tally; no file is an empty log."""
+        try:
+            data = self.path.read_bytes()
+        except FileNotFoundError:
+            return [], JournalRecovery()
+        *lines, tail = data.split(b"\n")
+        records: List[T] = []
+        corrupt = 0
+        for line in lines:
+            # Damage to a newline glues the next record onto this line, so a
+            # bad line is retried from each later frame start in it.
+            start = 0
+            while start >= 0:
+                try:
+                    text = line[start:].decode("utf-8")
+                    records.append(decode(unframe_line(text)))
+                    break
+                except (UnicodeDecodeError, JournalError):
+                    start = line.find(b'{"crc":', start + 1)
+            corrupt += start != 0
+        return records, JournalRecovery(
+            loaded=len(records), corrupt=corrupt, truncated_tail=bool(tail)
+        )
+
+    def acquire(self) -> None:
+        """Become the writer: take the lock, open the log for appending,
+        and cut off a torn tail — bytes after the last newline, which no
+        append ever returned for.  A no-op while already open."""
+        if self._fd is not None:
+            return
+        self._lock.acquire()
+        self.path.parent.mkdir(parents=True, exist_ok=True)
+        fd = os.open(self.path, os.O_RDWR | os.O_APPEND | os.O_CREAT, 0o644)
+        try:
+            size = os.fstat(fd).st_size
+            end = os.pread(fd, size, 0).rfind(b"\n") + 1
+            if end < size:
+                os.ftruncate(fd, end)
+                os.fsync(fd)
+        except BaseException:
+            os.close(fd)
+            raise
+        self._fd = fd
+
+    def append(self, payload: Dict) -> None:
+        """Durably append one record: written and fsynced when this returns.
+        If either raises, the file is closed, and the next append's
+        :meth:`acquire` cuts off whatever part of this record got out."""
+        data = (frame_line(payload) + "\n").encode("utf-8")
+        self.acquire()
+        try:
+            _write_all(self._fd, data)
+            os.fsync(self._fd)
+        except BaseException:
+            self._close_file()
+            raise
+
+    def rewrite(self, payloads: Iterable[Dict]) -> None:
+        """Compact: replace the log with ``payloads`` (:func:`write_atomically`)."""
+        self._lock.acquire()
+        self._close_file()  # it points at the inode about to be replaced
+        write_atomically(
+            self.path,
+            b"".join((frame_line(p) + "\n").encode("utf-8") for p in payloads),
+        )
+
+    def discard(self) -> None:
+        """Delete the log: the writer starts over from nothing."""
+        self._lock.acquire()
+        self._close_file()
+        self.path.unlink(missing_ok=True)
+
+    def close(self) -> None:
+        """Close the file and release the writer lock."""
+        self._close_file()
+        self._lock.release()
+
+    def _close_file(self) -> None:
+        fd, self._fd = self._fd, None
+        if fd is not None:
+            os.close(fd)
 
 
 class SweepJournal:
@@ -298,53 +429,27 @@ class SweepJournal:
     """
 
     def __init__(self, path) -> None:
-        self.path = Path(path)
+        self._log = DurableLog(path)
+        self.path = self._log.path
         self._records: Dict[Key, TrialRecord] = {}
         self._recovery = JournalRecovery()
-        self._handle = None
-        self._lock = WriterLock(self.path)
 
     # ------------------------------------------------------------------
     # Reading
     # ------------------------------------------------------------------
 
     def load(self) -> Tuple[Dict[Key, TrialRecord], JournalRecovery]:
-        """Read the journal from disk, tolerating a damaged tail and
-        corrupt or duplicate records.  Returns the last-write-wins view
-        keyed by ``(x, seed)`` plus a :class:`JournalRecovery` tally."""
-        records: Dict[Key, TrialRecord] = {}
-        corrupt = 0
-        duplicates = 0
-        truncated = False
-        if self.path.exists():
-            raw = self.path.read_text(encoding="utf-8")
-            lines = raw.split("\n")
-            # A file not ending in a newline means the final write was
-            # interrupted; anything on that last partial line is suspect.
-            tail_is_torn = bool(lines and lines[-1].strip())
-            for index, line in enumerate(lines):
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    record = decode_record(line)
-                except JournalError:
-                    if tail_is_torn and index == len(lines) - 1:
-                        truncated = True
-                    else:
-                        corrupt += 1
-                    continue
-                if record.key in records:
-                    duplicates += 1
-                records[record.key] = record
-        self._records = records
-        self._recovery = JournalRecovery(
-            loaded=len(records),
-            corrupt=corrupt,
-            duplicates=duplicates,
-            truncated_tail=truncated,
+        """Replay the journal (:meth:`DurableLog.replay`).  Returns the
+        last-write-wins view keyed by ``(x, seed)`` plus a
+        :class:`JournalRecovery` tally, superseded duplicates counted."""
+        trials, recovery = self._log.replay(_trial_of)
+        self._records = {record.key: record for record in trials}
+        self._recovery = replace(
+            recovery,
+            loaded=len(self._records),
+            duplicates=len(trials) - len(self._records),
         )
-        return dict(records), self._recovery
+        return dict(self._records), self._recovery
 
     @property
     def records(self) -> Dict[Key, TrialRecord]:
@@ -359,67 +464,39 @@ class SweepJournal:
     # Writing
     # ------------------------------------------------------------------
 
-    def _open(self):
-        if self._handle is None:
-            self._lock.acquire()
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            self._handle = self.path.open("a", encoding="utf-8")
-        return self._handle
-
     def append(self, record: TrialRecord) -> None:
-        """Durably append one record: write, flush, fsync.
+        """Durably append one record (:meth:`DurableLog.append`).
 
         The record also enters the in-memory view (last write wins), so
         interleaved append/load callers always see the freshest state.
         """
-        handle = self._open()
-        handle.write(encode_record(record) + "\n")
-        handle.flush()
-        os.fsync(handle.fileno())
+        self._log.append(record.payload())
         self._records[record.key] = record
 
     def checkpoint(self) -> None:
         """Atomically rewrite the journal as its compacted view.
 
-        Writes every in-memory record (duplicates collapsed, corrupt
-        lines gone) to ``<path>.tmp``, fsyncs, then ``os.replace``\\ s it
-        over the journal — the POSIX-atomic flush point.  Readers at any
-        instant see either the old journal or the new one, never a
+        Every in-memory record (duplicates collapsed, corrupt lines and a
+        torn tail gone) goes through :meth:`DurableLog.rewrite`: readers
+        at any instant see either the old journal or the new one, never a
         partial file.
         """
-        self._lock.acquire()
-        if self._handle is not None:
-            self._handle.close()
-            self._handle = None
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        temp = self.path.with_suffix(self.path.suffix + ".tmp")
-        with temp.open("w", encoding="utf-8") as handle:
-            for key in sorted(self._records):
-                handle.write(encode_record(self._records[key]) + "\n")
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(temp, self.path)
+        self._log.rewrite(
+            self._records[key].payload() for key in sorted(self._records)
+        )
 
     def discard(self) -> None:
         """Delete the journal (the ``fresh=True`` path) and forget state."""
-        self._lock.acquire()
-        if self._handle is not None:
-            self._handle.close()
-            self._handle = None
-        if self.path.exists():
-            self.path.unlink()
+        self._log.discard()
         self._records = {}
         self._recovery = JournalRecovery()
 
     def close(self, checkpoint: bool = True) -> None:
-        """Flush, close, and release the writer lock; by default leaves a
+        """Close and release the writer lock; by default leaves a
         compacted checkpoint."""
         if checkpoint and self._records:
             self.checkpoint()
-        elif self._handle is not None:
-            self._handle.close()
-            self._handle = None
-        self._lock.release()
+        self._log.close()
 
     # ------------------------------------------------------------------
     # Signal safety

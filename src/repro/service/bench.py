@@ -4,15 +4,16 @@ A cycle runs ``benchmarks/e2e/run.py --repeat R --output
 <results>/E2E_candidate.json`` in a fresh interpreter (benchmark numbers must
 not inherit this process's warmed-up state), gates it with ``compare.py
 <results>/E2E_base.json <candidate>`` — the bounds are ``BENCHMARK.json``'s,
-nothing here knows them — and appends one record to
+nothing here knows them — and appends one record to the durable log
 ``<results>/perf_trajectory.jsonl``: ``ts``, ``commit`` (the candidate's
 ``meta``), ``base`` (the commit gated against, ``None`` on a first cycle),
 ``ok``, the ``worse``/``MISMATCH`` ``rows`` ``compare.py`` printed, every
 ``<workload>/<metric>`` median, and ``error`` when a harness script failed.
 
 The base is the last passing cycle *on this machine*: the candidate becomes
-``E2E_base.json`` when the cycle passes or no base exists yet; a failing cycle
-leaves the base in place (delete it to re-base after an intended change).
+``E2E_base.json`` (through :func:`~repro.experiments.journal.write_atomically`)
+when the cycle passes or no base exists yet; a failing cycle leaves the base
+in place (delete it to re-base after an intended change).
 
 A cycle can be cancelled: ``should_cancel`` is polled about once a second
 while a harness script runs; a positive answer stops the script the way a
@@ -23,16 +24,14 @@ no record, the base untouched.
 from __future__ import annotations
 
 import json
-import os
-import shutil
 import subprocess
 import sys
 import time
 from pathlib import Path
 from typing import Callable, Dict, List
 
-from ..errors import JobCancelled, JournalError, ServiceError
-from ..experiments.journal import frame_line, unframe_line
+from ..errors import JobCancelled, ServiceError
+from ..experiments.journal import DurableLog, write_atomically
 
 STOP_GRACE_S = 60.0  # between SIGTERM and SIGKILL for a stopped harness
 CANCEL_POLL_S = 1.0  # how often a running harness script asks should_cancel
@@ -45,40 +44,23 @@ def default_bench_dir() -> Path:
 
 
 class TrajectoryStore:
-    """Append-only, CRC-framed perf history, one record per bench cycle."""
+    """Append-only, CRC-framed perf history, one record per bench cycle: a
+    :class:`~repro.experiments.journal.DurableLog` of the cycle dicts."""
 
     def __init__(self, path) -> None:
-        self.path = Path(path)
+        self._log = DurableLog(path)
+        self.path = self._log.path
 
     def append(self, record: Dict) -> None:
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        with self.path.open("a", encoding="utf-8") as handle:
-            # A torn tail (writer killed mid-line) must not garble the next
-            # record: seal it with a newline so only the torn line is lost.
-            if handle.tell() > 0:
-                with self.path.open("rb") as peek:
-                    peek.seek(-1, os.SEEK_END)
-                    if peek.read(1) != b"\n":
-                        handle.write("\n")
-            handle.write(frame_line(record) + "\n")
-            handle.flush()
-            os.fsync(handle.fileno())
+        # Cycles are minutes apart: hold the writer lock for this one write.
+        try:
+            self._log.append(record)
+        finally:
+            self._log.close()
 
     def records(self) -> List[Dict]:
         """Every intact record, oldest first; damaged lines are skipped."""
-        if not self.path.exists():
-            return []
-        out: List[Dict] = []
-        with self.path.open("r", encoding="utf-8") as handle:
-            for line in handle:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    out.append(unframe_line(line))
-                except JournalError:
-                    continue
-        return out
+        return self._log.replay(dict)[0]
 
 
 def _run(
@@ -182,9 +164,8 @@ def run_bench_cycle(
         candidate.unlink(missing_ok=True)  # nothing was measured
         raise
     if record["ok"]:
-        # Copy then rename: a killed daemon never leaves a torn base.
-        shutil.copyfile(candidate, base.with_suffix(".tmp.json"))
-        os.replace(base.with_suffix(".tmp.json"), base)
+        # Neither a killed daemon nor a power loss leaves a torn or empty base.
+        write_atomically(base, candidate.read_bytes())
     publish(
         f"bench: commit {record['commit'][:12]} against base "
         f"{(record['base'] or 'none')[:12]}: "

@@ -27,7 +27,9 @@ Durability invariants:
   running job cooperatively** — the job checkpoints its journal and goes
   back to ``queued`` (``detail.interrupted = true``), not ``cancelled``;
 * **one daemon per state directory** — a ``flock`` on ``daemon.lock``
-  makes a second daemon fail fast instead of double-running the queue.
+  makes a second daemon fail fast instead of double-running the queue;
+* **damage is reported, not hidden** — when the queue's replay skipped a
+  corrupt record or a torn tail, its tally is printed once at startup.
 """
 
 from __future__ import annotations
@@ -82,6 +84,11 @@ class ServiceDaemon:
         bench_task = None
         try:
             self.queue = DurableJobQueue(self.state.queue_path)
+            if not self.queue.recovery.clean:
+                print(
+                    f"{self.state.queue_path}: {self.queue.recovery.render('job')}",
+                    flush=True,
+                )
             self.bus = EventBus(loop)
             self._pending = asyncio.Queue()
             self._stop = asyncio.Event()

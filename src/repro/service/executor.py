@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import hashlib
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable, Dict, List, Optional
 
 from ..errors import JobCancelled, ReproError, ServiceError
@@ -87,7 +87,7 @@ def execute_sweep(
     reports: List = []
     # Progress counts over what this execution runs: a resumed job reads
     # k/missing, not 1..trials once per x.
-    journaled, _recovery = journal.load()
+    journaled, recovery = journal.load()
     total = sum(
         (x, seed) not in journaled for x in plan.xs for seed in plan.seeds
     )
@@ -194,6 +194,9 @@ def execute_sweep(
         "journal": str(journal.path),
         "timeline": str(trace_path),
     }
+    if not recovery.clean:
+        # Resuming needed repairs: the job's record says which.
+        detail["journal_recovery"] = asdict(recovery)
     if supervision is not None:
         detail["supervision"] = {
             "trials": supervision.trials,

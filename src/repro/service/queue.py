@@ -1,7 +1,7 @@
 """Durable job queue: the service's system of record for job lifecycle.
 
-The queue is an append-only CRC-framed JSONL file (the same framing as
-trial journals — :func:`~repro.experiments.journal.frame_line`), holding
+The queue is a :class:`~repro.experiments.journal.DurableLog` — the trial
+journal's CRC framing, replay rule, writer lock and compaction — holding
 two record shapes:
 
 .. code-block:: text
@@ -10,24 +10,23 @@ two record shapes:
     {"crc": N, "record": {"op": "state", "id": "job-3", "state": "running",
                           "detail": {...}, "ts": T}}
 
-Every append is flushed and fsynced before the call returns, so a job
-acknowledged to a client survives ``kill -9`` of the daemon.  Replay
-folds the log into latest-state :class:`~repro.service.jobs.JobView`
-objects; a torn final line (daemon killed mid-write) is truncated away
-exactly like a trial journal's torn tail.  A :class:`~repro.experiments.
-journal.WriterLock` sidecar makes concurrent daemons on one queue fail
-fast instead of interleaving frames.
+Every append is fsynced before the call returns, so a job acknowledged
+to a client survives ``kill -9`` of the daemon.  Replay folds the log
+into latest-state :class:`~repro.service.jobs.JobView` objects, skipping
+and counting corrupt records (:attr:`DurableJobQueue.recovery`).  New ids
+continue past every id an intact record names, ``state`` records
+included: a started job whose ``submit`` was lost never lends its id — and
+its trial journal — to a new job.  Opening a queue makes it the writer unless
+another writer holds the lock; one opened beside a live writer only reads.
 """
 
 from __future__ import annotations
 
-import os
 import time
-from pathlib import Path
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from ..errors import JournalError, ServiceError
-from ..experiments.journal import WriterLock, frame_line, unframe_line
+from ..experiments.journal import DurableLog
 from .jobs import (
     QUEUED,
     JOB_STATES,
@@ -37,100 +36,84 @@ from .jobs import (
 )
 
 
+def _decode(payload: Dict) -> Tuple[str, str, float, object]:
+    """The queue's codec: ``(op, job id, ts, body)``, body a submit's spec or a
+    state change's ``(state, detail)``; JournalError for anything else."""
+    try:
+        op, job_id, ts = payload["op"], str(payload["id"]), float(payload["ts"])
+        if op == "submit":
+            return op, job_id, ts, JobSpec.from_json(payload["spec"])
+        if op == "state" and payload["state"] in JOB_STATES:
+            detail = dict(payload.get("detail") or {})
+            return op, job_id, ts, (payload["state"], detail)
+    except (KeyError, TypeError, ValueError, ServiceError) as exc:
+        raise JournalError(f"malformed job queue record: {exc}") from exc
+    raise JournalError(f"not a job queue record: {payload!r}")
+
+
+def _submit(job_id: str, spec: JobSpec, ts: float) -> Dict:
+    return {"op": "submit", "id": job_id, "spec": spec.to_json(), "ts": ts}
+
+
+def _state(job_id: str, state: str, ts: float, detail: Optional[Dict]) -> Dict:
+    return {
+        "op": "state",
+        "id": job_id,
+        "state": state,
+        "detail": dict(detail or {}),
+        "ts": ts,
+    }
+
+
 class DurableJobQueue:
     """Append-only job log with replay, for one service state directory."""
 
     def __init__(self, path) -> None:
-        self.path = Path(path)
-        self._lock = WriterLock(self.path)
-        self._handle = None
+        self._log = DurableLog(path)
+        self.path = self._log.path
         self._jobs: Dict[str, JobView] = {}
         self._next_id = 1
-        self._replay()
+        entries, self.recovery = self._log.replay(_decode)
+        for entry in entries:
+            self._apply(*entry)
+        try:
+            self._log.acquire()
+        except JournalError:
+            pass  # another writer holds the queue: this one only reads
 
-    # -- replay ---------------------------------------------------------
+    # -- the fold -------------------------------------------------------
 
-    def _replay(self) -> None:
-        """Fold the log into job views, truncating a torn tail."""
-        self._jobs = {}
-        if not self.path.exists():
-            return
-        good = 0
-        with self.path.open("r", encoding="utf-8") as handle:
-            for raw in handle:
-                line = raw.rstrip("\n")
-                if not line:
-                    continue
-                try:
-                    record = unframe_line(line)
-                except JournalError:
-                    break  # torn or corrupt tail: everything after is suspect
-                self._apply(record)
-                good += len(raw.encode("utf-8"))
-        size = self.path.stat().st_size
-        if good < size:
-            with self.path.open("r+b") as handle:
-                handle.truncate(good)
-                handle.flush()
-                os.fsync(handle.fileno())
-        if self._jobs:
-            numeric = [
-                int(job_id.split("-", 1)[1])
-                for job_id in self._jobs
-                if job_id.startswith("job-") and job_id.split("-", 1)[1].isdigit()
-            ]
-            if numeric:
-                self._next_id = max(numeric) + 1
-
-    def _apply(self, record: Dict) -> None:
-        op = record.get("op")
-        job_id = record.get("id", "")
-        ts = float(record.get("ts", 0.0))
+    def _apply(self, op: str, job_id: str, ts: float, body) -> None:
+        """Fold one record into the job views (replay and live writes)."""
+        prefix, _, number = job_id.partition("-")
+        if prefix == "job" and number.isdigit():
+            self._next_id = max(self._next_id, int(number) + 1)
         if op == "submit":
-            spec = JobSpec.from_json(record.get("spec", {}))
             self._jobs[job_id] = JobView(
-                job_id=job_id, spec=spec, state=QUEUED, submitted=ts, updated=ts
+                job_id=job_id, spec=body, state=QUEUED, submitted=ts, updated=ts
             )
-        elif op == "state":
-            view = self._jobs.get(job_id)
-            if view is None:
-                return  # state for a compacted-away or unknown job
-            state = record.get("state", "")
-            if state in JOB_STATES:
-                view.state = state
-            view.updated = ts
-            detail = record.get("detail")
-            if isinstance(detail, dict):
-                view.detail = dict(detail)
+            return
+        view = self._jobs.get(job_id)
+        if view is None:
+            return  # state of a compacted-away job, or of a lost submit
+        view.state, detail = body
+        view.updated = ts
+        if detail:
+            view.detail = detail
+
+    def _record(self, payload: Dict) -> None:
+        entry = _decode(payload)
+        self._log.append(payload)
+        self._apply(*entry)
 
     # -- writing --------------------------------------------------------
-
-    def _open(self):
-        if self._handle is None:
-            self._lock.acquire()
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            self._handle = self.path.open("a", encoding="utf-8")
-        return self._handle
-
-    def _append(self, record: Dict) -> None:
-        handle = self._open()
-        handle.write(frame_line(record) + "\n")
-        handle.flush()
-        os.fsync(handle.fileno())
 
     def submit(self, spec: JobSpec, now: Optional[float] = None) -> JobView:
         """Durably record a new job and return its view."""
         ts = time.time() if now is None else now
         job_id = f"job-{self._next_id}"
-        self._next_id += 1
-        self._append(
-            {"op": "submit", "id": job_id, "spec": spec.to_json(), "ts": ts}
-        )
-        view = JobView(
-            job_id=job_id, spec=spec, state=QUEUED, submitted=ts, updated=ts
-        )
-        self._jobs[job_id] = view
-        return view
+        self._record(_submit(job_id, spec, ts))
+        return self._jobs[job_id]
 
     def transition(
         self,
@@ -147,14 +130,7 @@ class DurableJobQueue:
                 f"{', '.join(JOB_STATES)}"
             )
         ts = time.time() if now is None else now
-        payload: Dict = {"op": "state", "id": job_id, "state": state, "ts": ts}
-        if detail:
-            payload["detail"] = dict(detail)
-        self._append(payload)
-        view.state = state
-        view.updated = ts
-        if detail:
-            view.detail = dict(detail)
+        self._record(_state(job_id, state, ts, detail))
         return view
 
     # -- reading --------------------------------------------------------
@@ -182,11 +158,11 @@ class DurableJobQueue:
         """Atomically rewrite the log as one submit+state pair per job,
         dropping all but the newest ``keep_terminal`` finished jobs.
 
-        Returns the number of jobs dropped.  Same tmp+rename+fsync dance
-        as a journal checkpoint, so a crash mid-compaction leaves either
-        the old log or the new one, never a hybrid.
+        Returns the number of jobs dropped.  The rewrite is the journal's
+        (:meth:`~repro.experiments.journal.DurableLog.rewrite`), so a
+        crash mid-compaction leaves either the old log or the new one,
+        never a hybrid.
         """
-        self._open()
         terminal = [view for view in self.jobs() if view.terminal]
         drop = (
             set(
@@ -196,56 +172,21 @@ class DurableJobQueue:
             if keep_terminal >= 0 and len(terminal) > keep_terminal
             else set()
         )
-        tmp = self.path.with_suffix(self.path.suffix + ".tmp")
-        with tmp.open("w", encoding="utf-8") as handle:
-            for view in self.jobs():
-                if view.job_id in drop:
-                    continue
-                handle.write(
-                    frame_line(
-                        {
-                            "op": "submit",
-                            "id": view.job_id,
-                            "spec": view.spec.to_json(),
-                            "ts": view.submitted,
-                        }
-                    )
-                    + "\n"
-                )
+        records: List[Dict] = []
+        for view in self.jobs():
+            if view.job_id not in drop:
+                records.append(_submit(view.job_id, view.spec, view.submitted))
                 if view.state != QUEUED or view.detail:
-                    handle.write(
-                        frame_line(
-                            {
-                                "op": "state",
-                                "id": view.job_id,
-                                "state": view.state,
-                                "detail": dict(view.detail),
-                                "ts": view.updated,
-                            }
-                        )
-                        + "\n"
+                    records.append(
+                        _state(view.job_id, view.state, view.updated, view.detail)
                     )
-            handle.flush()
-            os.fsync(handle.fileno())
-        if self._handle is not None:
-            self._handle.close()
-            self._handle = None
-        os.replace(tmp, self.path)
-        dir_fd = os.open(str(self.path.parent), os.O_RDONLY)
-        try:
-            os.fsync(dir_fd)
-        finally:
-            os.close(dir_fd)
+        self._log.rewrite(records)
         for job_id in drop:
             del self._jobs[job_id]
-        self._open()
         return len(drop)
 
     def close(self) -> None:
-        if self._handle is not None:
-            self._handle.close()
-            self._handle = None
-        self._lock.release()
+        self._log.close()
 
     def __enter__(self) -> "DurableJobQueue":
         return self

@@ -238,7 +238,7 @@ class TestRunBenchCycle:
     def test_custom_results_dir(self, bench_dir, tmp_path):
         results = tmp_path / "elsewhere"
         results.mkdir()
-        # A daemon killed mid-append left a torn tail: the cycle seals it.
+        # A daemon killed mid-append left a torn tail: the cycle cuts it off.
         (results / "perf_trajectory.jsonl").write_text('{"crc": 1, "record"')
         record = run_bench_cycle(bench_dir=bench_dir, results_dir=results)
         assert TrajectoryStore(results / "perf_trajectory.jsonl").records() == [record]
@@ -247,6 +247,7 @@ class TestRunBenchCycle:
             "E2E_base.json",
             "E2E_candidate.json",
             "perf_trajectory.jsonl",
+            "perf_trajectory.jsonl.lock",  # the trajectory's writer lock
         ]
         assert not (bench_dir / "results").exists()
 

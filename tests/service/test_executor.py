@@ -6,10 +6,12 @@ a foreground ``checkpointed_sweep`` of the same resolved plan.
 """
 
 import json
+from dataclasses import replace
 
 import pytest
 
 from repro.experiments import SweepJournal, checkpointed_sweep
+from repro.service import executor
 from repro.service import (
     JobSpec,
     JobView,
@@ -61,17 +63,24 @@ class TestSweepExecution:
         }
         assert all(len(e["digest"]) == 64 and "error" not in e for e in trials)
 
-    def test_failed_trial_events_carry_the_error(self, state):
-        # A 1 ms watchdog no trial can meet: every trial ends as a timeout.
-        params = {"family": "tdown", "xs": [6.0], "trials": 2,
-                  "jobs": 2, "retries": 0, "trial_timeout": 0.001}
+    def test_failed_trial_events_carry_the_error(self, state, monkeypatch):
+        # An event budget no 6-clique Tdown can meet: every trial fails the
+        # same way on any machine, under any load — no watchdog, no clock.
+        def starved_plan(params):
+            plan = resolve_sweep_plan(params)
+            return replace(plan, settings=replace(plan.settings, event_budget=50))
+
+        monkeypatch.setattr(executor, "resolve_sweep_plan", starved_plan)
+        params = {"family": "tdown", "xs": [6.0], "trials": 2, "jobs": 2}
         events = []
         outcome = execute_job(make_view("job-1", "sweep", params), state, events.append)
         assert outcome.state == "done" and outcome.detail["failed"] == 2
         trials = [event for event in events if event["event"] == "trial"]
         assert [e["ok"] for e in trials] == [False, False]
         for event in trials:
-            assert event["error"].startswith("TrialTimeoutError: trial (x=6.0")
+            assert event["error"].startswith(
+                "BudgetExceededError: scenario 'tdown-clique-6'"
+            )
             assert "digest" not in event
 
     def test_progress_counts_over_the_whole_execution(self, state):

@@ -1,11 +1,14 @@
 """The durable job queue: submissions survive reopen, torn tails are
-truncated, two writers fail fast, compaction is atomic."""
+truncated, corrupt records are skipped and reported, two writers fail
+fast, compaction is atomic."""
 
 import pytest
 
 from repro.errors import JournalError, ServiceError
-from repro.service import DurableJobQueue, JobSpec
+from repro.service import DurableJobQueue, JobSpec, ServiceState
 from repro.service.jobs import CANCELLED, DONE, QUEUED, RUNNING
+
+from daemon_harness import DaemonHarness
 
 
 SPEC = JobSpec(kind="bench", params={"repeat": 1})
@@ -66,7 +69,7 @@ class TestDurability:
             assert [view.job_id for view in queue.jobs()] == ["job-1", "job-2"]
         assert path.stat().st_size == intact_size  # tail physically removed
 
-    def test_corrupt_line_stops_replay_there(self, tmp_path):
+    def test_corrupt_line_is_skipped_and_replay_goes_on(self, tmp_path):
         path = tmp_path / "jobs.jsonl"
         with DurableJobQueue(path) as queue:
             queue.submit(SPEC)
@@ -74,9 +77,36 @@ class TestDurability:
         with path.open("a", encoding="utf-8") as handle:
             handle.write('{"crc":1,"record":{"op":"state","id":"job-1"}}\n')
         with DurableJobQueue(path) as queue:
-            # Everything before the bad CRC survives; the bad frame and
-            # anything after it are discarded.
+            # Everything before the bad CRC survives; the bad frame is
+            # counted and skipped ...
             assert queue.get("job-1").state == RUNNING
+            assert queue.recovery.corrupt == 1
+            queue.transition("job-1", DONE)
+        with DurableJobQueue(path) as queue:
+            # ... and what was written after it still replays.
+            assert queue.get("job-1").state == DONE
+            assert queue.recovery.corrupt == 1
+
+    def test_daemon_reports_a_damaged_queue_once_at_startup(self, tmp_path):
+        state = ServiceState(tmp_path / "state")
+        state.ensure_layout()
+        with DurableJobQueue(state.queue_path) as queue:
+            queue.submit(SPEC)
+            queue.transition("job-1", CANCELLED)
+        with state.queue_path.open("a", encoding="utf-8") as handle:
+            handle.write('{"crc":1,"record":{"op":"state","id":"job-1"}}\n')
+        for expected in (
+            [f"{state.queue_path}: journal: 2 job record(s) loaded "
+             "(1 corrupt record(s) dropped)"],
+            [],  # the first daemon's shutdown compaction left a clean queue
+        ):
+            daemon = DaemonHarness(state.root).start()
+            try:
+                assert [job["state"] for job in daemon.client.jobs()] == [CANCELLED]
+            finally:
+                daemon.stop()
+            output = daemon.output().splitlines()
+            assert [line for line in output if "journal:" in line] == expected
 
     def test_two_writers_fail_fast(self, tmp_path):
         path = tmp_path / "jobs.jsonl"
