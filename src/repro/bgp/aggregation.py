@@ -15,16 +15,19 @@ assigned to a (seeded) origin.  :func:`apply_aggregate` /
 :func:`apply_deaggregate` drive one block through its transition
 make-before-break: the replacement routes are originated before the old ones
 are withdrawn, so steady states are always covered and every loop observed
-is a genuine propagation transient.
+is a genuine propagation transient.  :class:`AggregationCycle` is the Tagg
+event: a fault injector (see :mod:`repro.net.failures`) that aggregates every
+block at its time and deaggregates ``hold`` seconds later.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple, TYPE_CHECKING
+from typing import ClassVar, List, Optional, Sequence, Tuple, TYPE_CHECKING
 
 from ..errors import ConfigError
+from ..net import EventKind, Network
 from ..prefixes import ADDRESS_BITS, PrefixSpec, parse_prefix
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (speaker uses bgp.*)
@@ -156,3 +159,58 @@ def apply_deaggregate(speaker: "BgpSpeaker", block: AggregateBlock) -> None:
             speaker.originate(specific)
     if block.cover in speaker.origins:
         speaker.withdraw_origin(block.cover)
+
+
+@dataclass(frozen=True)
+class AggregationCycle:
+    """Tagg: aggregate every block at ``at``, re-split ``hold`` seconds later.
+
+    At ``at`` each block's origin collapses its specifics into the covering
+    prefix (:func:`apply_aggregate`); at ``at + hold`` it deaggregates back
+    (:func:`apply_deaggregate`).  Both transitions are make-before-break.
+    """
+
+    kind: ClassVar[Optional[EventKind]] = EventKind.TAGG
+    needs_sessions: ClassVar[bool] = False
+
+    blocks: Tuple[AggregateBlock, ...]
+    at: float
+    hold: float
+
+    def __post_init__(self) -> None:
+        if not self.blocks:
+            raise ConfigError("a Tagg scenario needs at least one aggregate block")
+        if self.hold <= 0:
+            raise ConfigError(
+                f"a Tagg scenario needs a positive agg_hold, got {self.hold}"
+            )
+
+    def check(self, scenario) -> None:
+        if not scenario.originations:
+            raise ConfigError("a Tagg scenario must list its originations")
+        originated = set(scenario.originations)
+        for block in self.blocks:
+            if not scenario.topology.has_node(block.origin):
+                raise ConfigError(f"aggregate origin {block.origin} not in topology")
+            for specific in block.specifics:
+                if (block.origin, specific) not in originated:
+                    raise ConfigError(
+                        f"block specific ({block.origin}, {specific!r}) is "
+                        f"not originated at warm-up"
+                    )
+
+    def inject(self, network: Network) -> None:
+        def aggregate() -> None:
+            for block in self.blocks:
+                apply_aggregate(network.node(block.origin), block)
+
+        def deaggregate() -> None:
+            for block in self.blocks:
+                apply_deaggregate(network.node(block.origin), block)
+
+        network.scheduler.call_at(
+            self.at, aggregate, priority=0, name="tagg-aggregate"
+        )
+        network.scheduler.call_at(
+            self.at + self.hold, deaggregate, priority=0, name="tagg-deaggregate"
+        )

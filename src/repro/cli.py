@@ -53,6 +53,7 @@ from .experiments import (
     tlong_bclique,
     tlong_internet,
     treset_clique,
+    with_session_timers,
 )
 from .experiments.figures import (
     figure4a,
@@ -561,53 +562,55 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _tdown_on_generator(args):
+    """Tdown at AS 0 of the named generator's topology."""
+    return custom_tdown(named_generator(args.topology)(args.size), destination=0)
+
+
+#: ``--event`` -> ``--topology`` -> the scenario family, over the parsed args.
+_SCENARIOS: Dict[str, Dict[str, Callable]] = {
+    "tdown": {
+        "clique": lambda args: tdown_clique(args.size),
+        "internet": lambda args: tdown_internet(args.size, seed=args.seed),
+        "b-clique": _tdown_on_generator,
+        "chain": _tdown_on_generator,
+        "ring": _tdown_on_generator,
+        "star": _tdown_on_generator,
+    },
+    "tlong": {
+        "b-clique": lambda args: tlong_bclique(args.size),
+        "internet": lambda args: tlong_internet(args.size, seed=args.seed),
+    },
+    "treset": {"clique": lambda args: treset_clique(args.size)},
+    "tcrash": {
+        "clique": lambda args: tcrash_clique(
+            args.size, restart_after=args.restart_after
+        ),
+    },
+    "tflap": {
+        "b-clique": lambda args: tflap_bclique(
+            args.size, period=args.flap_period, count=args.flap_count
+        ),
+    },
+}
+
+
 def _make_scenario(args):
-    if args.event == "tdown":
-        if args.topology == "clique":
-            return tdown_clique(args.size)
-        if args.topology == "internet":
-            return tdown_internet(args.size, seed=args.seed)
-        generator = named_generator(args.topology)
-        return custom_tdown(generator(args.size), destination=0)
-    if args.event == "tlong":
-        if args.topology == "b-clique":
-            return tlong_bclique(args.size)
-        if args.topology == "internet":
-            return tlong_internet(args.size, seed=args.seed)
+    families = _SCENARIOS[args.event]
+    build = families.get(args.topology)
+    if build is None:
         raise ReproError(
-            f"tlong is defined for b-clique and internet topologies, "
-            f"not {args.topology!r}"
+            f"{args.event} is defined for {' and '.join(families)} "
+            f"topologies, not {args.topology!r}"
         )
-    if args.event == "treset":
-        if args.topology != "clique":
-            raise ReproError("treset is defined for clique topologies")
-        return treset_clique(args.size)
-    if args.event == "tcrash":
-        if args.topology != "clique":
-            raise ReproError("tcrash is defined for clique topologies")
-        return tcrash_clique(args.size, restart_after=args.restart_after)
-    # tflap
-    if args.topology != "b-clique":
-        raise ReproError("tflap is defined for b-clique topologies")
-    return tflap_bclique(
-        args.size, period=args.flap_period, count=args.flap_count
-    )
+    return build(args)
 
 
 def _cmd_run(args) -> int:
     scenario = _make_scenario(args)
     config = variant(args.variant, mrai=args.mrai)
-    if args.sessions or args.event in ("treset", "tcrash", "tflap"):
-        from dataclasses import replace
-
-        if not config.sessions_enabled:
-            config = replace(
-                config,
-                hold_time=9.0,
-                keepalive_interval=3.0,
-                connect_retry=0.5,
-                connect_retry_cap=4.0,
-            )
+    if args.sessions or scenario.needs_sessions:
+        config = with_session_timers(config)
     if args.damping_half_life is not None:
         from dataclasses import replace
 
@@ -941,16 +944,8 @@ def _cmd_metrics(args) -> int:
 
     scenario = _make_scenario(args)
     config = variant(args.variant, mrai=args.mrai)
-    if args.event in ("treset", "tcrash", "tflap") and not config.sessions_enabled:
-        from dataclasses import replace
-
-        config = replace(
-            config,
-            hold_time=9.0,
-            keepalive_interval=3.0,
-            connect_retry=0.5,
-            connect_retry_cap=4.0,
-        )
+    if scenario.needs_sessions:
+        config = with_session_timers(config)
     settings = RunSettings(packet_rate=args.rate, telemetry=True, timeline=True)
     print(
         f"tracing {scenario.name} / {config.variant_name} / MRAI {args.mrai}s "

@@ -3,13 +3,15 @@
 :class:`RunSettings` covers the simulator knobs that are *not* part of the
 protocol variant (those live in :class:`~repro.bgp.config.BgpConfig`): the
 traffic model, TTL, and engine safety budgets.  Defaults are the paper's
-values.
+values.  :func:`with_session_timers` is the one definition of the session
+timers a scenario that ``needs_sessions`` runs with.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
+from ..bgp import BgpConfig
 from ..dataplane import DEFAULT_PACKET_RATE, DEFAULT_TTL
 from ..errors import ConfigError
 
@@ -100,3 +102,21 @@ class RunSettings:
             raise ConfigError(f"event_budget must be >= 1: {self.event_budget}")
         if self.horizon <= 0:
             raise ConfigError(f"horizon must be positive: {self.horizon}")
+
+
+def with_session_timers(config: BgpConfig) -> BgpConfig:
+    """``config`` with the keepalive/hold-timer session layer switched on.
+
+    Hold 9 s, keepalive 3 s, ConnectRetry 0.5 s backing off to at most 4 s:
+    what churn events (session resets, crashes, flaps) run with.  A config
+    that already runs sessions is returned unchanged.
+    """
+    if config.sessions_enabled:
+        return config
+    return replace(
+        config,
+        hold_time=9.0,
+        keepalive_interval=3.0,
+        connect_retry=0.5,
+        connect_retry_cap=4.0,
+    )

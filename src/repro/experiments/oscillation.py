@@ -122,10 +122,9 @@ def observe_oscillation(
     """Run ``policy_scenario`` from cold start to ``horizon`` and classify.
 
     Unlike the experiment runner there is no warm-up/event split: the
-    origin announces at t=0 and the simulation simply runs.  (The gadget
-    scenarios carry a nominal event kind for :class:`Scenario` validity,
-    but divergence — when present — begins with the very first
-    announcement wave, so no event is injected here.)
+    origin announces at t=0 and the simulation simply runs.  Divergence —
+    when present — begins with the very first announcement wave, so the
+    scenario's schedule is not injected (the gadgets' is empty).
 
     ``window`` is the trailing observation window for the liveness test;
     it defaults to three MRAI rounds (at least 5 s) so one quiet MRAI gap

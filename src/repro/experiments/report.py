@@ -110,6 +110,11 @@ class FigureData:
         )
 
 
+def _event_label(entry) -> str:
+    """A schedule entry's event name (``tdown``...), else its class name."""
+    return entry.kind.value if entry.kind is not None else type(entry).__name__
+
+
 def describe_run(run: ExperimentRun) -> str:
     """One run's full story as readable text.
 
@@ -123,8 +128,11 @@ def describe_run(run: ExperimentRun) -> str:
         f"scenario  : {run.scenario.name}  "
         f"({run.bgp_config.variant_name}, MRAI {run.bgp_config.mrai}s, "
         f"seed {run.seed})",
-        f"failure   : t={run.failure_time:.2f}s "
-        f"({run.scenario.event.value})",
+        f"failure   : t={run.failure_time:.2f}s",
+        *(
+            f"event     : {_event_label(entry)} at +{entry.at:g}s"
+            for entry in run.scenario.events
+        ),
         "",
         f"convergence time         : {result.convergence_time:10.2f} s",
         f"overall looping duration : {result.overall_looping_duration:10.2f} s",

@@ -6,10 +6,11 @@
    scenario's topology; the destination AS originates the prefix.
 2. Run to quiescence — the warm-up convergence that establishes steady-state
    routing (its messages are excluded from all metrics).
-3. Inject the scenario's event — Tdown origin withdrawal, Tlong link
-   failure, one of the churn events (session reset, node crash, link
-   flap), or a Tagg aggregate/deaggregate cycle — after a short guard
-   interval.
+3. Inject the scenario's schedule after a short guard interval: the
+   failure instant is warm-up quiescence plus the guard, and every entry
+   (a Tdown origin withdrawal, a Tlong link failure, a churn event, a Tagg
+   cycle...) is shifted from its offset to that instant plus the offset and
+   scheduled.  An empty schedule injects nothing.
 4. Run to quiescence again, with an event budget as a non-convergence alarm.
    With the session layer enabled the run gets a *settle* window sized to
    the hold time, so detections carried by housekeeping timers still fire;
@@ -27,7 +28,7 @@ simulation, so sweeps can record the post-mortem and continue.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Callable, Optional
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (annotation only)
@@ -36,7 +37,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (annotation only)
     from ..telemetry import MetricsSnapshot, Timeline
 
 from ..bgp import BgpConfig, BgpSpeaker, RoutingPolicy
-from ..bgp.aggregation import apply_aggregate, apply_deaggregate
 from ..core import LoopStudyResult, loop_timeline, measure_convergence
 from ..core.exploration import RouteChangeLog
 from ..dataplane import (
@@ -47,11 +47,11 @@ from ..dataplane import (
     sources_for,
 )
 from ..engine import RandomStreams, Scheduler
-from ..errors import BudgetExceededError, ConfigError, SchedulingError
-from ..net import LinkFlap, Network, NodeCrash, SessionReset
+from ..errors import BudgetExceededError, SchedulingError
+from ..net import Network
 from .config import RunSettings
 from .diagnostics import capture_snapshot
-from .scenarios import EventKind, Scenario
+from .scenarios import Scenario
 
 PolicyFactory = Callable[[int], RoutingPolicy]
 """``factory(node_id) -> RoutingPolicy`` for per-node policies (e.g. a
@@ -229,61 +229,9 @@ def run_experiment(
     warmup_time = scheduler.now
     failure_time = warmup_time + settings.failure_guard
 
-    # Phase 2: inject the event.
-    if scenario.event is EventKind.TDOWN:
-        origin = network.node(scenario.destination)
-        assert isinstance(origin, BgpSpeaker)
-        scheduler.call_at(
-            failure_time,
-            lambda: origin.withdraw_origin(scenario.prefix),
-            priority=0,
-            name="tdown",
-        )
-    elif scenario.event is EventKind.TLONG:
-        assert scenario.failed_link is not None
-        u, v = scenario.failed_link
-        network.schedule_link_failure(u, v, failure_time)
-    elif scenario.event is EventKind.TRESET:
-        assert scenario.failed_link is not None
-        u, v = scenario.failed_link
-        SessionReset(u, v, failure_time).inject(network)
-    elif scenario.event is EventKind.TCRASH:
-        assert scenario.crash_node is not None
-        NodeCrash(
-            scenario.crash_node, failure_time, restart_after=scenario.restart_after
-        ).inject(network)
-    elif scenario.event is EventKind.TFLAP:
-        assert scenario.failed_link is not None and scenario.flap_period is not None
-        u, v = scenario.failed_link
-        LinkFlap(
-            u, v, failure_time, scenario.flap_period, count=scenario.flap_count
-        ).inject(network)
-    elif scenario.event is EventKind.TAGG:
-        assert scenario.agg_blocks and scenario.agg_hold is not None
-
-        def inject_aggregate() -> None:
-            for block in scenario.agg_blocks:
-                speaker = network.node(block.origin)
-                assert isinstance(speaker, BgpSpeaker)
-                apply_aggregate(speaker, block)
-
-        def inject_deaggregate() -> None:
-            for block in scenario.agg_blocks:
-                speaker = network.node(block.origin)
-                assert isinstance(speaker, BgpSpeaker)
-                apply_deaggregate(speaker, block)
-
-        scheduler.call_at(
-            failure_time, inject_aggregate, priority=0, name="tagg-aggregate"
-        )
-        scheduler.call_at(
-            failure_time + scenario.agg_hold,
-            inject_deaggregate,
-            priority=0,
-            name="tagg-deaggregate",
-        )
-    else:  # pragma: no cover - exhaustive dispatch guard
-        raise ConfigError(f"unknown event kind {scenario.event!r}")
+    # Phase 2: inject the schedule, each offset counted from the failure.
+    for entry in scenario.events:
+        replace(entry, at=entry.at + failure_time).inject(network)
 
     if on_network_ready is not None:
         on_network_ready(network, failure_time)

@@ -1,39 +1,58 @@
-"""Experiment scenarios: a topology plus the failure event.
+"""Experiment scenarios: a topology, its originations, and a schedule of events.
 
 A :class:`Scenario` fixes *what breaks where*: the topology, the destination
-AS (which originates the studied prefix), and the event.  The paper's §4.1
-events are **Tdown** (the destination becomes unreachable — the origin
-withdraws) and **Tlong** (one transit link fails; the destination stays
-reachable over less-preferred paths).
+AS (which originates the studied prefix), and ``events`` — one schedule of
+fault injectors (:mod:`repro.net.failures` and
+:class:`~repro.bgp.aggregation.AggregationCycle`), each timed by its ``at``
+as an offset from the failure instant, so ``0.0`` is the instant itself.
+The paper's §4.1 events are **Tdown** (the destination becomes unreachable —
+the origin withdraws: :class:`~repro.net.failures.OriginWithdrawal`) and
+**Tlong** (one transit link fails: :class:`~repro.net.failures.LinkFailure`;
+the destination stays reachable over less-preferred paths).
 
 Three *churn* events extend the family beyond the paper's single-failure
 model, exercising the session lifecycle:
 
-* **Treset** — the transport session on one link is reset (link stays up);
-  both speakers purge, re-establish, and re-exchange full tables.
-* **Tcrash** — a whole router crashes (queued messages, timers, RIBs lost),
-  optionally restarting cold after ``restart_after`` seconds.
-* **Tflap** — one link fails and recovers ``flap_count`` times with period
-  ``flap_period``, driving repeated withdraw/re-advertise waves.
+* **Treset** (:class:`~repro.net.failures.SessionReset`) — the transport
+  session on one link is reset (link stays up); both speakers purge,
+  re-establish, and re-exchange full tables.
+* **Tcrash** (:class:`~repro.net.failures.NodeCrash`) — a whole router
+  crashes (queued messages, timers, RIBs lost), optionally restarting cold
+  after ``restart_after`` seconds.
+* **Tflap** (:class:`~repro.net.failures.LinkFlap`) — one link fails and
+  recovers ``count`` times with period ``period``, driving repeated
+  withdraw/re-advertise waves.
+
+**Tagg** (:class:`~repro.bgp.aggregation.AggregationCycle`) collapses a
+prefix population into its covers and later re-splits it.
 
 The module provides the paper's concrete scenario families —
 Clique + Tdown, B-Clique + Tlong, Internet-like graphs with both events —
-plus churn variants of the clique and B-Clique setups.
+plus churn and aggregation variants of the clique and B-Clique setups.  Each
+family builds a one-entry schedule; a schedule may hold any number of entries
+(a Tlong during a Tdown, a flap under an aggregation), or none.
 """
 
 from __future__ import annotations
 
-import enum
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Optional, Tuple
 
 from ..bgp.aggregation import (
     DEFAULT_BLOCK_BITS,
-    AggregateBlock,
+    AggregationCycle,
     population_originations,
     prefix_population,
 )
 from ..errors import ConfigError, TopologyError
+from ..net import (
+    EventKind,
+    LinkFailure,
+    LinkFlap,
+    NodeCrash,
+    OriginWithdrawal,
+    SessionReset,
+)
 from ..topology import (
     Topology,
     b_clique,
@@ -48,108 +67,35 @@ DEFAULT_PREFIX = "dest"
 """The prefix name used by all built-in scenarios."""
 
 
-class EventKind(enum.Enum):
-    """The two §4.1 topology-change events, plus the churn extensions."""
-
-    TDOWN = "tdown"
-    TLONG = "tlong"
-    TRESET = "treset"
-    TCRASH = "tcrash"
-    TFLAP = "tflap"
-    TAGG = "tagg"
-
-
-#: Events whose trigger is a specific link (``failed_link`` required).
-_LINK_EVENTS = frozenset({EventKind.TLONG, EventKind.TRESET, EventKind.TFLAP})
-
-
 @dataclass(frozen=True)
 class Scenario:
     """One fully-specified experiment setup.
 
-    ``failed_link`` names the link for Tlong (failed), Treset (session
-    reset), and Tflap (flapping).  ``crash_node``/``restart_after`` apply to
-    Tcrash only; ``flap_period``/``flap_count`` to Tflap only.
+    ``events`` is the schedule: fault injectors whose ``at`` is an offset
+    from the failure instant, which the runner fixes after warm-up.  Every
+    entry checks itself against the scenario on construction
+    (``check(scenario)``), so a scenario that exists is one that can run.
 
     **Multi-prefix workloads.**  ``originations`` generalizes the
     single-destination model: when non-empty, each ``(node, prefix)`` pair
     is originated at warm-up *instead of* the implicit
-    ``(destination, prefix)`` origination.  The legacy fields keep their
-    meaning — ``destination``/``prefix`` name the origination the event and
-    the per-prefix metrics focus on, and must appear in the list.  An empty
-    ``originations`` is the legacy single-prefix path, byte-for-byte.
-
-    ``agg_blocks``/``agg_hold`` drive the **Tagg** event: at the failure
-    instant every block's origin collapses its specifics into the covering
-    prefix (make-before-break), and ``agg_hold`` seconds later re-splits.
+    ``(destination, prefix)`` origination.  ``destination``/``prefix`` name
+    the origination the per-prefix metrics focus on, and must appear in the
+    list.  An empty ``originations`` is the legacy single-prefix path,
+    byte-for-byte.
     """
 
     name: str
     topology: Topology
     destination: int
-    event: EventKind
-    failed_link: Optional[Tuple[int, int]] = None
     prefix: str = DEFAULT_PREFIX
-    crash_node: Optional[int] = None
-    restart_after: Optional[float] = None
-    flap_period: Optional[float] = None
-    flap_count: int = 1
-    originations: Tuple[Tuple[int, str], ...] = field(default=())
-    agg_blocks: Tuple[AggregateBlock, ...] = field(default=())
-    agg_hold: Optional[float] = None
+    originations: Tuple[Tuple[int, str], ...] = ()
+    events: Tuple[object, ...] = ()
 
     def __post_init__(self) -> None:
         if not self.topology.has_node(self.destination):
             raise ConfigError(
                 f"destination {self.destination} not in topology {self.topology.name!r}"
-            )
-        if self.event in _LINK_EVENTS:
-            if self.failed_link is None:
-                raise ConfigError(
-                    f"a {self.event.value} scenario must name the link it targets"
-                )
-            u, v = self.failed_link
-            if not self.topology.has_edge(u, v):
-                raise ConfigError(f"link ({u}, {v}) not in topology")
-            if self.event is not EventKind.TRESET and self.topology.is_cut_edge(u, v):
-                # A session reset never takes the link down, so a cut edge
-                # is fine there; Tlong/Tflap actually disconnect it.
-                raise ConfigError(
-                    f"link ({u}, {v}) is a cut edge; failing it would disconnect "
-                    "the graph, which contradicts the event's definition"
-                )
-        elif self.failed_link is not None:
-            raise ConfigError(
-                f"a {self.event.value} scenario must not name a failed link"
-            )
-        if self.event is EventKind.TCRASH:
-            if self.crash_node is None:
-                raise ConfigError("a Tcrash scenario must name the node to crash")
-            if not self.topology.has_node(self.crash_node):
-                raise ConfigError(f"crash node {self.crash_node} not in topology")
-            if self.crash_node == self.destination:
-                raise ConfigError(
-                    "crashing the destination is a Tdown event, not a Tcrash"
-                )
-            if self.restart_after is not None and self.restart_after <= 0:
-                raise ConfigError(
-                    f"restart_after must be positive, got {self.restart_after}"
-                )
-        elif self.crash_node is not None or self.restart_after is not None:
-            raise ConfigError(
-                f"a {self.event.value} scenario must not set crash fields"
-            )
-        if self.event is EventKind.TFLAP:
-            if self.flap_period is None or self.flap_period <= 0:
-                raise ConfigError(
-                    f"a Tflap scenario needs a positive flap_period, got "
-                    f"{self.flap_period}"
-                )
-            if self.flap_count < 1:
-                raise ConfigError(f"flap_count must be >= 1, got {self.flap_count}")
-        elif self.flap_period is not None:
-            raise ConfigError(
-                f"a {self.event.value} scenario must not set a flap period"
             )
         if self.originations:
             for node, prefix in self.originations:
@@ -164,31 +110,13 @@ class Scenario:
                 )
             if len(set(self.originations)) != len(self.originations):
                 raise ConfigError("originations contain duplicates")
-        if self.event is EventKind.TAGG:
-            if not self.agg_blocks:
-                raise ConfigError("a Tagg scenario needs at least one aggregate block")
-            if self.agg_hold is None or self.agg_hold <= 0:
+        for entry in self.events:
+            if entry.at < 0:
                 raise ConfigError(
-                    f"a Tagg scenario needs a positive agg_hold, got {self.agg_hold}"
+                    f"event offsets must be >= 0, got {entry.at} for "
+                    f"{type(entry).__name__}"
                 )
-            if not self.originations:
-                raise ConfigError("a Tagg scenario must list its originations")
-            originated = set(self.originations)
-            for block in self.agg_blocks:
-                if not self.topology.has_node(block.origin):
-                    raise ConfigError(
-                        f"aggregate origin {block.origin} not in topology"
-                    )
-                for specific in block.specifics:
-                    if (block.origin, specific) not in originated:
-                        raise ConfigError(
-                            f"block specific ({block.origin}, {specific!r}) is "
-                            f"not originated at warm-up"
-                        )
-        elif self.agg_blocks or self.agg_hold is not None:
-            raise ConfigError(
-                f"a {self.event.value} scenario must not set aggregation fields"
-            )
+            entry.check(self)
 
     @property
     def source_nodes(self) -> list:
@@ -202,20 +130,51 @@ class Scenario:
             return self.originations
         return ((self.destination, self.prefix),)
 
-    @property
-    def all_prefixes(self) -> Tuple[str, ...]:
-        """Every prefix the scenario can announce (originated or aggregate
-        covers), sorted and distinct."""
-        names = {prefix for _node, prefix in self.effective_originations}
-        names.update(block.cover for block in self.agg_blocks)
-        return tuple(sorted(names))
-
     def origins_by_prefix(self) -> dict:
         """``prefix -> (origin nodes...)`` over the effective originations."""
         table: dict = {}
         for node, prefix in self.effective_originations:
             table.setdefault(prefix, []).append(node)
         return {prefix: tuple(sorted(nodes)) for prefix, nodes in table.items()}
+
+    @property
+    def needs_sessions(self) -> bool:
+        """Whether any scheduled event is only detected or repaired by the
+        keepalive/hold-timer session layer (Treset, Tcrash, Tflap)."""
+        return any(entry.needs_sessions for entry in self.events)
+
+    # Read-only views of a one-entry schedule, ``None`` for any other; the
+    # staged replica in ``benchmarks/e2e`` reads them.
+
+    def _sole(self, attribute: str):
+        if len(self.events) != 1:
+            return None
+        return getattr(self.events[0], attribute, None)
+
+    @property
+    def event(self) -> Optional[EventKind]:
+        return self._sole("kind")
+
+    @property
+    def failed_link(self) -> Optional[Tuple[int, int]]:
+        u = self._sole("u")
+        return None if u is None else (u, self._sole("v"))
+
+    @property
+    def flap_period(self) -> Optional[float]:
+        return self._sole("period")
+
+    @property
+    def flap_count(self) -> Optional[int]:
+        return self._sole("count")
+
+    @property
+    def agg_blocks(self):
+        return self._sole("blocks")
+
+    @property
+    def agg_hold(self) -> Optional[float]:
+        return self._sole("hold")
 
 
 # ----------------------------------------------------------------------
@@ -225,12 +184,7 @@ class Scenario:
 
 def tdown_clique(n: int) -> Scenario:
     """Tdown in an n-clique: the classic convergence worst case."""
-    return Scenario(
-        name=f"tdown-clique-{n}",
-        topology=clique(n),
-        destination=0,
-        event=EventKind.TDOWN,
-    )
+    return custom_tdown(clique(n), 0, name=f"tdown-clique-{n}")
 
 
 def tlong_bclique(n: int) -> Scenario:
@@ -239,25 +193,14 @@ def tlong_bclique(n: int) -> Scenario:
     "AS 0 is chosen as the destination AS and the link between AS 0 and n is
     failed during simulation to induce a Tlong event."
     """
-    return Scenario(
-        name=f"tlong-bclique-{n}",
-        topology=b_clique(n),
-        destination=0,
-        event=EventKind.TLONG,
-        failed_link=(0, n),
-    )
+    return custom_tlong(b_clique(n), 0, (0, n), name=f"tlong-bclique-{n}")
 
 
 def tdown_internet(n: int, seed: int = 0) -> Scenario:
     """Tdown in an Internet-like graph; destination drawn from the stubs."""
     topo = internet_like(n, seed=seed)
     destination = choose_destination(topo, seed=seed)
-    return Scenario(
-        name=f"tdown-internet-{n}-s{seed}",
-        topology=topo,
-        destination=destination,
-        event=EventKind.TDOWN,
-    )
+    return custom_tdown(topo, destination, name=f"tdown-internet-{n}-s{seed}")
 
 
 def tlong_internet(n: int, seed: int = 0, candidates: int = 8) -> Scenario:
@@ -294,12 +237,8 @@ def tlong_internet(n: int, seed: int = 0, candidates: int = 8) -> Scenario:
     if best is None:
         raise ConfigError(f"no Tlong-capable destination in internet_like({n}, {seed})")
     destination = -best[1]
-    return Scenario(
-        name=f"tlong-internet-{n}-s{seed}",
-        topology=topo,
-        destination=destination,
-        event=EventKind.TLONG,
-        failed_link=best[2],
+    return custom_tlong(
+        topo, destination, best[2], name=f"tlong-internet-{n}-s{seed}"
     )
 
 
@@ -314,13 +253,12 @@ def treset_clique(n: int, link: Optional[Tuple[int, int]] = None) -> Scenario:
     Defaults to the (0, 1) session — destination-adjacent, so the reset
     peer must re-learn its best (direct) route to the prefix.
     """
-    link = link or (0, 1)
+    u, v = link or (0, 1)
     return Scenario(
         name=f"treset-clique-{n}",
         topology=clique(n),
         destination=0,
-        event=EventKind.TRESET,
-        failed_link=link,
+        events=(SessionReset(u, v, at=0.0),),
     )
 
 
@@ -337,9 +275,7 @@ def tcrash_clique(
         name=f"tcrash-clique-{n}",
         topology=clique(n),
         destination=0,
-        event=EventKind.TCRASH,
-        crash_node=crash,
-        restart_after=restart_after,
+        events=(NodeCrash(crash, at=0.0, restart_after=restart_after),),
     )
 
 
@@ -370,11 +306,9 @@ def tagg_clique(
         name=f"tagg-clique-{n}-p{prefixes}-o{origins}-s{seed}",
         topology=clique(n),
         destination=focus.origin,
-        event=EventKind.TAGG,
         prefix=focus.specifics[0],
         originations=originations,
-        agg_blocks=tuple(blocks),
-        agg_hold=hold,
+        events=(AggregationCycle(tuple(blocks), at=0.0, hold=hold),),
     )
 
 
@@ -389,10 +323,7 @@ def tflap_bclique(n: int, period: float, count: int = 3) -> Scenario:
         name=f"tflap-bclique-{n}-p{period}",
         topology=b_clique(n),
         destination=0,
-        event=EventKind.TFLAP,
-        failed_link=(0, n),
-        flap_period=period,
-        flap_count=count,
+        events=(LinkFlap(0, n, at=0.0, period=period, count=count),),
     )
 
 
@@ -472,13 +403,17 @@ def multiprefix_trial(x: float, seed: int, *, base: str, size: int) -> Scenario:
     equivalence tests pin that this is a strict generalization (same trace
     digest as the legacy path).
     """
-    if base == "tdown":
-        legacy = tdown_clique(size)
-    elif base == "tflap":
-        legacy = tflap_bclique(size, period=x, count=3)
-    else:
+    build = _MULTIPREFIX_BASES.get(base)
+    if build is None:
         raise ConfigError(f"unknown multiprefix base family {base!r}")
-    return with_explicit_originations(legacy)
+    return with_explicit_originations(build(x, size))
+
+
+#: :func:`multiprefix_trial`'s base families, ``(x, size) -> Scenario``.
+_MULTIPREFIX_BASES = {
+    "tdown": lambda x, size: tdown_clique(size),
+    "tflap": lambda x, size: tflap_bclique(size, period=x, count=3),
+}
 
 
 def with_explicit_originations(scenario: Scenario) -> Scenario:
@@ -502,12 +437,12 @@ def clique_tcrash_trial(
 
 
 def custom_tdown(topology: Topology, destination: int, name: str = "") -> Scenario:
-    """Tdown on a user-supplied topology."""
+    """Tdown on a user-supplied topology: the destination withdraws."""
     return Scenario(
         name=name or f"tdown-{topology.name}",
         topology=topology,
         destination=destination,
-        event=EventKind.TDOWN,
+        events=(OriginWithdrawal(destination, DEFAULT_PREFIX, at=0.0),),
     )
 
 
@@ -518,10 +453,10 @@ def custom_tlong(
     name: str = "",
 ) -> Scenario:
     """Tlong on a user-supplied topology and link."""
+    u, v = failed_link
     return Scenario(
         name=name or f"tlong-{topology.name}",
         topology=topology,
         destination=destination,
-        event=EventKind.TLONG,
-        failed_link=failed_link,
+        events=(LinkFailure(u, v, at=0.0),),
     )

@@ -28,7 +28,9 @@ directions:
 Each gadget is a :class:`PolicyScenario`: a plain :class:`Scenario` plus a
 picklable per-node policy factory built on
 :class:`~repro.bgp.policy.PathRankPolicy` (the Stable Paths Problem's
-ranked-path-list form).  :func:`stability_suite` bundles them with the
+ranked-path-list form).  DISAGREE and BAD-GADGET schedule no event — their
+dynamics start with the first announcement wave — and the wedgie schedules
+its one flap.  :func:`stability_suite` bundles them with the
 safe baseline scenarios into the named suite that ``python -m repro
 stability`` certifies and CI pins.
 """
@@ -45,11 +47,12 @@ from ..bgp import (
     ShortestPathPolicy,
     relationships_from_tiers,
 )
+from ..net import LinkFlap
 from ..topology import InternetShape, Topology, internet_like_with_tiers
 from .scenarios import (
     DEFAULT_PREFIX,
-    EventKind,
     Scenario,
+    custom_tdown,
     tdown_clique,
     tdown_internet,
     tlong_bclique,
@@ -132,7 +135,6 @@ def disagree() -> PolicyScenario:
         name="disagree",
         topology=topology,
         destination=0,
-        event=EventKind.TDOWN,
     )
     factory = RankedPolicyFactory({
         1: ((1, 2, 0), (1, 0)),
@@ -164,7 +166,6 @@ def bad_gadget() -> PolicyScenario:
         name="bad-gadget",
         topology=topology,
         destination=0,
-        event=EventKind.TDOWN,
     )
     factory = RankedPolicyFactory({
         1: ((1, 2, 0), (1, 0)),
@@ -200,10 +201,7 @@ def wedgie(flap_period: float = 20.0) -> PolicyScenario:
         name="bgp-wedgie",
         topology=topology,
         destination=0,
-        event=EventKind.TFLAP,
-        failed_link=(0, 3),
-        flap_period=flap_period,
-        flap_count=1,
+        events=(LinkFlap(0, 3, at=0.0, period=flap_period, count=1),),
     )
     factory = RankedPolicyFactory({
         1: ((1, 2, 3, 0), (1, 0)),
@@ -235,11 +233,8 @@ def _gao_rexford_internet(n: int = 24, seed: int = 3) -> PolicyScenario:
     shape = InternetShape(core_mesh_probability=1.0)
     topology, tiers = internet_like_with_tiers(n, seed=seed, shape=shape)
     destination = max(topology.nodes)  # a stub AS originates
-    scenario = Scenario(
-        name=f"gao-rexford-internet-{n}-s{seed}",
-        topology=topology,
-        destination=destination,
-        event=EventKind.TDOWN,
+    scenario = custom_tdown(
+        topology, destination, name=f"gao-rexford-internet-{n}-s{seed}"
     )
     return PolicyScenario(
         scenario=scenario,

@@ -8,14 +8,13 @@ notification.
 
 from .channel import Channel
 from .failures import (
-    FailureSchedule,
+    EventKind,
     LinkFailure,
     LinkFlap,
     LinkRestore,
     NodeCrash,
     OriginWithdrawal,
     SessionReset,
-    flap,
 )
 from .link import Link
 from .network import Network, NodeFactory
@@ -24,7 +23,7 @@ from .trace import MessageTrace, TraceRecord
 
 __all__ = [
     "Channel",
-    "FailureSchedule",
+    "EventKind",
     "Link",
     "LinkFailure",
     "LinkFlap",
@@ -37,6 +36,5 @@ __all__ = [
     "OriginWithdrawal",
     "SessionReset",
     "TraceRecord",
-    "flap",
     "zero_service_time",
 ]

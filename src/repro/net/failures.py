@@ -1,16 +1,20 @@
-"""Failure-scenario helpers.
+"""Fault injectors: the scheduled events of an experiment.
 
-The paper drives every experiment with a single topology-change event.  This
-module names the two event shapes (§4.1) plus the *churn* events real BGP
-deployments are dominated by, as small injectors that compose with
-:class:`~repro.net.network.Network`:
+The paper drives every experiment with a single topology-change event.  Here
+every event is a small frozen *injector* — plain data, so a scenario holding
+a schedule of them pickles into sweep workers unchanged — whose
+``inject(network)`` schedules it on a :class:`~repro.net.network.Network` at
+its time ``at``.  The two §4.1 event shapes plus the *churn* events real BGP
+deployments are dominated by:
 
-* **Tdown** — "the destination AS becomes unreachable from the rest of the
-  network": the destination's attachment to its destination host is lost, so
-  the origin AS withdraws the prefix (the origin itself stays in the graph).
-* **Tlong** — "a link in the network fails, which does not disconnect the
-  destination AS but forces the rest of the network to use less preferred
-  paths": one specific transit link is failed.
+* **Tdown** (:class:`OriginWithdrawal`) — "the destination AS becomes
+  unreachable from the rest of the network": the origin AS withdraws the
+  prefix through the protocol-neutral ``withdraw_origin(prefix)`` every
+  protocol node implements (the origin itself stays in the graph).
+* **Tlong** (:class:`LinkFailure`) — "a link in the network fails, which does
+  not disconnect the destination AS but forces the rest of the network to use
+  less preferred paths": one specific transit link is failed.
+  :class:`LinkRestore` brings a failed link back.
 * **Session reset** (:class:`SessionReset`) — the transport session between
   two adjacent speakers dies while the link stays up; in-flight updates are
   lost and the peers must re-establish and re-exchange their tables.
@@ -19,28 +23,61 @@ deployments are dominated by, as small injectors that compose with
 * **Link flap** (:class:`LinkFlap`) — a link fails and recovers repeatedly,
   composed from :class:`LinkFailure`/:class:`LinkRestore` pairs.
 
-The protocol-specific half of Tdown (withdrawing an origination) lives on the
-protocol node (:meth:`BgpSpeaker.withdraw_origin`); the injector here just
-schedules whatever callable the scenario hands it, keeping the failure
-machinery protocol-agnostic.
+BGP's aggregate/deaggregate cycle (Tagg) is shaped the same way but lives
+with the aggregation code, :class:`~repro.bgp.aggregation.AggregationCycle`.
+
+Each injector class declares its :class:`EventKind` label and whether it
+``needs_sessions`` — whether what it breaks is only detected or repaired by
+the keepalive/hold-timer session layer — and ``check(scenario)`` validates
+it against the scenario it is scheduled in, raising
+:class:`~repro.errors.ConfigError`.  ``scenario`` is anything with a
+``topology``, a ``destination`` and ``effective_originations``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, List, Optional
+import enum
+from dataclasses import dataclass
+from typing import ClassVar, List, Optional
 
-from ..errors import NetworkError
+from ..errors import ConfigError
 from .network import Network
+
+
+class EventKind(enum.Enum):
+    """The two §4.1 topology-change events, plus the churn extensions."""
+
+    TDOWN = "tdown"
+    TLONG = "tlong"
+    TRESET = "treset"
+    TCRASH = "tcrash"
+    TFLAP = "tflap"
+    TAGG = "tagg"
+
+
+def _check_link(topology, u: int, v: int, may_cut: bool = False) -> None:
+    if not topology.has_edge(u, v):
+        raise ConfigError(f"link ({u}, {v}) not in topology")
+    if not may_cut and topology.is_cut_edge(u, v):
+        raise ConfigError(
+            f"link ({u}, {v}) is a cut edge; failing it would disconnect "
+            "the graph, which contradicts the event's definition"
+        )
 
 
 @dataclass(frozen=True)
 class LinkFailure:
-    """A single link failure at an absolute time."""
+    """A single link failure at an absolute time (Tlong)."""
+
+    kind: ClassVar[Optional[EventKind]] = EventKind.TLONG
+    needs_sessions: ClassVar[bool] = False
 
     u: int
     v: int
     at: float
+
+    def check(self, scenario) -> None:
+        _check_link(scenario.topology, self.u, self.v)
 
     def inject(self, network: Network) -> None:
         network.schedule_link_failure(self.u, self.v, self.at)
@@ -50,9 +87,15 @@ class LinkFailure:
 class LinkRestore:
     """A single link restoration at an absolute time."""
 
+    kind: ClassVar[Optional[EventKind]] = None  # no §4.1 event on its own
+    needs_sessions: ClassVar[bool] = False
+
     u: int
     v: int
     at: float
+
+    def check(self, scenario) -> None:
+        _check_link(scenario.topology, self.u, self.v, may_cut=True)
 
     def inject(self, network: Network) -> None:
         network.schedule_link_restore(self.u, self.v, self.at)
@@ -66,9 +109,16 @@ class SessionReset:
     and both endpoints get their ``on_session_reset`` hook.
     """
 
+    kind: ClassVar[Optional[EventKind]] = EventKind.TRESET
+    needs_sessions: ClassVar[bool] = True
+
     u: int
     v: int
     at: float
+
+    def check(self, scenario) -> None:
+        # A session reset never takes the link down, so a cut edge is fine.
+        _check_link(scenario.topology, self.u, self.v, may_cut=True)
 
     def inject(self, network: Network) -> None:
         network.schedule_session_reset(self.u, self.v, self.at)
@@ -86,6 +136,9 @@ class NodeCrash:
     they only notice via their own liveness machinery (BGP hold timers).
     """
 
+    kind: ClassVar[Optional[EventKind]] = EventKind.TCRASH
+    needs_sessions: ClassVar[bool] = True
+
     node: int
     at: float
     restart_after: Optional[float] = None
@@ -93,8 +146,16 @@ class NodeCrash:
 
     def __post_init__(self) -> None:
         if self.restart_after is not None and self.restart_after <= 0:
-            raise NetworkError(
+            raise ConfigError(
                 f"restart_after must be positive, got {self.restart_after}"
+            )
+
+    def check(self, scenario) -> None:
+        if not scenario.topology.has_node(self.node):
+            raise ConfigError(f"crash node {self.node} not in topology")
+        if self.node == scenario.destination:
+            raise ConfigError(
+                "crashing the destination is a Tdown event, not a Tcrash"
             )
 
     def inject(self, network: Network) -> None:
@@ -112,6 +173,9 @@ class LinkFlap:
     ``period`` apart and the link ends the sequence *up*.
     """
 
+    kind: ClassVar[Optional[EventKind]] = EventKind.TFLAP
+    needs_sessions: ClassVar[bool] = True
+
     u: int
     v: int
     at: float
@@ -121,11 +185,11 @@ class LinkFlap:
 
     def __post_init__(self) -> None:
         if self.period <= 0:
-            raise NetworkError(f"flap period must be positive, got {self.period}")
+            raise ConfigError(f"flap_period must be positive, got {self.period}")
         if self.count < 1:
-            raise NetworkError(f"flap count must be >= 1, got {self.count}")
+            raise ConfigError(f"flap_count must be >= 1, got {self.count}")
         if not 0 < self.duty < 1:
-            raise NetworkError(f"flap duty must be in (0, 1), got {self.duty}")
+            raise ConfigError(f"flap duty must be in (0, 1), got {self.duty}")
 
     def events(self) -> List[object]:
         """The failure/restore pairs this flap expands to, in time order."""
@@ -141,6 +205,9 @@ class LinkFlap:
         """Time the final restore fires (the churn stops changing topology)."""
         return self.at + (self.count - 1) * self.period + self.duty * self.period
 
+    def check(self, scenario) -> None:
+        _check_link(scenario.topology, self.u, self.v)
+
     def inject(self, network: Network) -> None:
         for event in self.events():
             event.inject(network)
@@ -148,51 +215,31 @@ class LinkFlap:
 
 @dataclass(frozen=True)
 class OriginWithdrawal:
-    """A Tdown trigger: at time ``at``, run the protocol-supplied action.
+    """A Tdown trigger: at time ``at``, ``node`` stops originating ``prefix``.
 
-    ``action`` is typically ``speaker.withdraw_origin`` bound to the
-    destination prefix.
+    Calls the protocol-neutral ``withdraw_origin(prefix)``, which both
+    :class:`~repro.bgp.speaker.BgpSpeaker` and the RIP node implement.
     """
 
+    kind: ClassVar[Optional[EventKind]] = EventKind.TDOWN
+    needs_sessions: ClassVar[bool] = False
+
     node: int
+    prefix: str
     at: float
-    action: Callable[[], None]
+
+    def check(self, scenario) -> None:
+        if (self.node, self.prefix) not in scenario.effective_originations:
+            raise ConfigError(
+                f"origin withdrawal ({self.node}, {self.prefix!r}) is not "
+                "originated at warm-up"
+            )
 
     def inject(self, network: Network) -> None:
-        if self.node not in network.nodes:
-            raise NetworkError(f"no node {self.node} for origin withdrawal")
+        origin = network.node(self.node)
         network.scheduler.call_at(
-            self.at, self.action, priority=0, name=f"tdown:{self.node}"
+            self.at,
+            lambda: origin.withdraw_origin(self.prefix),
+            priority=0,
+            name=f"tdown:{self.node}",
         )
-
-
-@dataclass
-class FailureSchedule:
-    """An ordered collection of failure events for one simulation run."""
-
-    events: List[object] = field(default_factory=list)
-
-    def add(self, event) -> "FailureSchedule":
-        self.events.append(event)
-        return self
-
-    def inject_all(self, network: Network) -> None:
-        """Register every event with the network's scheduler."""
-        for event in self.events:
-            event.inject(network)
-
-    @property
-    def first_failure_time(self) -> Optional[float]:
-        """Earliest event time, used as the convergence-clock origin."""
-        times = [event.at for event in self.events]
-        return min(times) if times else None
-
-
-def flap(u: int, v: int, down_at: float, up_at: float) -> FailureSchedule:
-    """A link flap: down at ``down_at``, back up at ``up_at``."""
-    if up_at <= down_at:
-        raise NetworkError(f"flap must restore after failing ({down_at} -> {up_at})")
-    schedule = FailureSchedule()
-    schedule.add(LinkFailure(u, v, down_at))
-    schedule.add(LinkRestore(u, v, up_at))
-    return schedule

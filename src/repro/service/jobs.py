@@ -20,11 +20,11 @@ simulation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..bgp import VARIANT_NAMES, variant
-from ..errors import ServiceError
+from ..errors import ReproError, ServiceError
 from ..experiments import (
     ResiliencePolicy,
     RunSettings,
@@ -35,6 +35,7 @@ from ..experiments import (
     clique_treset_trial,
     constant_config,
     factory_ref,
+    with_session_timers,
 )
 
 #: Job kinds the executor knows how to run.
@@ -57,13 +58,13 @@ TERMINAL_STATES = (DONE, FAILED, CANCELLED)
 
 #: Sweep families a job spec may name, mapped to their trial adapters.
 #: ``needs_size`` families sweep something other than topology size and
-#: bind a fixed ``size`` keyword; ``churn`` families get session timers.
+#: bind a fixed ``size`` keyword.  Session timers follow the scenario.
 _FAMILIES: Dict[str, Dict] = {
-    "tdown": {"adapter": clique_tdown_trial, "churn": False, "needs_size": False},
-    "tlong": {"adapter": bclique_tlong_trial, "churn": False, "needs_size": False},
-    "treset": {"adapter": clique_treset_trial, "churn": True, "needs_size": False},
-    "tcrash": {"adapter": clique_tcrash_trial, "churn": True, "needs_size": False},
-    "tflap": {"adapter": bclique_tflap_trial, "churn": True, "needs_size": True},
+    "tdown": {"adapter": clique_tdown_trial, "needs_size": False},
+    "tlong": {"adapter": bclique_tlong_trial, "needs_size": False},
+    "treset": {"adapter": clique_treset_trial, "needs_size": False},
+    "tcrash": {"adapter": clique_tcrash_trial, "needs_size": False},
+    "tflap": {"adapter": bclique_tflap_trial, "needs_size": True},
 }
 
 SWEEP_FAMILIES = tuple(sorted(_FAMILIES))
@@ -152,14 +153,6 @@ def resolve_sweep_plan(params: Dict) -> SweepPlan:
     if isinstance(mrai, bool) or not isinstance(mrai, (int, float)) or mrai < 0:
         raise ServiceError(f"sweep spec 'mrai' must be a number >= 0, got {mrai!r}")
     config = variant(variant_name, mrai=float(mrai))
-    if entry["churn"] and not config.sessions_enabled:
-        config = replace(
-            config,
-            hold_time=9.0,
-            keepalive_interval=3.0,
-            connect_retry=0.5,
-            connect_retry_cap=4.0,
-        )
 
     if entry["needs_size"]:
         size = params.get("size")
@@ -170,6 +163,14 @@ def resolve_sweep_plan(params: Dict) -> SweepPlan:
         make_scenario = factory_ref(entry["adapter"], size=size)
     else:
         make_scenario = entry["adapter"]
+    # The first trial's scenario decides the session timers; building it is
+    # cheap and side-effect free, and a spec that cannot build it dies here.
+    try:
+        first = make_scenario(xs[0], seeds[0])
+    except ReproError as exc:
+        raise ServiceError(f"sweep spec cannot build its scenario: {exc}") from exc
+    if first.needs_sessions:
+        config = with_session_timers(config)
 
     jobs = params.get("jobs", 1)
     if isinstance(jobs, bool) or not isinstance(jobs, int) or jobs < 0:

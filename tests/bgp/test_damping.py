@@ -6,7 +6,6 @@ from repro.bgp import BgpConfig, DampingConfig, RouteFlapDamper
 from repro.engine import Scheduler
 from repro.errors import ConfigError
 from repro.experiments import RunSettings, run_experiment, tdown_clique
-from repro.net import flap
 from repro.topology import chain
 
 PREFIX = "dest"

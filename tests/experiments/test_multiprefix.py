@@ -14,11 +14,11 @@ import pytest
 
 from repro.analysis.determinism import fingerprint_run
 from repro.bgp import BgpConfig
+from repro.bgp.aggregation import AggregationCycle
 from repro.errors import ConfigError
 from repro.experiments import RunSettings, factory_ref, sweep
 from repro.experiments.runner import run_experiment
 from repro.experiments.scenarios import (
-    EventKind,
     Scenario,
     clique_tagg_trial,
     multiprefix_trial,
@@ -70,25 +70,8 @@ class TestGoldenEquivalence:
 
 class TestScenarioValidation:
     def test_tagg_requires_blocks(self):
-        with pytest.raises(ConfigError):
-            Scenario(
-                name="bad",
-                topology=clique(3),
-                destination=0,
-                event=EventKind.TAGG,
-            )
-
-    def test_non_tagg_rejects_agg_fields(self):
-        good = tagg_clique(3, prefixes=4)
-        with pytest.raises(ConfigError):
-            Scenario(
-                name="bad",
-                topology=clique(3),
-                destination=0,
-                event=EventKind.TDOWN,
-                agg_blocks=good.agg_blocks,
-                agg_hold=good.agg_hold,
-            )
+        with pytest.raises(ConfigError, match="at least one aggregate block"):
+            AggregationCycle((), at=0.0, hold=5.0)
 
     def test_origination_nodes_must_exist(self):
         with pytest.raises(ConfigError):
@@ -96,7 +79,6 @@ class TestScenarioValidation:
                 name="bad",
                 topology=clique(3),
                 destination=0,
-                event=EventKind.TDOWN,
                 originations=((9, "dest"),),
             )
 
@@ -106,7 +88,6 @@ class TestScenarioValidation:
                 name="bad",
                 topology=clique(3),
                 destination=0,
-                event=EventKind.TDOWN,
                 prefix="dest",
                 originations=((1, "other"),),
             )
@@ -242,9 +223,12 @@ class TestDecisionCacheUnderMultiPrefixChurn:
         )
         assert run.converged
         network = run.network
+        scenario = run.scenario
+        prefixes = {prefix for _node, prefix in scenario.effective_originations}
+        prefixes.update(block.cover for block in scenario.agg_blocks)
         for node_id in sorted(network.nodes):
             speaker = network.nodes[node_id]
-            for prefix in run.scenario.all_prefixes:
+            for prefix in sorted(prefixes):
                 assert speaker._select_best(prefix) == (
                     speaker._select_best_naive(prefix)
                 )

@@ -16,46 +16,33 @@ from repro.experiments import (
     tlong_internet,
     treset_clique,
 )
+from repro.net import LinkFailure, NodeCrash, OriginWithdrawal, SessionReset
 from repro.topology import chain, clique
 
 
 class TestValidation:
     def test_destination_must_exist(self):
         with pytest.raises(ConfigError):
-            Scenario(name="x", topology=clique(3), destination=9, event=EventKind.TDOWN)
-
-    def test_tlong_requires_failed_link(self):
-        with pytest.raises(ConfigError, match="must name the link"):
-            Scenario(name="x", topology=clique(3), destination=0, event=EventKind.TLONG)
+            Scenario(name="x", topology=clique(3), destination=9)
 
     def test_tlong_link_must_exist(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="not in topology"):
             Scenario(
                 name="x",
                 topology=clique(3),
                 destination=0,
-                event=EventKind.TLONG,
-                failed_link=(0, 9),
+                events=(LinkFailure(0, 9, at=0.0),),
             )
 
     def test_tlong_rejects_cut_edges(self):
         with pytest.raises(ConfigError, match="cut edge"):
             custom_tlong(chain(3), destination=0, failed_link=(0, 1))
 
-    def test_tdown_rejects_failed_link(self):
-        with pytest.raises(ConfigError):
-            Scenario(
-                name="x",
-                topology=clique(3),
-                destination=0,
-                event=EventKind.TDOWN,
-                failed_link=(0, 1),
-            )
-
 
 class TestFamilies:
     def test_tdown_clique(self):
         scenario = tdown_clique(6)
+        assert scenario.events == (OriginWithdrawal(0, "dest", at=0.0),)
         assert scenario.event is EventKind.TDOWN
         assert scenario.destination == 0
         assert scenario.topology.num_nodes == 6
@@ -107,28 +94,22 @@ class TestChurnScenarios:
             name="x",
             topology=chain(3),
             destination=0,
-            event=EventKind.TRESET,
-            failed_link=(0, 1),
+            events=(SessionReset(0, 1, at=0.0),),
         )
         assert scenario.failed_link == (0, 1)
 
     def test_treset_requires_a_link(self):
-        with pytest.raises(ConfigError, match="must name the link"):
-            Scenario(
-                name="x", topology=clique(3), destination=0, event=EventKind.TRESET
-            )
+        with pytest.raises(ConfigError, match=r"link \(0, 9\) not in topology"):
+            treset_clique(3, link=(0, 9))
 
     def test_tcrash_clique_defaults(self):
         scenario = tcrash_clique(5)
         assert scenario.event is EventKind.TCRASH
-        assert scenario.crash_node == 1
-        assert scenario.restart_after == pytest.approx(30.0)
+        assert scenario.events == (NodeCrash(1, at=0.0, restart_after=30.0),)
 
     def test_tcrash_requires_crash_node(self):
-        with pytest.raises(ConfigError, match="must name the node"):
-            Scenario(
-                name="x", topology=clique(3), destination=0, event=EventKind.TCRASH
-            )
+        with pytest.raises(ConfigError, match="crash node 9 not in topology"):
+            tcrash_clique(3, crash=9)
 
     def test_tcrash_rejects_crashing_the_destination(self):
         with pytest.raises(ConfigError, match="Tdown"):
@@ -137,16 +118,6 @@ class TestChurnScenarios:
     def test_tcrash_rejects_nonpositive_restart(self):
         with pytest.raises(ConfigError, match="restart_after"):
             tcrash_clique(4, restart_after=0.0)
-
-    def test_crash_fields_rejected_on_other_events(self):
-        with pytest.raises(ConfigError, match="crash fields"):
-            Scenario(
-                name="x",
-                topology=clique(3),
-                destination=0,
-                event=EventKind.TDOWN,
-                crash_node=1,
-            )
 
     def test_tflap_bclique_is_well_formed(self):
         scenario = tflap_bclique(4, period=10.0, count=2)
@@ -158,14 +129,3 @@ class TestChurnScenarios:
     def test_tflap_requires_positive_period(self):
         with pytest.raises(ConfigError, match="flap_period"):
             tflap_bclique(4, period=0.0)
-
-    def test_flap_fields_rejected_on_other_events(self):
-        with pytest.raises(ConfigError, match="flap period"):
-            Scenario(
-                name="x",
-                topology=clique(3),
-                destination=0,
-                event=EventKind.TLONG,
-                failed_link=(0, 1),
-                flap_period=5.0,
-            )

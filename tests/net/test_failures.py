@@ -2,23 +2,30 @@
 
 import pytest
 
-from repro.engine import Scheduler
-from repro.errors import NetworkError
+from repro.errors import ConfigError, NetworkError
 from repro.net import (
-    FailureSchedule,
     LinkFailure,
+    LinkFlap,
     LinkRestore,
     Network,
     Node,
     OriginWithdrawal,
-    flap,
 )
 from repro.topology import chain
 
 
 class Quiet(Node):
+    """A node that ignores messages and records its origin withdrawals."""
+
+    def __init__(self, node_id, scheduler):
+        super().__init__(node_id, scheduler)
+        self.withdrawn = []
+
     def handle_message(self, src, message):
         pass
+
+    def withdraw_origin(self, prefix):
+        self.withdrawn.append((self.scheduler.now, prefix))
 
 
 @pytest.fixture
@@ -39,37 +46,23 @@ class TestInjectors:
         assert net.link_is_up(0, 1)
 
     def test_origin_withdrawal_runs_action(self, scheduler, net):
-        called = []
-        OriginWithdrawal(node=0, at=3.0, action=lambda: called.append(scheduler.now)).inject(net)
+        OriginWithdrawal(node=0, prefix="dest", at=3.0).inject(net)
         scheduler.run()
-        assert called == [3.0]
+        assert net.node(0).withdrawn == [(3.0, "dest")]
 
     def test_origin_withdrawal_unknown_node(self, net):
         with pytest.raises(NetworkError):
-            OriginWithdrawal(node=42, at=1.0, action=lambda: None).inject(net)
+            OriginWithdrawal(node=42, prefix="dest", at=1.0).inject(net)
 
 
 class TestSchedule:
-    def test_inject_all(self, scheduler, net):
-        schedule = FailureSchedule()
-        schedule.add(LinkFailure(0, 1, at=1.0))
-        schedule.add(LinkFailure(1, 2, at=2.0))
-        schedule.inject_all(net)
-        scheduler.run()
-        assert not net.link_is_up(0, 1)
-        assert not net.link_is_up(1, 2)
-
-    def test_first_failure_time(self):
-        schedule = FailureSchedule()
-        assert schedule.first_failure_time is None
-        schedule.add(LinkFailure(0, 1, at=5.0)).add(LinkFailure(1, 2, at=3.0))
-        assert schedule.first_failure_time == 3.0
-
     def test_flap(self, scheduler, net):
-        flap(0, 1, down_at=1.0, up_at=2.0).inject_all(net)
+        LinkFlap(0, 1, at=1.0, period=2.0).inject(net)
+        scheduler.run(until=1.5)
+        assert not net.link_is_up(0, 1)
         scheduler.run()
         assert net.link_is_up(0, 1)
 
     def test_flap_rejects_bad_window(self):
-        with pytest.raises(NetworkError):
-            flap(0, 1, down_at=2.0, up_at=1.0)
+        with pytest.raises(ConfigError, match="duty"):
+            LinkFlap(0, 1, at=1.0, period=2.0, duty=1.5)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.errors import NetworkError
+from repro.errors import ConfigError
 from repro.net import (
     LinkFailure,
     LinkFlap,
@@ -139,7 +139,7 @@ class TestNodeCrash:
         assert net.node_is_up(1)
 
     def test_injector_validates_restart_after(self):
-        with pytest.raises(NetworkError):
+        with pytest.raises(ConfigError, match="restart_after"):
             NodeCrash(1, at=2.0, restart_after=0.0)
 
 
@@ -168,11 +168,11 @@ class TestLinkFlap:
         assert net.link_is_up(0, 1)  # ends up
 
     def test_validation(self):
-        with pytest.raises(NetworkError):
+        with pytest.raises(ConfigError, match="flap_period"):
             LinkFlap(0, 1, at=0.0, period=0.0)
-        with pytest.raises(NetworkError):
+        with pytest.raises(ConfigError, match="flap_count"):
             LinkFlap(0, 1, at=0.0, period=1.0, count=0)
-        with pytest.raises(NetworkError):
+        with pytest.raises(ConfigError, match="duty"):
             LinkFlap(0, 1, at=0.0, period=1.0, duty=1.0)
 
 
