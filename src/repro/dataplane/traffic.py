@@ -168,7 +168,8 @@ class TrafficMatrix:
         Rates are U[rate_range] per pair; the destination address of every
         flow for one structured prefix is a single seeded representative
         inside that prefix (drawn once per prefix, before the per-pair
-        rates), which keeps evaluation vectorizable by destination.  Sources
+        rates), so the evaluator keeps one forwarding tracker and one
+        covering chain per prefix, not per flow.  Sources
         listed in ``origins[prefix]`` do not send to their own prefix — the
         paper's "every *other* AS" workload.  Iteration order is the sorted
         (prefix, node) grid, so the matrix is a pure function of the inputs.

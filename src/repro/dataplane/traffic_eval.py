@@ -10,14 +10,19 @@ the ROADMAP's millions-of-users metric.
 
 Work is per FIB *change*, not per epoch.  Each destination address owns one
 :class:`~repro.dataplane.packet.ForwardingTracker` holding every node's
-LPM-resolved next hop for it:
+resolved next hop for it, and one *covering chain*: every logged prefix that
+contains it, most specific first.
 
-* a change to prefix ``p`` at node ``n`` can move only the destinations ``p``
-  covers (structured) or names (opaque), and only ``n``'s hop for them — so
-  it costs one :meth:`MultiPrefixFib.resolve` per (node, covered
-  destination), not one per step of every re-walk;
-* the tracker hands back exactly the flows whose memoized walk read ``n``;
-  only those close their constant-fate segment and are walked again;
+* The destination set is static, so a prefix joins the chains once, the
+  first time it appears: the addresses a structured prefix covers are one
+  contiguous run of the sorted address list (two bisections), and an opaque
+  prefix covers only the destination it names.
+* A change to prefix ``p`` at node ``n`` can move only the destinations
+  ``p`` covers, and only ``n``'s hop for them — so it costs one resolution
+  per (node, covered destination): the first chain entry ``n``'s table
+  (a plain prefix → next hop dict) holds, which is the longest match.
+* The tracker hands back exactly the flows whose memoized walk read ``n``;
+  only those close their constant-fate segment and are walked again.
 * CBR counting is a first-index difference, so a flow's count over a merged
   segment equals the sum of its per-epoch counts exactly — accounting once
   per segment is bit-identical to accounting once per epoch.
@@ -28,13 +33,13 @@ platforms and process counts.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Tuple, Union
 
 from ..errors import AnalysisError
-from ..prefixes import ADDRESS_BITS, PrefixSpec, parse_prefix
-from ..prefixes.trie import RadixTrie
-from .fib import FibChangeLog, MultiPrefixFib, Prefix
+from ..prefixes import parse_prefix
+from .fib import FibChangeLog, Prefix
 from .packet import DEFAULT_TTL, ForwardingTracker, PacketFate
 from .traffic import CbrSource, TrafficMatrix
 
@@ -119,6 +124,11 @@ class TrafficReport:
 class TrafficMatrixEvaluator:
     """Computes a :class:`TrafficReport` from a FIB log and a traffic matrix.
 
+    The destinations are fixed here, so no LPM index is needed: each one
+    resolves through its covering chain (built once per logged prefix and
+    kept across :meth:`evaluate` calls) against per-node prefix → next-hop
+    dicts that each evaluation rebuilds from the log.
+
     Parameters
     ----------
     log:
@@ -160,15 +170,14 @@ class TrafficMatrixEvaluator:
             self._streams.setdefault((flow.destination, flow.source), []).append(
                 flow.as_cbr()
             )
-        # Inverted destination index: every integer destination as a /32
-        # radix-trie entry, so "which destinations does this changed prefix
-        # touch?" is a subtree walk (specifics enumeration), asked once per
-        # prefix and memoized.  Opaque destinations match exactly, by name.
-        self._destinations = dict.fromkeys(dest for dest, _ in self._streams)
-        self._dest_trie = RadixTrie()
-        for dest in self._destinations:
-            if isinstance(dest, int):
-                self._dest_trie.insert(PrefixSpec(dest, ADDRESS_BITS), dest)
+        # Every destination's covering chain, grown by _covered_by; the
+        # integer destinations are also kept sorted, so the ones a
+        # structured prefix covers are a single bisected run.
+        self._chains: Dict[Destination, List[Prefix]] = {
+            dest: [] for dest, _ in self._streams
+        }
+        self._addresses = sorted(d for d in self._chains if isinstance(d, int))
+        self._lengths: Dict[Prefix, int] = {}
         self._covered: Dict[Prefix, Tuple[Destination, ...]] = {}
         # What the last evaluate() did, for telemetry.
         self.change_instants = 0
@@ -178,14 +187,25 @@ class TrafficMatrixEvaluator:
 
     def _covered_by(self, prefix: Prefix) -> Tuple[Destination, ...]:
         """The destinations whose LPM resolution a change to ``prefix`` can
-        move: exact, since a lookup only ever returns a containing prefix."""
+        move: exact, since a resolution only ever returns a containing
+        prefix.  The first call also enters ``prefix`` into their chains."""
         hit = self._covered.get(prefix)
         if hit is None:
             spec = parse_prefix(prefix)
-            if spec is not None:
-                hit = tuple(dest for _spec, dest in self._dest_trie.covered(spec))
+            if spec is None:
+                hit = (prefix,) if prefix in self._chains else ()
+                for dest in hit:
+                    self._chains[dest].append(prefix)
             else:
-                hit = (prefix,) if prefix in self._destinations else ()
+                addresses = self._addresses
+                low = bisect_left(addresses, spec.value)
+                high = bisect_left(addresses, spec.value + spec.size, low)
+                hit = tuple(addresses[low:high])
+                self._lengths[prefix] = spec.length
+                for dest in hit:
+                    chain = self._chains[dest]
+                    chain.append(prefix)
+                    chain.sort(key=self._lengths.__getitem__, reverse=True)
             self._covered[prefix] = hit
         return hit
 
@@ -196,8 +216,11 @@ class TrafficMatrixEvaluator:
             flows=len(self._matrix.flows),
             prefixes=len(self._matrix.prefixes()),
         )
-        fib = MultiPrefixFib()
-        trackers = {dest: ForwardingTracker(self._ttl) for dest in self._destinations}
+        chains = self._chains
+        # node -> {prefix: next hop}; a withdrawal deletes the entry, so an
+        # unreachable specific never shadows a reachable cover.
+        tables: Dict[int, Dict[Prefix, int]] = {}
+        trackers = {dest: ForwardingTracker(self._ttl) for dest in chains}
         # flow key -> [opened, fate index]: its open constant-fate segment.
         segments: Dict[FlowKey, List] = {}
         row_start = start
@@ -205,7 +228,13 @@ class TrafficMatrixEvaluator:
         for t0, _t1, batch in self._log.instants(start, end):
             self.change_instants += 1
             for change in batch:
-                fib.set_entry(change.node, change.prefix, change.next_hop)
+                table = tables.get(change.node)
+                if table is None:
+                    table = tables[change.node] = {}
+                if change.next_hop is None:
+                    table.pop(change.prefix, None)
+                else:
+                    table[change.prefix] = change.next_hop
             # With the whole instant in the tables, resolve once per (node,
             # covered destination); dict.fromkeys keeps first-seen order.
             moved = dict.fromkeys(
@@ -215,8 +244,13 @@ class TrafficMatrixEvaluator:
             )
             stale: List[FlowKey] = []
             for node, dest in moved:
-                hit = fib.resolve(node, dest)
-                hop = None if hit is None else hit[1]
+                # The longest match: the first chain entry the node holds.
+                table = tables[node]
+                hop = None
+                for prefix in chains[dest]:
+                    hop = table.get(prefix)
+                    if hop is not None:
+                        break
                 for origin in trackers[dest].set_next_hop(node, hop):
                     stale.append((dest, origin))
             self.lpm_resolves += len(moved)

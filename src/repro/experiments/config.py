@@ -70,13 +70,13 @@ class RunSettings:
         fingerprint), so it defaults off: single-prefix digests are
         bit-identical unless a scenario opts in.
     traffic_epoch_rows:
-        Collect per-epoch :class:`~repro.dataplane.traffic_eval.
-        EpochTraffic` rows in the traffic report.  One whole-matrix
-        accounting pass per constant-fate segment — O(segments × flows),
-        quadratic in population at routing-table scale — so large
-        populations turn it off.  The report *totals* (and every summary
-        fraction, hence the fingerprint) are bit-identical either way;
-        only ``epoch_rows`` detail is skipped.
+        Also collect per-epoch :class:`~repro.dataplane.traffic_eval.
+        EpochTraffic` rows in the traffic report (for ``worst_epoch``).
+        Off by default: each row is one whole-matrix accounting pass —
+        O(rows × flows), quadratic in population at routing-table scale —
+        and nothing in the harness reads rows.  The report *totals* (and
+        every summary fraction, hence the fingerprint) are bit-identical
+        either way.
     """
 
     packet_rate: float = DEFAULT_PACKET_RATE
@@ -89,7 +89,7 @@ class RunSettings:
     timeline: bool = False
     certify: bool = False
     traffic_matrix: bool = False
-    traffic_epoch_rows: bool = True
+    traffic_epoch_rows: bool = False
 
     def __post_init__(self) -> None:
         if self.packet_rate <= 0:

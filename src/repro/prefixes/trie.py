@@ -8,15 +8,13 @@ difference between a FIB that fits in cache and one that does not.
 classic PATRICIA layout — so a lookup touches O(distinct branch points)
 nodes and an entry costs O(1) nodes amortized.
 
-Three consumers, one structure:
+Three operations, one structure:
 
 * **LPM** — :meth:`RadixTrie.lookup` resolves an address to its
-  most-specific entry (:class:`~repro.dataplane.fib.MultiPrefixFib`).
+  most-specific entry (:class:`~repro.dataplane.fib.MultiPrefixFib`, the
+  general LPM table that the hop-by-hop ``walk_lpm`` oracle reads).
 * **Specifics enumeration** — :meth:`RadixTrie.covered` yields every entry
-  inside a covering prefix by subtree walk
-  (:mod:`repro.bgp.aggregation`, and the traffic evaluator's inverted
-  destination index, which turns "which destinations does this changed
-  prefix touch?" from a scan over all destinations into a subtree walk).
+  inside a covering prefix by subtree walk.
 * **Exact-match bookkeeping** — :meth:`insert` / :meth:`remove` /
   :meth:`get` with dict-like semantics.
 
@@ -201,9 +199,8 @@ class RadixTrie:
     def covered(self, cover: PrefixSpec) -> List[Tuple[PrefixSpec, object]]:
         """Every entry equal to or more specific than ``cover``.
 
-        This is specifics enumeration — the subtree walk aggregation and
-        the traffic evaluator's inverted destination index rely on.
-        Ordered ``(value, length)`` ascending, like :meth:`entries`.
+        This is specifics enumeration, by subtree walk.  Ordered
+        ``(value, length)`` ascending, like :meth:`entries`.
         """
         node = self._root
         while node.length < cover.length:

@@ -20,9 +20,10 @@ from repro.dataplane import (
 )
 from repro.errors import AnalysisError, ConfigError
 
-# Two /24s under one /22 cover, plus an opaque legacy name.
+# Two /24s under one /22 cover, the /23 between them, and opaque names.
 SPEC_A = "00000000/24"
 SPEC_B = "00000100/24"
+MID = "00000000/23"
 COVER = "00000000/22"
 
 
@@ -384,3 +385,105 @@ class TestChangeDriven:
             for window in [(0.0, 3.0), (1.5, 2.5), (0.0, 3.0), (1.0, 1.0)]:
                 fresh = TrafficMatrixEvaluator(log, matrix, epoch_rows=rows)
                 assert shared.evaluate(*window) == fresh.evaluate(*window)
+
+    # Covering chains: each destination resolves to the first prefix of its
+    # chain (every logged prefix containing it, most specific first) that
+    # the node holds.  Each trap is checked against multi_epochs + walk_lpm.
+
+    @staticmethod
+    def oracle(log, matrix, start, end):
+        """Totals of walking every flow by LPM in every multi-prefix epoch."""
+        tally = dict.fromkeys(PacketFate, 0)
+        for t0, t1, fib, _changed in log.multi_epochs(start, end):
+            for flow in matrix.flows:
+                fate = walk_lpm(fib, flow.source, flow.destination).fate
+                tally[fate] += flow.count_in(t0, t1)
+        return (
+            sum(tally.values()),
+            tally[PacketFate.DELIVERED],
+            tally[PacketFate.DROPPED_NO_ROUTE],
+            tally[PacketFate.TTL_EXPIRED],
+        )
+
+    def assert_oracle(self, log, matrix, window, expected):
+        assert self.oracle(log, matrix, *window) == expected
+        for rows in (True, False):
+            ev = TrafficMatrixEvaluator(log, matrix, epoch_rows=rows)
+            assert totals(ev.evaluate(*window)) == expected
+
+    def test_nested_covers_with_the_middle_one_bounced_in_one_instant(self):
+        # Node 1 holds /22 (into the 1 <-> 3 loop) and /23 (to the deliverer
+        # 2); at t=1 the /23 is withdrawn and re-announced in one instant,
+        # at t=2 a /24 towards the routeless node 4 shadows both, at t=3 it
+        # goes.  Chains sorted shortest-first would loop for all 40 packets.
+        log = self.log_of(
+            [(0.0, 2, COVER, 2), (0.0, 3, COVER, 1), (0.0, 1, COVER, 3),
+             (0.0, 1, MID, 2),
+             (1.0, 1, MID, None), (1.0, 1, MID, 2),
+             (2.0, 1, SPEC_A, 4),
+             (3.0, 1, SPEC_A, None)]
+        )
+        matrix = self.flows((1, SPEC_A, ADDR_A))
+        self.assert_oracle(log, matrix, (0.0, 4.0), (40, 30, 10, 0))
+
+    def test_cover_first_logged_after_its_specific(self):
+        # The /22 joins the chain behind the /24 it arrives after: it takes
+        # over only once the /24 is withdrawn, and blackholes until node 3
+        # learns it.
+        log = self.log_of(
+            [(0.0, 2, SPEC_A, 2), (0.0, 1, SPEC_A, 2),
+             (1.0, 1, COVER, 3),
+             (2.0, 1, SPEC_A, None),
+             (3.0, 3, COVER, 3)]
+        )
+        matrix = self.flows((1, SPEC_A, ADDR_A))
+        self.assert_oracle(log, matrix, (0.0, 4.0), (40, 30, 10, 0))
+
+    def test_cover_logged_before_the_window_opens(self):
+        # The /22 exists only in the batch absorbed at ``start``.
+        log = self.log_of(
+            [(0.0, 2, COVER, 2), (0.0, 1, COVER, 2),
+             (1.0, 1, SPEC_A, 3),
+             (2.0, 1, SPEC_A, None)]
+        )
+        matrix = self.flows((1, SPEC_A, ADDR_A))
+        self.assert_oracle(log, matrix, (0.5, 3.0), (25, 15, 10, 0))
+
+    def test_destinations_on_the_first_and_last_address_of_a_prefix(self):
+        # SPEC_A's run of the sorted address list is exactly [0x000, 0x0ff]:
+        # 0x100 and 0x3ff ride the /22, and 0x400 lies outside every prefix.
+        log = self.log_of(
+            [(0.0, 2, COVER, 2), (0.0, 1, COVER, 2), (0.0, 1, SPEC_A, 3),
+             (1.0, 1, SPEC_A, None)]
+        )
+        matrix = self.flows(
+            (1, SPEC_A, 0x000), (1, SPEC_A, 0x0FF), (1, SPEC_B, 0x100),
+            (1, COVER, 0x3FF), (1, "00000400/24", 0x400),
+        )
+        # [0, 1): two blackholed at 3, two delivered, one routeless.
+        self.assert_oracle(log, matrix, (0.0, 2.0), (100, 60, 40, 0))
+
+    def test_opaque_and_structured_destinations_in_one_matrix(self):
+        # "dest" matches only by name; "other" covers no destination.
+        log = self.log_of(
+            [(0.0, 2, "dest", 2), (0.0, 1, "dest", 2), (0.0, 3, COVER, 3),
+             (0.0, 1, COVER, 3), (0.0, 1, "other", 9),
+             (1.0, 1, "dest", None), (1.0, 1, SPEC_A, 2)]
+        )
+        matrix = self.flows((1, "dest", "dest"), (1, SPEC_A, ADDR_A))
+        self.assert_oracle(log, matrix, (0.0, 2.0), (40, 20, 20, 0))
+
+    def test_one_instance_over_two_windows_keeps_chains_not_tables(self):
+        # Evaluating [2, 3) first puts the /24 into the chain and node 1's
+        # table; [0, 1) must still deliver via the /22, as a fresh one does.
+        log = self.log_of(
+            [(0.0, 2, COVER, 2), (0.0, 1, COVER, 2), (2.0, 1, SPEC_A, 3)]
+        )
+        matrix = self.flows((1, SPEC_A, ADDR_A))
+        for rows in (True, False):
+            shared = TrafficMatrixEvaluator(log, matrix, epoch_rows=rows)
+            for window, expected in [
+                ((2.0, 3.0), (10, 0, 10, 0)), ((0.0, 1.0), (10, 10, 0, 0))
+            ]:
+                assert self.oracle(log, matrix, *window) == expected
+                assert totals(shared.evaluate(*window)) == expected
