@@ -15,8 +15,8 @@ Usage::
 
 import sys
 
-from repro import BgpConfig, RunSettings, sweep, tdown_clique
 from repro.core import check_linear_in_mrai, check_ratio_constant
+from repro.experiments.figures.common import clique_mrai_sweep
 from repro.experiments.sweep import series, xs_of
 from repro.util import render_series
 
@@ -30,13 +30,7 @@ def main() -> None:
         f"Sweeping MRAI over {mrai_values} on a {clique_size}-clique Tdown "
         f"({len(seeds)} trials per point)..."
     )
-    points = sweep(
-        mrai_values,
-        lambda x, seed: tdown_clique(clique_size),
-        lambda x: BgpConfig.standard(x),
-        seeds=seeds,
-        settings=RunSettings(),
-    )
+    points = clique_mrai_sweep(mrai_values, clique_size, seeds)
 
     table = render_series(
         "mrai",

@@ -2,9 +2,11 @@
 """Link state vs distance vector vs path vector on one identical failure.
 
 §2 of the paper surveys transient looping across routing-protocol families;
-this example stages the comparison directly.  All three protocol
-implementations share the same network substrate, processing-delay model,
-failure injection, and loop metrics, so the only variable is the protocol.
+this example stages the comparison directly through the protocol-triangle
+driver (the committed ``benchmarks/results/protocol_triangle.txt``).  All
+three protocol implementations share the same network substrate,
+processing-delay model, failure injection, and loop metrics, so the only
+variable is the protocol.
 
 Usage::
 
@@ -13,42 +15,7 @@ Usage::
 
 import sys
 
-from repro.bgp import BgpConfig, BgpSpeaker
-from repro.core import loop_timeline
-from repro.dataplane import FibChangeLog
-from repro.dv import RipSpeaker
-from repro.engine import RandomStreams, Scheduler
-from repro.ls import LinkStateSpeaker
-from repro.net import Network
-from repro.topology import b_clique
-from repro.util import render_table
-
-PREFIX = "dest"
-PROC = (0.1, 0.5)
-
-
-def run_protocol(make_speaker, size):
-    scheduler = Scheduler()
-    log = FibChangeLog()
-    network = Network(
-        b_clique(size), scheduler, lambda nid, sch: make_speaker(nid, sch, log)
-    )
-    origin = network.node(0)
-    if hasattr(origin, "originate"):
-        origin.originate(PREFIX)
-    network.start()
-    scheduler.run(max_events=500_000)
-
-    failure_time = scheduler.now + 1.0
-    network.schedule_link_failure(0, size, at=failure_time)
-    before = len(network.trace)
-    scheduler.run(max_events=500_000)
-
-    last = network.trace.last_time(lambda r: r.time >= failure_time)
-    convergence = (last - failure_time) if last is not None else 0.0
-    intervals = loop_timeline(log, PREFIX, failure_time, scheduler.now)
-    longest = max((i.duration for i in intervals), default=0.0)
-    return convergence, len(intervals), longest, len(network.trace) - before
+from repro.experiments.figures.extensions import protocol_triangle
 
 
 def main() -> None:
@@ -57,42 +24,7 @@ def main() -> None:
         f"Failing the edge-to-core link of a B-Clique-{size} under three "
         "routing protocols\n(identical substrate, delays, and metrics).\n"
     )
-    streams = [RandomStreams(1) for _ in range(3)]
-    bgp_config = BgpConfig(mrai=30.0, processing_delay=PROC)
-    protocols = [
-        (
-            "link-state (OSPF-ish)",
-            lambda nid, sch, log: LinkStateSpeaker(
-                nid, sch, streams[0], destinations={PREFIX: 0},
-                processing_delay=PROC, fib_listener=log.record,
-            ),
-        ),
-        (
-            "distance-vector (RIP)",
-            lambda nid, sch, log: RipSpeaker(
-                nid, sch, streams[1], processing_delay=PROC,
-                poison_reverse=True, fib_listener=log.record,
-            ),
-        ),
-        (
-            "path-vector (BGP)",
-            lambda nid, sch, log: BgpSpeaker(
-                nid, sch, config=bgp_config, streams=streams[2],
-                fib_listener=log.record,
-            ),
-        ),
-    ]
-    rows = []
-    for label, factory in protocols:
-        convergence, loops, longest, messages = run_protocol(factory, size)
-        rows.append([label, convergence, loops, longest, messages])
-    print(
-        render_table(
-            ["protocol", "convergence_s", "loops", "longest_loop_s", "messages"],
-            rows,
-            title="Same failure, three protocol families",
-        )
-    )
+    print(protocol_triangle(size=size).render())
     print(
         "\nReading: link state floods fast (short inconsistency, but loops"
         "\nstill form); distance vector pays in message churn; path-vector"

@@ -3,10 +3,10 @@
 Batch subcommands::
 
     repro run          # one experiment: topology + event + variant -> metrics
-    repro figure       # regenerate one paper figure as an ASCII table
+    repro figure       # regenerate one committed result and check its claim
     repro sweep        # journaled, resumable Tdown clique sweep
     repro topology     # generate a topology and dump it as an edge list
-    repro list         # available figures, variants, topology kinds
+    repro list         # available results, variants, topology kinds
     repro lint         # determinism lint pass over the simulator's sources
     repro determinism  # dual-run reproducibility check on one scenario
     repro metrics      # one traced run: telemetry table + timeline exports
@@ -55,28 +55,7 @@ from .experiments import (
     treset_clique,
     with_session_timers,
 )
-from .experiments.figures import (
-    figure4a,
-    figure4b,
-    figure4c,
-    figure5a,
-    figure5b,
-    figure6a,
-    figure6b,
-    figure6c,
-    figure7a,
-    figure7b,
-    figure8a,
-    figure8b,
-    figure8c,
-    figure8d,
-    figure9a,
-    figure9b,
-    figure9c,
-    figure9d,
-    figure_tagg,
-    theory_bound_figure,
-)
+from .experiments.figures import CLAIMS
 from .topology import (
     b_clique,
     clique,
@@ -84,55 +63,6 @@ from .topology import (
     internet_like,
     named_generator,
 )
-
-FIGURES: Dict[str, Callable] = {
-    "fig4a": figure4a,
-    "fig4b": figure4b,
-    "fig4c": figure4c,
-    "fig5a": figure5a,
-    "fig5b": figure5b,
-    "fig6a": figure6a,
-    "fig6b": figure6b,
-    "fig6c": figure6c,
-    "fig7a": figure7a,
-    "fig7b": figure7b,
-    "fig8a": figure8a,
-    "fig8b": figure8b,
-    "fig8c": figure8c,
-    "fig8d": figure8d,
-    "fig9a": figure9a,
-    "fig9b": figure9b,
-    "fig9c": figure9c,
-    "fig9d": figure9d,
-    "tagg": figure_tagg,
-    "theory": theory_bound_figure,
-}
-
-#: Fast parameters for ``repro figure --quick`` (small sizes, short MRAI).
-QUICK_FIGURE_KWARGS: Dict[str, dict] = {
-    "fig4a": dict(sizes=(3, 4, 5), mrai=2.0),
-    "fig4b": dict(sizes=(3, 4), mrai=2.0),
-    "fig4c": dict(sizes=(12, 16), mrai=2.0, seeds=(0,)),
-    "fig5a": dict(mrai_values=(1.0, 2.0, 3.0), clique_size=4),
-    "fig5b": dict(mrai_values=(1.0, 2.0, 3.0), bclique_size=4),
-    "fig6a": dict(sizes=(3, 4, 5), mrai=2.0),
-    "fig6b": dict(sizes=(3, 4), mrai=2.0),
-    "fig6c": dict(sizes=(12, 16), mrai=2.0, seeds=(0,)),
-    "fig7a": dict(mrai_values=(1.0, 2.0, 3.0), clique_size=4),
-    "fig7b": dict(mrai_values=(1.0, 2.0, 3.0), bclique_size=4),
-    "fig8a": dict(sizes=(3, 4), mrai=2.0),
-    "fig8b": dict(sizes=(3, 4), mrai=2.0),
-    "fig8c": dict(sizes=(12,), mrai=2.0, seeds=(0,)),
-    "fig8d": dict(sizes=(12,), mrai=2.0, seeds=(0,)),
-    "fig9a": dict(sizes=(3, 4), mrai=2.0),
-    "fig9b": dict(sizes=(3, 4), mrai=2.0),
-    "fig9c": dict(sizes=(12,), mrai=2.0, seeds=(0,)),
-    "fig9d": dict(sizes=(12,), mrai=2.0, seeds=(0,)),
-    "tagg": dict(
-        prefix_counts=(8, 16), clique_size=4, origins=2, hold=5.0, mrai=2.0
-    ),
-    "theory": dict(ring_sizes=(3, 4), mrai=2.0, seeds=(0,)),
-}
 
 TOPOLOGY_KINDS = ("clique", "b-clique", "chain", "ring", "star", "internet")
 
@@ -243,11 +173,20 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
 
-    figure = commands.add_parser("figure", help="regenerate one paper figure")
-    figure.add_argument("id", choices=sorted(FIGURES), help="figure identifier")
+    figure = commands.add_parser(
+        "figure",
+        help=(
+            "regenerate one committed result and check its claim "
+            "(exit 1 if it no longer holds)"
+        ),
+    )
+    figure.add_argument("id", choices=sorted(CLAIMS), help="result identifier")
     figure.add_argument(
         "--quick", action="store_true",
-        help="tiny sizes and short MRAI (seconds instead of minutes)",
+        help=(
+            "tiny sizes and short MRAI (seconds instead of minutes); checks "
+            "are reported, not enforced"
+        ),
     )
     figure.add_argument(
         "--plot", action="store_true", help="also draw an ASCII chart"
@@ -661,9 +600,9 @@ def _cmd_run(args) -> int:
 def _cmd_figure(args) -> int:
     import inspect
 
-    driver = FIGURES[args.id]
-    kwargs = dict(QUICK_FIGURE_KWARGS[args.id]) if args.quick else {}
-    parameters = inspect.signature(driver).parameters
+    claim = CLAIMS[args.id]
+    kwargs = dict(claim.quick or {}) if args.quick else {}
+    parameters = inspect.signature(claim.driver).parameters
     if "jobs" in parameters:
         kwargs["jobs"] = args.jobs
     elif args.jobs != 1:
@@ -691,11 +630,12 @@ def _cmd_figure(args) -> int:
                 f"--metrics ignored",
                 file=sys.stderr,
             )
-    figure = driver(**kwargs)
-    print(figure.render())
-    if args.metrics and figure.telemetry is not None:
+    result = claim.driver(**kwargs)
+    print(result.render())
+    telemetry = getattr(result, "telemetry", None)
+    if args.metrics and telemetry is not None:
         print("\naggregated telemetry (all trials):")
-        print(figure.telemetry.render())
+        print(telemetry.render())
     elif args.metrics and "settings" in parameters:
         print(
             f"note: {args.id} ran with telemetry but attaches no aggregate "
@@ -703,14 +643,22 @@ def _cmd_figure(args) -> int:
             file=sys.stderr,
         )
     if args.plot:
-        print()
-        print(figure.plot())
-    failures = figure.check_failures()
-    if failures:
-        print("\nshape checks NOT satisfied at these parameters:")
-        for check in failures:
-            print(f"  {check}")
-    return 0
+        if hasattr(result, "plot"):
+            print()
+            print(result.plot())
+        else:
+            print(f"note: {args.id} is a table; --plot ignored", file=sys.stderr)
+    if args.quick:
+        failures = [check for check in result.checks if not check.holds]
+        if failures:
+            print("\nshape checks NOT satisfied at these parameters:")
+            for check in failures:
+                print(f"  {check}")
+        return 0
+    problems = claim.problems(result.checks)
+    for line in problems:
+        print(f"{args.id}: {line}", file=sys.stderr)
+    return 1 if problems else 0
 
 
 def _cmd_sweep(args) -> int:
@@ -780,7 +728,7 @@ def _cmd_topology(args) -> int:
 
 
 def _cmd_list(_args) -> int:
-    print("figures :", " ".join(sorted(FIGURES)))
+    print("figures :", " ".join(sorted(CLAIMS)))
     print("variants:", " ".join(VARIANT_NAMES))
     print("topology:", " ".join(TOPOLOGY_KINDS))
     return 0

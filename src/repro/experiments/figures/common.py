@@ -17,6 +17,7 @@ from ...bgp import BgpConfig, variant
 from ..config import RunSettings
 from ..report import FigureData
 from ..resilience import ResiliencePolicy
+from ..scenarios import clique_tdown_fixed
 from ..spec import constant_config, factory_ref, mrai_config
 from ..sweep import ScenarioFactory, SweepPoint, series, sweep, xs_of
 
@@ -93,6 +94,25 @@ def metric_sweep_figure(
         telemetry=aggregate_telemetry(points) if settings.telemetry else None,
     )
     return figure, points
+
+
+def clique_mrai_sweep(
+    mrai_values: Sequence[float],
+    clique_size: int,
+    seeds: Sequence[int],
+    jobs: int = 1,
+    policy: Optional[ResiliencePolicy] = None,
+) -> List[SweepPoint]:
+    """Standard BGP on one clique's Tdown at every MRAI value (the sweep
+    behind Observations 1-2 and the MRAI optimum)."""
+    return sweep(
+        list(mrai_values),
+        factory_ref(clique_tdown_fixed, size=clique_size),
+        factory_ref(mrai_config, base=BgpConfig.standard()),
+        seeds=seeds,
+        jobs=jobs,
+        policy=policy,
+    )
 
 
 def variant_comparison_series(

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
-from ...core import check_duration_coupling
+from ...core import ObservationCheck, check_duration_coupling
 from ...core.observations import check_tlong_gap
 from ..config import RunSettings
 from ..resilience import ResiliencePolicy
@@ -25,7 +25,7 @@ from .common import metric_sweep_figure
 _METRICS = ("looping_duration", "convergence_time")
 
 
-def _with_coupling_check(figure: FigureData, max_gap_fraction: float) -> FigureData:
+def _add_coupling_check(figure: FigureData, max_gap_fraction: float) -> None:
     figure.checks.append(
         check_duration_coupling(
             figure.series["looping_duration"],
@@ -33,13 +33,12 @@ def _with_coupling_check(figure: FigureData, max_gap_fraction: float) -> FigureD
             max_gap_fraction=max_gap_fraction,
         )
     )
-    return figure
 
 
 def figure4a(
-    sizes: Sequence[int] = (5, 8, 11, 14),
+    sizes: Sequence[int] = (5, 8, 11, 14, 17),
     mrai: float = 30.0,
-    seeds: Sequence[int] = (0,),
+    seeds: Sequence[int] = (0, 1),
     settings: RunSettings = RunSettings(),
     jobs: int = 1,
     policy: Optional[ResiliencePolicy] = None,
@@ -58,13 +57,22 @@ def figure4a(
         jobs=jobs,
         policy=policy,
     )
-    return _with_coupling_check(figure, max_gap_fraction=0.35)
+    _add_coupling_check(figure, max_gap_fraction=0.35)
+    shortest = min(figure.series["convergence_time"])
+    figure.checks.append(
+        ObservationCheck(
+            "convergence-positive",
+            shortest > 0,
+            f"shortest convergence {shortest:.2f} s",
+        )
+    )
+    return figure
 
 
 def figure4b(
-    sizes: Sequence[int] = (4, 6, 8, 10),
+    sizes: Sequence[int] = (4, 6, 8, 10, 12),
     mrai: float = 30.0,
-    seeds: Sequence[int] = (0,),
+    seeds: Sequence[int] = (0, 1),
     settings: RunSettings = RunSettings(),
     jobs: int = 1,
     policy: Optional[ResiliencePolicy] = None,
@@ -96,7 +104,7 @@ def figure4b(
 def figure4c(
     sizes: Sequence[int] = (29, 48, 75, 110),
     mrai: float = 30.0,
-    seeds: Sequence[int] = (0, 1),
+    seeds: Sequence[int] = (0, 1, 2),
     settings: RunSettings = RunSettings(),
     jobs: int = 1,
     policy: Optional[ResiliencePolicy] = None,
@@ -115,4 +123,14 @@ def figure4c(
         jobs=jobs,
         policy=policy,
     )
-    return _with_coupling_check(figure, max_gap_fraction=0.6)
+    _add_coupling_check(figure, max_gap_fraction=0.6)
+    conv = figure.series["convergence_time"]
+    figure.checks.append(
+        ObservationCheck(
+            "convergence-grows-with-size",
+            conv[-1] > conv[0],
+            f"{conv[0]:.2f} s at the smallest size, {conv[-1]:.2f} s at the "
+            f"largest (paper: 527 s at n=110)",
+        )
+    )
+    return figure

@@ -35,9 +35,9 @@ def _with_linearity_checks(figure: FigureData) -> FigureData:
 
 
 def figure5a(
-    mrai_values: Sequence[float] = (7.5, 15.0, 30.0, 45.0),
+    mrai_values: Sequence[float] = (7.5, 15.0, 30.0, 45.0, 60.0),
     clique_size: int = 10,
-    seeds: Sequence[int] = (0,),
+    seeds: Sequence[int] = (0, 1),
     settings: RunSettings = RunSettings(),
     jobs: int = 1,
     policy: Optional[ResiliencePolicy] = None,
@@ -60,9 +60,9 @@ def figure5a(
 
 
 def figure5b(
-    mrai_values: Sequence[float] = (7.5, 15.0, 30.0, 45.0),
+    mrai_values: Sequence[float] = (7.5, 15.0, 30.0, 45.0, 60.0),
     bclique_size: int = 8,
-    seeds: Sequence[int] = (0,),
+    seeds: Sequence[int] = (0, 1),
     settings: RunSettings = RunSettings(),
     jobs: int = 1,
     policy: Optional[ResiliencePolicy] = None,

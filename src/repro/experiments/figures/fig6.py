@@ -41,9 +41,9 @@ def _with_ratio_floor(figure: FigureData, floor: float) -> FigureData:
 
 
 def figure6a(
-    sizes: Sequence[int] = (5, 8, 11, 14),
+    sizes: Sequence[int] = (5, 8, 11, 14, 17),
     mrai: float = 30.0,
-    seeds: Sequence[int] = (0,),
+    seeds: Sequence[int] = (0, 1),
     settings: RunSettings = RunSettings(),
     jobs: int = 1,
     policy: Optional[ResiliencePolicy] = None,
@@ -62,13 +62,13 @@ def figure6a(
         jobs=jobs,
         policy=policy,
     )
-    return _with_ratio_floor(figure, floor=0.5)
+    return _with_ratio_floor(figure, floor=0.65)
 
 
 def figure6b(
-    sizes: Sequence[int] = (4, 6, 8, 10),
+    sizes: Sequence[int] = (4, 6, 8, 10, 12),
     mrai: float = 30.0,
-    seeds: Sequence[int] = (0,),
+    seeds: Sequence[int] = (0, 1),
     settings: RunSettings = RunSettings(),
     jobs: int = 1,
     policy: Optional[ResiliencePolicy] = None,
@@ -93,7 +93,7 @@ def figure6b(
 def figure6c(
     sizes: Sequence[int] = (29, 48, 75, 110),
     mrai: float = 30.0,
-    seeds: Sequence[int] = (0, 1),
+    seeds: Sequence[int] = (0, 1, 2),
     settings: RunSettings = RunSettings(),
     jobs: int = 1,
     policy: Optional[ResiliencePolicy] = None,
@@ -112,4 +112,4 @@ def figure6c(
         jobs=jobs,
         policy=policy,
     )
-    return _with_ratio_floor(figure, floor=0.3)
+    return _with_ratio_floor(figure, floor=0.6)

@@ -30,9 +30,9 @@ def _with_obs2_checks(figure: FigureData) -> FigureData:
 
 
 def figure7a(
-    mrai_values: Sequence[float] = (7.5, 15.0, 30.0, 45.0),
+    mrai_values: Sequence[float] = (7.5, 15.0, 30.0, 45.0, 60.0),
     clique_size: int = 10,
-    seeds: Sequence[int] = (0,),
+    seeds: Sequence[int] = (0, 1),
     settings: RunSettings = RunSettings(),
     jobs: int = 1,
     policy: Optional[ResiliencePolicy] = None,
@@ -55,9 +55,9 @@ def figure7a(
 
 
 def figure7b(
-    mrai_values: Sequence[float] = (7.5, 15.0, 30.0, 45.0),
+    mrai_values: Sequence[float] = (7.5, 15.0, 30.0, 45.0, 60.0),
     bclique_size: int = 8,
-    seeds: Sequence[int] = (0,),
+    seeds: Sequence[int] = (0, 1),
     settings: RunSettings = RunSettings(),
     jobs: int = 1,
     policy: Optional[ResiliencePolicy] = None,

@@ -10,10 +10,10 @@ cuts looping by >= 80%; SSLD helps modestly; WRATE is mixed-to-harmful.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence
 
 from ...bgp import VARIANT_NAMES
-from ...core import check_enhancement_ranking
+from ...core import ObservationCheck, check_enhancement_ranking
 from ..config import RunSettings
 from ..resilience import ResiliencePolicy
 from ..report import FigureData
@@ -29,6 +29,7 @@ def _comparison_figure(
     raw: Dict[str, List[float]],
     normalized: bool,
     add_ranking_check: bool,
+    ghost_flushing_improvement: float = 0.5,
 ) -> FigureData:
     shown = raw
     if normalized:
@@ -42,14 +43,36 @@ def _comparison_figure(
     )
     if add_ranking_check:
         at_largest = {name: values[-1] for name, values in raw.items()}
-        figure.checks.extend(check_enhancement_ranking(at_largest))
+        figure.checks.extend(
+            check_enhancement_ranking(
+                at_largest, ghost_flushing_improvement=ghost_flushing_improvement
+            )
+        )
     return figure
 
 
+def _add_final_check(
+    figure: FigureData,
+    name: str,
+    claim: str,
+    shown: Sequence[str],
+    holds: Callable[[Dict[str, float]], bool],
+) -> None:
+    """Check ``holds`` on the plotted values at the largest size.
+
+    The verdict quotes the ``shown`` variants' values there.
+    """
+    final = {variant: values[-1] for variant, values in figure.series.items()}
+    values = ", ".join(f"{variant} {final[variant]:.2f}" for variant in shown)
+    figure.checks.append(
+        ObservationCheck(name, holds(final), f"{claim}; at the largest size {values}")
+    )
+
+
 def figure8a(
-    sizes: Sequence[int] = (5, 8, 11),
+    sizes: Sequence[int] = (5, 8, 11, 14),
     mrai: float = 30.0,
-    seeds: Sequence[int] = (0,),
+    seeds: Sequence[int] = (0, 1),
     settings: RunSettings = RunSettings(),
     jobs: int = 1,
     policy: Optional[ResiliencePolicy] = None,
@@ -66,7 +89,7 @@ def figure8a(
         jobs=jobs,
         policy=policy,
     )
-    return _comparison_figure(
+    figure = _comparison_figure(
         "fig8a",
         "Tdown TTL exhaustions normalized by standard BGP (Clique)",
         "clique_size",
@@ -75,12 +98,20 @@ def figure8a(
         normalized=True,
         add_ranking_check=True,
     )
+    _add_final_check(
+        figure,
+        "obs3-assertion-best",
+        "assertion loops least of all variants",
+        VARIANT_NAMES,
+        lambda final: final["assertion"] == min(final.values()),
+    )
+    return figure
 
 
 def figure8b(
-    sizes: Sequence[int] = (5, 8, 11),
+    sizes: Sequence[int] = (5, 8, 11, 14),
     mrai: float = 30.0,
-    seeds: Sequence[int] = (0,),
+    seeds: Sequence[int] = (0, 1),
     settings: RunSettings = RunSettings(),
     jobs: int = 1,
     policy: Optional[ResiliencePolicy] = None,
@@ -97,7 +128,7 @@ def figure8b(
         jobs=jobs,
         policy=policy,
     )
-    return _comparison_figure(
+    figure = _comparison_figure(
         "fig8b",
         "Tdown convergence time per variant (Clique)",
         "clique_size",
@@ -106,12 +137,21 @@ def figure8b(
         normalized=False,
         add_ranking_check=False,
     )
+    _add_final_check(
+        figure,
+        "obs3-faster-convergence",
+        "assertion and ghost-flushing converge faster than standard",
+        ("standard", "assertion", "ghost-flushing"),
+        lambda final: max(final["assertion"], final["ghost-flushing"])
+        < final["standard"],
+    )
+    return figure
 
 
 def figure8c(
-    sizes: Sequence[int] = (29, 48),
+    sizes: Sequence[int] = (29, 48, 75),
     mrai: float = 30.0,
-    seeds: Sequence[int] = (0,),
+    seeds: Sequence[int] = (0, 1, 2),
     settings: RunSettings = RunSettings(),
     jobs: int = 1,
     policy: Optional[ResiliencePolicy] = None,
@@ -136,13 +176,14 @@ def figure8c(
         raw,
         normalized=False,
         add_ranking_check=True,
+        ghost_flushing_improvement=0.8,
     )
 
 
 def figure8d(
-    sizes: Sequence[int] = (29, 48),
+    sizes: Sequence[int] = (29, 48, 75),
     mrai: float = 30.0,
-    seeds: Sequence[int] = (0,),
+    seeds: Sequence[int] = (0, 1, 2),
     settings: RunSettings = RunSettings(),
     jobs: int = 1,
     policy: Optional[ResiliencePolicy] = None,
@@ -159,7 +200,7 @@ def figure8d(
         jobs=jobs,
         policy=policy,
     )
-    return _comparison_figure(
+    figure = _comparison_figure(
         "fig8d",
         "Tdown convergence time per variant (Internet-derived)",
         "internet_size",
@@ -168,3 +209,11 @@ def figure8d(
         normalized=False,
         add_ranking_check=False,
     )
+    _add_final_check(
+        figure,
+        "obs3-wrate-slower-ghost-flushing-faster",
+        "wrate converges slower and ghost-flushing faster than standard",
+        ("standard", "wrate", "ghost-flushing"),
+        lambda final: final["ghost-flushing"] < final["standard"] < final["wrate"],
+    )
+    return figure

@@ -22,10 +22,10 @@ from ..scenarios import custom_tlong
 
 
 def theory_bound_figure(
-    ring_sizes: Sequence[int] = (3, 4, 5, 6),
+    ring_sizes: Sequence[int] = (3, 4, 5, 6, 8),
     mrai: float = 10.0,
     backup_len: int = 2,
-    seeds: Sequence[int] = (0, 1),
+    seeds: Sequence[int] = (0, 1, 2),
     settings: RunSettings = RunSettings(),
 ) -> FigureData:
     """Longest measured loop lifetime vs the §3.2 worst-case bound.

@@ -1,10 +1,13 @@
 """Rendering experiment output as the tables the paper plots.
 
 A :class:`FigureData` is the library's representation of one paper figure:
-an x-axis, named series, and optional observation checks.  Figure drivers
-build these; benchmarks and examples print them.  :func:`describe_run`
-renders one run's complete story (metrics, churn, individual loops) as
-text, and :meth:`FigureData.to_json` exports series for external plotting.
+an x-axis, named series, and optional observation checks.  A
+:class:`TableData` is its sibling for table-shaped studies (one row per
+configuration, or a bare list of verdicts).  The drivers under
+:mod:`repro.experiments.figures` build both; ``repro figure`` and the
+examples print them.  :func:`describe_run` renders one run's complete story
+(metrics, churn, individual loops) as text, and :meth:`FigureData.to_json`
+exports series for external plotting.
 """
 
 from __future__ import annotations
@@ -108,6 +111,29 @@ class FigureData:
             height=height,
             title=f"{self.figure_id}: {self.title}",
         )
+
+
+@dataclass
+class TableData:
+    """One table-shaped study: a titled table, or a bare list of verdicts.
+
+    With ``headers`` it renders like a figure — the table, then one
+    indented verdict line per check.  Without, the checks *are* the body,
+    one per line, followed by ``notes`` (the Observation studies).
+    """
+
+    figure_id: str
+    title: str = ""
+    headers: Sequence[str] = ()
+    rows: List[list] = field(default_factory=list)
+    checks: List[ObservationCheck] = field(default_factory=list)
+    notes: List[str] = field(default_factory=list)
+
+    def render(self) -> str:
+        if not self.headers:
+            return "\n".join([str(check) for check in self.checks] + self.notes)
+        table = render_table(self.headers, self.rows, title=self.title)
+        return "\n".join([table] + [f"  {check}" for check in self.checks])
 
 
 def _event_label(entry) -> str:

@@ -214,30 +214,29 @@ def execute_figure(
     publish: Callable[[Dict], None] = _noop_publish,
     should_cancel: Callable[[], bool] = _never_cancel,
 ) -> ExecutionOutcome:
-    """Render one paper figure into the job's artifact directory."""
+    """Render one committed result into the job's artifact directory."""
     import inspect
 
-    from ..cli import FIGURES, QUICK_FIGURE_KWARGS
+    from ..experiments.figures import CLAIMS
 
     figure_id = view.spec.params.get("id")
-    if figure_id not in FIGURES:
+    if figure_id not in CLAIMS:
         raise ServiceError(f"unknown figure {figure_id!r}")
     if should_cancel():
         raise JobCancelled(f"job {view.job_id} cancelled")
-    driver = FIGURES[figure_id]
+    claim = CLAIMS[figure_id]
     quick = bool(view.spec.params.get("quick", True))
-    kwargs = dict(QUICK_FIGURE_KWARGS.get(figure_id, {})) if quick else {}
-    jobs = view.spec.params.get("jobs", 1)
-    if "jobs" in inspect.signature(driver).parameters:
-        kwargs["jobs"] = jobs
-    figure = driver(**kwargs)
+    kwargs = dict(claim.quick or {}) if quick else {}
+    if "jobs" in inspect.signature(claim.driver).parameters:
+        kwargs["jobs"] = view.spec.params.get("jobs", 1)
+    figure = claim.driver(**kwargs)
     rendered = figure.render()
     directory = state.artifact_dir(view.job_id)
     directory.mkdir(parents=True, exist_ok=True)
     table_path = directory / f"{figure_id}.txt"
     table_path.write_text(rendered + "\n", encoding="utf-8")
     publish(log_event(view.job_id, f"figure artifact: {table_path}"))
-    failures = [str(check) for check in figure.check_failures()]
+    failures = [str(check) for check in figure.checks if not check.holds]
     return ExecutionOutcome(
         state="done",
         detail={

@@ -204,7 +204,7 @@ def validate_spec(spec: JobSpec) -> None:
     """Reject invalid specs at submit time (the daemon's gate).
 
     Sweep specs are fully resolved (factories, config, policy); figure
-    specs are checked against the CLI's figure registry; bench specs may
+    specs are checked against the claims table; bench specs may
     carry only :data:`BENCH_PARAMS` (the directories themselves are
     looked at when the cycle runs, as they exist *then*).
     """
@@ -216,13 +216,13 @@ def validate_spec(spec: JobSpec) -> None:
     if spec.kind == "sweep":
         resolve_sweep_plan(spec.params)
     elif spec.kind == "figure":
-        from ..cli import FIGURES
+        from ..experiments.figures import CLAIMS
 
         figure_id = spec.params.get("id")
-        if figure_id not in FIGURES:
+        if figure_id not in CLAIMS:
             raise ServiceError(
                 f"unknown figure {figure_id!r}; expected one of "
-                f"{', '.join(sorted(FIGURES))}"
+                f"{', '.join(sorted(CLAIMS))}"
             )
     else:  # bench
         params = spec.params

@@ -132,8 +132,8 @@ class Stopwatch:
 def time_callable(fn, repeats: int = 1) -> Tuple[float, Optional[object]]:
     """Best-of-``repeats`` wall time for ``fn()`` and its last return value.
 
-    The benchmark helper: best-of-N suppresses scheduler noise without
-    needing pytest-benchmark's calibration machinery.
+    The benchmark helper: best-of-N suppresses scheduler noise without a
+    calibration loop.
     """
     if repeats < 1:
         raise TelemetryError(f"repeats must be >= 1, got {repeats}")

@@ -1,7 +1,8 @@
 """ASCII table rendering for experiment reports.
 
-The benchmark harness prints each figure's data as a plain table (the series
-the paper plots); this module keeps that formatting in one place.
+``repro figure`` prints each committed result as a plain table (the series
+the paper plots, or one row per configuration); this module keeps that
+formatting in one place.
 """
 
 from __future__ import annotations

@@ -1,6 +1,7 @@
 """Smoke tests for the per-figure drivers (tiny parameters).
 
-Full-size reproductions live in benchmarks/; here we only assert that every
+The drivers' defaults reproduce the committed results (``repro figure <id>``,
+checked in ``test_claims.py`` and CI); here we only assert that every
 driver runs end to end, returns aligned series, and attaches its checks.
 """
 
@@ -91,7 +92,7 @@ class TestTradeoffDriver:
         from repro.experiments import tlong_bclique
         from repro.experiments.figures.tradeoff import (
             packet_fate_breakdown,
-            render_fate_table,
+            tradeoff_bclique,
         )
 
         breakdowns = packet_fate_breakdown(
@@ -107,8 +108,9 @@ class TestTradeoffDriver:
                 fate.delivered_ratio + fate.no_route_ratio + fate.looped_ratio
             )
             assert total == pytest.approx(1.0) or fate.packets_sent == 0
-        table = render_fate_table(breakdowns, "t")
-        assert "ghost-flushing" in table
+        table = tradeoff_bclique(size=3, mrai=1.0, seeds=(0,), settings=SETTINGS)
+        assert [row[0] for row in table.rows][-1] == "ghost-flushing"
+        assert "ghost-flushing" in table.render()
 
     def test_requires_seeds(self):
         from repro.errors import AnalysisError

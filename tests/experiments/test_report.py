@@ -45,6 +45,31 @@ class TestFigureData:
         assert figure([good, bad]).check_failures() == [bad]
 
 
+class TestTableData:
+    def test_table_then_indented_verdicts(self):
+        from repro.experiments.report import TableData
+
+        table = TableData(
+            "t",
+            "Title",
+            ["name", "value"],
+            [["a", 1.5]],
+            checks=[ObservationCheck("obs", True, "fine")],
+        )
+        assert table.render() == (
+            "Title\n=====\nname | value\n-----+------\na    | 1.50\n"
+            "  obs: HOLDS — fine"
+        )
+
+    def test_without_headers_the_verdicts_are_the_body(self):
+        from repro.experiments.report import TableData
+
+        table = TableData(
+            "t", checks=[ObservationCheck("obs", False, "no")], notes=["x: 1.0"]
+        )
+        assert table.render() == "obs: VIOLATED — no\nx: 1.0"
+
+
 class TestJsonExport:
     def test_round_trips_through_json(self):
         import json

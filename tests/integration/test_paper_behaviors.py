@@ -1,5 +1,6 @@
 """Integration tests asserting the paper's qualitative findings at small
-scale (the full-size reproductions live in benchmarks/)."""
+scale (``repro figure <id>`` reruns the full-size reproductions and checks
+them against ``benchmarks/results/``)."""
 
 import pytest
 

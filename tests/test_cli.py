@@ -1,13 +1,20 @@
 """Tests for the command-line interface."""
 
+import dataclasses
+
 import pytest
 
-from repro.cli import FIGURES, QUICK_FIGURE_KWARGS, build_parser, main
+from repro.cli import build_parser, main
+from repro.core import ObservationCheck
+from repro.experiments.figures import CLAIMS
+from repro.experiments.report import TableData
 
 
 class TestParser:
-    def test_every_figure_has_quick_params(self):
-        assert set(FIGURES) == set(QUICK_FIGURE_KWARGS)
+    def test_figure_choices_are_the_claims(self):
+        parser = build_parser()
+        for claim_id in CLAIMS:
+            assert parser.parse_args(["figure", claim_id]).id == claim_id
 
     def test_unknown_command_exits(self):
         with pytest.raises(SystemExit):
@@ -94,12 +101,12 @@ class TestFigureCommand:
         with pytest.raises(SystemExit):
             main(["figure", "fig99"])
 
-    @pytest.mark.parametrize("figure_id", sorted(FIGURES))
+    @pytest.mark.parametrize("figure_id", sorted(CLAIMS))
     def test_every_quick_figure_terminates_and_renders(self, capsys, figure_id):
         code = main(["figure", figure_id, "--quick"])
         out = capsys.readouterr().out
         assert code == 0
-        assert figure_id in out
+        assert out.strip()
 
     def test_quick_figure_with_plot(self, capsys):
         code = main(["figure", "fig4a", "--quick", "--plot"])
@@ -107,6 +114,54 @@ class TestFigureCommand:
         assert code == 0
         assert "looping_duration" in out
         assert " |" in out  # the chart's y-axis gutter
+
+
+def _stub_claim(monkeypatch, holds, divergences=None):
+    """Swap the theory row for a driver returning one check, ``holds``."""
+
+    def driver():
+        return TableData(
+            "theory", checks=[ObservationCheck("stub-check", holds, "stub")]
+        )
+
+    claim = dataclasses.replace(
+        CLAIMS["theory"], driver=driver, divergences=divergences or {}
+    )
+    monkeypatch.setitem(CLAIMS, "theory", claim)
+
+
+class TestFigureExitStatus:
+    """At claim parameters the exit status says whether the claim holds."""
+
+    def test_unexpected_failure_exits_one(self, monkeypatch, capsys):
+        _stub_claim(monkeypatch, holds=False)
+        code = main(["figure", "theory"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == "stub-check: VIOLATED — stub\n"
+        assert "claim not reproduced: stub-check" in captured.err
+
+    def test_documented_divergence_that_still_fails_exits_zero(
+        self, monkeypatch, capsys
+    ):
+        _stub_claim(monkeypatch, holds=False, divergences={"stub-check": 1})
+        assert main(["figure", "theory"]) == 0
+        assert capsys.readouterr().err == ""
+
+    def test_divergence_that_now_holds_exits_one(self, monkeypatch, capsys):
+        _stub_claim(monkeypatch, holds=True, divergences={"stub-check": 1})
+        code = main(["figure", "theory"])
+        assert code == 1
+        assert "known divergence 1 (EXPERIMENTS.md) now holds" in (
+            capsys.readouterr().err
+        )
+
+    def test_quick_failure_exits_zero_with_footer(self, monkeypatch, capsys):
+        _stub_claim(monkeypatch, holds=False)
+        code = main(["figure", "theory", "--quick"])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert "shape checks NOT satisfied at these parameters:" in out
 
 
 class TestTopologyCommand:
