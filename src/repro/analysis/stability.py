@@ -301,7 +301,7 @@ def _route_for(
 
     ``nodes[0]`` owns the route; the stored path is what its neighbor
     advertised — everything after the owner — with the policy's LOCAL_PREF
-    hook applied, exactly as :meth:`BgpSpeaker._handle_announcement` would.
+    hook applied, exactly as :meth:`BgpSpeaker._apply_announcement` does.
     """
     if len(nodes) == 1:
         return local_route(prefix)

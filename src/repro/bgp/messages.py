@@ -7,8 +7,10 @@ two session-management messages the churn experiments need: KEEPALIVE
 re-establishes a session after a reset, triggering the RFC 1771 initial
 full-table exchange).  NOTIFICATION is still abstracted away.
 
-Prefixes are opaque strings (e.g. ``"d0"``); the simulations use one prefix,
-but the speaker handles any number.
+Prefixes are opaque strings (``"dest"``, or structured ones such as
+``"00000100/24"`` in the prefix-population workloads).  The speaker handles
+all three UPDATE forms through one ``(withdrawn, nlri)`` handler: an
+``Announcement`` or a ``Withdrawal`` is an ``UpdateBatch`` of one route.
 """
 
 from __future__ import annotations
@@ -98,9 +100,9 @@ class UpdateBatch:
     attributes shared by an NLRI list; this simulator variant generalizes
     the NLRI side to per-prefix paths so one message can flush a whole
     MRAI round.  Produced only when ``BgpConfig.batch_updates`` is on;
-    receivers unpack it into the ordinary per-prefix handlers (withdrawn
-    first, then NLRI), so batching changes message count and packing —
-    never routing outcomes.
+    receivers process it exactly as they do a one-route UPDATE (withdrawn
+    first, then NLRI, then one decision pass), so batching changes message
+    count and timing, not how any one route is handled.
 
     Both tuples are sorted by prefix and duplicate-free, and a prefix never
     appears on both sides — the sender's last-wins queue guarantees it and

@@ -375,17 +375,10 @@ class AdjRibOut:
         """
         return self._sent.get(neighbor, {}).get(prefix, NOTHING_SENT)
 
-    def record_announcement(self, neighbor: int, prefix: Prefix, path: AsPath) -> None:
+    def record(self, neighbor: int, prefix: Prefix, path: Optional[AsPath]) -> None:
+        """Note what was just sent: ``path``, or ``None`` for a withdrawal."""
         self._sent.setdefault(neighbor, {})[prefix] = SentState(path=path)
-
-    def record_withdrawal(self, neighbor: int, prefix: Prefix) -> None:
-        self._sent.setdefault(neighbor, {})[prefix] = SentState(path=None)
 
     def drop_neighbor(self, neighbor: int) -> None:
         """Forget the neighbor entirely (session down)."""
         self._sent.pop(neighbor, None)
-
-    def advertised_prefixes(self, neighbor: int) -> List[Prefix]:
-        """Prefixes for which the neighbor holds a live advertisement."""
-        by_prefix = self._sent.get(neighbor, {})
-        return sorted(p for p, state in by_prefix.items() if not state.is_withdrawn)

@@ -188,7 +188,7 @@ class TestSpeakerIntegration:
         # Two manual flap records push (peer 1, dest) over the threshold.
         node2.damper.record_withdrawal(1, PREFIX)
         node2.damper.record_withdrawal(1, PREFIX)
-        node2._run_decision(PREFIX)
+        node2._run_decisions([PREFIX])
         assert node2.best_route(PREFIX) is None       # suppressed, no backup
         assert node2.adj_rib_in.get(1, PREFIX) is not None  # but retained
         node2.check_invariants()

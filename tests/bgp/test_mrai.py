@@ -19,7 +19,7 @@ def make_manager(scheduler, expiries, interval=10.0, jitter=(1.0, 1.0)):
         interval=interval,
         jitter=jitter,
         rng=random.Random(0),
-        on_expiry=lambda peer, prefix: expiries.append((scheduler.now, peer, prefix)),
+        on_expiry=lambda peer, held: expiries.append((scheduler.now, peer, held)),
     )
 
 
@@ -33,8 +33,9 @@ class TestHoldRelease:
         mrai = make_manager(scheduler, expiries)
         mrai.mark_sent(1, "d")
         assert not mrai.can_send_now(1, "d")
+        mrai.hold(1, "d")  # an update suppressed meanwhile
         scheduler.run()
-        assert expiries == [(10.0, 1, "d")]
+        assert expiries == [(10.0, 1, ["d"])]
         assert mrai.can_send_now(1, "d")
 
     def test_pairs_are_independent(self, scheduler, expiries):
@@ -48,7 +49,7 @@ class TestHoldRelease:
         mrai.mark_sent(1, "d")
         scheduler.call_at(4.0, lambda: mrai.mark_sent(1, "d"))
         scheduler.run()
-        assert expiries == [(14.0, 1, "d")]
+        assert expiries == [(14.0, 1, [])]  # once, and nothing was held
 
     def test_active_timers_count(self, scheduler, expiries):
         mrai = make_manager(scheduler, expiries)
@@ -92,12 +93,15 @@ class TestSessionDown:
         mrai.mark_sent(1, "a")
         mrai.mark_sent(1, "b")
         mrai.mark_sent(2, "a")
+        for peer, prefix in ((1, "a"), (1, "b"), (2, "a")):
+            mrai.hold(peer, prefix)
         mrai.cancel_peer(1)
         assert mrai.can_send_now(1, "a")
         assert mrai.can_send_now(1, "b")
         assert not mrai.can_send_now(2, "a")
+        mrai.mark_sent(1, "a")  # re-armed: the dropped held set stays dropped
         scheduler.run()
-        assert [(p, x) for _t, p, x in expiries] == [(2, "a")]
+        assert [(p, held) for _t, p, held in expiries] == [(2, ["a"]), (1, [])]
 
 
 class TestValidation:

@@ -168,7 +168,7 @@ class TestAdjRibOut:
 
     def test_record_announcement(self):
         rib = AdjRibOut()
-        rib.record_announcement(5, "d", AsPath((1, 0)))
+        rib.record(5, "d", AsPath((1, 0)))
         state = rib.last_sent(5, "d")
         assert not state.is_withdrawn
         assert state.path == AsPath((1, 0))
@@ -177,19 +177,12 @@ class TestAdjRibOut:
         """Explicit withdrawal and never-sent must compare equal: in both
         cases the peer holds nothing from us (duplicate suppression)."""
         rib = AdjRibOut()
-        rib.record_announcement(5, "d", AsPath((1, 0)))
-        rib.record_withdrawal(5, "d")
+        rib.record(5, "d", AsPath((1, 0)))
+        rib.record(5, "d", None)
         assert rib.last_sent(5, "d") == NOTHING_SENT
 
     def test_drop_neighbor(self):
         rib = AdjRibOut()
-        rib.record_announcement(5, "d", AsPath((1, 0)))
+        rib.record(5, "d", AsPath((1, 0)))
         rib.drop_neighbor(5)
         assert rib.last_sent(5, "d") == NOTHING_SENT
-
-    def test_advertised_prefixes_excludes_withdrawn(self):
-        rib = AdjRibOut()
-        rib.record_announcement(5, "a", AsPath((1, 0)))
-        rib.record_announcement(5, "b", AsPath((1, 0)))
-        rib.record_withdrawal(5, "b")
-        assert rib.advertised_prefixes(5) == ["a"]

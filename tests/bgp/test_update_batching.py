@@ -97,9 +97,7 @@ def make_per_peer(scheduler, expiries, interval=10.0):
         interval=interval,
         jitter=(1.0, 1.0),
         rng=random.Random(0),
-        on_expiry=lambda peer, prefix: expiries.append(
-            (scheduler.now, peer, prefix)
-        ),
+        on_expiry=lambda peer, held: expiries.append((scheduler.now, peer, held)),
         mode=MRAI_PER_PEER,
     )
 
@@ -111,8 +109,10 @@ class TestPerPeerMrai:
         mrai.mark_sent(1, "d")
         assert not mrai.can_send_now(1, "e")  # other prefix, same timer
         assert mrai.can_send_now(2, "d")      # other peer unaffected
+        mrai.hold(1, "e")
+        mrai.hold(1, "b")
         scheduler.run()
-        assert expiries == [(10.0, 1, None)]  # per-peer expiry, no prefix
+        assert expiries == [(10.0, 1, ["b", "e"])]  # one expiry, its held set
 
     def test_flush_window_sends_freely_rearms_once(self, scheduler):
         expiries = []
@@ -125,7 +125,7 @@ class TestPerPeerMrai:
         assert not mrai.can_send_now(1, "a")  # armed once at exit
         assert mrai.active_timers() == 1
         scheduler.run()
-        assert expiries == [(10.0, 1, None)]
+        assert expiries == [(10.0, 1, [])]
 
     def test_empty_flush_window_leaves_peer_unthrottled(self, scheduler):
         expiries = []
@@ -142,7 +142,7 @@ class TestPerPeerMrai:
             interval=10.0,
             jitter=(1.0, 1.0),
             rng=random.Random(0),
-            on_expiry=lambda peer, prefix: expiries.append((peer, prefix)),
+            on_expiry=lambda peer, held: expiries.append((peer, held)),
         )
         with mrai.flush_window(1):
             mrai.mark_sent(1, "a")

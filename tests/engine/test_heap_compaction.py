@@ -40,7 +40,7 @@ def test_mrai_restart_churn_keeps_heap_small():
         interval=30.0,
         jitter=(0.75, 1.0),
         rng=random.Random(7),
-        on_expiry=lambda peer, prefix: fired.append((peer, prefix)),
+        on_expiry=lambda peer, held: fired.append((peer, held)),
     )
     # 1k re-advertisements for the same pair: each mark_sent cancels the
     # running timer and re-arms it.
@@ -48,8 +48,9 @@ def test_mrai_restart_churn_keeps_heap_small():
         mrai.mark_sent(1, "d0")
     assert mrai.active_timers() == 1
     assert scheduler.pending < 128
+    mrai.hold(1, "d0")
     scheduler.run()
-    assert fired == [(1, "d0")]
+    assert fired == [(1, ["d0"])]
 
 
 def test_compaction_preserves_pop_order():
