@@ -10,8 +10,8 @@ Included here both as a standard BGP mechanism and as a known *pathology*:
 Mao et al. (SIGCOMM 2002) showed that the path exploration following a
 single topology change looks like flapping to a damper, so damping can
 suppress perfectly good routes and significantly lengthen convergence —
-the ``bench_damping`` benchmark reproduces that interaction on this
-simulator.
+the ``repro figure damping`` claims row reproduces that interaction on
+this simulator.
 
 Implementation notes:
 

@@ -15,8 +15,9 @@ until the session comes back, at which point the speaker re-runs the
 RFC 1771 initial table exchange (see ``BgpSpeaker._session_established``).
 
 Detection latency and session churn are thereby first-class experimental
-variables — ``bench_detection`` sweeps the hold time, ``bench_churn`` the
-flap period, and the Treset scenario family measures reset storms.
+variables — the ``repro figure detection_latency`` claims row sweeps the
+hold time, ``repro figure churn_flap_period`` the flap period, and the
+Treset scenario family measures reset storms.
 
 Scope notes:
 

@@ -1,21 +1,17 @@
 """The data plane: FIB history, traffic, and packet-fate evaluation.
 
-Two evaluation paths produce the same :class:`DataPlaneReport`:
+One evaluator and one oracle:
 
-* :class:`EpochEvaluator` — fast, post-hoc, exact under the paper's
-  quasi-static parameters (use for sweeps),
-* :class:`PacketForwarder` — event-driven ground truth (use for validation
-  and small scenarios).
+* :class:`TrafficMatrixEvaluator` — post-hoc and change-driven, exact under
+  the paper's quasi-static parameters (use for sweeps).  Its N = 1 case,
+  :class:`EpochEvaluator`, reports the paper's single-prefix
+  :class:`DataPlaneReport`;
+* :class:`PacketForwarder` — event-driven per-packet ground truth that the
+  evaluator is checked against (use for validation and small scenarios).
 """
 
 from .epochs import DataPlaneReport, EpochEvaluator, LoopSighting
-from .fib import (
-    FibChange,
-    FibChangeLog,
-    ForwardingGraph,
-    MultiPrefixFib,
-    PrefixTrie,
-)
+from .fib import FibChange, FibChangeLog, ForwardingGraph, MultiPrefixFib
 from .packet import (
     DEFAULT_TTL,
     ForwardingTracker,
@@ -51,7 +47,6 @@ __all__ = [
     "MultiPrefixFib",
     "PacketFate",
     "PacketForwarder",
-    "PrefixTrie",
     "TrafficMatrix",
     "TrafficMatrixEvaluator",
     "TrafficReport",

@@ -1,4 +1,4 @@
-"""Epoch-based data-plane evaluation.
+"""The paper's single-prefix data-plane report.
 
 Under the paper's parameters a packet's whole lifetime (TTL 128 × 2 ms =
 256 ms) is short relative to how fast the forwarding state changes (message
@@ -7,19 +7,21 @@ any single packet's flight.  That observation makes per-packet event
 simulation unnecessary: between two FIB changes the graph is *constant*, so
 every packet a given source emits in that epoch shares one fate.
 
-:class:`EpochEvaluator` goes one step further and works per FIB *change*: a
-:class:`~repro.dataplane.packet.ForwardingTracker` memoizes each source's
-walk with the nodes it read, a change re-walks only the sources whose walk
-read the changed node, and every other source keeps its open *constant-fate
-segment*, multiplied by its packet count once, when it closes.  CBR counts
-are first-index differences, so a merged segment's count and first/last
+:class:`EpochEvaluator` is the N = 1 case of
+:class:`~repro.dataplane.traffic_eval.TrafficMatrixEvaluator`: one flow key
+per source node, with the prefix string as the destination, replayed by
+that evaluator's change-driven loop (a FIB change re-walks only the sources
+whose walk read the changed node).  What stays here turns each closed
+*constant-fate segment* into §4.2's report fields.  CBR counts are
+first-index differences, so a merged segment's count and first/last
 departure equal the sums/extremes over the epochs it spans — the report is
 bit-equal to walking every source in every epoch (the oracle property in
 ``tests/property/test_evaluator_properties.py``), and a 110-node × 500 s ×
 10 pkt/s workload costs a few thousand graph walks instead of ~70 M hop
 events.  The event-driven forwarder in :mod:`repro.dataplane.trajectory`
-computes the same quantities exactly and is cross-validated against this
-evaluator in the test suite and the ablation benchmark.
+makes no quasi-static assumption; it is checked against this evaluator on
+drawn runs (``tests/oracle/test_dataplane_oracle.py``) and by the
+``repro figure ablation_dataplane`` claims row.
 """
 
 from __future__ import annotations
@@ -30,8 +32,9 @@ from typing import Dict, List, Optional, Tuple
 from ..errors import AnalysisError
 from ..topology import DEFAULT_LINK_DELAY
 from .fib import FibChangeLog, Prefix
-from .packet import DEFAULT_TTL, ForwardingTracker, PacketFate, WalkResult
-from .traffic import CbrSource
+from .packet import DEFAULT_TTL, PacketFate, WalkResult
+from .traffic import CbrSource, Flow, TrafficMatrix
+from .traffic_eval import TrafficMatrixEvaluator
 
 
 @dataclass
@@ -141,6 +144,9 @@ class DataPlaneReport:
 class EpochEvaluator:
     """Computes a :class:`DataPlaneReport` from a FIB change log.
 
+    The traffic-matrix evaluator over one destination does the replay; this
+    class owns no forwarding state, only the report.
+
     Parameters
     ----------
     log:
@@ -167,14 +173,16 @@ class EpochEvaluator:
     ) -> None:
         if not sources:
             raise AnalysisError("need at least one traffic source")
-        self._log = log
-        self._prefix = prefix
-        self._ttl = ttl
-        self._hop_delay = hop_delay
-        # Sources sharing a node share every fate: one walk, one segment.
-        self._by_node: Dict[int, List[CbrSource]] = {}
-        for source in sources:
-            self._by_node.setdefault(source.node, []).append(source)
+        # Sources sharing a node share one flow key: one walk, one segment.
+        # The prefix string is the destination, so it is matched exactly.
+        flows = tuple(
+            Flow(source.node, prefix, prefix, rate=source.rate, start=source.start)
+            for source in sources
+        )
+        self._flows = TrafficMatrixEvaluator(
+            log, TrafficMatrix(flows), ttl, epoch_rows=False
+        )
+        self._death_offset = ttl * hop_delay
         # What the last evaluate() did, for telemetry: instants seen (the
         # naive evaluator's epoch count), walks performed, and how many of
         # those re-walked an origin a FIB change had invalidated.
@@ -183,51 +191,24 @@ class EpochEvaluator:
         self.walks_invalidated = 0
 
     def evaluate(self, start: float, end: float) -> DataPlaneReport:
-        """Evaluate packet fates for the window ``[start, end)``."""
-        report = DataPlaneReport(window=(start, end))
-        tracker = ForwardingTracker(self._ttl)
-        # origin -> (opened, fate): its open constant-fate segment.
-        segments: Dict[int, Tuple[float, WalkResult]] = {}
-        self.change_instants = self.walks_invalidated = 0
-        for t0, _t1, batch in self._log.instants(start, end, self._prefix):
-            self.change_instants += 1
-            # Apply the whole instant before re-walking anything; an origin
-            # leaves the memo on its first invalidation, so it is listed once.
-            stale = [
-                origin
-                for change in batch
-                for origin in tracker.set_next_hop(change.node, change.next_hop)
-            ]
-            self.walks_invalidated += len(stale)
-            if not segments:
-                stale = list(self._by_node)  # the classification at ``start``
-            for origin in stale:
-                if origin in segments:
-                    self._close(report, origin, *segments[origin], t0)
-                segments[origin] = (t0, tracker.walk(origin))
-        for origin, (opened, result) in segments.items():
-            self._close(report, origin, opened, result, end)
-        self.walks = tracker.walks
-        return report
-
-    def _close(
-        self,
-        report: DataPlaneReport,
-        origin: int,
-        opened: float,
-        result: WalkResult,
-        closed: float,
-    ) -> None:
-        """Account ``[opened, closed)``, over which ``origin``'s fate held.
+        """Evaluate packet fates for the window ``[start, end)``.
 
         Exactly the per-epoch sums: CBR counts are first-index differences,
         so they — and the first/last departure of a merged segment —
         telescope across the abutting epochs the segment spans.
         """
-        for source in self._by_node[origin]:
-            count = source.count_in(opened, closed)
-            if count:
-                self._accumulate(report, source, result, count, opened, closed)
+        report = DataPlaneReport(window=(start, end))
+        flows = self._flows
+        for closed, segments in flows.segments(start, end):
+            for sources, opened, result in segments:
+                for source in sources:
+                    count = source.count_in(opened, closed)
+                    if count:
+                        self._accumulate(report, source, result, count, opened, closed)
+        self.change_instants = flows.change_instants
+        self.walks = flows.walks
+        self.walks_invalidated = flows.walks_invalidated
+        return report
 
     def _accumulate(
         self,
@@ -252,7 +233,7 @@ class EpochEvaluator:
         report.per_source_exhaustions[source.node] = (
             report.per_source_exhaustions.get(source.node, 0) + count
         )
-        death_offset = self._ttl * self._hop_delay
+        death_offset = self._death_offset
         first_departure = source.departure_time(source.first_index_at_or_after(t0))
         last_departure = source.departure_time(
             source.first_index_at_or_after(t1) - 1

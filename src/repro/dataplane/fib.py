@@ -228,12 +228,6 @@ class FibChangeLog:
 # ----------------------------------------------------------------------
 
 
-PrefixTrie = RadixTrie
-"""Historical name for the LPM index; now the path-compressed
-:class:`~repro.prefixes.trie.RadixTrie` (same insert/remove/lookup/entries
-surface, O(branch points) nodes instead of one node per bit)."""
-
-
 class MultiPrefixFib:
     """Every node's forwarding table over a *population* of prefixes.
 
@@ -297,19 +291,3 @@ class MultiPrefixFib:
     def next_hop(self, node: int, destination: Destination) -> Optional[int]:
         hit = self.resolve(node, destination)
         return None if hit is None else hit[1]
-
-    def delivers_locally(self, node: int, destination: Destination) -> bool:
-        """True when the node's best match points at itself."""
-        return self.next_hop(node, destination) == node
-
-    def node_entries(self, node: int) -> List[Tuple[Prefix, int]]:
-        """The node's live entries as sorted ``(prefix, next_hop)`` pairs."""
-        pairs: List[Tuple[Prefix, int]] = [
-            payload  # (prefix, next_hop), canonical string from insert time
-            for _spec, payload in (
-                self._tries[node].entries() if node in self._tries else []
-            )
-        ]
-        pairs.extend(sorted((self._opaque.get(node) or {}).items()))
-        pairs.sort()
-        return pairs

@@ -132,10 +132,6 @@ class Flow:
         """The flow's arrival process (for interval packet counting)."""
         return CbrSource(node=self.source, rate=self.rate, start=self.start)
 
-    def count_in(self, t0: float, t1: float) -> int:
-        """Packets this flow offers in ``[t0, t1)``."""
-        return self.as_cbr().count_in(t0, t1)
-
 
 @dataclass(frozen=True)
 class TrafficMatrix:
@@ -145,9 +141,6 @@ class TrafficMatrix:
 
     def __len__(self) -> int:
         return len(self.flows)
-
-    def total_rate(self) -> float:
-        return sum(flow.rate for flow in self.flows)
 
     def prefixes(self) -> List[str]:
         """Distinct target prefixes, sorted."""

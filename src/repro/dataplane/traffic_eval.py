@@ -8,15 +8,22 @@ prefixes, resolves every flow by longest prefix match, and reports the
 **fraction of offered traffic** that was looped / blackholed / delivered —
 the ROADMAP's millions-of-users metric.
 
-Work is per FIB *change*, not per epoch.  Each destination address owns one
+Its replay, :meth:`TrafficMatrixEvaluator.segments`, is the data plane's one
+change-driven evaluation loop: the paper's single-prefix report
+(:class:`~repro.dataplane.epochs.EpochEvaluator`) is its N = 1 case, and
+:class:`~repro.dataplane.trajectory.PacketForwarder` is the oracle both are
+checked against.
+
+Work is per FIB *change*, not per epoch.  Each destination owns one
 :class:`~repro.dataplane.packet.ForwardingTracker` holding every node's
 resolved next hop for it, and one *covering chain*: every logged prefix that
 contains it, most specific first.
 
 * The destination set is static, so a prefix joins the chains once, the
   first time it appears: the addresses a structured prefix covers are one
-  contiguous run of the sorted address list (two bisections), and an opaque
-  prefix covers only the destination it names.
+  contiguous run of the sorted address list (two bisections), and a
+  destination given as a prefix string — an opaque name like ``"dest"`` or
+  a structured prefix — is covered by that prefix alone, matched exactly.
 * A change to prefix ``p`` at node ``n`` can move only the destinations
   ``p`` covers, and only ``n``'s hop for them — so it costs one resolution
   per (node, covered destination): the first chain entry ``n``'s table
@@ -35,12 +42,12 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Tuple, Union
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from ..errors import AnalysisError
 from ..prefixes import parse_prefix
-from .fib import FibChangeLog, Prefix
-from .packet import DEFAULT_TTL, ForwardingTracker, PacketFate
+from .fib import Destination, FibChangeLog, Prefix
+from .packet import DEFAULT_TTL, ForwardingTracker, PacketFate, WalkResult
 from .traffic import CbrSource, TrafficMatrix
 
 _FATE_INDEX = {
@@ -50,9 +57,12 @@ _FATE_INDEX = {
 }
 """Tally slots: delivered, blackholed, looped."""
 
-Destination = Union[int, str]
 FlowKey = Tuple[Destination, int]
 """``(destination, source node)``: flows sharing it share every fate."""
+
+Segment = Tuple[List[CbrSource], float, WalkResult]
+"""``(streams, opened, fate)``: one flow key's arrival processes and the walk
+that decided their packets from ``opened`` until the segment closed."""
 
 
 @dataclass(frozen=True, slots=True)
@@ -179,6 +189,10 @@ class TrafficMatrixEvaluator:
         self._addresses = sorted(d for d in self._chains if isinstance(d, int))
         self._lengths: Dict[Prefix, int] = {}
         self._covered: Dict[Prefix, Tuple[Destination, ...]] = {}
+        # A lone prefix-string destination is covered by its own changes
+        # alone, so the replay need not read any other prefix's.
+        dests = list(self._chains)
+        self._prefix = dests[0] if len(dests) == 1 and isinstance(dests[0], str) else None
         # What the last evaluate() did, for telemetry.
         self.change_instants = 0
         self.walks = 0
@@ -188,46 +202,59 @@ class TrafficMatrixEvaluator:
     def _covered_by(self, prefix: Prefix) -> Tuple[Destination, ...]:
         """The destinations whose LPM resolution a change to ``prefix`` can
         move: exact, since a resolution only ever returns a containing
-        prefix.  The first call also enters ``prefix`` into their chains."""
-        hit = self._covered.get(prefix)
-        if hit is None:
-            spec = parse_prefix(prefix)
-            if spec is None:
-                hit = (prefix,) if prefix in self._chains else ()
-                for dest in hit:
-                    self._chains[dest].append(prefix)
-            else:
-                addresses = self._addresses
-                low = bisect_left(addresses, spec.value)
-                high = bisect_left(addresses, spec.value + spec.size, low)
-                hit = tuple(addresses[low:high])
-                self._lengths[prefix] = spec.length
-                for dest in hit:
-                    chain = self._chains[dest]
-                    chain.append(prefix)
-                    chain.sort(key=self._lengths.__getitem__, reverse=True)
-            self._covered[prefix] = hit
+        prefix.  Computed on the first sight of ``prefix``, which also
+        enters it into their chains; kept in ``_covered``."""
+        # A prefix-string destination is matched by name, whatever the
+        # string's form: its chain holds only itself.
+        hit = (prefix,) if prefix in self._chains else ()
+        for dest in hit:
+            self._chains[dest].append(prefix)
+        spec = parse_prefix(prefix)
+        if spec is not None:
+            addresses = self._addresses
+            low = bisect_left(addresses, spec.value)
+            high = bisect_left(addresses, spec.value + spec.size, low)
+            self._lengths[prefix] = spec.length
+            for dest in addresses[low:high]:
+                chain = self._chains[dest]
+                chain.append(prefix)
+                chain.sort(key=self._lengths.__getitem__, reverse=True)
+            hit += tuple(addresses[low:high])
+        self._covered[prefix] = hit
         return hit
 
-    def evaluate(self, start: float, end: float) -> TrafficReport:
-        """Evaluate flow fates over ``[start, end)``."""
-        report = TrafficReport(
-            window=(start, end),
-            flows=len(self._matrix.flows),
-            prefixes=len(self._matrix.prefixes()),
-        )
-        chains = self._chains
-        # node -> {prefix: next hop}; a withdrawal deletes the entry, so an
-        # unreachable specific never shadows a reachable cover.
+    def segments(
+        self, start: float, end: float
+    ) -> Iterator[Tuple[float, List[Segment]]]:
+        """Yield ``(closed, segments)``: the constant-fate segments that
+        close at ``closed``, in ``[start, end)``.
+
+        A segment closes when a FIB change invalidates its walk and at
+        ``end``; with ``epoch_rows``, every segment also closes (and
+        reopens) wherever a changed prefix covers some destination, so each
+        yield is one row.  The work counters describe the last replay once
+        it is exhausted.
+        """
+        chains, streams = self._chains, self._streams
+        # node -> {prefix: next hop} over the prefixes that cover some
+        # destination; a withdrawal deletes the entry, so an unreachable
+        # specific never shadows a reachable cover.
         tables: Dict[int, Dict[Prefix, int]] = {}
         trackers = {dest: ForwardingTracker(self._ttl) for dest in chains}
-        # flow key -> [opened, fate index]: its open constant-fate segment.
+        # flow key -> [opened, fate]: its open constant-fate segment.
         segments: Dict[FlowKey, List] = {}
-        row_start = start
         self.change_instants = self.walks_invalidated = self.lpm_resolves = 0
-        for t0, _t1, batch in self._log.instants(start, end):
+        for t0, _t1, batch in self._log.instants(start, end, self._prefix):
             self.change_instants += 1
+            # Apply the whole instant, then resolve once per (node, covered
+            # destination), in first-seen order.
+            moved: Dict[Tuple[int, Destination], None] = {}
             for change in batch:
+                covered = self._covered.get(change.prefix)
+                if covered is None:
+                    covered = self._covered_by(change.prefix)
+                if not covered:
+                    continue
                 table = tables.get(change.node)
                 if table is None:
                     table = tables[change.node] = {}
@@ -235,13 +262,8 @@ class TrafficMatrixEvaluator:
                     table.pop(change.prefix, None)
                 else:
                     table[change.prefix] = change.next_hop
-            # With the whole instant in the tables, resolve once per (node,
-            # covered destination); dict.fromkeys keeps first-seen order.
-            moved = dict.fromkeys(
-                (change.node, dest)
-                for change in batch
-                for dest in self._covered_by(change.prefix)
-            )
+                for dest in covered:
+                    moved[change.node, dest] = None
             stale: List[FlowKey] = []
             for node, dest in moved:
                 # The longest match: the first chain entry the node holds.
@@ -256,51 +278,47 @@ class TrafficMatrixEvaluator:
             self.lpm_resolves += len(moved)
             self.walks_invalidated += len(stale)
             if not segments:
-                stale = list(self._streams)  # the classification at ``start``
+                stale = list(streams)  # the classification at ``start``
             elif not self._epoch_rows:
-                self._account(report, segments, stale, t0)
+                if stale:
+                    yield t0, [(streams[key], *segments[key]) for key in stale]
             elif moved:
                 # Rows split wherever a changed prefix covers a destination,
                 # whether or not any fate moved.
-                self._account(report, segments, segments, t0, row_start)
-                row_start = t0
+                yield t0, [(streams[key], *seg) for key, seg in segments.items()]
+                for segment in segments.values():
+                    segment[0] = t0
             for key in stale:
-                fate = trackers[key[0]].walk(key[1]).fate
-                segments[key] = [t0, _FATE_INDEX[fate]]
+                segments[key] = [t0, trackers[key[0]].walk(key[1])]
         if segments:
-            self._account(
-                report, segments, segments, end,
-                row_start if self._epoch_rows else None,
-            )
+            yield end, [(streams[key], *seg) for key, seg in segments.items()]
         self.walks = sum(tracker.walks for tracker in trackers.values())
-        return report
 
-    def _account(
-        self,
-        report: TrafficReport,
-        segments: Dict[FlowKey, List],
-        keys: Iterable[FlowKey],
-        until: float,
-        row_start: Optional[float] = None,
-    ) -> None:
-        """Account the flows of ``keys`` up to ``until`` and reopen their
-        segments there; with ``row_start``, also emit the tally as a row.
+    def evaluate(self, start: float, end: float) -> TrafficReport:
+        """Evaluate flow fates over ``[start, end)``.
 
         Per-flow counts over a merged segment telescope to the sum of its
         per-epoch counts (CBR counting is a first-index difference), so this
         is bit-identical to per-epoch accounting.
         """
-        tally = [0, 0, 0]
-        for key in keys:
-            segment = segments[key]
-            opened, fate = segment
-            for stream in self._streams[key]:
-                tally[fate] += stream.count_in(opened, until)
-            segment[0] = until
-        offered = sum(tally)
-        report.offered += offered
-        report.delivered += tally[0]
-        report.blackholed += tally[1]
-        report.looped += tally[2]
-        if row_start is not None:
-            report.epoch_rows.append(EpochTraffic(row_start, until, offered, *tally))
+        report = TrafficReport(
+            window=(start, end),
+            flows=len(self._matrix.flows),
+            prefixes=len(self._matrix.prefixes()),
+        )
+        row_start = start
+        for closed, segments in self.segments(start, end):
+            tally = [0, 0, 0]
+            for streams, opened, result in segments:
+                fate = _FATE_INDEX[result.fate]
+                for stream in streams:
+                    tally[fate] += stream.count_in(opened, closed)
+            offered = sum(tally)
+            report.offered += offered
+            report.delivered += tally[0]
+            report.blackholed += tally[1]
+            report.looped += tally[2]
+            if self._epoch_rows:
+                report.epoch_rows.append(EpochTraffic(row_start, closed, offered, *tally))
+                row_start = closed
+        return report

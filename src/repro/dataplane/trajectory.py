@@ -1,11 +1,12 @@
 """Event-driven per-packet forwarding.
 
-The exact (and expensive) counterpart of the epoch evaluator: every packet is
-simulated hop by hop *during* the routing simulation, consulting each node's
-live FIB at the moment the packet arrives there.  Unlike the epoch evaluator
-it makes no quasi-static assumption — a packet in flight experiences FIB
-changes — so it serves as ground truth in tests and in the ablation study
-(``benchmarks/bench_ablation.py``).
+The exact (and expensive) oracle for the change-driven evaluator: every
+packet is simulated hop by hop *during* the routing simulation, consulting
+each node's live FIB at the moment the packet arrives there.  Unlike the
+evaluator it makes no quasi-static assumption — a packet in flight
+experiences FIB changes — so it serves as ground truth on drawn runs
+(``tests/oracle/test_dataplane_oracle.py``) and in the ``repro figure
+ablation_dataplane`` claims row.
 
 Use it for small scenarios; for the paper-scale sweeps prefer
 :class:`~repro.dataplane.epochs.EpochEvaluator`.

@@ -76,7 +76,12 @@ class RunSettings:
         O(rows × flows), quadratic in population at routing-table scale —
         and nothing in the harness reads rows.  The report *totals* (and
         every summary fraction, hence the fingerprint) are bit-identical
-        either way.
+        either way.  The field stays although nothing under ``src/`` sets
+        it: ``benchmarks/e2e/workloads.py`` constructs
+        ``RunSettings(traffic_epoch_rows=False)``.  The evaluator's own
+        ``epoch_rows`` parameter stays because tests and
+        :meth:`~repro.dataplane.traffic_eval.TrafficReport.worst_epoch`
+        read the rows.
     """
 
     packet_rate: float = DEFAULT_PACKET_RATE

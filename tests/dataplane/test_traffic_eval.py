@@ -200,7 +200,7 @@ class TestEvaluator:
             report.epoch_rows, log.multi_epochs(0.0, 3.0)
         ):
             looped = sum(
-                flow.count_in(t0, t1)
+                flow.as_cbr().count_in(t0, t1)
                 for flow in matrix.flows
                 if walk_lpm(fib, flow.source, flow.destination, 1).fate
                 is PacketFate.TTL_EXPIRED
@@ -397,7 +397,7 @@ class TestChangeDriven:
         for t0, t1, fib, _changed in log.multi_epochs(start, end):
             for flow in matrix.flows:
                 fate = walk_lpm(fib, flow.source, flow.destination).fate
-                tally[fate] += flow.count_in(t0, t1)
+                tally[fate] += flow.as_cbr().count_in(t0, t1)
         return (
             sum(tally.values()),
             tally[PacketFate.DELIVERED],

@@ -297,7 +297,7 @@ def naive_traffic_report(log, matrix, ttl, start, end, rows):
         tally = {fate: 0 for fate in PacketFate}
         for flow in matrix.flows:
             fate = walk_lpm(fib, flow.source, flow.destination, ttl).fate
-            tally[fate] += flow.count_in(t0, t1)
+            tally[fate] += flow.as_cbr().count_in(t0, t1)
         counts = [
             tally[PacketFate.DELIVERED],
             tally[PacketFate.DROPPED_NO_ROUTE],

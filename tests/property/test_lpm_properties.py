@@ -8,8 +8,8 @@ aggregation and deaggregation events walk through.
 
 from hypothesis import given, strategies as st
 
-from repro.dataplane import MultiPrefixFib, PrefixTrie
-from repro.prefixes import ADDRESS_SPACE, PrefixSpec, longest_match, parse_prefix
+from repro.dataplane import MultiPrefixFib
+from repro.prefixes import ADDRESS_SPACE, PrefixSpec, RadixTrie, longest_match, parse_prefix
 
 # Canonical random prefixes: draw (value, length) and mask host bits.
 prefix_specs = st.builds(
@@ -25,7 +25,7 @@ addresses = st.integers(min_value=0, max_value=ADDRESS_SPACE - 1)
 
 @given(st.lists(prefix_specs, max_size=40), addresses)
 def test_trie_lookup_agrees_with_brute_force(specs, address):
-    trie = PrefixTrie()
+    trie = RadixTrie()
     table = {}
     for payload, spec in enumerate(specs):
         trie.insert(spec, payload)
@@ -44,7 +44,7 @@ def test_trie_lookup_agrees_with_brute_force(specs, address):
 
 @given(st.lists(prefix_specs, min_size=1, max_size=30), st.data())
 def test_trie_removal_agrees_with_brute_force(specs, data):
-    trie = PrefixTrie()
+    trie = RadixTrie()
     table = {}
     for payload, spec in enumerate(specs):
         trie.insert(spec, payload)
