@@ -192,7 +192,8 @@ class TrafficMatrixEvaluator:
         # A lone prefix-string destination is covered by its own changes
         # alone, so the replay need not read any other prefix's.
         dests = list(self._chains)
-        self._prefix = dests[0] if len(dests) == 1 and isinstance(dests[0], str) else None
+        lone = len(dests) == 1 and isinstance(dests[0], str)
+        self._lone_prefix = dests[0] if lone else None
         # What the last evaluate() did, for telemetry.
         self.change_instants = 0
         self.walks = 0
@@ -244,7 +245,7 @@ class TrafficMatrixEvaluator:
         # flow key -> [opened, fate]: its open constant-fate segment.
         segments: Dict[FlowKey, List] = {}
         self.change_instants = self.walks_invalidated = self.lpm_resolves = 0
-        for t0, _t1, batch in self._log.instants(start, end, self._prefix):
+        for t0, _t1, batch in self._log.instants(start, end, self._lone_prefix):
             self.change_instants += 1
             # Apply the whole instant, then resolve once per (node, covered
             # destination), in first-seen order.
