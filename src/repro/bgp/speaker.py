@@ -37,7 +37,7 @@ reconstructs the forwarding graph over time.
 from __future__ import annotations
 
 from contextlib import ExitStack
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from ..engine import RandomStreams, Scheduler
 from ..errors import ProtocolError
@@ -207,7 +207,7 @@ class BgpSpeaker(Node):
                 stack.enter_context(self.mrai.flush_window(peer))
             origins = sorted(self._origins)
             self._run_decisions(origins)
-            self._sync(self.neighbors, origins)
+            self._sync(self._ports, origins)
 
     def best_route(self, prefix: Prefix) -> Optional[Route]:
         """The current Loc-RIB entry for ``prefix``."""
@@ -529,7 +529,8 @@ class BgpSpeaker(Node):
         """
         changed = [prefix for prefix in prefixes if self._decide(prefix)]
         if changed:
-            self._sync(self.neighbors, changed)
+            # Every adjacency; _sync keeps the ones that can receive.
+            self._sync(self._ports, changed)
 
     def _decide(self, prefix: Prefix) -> bool:
         """Re-select ``prefix``'s best route and update the FIB.
@@ -593,7 +594,7 @@ class BgpSpeaker(Node):
         if self._fib_listener is not None:
             self._fib_listener(self.scheduler.now, self.node_id, prefix, next_hop)
 
-    def _sync(self, peers: Sequence[int], prefixes: Sequence[Prefix]) -> None:
+    def _sync(self, peers: Iterable[int], prefixes: Sequence[Prefix]) -> None:
         """Bring each peer's view of each prefix in line with our Loc-RIB.
 
         Prefix-outer, peer-inner.  All rate-limiting, duplicate-suppression
@@ -607,24 +608,30 @@ class BgpSpeaker(Node):
         established — otherwise the peer would drop the update while our
         Adj-RIB-Out recorded it as sent, and the re-exchange at session-up
         would skip routes the peer never saw.  Sends cannot change link or
-        session state, so eligibility is checked once per call.
+        session state, so eligibility is checked once per call, on the
+        port table.  The best route and the path it re-advertises are
+        looked up once per prefix; only export, SSLD, the Adj-RIB-Out
+        comparison and MRAI are per peer.
         """
+        ports = self._ports
         sessions = self.sessions
         peers = [
             peer
             for peer in peers
-            if self.link_is_up(peer)
-            and (sessions is None or sessions.established(peer))
+            if ports[peer].up and (sessions is None or sessions.established(peer))
         ]
         if not peers:
             return
         telemetry = self.scheduler.telemetry
         mrai = self.mrai
         wrate = withdrawals_rate_limited(self.config)
+        last_sent = self.adj_rib_out.last_sent
         for prefix in prefixes:
+            best = self.loc_rib.get(prefix)
+            advertised = None if best is None else best.advertised_by(self.node_id)
             for peer in peers:
-                desired = self._desired_advertisement(peer, prefix)
-                last = self.adj_rib_out.last_sent(peer, prefix)
+                desired = self._desired_advertisement(peer, best, advertised)
+                last = last_sent(peer, prefix)
                 if desired == last.path:
                     if telemetry is not None:
                         telemetry.on_update_suppressed(
@@ -657,12 +664,13 @@ class BgpSpeaker(Node):
                     if telemetry is not None:
                         telemetry.on_variant_extra(self.node_id, "ghost_flush")
 
-    def _desired_advertisement(self, peer: int, prefix: Prefix) -> Optional[AsPath]:
-        """The path ``peer`` should hold from us right now (None = nothing)."""
-        best = self.loc_rib.get(prefix)
+    def _desired_advertisement(
+        self, peer: int, best: Optional[Route], advertised: Optional[AsPath]
+    ) -> Optional[AsPath]:
+        """The path ``peer`` should hold from us right now (None = nothing),
+        given our best route and the path it re-advertises."""
         if best is None or not self.policy.accept_export(peer, best):
             return None
-        advertised = best.advertised_by(self.node_id)
         if self.config.ssld and converts_to_withdrawal(peer, advertised):
             # SSLD: the peer would poison-reverse this path away; send the
             # equivalent information as an (immediate) withdrawal instead.

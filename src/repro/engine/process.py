@@ -16,7 +16,7 @@ when its service completes.
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Deque, Tuple
+from typing import Callable, Deque, Optional, Tuple
 
 from .event import EventPriority
 from .scheduler import Scheduler
@@ -38,6 +38,7 @@ class SerialProcessor:
     def __init__(self, scheduler: Scheduler, name: str = "processor") -> None:
         self._scheduler = scheduler
         self._name = name
+        self._job_name = f"{name}:job"
         self._queue: Deque[Tuple[float, Callable[[], None], bool]] = deque()
         self._busy = False
         self._jobs_completed = 0
@@ -45,6 +46,8 @@ class SerialProcessor:
         self._busy_until = 0.0
         self._substantive_queued = 0
         self._current_event = None
+        # The in-service job's callback, run by :meth:`_finish`.
+        self._on_done: Optional[Callable[[], None]] = None
 
     # ------------------------------------------------------------------
 
@@ -113,6 +116,7 @@ class SerialProcessor:
         if self._current_event is not None:
             self._current_event.cancel()
             self._current_event = None
+        self._on_done = None
         self._busy = False
         self._busy_until = 0.0
         self._jobs_dropped += dropped
@@ -133,26 +137,28 @@ class SerialProcessor:
         if not housekeeping:
             self._substantive_queued -= 1
         self._busy_until = self._scheduler.now + service_time
-
-        def finish() -> None:
-            self._jobs_completed += 1
-            self._current_event = None
-            # Run the job body before starting the next service slot so a
-            # job's side effects (e.g. enqueueing replies) see a consistent
-            # clock, then immediately begin the next queued job.
-            on_done()
-            self._start_next()
-
+        self._on_done = on_done
         # The completion event only counts as housekeeping when nothing
         # substantive is waiting behind this job — it is the event that
         # starts the next service slot.
         self._current_event = self._scheduler.call_after(
             service_time,
-            finish,
+            self._finish,
             priority=EventPriority.PROCESSING,
-            name=f"{self._name}:job",
+            name=self._job_name,
             housekeeping=housekeeping and self._substantive_queued == 0,
         )
+
+    def _finish(self) -> None:
+        """Completion event of the in-service job."""
+        self._jobs_completed += 1
+        self._current_event = None
+        on_done, self._on_done = self._on_done, None
+        # Run the job body before starting the next service slot so a job's
+        # side effects (e.g. enqueueing replies) see a consistent clock, then
+        # immediately begin the next queued job.
+        on_done()
+        self._start_next()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -10,7 +10,8 @@ is gone) and nothing further is accepted.
 
 from __future__ import annotations
 
-from typing import Any, Callable, List
+from collections import deque
+from typing import Any, Callable, Deque, Tuple
 
 from ..engine import Event, EventPriority, Scheduler
 from ..errors import NetworkError
@@ -47,12 +48,17 @@ class Channel:
         self.dst = dst
         self.delay = delay
         self._deliver = deliver
-        self._up = True
-        self._in_flight_events: List[Event] = []
+        self._event_name = f"deliver:{src}->{dst}"
+        #: True while the channel can carry messages.
+        self.up = True
+        # The messages propagating on the channel, oldest first, as
+        # ``(event, message, generation, sequence)``.  Arrival times are
+        # monotone and every delivery has the same priority, so the head is
+        # always the next one to arrive.
+        self._pending: Deque[Tuple[Event, Any, int, int]] = deque()
         self._last_arrival = 0.0
         self._messages_sent = 0
         self._messages_delivered = 0
-        self._messages_dropped = 0
         # FIFO bookkeeping for the sanitizer hooks: sequence numbers are
         # contiguous within a generation; a generation ends whenever
         # in-flight messages are destroyed.
@@ -60,11 +66,6 @@ class Channel:
         self._generation_seq = 0
 
     # ------------------------------------------------------------------
-
-    @property
-    def up(self) -> bool:
-        """True while the channel can carry messages."""
-        return self._up
 
     @property
     def messages_sent(self) -> int:
@@ -77,7 +78,7 @@ class Channel:
     @property
     def in_flight(self) -> int:
         """Messages currently propagating on the channel."""
-        return self._messages_sent - self._messages_delivered - self._messages_dropped
+        return len(self._pending)
 
     # ------------------------------------------------------------------
 
@@ -88,54 +89,50 @@ class Channel:
         code must not talk to a dead peer, and surfacing that as an error has
         caught several speaker bugs in development.
         """
-        if not self._up:
+        if not self.up:
             raise NetworkError(f"channel {self.src}->{self.dst} is down")
+        scheduler = self._scheduler
+        now = scheduler.now
         # FIFO even under (hypothetical) variable delay: arrival times are
         # clamped monotone.
-        arrival = max(self._scheduler.now + self.delay, self._last_arrival)
+        arrival = max(now + self.delay, self._last_arrival)
         self._last_arrival = arrival
         self._messages_sent += 1
         self._generation_seq += 1
         generation, sequence = self._generation, self._generation_seq
-        hooks = self._scheduler.invariants
+        hooks = scheduler.invariants
         if hooks is not None:
-            hooks.on_channel_send(
-                self.src, self.dst, generation, sequence, self._scheduler.now
-            )
-        telemetry = self._scheduler.telemetry
+            hooks.on_channel_send(self.src, self.dst, generation, sequence, now)
+        telemetry = scheduler.telemetry
         if telemetry is not None:
-            telemetry.on_message_sent(self.src, self.dst, message, self.in_flight)
-
-        def arrive() -> None:
-            self._messages_delivered += 1
-            hooks = self._scheduler.invariants
-            if hooks is not None:
-                hooks.on_channel_deliver(
-                    self.src, self.dst, generation, sequence, self._scheduler.now
-                )
-            telemetry = self._scheduler.telemetry
-            if telemetry is not None:
-                telemetry.on_message_delivered(self.src, self.dst, message)
-            self._deliver(self.src, message)
-
-        event = self._scheduler.call_at(
+            # The in-flight count includes this message.
+            telemetry.on_message_sent(
+                self.src, self.dst, message, len(self._pending) + 1
+            )
+        event = scheduler.call_at(
             arrival,
-            arrive,
+            self._arrive,
             priority=EventPriority.DELIVERY,
-            name=f"deliver:{self.src}->{self.dst}",
+            name=self._event_name,
             # Messages that declare themselves housekeeping (keepalives)
             # do not block quiescence detection.
             housekeeping=bool(getattr(message, "HOUSEKEEPING", False)),
         )
-        self._in_flight_events.append(event)
-        if len(self._in_flight_events) > 64:
-            # Drop handles that already fired (their time has passed) or were
-            # cancelled; only genuinely-pending deliveries need tracking.
-            now = self._scheduler.now
-            self._in_flight_events = [
-                e for e in self._in_flight_events
-                if not e.cancelled and e.time > now
-            ]
+        self._pending.append((event, message, generation, sequence))
+
+    def _arrive(self) -> None:
+        """Delivery event: hand the oldest in-flight message to the far end."""
+        _event, message, generation, sequence = self._pending.popleft()
+        self._messages_delivered += 1
+        hooks = self._scheduler.invariants
+        if hooks is not None:
+            hooks.on_channel_deliver(
+                self.src, self.dst, generation, sequence, self._scheduler.now
+            )
+        telemetry = self._scheduler.telemetry
+        if telemetry is not None:
+            telemetry.on_message_delivered(self.src, self.dst, message)
+        self._deliver(self.src, message)
 
     def drop_in_flight(self) -> int:
         """Destroy every message currently propagating (TCP session reset).
@@ -143,13 +140,10 @@ class Channel:
         The channel's up/down state is untouched.  Returns the number of
         messages destroyed.
         """
-        for event in self._in_flight_events:
-            event.cancel()  # no-op for handles that already fired
-        self._in_flight_events.clear()
-        destroyed = (
-            self._messages_sent - self._messages_delivered - self._messages_dropped
-        )
-        self._messages_dropped += destroyed
+        destroyed = len(self._pending)
+        for event, _message, _generation, _sequence in self._pending:
+            event.cancel()
+        self._pending.clear()
         hooks = self._scheduler.invariants
         if hooks is not None:
             hooks.on_channel_flush(self.src, self.dst, self._generation)
@@ -165,16 +159,16 @@ class Channel:
 
         Returns the number of messages destroyed.  Idempotent.
         """
-        if not self._up:
+        if not self.up:
             return 0
-        self._up = False
+        self.up = False
         return self.drop_in_flight()
 
     def bring_up(self) -> None:
         """Restore a down channel (fresh TCP session, empty pipe)."""
-        self._up = True
+        self.up = True
         self._last_arrival = self._scheduler.now
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        state = "up" if self._up else "down"
+        state = "up" if self.up else "down"
         return f"<Channel {self.src}->{self.dst} {state} delay={self.delay}>"

@@ -13,7 +13,9 @@ class Link:
     """An undirected adjacency realized as two directed channels.
 
     The link as a whole is up or down; per-direction failure is not modeled
-    (the paper's failures are whole-link events).
+    (the paper's failures are whole-link events).  :attr:`up` is a plain
+    attribute that only :meth:`take_down` and :meth:`bring_up` write, so
+    reading it is the whole cost of a liveness check.
     """
 
     def __init__(
@@ -32,6 +34,7 @@ class Link:
             deliver_to_u, deliver_to_v = deliver_to_v, deliver_to_u
         self._to_v = Channel(scheduler, self.u, self.v, delay, deliver_to_v)
         self._to_u = Channel(scheduler, self.v, self.u, delay, deliver_to_u)
+        self.up = True
 
     # ------------------------------------------------------------------
 
@@ -43,10 +46,6 @@ class Link:
     @property
     def delay(self) -> float:
         return self._to_v.delay
-
-    @property
-    def up(self) -> bool:
-        return self._to_v.up and self._to_u.up
 
     def channel_from(self, node: int) -> Channel:
         """The outbound channel as seen from ``node``."""
@@ -70,6 +69,7 @@ class Link:
 
     def take_down(self) -> int:
         """Fail the link in both directions; returns messages destroyed."""
+        self.up = False
         return self._to_v.take_down() + self._to_u.take_down()
 
     def reset(self) -> int:
@@ -84,6 +84,7 @@ class Link:
         """Repair the link in both directions."""
         self._to_v.bring_up()
         self._to_u.bring_up()
+        self.up = True
 
     @property
     def messages_carried(self) -> int:

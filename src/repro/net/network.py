@@ -2,16 +2,17 @@
 
 :class:`Network` is the glue between the static :class:`~repro.topology.Topology`
 and the live simulation: it instantiates one :class:`~repro.net.link.Link`
-per topology edge, routes ``send()`` calls onto the right channel, records
-every send in a :class:`~repro.net.trace.MessageTrace`, and implements
-link-failure injection with immediate endpoint notification (interface-down
-detection, which is how the paper's node 4 knows to send withdrawals the
-moment link [4 0] fails).
+per topology edge, hands every node its port table (``neighbor -> Link``,
+through which :meth:`Node.send` reaches the right channel), owns the
+:class:`~repro.net.trace.MessageTrace` every send is recorded in, and
+implements link-failure injection with immediate endpoint notification
+(interface-down detection, which is how the paper's node 4 knows to send
+withdrawals the moment link [4 0] fails).
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Tuple
+from typing import Callable, Dict, List, Tuple
 
 from ..engine import Scheduler
 from ..errors import NetworkError
@@ -61,11 +62,13 @@ class Network:
                 raise NetworkError(
                     f"factory returned node id {node.node_id} for requested {node_id}"
                 )
-            node.attach(self)
             self.nodes[node_id] = node
 
+        # Each node's port table.  Edges come in ascending (u, v) order, so
+        # every table fills in ascending neighbor order.
+        ports: Dict[int, Dict[int, Link]] = {node_id: {} for node_id in self.nodes}
         for u, v, delay in topology.edges():
-            self._links[_edge_key(u, v)] = Link(
+            link = Link(
                 scheduler,
                 u,
                 v,
@@ -73,6 +76,11 @@ class Network:
                 deliver_to_u=self.nodes[u].deliver,
                 deliver_to_v=self.nodes[v].deliver,
             )
+            self._links[_edge_key(u, v)] = link
+            ports[u][v] = link
+            ports[v][u] = link
+        for node_id, node in self.nodes.items():
+            node.attach(self, ports[node_id])
 
     # ------------------------------------------------------------------
     # Introspection
@@ -99,29 +107,9 @@ class Network:
         """True when the node exists and is not currently crashed."""
         return node_id in self.nodes and node_id not in self._crashed
 
-    def live_neighbors(self, node_id: int) -> List[int]:
-        """Neighbors of ``node_id`` reachable over currently-up links."""
-        return [
-            nbr
-            for nbr in self.topology.neighbors(node_id)
-            if self.link_is_up(node_id, nbr)
-        ]
-
     @property
     def links(self) -> List[Link]:
         return [self._links[key] for key in sorted(self._links)]
-
-    # ------------------------------------------------------------------
-    # Data movement
-    # ------------------------------------------------------------------
-
-    def send(self, src: int, dst: int, message: Any) -> None:
-        """Send a control-plane message from ``src`` to adjacent ``dst``."""
-        link = self.link(src, dst)
-        if not link.up:
-            raise NetworkError(f"link ({src}, {dst}) is down")
-        self.trace.record(self.scheduler.now, src, dst, message)
-        link.send(src, message)
 
     # ------------------------------------------------------------------
     # Failure injection

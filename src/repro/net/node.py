@@ -11,12 +11,13 @@ speaker, the RIP baseline) subclass this and implement
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Callable, List
+from typing import TYPE_CHECKING, Any, Callable, Dict, List
 
 from ..engine import Scheduler, SerialProcessor
 from ..errors import NetworkError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
+    from .link import Link
     from .network import Network
 
 
@@ -50,6 +51,9 @@ class Node:
         self._service_time = service_time
         self.processor = SerialProcessor(scheduler, name=f"node-{node_id}")
         self._network: "Network" = None  # type: ignore[assignment]
+        # The port table: ``neighbor -> Link`` for every adjacency, in
+        # ascending neighbor order, handed over by :meth:`attach`.
+        self._ports: Dict[int, "Link"] = {}
         self.alive = True
         self.messages_received = 0
         self.messages_dropped_dead = 0
@@ -58,11 +62,13 @@ class Node:
     # Wiring
     # ------------------------------------------------------------------
 
-    def attach(self, network: "Network") -> None:
-        """Called once by :class:`Network` when the node is registered."""
+    def attach(self, network: "Network", ports: Dict[int, "Link"]) -> None:
+        """Called once by :class:`Network` when the node is registered,
+        with its port table (``neighbor -> Link``, ascending neighbor)."""
         if self._network is not None:
             raise NetworkError(f"node {self.node_id} already attached to a network")
         self._network = network
+        self._ports = ports
 
     @property
     def network(self) -> "Network":
@@ -72,20 +78,33 @@ class Node:
 
     @property
     def neighbors(self) -> List[int]:
-        """Ids of neighbors whose link to this node is currently up."""
-        return self.network.live_neighbors(self.node_id)
+        """Ids of neighbors whose link to this node is currently up,
+        ascending."""
+        return [neighbor for neighbor, link in self._ports.items() if link.up]
 
     def link_is_up(self, neighbor: int) -> bool:
         """True when the adjacency to ``neighbor`` exists and is up."""
-        return self.network.link_is_up(self.node_id, neighbor)
+        link = self._ports.get(neighbor)
+        return link is not None and link.up
 
     # ------------------------------------------------------------------
     # I/O
     # ------------------------------------------------------------------
 
     def send(self, neighbor: int, message: Any) -> None:
-        """Transmit ``message`` to an adjacent node over the live link."""
-        self.network.send(self.node_id, neighbor, message)
+        """Transmit ``message`` to an adjacent node over the live link.
+
+        Raises :class:`NetworkError` when there is no link to ``neighbor``
+        or it is down.  Every send is recorded in the network's
+        :class:`~repro.net.trace.MessageTrace`.
+        """
+        link = self._ports.get(neighbor)
+        if link is None:
+            raise NetworkError(f"no link ({self.node_id}, {neighbor}) in network")
+        if not link.up:
+            raise NetworkError(f"link ({self.node_id}, {neighbor}) is down")
+        self._network.trace.record(self.scheduler.now, self.node_id, neighbor, message)
+        link.send(self.node_id, message)
 
     def deliver(self, src: int, message: Any) -> None:
         """Channel callback: queue the message for CPU service.

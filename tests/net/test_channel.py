@@ -1,6 +1,8 @@
 """Unit tests for repro.net.channel."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.engine import Scheduler
 from repro.errors import NetworkError
@@ -85,3 +87,66 @@ class TestFailure:
         channel.send("kept")
         scheduler.run()
         assert [msg for _t, _s, msg in inbox] == ["kept"]
+
+
+# ----------------------------------------------------------------------
+# The in-flight queue under interleaved sends, drops, failures, repairs
+# ----------------------------------------------------------------------
+
+OPS = st.lists(
+    st.tuples(
+        st.sampled_from(["send", "send", "send", "drop", "down", "up"]),
+        st.sampled_from([0.0, 0.0, 0.1, 0.25, 0.5, 0.7]),
+    ),
+    max_size=40,
+)
+
+
+@given(OPS)
+@settings(deadline=None)
+def test_in_flight_queue_under_interleaved_operations(ops):
+    """Each op runs after every delivery due by its time.  A model of the
+    pipe (messages sent, minus those destroyed, minus those delivered)
+    must match the channel after every op; survivors arrive in send order,
+    a destroyed message never arrives, and the queue never holds a handle
+    that already fired or was cancelled."""
+    scheduler = Scheduler()
+    inbox = []
+    channel = Channel(
+        scheduler, src=1, dst=2, delay=0.5,
+        deliver=lambda src, msg: inbox.append(msg),
+    )
+    survivors, destroyed = [], set()
+    now = 0.0
+    for number, (op, wait) in enumerate(ops):
+        now += wait
+        scheduler.run(until=now)
+        if op == "send":
+            if channel.up:
+                channel.send(number)
+                survivors.append(number)
+            else:
+                with pytest.raises(NetworkError):
+                    channel.send(number)
+        else:
+            pipe = [m for m in survivors if m not in inbox]
+            if op == "drop":
+                assert channel.drop_in_flight() == len(pipe)
+            elif op == "down":
+                was_up = channel.up
+                assert channel.take_down() == (len(pipe) if was_up else 0)
+            else:
+                channel.bring_up()
+            if op != "up":
+                destroyed.update(pipe)
+                survivors = [m for m in survivors if m not in destroyed]
+        assert channel.in_flight == len([m for m in survivors if m not in inbox])
+        assert all(
+            not event.fired and not event.cancelled
+            for event, *_ in channel._pending
+        )
+    scheduler.run()
+    assert inbox == survivors
+    assert destroyed.isdisjoint(inbox)
+    assert channel.in_flight == 0 and not channel._pending
+    assert channel.messages_delivered == len(inbox)

@@ -48,8 +48,8 @@ class TestSessionReset:
         assert not any(kind == "down" for kind, _ in net.nodes[0].events)
 
     def test_in_flight_messages_destroyed_both_directions(self, scheduler, net):
-        net.send(0, 1, "a")
-        net.send(1, 0, "b")
+        net.node(0).send(1, "a")
+        net.node(1).send(0, "b")
         scheduler.call_at(0.001, lambda: net.reset_session(0, 1))
         scheduler.run()
         assert net.nodes[1].inbox == []
@@ -79,7 +79,7 @@ class TestNodeCrash:
             assert ("down", 1) not in net.nodes[other].events
 
     def test_crashed_node_loses_queued_and_in_flight_messages(self, scheduler, net):
-        net.send(0, 1, "doomed")
+        net.node(0).send(1, "doomed")
         scheduler.call_at(0.0005, lambda: net.crash_node(1))
         scheduler.run()
         assert net.nodes[1].inbox == []
@@ -183,6 +183,6 @@ class TestChainCrash:
         assert not net.link_is_up(0, 1)
         assert not net.link_is_up(1, 2)
         net.restart_node(1)
-        net.send(0, 1, "hello")
+        net.node(0).send(1, "hello")
         scheduler.run()
         assert (0, "hello") in net.nodes[1].inbox

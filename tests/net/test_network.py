@@ -55,7 +55,7 @@ class TestConstruction:
 
 class TestMessaging:
     def test_send_records_trace(self, scheduler, net):
-        net.send(0, 1, "m")
+        net.node(0).send(1, "m")
         assert len(net.trace) == 1
         record = net.trace.records()[0]
         assert (record.src, record.dst, record.message) == (0, 1, "m")
@@ -63,11 +63,11 @@ class TestMessaging:
     def test_send_over_down_link_raises(self, net):
         net.fail_link(0, 1)
         with pytest.raises(NetworkError, match="down"):
-            net.send(0, 1, "m")
+            net.node(0).send(1, "m")
 
     def test_total_messages(self, net):
-        net.send(0, 1, "a")
-        net.send(1, 2, "b")
+        net.node(0).send(1, "a")
+        net.node(1).send(2, "b")
         assert net.total_messages() == 2
 
 
@@ -84,7 +84,7 @@ class TestFailureInjection:
 
     def test_live_neighbors_reflect_failures(self, net):
         net.fail_link(0, 1)
-        assert net.live_neighbors(0) == [2, 3]
+        assert net.node(0).neighbors == [2, 3]
 
     def test_restore_link_notifies(self, net):
         net.fail_link(0, 1)
@@ -107,7 +107,7 @@ class TestFailureInjection:
             net.schedule_link_failure(0, 99, at=5.0)
 
     def test_in_flight_messages_dropped_on_failure(self, scheduler, net):
-        net.send(0, 1, "doomed")
+        net.node(0).send(1, "doomed")
         net.fail_link(0, 1)
         scheduler.run()
         assert net.node(1).inbox == []

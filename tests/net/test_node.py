@@ -32,7 +32,7 @@ def net(scheduler):
 
 class TestProcessingDelay:
     def test_handler_runs_after_service_time(self, scheduler, net):
-        net.send(0, 1, "ping")
+        net.node(0).send(1, "ping")
         scheduler.run()
         node1 = net.node(1)
         (when, src, msg), = node1.log
@@ -40,15 +40,15 @@ class TestProcessingDelay:
         assert when == pytest.approx(0.002 + 0.2)  # link delay + service
 
     def test_messages_serialized_at_receiver(self, scheduler, net):
-        net.send(0, 1, "a")
-        net.send(2, 1, "b")
+        net.node(0).send(1, "a")
+        net.node(2).send(1, "b")
         scheduler.run()
         times = [entry[0] for entry in net.node(1).log]
         assert times == [pytest.approx(0.202), pytest.approx(0.402)]
 
     def test_messages_received_counter(self, scheduler, net):
-        net.send(0, 1, "a")
-        net.send(0, 1, "b")
+        net.node(0).send(1, "a")
+        net.node(0).send(1, "b")
         scheduler.run()
         assert net.node(1).messages_received == 2
 
@@ -63,7 +63,7 @@ class TestWiring:
 
     def test_double_attach_rejected(self, scheduler, net):
         with pytest.raises(NetworkError, match="already attached"):
-            net.node(0).attach(net)
+            net.node(0).attach(net, {})
 
     def test_detached_node_has_no_network(self, scheduler):
         node = EchoNode(9, scheduler)

@@ -37,10 +37,10 @@ class TestSilentFailure:
     def test_link_still_physically_down(self, net):
         net.fail_link(0, 1, silent=True)
         assert not net.link_is_up(0, 1)
-        assert net.live_neighbors(1) == [2]
+        assert net.node(1).neighbors == [2]
 
     def test_in_flight_messages_still_dropped(self, scheduler, net):
-        net.send(0, 1, "doomed")
+        net.node(0).send(1, "doomed")
         net.fail_link(0, 1, silent=True)
         scheduler.run()
         assert net.node(1).inbox == []

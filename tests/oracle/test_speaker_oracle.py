@@ -294,11 +294,14 @@ def test_event_property_catches_ssld_withdrawals_held_by_mrai(monkeypatch):
     announcement waits for the timer like the announcement it replaces."""
     desired = BgpSpeaker._desired_advertisement
 
-    def rate_limited_ssld(self, peer, prefix):
-        path = desired(self, peer, prefix)
+    def rate_limited_ssld(self, peer, best, advertised):
+        path = desired(self, peer, best, advertised)
+        converted = path is None and best is not None
+        if not converted:
+            return path
+        prefix = best.prefix
         last = self.adj_rib_out.last_sent(peer, prefix).path
-        converted = path is None and self.loc_rib.get(prefix) is not None
-        if converted and last is not None and not self.mrai.can_send_now(peer, prefix):
+        if last is not None and not self.mrai.can_send_now(peer, prefix):
             self.mrai.hold(peer, prefix)
             return last  # "nothing new" until the expiry re-derives it
         return path

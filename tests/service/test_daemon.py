@@ -13,6 +13,19 @@ from daemon_harness import DaemonHarness
 
 TINY_SWEEP = {"kind": "sweep", "params": {"family": "tdown", "xs": [3.0]}}
 
+#: A sweep to cancel after its first ``trial`` event.  Cancellation is
+#: polled at each trial completion, so the job ends ``done`` if every
+#: remaining trial finishes before the cancel lands.  The first trial
+#: (clique-3) takes a few milliseconds; the three after it (Tdown on
+#: cliques of 10, 11 and 12 at MRAI 2) take about 0.2, 0.2 and 0.8 s on a
+#: 2-vCPU box: over a second of margin, hundreds of socket round trips
+#: even with the sweep thread holding the GIL.  The cancel normally lands
+#: during the clique-10 trial, so the test pays about 0.2 s for it.
+CANCELLABLE_SWEEP = {
+    "kind": "sweep",
+    "params": {"family": "tdown", "xs": [3.0, 10.0, 11.0, 12.0]},
+}
+
 
 @pytest.fixture
 def daemon(tmp_path):
@@ -61,12 +74,7 @@ class TestProtocolOps:
             daemon.client.cancel("job-99")
 
     def test_cancel_running_job(self, daemon):
-        job = daemon.client.submit(
-            {
-                "kind": "sweep",
-                "params": {"family": "tdown", "xs": [3.0, 4.0, 5.0, 6.0]},
-            }
-        )
+        job = daemon.client.submit(CANCELLABLE_SWEEP)
         stream = daemon.client.watch(job)
         for event in stream:
             if event["event"] == "trial":
@@ -118,12 +126,7 @@ class TestCliVerbs:
 
     def test_cancel_verb(self, daemon, capsys):
         state = str(daemon.state_dir)
-        job = daemon.client.submit(
-            {
-                "kind": "sweep",
-                "params": {"family": "tdown", "xs": [3.0, 4.0, 5.0, 6.0]},
-            }
-        )
+        job = daemon.client.submit(CANCELLABLE_SWEEP)
         stream = daemon.client.watch(job)
         for event in stream:
             if event["event"] == "trial":
