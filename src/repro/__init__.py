@@ -14,105 +14,28 @@ figure of the paper's evaluation, and DESIGN.md / EXPERIMENTS.md at the
 repository root for the system inventory and the reproduced results.
 """
 
-from .analysis import (
-    DeterminismReport,
-    SanitizerSuite,
-    build_suite,
-    check_determinism,
-    lint_paths,
-)
-from .bgp import (
-    AsPath,
-    BgpConfig,
-    BgpSpeaker,
-    Route,
-    RoutingPolicy,
-    ShortestPathPolicy,
-    VARIANT_NAMES,
-    all_variants,
-    variant,
-)
-from .core import (
-    LoopStudyResult,
-    find_loops,
-    is_loop_free,
-    loop_timeline,
-    measure_convergence,
-    worst_case_loop_duration,
-)
-from .dataplane import (
-    CbrSource,
-    DataPlaneReport,
-    EpochEvaluator,
-    FibChangeLog,
-    ForwardingGraph,
-    PacketForwarder,
-    walk,
-)
-from .engine import RandomStreams, Scheduler
-from .errors import ReproError
+from .bgp import VARIANT_NAMES, BgpConfig, BgpSpeaker, variant
+from .engine import Scheduler
 from .experiments import (
-    ExperimentRun,
-    FigureData,
     RunSettings,
-    Scenario,
     run_experiment,
-    sweep,
     tdown_clique,
     tdown_internet,
-    tlong_bclique,
     tlong_internet,
 )
-from .net import Network
-from .topology import Topology, b_clique, clique, internet_like
 
 __version__ = "1.0.0"
 
 __all__ = [
-    "AsPath",
     "BgpConfig",
     "BgpSpeaker",
-    "CbrSource",
-    "DataPlaneReport",
-    "DeterminismReport",
-    "EpochEvaluator",
-    "ExperimentRun",
-    "FibChangeLog",
-    "FigureData",
-    "ForwardingGraph",
-    "LoopStudyResult",
-    "Network",
-    "PacketForwarder",
-    "RandomStreams",
-    "ReproError",
-    "Route",
-    "RoutingPolicy",
     "RunSettings",
-    "SanitizerSuite",
-    "Scenario",
     "Scheduler",
-    "ShortestPathPolicy",
-    "Topology",
     "VARIANT_NAMES",
-    "all_variants",
-    "b_clique",
-    "build_suite",
-    "check_determinism",
-    "clique",
-    "find_loops",
-    "internet_like",
-    "is_loop_free",
-    "lint_paths",
-    "loop_timeline",
-    "measure_convergence",
     "run_experiment",
-    "sweep",
     "tdown_clique",
     "tdown_internet",
-    "tlong_bclique",
     "tlong_internet",
     "variant",
-    "walk",
-    "worst_case_loop_duration",
     "__version__",
 ]

@@ -24,7 +24,10 @@ from typing import TYPE_CHECKING, Optional, Tuple
 
 from ..bgp import BgpConfig
 from ..errors import AnalysisError
-from ..experiments import RunSettings, Scenario, constant_config, sweep
+from ..experiments.config import RunSettings
+from ..experiments.scenarios import Scenario
+from ..experiments.spec import constant_config
+from ..experiments.sweep import sweep
 
 if TYPE_CHECKING:  # pragma: no cover - annotation only
     from ..experiments.resilience import ResiliencePolicy

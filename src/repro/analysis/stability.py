@@ -116,10 +116,6 @@ class PermittedPath:
     key: Tuple
     rank: int
 
-    @property
-    def owner(self) -> int:
-        return self.nodes[0]
-
     def __repr__(self) -> str:
         return f"PermittedPath[{self.path!r} rank={self.rank}]"
 

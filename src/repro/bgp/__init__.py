@@ -29,9 +29,7 @@ from .mrai import (
 )
 from .path import AsPath, intern_path
 from .policy import (
-    NoTransitForPrefix,
     PathRankPolicy,
-    PreferNeighbor,
     RoutingPolicy,
     ShortestPathPolicy,
 )
@@ -50,7 +48,7 @@ from .route import (
     route_intern_table_size,
 )
 from .speaker import BgpSpeaker, FibListener
-from .variants import VARIANT_NAMES, all_variants, combine, variant
+from .variants import VARIANT_NAMES, combine, variant
 
 __all__ = [
     "AdjRibIn",
@@ -75,11 +73,9 @@ __all__ = [
     "MRAI_PER_PREFIX",
     "MraiManager",
     "NOTHING_SENT",
-    "NoTransitForPrefix",
     "Open",
     "PathRankPolicy",
     "Prefix",
-    "PreferNeighbor",
     "Relationship",
     "Route",
     "RouteFlapDamper",
@@ -90,7 +86,6 @@ __all__ = [
     "UpdateBatch",
     "VARIANT_NAMES",
     "Withdrawal",
-    "all_variants",
     "combine",
     "is_update",
     "is_valley_free",

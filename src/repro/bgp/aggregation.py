@@ -68,11 +68,6 @@ class AggregateBlock:
                     f"{specific!r} is not a proper specific of {self.cover!r}"
                 )
 
-    @property
-    def all_prefixes(self) -> Tuple[str, ...]:
-        """Cover plus specifics (cover first)."""
-        return (self.cover,) + self.specifics
-
 
 def prefix_population(
     count: int,

@@ -110,10 +110,6 @@ class RouteFlapDamper:
         """True while the peer's route for the prefix must not be used."""
         return (peer, prefix) in self._suppressed
 
-    @property
-    def suppressed_count(self) -> int:
-        return len(self._suppressed)
-
     # ------------------------------------------------------------------
 
     def record_withdrawal(self, peer: int, prefix: Prefix) -> None:

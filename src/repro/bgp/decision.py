@@ -94,10 +94,3 @@ class DecisionProcess:
         if not routes:
             return None
         return min(routes, key=self._policy.preference_key)
-
-    def prefers(self, challenger: Route, incumbent: Route) -> bool:
-        """True when ``challenger`` would beat ``incumbent``."""
-        return (
-            self._policy.preference_key(challenger)
-            < self._policy.preference_key(incumbent)
-        )

@@ -38,12 +38,6 @@ class Announcement:
         if self.path.is_empty:
             raise ValueError("an announcement must carry a non-empty AS path")
 
-    @property
-    def sender(self) -> int:
-        """The advertising AS (head of the path)."""
-        assert self.path.head is not None
-        return self.path.head
-
     def __repr__(self) -> str:
         return f"Announce[{self.prefix} via {self.path!r}]"
 
@@ -135,20 +129,6 @@ class UpdateBatch:
     def size(self) -> int:
         """Total routes carried (withdrawn + announced)."""
         return len(self.withdrawn) + len(self.nlri)
-
-    @property
-    def sender(self) -> int:
-        """The advertising AS (head of any NLRI path).
-
-        Only defined for batches that announce something; pure-withdrawal
-        batches carry no path and the transport layer's ``src`` is
-        authoritative.
-        """
-        if not self.nlri:
-            raise ValueError("a pure-withdrawal batch has no embedded sender")
-        head = self.nlri[0][1].head
-        assert head is not None
-        return head
 
     def __repr__(self) -> str:
         parts = []

@@ -115,11 +115,6 @@ class MraiManager:
     # ------------------------------------------------------------------
 
     @property
-    def interval(self) -> float:
-        """The configured (un-jittered) M value."""
-        return self._interval
-
-    @property
     def enabled(self) -> bool:
         return self._interval > 0
 

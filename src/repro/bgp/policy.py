@@ -74,37 +74,6 @@ class ShortestPathPolicy(RoutingPolicy):
     """The paper's policy, by its own name — identical to the base class."""
 
 
-class NoTransitForPrefix(RoutingPolicy):
-    """Example policy: refuse to transit traffic for one prefix.
-
-    A route for ``prefix`` learned from a neighbor is used locally but never
-    re-exported.  Included as a realistic policy-hook exercise for tests and
-    examples; the paper's experiments do not use it.
-    """
-
-    def __init__(self, prefix: Prefix) -> None:
-        self._prefix = prefix
-
-    def accept_export(self, neighbor: int, route: Route) -> bool:
-        if route.prefix == self._prefix and not route.is_local:
-            return False
-        return True
-
-
-class PreferNeighbor(RoutingPolicy):
-    """Example policy: LOCAL_PREF boost for routes via a chosen neighbor."""
-
-    def __init__(self, neighbor: int, boost: int = 50) -> None:
-        self._neighbor = neighbor
-        self._boost = boost
-
-    def local_pref(self, neighbor: int, route: Route) -> int:
-        base = DEFAULT_LOCAL_PREF
-        if neighbor == self._neighbor:
-            return base + self._boost
-        return base
-
-
 class PathRankPolicy(RoutingPolicy):
     """An explicit ranked-path-list policy — the Stable Paths Problem form.
 

@@ -352,10 +352,6 @@ class SentState:
 
     path: Optional[AsPath]
 
-    @property
-    def is_withdrawn(self) -> bool:
-        return self.path is None
-
 
 NOTHING_SENT = SentState(path=None)
 

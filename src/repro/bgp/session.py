@@ -148,15 +148,6 @@ class SessionManager:
         timer = self._retry_timers.get(neighbor)
         return timer is not None and timer.running
 
-    def active_timer_count(self) -> int:
-        """Number of running timers of any kind (diagnostics)."""
-        return sum(
-            1
-            for timers in (self._hold_timers, self._keepalive_timers, self._retry_timers)
-            for timer in timers.values()
-            if timer.running
-        )
-
     # ------------------------------------------------------------------
 
     def establish(self, neighbor: int) -> None:

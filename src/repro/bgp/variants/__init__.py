@@ -11,13 +11,12 @@ pure function the speaker calls at the appropriate hook point:
 
 from .assertion import stale_entries
 from .ghost_flushing import should_flush
-from .registry import VARIANT_NAMES, all_variants, combine, variant
+from .registry import VARIANT_NAMES, combine, variant
 from .ssld import converts_to_withdrawal
 from .wrate import withdrawals_rate_limited
 
 __all__ = [
     "VARIANT_NAMES",
-    "all_variants",
     "combine",
     "converts_to_withdrawal",
     "should_flush",

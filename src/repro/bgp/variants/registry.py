@@ -47,11 +47,6 @@ def variant(name: str, mrai: float = DEFAULT_MRAI) -> BgpConfig:
     return factory(mrai)
 
 
-def all_variants(mrai: float = DEFAULT_MRAI) -> Dict[str, BgpConfig]:
-    """All five §5 protocol configurations at the given MRAI, in order."""
-    return {name: variant(name, mrai) for name in VARIANT_NAMES}
-
-
 def combine(names, mrai: float = DEFAULT_MRAI) -> BgpConfig:
     """A configuration with several enhancements enabled together.
 

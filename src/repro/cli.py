@@ -3,13 +3,13 @@
 Batch subcommands::
 
     repro run          # one experiment: topology + event + variant -> metrics
+                       # (--metrics: telemetry table + timeline exports)
     repro figure       # regenerate one committed result and check its claim
     repro sweep        # journaled, resumable Tdown clique sweep
     repro topology     # generate a topology and dump it as an edge list
     repro list         # available results, variants, topology kinds
     repro lint         # determinism lint pass over the simulator's sources
     repro determinism  # dual-run reproducibility check on one scenario
-    repro metrics      # one traced run: telemetry table + timeline exports
     repro stability    # static safety certification of the bundled scenarios
 
 Service subcommands (the always-on sweep job service)::
@@ -172,6 +172,24 @@ def build_parser() -> argparse.ArgumentParser:
             "FIFO, RIB coherence invariants checked on every event)"
         ),
     )
+    run.add_argument(
+        "--metrics", action="store_true",
+        help=(
+            "trace the run (telemetry and timeline on) and print its metric "
+            "table and harness wall-clock after the run's own lines"
+        ),
+    )
+    run.add_argument(
+        "--chrome-trace", metavar="PATH", default=None,
+        help=(
+            "with --metrics: export the run's timeline as Chrome trace-event "
+            "JSON (loadable in Perfetto / chrome://tracing)"
+        ),
+    )
+    run.add_argument(
+        "--jsonl", metavar="PATH", default=None,
+        help="with --metrics: export the run's timeline as JSON Lines",
+    )
 
     figure = commands.add_parser(
         "figure",
@@ -238,14 +256,12 @@ def build_parser() -> argparse.ArgumentParser:
             "missing"
         ),
     )
-    resume_group = sweep_cmd.add_mutually_exclusive_group()
-    resume_group.add_argument(
-        "--resume", action="store_true",
-        help="resume from the journal if present (the default behavior)",
-    )
-    resume_group.add_argument(
+    sweep_cmd.add_argument(
         "--fresh", action="store_true",
-        help="discard any existing journal and start over",
+        help=(
+            "discard any existing journal and start over (default: resume "
+            "from it)"
+        ),
     )
     _add_resilience_arguments(sweep_cmd)
 
@@ -347,45 +363,6 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     _add_resilience_arguments(determinism)
-
-    metrics = commands.add_parser(
-        "metrics",
-        help="run one telemetry-traced experiment and print its metrics",
-    )
-    metrics.add_argument(
-        "--topology", choices=TOPOLOGY_KINDS, default="clique",
-        help="topology family (default: clique)",
-    )
-    metrics.add_argument(
-        "--size", type=int, default=5, help="topology size parameter"
-    )
-    metrics.add_argument(
-        "--event",
-        choices=("tdown", "tlong", "treset", "tcrash", "tflap"),
-        default="tdown",
-        help="failure event (default: tdown)",
-    )
-    metrics.add_argument(
-        "--variant", choices=VARIANT_NAMES, default="standard",
-        help="protocol variant (default: standard)",
-    )
-    metrics.add_argument("--mrai", type=float, default=2.0, help="MRAI seconds")
-    metrics.add_argument("--seed", type=int, default=0, help="root RNG seed")
-    metrics.add_argument(
-        "--rate", type=float, default=10.0, help="packets/s per source AS"
-    )
-    metrics.add_argument(
-        "--chrome-trace", metavar="PATH", default=None,
-        help=(
-            "export the run's timeline as Chrome trace-event JSON "
-            "(loadable in Perfetto / chrome://tracing)"
-        ),
-    )
-    metrics.add_argument(
-        "--jsonl", metavar="PATH", default=None,
-        help="export the run's timeline as JSON Lines",
-    )
-    metrics.set_defaults(restart_after=30.0, flap_period=15.0, flap_count=3)
 
     serve = commands.add_parser(
         "serve",
@@ -546,6 +523,12 @@ def _make_scenario(args):
 
 
 def _cmd_run(args) -> int:
+    from .telemetry import PhaseProfiler
+
+    if (args.chrome_trace or args.jsonl) and not args.metrics:
+        raise ReproError(
+            "--chrome-trace and --jsonl export a traced run; add --metrics"
+        )
     scenario = _make_scenario(args)
     config = variant(args.variant, mrai=args.mrai)
     if args.sessions or scenario.needs_sessions:
@@ -562,24 +545,38 @@ def _cmd_run(args) -> int:
                 max_suppress_time=5 * args.damping_half_life,
             ),
         )
-    settings = RunSettings(packet_rate=args.rate, sanitize=args.sanitize)
+    settings = RunSettings(
+        packet_rate=args.rate,
+        sanitize=args.sanitize,
+        telemetry=args.metrics,
+        timeline=args.metrics,
+    )
     print(
         f"running {scenario.name} / {config.variant_name} / MRAI {args.mrai}s "
         f"/ seed {args.seed}"
     )
-    run = run_experiment(
-        scenario,
-        config,
-        settings=settings,
-        seed=args.seed,
-        keep_network=args.verbose,
-    )
+    profiler = PhaseProfiler()
+    with profiler.phase("simulate"):
+        run = run_experiment(
+            scenario,
+            config,
+            settings=settings,
+            seed=args.seed,
+            keep_network=args.verbose,
+        )
     if args.verbose:
         from .experiments.report import describe_run
 
         print()
         print(describe_run(run))
-        return 0
+    else:
+        _print_run_lines(args, run)
+    if args.metrics:
+        _print_traced_run(args, run, profiler)
+    return 0
+
+
+def _print_run_lines(args, run) -> None:
     result = run.result
     print(f"  convergence time        : {result.convergence_time:10.2f} s")
     print(f"  overall looping duration: {result.overall_looping_duration:10.2f} s")
@@ -594,7 +591,36 @@ def _cmd_run(args) -> int:
         print()
         for line in stats.describe().splitlines():
             print(f"  {line}")
-    return 0
+
+
+def _print_traced_run(args, run, profiler) -> None:
+    """``run --metrics``: the telemetry table, the timeline and its exports,
+    and the harness wall-clock."""
+    from .telemetry import validate_chrome_trace
+
+    assert run.metrics is not None and run.timeline is not None
+    print()
+    print("telemetry:")
+    print(run.metrics.render())
+    print()
+    print(
+        f"timeline : {len(run.timeline)} records across categories "
+        f"{', '.join(run.timeline.categories())}"
+    )
+    with profiler.phase("export"):
+        if args.chrome_trace:
+            events = validate_chrome_trace(run.timeline.to_chrome_trace())
+            run.timeline.write_chrome_trace(args.chrome_trace)
+            print(
+                f"wrote {args.chrome_trace} ({events} trace events, "
+                f"schema-validated; load in Perfetto or chrome://tracing)"
+            )
+        if args.jsonl:
+            run.timeline.write_jsonl(args.jsonl)
+            print(f"wrote {args.jsonl} ({len(run.timeline)} JSONL records)")
+    print()
+    print("harness wall-clock:")
+    print(profiler.render())
 
 
 def _cmd_figure(args) -> int:
@@ -887,47 +913,6 @@ def _cmd_determinism(args) -> int:
     return 0
 
 
-def _cmd_metrics(args) -> int:
-    from .telemetry import PhaseProfiler, validate_chrome_trace
-
-    scenario = _make_scenario(args)
-    config = variant(args.variant, mrai=args.mrai)
-    if scenario.needs_sessions:
-        config = with_session_timers(config)
-    settings = RunSettings(packet_rate=args.rate, telemetry=True, timeline=True)
-    print(
-        f"tracing {scenario.name} / {config.variant_name} / MRAI {args.mrai}s "
-        f"/ seed {args.seed}"
-    )
-    profiler = PhaseProfiler()
-    with profiler.phase("simulate"):
-        run = run_experiment(scenario, config, settings=settings, seed=args.seed)
-    assert run.metrics is not None and run.timeline is not None
-    print()
-    print("telemetry:")
-    print(run.metrics.render())
-    print()
-    print(
-        f"timeline : {len(run.timeline)} records across categories "
-        f"{', '.join(run.timeline.categories())}"
-    )
-    with profiler.phase("export"):
-        if args.chrome_trace:
-            events = validate_chrome_trace(run.timeline.to_chrome_trace())
-            run.timeline.write_chrome_trace(args.chrome_trace)
-            print(
-                f"wrote {args.chrome_trace} ({events} trace events, "
-                f"schema-validated; load in Perfetto or chrome://tracing)"
-            )
-        if args.jsonl:
-            run.timeline.write_jsonl(args.jsonl)
-            print(f"wrote {args.jsonl} ({len(run.timeline)} JSONL records)")
-    print()
-    print("harness wall-clock:")
-    print(profiler.render())
-    return 0
-
-
 def _cmd_serve(args) -> int:
     from .service import ServiceState, serve
 
@@ -1091,7 +1076,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "list": _cmd_list,
         "lint": _cmd_lint,
         "determinism": _cmd_determinism,
-        "metrics": _cmd_metrics,
         "stability": _cmd_stability,
         "serve": _cmd_serve,
         "submit": _cmd_submit,

@@ -19,15 +19,12 @@ from .loop_detector import (
     longest_loop_duration,
     loop_size_histogram,
     loop_timeline,
-    nodes_in_loops,
 )
 from .loop_metrics import LoopStudyResult
 from .loop_stats import LoopStatistics, percentile
 from .loop_theory import (
     PropagationStep,
-    loop_formation_example,
     resolution_schedule,
-    schedule_resolution_time,
     worst_case_detection_delay,
     worst_case_loop_duration,
 )
@@ -61,14 +58,11 @@ __all__ = [
     "find_loops",
     "is_loop_free",
     "longest_loop_duration",
-    "loop_formation_example",
     "loop_size_histogram",
     "loop_timeline",
     "measure_convergence",
-    "nodes_in_loops",
     "percentile",
     "resolution_schedule",
-    "schedule_resolution_time",
     "worst_case_detection_delay",
     "worst_case_loop_duration",
 ]

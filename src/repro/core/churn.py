@@ -103,9 +103,3 @@ class UpdateChurn:
         """The smallest observed same-pair gap, or ``None``."""
         gaps = self.pair_spacings()
         return min(gaps) if gaps else None
-
-    def updates_by_round(self, mrai: float) -> List[int]:
-        """Updates per MRAI-round-sized window — the exploration cadence."""
-        if mrai <= 0:
-            raise AnalysisError(f"mrai must be positive, got {mrai}")
-        return self.activity_histogram(mrai)

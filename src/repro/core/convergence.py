@@ -40,13 +40,6 @@ class ConvergenceReport:
             return self.failure_time
         return self.last_update_time
 
-    @property
-    def reaction_delay(self) -> float:
-        """Failure to first update sent (0 if silent)."""
-        if self.first_update_time is None:
-            return 0.0
-        return self.first_update_time - self.failure_time
-
 
 def measure_convergence(trace: MessageTrace, failure_time: float) -> ConvergenceReport:
     """Build a :class:`ConvergenceReport` from the run's message trace.

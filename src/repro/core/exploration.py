@@ -8,8 +8,8 @@ convergence behavior in which a node serially adopts increasingly long
 obsolete paths before settling:
 
 * exploration depth — how many distinct best paths a node held,
-* lengthening fraction — how many consecutive changes grew the path
-  (pure Tdown exploration approaches 1.0 until the final withdrawal),
+* non-shortening fraction — how many consecutive changes kept or grew
+  the path length (exactly 1.0 for Tdown exploration),
 * per-node exploration sequences for inspection.
 
 These quantities connect the micro behavior (§3's stale-path adoption) to
@@ -35,25 +35,6 @@ class RouteChange:
     prefix: str
     old_path: Optional[AsPath]
     new_path: Optional[AsPath]
-
-    @property
-    def is_loss(self) -> bool:
-        """The node lost its route entirely."""
-        return self.new_path is None
-
-    @property
-    def is_first_route(self) -> bool:
-        """The node acquired its first route (warm-up learning)."""
-        return self.old_path is None and self.new_path is not None
-
-    @property
-    def lengthened(self) -> bool:
-        """The change replaced a route with a strictly longer one."""
-        return (
-            self.old_path is not None
-            and self.new_path is not None
-            and len(self.new_path) > len(self.old_path)
-        )
 
 
 class RouteChangeLog:
@@ -139,12 +120,6 @@ class ExplorationReport:
         }
         return len(paths)
 
-    def max_depth(self) -> int:
-        """The deepest exploration by any node (0 when no changes)."""
-        if not self.per_node_sequences:
-            return 0
-        return max(self.exploration_depth(n) for n in self.per_node_sequences)
-
     def mean_depth(self) -> float:
         """Average exploration depth across nodes that changed at all."""
         if not self.per_node_sequences:
@@ -152,26 +127,6 @@ class ExplorationReport:
         return mean(
             [self.exploration_depth(n) for n in self.per_node_sequences]
         )
-
-    def lengthening_fraction(self) -> float:
-        """Fraction of path→path transitions that grew the path.
-
-        Tdown path exploration walks monotonically through longer and
-        longer obsolete paths, so this approaches 1 there; Tlong mixes in
-        shortenings when real alternates arrive.
-        """
-        grew = total = 0
-        for sequence in self.per_node_sequences.values():
-            previous: Optional[AsPath] = None
-            for path in sequence:
-                if previous is not None and path is not None:
-                    total += 1
-                    if len(path) > len(previous):
-                        grew += 1
-                previous = path
-        if total == 0:
-            return 0.0
-        return grew / total
 
     def non_shortening_fraction(self) -> float:
         """Fraction of path→path transitions that did not shrink the path.

@@ -55,14 +55,6 @@ def find_loops(graph: ForwardingGraph) -> List[Cycle]:
     return sorted(loops)
 
 
-def nodes_in_loops(graph: ForwardingGraph) -> List[int]:
-    """All nodes that sit on some forwarding cycle, ascending."""
-    members = set()
-    for cycle in find_loops(graph):
-        members.update(cycle)
-    return sorted(members)
-
-
 def is_loop_free(graph: ForwardingGraph) -> bool:
     """True when the forwarding graph contains no cycle."""
     return not find_loops(graph)

@@ -57,44 +57,9 @@ class LoopStudyResult:
         return self.dataplane.packets_sent
 
     @property
-    def looping_gap(self) -> float:
-        """Convergence time minus overall looping duration.
-
-        The paper reads this gap directly off Figure 4: a few seconds for
-        Tdown, 30-45 s (one MRAI round) for Tlong.
-        """
-        return self.convergence_time - self.overall_looping_duration
-
-    @property
     def distinct_loop_count(self) -> int:
         """Number of distinct loop lifetimes observed in the FIB history."""
         return len(self.loop_intervals)
-
-    @property
-    def max_loop_size(self) -> int:
-        return max((i.size for i in self.loop_intervals), default=0)
-
-    @property
-    def max_loop_duration(self) -> float:
-        return max((i.duration for i in self.loop_intervals), default=0.0)
-
-    def loop_sizes(self) -> List[int]:
-        """Sizes of all observed loop lifetimes."""
-        return [i.size for i in self.loop_intervals]
-
-    # ------------------------------------------------------------------
-    # Traffic-weighted metrics (multi-prefix runs only)
-    # ------------------------------------------------------------------
-
-    @property
-    def traffic_looped_fraction(self) -> float:
-        """Fraction of offered traffic lost to loops (0 without a matrix)."""
-        return self.traffic.looped_fraction if self.traffic is not None else 0.0
-
-    @property
-    def traffic_blackholed_fraction(self) -> float:
-        """Fraction of offered traffic blackholed (0 without a matrix)."""
-        return self.traffic.blackholed_fraction if self.traffic is not None else 0.0
 
     def summary_row(self) -> Dict[str, float]:
         """The metrics as a flat dict (for tables and aggregation).

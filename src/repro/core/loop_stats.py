@@ -3,9 +3,9 @@
 §6: "As our next steps, we plan to examine route change traces to measure
 the statistics of individual loops such as the loop size and duration."
 This module does that measurement over the FIB-history loop intervals the
-library already extracts: size and lifetime distributions, formation times
-relative to the failure, per-node participation, and re-formation counts —
-aggregable across runs for sweep-level statistics.
+library already extracts: size and lifetime distributions and formation
+times relative to the failure, aggregable across runs for sweep-level
+statistics.
 
 The numbers connect to the measurement literature the paper cites:
 Hengartner et al. observed on a real backbone that more than half of all
@@ -17,7 +17,7 @@ convergence events.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Sequence
 
 from ..errors import AnalysisError
 from ..util.stats import Summary, summarize
@@ -115,39 +115,6 @@ class LoopStatistics:
 
     def duration_percentile(self, q: float) -> float:
         return percentile(self.durations(), q)
-
-    def formation_delay_summary(self) -> Summary:
-        """How long after the failure loops form."""
-        return summarize(self.formation_delays)
-
-    # ------------------------------------------------------------------
-    # Structure
-    # ------------------------------------------------------------------
-
-    def node_participation(self) -> Dict[int, int]:
-        """How many loop lifetimes each node took part in."""
-        counts: Dict[int, int] = {}
-        for interval in self.intervals:
-            for node in interval.cycle:
-                counts[node] = counts.get(node, 0) + 1
-        return counts
-
-    def most_looping_nodes(self, top: int = 5) -> List[Tuple[int, int]]:
-        """``(node, lifetimes)`` pairs, most-implicated first."""
-        counts = self.node_participation()
-        return sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))[:top]
-
-    def reformation_counts(self) -> Dict[Tuple[int, ...], int]:
-        """How many separate lifetimes each distinct cycle had.
-
-        A count above 1 means the same loop died and re-formed — the §3.2
-        remark that resolving one loop "could result in another (but
-        different) loop" has a special case where it is the *same* one.
-        """
-        counts: Dict[Tuple[int, ...], int] = {}
-        for interval in self.intervals:
-            counts[interval.cycle] = counts.get(interval.cycle, 0) + 1
-        return counts
 
     def total_loop_seconds(self) -> float:
         """Sum of all loop lifetimes (loop-seconds of exposure)."""

@@ -18,7 +18,7 @@ simulator against the model.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import List
 
 from ..bgp.path import AsPath
 from ..errors import AnalysisError
@@ -89,26 +89,3 @@ def resolution_schedule(m: int, k: int, mrai: float) -> List[PropagationStep]:
             PropagationStep(node=member - 1, time_bound=elapsed, path=carried)
         )
     return steps
-
-
-def schedule_resolution_time(m: int, k: int, mrai: float) -> float:
-    """Resolution time implied by :func:`resolution_schedule`.
-
-    Equals :func:`worst_case_detection_delay` — the two derivations agree,
-    which the test suite asserts for all small (m, k).
-    """
-    steps = resolution_schedule(m, k, mrai)
-    return steps[-1].time_bound
-
-
-def loop_formation_example() -> Tuple[AsPath, AsPath, AsPath]:
-    """The Figure 1 scenario as path algebra (for docs and sanity tests).
-
-    Returns (path of node 4 before failure, node 5's backup, node 6's
-    backup): nodes 5 and 6 simultaneously fail over to each other, forming
-    the 2-node loop of Figure 1(b).
-    """
-    before = AsPath.of((4, 0))
-    node5_backup = AsPath.of((5, 6, 4, 0))
-    node6_backup = AsPath.of((6, 5, 4, 0))
-    return before, node5_backup, node6_backup

@@ -51,13 +51,6 @@ class LoopSighting:
         """Number of nodes in the cycle."""
         return len(self.cycle)
 
-    @property
-    def observed_duration(self) -> float:
-        """Span between first and last packet lost to this cycle."""
-        if self.packets_lost == 0:
-            return 0.0
-        return self.last_seen - self.first_seen
-
 
 @dataclass
 class DataPlaneReport:
@@ -127,12 +120,6 @@ class DataPlaneReport:
         """Account ``count`` delivered packets that took ``hops`` hops."""
         self.delivered += count
         self.delivered_hops[hops] = self.delivered_hops.get(hops, 0) + count
-
-    def distinct_loops(self) -> List[LoopSighting]:
-        """Observed loops, largest packet toll first."""
-        return sorted(
-            self.loops.values(), key=lambda s: (-s.packets_lost, s.cycle)
-        )
 
     def _note_exhaustion(self, time: float) -> None:
         if self.first_exhaustion is None or time < self.first_exhaustion:

@@ -71,10 +71,6 @@ class ForwardingGraph:
         """Nodes currently holding some forwarding entry, ascending."""
         return sorted(n for n, nh in self._next_hops.items() if nh is not None)
 
-    def as_dict(self) -> Dict[int, Optional[int]]:
-        """A copy of the underlying mapping."""
-        return dict(self._next_hops)
-
     def copy(self) -> "ForwardingGraph":
         return ForwardingGraph(self._next_hops)
 
@@ -120,11 +116,6 @@ class FibChangeLog:
         """Distinct change instants for ``prefix``, ascending."""
         seen = sorted({c.time for c in self._changes if c.prefix == prefix})
         return seen
-
-    def last_change_time(self, prefix: Prefix) -> Optional[float]:
-        """Time of the final FIB change for ``prefix``, or ``None``."""
-        times = self.change_times(prefix)
-        return times[-1] if times else None
 
     # ------------------------------------------------------------------
     # Reconstruction

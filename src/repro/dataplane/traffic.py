@@ -38,11 +38,6 @@ class CbrSource:
         if self.rate <= 0:
             raise ConfigError(f"packet rate must be positive, got {self.rate}")
 
-    @property
-    def interval(self) -> float:
-        """Seconds between consecutive packets."""
-        return 1.0 / self.rate
-
     def first_index_at_or_after(self, time: float) -> int:
         """Smallest k whose departure time is >= ``time``."""
         if time <= self.start:

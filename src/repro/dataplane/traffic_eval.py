@@ -42,7 +42,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Tuple
 
 from ..errors import AnalysisError
 from ..prefixes import parse_prefix
@@ -116,19 +116,6 @@ class TrafficReport:
     @property
     def delivered_fraction(self) -> float:
         return self.delivered / self.offered if self.offered else 0.0
-
-    @property
-    def lost_fraction(self) -> float:
-        """Looped plus blackholed, as a fraction of offered traffic."""
-        return (self.looped + self.blackholed) / self.offered if self.offered else 0.0
-
-    def worst_epoch(self) -> Optional[EpochTraffic]:
-        """The epoch with the highest looped fraction (ties: earliest)."""
-        worst: Optional[EpochTraffic] = None
-        for row in self.epoch_rows:
-            if worst is None or row.looped_fraction > worst.looped_fraction:
-                worst = row
-        return worst
 
 
 class TrafficMatrixEvaluator:

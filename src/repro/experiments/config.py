@@ -71,17 +71,15 @@ class RunSettings:
         bit-identical unless a scenario opts in.
     traffic_epoch_rows:
         Also collect per-epoch :class:`~repro.dataplane.traffic_eval.
-        EpochTraffic` rows in the traffic report (for ``worst_epoch``).
-        Off by default: each row is one whole-matrix accounting pass —
-        O(rows × flows), quadratic in population at routing-table scale —
-        and nothing in the harness reads rows.  The report *totals* (and
+        EpochTraffic` rows in the traffic report.  Off by default: each
+        row is one whole-matrix accounting pass — O(rows × flows),
+        quadratic in population at routing-table scale — and nothing in
+        the harness reads rows.  The report *totals* (and
         every summary fraction, hence the fingerprint) are bit-identical
         either way.  The field stays although nothing under ``src/`` sets
         it: ``benchmarks/e2e/workloads.py`` constructs
         ``RunSettings(traffic_epoch_rows=False)``.  The evaluator's own
-        ``epoch_rows`` parameter stays because tests and
-        :meth:`~repro.dataplane.traffic_eval.TrafficReport.worst_epoch`
-        read the rows.
+        ``epoch_rows`` parameter stays because tests read the rows.
     """
 
     packet_rate: float = DEFAULT_PACKET_RATE

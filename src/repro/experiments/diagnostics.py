@@ -67,14 +67,6 @@ class DiagnosticSnapshot:
         ranked = sorted(self.nodes, key=lambda n: (-n.cpu_queue, n.node_id))
         return ranked[:top]
 
-    def brief(self) -> str:
-        """A one-line summary for progress lines and failure listings."""
-        return (
-            f"died at t={self.time:.3f}s after {self.events_processed} events "
-            f"({self.substantive_pending} substantive of "
-            f"{self.pending_events} pending)"
-        )
-
     def render(self) -> str:
         """A readable multi-line report for logs and error messages."""
         lines = [

@@ -21,20 +21,6 @@ from ..scenarios import clique_tdown_fixed
 from ..spec import constant_config, factory_ref, mrai_config
 from ..sweep import ScenarioFactory, SweepPoint, series, sweep, xs_of
 
-#: Metric label → LoopStudyResult.summary_row() key, shared across figures.
-#: The traffic_* keys exist only on runs with ``settings.traffic_matrix``
-#: (multi-prefix workloads); requesting them from a single-prefix sweep is
-#: a KeyError, by design.
-METRIC_KEYS = {
-    "looping_duration": "looping_duration",
-    "convergence_time": "convergence_time",
-    "ttl_exhaustions": "ttl_exhaustions",
-    "looping_ratio": "looping_ratio",
-    "traffic_looped_fraction": "traffic_looped_fraction",
-    "traffic_blackholed_fraction": "traffic_blackholed_fraction",
-    "traffic_delivered_fraction": "traffic_delivered_fraction",
-}
-
 
 def aggregate_telemetry(points: Sequence[SweepPoint]):
     """One sweep-wide :class:`~repro.telemetry.registry.MetricsSnapshot`
@@ -60,6 +46,11 @@ def metric_sweep_figure(
     policy: Optional[ResiliencePolicy] = None,
 ) -> Tuple[FigureData, List[SweepPoint]]:
     """Run one sweep and package the requested metric series as a figure.
+
+    ``metrics`` are :meth:`~repro.core.loop_metrics.LoopStudyResult.summary_row`
+    keys.  The ``traffic_*`` keys exist only on runs with
+    ``settings.traffic_matrix``; asking a single-prefix sweep for one is a
+    ``KeyError``, by design.
 
     ``mrai_is_x`` makes the x value the MRAI setting (Figures 5 and 7);
     otherwise the MRAI is fixed at ``mrai`` and x parameterizes the scenario
@@ -90,7 +81,7 @@ def metric_sweep_figure(
         title=title,
         x_label=x_label,
         xs=xs_of(points),
-        series={name: series(points, METRIC_KEYS[name]) for name in metrics},
+        series={name: series(points, name) for name in metrics},
         telemetry=aggregate_telemetry(points) if settings.telemetry else None,
     )
     return figure, points
@@ -145,7 +136,7 @@ def variant_comparison_series(
             jobs=jobs,
             policy=policy,
         )
-        result[name] = series(points, METRIC_KEYS[metric])
+        result[name] = series(points, metric)
     return result
 
 

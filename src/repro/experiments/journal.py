@@ -226,10 +226,6 @@ class WriterLock:
             lock._handle = None
         cls._held.clear()
 
-    @property
-    def held(self) -> bool:
-        return self._handle is not None
-
     def acquire(self) -> None:
         """Take the exclusive lock, or raise :class:`JournalError` if any
         other writer (process or handle) already holds it."""

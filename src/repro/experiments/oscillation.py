@@ -75,10 +75,6 @@ class OscillationReport:
     stability: Optional[StabilityReport] = None
     """The static analyzer's verdict for the same scenario + policies."""
 
-    @property
-    def oscillating(self) -> bool:
-        return self.classification == "persistent-oscillation"
-
     def to_json(self) -> dict:
         return {
             "name": self.name,

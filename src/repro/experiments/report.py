@@ -187,33 +187,3 @@ def describe_run(run: ExperimentRun) -> str:
     lines += ["", "individual loops:"]
     lines += [f"  {line}" for line in stats.describe().splitlines()]
     return "\n".join(lines)
-
-
-def run_summary_table(runs: Sequence[ExperimentRun], title: str = "runs") -> str:
-    """A per-run metric table (one row per completed experiment)."""
-    headers = [
-        "scenario",
-        "variant",
-        "mrai",
-        "conv_time",
-        "loop_dur",
-        "ttl_exh",
-        "loop_ratio",
-        "updates",
-    ]
-    rows = []
-    for run in runs:
-        result = run.result
-        rows.append(
-            [
-                run.scenario.name,
-                run.bgp_config.variant_name,
-                run.bgp_config.mrai,
-                result.convergence_time,
-                result.overall_looping_duration,
-                result.ttl_exhaustions,
-                result.looping_ratio,
-                result.convergence.update_count,
-            ]
-        )
-    return render_table(headers, rows, title=title)

@@ -119,11 +119,6 @@ class Scenario:
             entry.check(self)
 
     @property
-    def source_nodes(self) -> list:
-        """Every AS that hosts a traffic source (all but the destination)."""
-        return [n for n in self.topology.nodes if n != self.destination]
-
-    @property
     def effective_originations(self) -> Tuple[Tuple[int, str], ...]:
         """What warm-up originates: the explicit list, or the legacy pair."""
         if self.originations:
@@ -392,28 +387,6 @@ def clique_tagg_trial(
         block_bits=block_bits,
         hold=hold,
     )
-
-
-def multiprefix_trial(x: float, seed: int, *, base: str, size: int) -> Scenario:
-    """A legacy family run through the multi-prefix origination path.
-
-    ``base`` picks the underlying family (``"tdown"`` on a clique or
-    ``"tflap"`` on a B-Clique); the scenario is identical except that the
-    origination is expressed through ``originations`` — the golden
-    equivalence tests pin that this is a strict generalization (same trace
-    digest as the legacy path).
-    """
-    build = _MULTIPREFIX_BASES.get(base)
-    if build is None:
-        raise ConfigError(f"unknown multiprefix base family {base!r}")
-    return with_explicit_originations(build(x, size))
-
-
-#: :func:`multiprefix_trial`'s base families, ``(x, size) -> Scenario``.
-_MULTIPREFIX_BASES = {
-    "tdown": lambda x, size: tdown_clique(size),
-    "tflap": lambda x, size: tflap_bclique(size, period=x, count=3),
-}
 
 
 def with_explicit_originations(scenario: Scenario) -> Scenario:

@@ -29,7 +29,7 @@ from __future__ import annotations
 import importlib
 import pickle
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Tuple
+from typing import Any, Callable, Tuple
 
 from ..bgp import BgpConfig
 from ..errors import ConfigError
@@ -138,25 +138,3 @@ def constant_config(x: float, *, config: BgpConfig) -> BgpConfig:
 def mrai_config(x: float, *, base: BgpConfig) -> BgpConfig:
     """``make_config`` for MRAI-on-the-x-axis sweeps (Figures 5 and 7)."""
     return base.with_mrai(x)
-
-
-def describe_pickle_failure(value: Any, role: str) -> str:
-    """Why ``value`` cannot cross a process boundary, with the remedy."""
-    try:
-        pickle.dumps(value)
-    except Exception as exc:
-        return (
-            f"{role} is not picklable and cannot be shipped to sweep "
-            f"workers: {exc}. Use repro.experiments.factory_ref() to wrap "
-            f"a module-level factory (closures and lambdas only work with "
-            f"jobs=1)."
-        )
-    return ""
-
-
-def ensure_picklable(values: Dict[str, Any]) -> None:
-    """Raise :class:`ConfigError` for the first unpicklable ``role: value``."""
-    for role, value in sorted(values.items()):
-        problem = describe_pickle_failure(value, role)
-        if problem:
-            raise ConfigError(problem)

@@ -200,11 +200,6 @@ class LinkFlap:
             expanded.append(LinkRestore(self.u, self.v, down_at + self.duty * self.period))
         return expanded
 
-    @property
-    def last_restore_at(self) -> float:
-        """Time the final restore fires (the churn stops changing topology)."""
-        return self.at + (self.count - 1) * self.period + self.duty * self.period
-
     def check(self, scenario) -> None:
         _check_link(scenario.topology, self.u, self.v)
 

@@ -121,18 +121,13 @@ class PrefixSpec:
         return f"PrefixSpec({self!s})"
 
 
-def format_prefix(value: int, length: int) -> str:
-    """The canonical string form of a structured prefix."""
-    return str(PrefixSpec(value, length))
-
-
 def parse_prefix(prefix: str) -> Optional[PrefixSpec]:
     """Parse a canonical prefix string; ``None`` for opaque legacy names.
 
-    Only the canonical serialization produced by :func:`format_prefix` /
-    ``str(PrefixSpec)`` parses — eight lowercase hex digits, a slash, a
-    decimal length — so round-tripping is exact and accidental collisions
-    with scenario names are impossible.
+    Only the canonical serialization produced by ``str(PrefixSpec)`` parses
+    — eight lowercase hex digits, a slash, a decimal length — so
+    round-tripping is exact and accidental collisions with scenario names
+    are impossible.
     """
     match = _CANONICAL.match(prefix)
     if match is None:
@@ -168,7 +163,6 @@ __all__ = [
     "ADDRESS_SPACE",
     "PrefixSpec",
     "RadixTrie",
-    "format_prefix",
     "longest_match",
     "parse_prefix",
 ]

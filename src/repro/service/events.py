@@ -175,6 +175,3 @@ class EventBus:
                 del history[: len(history) - self._history_limit]
         for queue in list(self._subscribers):
             queue.put_nowait(event)
-
-    def drop_history(self, job_id: str) -> None:
-        self._history.pop(job_id, None)

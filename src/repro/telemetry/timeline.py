@@ -58,10 +58,6 @@ class TimelineRecord:
     args: Tuple[Tuple[str, Any], ...] = ()
 
     @property
-    def is_span(self) -> bool:
-        return self.duration is not None
-
-    @property
     def end(self) -> float:
         """Span end (= ``time`` for instants)."""
         return self.time + (self.duration or 0.0)

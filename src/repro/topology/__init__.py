@@ -10,7 +10,6 @@ from .generators import (
     binary_tree,
     chain,
     clique,
-    destination_for,
     grid,
     named_generator,
     ring,
@@ -28,7 +27,7 @@ from .internet import (
     internet_like_with_tiers,
     provider_load,
 )
-from .io import dump_edge_list, dumps_edge_list, load_edge_list
+from .io import dumps_edge_list, load_edge_list
 
 __all__ = [
     "DEFAULT_LINK_DELAY",
@@ -42,8 +41,6 @@ __all__ = [
     "choose_destination",
     "choose_failure_link",
     "clique",
-    "destination_for",
-    "dump_edge_list",
     "dumps_edge_list",
     "grid",
     "internet_like",

@@ -8,8 +8,6 @@ test suite and by ablation benchmarks.  All generators take an optional link
 
 from __future__ import annotations
 
-from typing import Optional
-
 from ..errors import TopologyError
 from .graph import DEFAULT_LINK_DELAY, Topology
 
@@ -155,15 +153,3 @@ def named_generator(kind: str):
         raise TopologyError(
             f"unknown topology kind {kind!r}; expected one of {sorted(table)}"
         ) from None
-
-
-def destination_for(topo: Topology, kind: Optional[str] = None) -> int:
-    """The conventional destination AS for a generated topology.
-
-    Clique, B-Clique, chain, ring and star experiments all use node 0 as the
-    destination, matching the paper's setup.
-    """
-    del kind  # all built-in shapes share the convention
-    if not topo.has_node(0):
-        raise TopologyError(f"topology {topo.name!r} has no node 0")
-    return 0

@@ -52,13 +52,6 @@ class Topology:
         self._adjacency[u][v] = delay
         self._adjacency[v][u] = delay
 
-    def remove_edge(self, u: int, v: int) -> None:
-        """Remove the edge ``{u, v}``; raises if absent."""
-        if not self.has_edge(u, v):
-            raise TopologyError(f"edge ({u}, {v}) not in topology")
-        del self._adjacency[u][v]
-        del self._adjacency[v][u]
-
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
@@ -106,19 +99,6 @@ class Topology:
             for v in sorted(self._adjacency[u]):
                 if u < v:
                     yield (u, v, self._adjacency[u][v])
-
-    def degree_sequence(self) -> List[int]:
-        """Degrees of all nodes, ascending."""
-        return sorted(len(nbrs) for nbrs in self._adjacency.values())
-
-    def lowest_degree_nodes(self, count: int = 1) -> List[int]:
-        """The ``count`` nodes with smallest degree (ties: smaller id first).
-
-        The paper picks destination ASes "randomly chosen among the nodes
-        with the lowest degrees"; experiment code samples from this list.
-        """
-        ranked = sorted(self._adjacency, key=lambda n: (len(self._adjacency[n]), n))
-        return ranked[:count]
 
     # ------------------------------------------------------------------
     # Connectivity
@@ -172,26 +152,6 @@ class Topology:
         for u, v, delay in self.edges():
             dup.add_edge(u, v, delay)
         return dup
-
-    def relabeled(self, mapping: Dict[int, int], name: Optional[str] = None) -> "Topology":
-        """A copy with node ids renamed through ``mapping`` (must be 1:1)."""
-        if len(set(mapping.values())) != len(mapping):
-            raise TopologyError("relabeling mapping is not injective")
-        dup = Topology(name or f"{self.name}-relabeled")
-        for node in self._adjacency:
-            dup.add_node(mapping.get(node, node))
-        for u, v, delay in self.edges():
-            dup.add_edge(mapping.get(u, u), mapping.get(v, v), delay)
-        return dup
-
-    def to_networkx(self):
-        """Convert to a ``networkx.Graph`` (delay stored as edge weight)."""
-        import networkx as nx
-
-        graph = nx.Graph(name=self.name)
-        graph.add_nodes_from(self._adjacency)
-        graph.add_weighted_edges_from(self.edges(), weight="delay")
-        return graph
 
     @classmethod
     def from_edges(

@@ -53,15 +53,6 @@ def _parse(handle: TextIO, name: str) -> Topology:
     return topo
 
 
-def dump_edge_list(topo: Topology, target: PathOrFile) -> None:
-    """Write ``topo`` in the edge-list format accepted by :func:`load_edge_list`."""
-    if isinstance(target, (str, Path)):
-        with open(target, "w", encoding="utf-8") as handle:
-            _write(topo, handle)
-    else:
-        _write(topo, target)
-
-
 def _write(topo: Topology, handle: TextIO) -> None:
     handle.write(f"# topology {topo.name}: {topo.num_nodes} nodes, {topo.num_edges} edges\n")
     for u, v, delay in topo.edges():

@@ -60,14 +60,6 @@ class LinearFit:
     intercept: float
     r_squared: float
 
-    def predict(self, x: float) -> float:
-        return self.slope * x + self.intercept
-
-    @property
-    def is_strongly_linear(self) -> bool:
-        """The library's convention for "linearly proportional": R² ≥ 0.9."""
-        return self.r_squared >= 0.9
-
 
 def linear_fit(xs: Sequence[float], ys: Sequence[float]) -> LinearFit:
     """Least-squares line through ``(xs, ys)``.

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.bgp import BgpConfig, VARIANT_NAMES, all_variants, variant
+from repro.bgp import BgpConfig, VARIANT_NAMES, variant
 from repro.errors import ConfigError
 
 
@@ -71,8 +71,3 @@ class TestRegistry:
     def test_unknown_variant(self):
         with pytest.raises(ConfigError, match="unknown BGP variant"):
             variant("turbo")
-
-    def test_all_variants_map(self):
-        table = all_variants(mrai=5.0)
-        assert list(table) == VARIANT_NAMES
-        assert all(config.mrai == 5.0 for config in table.values())

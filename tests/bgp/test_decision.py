@@ -47,7 +47,3 @@ class TestSelect:
         candidates = decision.candidates("d", rib, originated=True)
         assert candidates[0].is_local
         assert len(candidates) == 2
-
-    def test_prefers(self, decision):
-        assert decision.prefers(route_via(5, 0), route_via(6, 7, 0))
-        assert not decision.prefers(route_via(6, 7, 0), route_via(5, 0))

@@ -6,10 +6,6 @@ from repro.bgp import Announcement, AsPath, Withdrawal, is_update
 
 
 class TestAnnouncement:
-    def test_sender_is_path_head(self):
-        msg = Announcement(prefix="d", path=AsPath((5, 4, 0)))
-        assert msg.sender == 5
-
     def test_empty_path_rejected(self):
         with pytest.raises(ValueError):
             Announcement(prefix="d", path=AsPath.empty())

@@ -4,8 +4,6 @@ import pytest
 
 from repro.bgp import (
     AsPath,
-    NoTransitForPrefix,
-    PreferNeighbor,
     Route,
     ShortestPathPolicy,
     local_route,
@@ -50,24 +48,3 @@ class TestShortestPathPolicy:
         policy = ShortestPathPolicy()
         assert policy.accept_import(5, route_via(5, 0))
         assert policy.accept_export(5, route_via(9, 0))
-
-
-class TestNoTransit:
-    def test_learned_route_not_exported(self):
-        policy = NoTransitForPrefix("d")
-        assert not policy.accept_export(7, route_via(5, 0))
-
-    def test_local_route_still_exported(self):
-        policy = NoTransitForPrefix("d")
-        assert policy.accept_export(7, local_route("d"))
-
-    def test_other_prefixes_unaffected(self):
-        policy = NoTransitForPrefix("d")
-        assert policy.accept_export(7, route_via(5, 0, prefix="other"))
-
-
-class TestPreferNeighbor:
-    def test_boosts_chosen_neighbor(self):
-        policy = PreferNeighbor(5, boost=50)
-        assert policy.local_pref(5, route_via(5, 0)) == 150
-        assert policy.local_pref(6, route_via(6, 0)) == 100

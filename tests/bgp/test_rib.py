@@ -164,13 +164,12 @@ class TestAdjRibOut:
     def test_nothing_sent_initially(self):
         rib = AdjRibOut()
         assert rib.last_sent(5, "d") == NOTHING_SENT
-        assert rib.last_sent(5, "d").is_withdrawn
+        assert rib.last_sent(5, "d").path is None
 
     def test_record_announcement(self):
         rib = AdjRibOut()
         rib.record(5, "d", AsPath((1, 0)))
         state = rib.last_sent(5, "d")
-        assert not state.is_withdrawn
         assert state.path == AsPath((1, 0))
 
     def test_withdrawal_equals_nothing_sent(self):

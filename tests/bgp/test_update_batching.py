@@ -36,13 +36,7 @@ class TestUpdateBatchValidation:
         )
         assert b.withdrawn == ("a", "b")
         assert b.size == 4
-        assert b.sender == 3
         assert "Batch[" in repr(b)
-
-    def test_pure_withdrawal_has_no_sender(self):
-        b = batch(withdrawn=("a",))
-        with pytest.raises(ValueError):
-            b.sender
 
     def test_empty_batch_rejected(self):
         with pytest.raises(ValueError):

@@ -75,11 +75,6 @@ class TestTimeline:
         churn = UpdateChurn.from_trace(trace, failure_time=0.0)
         assert churn.min_pair_spacing() is None
 
-    def test_updates_by_round(self, churn):
-        assert churn.updates_by_round(mrai=10.0) == [4, 1]
-        with pytest.raises(AnalysisError):
-            churn.updates_by_round(0)
-
 
 class TestOnRealRun:
     def test_mrai_floor_visible_in_spacings(self):

@@ -28,7 +28,6 @@ class TestMeasurement:
         assert report.update_count == 3
         assert report.announcement_count == 1
         assert report.withdrawal_count == 2
-        assert report.reaction_delay == 0.0
         assert report.convergence_end == 15.5
 
     def test_silent_convergence(self):
@@ -45,7 +44,7 @@ class TestMeasurement:
         trace.record(12.0, 0, 1, ann())
         report = measure_convergence(trace, failure_time=10.0)
         assert report.update_count == 1
-        assert report.reaction_delay == 2.0
+        assert report.first_update_time == 12.0
 
     def test_update_exactly_at_failure_time_counts(self):
         trace = MessageTrace()

@@ -8,7 +8,6 @@ from repro.core import (
     longest_loop_duration,
     loop_size_histogram,
     loop_timeline,
-    nodes_in_loops,
 )
 from repro.core.loop_detector import LoopInterval
 from repro.dataplane import FibChangeLog, ForwardingGraph
@@ -38,7 +37,6 @@ class TestFindLoops:
     def test_tail_into_loop_not_in_cycle(self):
         graph = ForwardingGraph({0: 1, 1: 2, 2: 1})
         assert find_loops(graph) == [(1, 2)]
-        assert nodes_in_loops(graph) == [1, 2]
 
     def test_local_delivery_is_not_a_loop(self):
         graph = ForwardingGraph({0: 0, 1: 0})

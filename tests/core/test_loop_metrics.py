@@ -52,22 +52,15 @@ class TestMetrics:
         assert r.ttl_exhaustions == 40
         assert r.looping_ratio == pytest.approx(0.4)
 
-    def test_looping_gap(self):
-        assert result().looping_gap == pytest.approx(4.0)
-
     def test_loop_statistics(self):
         r = result()
         assert r.distinct_loop_count == 2
-        assert r.max_loop_size == 3
-        assert r.max_loop_duration == 23.0
-        assert sorted(r.loop_sizes()) == [2, 3]
 
     def test_no_loops_edge_case(self):
         r = result(dataplane=dataplane(exhausted=0), intervals=[])
         assert r.overall_looping_duration == 0.0
         assert r.looping_ratio == 0.0
-        assert r.max_loop_size == 0
-        assert r.max_loop_duration == 0.0
+        assert r.distinct_loop_count == 0
 
     def test_summary_row_keys(self):
         row = result().summary_row()

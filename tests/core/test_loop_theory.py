@@ -3,9 +3,7 @@
 import pytest
 
 from repro.core import (
-    loop_formation_example,
     resolution_schedule,
-    schedule_resolution_time,
     worst_case_detection_delay,
     worst_case_loop_duration,
 )
@@ -49,9 +47,8 @@ class TestSchedule:
     def test_schedule_agrees_with_closed_form(self, m, k):
         if k > m:
             pytest.skip("k must be <= m")
-        assert schedule_resolution_time(m, k, 10.0) == worst_case_detection_delay(
-            m, k, 10.0
-        )
+        steps = resolution_schedule(m, k, 10.0)
+        assert steps[-1].time_bound == worst_case_detection_delay(m, k, 10.0)
 
     def test_schedule_steps_walk_counterclockwise(self):
         steps = resolution_schedule(m=5, k=2, mrai=10.0)
@@ -70,13 +67,3 @@ class TestSchedule:
         times = [step.time_bound for step in steps]
         assert times == sorted(times)
         assert times[-1] == worst_case_detection_delay(7, 2, 5.0)
-
-
-class TestFigure1Example:
-    def test_paths_are_the_paper_figures(self):
-        before, node5, node6 = loop_formation_example()
-        assert list(before) == [4, 0]
-        assert list(node5) == [5, 6, 4, 0]
-        assert list(node6) == [6, 5, 4, 0]
-        # Each node's backup goes through the other: the 2-node loop.
-        assert 6 in node5 and 5 in node6

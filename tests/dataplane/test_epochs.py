@@ -67,12 +67,12 @@ class TestLoopAccounting:
         )
         sources = [CbrSource(node=1, rate=10.0), CbrSource(node=2, rate=10.0)]
         report = evaluator(log, sources).evaluate(0.0, 10.0)
-        loops = report.distinct_loops()
+        loops = list(report.loops.values())
         assert len(loops) == 1
         assert loops[0].cycle == (1, 2)
         assert loops[0].packets_lost == 100
         assert loops[0].size == 2
-        assert loops[0].observed_duration > 0
+        assert loops[0].last_seen > loops[0].first_seen
 
     def test_per_source_exhaustions(self):
         log = make_log([(0.0, 1, 2), (0.0, 2, 1)])

@@ -37,10 +37,6 @@ class TestRecording:
     def test_change_times_dedups(self, log):
         assert log.change_times(P) == [0.0, 5.0, 8.0]
 
-    def test_last_change_time(self, log):
-        assert log.last_change_time(P) == 8.0
-        assert log.last_change_time("missing") is None
-
 
 class TestSnapshot:
     def test_snapshot_initial(self, log):
@@ -111,9 +107,3 @@ class TestForwardingGraph:
         assert dup == graph
         dup.set_next_hop(2, 1)
         assert dup != graph
-
-    def test_as_dict_is_copy(self):
-        graph = ForwardingGraph({1: 0})
-        snapshot = graph.as_dict()
-        snapshot[9] = 9
-        assert graph.next_hop(9) is None

@@ -12,9 +12,6 @@ class TestCbrSource:
         assert src.departure_time(0) == 2.0
         assert src.departure_time(5) == pytest.approx(2.5)
 
-    def test_interval(self):
-        assert CbrSource(node=1, rate=4.0).interval == 0.25
-
     def test_invalid_rate(self):
         with pytest.raises(ConfigError):
             CbrSource(node=1, rate=0.0)

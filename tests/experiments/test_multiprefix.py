@@ -21,7 +21,6 @@ from repro.experiments.runner import run_experiment
 from repro.experiments.scenarios import (
     Scenario,
     clique_tagg_trial,
-    multiprefix_trial,
     tagg_clique,
     tdown_clique,
     tflap_bclique,
@@ -56,11 +55,6 @@ class TestGoldenEquivalence:
         legacy = tflap_bclique(4, period=3.0, count=2)
         multi = with_explicit_originations(legacy)
         assert digest_of(legacy) == digest_of(multi)
-
-    def test_multiprefix_trial_matches_legacy_family(self):
-        assert digest_of(multiprefix_trial(5, 0, base="tdown", size=5)) == (
-            digest_of(tdown_clique(5))
-        )
 
     def test_legacy_summary_has_no_traffic_keys(self):
         run = run_experiment(tdown_clique(4), FAST, SETTINGS, seed=0)

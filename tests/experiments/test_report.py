@@ -9,7 +9,6 @@ from repro.experiments import (
     FigureData,
     RunSettings,
     run_experiment,
-    run_summary_table,
     tdown_clique,
 )
 
@@ -129,17 +128,3 @@ class TestDescribeRun:
         text = describe_run(stripped)
         assert "updates sent" not in text
         assert "individual loops" in text
-
-
-class TestRunSummaryTable:
-    def test_renders_one_row_per_run(self):
-        config = BgpConfig(mrai=1.0, processing_delay=(0.01, 0.05))
-        runs = [
-            run_experiment(
-                tdown_clique(3), config, settings=RunSettings(failure_guard=0.5), seed=s
-            )
-            for s in (0, 1)
-        ]
-        text = run_summary_table(runs)
-        assert text.count("tdown-clique-3") == 2
-        assert "conv_time" in text

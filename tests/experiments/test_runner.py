@@ -57,13 +57,13 @@ class TestRunLifecycle:
         assert a.result.convergence_time != b.result.convergence_time
 
     def test_policy_factory_applies_per_node_policies(self):
-        from repro.bgp import PreferNeighbor
+        from repro.bgp import ShortestPathPolicy
 
-        seen = []
+        made = {}
 
         def factory(node_id):
-            seen.append(node_id)
-            return PreferNeighbor(neighbor=0)
+            made[node_id] = ShortestPathPolicy()
+            return made[node_id]
 
         run = run_experiment(
             tdown_clique(4),
@@ -73,15 +73,15 @@ class TestRunLifecycle:
             policy_factory=factory,
             keep_network=True,
         )
-        assert sorted(set(seen)) == [0, 1, 2, 3]
-        for node in run.network.nodes.values():
-            assert isinstance(node.policy, PreferNeighbor)
+        assert sorted(made) == [0, 1, 2, 3]
+        for node_id, node in run.network.nodes.items():
+            assert node.policy is made[node_id]
 
     def test_route_log_populated(self):
         run = run_experiment(tdown_clique(4), FAST, settings=SETTINGS, seed=1)
         assert len(run.route_log) > 0
         post = run.route_log.changes(prefix="dest", since=run.failure_time)
-        assert post and post[-1].is_loss
+        assert post and post[-1].new_path is None
 
     def test_on_network_ready_hook(self):
         seen = {}

@@ -46,7 +46,6 @@ class TestFamilies:
         assert scenario.event is EventKind.TDOWN
         assert scenario.destination == 0
         assert scenario.topology.num_nodes == 6
-        assert scenario.source_nodes == [1, 2, 3, 4, 5]
 
     def test_tlong_bclique_fails_edge_to_core_link(self):
         scenario = tlong_bclique(5)

@@ -122,12 +122,12 @@ class TestFlaps:
         network.node(0).originate("dest")
         network.start()
         scheduler.run(max_events=200_000)
-        before = graph_for(network, "dest").as_dict()
+        before = graph_for(network, "dest")
         down_at = scheduler.now + 0.5
         network.schedule_link_failure(0, 1, at=down_at)
         network.schedule_link_restore(0, 1, at=down_at + 5.0)
         scheduler.run(max_events=200_000)
-        after = graph_for(network, "dest").as_dict()
+        after = graph_for(network, "dest")
         assert after == before
         for node in network.nodes.values():
             node.check_invariants()

@@ -153,7 +153,6 @@ class TestLinkFlap:
             LinkFailure(0, 1, 14.0),
             LinkRestore(0, 1, 16.0),
         ]
-        assert flap.last_restore_at == pytest.approx(16.0)
 
     def test_injected_flap_toggles_link(self, scheduler, net):
         LinkFlap(0, 1, at=1.0, period=2.0, count=2).inject(net)

@@ -2,7 +2,7 @@
 
 from hypothesis import given, strategies as st
 
-from repro.core import find_loops, nodes_in_loops
+from repro.core import find_loops
 from repro.dataplane import CbrSource, ForwardingGraph, PacketFate, walk
 
 NODES = list(range(10))
@@ -43,7 +43,7 @@ def test_find_loops_returns_all_and_only_cycles(mapping):
             assert graph.next_hop(node) == cycle[(index + 1) % len(cycle)]
         assert len(set(cycle)) == len(cycle)
     # All: any node whose long walk revisits must be covered by some loop.
-    members = set(nodes_in_loops(graph))
+    members = {node for cycle in loops for node in cycle}
     for source in mapping:
         result = walk(graph, source, ttl=64)
         if result.loop is not None:

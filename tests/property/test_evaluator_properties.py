@@ -132,8 +132,6 @@ def test_two_node_share_in_unit_interval(a):
     if stats.count:
         histogram = stats.size_histogram()
         assert sum(histogram.values()) == stats.count
-        participation = stats.node_participation()
-        assert sum(participation.values()) == sum(stats.sizes())
 
 
 # ----------------------------------------------------------------------

@@ -26,8 +26,8 @@ class TestRecording:
 
     def test_instant_vs_span(self, timeline):
         instant, span, _ = timeline.records()
-        assert not instant.is_span and instant.end == 1.0
-        assert span.is_span and span.duration == 2.5 and span.end == 2.5
+        assert instant.duration is None and instant.end == 1.0
+        assert span.duration == 2.5 and span.end == 2.5
 
     def test_backwards_span_rejected(self):
         with pytest.raises(TelemetryError, match="before it starts"):

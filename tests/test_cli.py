@@ -382,10 +382,11 @@ class TestDeterminismCommand:
 
 class TestMetricsCommand:
     def test_traced_run_prints_telemetry_table(self, capsys):
-        code = main(["metrics", "--size", "4", "--mrai", "1"])
+        code = main(["run", "--metrics", "--size", "4", "--mrai", "1"])
         out = capsys.readouterr().out
         assert code == 0
-        assert "telemetry:" in out
+        assert "convergence time" in out
+        assert out.index("convergence time") < out.index("telemetry:")
         assert "engine.events_executed" in out
         assert "net.messages_sent.Announcement" in out
         assert "timeline :" in out
@@ -400,7 +401,7 @@ class TestMetricsCommand:
         trace_path = tmp_path / "trace.json"
         jsonl_path = tmp_path / "timeline.jsonl"
         code = main(
-            ["metrics", "--size", "4", "--mrai", "1",
+            ["run", "--metrics", "--size", "4", "--mrai", "1",
              "--chrome-trace", str(trace_path), "--jsonl", str(jsonl_path)]
         )
         out = capsys.readouterr().out
@@ -410,6 +411,24 @@ class TestMetricsCommand:
         assert validate_chrome_trace(payload) > 0
         for line in jsonl_path.read_text().splitlines():
             assert "time" in json.loads(line)
+
+    def test_export_without_metrics_is_an_error(self, capsys, tmp_path):
+        trace_path = tmp_path / "trace.json"
+        code = main(
+            ["run", "--size", "4", "--mrai", "1",
+             "--chrome-trace", str(trace_path)]
+        )
+        assert code == 2
+        assert "--metrics" in capsys.readouterr().err
+        assert not trace_path.exists()
+
+    def test_traced_run_honours_the_session_layer(self, capsys):
+        code = main(
+            ["run", "--metrics", "--size", "4", "--mrai", "1", "--sessions"]
+        )
+        out = capsys.readouterr().out
+        assert code == 0
+        assert "net.messages_sent.Keepalive" in out
 
     def test_figure_metrics_flag_prints_aggregate(self, capsys):
         code = main(["figure", "fig4a", "--quick", "--metrics"])
@@ -471,7 +490,7 @@ class TestSweepCommand:
         code = main(
             [
                 "sweep", "--sizes", "3,4", "--trials", "1",
-                "--mrai", "1.0", "--journal", str(journal), "--resume",
+                "--mrai", "1.0", "--journal", str(journal),
             ]
         )
         out = capsys.readouterr().out

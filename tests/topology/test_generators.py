@@ -8,7 +8,6 @@ from repro.topology import (
     binary_tree,
     chain,
     clique,
-    destination_for,
     grid,
     named_generator,
     ring,
@@ -126,13 +125,3 @@ class TestRegistry:
     def test_unknown_name(self):
         with pytest.raises(TopologyError, match="unknown topology"):
             named_generator("torus")
-
-    def test_destination_convention(self):
-        assert destination_for(clique(4)) == 0
-
-    def test_destination_missing_node_zero(self):
-        from repro.topology import Topology
-
-        topo = Topology.from_edges([(1, 2)])
-        with pytest.raises(TopologyError):
-            destination_for(topo)

@@ -8,7 +8,6 @@ from repro.errors import TopologyError
 from repro.topology import (
     DEFAULT_LINK_DELAY,
     clique,
-    dump_edge_list,
     dumps_edge_list,
     load_edge_list,
 )
@@ -54,12 +53,6 @@ class TestRoundTrip:
         original = clique(5)
         restored = load_edge_list(io.StringIO(dumps_edge_list(original)))
         assert restored == original
-
-    def test_dump_to_file_roundtrip(self, tmp_path):
-        original = clique(4)
-        path = tmp_path / "clique.txt"
-        dump_edge_list(original, path)
-        assert load_edge_list(path) == original
 
     def test_non_default_delay_round_trips(self):
         from repro.topology import Topology
