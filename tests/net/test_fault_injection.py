@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.errors import ConfigError
+from repro.errors import ConfigError, NetworkError
 from repro.net import (
     LinkFailure,
     LinkFlap,
@@ -10,6 +10,7 @@ from repro.net import (
     Network,
     Node,
     NodeCrash,
+    OriginWithdrawal,
     SessionReset,
 )
 from repro.topology import chain, clique
@@ -173,6 +174,91 @@ class TestLinkFlap:
             LinkFlap(0, 1, at=0.0, period=1.0, count=0)
         with pytest.raises(ConfigError, match="duty"):
             LinkFlap(0, 1, at=0.0, period=1.0, duty=1.0)
+
+
+def _record_schedule(scheduler, monkeypatch):
+    """Capture ``(time, priority, name)`` of every event put on ``scheduler``."""
+    scheduled = []
+    call_at = scheduler.call_at
+
+    def record(*args, **kwargs):
+        event = call_at(*args, **kwargs)
+        scheduled.append((event.time, event.priority, event.name))
+        return event
+
+    monkeypatch.setattr(scheduler, "call_at", record)
+    return scheduled
+
+
+class TestInjectedSchedule:
+    """Each injector puts exactly these events on the scheduler, so event
+    order (and every digest that depends on it) is pinned."""
+
+    @pytest.mark.parametrize(
+        "injector, expected",
+        [
+            (LinkFailure(0, 1, at=5.0), [(5.0, 0, "fail:0-1")]),
+            (LinkRestore(2, 3, at=7.5), [(7.5, 0, "restore:2-3")]),
+            (SessionReset(1, 2, at=4.0), [(4.0, 0, "reset:1-2")]),
+            (NodeCrash(1, at=2.0), [(2.0, 0, "crash:1")]),
+            (NodeCrash(1, at=2.0, silent=True), [(2.0, 0, "crash:1")]),
+            (
+                NodeCrash(3, at=2.0, restart_after=3.0),
+                [(2.0, 0, "crash:3"), (5.0, 0, "restart:3")],
+            ),
+            (
+                LinkFlap(0, 1, at=1.0, period=2.0, count=2),
+                [
+                    (1.0, 0, "fail:0-1"),
+                    (2.0, 0, "restore:0-1"),
+                    (3.0, 0, "fail:0-1"),
+                    (4.0, 0, "restore:0-1"),
+                ],
+            ),
+            (OriginWithdrawal(0, "d", at=6.0), [(6.0, 0, "tdown:0")]),
+        ],
+        ids=[
+            "link_failure",
+            "link_restore",
+            "session_reset",
+            "node_crash",
+            "node_crash_silent",
+            "node_crash_restart",
+            "link_flap",
+            "origin_withdrawal",
+        ],
+    )
+    def test_events_scheduled(self, scheduler, net, monkeypatch, injector, expected):
+        scheduled = _record_schedule(scheduler, monkeypatch)
+        injector.inject(net)
+        assert scheduled == expected
+        assert scheduler.pending == len(expected)
+
+    @pytest.mark.parametrize(
+        "injector",
+        [
+            LinkFailure(0, 99, at=5.0),
+            LinkRestore(0, 99, at=5.0),
+            SessionReset(0, 99, at=5.0),
+            NodeCrash(99, at=5.0),
+            NodeCrash(99, at=5.0, restart_after=1.0),
+            LinkFlap(0, 99, at=1.0, period=2.0),
+            OriginWithdrawal(99, "d", at=5.0),
+        ],
+        ids=[
+            "link_failure",
+            "link_restore",
+            "session_reset",
+            "node_crash",
+            "node_crash_restart",
+            "link_flap",
+            "origin_withdrawal",
+        ],
+    )
+    def test_unknown_target_raises_at_inject(self, scheduler, net, injector):
+        with pytest.raises(NetworkError):
+            injector.inject(net)
+        assert scheduler.pending == 0
 
 
 class TestChainCrash:
