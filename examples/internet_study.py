@@ -18,7 +18,7 @@ import sys
 
 from repro import BgpConfig, RunSettings, run_experiment
 from repro import tdown_internet, tlong_internet
-from repro.core import loop_size_histogram
+from repro.core import LoopStatistics
 from repro.util import render_table
 
 
@@ -53,7 +53,7 @@ def study(scenario, seed):
             title="Longest-lived individual loops",
         )
     )
-    histogram = loop_size_histogram(result.loop_intervals)
+    histogram = LoopStatistics.from_intervals(result.loop_intervals).size_histogram()
     total = sum(histogram.values())
     print("  Loop size distribution:")
     for size in sorted(histogram):

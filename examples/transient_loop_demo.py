@@ -12,7 +12,7 @@ from repro.bgp import BgpSpeaker
 from repro.core import loop_timeline
 from repro.dataplane import FibChangeLog
 from repro.engine import RandomStreams
-from repro.net import Network
+from repro.net import LinkFailure, Network
 from repro.topology import Topology
 
 PREFIX = "dest"
@@ -56,7 +56,7 @@ def main() -> None:
     show_paths(network, "After initial convergence (Figure 1a):")
 
     failure_time = scheduler.now + 1.0
-    network.schedule_link_failure(0, 4, at=failure_time)
+    LinkFailure(0, 4, at=failure_time).inject(network)
     scheduler.run(max_events=100_000)
     show_paths(network, "After link [4 0] fails and BGP re-converges (Figure 1c):")
 

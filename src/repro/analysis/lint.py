@@ -153,7 +153,7 @@ _RANDOM_DRAW_FUNCS = frozenset({
 
 #: Attribute-call names whose presence in a loop body marks the loop as
 #: feeding the scheduler or the message plane.
-_EMISSION_CALLS = frozenset({"call_at", "call_after", "send", "submit"})
+_EMISSION_CALLS = frozenset({"call_at", "call_after", "send", "submit", "inject"})
 
 _MUTABLE_CONSTRUCTORS = frozenset({
     "list", "dict", "set", "defaultdict", "Counter", "deque", "OrderedDict",

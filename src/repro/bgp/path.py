@@ -24,9 +24,8 @@ module therefore maintains a process-global **intern table**: one canonical
 obtain paths through the interning constructors —
 
 * :func:`intern_path` / :meth:`AsPath.of` — the canonical factory,
-* the algebra methods (:meth:`AsPath.prepend`, :meth:`AsPath.concat`,
-  :meth:`AsPath.suffix_from`, :meth:`AsPath.empty`), which always return
-  interned instances,
+* the algebra methods (:meth:`AsPath.prepend`, :meth:`AsPath.suffix_from`,
+  :meth:`AsPath.empty`), which always return interned instances,
 
 — never ``AsPath(...)`` directly (the determinism linter's REP106 rule
 enforces this outside this module).  Interning buys three things on the
@@ -143,18 +142,6 @@ class AsPath:
             raise ProtocolError(f"AS {asn} already in path {self!r}")
         return _intern_valid((asn,) + self._ases)
 
-    def concat(self, other: "AsPath") -> "AsPath":
-        """The paper's "·" operator: this path followed by ``other``.
-
-        Used by the analytical model of §3.2, e.g.
-        ``(c_1 .. c_k) · path(c_k, old)``.
-        """
-        return intern_path(self._ases + other._ases)
-
-    def contains_any(self, ases: Iterable[int]) -> bool:
-        """True if any AS from ``ases`` appears in this path."""
-        return not self._members.isdisjoint(ases)
-
     def suffix_from(self, asn: int) -> Optional["AsPath"]:
         """The sub-path starting at ``asn`` (inclusive), or ``None``.
 
@@ -167,16 +154,6 @@ class AsPath:
         except ValueError:
             return None
         return _intern_valid(self._ases[index:])
-
-    def next_after(self, asn: int) -> Optional[int]:
-        """The AS that follows ``asn`` on the way to the origin, if any."""
-        try:
-            index = self._ases.index(asn)
-        except ValueError:
-            return None
-        if index + 1 >= len(self._ases):
-            return None
-        return self._ases[index + 1]
 
     @classmethod
     def of(cls, ases: Iterable[int] = ()) -> "AsPath":

@@ -147,21 +147,11 @@ class BgpSpeaker(Node):
         # Batched-UPDATE send queue (config.batch_updates): per peer, the
         # prefixes queued this instant, ``None`` meaning withdraw.  A
         # same-instant flush event drains each peer's queue into one
-        # UpdateBatch; Adj-RIB-Out and counters are maintained at queue
-        # time, so all suppression logic sees the post-queue state.
+        # UpdateBatch; Adj-RIB-Out is maintained at queue time, so all
+        # suppression logic sees the post-queue state.
         self._pending_updates: Dict[int, Dict[Prefix, Optional[AsPath]]] = {}
         self._flush_scheduled: Set[int] = set()
-        self.batches_sent = 0
-        # Counters (diagnostics; the authoritative metric source is the
-        # network-level MessageTrace).
-        self.announcements_sent = 0
-        self.withdrawals_sent = 0
-        self.routes_discarded_by_poison_reverse = 0
-        self.routes_removed_by_assertion = 0
-        self.flush_withdrawals_sent = 0
-        self.ssld_conversions = 0
         self.session_resets_seen = 0
-        self.opens_sent = 0
 
     # ------------------------------------------------------------------
     # Public protocol API
@@ -294,7 +284,6 @@ class BgpSpeaker(Node):
         if self.node_id in path:
             # Path-based poison reverse: the route is unusable for us, and it
             # *replaces* src's previous announcement (implicit withdrawal).
-            self.routes_discarded_by_poison_reverse += 1
             telemetry = self.scheduler.telemetry
             if telemetry is not None:
                 telemetry.on_variant_extra(self.node_id, "poison_reverse")
@@ -326,7 +315,6 @@ class BgpSpeaker(Node):
         telemetry = self.scheduler.telemetry
         for neighbor in stale_entries(self.adj_rib_in, prefix, src, new_path):
             self.adj_rib_in.remove(neighbor, prefix)
-            self.routes_removed_by_assertion += 1
             if telemetry is not None:
                 telemetry.on_variant_extra(self.node_id, "assertion_removal")
 
@@ -400,7 +388,6 @@ class BgpSpeaker(Node):
             return
         if not self.link_is_up(peer):
             return
-        self.opens_sent += 1
         self.send(peer, Open())
         # No reply yet: keep probing with the next backoff step.
         self.sessions.start_reconnect(peer)
@@ -660,7 +647,6 @@ class BgpSpeaker(Node):
                     telemetry.on_update_suppressed(self.node_id, peer, prefix, "mrai")
                 if self.config.ghost_flushing and should_flush(last, desired):
                     self._emit(peer, prefix, None)
-                    self.flush_withdrawals_sent += 1
                     if telemetry is not None:
                         telemetry.on_variant_extra(self.node_id, "ghost_flush")
 
@@ -674,7 +660,6 @@ class BgpSpeaker(Node):
         if self.config.ssld and converts_to_withdrawal(peer, advertised):
             # SSLD: the peer would poison-reverse this path away; send the
             # equivalent information as an (immediate) withdrawal instead.
-            self.ssld_conversions += 1
             telemetry = self.scheduler.telemetry
             if telemetry is not None:
                 telemetry.on_variant_extra(self.node_id, "ssld_conversion")
@@ -698,10 +683,6 @@ class BgpSpeaker(Node):
         else:
             self.send(peer, Announcement(prefix=prefix, path=path))
         self.adj_rib_out.record(peer, prefix, path)
-        if path is None:
-            self.withdrawals_sent += 1
-        else:
-            self.announcements_sent += 1
 
     # ------------------------------------------------------------------
     # Batched-UPDATE packing (config.batch_updates)
@@ -741,7 +722,6 @@ class BgpSpeaker(Node):
             sorted((p, path) for p, path in pending.items() if path is not None)
         )
         self.send(peer, UpdateBatch(withdrawn=withdrawn, nlri=nlri))
-        self.batches_sent += 1
 
     def _on_mrai_expiry(self, peer: int, held: List[Prefix]) -> None:
         """An MRAI timer toward ``peer`` expired: release what it held."""

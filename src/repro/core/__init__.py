@@ -16,8 +16,6 @@ from .loop_detector import (
     LoopInterval,
     find_loops,
     is_loop_free,
-    longest_loop_duration,
-    loop_size_histogram,
     loop_timeline,
 )
 from .loop_metrics import LoopStudyResult
@@ -57,8 +55,6 @@ __all__ = [
     "check_wrate_regression",
     "find_loops",
     "is_loop_free",
-    "longest_loop_duration",
-    "loop_size_histogram",
     "loop_timeline",
     "measure_convergence",
     "percentile",

@@ -2,10 +2,9 @@
 
 The convergence-time metric compresses all post-failure update activity
 into a single number.  :class:`UpdateChurn` keeps the structure: who sent
-how much, announcements vs withdrawals, the activity timeline, and the
-inter-update spacing per (sender, receiver) pair — which makes the MRAI
-round structure directly visible (spacings cluster at the jittered timer
-values) and quantifies each enhancement's message cost (e.g. Ghost
+how much, announcements vs withdrawals, and the inter-update spacing per
+(sender, receiver) pair — which makes the MRAI round structure directly
+visible (spacings cluster at the jittered timer values) and quantifies each enhancement's message cost (e.g. Ghost
 Flushing's withdrawal flood on high-degree nodes).
 """
 
@@ -14,14 +13,18 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from ..bgp.messages import Announcement, Withdrawal, is_update
-from ..errors import AnalysisError
+from ..bgp.messages import Announcement, UpdateBatch, Withdrawal, is_update
 from ..net import MessageTrace
 
 
 @dataclass
 class UpdateChurn:
-    """Structured view of post-failure update activity."""
+    """Structured view of post-failure update activity.
+
+    ``total_updates`` counts messages; ``announcements`` and ``withdrawals``
+    count routes, so an :class:`~repro.bgp.messages.UpdateBatch` adds one
+    update and each route it carries.
+    """
 
     failure_time: float
     send_times: List[float] = field(default_factory=list)
@@ -46,10 +49,14 @@ class UpdateChurn:
             churn.per_pair.setdefault((record.src, record.dst), []).append(
                 record.time
             )
-            if isinstance(record.message, Announcement):
+            message = record.message
+            if isinstance(message, Announcement):
                 churn.announcements += 1
-            elif isinstance(record.message, Withdrawal):
+            elif isinstance(message, Withdrawal):
                 churn.withdrawals += 1
+            elif isinstance(message, UpdateBatch):
+                churn.announcements += len(message.nlri)
+                churn.withdrawals += len(message.withdrawn)
         return churn
 
     # ------------------------------------------------------------------
@@ -62,30 +69,15 @@ class UpdateChurn:
 
     @property
     def withdrawal_fraction(self) -> float:
-        """Withdrawals as a fraction of all updates (0 when silent)."""
-        if not self.total_updates:
+        """Withdrawn routes as a fraction of all routes sent (0 when silent)."""
+        routes = self.announcements + self.withdrawals
+        if not routes:
             return 0.0
-        return self.withdrawals / self.total_updates
+        return self.withdrawals / routes
 
     def busiest_senders(self, top: int = 5) -> List[Tuple[int, int]]:
         """``(node, updates_sent)``, heaviest first."""
         return sorted(self.per_sender.items(), key=lambda kv: (-kv[1], kv[0]))[:top]
-
-    def activity_histogram(self, bin_seconds: float) -> List[int]:
-        """Updates per time bin from the failure to the last update.
-
-        The bursty, MRAI-spaced round structure of BGP convergence shows up
-        as periodic peaks.
-        """
-        if bin_seconds <= 0:
-            raise AnalysisError(f"bin size must be positive, got {bin_seconds}")
-        if not self.send_times:
-            return []
-        horizon = max(self.send_times) - self.failure_time
-        bins = [0] * (int(horizon / bin_seconds) + 1)
-        for when in self.send_times:
-            bins[int((when - self.failure_time) / bin_seconds)] += 1
-        return bins
 
     def pair_spacings(self) -> List[float]:
         """Gaps between consecutive updates on each (sender, receiver) pair.

@@ -23,8 +23,6 @@ class ConvergenceReport:
     first_update_time: Optional[float]
     last_update_time: Optional[float]
     update_count: int
-    announcement_count: int
-    withdrawal_count: int
 
     @property
     def convergence_time(self) -> float:
@@ -53,12 +51,9 @@ def measure_convergence(trace: MessageTrace, failure_time: float) -> Convergence
         return record.time >= failure_time and is_update(record.message)
 
     relevant = trace.records(after_failure)
-    announcements = sum(1 for r in relevant if r.kind == "Announcement")
     return ConvergenceReport(
         failure_time=failure_time,
         first_update_time=relevant[0].time if relevant else None,
         last_update_time=relevant[-1].time if relevant else None,
         update_count=len(relevant),
-        announcement_count=announcements,
-        withdrawal_count=len(relevant) - announcements,
     )

@@ -131,20 +131,3 @@ def loop_timeline(
     for cycle, since in opened.items():
         finished.append(LoopInterval(cycle=cycle, start=since, end=end))
     return sorted(finished, key=lambda i: (i.start, i.cycle))
-
-
-def longest_loop_duration(intervals: List[LoopInterval]) -> float:
-    """The longest single-loop lifetime (0.0 when loop-free)."""
-    return max((i.duration for i in intervals), default=0.0)
-
-
-def loop_size_histogram(intervals: List[LoopInterval]) -> Dict[int, int]:
-    """How many distinct loop lifetimes had each size.
-
-    Prior measurement work found "more than half of the loops involved only
-    two nodes"; this histogram lets the simulations be compared with that.
-    """
-    histogram: Dict[int, int] = {}
-    for interval in intervals:
-        histogram[interval.size] = histogram.get(interval.size, 0) + 1
-    return histogram

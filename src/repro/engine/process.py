@@ -66,17 +66,6 @@ class SerialProcessor:
         """Total jobs whose service has finished."""
         return self._jobs_completed
 
-    @property
-    def backlog_time(self) -> float:
-        """Seconds until the queue would drain if nothing else arrives.
-
-        Only an estimate of the in-service job's remainder plus the service
-        times already assigned to the queued jobs.
-        """
-        waiting = sum(service for service, _, _ in self._queue)
-        in_service = max(0.0, self._busy_until - self._scheduler.now)
-        return waiting + in_service
-
     # ------------------------------------------------------------------
 
     def submit(

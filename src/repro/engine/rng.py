@@ -50,11 +50,6 @@ class RandomStreams:
             self._streams[name] = stream
         return stream
 
-    def spawn(self, name: str) -> "RandomStreams":
-        """Derive a child factory (e.g. one per trial in a sweep)."""
-        digest = hashlib.sha256(f"{self._seed}/{name}".encode()).digest()
-        return RandomStreams(int.from_bytes(digest[:8], "big"))
-
     def uniform(self, name: str, low: float, high: float) -> float:
         """Draw ``U[low, high]`` from the named stream."""
         return self.stream(name).uniform(low, high)

@@ -34,7 +34,7 @@ from ...bgp import (
 from ...core import ObservationCheck, UpdateChurn, loop_timeline
 from ...dataplane import FibChangeLog, PacketForwarder, sources_for
 from ...engine import RandomStreams, Scheduler
-from ...net import Network
+from ...net import LinkFailure, Network
 from ...topology import (
     InternetShape,
     b_clique,
@@ -420,7 +420,7 @@ def _after_one_failure(size: int, make_speaker, label: str) -> list:
     scheduler.run(max_events=500_000)
 
     failure_time = scheduler.now + 1.0
-    network.schedule_link_failure(0, size, at=failure_time)
+    LinkFailure(0, size, at=failure_time).inject(network)
     before = len(network.trace)
     scheduler.run(max_events=500_000)
 

@@ -12,6 +12,7 @@ from typing import Optional, Sequence
 
 from ...core import ObservationCheck, check_duration_coupling
 from ...core.observations import check_tlong_gap
+from ...topology import PAPER_SIZES
 from ..config import RunSettings
 from ..resilience import ResiliencePolicy
 from ..report import FigureData
@@ -102,7 +103,7 @@ def figure4b(
 
 
 def figure4c(
-    sizes: Sequence[int] = (29, 48, 75, 110),
+    sizes: Sequence[int] = PAPER_SIZES,
     mrai: float = 30.0,
     seeds: Sequence[int] = (0, 1, 2),
     settings: RunSettings = RunSettings(),

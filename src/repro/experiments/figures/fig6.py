@@ -11,6 +11,7 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 from ...core import ObservationCheck
+from ...topology import PAPER_SIZES
 from ..config import RunSettings
 from ..resilience import ResiliencePolicy
 from ..report import FigureData
@@ -91,7 +92,7 @@ def figure6b(
 
 
 def figure6c(
-    sizes: Sequence[int] = (29, 48, 75, 110),
+    sizes: Sequence[int] = PAPER_SIZES,
     mrai: float = 30.0,
     seeds: Sequence[int] = (0, 1, 2),
     settings: RunSettings = RunSettings(),

@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import List, Sequence
 
 from ...bgp import BgpConfig
-from ...core import ObservationCheck, longest_loop_duration, worst_case_loop_duration
+from ...core import LoopStatistics, ObservationCheck, worst_case_loop_duration
 from ...topology import ring_with_core
 from ..config import RunSettings
 from ..report import FigureData
@@ -53,7 +53,8 @@ def theory_bound_figure(
                 name=f"ring{m}-tlong",
             )
             run = run_experiment(scenario, config, settings=settings, seed=seed)
-            worst = max(worst, longest_loop_duration(run.result.loop_intervals))
+            stats = LoopStatistics.from_intervals(run.result.loop_intervals)
+            worst = max([worst, *stats.durations()])
         measured.append(worst)
         bounds.append(worst_case_loop_duration(m, mrai))
 

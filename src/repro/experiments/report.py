@@ -61,10 +61,6 @@ class FigureData:
         verdicts = "\n".join(f"  {check}" for check in self.checks)
         return f"{body}\n{verdicts}"
 
-    def check_failures(self) -> List[ObservationCheck]:
-        """Checks that did not hold (empty = full shape agreement)."""
-        return [check for check in self.checks if not check.holds]
-
     def to_json(self, indent: Optional[int] = 2) -> str:
         """The figure as JSON (id, title, axis, series, check verdicts).
 

@@ -80,7 +80,11 @@ class LinkFailure:
         _check_link(scenario.topology, self.u, self.v)
 
     def inject(self, network: Network) -> None:
-        network.schedule_link_failure(self.u, self.v, self.at)
+        u, v = self.u, self.v
+        network.link(u, v)  # validate now, fail later
+        network.scheduler.call_at(
+            self.at, lambda: network.fail_link(u, v), priority=0, name=f"fail:{u}-{v}"
+        )
 
 
 @dataclass(frozen=True)
@@ -98,7 +102,14 @@ class LinkRestore:
         _check_link(scenario.topology, self.u, self.v, may_cut=True)
 
     def inject(self, network: Network) -> None:
-        network.schedule_link_restore(self.u, self.v, self.at)
+        u, v = self.u, self.v
+        network.link(u, v)
+        network.scheduler.call_at(
+            self.at,
+            lambda: network.restore_link(u, v),
+            priority=0,
+            name=f"restore:{u}-{v}",
+        )
 
 
 @dataclass(frozen=True)
@@ -121,7 +132,14 @@ class SessionReset:
         _check_link(scenario.topology, self.u, self.v, may_cut=True)
 
     def inject(self, network: Network) -> None:
-        network.schedule_session_reset(self.u, self.v, self.at)
+        u, v = self.u, self.v
+        network.link(u, v)  # validate now, reset later
+        network.scheduler.call_at(
+            self.at,
+            lambda: network.reset_session(u, v),
+            priority=0,
+            name=f"reset:{u}-{v}",
+        )
 
 
 @dataclass(frozen=True)
@@ -159,9 +177,21 @@ class NodeCrash:
             )
 
     def inject(self, network: Network) -> None:
-        network.schedule_node_crash(self.node, self.at, silent=self.silent)
+        node, silent = self.node, self.silent
+        network.node(node)
+        network.scheduler.call_at(
+            self.at,
+            lambda: network.crash_node(node, silent=silent),
+            priority=0,
+            name=f"crash:{node}",
+        )
         if self.restart_after is not None:
-            network.schedule_node_restart(self.node, self.at + self.restart_after)
+            network.scheduler.call_at(
+                self.at + self.restart_after,
+                lambda: network.restart_node(node),
+                priority=0,
+                name=f"restart:{node}",
+            )
 
 
 @dataclass(frozen=True)

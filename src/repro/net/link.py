@@ -55,14 +55,6 @@ class Link:
             return self._to_u
         raise NetworkError(f"node {node} is not an endpoint of link {self.endpoints}")
 
-    def other_end(self, node: int) -> int:
-        """The endpoint opposite ``node``."""
-        if node == self.u:
-            return self.v
-        if node == self.v:
-            return self.u
-        raise NetworkError(f"node {node} is not an endpoint of link {self.endpoints}")
-
     def send(self, src: int, message: Any) -> None:
         """Send ``message`` from endpoint ``src`` toward the other end."""
         self.channel_from(src).send(message)

@@ -143,25 +143,6 @@ class Network:
         self.nodes[u].on_link_up(v)
         self.nodes[v].on_link_up(u)
 
-    def schedule_link_failure(
-        self, u: int, v: int, at: float, silent: bool = False
-    ) -> None:
-        """Arrange for ``fail_link(u, v, silent)`` at absolute time ``at``."""
-        self.link(u, v)  # validate now, fail later
-        self.scheduler.call_at(
-            at,
-            lambda: self.fail_link(u, v, silent=silent),
-            priority=0,
-            name=f"fail:{u}-{v}",
-        )
-
-    def schedule_link_restore(self, u: int, v: int, at: float) -> None:
-        """Arrange for ``restore_link(u, v)`` at absolute time ``at``."""
-        self.link(u, v)
-        self.scheduler.call_at(
-            at, lambda: self.restore_link(u, v), priority=0, name=f"restore:{u}-{v}"
-        )
-
     # ------------------------------------------------------------------
     # Session and whole-node fault injection
     # ------------------------------------------------------------------
@@ -229,35 +210,6 @@ class Network:
                 link.bring_up()
                 self.nodes[u].on_link_up(v)
                 self.nodes[v].on_link_up(u)
-
-    def schedule_session_reset(self, u: int, v: int, at: float) -> None:
-        """Arrange for ``reset_session(u, v)`` at absolute time ``at``."""
-        self.link(u, v)  # validate now, reset later
-        self.scheduler.call_at(
-            at, lambda: self.reset_session(u, v), priority=0, name=f"reset:{u}-{v}"
-        )
-
-    def schedule_node_crash(
-        self, node_id: int, at: float, silent: bool = False
-    ) -> None:
-        """Arrange for ``crash_node(node_id, silent)`` at absolute time ``at``."""
-        self.node(node_id)
-        self.scheduler.call_at(
-            at,
-            lambda: self.crash_node(node_id, silent=silent),
-            priority=0,
-            name=f"crash:{node_id}",
-        )
-
-    def schedule_node_restart(self, node_id: int, at: float) -> None:
-        """Arrange for ``restart_node(node_id)`` at absolute time ``at``."""
-        self.node(node_id)
-        self.scheduler.call_at(
-            at,
-            lambda: self.restart_node(node_id),
-            priority=0,
-            name=f"restart:{node_id}",
-        )
 
     # ------------------------------------------------------------------
     # Lifecycle

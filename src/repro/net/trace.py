@@ -92,13 +92,6 @@ class MessageTrace:
         """
         return {kind: self._kind_counts[kind] for kind in sorted(self._kind_counts)}
 
-    def first_time(self, predicate: Optional[Predicate] = None) -> Optional[float]:
-        """Timestamp of the first matching record, or ``None``."""
-        for record in self._records:
-            if predicate is None or predicate(record):
-                return record.time
-        return None
-
     def last_time(self, predicate: Optional[Predicate] = None) -> Optional[float]:
         """Timestamp of the last matching record, or ``None``.
 

@@ -36,9 +36,6 @@ from typing import Dict, List, Optional
 
 from ..telemetry import GaugeSnapshot, HistogramSnapshot, MetricsSnapshot
 
-#: Event type names, for validation and documentation.
-EVENT_TYPES = ("state", "trial", "point", "snapshot", "log", "end")
-
 
 # -- event builders -----------------------------------------------------
 

@@ -22,8 +22,6 @@ from .registry import (
     HistogramSnapshot,
     MetricsRegistry,
     MetricsSnapshot,
-    NULL_REGISTRY,
-    NullRegistry,
 )
 from .timeline import (
     GLOBAL_TRACK,
@@ -42,8 +40,6 @@ __all__ = [
     "HistogramSnapshot",
     "MetricsRegistry",
     "MetricsSnapshot",
-    "NULL_REGISTRY",
-    "NullRegistry",
     "PhaseProfiler",
     "PhaseTiming",
     "Stopwatch",

@@ -8,9 +8,7 @@ simulator carries instrumentation points that feed a
 1. **Zero cost when disabled.**  Layers hold a ``telemetry`` reference
    that defaults to ``None`` and guard every instrumentation point with
    one attribute read (the same pattern as the sanitizer hooks), so a
-   run without telemetry pays nothing but that read.  For code that
-   wants to hold a registry unconditionally, :data:`NULL_REGISTRY`
-   hands out shared no-op metric objects.
+   run without telemetry pays nothing but that read.
 2. **Determinism.**  Metrics only *observe*: no metric draws randomness,
    schedules events, or reads the wall clock, so a run's event order —
    and therefore its determinism digest — is bit-identical with
@@ -245,8 +243,6 @@ class MetricsRegistry:
     is one metric forever.
     """
 
-    enabled = True
-
     def __init__(self) -> None:
         self._counters: Dict[str, Counter] = {}
         self._gauges: Dict[str, Gauge] = {}
@@ -314,59 +310,3 @@ class MetricsRegistry:
                 for name, metric in sorted(self._histograms.items())
             },
         )
-
-
-class _NullCounter(Counter):
-    __slots__ = ()
-
-    def inc(self, amount: int = 1) -> None:
-        pass
-
-
-class _NullGauge(Gauge):
-    __slots__ = ()
-
-    def set(self, value: float) -> None:
-        pass
-
-
-class _NullHistogram(Histogram):
-    __slots__ = ()
-
-    def observe(self, value: float) -> None:
-        pass
-
-
-class NullRegistry(MetricsRegistry):
-    """The disabled registry: every request returns a shared no-op metric.
-
-    For code that wants to hold a registry unconditionally (rather than
-    guard with ``if telemetry is not None``): all writes vanish, snapshots
-    are empty, and no per-name allocation ever happens.
-    """
-
-    enabled = False
-
-    def __init__(self) -> None:
-        super().__init__()
-        self._null_counter = _NullCounter("<null>")
-        self._null_gauge = _NullGauge("<null>")
-        self._null_histogram = _NullHistogram("<null>")
-
-    def counter(self, name: str) -> Counter:
-        return self._null_counter
-
-    def gauge(self, name: str) -> Gauge:
-        return self._null_gauge
-
-    def histogram(
-        self, name: str, bounds: Sequence[float] = DEFAULT_BUCKETS
-    ) -> Histogram:
-        return self._null_histogram
-
-    def snapshot(self) -> MetricsSnapshot:
-        return MetricsSnapshot()
-
-
-#: A process-wide shared disabled registry.
-NULL_REGISTRY = NullRegistry()

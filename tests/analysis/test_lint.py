@@ -285,6 +285,16 @@ class TestUnorderedIterationRule:
         )
         assert rules_of(violations) == ["unordered-iteration"]
 
+    def test_values_loop_injecting_faults_flagged(self):
+        violations = lint(
+            """
+            def inject_all(faults, net):
+                for fault in faults.values():
+                    fault.inject(net)
+            """
+        )
+        assert rules_of(violations) == ["unordered-iteration"]
+
     def test_values_loop_without_emission_allowed(self):
         violations = lint(
             """

@@ -6,6 +6,7 @@ from repro.bgp import BgpConfig, DampingConfig, RouteFlapDamper
 from repro.engine import Scheduler
 from repro.errors import ConfigError
 from repro.experiments import RunSettings, run_experiment, tdown_clique
+from repro.net import LinkFailure, LinkRestore
 from repro.topology import chain
 
 PREFIX = "dest"
@@ -144,8 +145,8 @@ class TestSpeakerIntegration:
         scheduler.run(max_events=100_000)
         base = scheduler.now
         for offset in (1.0, 6.0, 11.0):
-            network.schedule_link_failure(0, 1, at=base + offset)
-            network.schedule_link_restore(0, 1, at=base + offset + 2.0)
+            LinkFailure(0, 1, at=base + offset).inject(network)
+            LinkRestore(0, 1, at=base + offset + 2.0).inject(network)
         scheduler.run(max_events=200_000)
         return network, scheduler
 

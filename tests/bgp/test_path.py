@@ -61,27 +61,6 @@ class TestContainment:
         assert 4 in path
         assert 9 not in path
 
-    def test_contains_any(self):
-        path = AsPath((5, 4, 0))
-        assert path.contains_any([9, 4])
-        assert not path.contains_any([9, 8])
-        assert not path.contains_any([])
-
-
-class TestConcat:
-    def test_concat_is_paper_dot_operator(self):
-        # (c1 c2) . path(c2, old) with path(ck, old) = (7 0)
-        assert AsPath((1, 2)).concat(AsPath((7, 0))) == AsPath((1, 2, 7, 0))
-
-    def test_concat_with_empty(self):
-        path = AsPath((1, 2))
-        assert path.concat(AsPath.empty()) == path
-        assert AsPath.empty().concat(path) == path
-
-    def test_concat_overlapping_rejected(self):
-        with pytest.raises(ProtocolError):
-            AsPath((1, 2)).concat(AsPath((2, 3)))
-
 
 class TestSuffix:
     def test_suffix_from_member(self):
@@ -93,12 +72,6 @@ class TestSuffix:
 
     def test_suffix_from_nonmember_is_none(self):
         assert AsPath((5, 4, 0)).suffix_from(9) is None
-
-    def test_next_after(self):
-        path = AsPath((5, 4, 0))
-        assert path.next_after(5) == 4
-        assert path.next_after(0) is None
-        assert path.next_after(9) is None
 
     def test_indexing(self):
         path = AsPath((5, 4, 0))

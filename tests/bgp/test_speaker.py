@@ -10,6 +10,7 @@ from repro.bgp import Announcement, AsPath, BgpConfig, BgpSpeaker, Withdrawal
 from repro.core import find_loops, is_loop_free, loop_timeline
 from repro.dataplane import ForwardingGraph
 from repro.errors import ProtocolError
+from repro.net import LinkFailure, LinkRestore
 from repro.topology import Topology, chain, clique
 
 PREFIX = "dest"
@@ -98,7 +99,7 @@ class TestFigure1TransientLoop:
     def test_loop_forms_and_resolves(self, scheduler, converged_fig1):
         network, log = converged_fig1
         failure_time = scheduler.now + 1.0
-        network.schedule_link_failure(0, 4, at=failure_time)
+        LinkFailure(0, 4, at=failure_time).inject(network)
         scheduler.run(max_events=200_000)
 
         intervals = loop_timeline(log, PREFIX, failure_time, scheduler.now)
@@ -107,7 +108,7 @@ class TestFigure1TransientLoop:
 
     def test_final_routes_use_backup_chain(self, scheduler, converged_fig1):
         network, _log = converged_fig1
-        network.schedule_link_failure(0, 4, at=scheduler.now + 1.0)
+        LinkFailure(0, 4, at=scheduler.now + 1.0).inject(network)
         scheduler.run(max_events=200_000)
         assert network.node(6).full_path(PREFIX) == AsPath((6, 3, 2, 1, 0))
         assert network.node(5).full_path(PREFIX) == AsPath((5, 6, 3, 2, 1, 0))
@@ -115,7 +116,7 @@ class TestFigure1TransientLoop:
 
     def test_final_forwarding_is_loop_free(self, scheduler, converged_fig1):
         network, _log = converged_fig1
-        network.schedule_link_failure(0, 4, at=scheduler.now + 1.0)
+        LinkFailure(0, 4, at=scheduler.now + 1.0).inject(network)
         scheduler.run(max_events=200_000)
         assert is_loop_free(forwarding_graph(network))
         for node in network.nodes.values():
@@ -149,10 +150,18 @@ class TestTdown:
         network, _log = bgp_network_factory(clique(4))
         originate_and_converge(network, scheduler)
         origin = network.node(0)
-        scheduler.call_at(scheduler.now + 1.0, lambda: origin.withdraw_origin(PREFIX))
+        t_down = scheduler.now + 1.0
+        scheduler.call_at(t_down, lambda: origin.withdraw_origin(PREFIX))
         scheduler.run(max_events=200_000)
         assert origin.best_route(PREFIX) is None
-        assert origin.routes_discarded_by_poison_reverse > 0
+        # What poison reverse discarded: announcements to 0 through 0.
+        assert any(
+            record.time >= t_down
+            and record.dst == 0
+            and isinstance(record.message, Announcement)
+            and 0 in record.message.path
+            for record in network.trace
+        )
 
 
 class TestLinkDownHandling:
@@ -186,7 +195,7 @@ class TestLinkDownHandling:
         network.fail_link(1, 2)
         scheduler.run(max_events=200_000)
         restore_at = scheduler.now + 1.0
-        network.schedule_link_restore(1, 2, at=restore_at)
+        LinkRestore(1, 2, at=restore_at).inject(network)
         scheduler.run(max_events=200_000)
         assert network.node(2).full_path(PREFIX) == AsPath((2, 1, 0))
 

@@ -18,7 +18,7 @@ import pytest
 
 from repro.bgp import Announcement, AsPath, BgpConfig, BgpSpeaker, Withdrawal
 from repro.engine import RandomStreams, Scheduler
-from repro.net import Network
+from repro.net import LinkFailure, Network
 from repro.topology import Topology
 
 PREFIX = "dest"
@@ -57,8 +57,8 @@ def messages_1_to_2(network, since):
 def fail_first_two_upstreams(network, scheduler):
     """Fail (0,1) then (1,3) one second apart; returns both instants."""
     t0 = scheduler.now + 1.0
-    network.schedule_link_failure(0, 1, at=t0)
-    network.schedule_link_failure(1, 3, at=t0 + 1.0)
+    LinkFailure(0, 1, at=t0).inject(network)
+    LinkFailure(1, 3, at=t0 + 1.0).inject(network)
     return t0, t0 + 1.0
 
 
@@ -105,9 +105,9 @@ class TestStandardSequencing:
 class TestWithdrawalSequencing:
     def fail_all_upstreams(self, network, scheduler):
         t0 = scheduler.now + 1.0
-        network.schedule_link_failure(0, 1, at=t0)
-        network.schedule_link_failure(1, 3, at=t0 + 1.0)
-        network.schedule_link_failure(1, 5, at=t0 + 1.5)
+        LinkFailure(0, 1, at=t0).inject(network)
+        LinkFailure(1, 3, at=t0 + 1.0).inject(network)
+        LinkFailure(1, 5, at=t0 + 1.5).inject(network)
         return t0
 
     def test_standard_withdrawal_is_immediate(self):

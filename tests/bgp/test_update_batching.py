@@ -158,6 +158,7 @@ class TestPerPeerMrai:
 
 FAST = dict(mrai=2.0, processing_delay=(0.01, 0.05))
 SETTINGS = RunSettings(failure_guard=0.5)
+TELEMETRY = RunSettings(failure_guard=0.5, telemetry=True)
 
 
 def final_fib(run):
@@ -183,7 +184,7 @@ class TestBatchedRunEquivalence:
         }
         return {
             name: run_experiment(
-                scenario, config, SETTINGS, seed=0, keep_network=True
+                scenario, config, TELEMETRY, seed=0, keep_network=True
             )
             for name, config in variants.items()
         }
@@ -197,11 +198,8 @@ class TestBatchedRunEquivalence:
         assert states["plain"] == states["batched"] == states["per_peer"]
 
     def test_batched_run_sends_batches(self, runs):
-        network = runs["batched"].network
-        total = sum(
-            network.nodes[n].batches_sent for n in network.nodes
-        )
-        assert total > 0
+        metrics = runs["batched"].metrics
+        assert metrics.counter("net.messages_sent.UpdateBatch") > 0
 
     def test_multiprefix_batches_pack_many_prefixes(self):
         run = run_experiment(

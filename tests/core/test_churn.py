@@ -2,10 +2,11 @@
 
 import pytest
 
-from repro.bgp import Announcement, AsPath, BgpConfig, Withdrawal
+from repro.bgp import Announcement, AsPath, BgpConfig, UpdateBatch, Withdrawal
+from repro.bgp.mrai import MRAI_PER_PEER
 from repro.core import UpdateChurn
-from repro.errors import AnalysisError
 from repro.experiments import RunSettings, run_experiment, tdown_clique
+from repro.experiments.scenarios import tagg_clique
 from repro.net import MessageTrace
 
 
@@ -50,18 +51,9 @@ class TestExtraction:
 
 
 class TestTimeline:
-    def test_activity_histogram(self, churn):
-        bins = churn.activity_histogram(bin_seconds=5.0)
-        # [10,15): 4 updates; [15,20): 0; [20,25): 1.
-        assert bins == [4, 0, 1]
-
-    def test_histogram_invalid_bin(self, churn):
-        with pytest.raises(AnalysisError):
-            churn.activity_histogram(0.0)
-
-    def test_empty_histogram(self):
+    def test_empty_trace(self):
         churn = UpdateChurn.from_trace(MessageTrace(), failure_time=0.0)
-        assert churn.activity_histogram(1.0) == []
+        assert churn.total_updates == 0
         assert churn.withdrawal_fraction == 0.0
 
     def test_pair_spacings(self, churn):
@@ -115,5 +107,45 @@ class TestOnRealRun:
         churn = UpdateChurn.from_trace(run.network.trace, run.failure_time)
         report = run.result.convergence
         assert churn.total_updates == report.update_count
-        assert churn.announcements == report.announcement_count
-        assert churn.withdrawals == report.withdrawal_count
+
+
+class TestBatchedUpdates:
+    """An UpdateBatch is one update message carrying many routes."""
+
+    def test_batch_counts_its_routes(self):
+        path = AsPath((1, 0))
+        trace = MessageTrace()
+        batch = UpdateBatch(withdrawn=("a",), nlri=(("b", path), ("c", path)))
+        trace.record(1.0, 0, 1, batch)
+        trace.record(2.0, 0, 1, wd())
+        churn = UpdateChurn.from_trace(trace, failure_time=0.0)
+        assert churn.total_updates == 2
+        assert churn.announcements == 2
+        assert churn.withdrawals == 2
+        assert churn.withdrawal_fraction == pytest.approx(0.5)
+
+    def test_batched_tagg_run(self):
+        run = run_experiment(
+            tagg_clique(4, prefixes=8, origins=2, hold=5.0),
+            BgpConfig(
+                mrai=2.0,
+                processing_delay=(0.01, 0.05),
+                batch_updates=True,
+                mrai_mode=MRAI_PER_PEER,
+            ),
+            settings=RunSettings(failure_guard=0.5),
+            seed=0,
+            keep_network=True,
+        )
+        churn = UpdateChurn.from_trace(run.network.trace, run.failure_time)
+        batches = [
+            record.message
+            for record in run.network.trace
+            if record.time >= run.failure_time
+            and isinstance(record.message, UpdateBatch)
+        ]
+        assert batches and len(batches) == churn.total_updates
+        assert churn.announcements == sum(len(b.nlri) for b in batches)
+        assert churn.withdrawals == sum(len(b.withdrawn) for b in batches)
+        assert churn.announcements + churn.withdrawals > churn.total_updates
+        assert 0.0 < churn.withdrawal_fraction < 1.0

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.bgp import Announcement, AsPath, Withdrawal
-from repro.core import measure_convergence
+from repro.core import UpdateChurn, measure_convergence
 from repro.net import MessageTrace
 
 
@@ -26,9 +26,10 @@ class TestMeasurement:
         assert report.convergence_time == 5.5
         assert report.first_update_time == 10.0
         assert report.update_count == 3
-        assert report.announcement_count == 1
-        assert report.withdrawal_count == 2
         assert report.convergence_end == 15.5
+        churn = UpdateChurn.from_trace(trace, failure_time=10.0)
+        assert churn.announcements == 1
+        assert churn.withdrawals == 2
 
     def test_silent_convergence(self):
         trace = MessageTrace()

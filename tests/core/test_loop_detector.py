@@ -2,13 +2,7 @@
 
 import pytest
 
-from repro.core import (
-    find_loops,
-    is_loop_free,
-    longest_loop_duration,
-    loop_size_histogram,
-    loop_timeline,
-)
+from repro.core import find_loops, is_loop_free, loop_timeline
 from repro.core.loop_detector import LoopInterval
 from repro.dataplane import FibChangeLog, ForwardingGraph
 from repro.errors import AnalysisError
@@ -93,12 +87,6 @@ class TestLoopTimeline:
     def test_backwards_window_raises(self):
         with pytest.raises(AnalysisError):
             loop_timeline(self.make_log(), P, 5.0, 1.0)
-
-    def test_helpers(self):
-        intervals = loop_timeline(self.make_log(), P, 0.0, 10.0)
-        assert longest_loop_duration(intervals) == 4.0
-        assert loop_size_histogram(intervals) == {2: 2}
-        assert longest_loop_duration([]) == 0.0
 
 
 class TestLoopTimelineIsChangeDriven:

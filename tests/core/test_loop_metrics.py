@@ -13,8 +13,6 @@ def convergence(failure=10.0, last=40.0, count=12):
         first_update_time=failure if count else None,
         last_update_time=last if count else None,
         update_count=count,
-        announcement_count=count - 2,
-        withdrawal_count=2 if count else 0,
     )
 
 

@@ -55,6 +55,11 @@ class TestDistributions:
     def test_two_node_share_empty(self):
         assert LoopStatistics().two_node_share() == 0.0
 
+    def test_durations(self, stats):
+        assert stats.durations() == [4.0, 1.0, 2.0, 0.5]
+        assert LoopStatistics().durations() == []
+        assert LoopStatistics().size_histogram() == {}
+
     def test_duration_summary(self, stats):
         summary = stats.duration_summary()
         assert summary.maximum == 4.0

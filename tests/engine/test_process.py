@@ -74,11 +74,6 @@ class TestIntrospection:
         scheduler.run()
         assert cpu.jobs_completed == 4
 
-    def test_backlog_time_estimates_drain(self, scheduler, cpu):
-        cpu.submit(1.0, lambda: None)
-        cpu.submit(2.0, lambda: None)
-        assert cpu.backlog_time == pytest.approx(3.0)
-
     def test_negative_service_time_rejected(self, cpu):
         with pytest.raises(ValueError):
             cpu.submit(-0.1, lambda: None)

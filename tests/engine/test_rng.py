@@ -32,21 +32,6 @@ class TestDeterminism:
         assert with_sibling == alone
 
 
-class TestSpawn:
-    def test_spawn_derives_deterministic_child(self):
-        a = RandomStreams(5).spawn("trial-1")
-        b = RandomStreams(5).spawn("trial-1")
-        assert a.seed == b.seed
-
-    def test_spawn_children_differ(self):
-        root = RandomStreams(5)
-        assert root.spawn("trial-1").seed != root.spawn("trial-2").seed
-
-    def test_child_differs_from_root(self):
-        root = RandomStreams(5)
-        assert root.spawn("x").seed != root.seed
-
-
 class TestUniformHelper:
     def test_uniform_within_bounds(self):
         streams = RandomStreams(3)

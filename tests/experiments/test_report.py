@@ -38,11 +38,6 @@ class TestFigureData:
         check = ObservationCheck(name="obs", holds=True, detail="fine")
         assert "HOLDS" in figure([check]).render()
 
-    def test_check_failures(self):
-        good = ObservationCheck("a", True, "")
-        bad = ObservationCheck("b", False, "")
-        assert figure([good, bad]).check_failures() == [bad]
-
 
 class TestTableData:
     def test_table_then_indented_verdicts(self):

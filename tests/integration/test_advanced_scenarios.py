@@ -8,7 +8,7 @@ from repro.bgp import AsPath, BgpConfig, BgpSpeaker
 from repro.core import find_loops, is_loop_free, loop_timeline
 from repro.dataplane import FibChangeLog, ForwardingGraph, PacketFate, walk
 from repro.engine import RandomStreams, Scheduler
-from repro.net import Network
+from repro.net import LinkFailure, LinkRestore, Network
 from repro.topology import Topology, chain, clique, grid, ring
 
 FAST = BgpConfig(mrai=1.0, processing_delay=(0.01, 0.05))
@@ -124,8 +124,8 @@ class TestFlaps:
         scheduler.run(max_events=200_000)
         before = graph_for(network, "dest")
         down_at = scheduler.now + 0.5
-        network.schedule_link_failure(0, 1, at=down_at)
-        network.schedule_link_restore(0, 1, at=down_at + 5.0)
+        LinkFailure(0, 1, at=down_at).inject(network)
+        LinkRestore(0, 1, at=down_at + 5.0).inject(network)
         scheduler.run(max_events=200_000)
         after = graph_for(network, "dest")
         assert after == before
@@ -142,7 +142,7 @@ class TestFlaps:
         t0 = scheduler.now + 0.5
         scheduler.call_at(t0, lambda: network.node(0).withdraw_origin("dest"))
         # Mid-convergence, fail a bystander link too.
-        network.schedule_link_failure(2, 3, at=t0 + 0.8)
+        LinkFailure(2, 3, at=t0 + 0.8).inject(network)
         scheduler.run(max_events=500_000)
         for node in network.nodes.values():
             node.check_invariants()
@@ -172,9 +172,9 @@ class TestCascadingFailures:
         network.start()
         scheduler.run(max_events=200_000)
         base = scheduler.now
-        network.schedule_link_failure(0, 1, at=base + 0.5)
-        network.schedule_link_failure(1, 4, at=base + 1.0)
-        network.schedule_link_failure(3, 4, at=base + 1.5)
+        LinkFailure(0, 1, at=base + 0.5).inject(network)
+        LinkFailure(1, 4, at=base + 1.0).inject(network)
+        LinkFailure(3, 4, at=base + 1.5).inject(network)
         scheduler.run(max_events=500_000)
         graph = graph_for(network, "dest")
         assert is_loop_free(graph)

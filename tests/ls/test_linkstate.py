@@ -7,7 +7,7 @@ from repro.dataplane import FibChangeLog, ForwardingGraph, PacketFate, walk
 from repro.engine import RandomStreams, Scheduler
 from repro.errors import ProtocolError
 from repro.ls import LinkStateAd, LinkStateSpeaker, make_lsa
-from repro.net import Network
+from repro.net import LinkFailure, Network
 from repro.topology import Topology, chain, clique, grid, ring
 
 PREFIX = "dest"
@@ -144,7 +144,7 @@ class TestFailureResponse:
         network.start()
         scheduler.run(max_events=500_000)
         failure_time = scheduler.now + 1.0
-        network.schedule_link_failure(0, 1, at=failure_time)
+        LinkFailure(0, 1, at=failure_time).inject(network)
         scheduler.run(max_events=500_000)
         intervals = loop_timeline(log, PREFIX, failure_time, scheduler.now)
         assert intervals, "expected a transient loop during LS reconvergence"

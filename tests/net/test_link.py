@@ -49,12 +49,6 @@ class TestBasics:
         scheduler.run()
         assert log == [("at-2", "hello-2")]
 
-    def test_other_end(self, link):
-        assert link.other_end(1) == 2
-        assert link.other_end(2) == 1
-        with pytest.raises(NetworkError):
-            link.other_end(5)
-
     def test_channel_from_unknown_node(self, link):
         with pytest.raises(NetworkError):
             link.channel_from(42)

@@ -4,7 +4,7 @@ import pytest
 
 from repro.engine import Scheduler
 from repro.errors import NetworkError
-from repro.net import Network, Node
+from repro.net import LinkFailure, Network, Node
 from repro.topology import Topology, clique
 
 
@@ -97,14 +97,14 @@ class TestFailureInjection:
         assert net.node(0).events == []
 
     def test_scheduled_failure_fires_at_time(self, scheduler, net):
-        net.schedule_link_failure(0, 1, at=5.0)
+        LinkFailure(0, 1, at=5.0).inject(net)
         assert net.link_is_up(0, 1)
         scheduler.run()
         assert not net.link_is_up(0, 1)
 
     def test_scheduled_failure_validates_link_eagerly(self, net):
         with pytest.raises(NetworkError):
-            net.schedule_link_failure(0, 99, at=5.0)
+            LinkFailure(0, 99, at=5.0).inject(net)
 
     def test_in_flight_messages_dropped_on_failure(self, scheduler, net):
         net.node(0).send(1, "doomed")

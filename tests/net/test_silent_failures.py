@@ -3,7 +3,7 @@
 import pytest
 
 from repro.engine import Scheduler
-from repro.net import Network, Node
+from repro.net import LinkFailure, Network, Node
 from repro.topology import chain
 
 
@@ -57,12 +57,14 @@ class TestSilentFailure:
         assert ("up", 0) in net.node(1).events
 
     def test_scheduled_silent_failure(self, scheduler, net):
-        net.schedule_link_failure(0, 1, at=2.0, silent=True)
+        scheduler.call_at(
+            2.0, lambda: net.fail_link(0, 1, silent=True), priority=0, name="fail:0-1"
+        )
         scheduler.run()
         assert not net.link_is_up(0, 1)
         assert net.node(0).events == []
 
     def test_scheduled_loud_failure_still_notifies(self, scheduler, net):
-        net.schedule_link_failure(0, 1, at=2.0)
+        LinkFailure(0, 1, at=2.0).inject(net)
         scheduler.run()
         assert ("down", 1) in net.node(0).events

@@ -34,17 +34,12 @@ class TestQueries:
         assert trace.count(lambda r: r.kind == "Ping") == 2
 
     def test_first_and_last_time(self, trace):
-        assert trace.first_time() == 1.0
         assert trace.last_time() == 3.0
-
-    def test_first_time_with_predicate(self, trace):
-        assert trace.first_time(lambda r: r.kind == "Pong") == 2.0
 
     def test_last_time_with_predicate(self, trace):
         assert trace.last_time(lambda r: r.kind == "Ping") == 3.0
 
     def test_no_match_returns_none(self, trace):
-        assert trace.first_time(lambda r: r.src == 99) is None
         assert trace.last_time(lambda r: r.src == 99) is None
 
     def test_since(self, trace):

@@ -50,26 +50,7 @@ def test_suffix_from_nonmember_is_none(ases):
     assert AsPath(ases).suffix_from(outside) is None
 
 
-@given(st.data())
-def test_concat_is_associative(data):
-    universe = data.draw(
-        st.lists(st.integers(0, 1000), unique=True, min_size=3, max_size=12)
-    )
-    i = data.draw(st.integers(1, len(universe) - 2))
-    j = data.draw(st.integers(i + 1, len(universe) - 1))
-    a, b, c = AsPath(universe[:i]), AsPath(universe[i:j]), AsPath(universe[j:])
-    assert a.concat(b).concat(c) == a.concat(b.concat(c))
-
-
 @given(nonempty_as_lists)
 def test_paths_hash_consistently(ases):
     assert hash(AsPath(ases)) == hash(AsPath(tuple(ases)))
     assert AsPath(ases) == AsPath(tuple(ases))
-
-
-@given(nonempty_as_lists)
-def test_next_after_walks_toward_origin(ases):
-    path = AsPath(ases)
-    for earlier, later in zip(ases, ases[1:]):
-        assert path.next_after(earlier) == later
-    assert path.next_after(path.origin) is None

@@ -11,8 +11,6 @@ from repro.telemetry import (
     HistogramSnapshot,
     MetricsRegistry,
     MetricsSnapshot,
-    NULL_REGISTRY,
-    NullRegistry,
 )
 
 
@@ -157,17 +155,3 @@ class TestRender:
 
     def test_empty_snapshot_says_so(self):
         assert "(no metrics recorded)" in MetricsSnapshot().render()
-
-
-class TestNullRegistry:
-    def test_writes_vanish(self):
-        registry = NullRegistry()
-        registry.counter("a").inc(10)
-        registry.gauge("g").set(5.0)
-        registry.histogram("h").observe(1.0)
-        assert registry.snapshot().empty
-
-    def test_shared_instruments_and_flag(self):
-        assert NULL_REGISTRY.enabled is False
-        assert MetricsRegistry().enabled is True
-        assert NULL_REGISTRY.counter("a") is NULL_REGISTRY.counter("b")

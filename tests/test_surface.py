@@ -6,12 +6,19 @@ as a code token (an identifier, or an attribute after a ``.``) anywhere
 in ``src/``, ``examples/`` or ``benchmarks/`` outside the def's own body.
 Methods count only after a ``.``.  Imports and ``__all__`` strings are not
 code tokens, so a package ``__init__`` that re-exports a name does not
-call it.
+call it.  The benchmark's staged replica reaches methods by reflection:
+each ``(Class, "method", "span")`` tuple of ``benchmarks/e2e/layers.py``'s
+``BOUNDARIES`` calls ``Class.method``, and must name a method that exists.
 
-A public def without a caller must appear in :data:`KEPT` with the test
-that uses it as an oracle or a probe, or the ROADMAP item it waits for.
-An entry whose def is gone, or has gained a caller, fails too, so the
-table cannot rot.
+A *public constant* is a name bound by a module-level assignment outside a
+package ``__init__``, with no leading underscore.  Its reader is its name
+as a code token outside its own statement, by the same rules as a
+function's caller.
+
+A public def without a caller, or a public constant without a reader,
+must appear in :data:`KEPT` with the test that uses it as an oracle or a
+probe, or the ROADMAP item it waits for.  An entry whose name is gone, or
+has gained a caller, fails too, so the table cannot rot.
 """
 
 from __future__ import annotations
@@ -24,6 +31,7 @@ from typing import Dict, Iterator, List, Set, Tuple
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "repro"
 CALLER_DIRS = (ROOT / "src", ROOT / "examples", ROOT / "benchmarks")
+LAYERS = ROOT / "benchmarks" / "e2e" / "layers.py"
 
 KEPT: Dict[str, str] = {
     # Oracles: independent reference computations tests compare against.
@@ -156,18 +164,6 @@ KEPT: Dict[str, str] = {
         "ROADMAP items 3 (e) and 4: the bound witness is checked against it "
         "step for step"
     ),
-    # Reached only by their own tests; ROADMAP item 8's remainder deletes
-    # them together with those tests.
-    "repro.bgp.path.AsPath.concat": "ROADMAP item 8 remainder",
-    "repro.bgp.path.AsPath.contains_any": "ROADMAP item 8 remainder",
-    "repro.bgp.path.AsPath.next_after": "ROADMAP item 8 remainder",
-    "repro.core.churn.UpdateChurn.activity_histogram": "ROADMAP item 8 remainder",
-    "repro.engine.process.SerialProcessor.backlog_time": "ROADMAP item 8 remainder",
-    "repro.engine.rng.RandomStreams.spawn": "ROADMAP item 8 remainder",
-    "repro.experiments.report.FigureData.check_failures": "ROADMAP item 8 remainder",
-    "repro.net.link.Link.other_end": "ROADMAP item 8 remainder",
-    "repro.net.trace.MessageTrace.first_time": "ROADMAP item 8 remainder",
-    "repro.prefixes.trie.RadixTrie.covered": "ROADMAP item 8 remainder",
 }
 
 # name -> [(path, line)] for identifiers; attr -> [(path, line)] after a dot.
@@ -192,46 +188,103 @@ def _module_name(path: Path) -> str:
     return ".".join(parts[:-1] if parts[-1] == "__init__" else parts)
 
 
-def _public_defs() -> Iterator[Tuple[str, ast.AST, Path, bool]]:
-    """``(qualified name, node, path, is_method)`` for every public def."""
+def _assigned_names(node: ast.stmt) -> Iterator[str]:
+    """Names a module-level assignment binds."""
+    if isinstance(node, ast.Assign):
+        targets = node.targets
+    elif isinstance(node, ast.AnnAssign):
+        targets = [node.target]
+    else:
+        return
+    for target in targets:
+        for sub in ast.walk(target):
+            if isinstance(sub, ast.Name):
+                yield sub.id
+
+
+def _public_defs() -> Iterator[Tuple[str, str, ast.AST, Path, bool]]:
+    """``(qualified name, name, node, path, is_method)`` for every public
+    def and public constant; ``node`` spans the defining statement."""
     kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
     for path in sorted(SRC.rglob("*.py")):
         module = _module_name(path)
         for node in ast.parse(path.read_text(), str(path)).body:
+            if path.name != "__init__.py":
+                for name in _assigned_names(node):
+                    if not name.startswith("_"):
+                        yield f"{module}.{name}", name, node, path, False
             if not isinstance(node, kinds) or node.name.startswith("_"):
                 continue
-            yield f"{module}.{node.name}", node, path, False
+            yield f"{module}.{node.name}", node.name, node, path, False
             if isinstance(node, ast.ClassDef):
                 for member in node.body:
                     if isinstance(member, kinds[:2]) and not member.name.startswith("_"):
                         qualified = f"{module}.{node.name}.{member.name}"
-                        yield qualified, member, path, True
+                        yield qualified, member.name, member, path, True
+
+
+def _boundaries() -> List[Tuple[str, str, str]]:
+    """``(imported module, class, method)`` for each ``BOUNDARIES`` tuple."""
+    tree = ast.parse(LAYERS.read_text(), str(LAYERS))
+    imported = {
+        alias.asname or alias.name: node.module
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    for node in tree.body:
+        if "BOUNDARIES" in _assigned_names(node):
+            return [
+                (imported[owner.id], owner.id, method.value)
+                for owner, method, _span in (t.elts for t in node.value.elts)
+            ]
+    raise AssertionError(f"no BOUNDARIES in {LAYERS}")
+
+
+def _reflected(defined: Set[str]) -> Tuple[Set[str], List[str]]:
+    """Public defs a ``BOUNDARIES`` tuple calls, and tuples naming no def."""
+    called: Set[str] = set()
+    unknown: List[str] = []
+    for module, owner, method in _boundaries():
+        # ``from repro.bgp import BgpSpeaker`` may name a package re-export.
+        matches = {
+            qualified
+            for qualified in defined
+            if qualified.endswith(f".{owner}.{method}")
+            and qualified.startswith(f"{module}.")
+        }
+        if len(matches) == 1:
+            called |= matches
+        else:
+            unknown.append(f"{owner}.{method}")
+    return called, unknown
 
 
 def _uncalled() -> Tuple[Set[str], Set[str]]:
-    """Public defs without a caller, and every public def's name."""
+    """Public names without a caller, and every public name."""
     names, attrs = _code_tokens()
     uncalled: Set[str] = set()
     defined: Set[str] = set()
-    for qualified, node, path, is_method in _public_defs():
+    for qualified, name, node, path, is_method in _public_defs():
         defined.add(qualified)
-        uses = list(attrs.get(node.name, ()))
+        uses = list(attrs.get(name, ()))
         if not is_method:
-            uses += names.get(node.name, ())
+            uses += names.get(name, ())
         outside = [
             use for use in uses
             if use[0] != path or not node.lineno <= use[1] <= node.end_lineno
         ]
         if not outside:
             uncalled.add(qualified)
-    return uncalled, defined
+    reflected, _ = _reflected(defined)
+    return uncalled - reflected, defined
 
 
 def test_every_uncalled_public_def_is_kept_for_a_reason():
     uncalled, _ = _uncalled()
     missing = sorted(uncalled - KEPT.keys())
     assert not missing, (
-        "public defs with no caller in src/, examples/ or benchmarks/; "
+        "public names with no caller in src/, examples/ or benchmarks/; "
         "delete them with the tests that only cover them, or add them to "
         f"KEPT with the test or ROADMAP item they are kept for: {missing}"
     )
@@ -243,6 +296,14 @@ def test_kept_entries_are_live():
     called = sorted((KEPT.keys() & defined) - uncalled)
     assert not gone, f"KEPT names defs that no longer exist: {gone}"
     assert not called, f"KEPT names defs that now have a caller: {called}"
+
+
+def test_benchmark_boundaries_name_existing_methods():
+    _, unknown = _reflected({qualified for qualified, *_ in _public_defs()})
+    assert not unknown, (
+        f"{LAYERS.relative_to(ROOT)} BOUNDARIES names methods that do not "
+        f"exist: {unknown}"
+    )
 
 
 def test_every_kept_entry_has_a_reason():
