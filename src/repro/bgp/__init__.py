@@ -39,11 +39,12 @@ from .relationships import (
     is_valley_free,
     relationships_from_tiers,
 )
-from .rib import NOTHING_SENT, AdjRibIn, AdjRibOut, LocRib, SentState
+from .rib import AdjRibIn, AdjRibOut, LocRib
 from .route import (
     DEFAULT_LOCAL_PREF,
     Route,
     intern_route,
+    interning_scope,
     local_route,
     route_intern_table_size,
 )
@@ -72,7 +73,6 @@ __all__ = [
     "MRAI_PER_PEER",
     "MRAI_PER_PREFIX",
     "MraiManager",
-    "NOTHING_SENT",
     "Open",
     "PathRankPolicy",
     "Prefix",
@@ -80,7 +80,6 @@ __all__ = [
     "Route",
     "RouteFlapDamper",
     "RoutingPolicy",
-    "SentState",
     "SessionManager",
     "ShortestPathPolicy",
     "UpdateBatch",
@@ -90,6 +89,7 @@ __all__ = [
     "is_update",
     "is_valley_free",
     "intern_route",
+    "interning_scope",
     "local_route",
     "route_intern_table_size",
     "prefix_population",

@@ -19,9 +19,9 @@ Interning
 
 Paths are the hottest value type in the simulator: every announcement,
 poison-reverse check, and Adj-RIB-Out duplicate test walks them.  This
-module therefore maintains a process-global **intern table**: one canonical
-:class:`AsPath` instance per distinct AS sequence.  All simulator code must
-obtain paths through the interning constructors —
+module therefore keeps an **intern table**: one canonical :class:`AsPath`
+instance per distinct AS sequence.  All simulator code must obtain paths
+through the interning constructors —
 
 * :func:`intern_path` / :meth:`AsPath.of` — the canonical factory,
 * the algebra methods (:meth:`AsPath.prepend`, :meth:`AsPath.suffix_from`,
@@ -34,9 +34,13 @@ equality between interned paths short-circuits on identity, and every
 path carries a precomputed hash plus a frozenset shadow of its members
 for O(1) containment (the loop-detection test).
 
-Pickle support re-interns on load (:meth:`AsPath.__reduce__`), so paths
-that cross a process boundary — parallel sweep workers — land in the
-worker's own intern table and keep the identity fast path.
+The table is scoped to one simulation: each run executes inside
+:func:`repro.bgp.route.interning_scope`, which pops the entries the run
+added when it ends, so a process that runs trial after trial keeps in
+its table only the paths of the run in progress.
+Pickling is by value (:meth:`AsPath.__reduce__`): a loaded path is a
+validated un-interned instance, equal and hash-equal to the canonical
+one, and loading never grows the receiving process's table.
 """
 
 from __future__ import annotations
@@ -109,9 +113,9 @@ class AsPath:
         return f"({body})"
 
     def __reduce__(self):
-        # Unpickling goes through the interning factory so paths shipped to
-        # (or back from) sweep workers re-intern in the receiving process.
-        return (intern_path, (self._ases,))
+        # By value: a result shipped home from a sweep worker must not
+        # grow the receiving process's intern table.
+        return (AsPath, (self._ases,))
 
     # ------------------------------------------------------------------
     # Path-vector operations
@@ -170,7 +174,9 @@ class AsPath:
         return _EMPTY
 
 
-#: The process-global intern table: AS tuple -> canonical instance.
+#: The intern table: AS tuple -> canonical instance.  Insertion-ordered,
+#: so a run's :func:`~repro.bgp.route.interning_scope` trims exactly the
+#: entries it added by popping the newest ones.
 _INTERN_TABLE: Dict[Tuple[int, ...], AsPath] = {}
 
 
@@ -178,8 +184,7 @@ def intern_path(ases: Iterable[int] = ()) -> AsPath:
     """The canonical :class:`AsPath` for ``ases``, validating on first sight.
 
     Repeated requests for the same sequence return the *same* object, which
-    is what makes path equality an identity check on the hot path.  Also the
-    pickle re-entry point (see :meth:`AsPath.__reduce__`).
+    is what makes path equality an identity check on the hot path.
     """
     key = ases if type(ases) is tuple else tuple(int(a) for a in ases)
     cached = _INTERN_TABLE.get(key)
@@ -202,7 +207,7 @@ def _intern_valid(key: Tuple[int, ...]) -> AsPath:
 
 
 def intern_table_size() -> int:
-    """Number of distinct paths currently interned (diagnostics/tests)."""
+    """Number of distinct paths currently interned (telemetry/tests)."""
     return len(_INTERN_TABLE)
 
 

@@ -14,7 +14,6 @@
 from __future__ import annotations
 
 from bisect import insort
-from dataclasses import dataclass
 from typing import Callable, Dict, Iterator, List, Optional, Set, Tuple
 
 from .messages import Prefix
@@ -342,38 +341,25 @@ class LocRib:
         return prefix in self._best
 
 
-@dataclass(frozen=True, slots=True)
-class SentState:
-    """What a speaker last told one neighbor about one prefix.
-
-    ``path`` is the advertised path (speaker's AS at the head) or ``None``
-    after a withdrawal / before any advertisement.
-    """
-
-    path: Optional[AsPath]
-
-
-NOTHING_SENT = SentState(path=None)
-
-
 class AdjRibOut:
     """Last advertisement per ``(neighbor, prefix)``."""
 
     def __init__(self) -> None:
-        self._sent: Dict[int, Dict[Prefix, SentState]] = {}
+        self._sent: Dict[int, Dict[Prefix, Optional[AsPath]]] = {}
 
-    def last_sent(self, neighbor: int, prefix: Prefix) -> SentState:
-        """What the neighbor currently believes we advertised.
+    def last_sent(self, neighbor: int, prefix: Prefix) -> Optional[AsPath]:
+        """The path the neighbor currently believes we advertised (our AS
+        at the head), or ``None`` when it holds nothing from us.
 
-        Before any message this is :data:`NOTHING_SENT`, which compares equal
-        to the state after an explicit withdrawal — correctly so, since in
-        both cases the neighbor holds no route from us.
+        Before any message this is ``None``, the same as after an explicit
+        withdrawal — correctly so, since in both cases the neighbor holds
+        no route from us.
         """
-        return self._sent.get(neighbor, {}).get(prefix, NOTHING_SENT)
+        return self._sent.get(neighbor, {}).get(prefix)
 
     def record(self, neighbor: int, prefix: Prefix, path: Optional[AsPath]) -> None:
         """Note what was just sent: ``path``, or ``None`` for a withdrawal."""
-        self._sent.setdefault(neighbor, {})[prefix] = SentState(path=path)
+        self._sent.setdefault(neighbor, {})[prefix] = path
 
     def drop_neighbor(self, neighbor: int) -> None:
         """Forget the neighbor entirely (session down)."""

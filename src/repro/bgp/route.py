@@ -7,28 +7,33 @@ At routing-table scale every speaker holds one candidate :class:`Route` per
 (neighbor, prefix) pair, and most of those are *the same value*: a clique
 node learns the same (path, next_hop, local_pref) triple for thousands of
 prefixes that differ only in the prefix string.  This module therefore
-maintains a process-global **intern table** mirroring the
-:class:`~repro.bgp.path.AsPath` one: one canonical :class:`Route` per
-distinct ``(prefix, path, next_hop, local_pref)`` key.  Simulator code
-obtains routes through :func:`intern_route` / :meth:`Route.of`; direct
-``Route(...)`` construction stays valid (tests, ad-hoc analysis) and
-compares equal to its canonical twin, it just does not share storage.
+keeps an **intern table** mirroring the :class:`~repro.bgp.path.AsPath`
+one: one canonical :class:`Route` per distinct ``(prefix, path, next_hop,
+local_pref)`` key.  Simulator code obtains routes through
+:func:`intern_route` / :meth:`Route.of`; direct ``Route(...)``
+construction stays valid (tests, ad-hoc analysis) and compares equal to
+its canonical twin, it just does not share storage.
 
 Interned routes always carry ``learned_at == 0.0`` — the field is
 diagnostics-only (``compare=False``, outside every digest), and folding it
-into the key would defeat sharing entirely.  Pickle support re-interns on
-load (:meth:`Route.__reduce__`), so routes crossing a process boundary —
-parallel sweep workers — land in the worker's own table and keep the
-identity fast path; a direct-constructed route with a non-zero
-``learned_at`` round-trips its timestamp un-interned.
+into the key would defeat sharing entirely.
+
+Both tables are scoped to one simulation by :func:`interning_scope`, which
+``run_experiment`` and ``observe_oscillation`` run their whole bodies in:
+a run's routes and paths outlive it only as long as its result refers to
+them, so a process running trial after trial does not accumulate them.
+Pickling is by value (:meth:`Route.__reduce__`), so a result received
+from a sweep worker never grows the receiving process's tables.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from typing import Dict, Iterator, Optional, Tuple
 
 from .messages import Prefix
+from .path import _INTERN_TABLE as _PATH_TABLE
 from .path import AsPath
 
 LOCAL_NEXT_HOP: Optional[int] = None
@@ -98,11 +103,10 @@ class Route:
         return self._hash
 
     def __reduce__(self):
-        # Unpickling re-interns (sweep workers rebuild their own table);
-        # a non-zero learned_at survives as a direct instance.
+        # By value, like AsPath: loading never touches the intern tables.
         return (
-            _unpickle_route,
-            (self.prefix, self.path.ases, self.next_hop, self.local_pref, self.learned_at),
+            Route,
+            (self.prefix, self.path, self.next_hop, self.local_pref, self.learned_at),
         )
 
     @property
@@ -135,10 +139,9 @@ class Route:
         return f"Route[{self.prefix} {self.path!r} {origin} lp={self.local_pref}]"
 
 
-#: The process-global intern table: (prefix, AS tuple, next_hop, local_pref)
-#: -> canonical instance.  Strong references, like the AsPath table: the
-#: population of distinct route values is bounded by the workload, and a
-#: worker reuses them across every trial it runs.
+#: The intern table: (prefix, AS tuple, next_hop, local_pref) -> canonical
+#: instance.  Strong references, like the AsPath table, bounded by the run
+#: in progress: :func:`interning_scope` pops what a run added.
 _INTERN_TABLE: Dict[Tuple[Prefix, Tuple[int, ...], Optional[int], int], Route] = {}
 
 
@@ -169,28 +172,36 @@ def intern_route(
     return _INTERN_TABLE.setdefault(key, route)
 
 
-def _unpickle_route(
-    prefix: Prefix,
-    ases: Tuple[int, ...],
-    next_hop: Optional[int],
-    local_pref: int,
-    learned_at: float,
-) -> Route:
-    """Pickle re-entry point (see :meth:`Route.__reduce__`)."""
-    if learned_at == 0.0:
-        return intern_route(prefix, AsPath.of(ases), next_hop, local_pref)
-    return Route(
-        prefix=prefix,
-        path=AsPath.of(ases),
-        next_hop=next_hop,
-        local_pref=local_pref,
-        learned_at=learned_at,
-    )
-
-
 def route_intern_table_size() -> int:
-    """Number of distinct routes currently interned (diagnostics/tests)."""
+    """Number of distinct routes currently interned (telemetry/tests)."""
     return len(_INTERN_TABLE)
+
+
+@contextmanager
+def interning_scope() -> Iterator[None]:
+    """Scope the path and route intern tables to the enclosed simulation.
+
+    On exit, by return or by exception, the entries added since entry are
+    popped.  Both tables are insertion-ordered dicts, so those are the
+    newest entries and ``popitem`` removes them LIFO: nested scopes unwind
+    correctly, and a value interned before the scope keeps its canonical
+    instance throughout.  Inside the scope nothing changes — the same
+    canonical instances and the same identity fast path.
+
+    The tables belong to the process, so the fast path is kept for one
+    simulation at a time per thread: a network driven on after its scope
+    ended, or a run whose entries another thread's scope popped, interns
+    those values anew — equal by value, so results are unchanged, only
+    slower.  Usable as a decorator: each call gets its own scope.
+    """
+    paths, routes = len(_PATH_TABLE), len(_INTERN_TABLE)
+    try:
+        yield
+    finally:
+        while len(_INTERN_TABLE) > routes:
+            _INTERN_TABLE.popitem()
+        while len(_PATH_TABLE) > paths:
+            _PATH_TABLE.popitem()
 
 
 def local_route(prefix: Prefix, learned_at: float = 0.0) -> Route:

@@ -619,7 +619,7 @@ class BgpSpeaker(Node):
             for peer in peers:
                 desired = self._desired_advertisement(peer, best, advertised)
                 last = last_sent(peer, prefix)
-                if desired == last.path:
+                if desired == last:
                     if telemetry is not None:
                         telemetry.on_update_suppressed(
                             self.node_id, peer, prefix, "duplicate"

@@ -20,16 +20,18 @@ from __future__ import annotations
 from typing import Optional
 
 from ..path import AsPath
-from ..rib import SentState
 
 
-def should_flush(last_sent: SentState, new_advertised_path: Optional[AsPath]) -> bool:
+def should_flush(
+    last_path: Optional[AsPath], new_advertised_path: Optional[AsPath]
+) -> bool:
     """True when moving to ``new_advertised_path`` warrants an immediate flush.
 
     Parameters
     ----------
-    last_sent:
-        What this peer was last told (from the Adj-RIB-Out).
+    last_path:
+        The path this peer was last told (from the Adj-RIB-Out), or
+        ``None`` when it holds nothing from us.
     new_advertised_path:
         The path that *would* be announced now if MRAI were not holding it
         (speaker's AS at the head), or ``None`` when the new state is
@@ -40,8 +42,8 @@ def should_flush(last_sent: SentState, new_advertised_path: Optional[AsPath]) ->
     for up to M seconds, and until it does the peer is operating on ghost
     information strictly better than reality.
     """
-    if last_sent.path is None:
+    if last_path is None:
         return False  # peer holds nothing; there is no ghost to flush
     if new_advertised_path is None:
         return False  # plain unreachability; normal withdrawal handles it
-    return len(new_advertised_path) > len(last_sent.path)
+    return len(new_advertised_path) > len(last_path)

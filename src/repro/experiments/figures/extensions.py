@@ -29,6 +29,7 @@ from ...bgp import (
     DampingConfig,
     GaoRexfordPolicy,
     combine,
+    interning_scope,
     relationships_from_tiers,
 )
 from ...core import ObservationCheck, UpdateChurn, loop_timeline
@@ -209,6 +210,7 @@ def damping(
     )
 
 
+@interning_scope()
 def _silent_failure(size: int, mrai: float, hold_time: float, seed: int):
     """Packet fates around a silent B-Clique Tlong failure, with the
     event-driven forwarder wired to the live link state (packets forwarded
@@ -406,6 +408,7 @@ def policy_ablation(
     )
 
 
+@interning_scope()
 def _after_one_failure(size: int, make_speaker, label: str) -> list:
     """One Tlong failure on a B-Clique under one protocol: a table row."""
     scheduler = Scheduler()

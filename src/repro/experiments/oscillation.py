@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 from typing import List, Optional
 
 from ..analysis.stability import StabilityReport, certify_scenario
-from ..bgp import Announcement, BgpConfig, Withdrawal
+from ..bgp import Announcement, BgpConfig, Withdrawal, interning_scope
 from ..core import LoopInterval, loop_timeline
 from ..dataplane import FibChangeLog
 from ..engine import RandomStreams, Scheduler
@@ -106,6 +106,7 @@ class OscillationReport:
         return "\n".join(lines)
 
 
+@interning_scope()
 def observe_oscillation(
     policy_scenario: PolicyScenario,
     config: Optional[BgpConfig] = None,
@@ -125,6 +126,9 @@ def observe_oscillation(
     ``window`` is the trailing observation window for the liveness test;
     it defaults to three MRAI rounds (at least 5 s) so one quiet MRAI gap
     is never mistaken for convergence.
+
+    Like ``run_experiment``, the whole run executes inside its own
+    :func:`~repro.bgp.route.interning_scope`.
     """
     active = config or BgpConfig(mrai=0.0, processing_delay=(0.01, 0.05))
     if window is None:

@@ -36,7 +36,14 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (annotation only)
     from ..analysis.stability import StabilityReport
     from ..telemetry import MetricsSnapshot, Timeline
 
-from ..bgp import BgpConfig, BgpSpeaker, RoutingPolicy
+from ..bgp import (
+    BgpConfig,
+    BgpSpeaker,
+    RoutingPolicy,
+    interning_scope,
+    route_intern_table_size,
+)
+from ..bgp.path import intern_table_size
 from ..core import LoopStudyResult, loop_timeline, measure_convergence
 from ..core.exploration import RouteChangeLog
 from ..dataplane import (
@@ -143,6 +150,7 @@ def build_network(
     return network
 
 
+@interning_scope()
 def run_experiment(
     scenario: Scenario,
     bgp_config: BgpConfig,
@@ -169,7 +177,13 @@ def run_experiment(
     policy_factory:
         Optional per-node routing-policy assignment (e.g. Gao-Rexford
         relationships); default is the paper's shortest-path policy.
+
+    The whole run, measurement included, executes inside its own
+    :func:`~repro.bgp.route.interning_scope`: the paths and routes it
+    interns leave the intern tables when it returns, and live on only as
+    long as the returned record refers to them.
     """
+    paths_at_start, routes_at_start = intern_table_size(), route_intern_table_size()
     streams = RandomStreams(seed)
     scheduler = Scheduler()
     if settings.sanitize:
@@ -328,6 +342,13 @@ def run_experiment(
         )
         for kind, total in network.trace.kind_counts().items():
             registry.counter(f"trace.messages.{kind}").inc(total)
+        # What this run's scope added to the intern tables, and will pop.
+        registry.counter("bgp.paths_interned").inc(
+            intern_table_size() - paths_at_start
+        )
+        registry.counter("bgp.routes_interned").inc(
+            route_intern_table_size() - routes_at_start
+        )
         timeline = probe.timeline
         if timeline is not None:
             timeline.span(0.0, warmup_time, "warm-up", "phase")

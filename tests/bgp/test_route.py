@@ -79,9 +79,12 @@ class TestInterning:
         assert timed is not local_route("d")
         assert timed == local_route("d")
 
-    def test_pickle_reinterns_timestamp_free_routes(self):
+    def test_pickle_round_trips_by_value(self):
         route = intern_route("d", AsPath((5, 0)), 5)
-        assert pickle.loads(pickle.dumps(route)) is route
+        clone = pickle.loads(pickle.dumps(route))
+        assert clone == route
+        assert hash(clone) == hash(route)
+        assert clone is not route
 
     def test_pickle_preserves_timestamp_uninterned(self):
         timed = Route(prefix="d", path=AsPath((5, 0)), next_hop=5, learned_at=2.5)

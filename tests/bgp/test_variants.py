@@ -12,9 +12,7 @@ from repro.bgp import (
     Announcement,
     AsPath,
     BgpConfig,
-    NOTHING_SENT,
     Route,
-    SentState,
     Withdrawal,
 )
 from repro.bgp.variants import (
@@ -58,19 +56,19 @@ class TestWrateUnit:
 
 class TestGhostFlushingUnit:
     def test_flush_on_longer_path(self):
-        last = SentState(path=AsPath((5, 4, 0)))
+        last = AsPath((5, 4, 0))
         assert should_flush(last, AsPath((5, 6, 4, 0)))
 
     def test_no_flush_on_shorter_or_equal_path(self):
-        last = SentState(path=AsPath((5, 6, 4, 0)))
+        last = AsPath((5, 6, 4, 0))
         assert not should_flush(last, AsPath((5, 4, 0)))
         assert not should_flush(last, AsPath((5, 9, 8, 0)))
 
     def test_no_flush_when_nothing_was_sent(self):
-        assert not should_flush(NOTHING_SENT, AsPath((5, 4, 0)))
+        assert not should_flush(None, AsPath((5, 4, 0)))
 
     def test_no_flush_for_plain_withdrawal(self):
-        assert not should_flush(SentState(path=AsPath((5, 4, 0))), None)
+        assert not should_flush(AsPath((5, 4, 0)), None)
 
 
 class TestAssertionUnit:

@@ -300,7 +300,7 @@ def test_event_property_catches_ssld_withdrawals_held_by_mrai(monkeypatch):
         if not converted:
             return path
         prefix = best.prefix
-        last = self.adj_rib_out.last_sent(peer, prefix).path
+        last = self.adj_rib_out.last_sent(peer, prefix)
         if last is not None and not self.mrai.can_send_now(peer, prefix):
             self.mrai.hold(peer, prefix)
             return last  # "nothing new" until the expiry re-derives it

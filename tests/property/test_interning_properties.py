@@ -3,15 +3,22 @@
 The hot-path speedup rests on three promises the intern table makes:
 interning is idempotent (same sequence -> same object), value semantics
 are indistinguishable from the un-interned tuple semantics, and pickling
-re-interns on load so paths crossing into sweep workers keep the identity
-fast path.  Each promise gets a property here.
+is by value, so a result received from a sweep worker is equal to the
+canonical values without growing the receiving process's tables.  Each
+promise gets a property here.
 """
 
 import pickle
 
 from hypothesis import given, strategies as st
 
-from repro.bgp import AsPath, intern_path
+from repro.bgp import (
+    AsPath,
+    Route,
+    intern_path,
+    interning_scope,
+    route_intern_table_size,
+)
 from repro.bgp.path import intern_table_size
 
 # Valid AS paths: non-negative ASNs without duplicates.
@@ -53,15 +60,20 @@ def test_membership_matches_tuple_membership(ases, probe):
     assert (probe in AsPath.of(ases)) == (probe in tuple(ases))
 
 
-@given(as_sequences)
-def test_pickle_round_trip_reinterns(ases):
-    # Sweep workers unpickle routes shipped across the process boundary;
-    # __reduce__ routes them through intern_path, so the loaded path is
-    # the receiving process's canonical instance, not a fresh copy.
-    original = AsPath.of(ases)
-    loaded = pickle.loads(pickle.dumps(original))
-    assert loaded is original
-    assert intern_table_size() == intern_table_size()  # no duplicate entry
+@given(as_sequences.filter(bool))
+def test_pickle_round_trip_is_by_value(ases):
+    # A sweep's parent unpickles the results its workers send home: values
+    # interned in another run, absent from the receiving tables.  Loading
+    # them yields equal values and leaves both tables as they were.
+    with interning_scope():
+        path = AsPath.of(ases)
+        route = Route.of("d", path, ases[0])
+        shipped = pickle.dumps((path, route))
+    sizes = intern_table_size(), route_intern_table_size()
+    loaded_path, loaded_route = pickle.loads(shipped)
+    assert (intern_table_size(), route_intern_table_size()) == sizes
+    assert loaded_path == path and hash(loaded_path) == hash(path)
+    assert loaded_route == route and hash(loaded_route) == hash(route)
 
 
 @given(as_sequences, st.integers(min_value=10_001, max_value=10_100))

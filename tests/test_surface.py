@@ -77,10 +77,6 @@ KEPT: Dict[str, str] = {
         "probe: tests/bgp/test_update_batching.py::TestPerPeerMrai and "
         "tests/engine/test_heap_compaction.py count running MRAI timers"
     ),
-    "repro.bgp.path.intern_table_size": (
-        "probe: tests/property/test_interning_properties.py checks that "
-        "unpickling re-interns without growing the table"
-    ),
     "repro.bgp.rib.AdjRibIn.group_count": (
         "probe: tests/bgp/test_rib.py::TestAdjRibInSharing observes "
         "copy-on-write group sharing"
@@ -157,9 +153,6 @@ KEPT: Dict[str, str] = {
         "telemetry guards with it"
     ),
     # Waiting for a ROADMAP item.
-    "repro.bgp.route.route_intern_table_size": (
-        "ROADMAP item 7: the daemon's `stats` op reports it"
-    ),
     "repro.core.loop_theory.resolution_schedule": (
         "ROADMAP items 3 (e) and 4: the bound witness is checked against it "
         "step for step"
