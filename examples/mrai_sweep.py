@@ -16,7 +16,8 @@ Usage::
 import sys
 
 from repro.core import check_linear_in_mrai, check_ratio_constant
-from repro.experiments.figures.common import clique_mrai_sweep
+from repro.experiments import clique_tdown_trial
+from repro.experiments.figures.common import mrai_sweep
 from repro.experiments.sweep import series, xs_of
 from repro.util import render_series
 
@@ -30,7 +31,7 @@ def main() -> None:
         f"Sweeping MRAI over {mrai_values} on a {clique_size}-clique Tdown "
         f"({len(seeds)} trials per point)..."
     )
-    points = clique_mrai_sweep(mrai_values, clique_size, seeds)
+    points = mrai_sweep(mrai_values, clique_tdown_trial, clique_size, seeds)
 
     table = render_series(
         "mrai",

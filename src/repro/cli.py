@@ -4,7 +4,7 @@ Batch subcommands::
 
     repro run          # one experiment: topology + event + variant -> metrics
                        # (--metrics: telemetry table + timeline exports)
-    repro figure       # regenerate one committed result and check its claim
+    repro figure       # regenerate committed results and check their claims
     repro sweep        # journaled, resumable Tdown clique sweep
     repro topology     # generate a topology and dump it as an edge list
     repro list         # available results, variants, topology kinds
@@ -194,11 +194,15 @@ def build_parser() -> argparse.ArgumentParser:
     figure = commands.add_parser(
         "figure",
         help=(
-            "regenerate one committed result and check its claim "
-            "(exit 1 if it no longer holds)"
+            "regenerate committed results and check their claims "
+            "(exit 1 if one no longer holds)"
         ),
     )
     figure.add_argument("id", choices=sorted(CLAIMS), help="result identifier")
+    figure.add_argument(
+        "more", nargs="*", metavar="ID",
+        help="more result identifiers, run in the same process (equal trials once)",
+    )
     figure.add_argument(
         "--quick", action="store_true",
         help=(
@@ -212,15 +216,15 @@ def build_parser() -> argparse.ArgumentParser:
     figure.add_argument(
         "--jobs", type=int, default=1, metavar="N",
         help=(
-            "run sweep trials on N worker processes (0 = one per CPU); "
+            "run trials on N worker processes (0 = one per CPU); "
             "results are bit-identical to --jobs 1 (default)"
         ),
     )
     figure.add_argument(
         "--metrics", action="store_true",
         help=(
-            "run the sweep with telemetry enabled and print the aggregated "
-            "metric table after the figure (digests are unaffected)"
+            "run every trial with telemetry enabled and print each row's "
+            "aggregated metric table (digests are unaffected)"
         ),
     )
     _add_resilience_arguments(figure)
@@ -624,56 +628,58 @@ def _print_traced_run(args, run, profiler) -> None:
 
 
 def _cmd_figure(args) -> int:
-    import inspect
+    from .experiments import trial_runner
 
-    claim = CLAIMS[args.id]
-    kwargs = dict(claim.quick or {}) if args.quick else {}
-    parameters = inspect.signature(claim.driver).parameters
-    if "jobs" in parameters:
-        kwargs["jobs"] = args.jobs
-    elif args.jobs != 1:
+    unknown = [figure_id for figure_id in args.more if figure_id not in CLAIMS]
+    if unknown:
+        raise ReproError(f"unknown result identifier(s): {', '.join(unknown)}")
+    policy = _policy_of(args)
+    used = {
+        "--jobs": args.jobs != 1,
+        "--retries/--trial-timeout": policy is not None,
+        "--metrics": args.metrics,
+    }
+    flags = [flag for flag, on in used.items() if on]
+    code = 0
+    with trial_runner(args.jobs, policy, telemetry=args.metrics) as runner:
+        for figure_id in [args.id, *args.more]:
+            code = max(code, _figure_row(args, figure_id, runner, flags))
+    if runner.requested:
         print(
-            f"note: {args.id} does not sweep and runs single-process; "
-            f"--jobs ignored",
+            f"trials: {runner.requested} requested, {runner.simulated} simulated",
             file=sys.stderr,
         )
-    policy = _policy_of(args)
-    if policy is not None:
-        if "policy" in parameters:
-            kwargs["policy"] = policy
-        else:
-            print(
-                f"note: {args.id} does not sweep; "
-                f"--retries/--trial-timeout ignored",
-                file=sys.stderr,
-            )
-    if args.metrics:
-        if "settings" in parameters:
-            kwargs["settings"] = RunSettings(telemetry=True)
-        else:
-            print(
-                f"note: {args.id} does not accept run settings; "
-                f"--metrics ignored",
-                file=sys.stderr,
-            )
-    result = claim.driver(**kwargs)
+    return code
+
+
+def _figure_row(args, figure_id: str, runner, flags: List[str]) -> int:
+    """Print one claim row; its exit status (1: the claim broke)."""
+    from .telemetry import MetricsSnapshot
+
+    claim = CLAIMS[figure_id]
+    before = len(runner.outcomes)
+    result = claim.driver(**(dict(claim.quick or {}) if args.quick else {}))
     print(result.render())
-    telemetry = getattr(result, "telemetry", None)
-    if args.metrics and telemetry is not None:
-        print("\naggregated telemetry (all trials):")
-        print(telemetry.render())
-    elif args.metrics and "settings" in parameters:
+    outcomes = runner.outcomes[before:]
+    if not outcomes and flags:
         print(
-            f"note: {args.id} ran with telemetry but attaches no aggregate "
-            f"(non-sweep driver)",
+            f"note: {figure_id} runs no trials through the trial runner; "
+            f"{', '.join(flags)} ignored",
             file=sys.stderr,
+        )
+    elif args.metrics:
+        print("\naggregated telemetry (all trials):")
+        print(
+            MetricsSnapshot.aggregate(
+                [run.metrics for run in outcomes if getattr(run, "metrics", None)]
+            ).render()
         )
     if args.plot:
         if hasattr(result, "plot"):
             print()
             print(result.plot())
         else:
-            print(f"note: {args.id} is a table; --plot ignored", file=sys.stderr)
+            print(f"note: {figure_id} is a table; --plot ignored", file=sys.stderr)
     if args.quick:
         failures = [check for check in result.checks if not check.holds]
         if failures:
@@ -683,7 +689,7 @@ def _cmd_figure(args) -> int:
         return 0
     problems = claim.problems(result.checks)
     for line in problems:
-        print(f"{args.id}: {line}", file=sys.stderr)
+        print(f"{figure_id}: {line}", file=sys.stderr)
     return 1 if problems else 0
 
 

@@ -16,24 +16,36 @@
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Tuple
+from typing import Sequence, Tuple
 
 from ...bgp import BgpConfig
 from ...core import ObservationCheck
 from ...dataplane import EpochEvaluator, PacketForwarder, sources_for
 from ..config import RunSettings
 from ..report import TableData
-from ..resilience import ResiliencePolicy
 from ..runner import run_experiment
-from ..scenarios import tdown_clique
-from ..sweep import series
-from .common import clique_mrai_sweep
+from ..scenarios import clique_tdown_trial, tdown_clique
+from ..sweep import TrialTask, run_trials, series
+from .common import mrai_sweep
+
+
+def _clique_tdown_results(size: int, seed: int, configs: Sequence[BgpConfig]):
+    """One clique Tdown trial per config, through the trial runner."""
+    return [
+        run.result
+        for run in run_trials(
+            [TrialTask(size, seed, clique_tdown_trial, config) for config in configs]
+        )
+    ]
 
 
 def ablation_dataplane(
     size: int = 6, mrai: float = 5.0, window: float = 30.0, seed: int = 4
 ) -> TableData:
-    """One Tdown window through both data-plane engines: the counts agree."""
+    """One Tdown window through both data-plane engines: the counts agree.
+
+    Direct (no trial runner): hooks a per-packet forwarder into the run.
+    """
     scenario = tdown_clique(size)
     attached = {}
 
@@ -90,11 +102,8 @@ def ablation_mrai(size: int = 8, mrai: float = 30.0, seed: int = 5) -> TableData
     processing, which is why Griffin & Premore conclude the timer is
     necessary and why the paper treats it as load-bearing.
     """
-    with_mrai, without = (
-        run_experiment(
-            tdown_clique(size), BgpConfig(mrai=value), RunSettings(), seed=seed
-        ).result
-        for value in (mrai, 0.0)
+    with_mrai, without = _clique_tdown_results(
+        size, seed, [BgpConfig(mrai=value) for value in (mrai, 0.0)]
     )
     storm = without.convergence.update_count / with_mrai.convergence.update_count
     return TableData(
@@ -129,15 +138,13 @@ def ablation_mrai(size: int = 8, mrai: float = 30.0, seed: int = 5) -> TableData
 
 def ablation_jitter(size: int = 8, mrai: float = 30.0, seed: int = 6) -> TableData:
     """Deterministic (jitter-free) MRAI keeps the qualitative picture."""
-    runs = [
-        (label, run_experiment(
-            tdown_clique(size), config, RunSettings(), seed=seed
-        ).result)
-        for label, config in (
-            ("0.75-1.0", BgpConfig(mrai=mrai)),
-            ("none", BgpConfig(mrai=mrai, mrai_jitter=(1.0, 1.0))),
-        )
-    ]
+    configs = {
+        "0.75-1.0": BgpConfig(mrai=mrai),
+        "none": BgpConfig(mrai=mrai, mrai_jitter=(1.0, 1.0)),
+    }
+    runs = list(
+        zip(configs, _clique_tdown_results(size, seed, list(configs.values())))
+    )
     shares = [r.overall_looping_duration / r.convergence_time for _, r in runs]
     return TableData(
         "ablation_jitter",
@@ -166,18 +173,16 @@ def ablation_processing_delay(
     seed: int = 7,
 ) -> TableData:
     """At MRAI 30 s, scaling nodal delay 50x barely moves the metrics."""
-    rows = []
-    for low, high in delays:
-        result = run_experiment(
-            tdown_clique(size),
-            BgpConfig(mrai=mrai, processing_delay=(low, high)),
-            RunSettings(),
-            seed=seed,
-        ).result
-        rows.append(
-            [f"U[{low},{high}]", result.convergence_time,
-             result.overall_looping_duration, result.looping_ratio]
-        )
+    results = _clique_tdown_results(
+        size,
+        seed,
+        [BgpConfig(mrai=mrai, processing_delay=(low, high)) for low, high in delays],
+    )
+    rows = [
+        [f"U[{low},{high}]", result.convergence_time,
+         result.overall_looping_duration, result.looping_ratio]
+        for (low, high), result in zip(delays, results)
+    ]
     spread = max(row[1] for row in rows) / min(row[1] for row in rows)
     return TableData(
         "ablation_processing_delay",
@@ -199,11 +204,9 @@ def mrai_optimum(
     mrai_values: Sequence[float] = (0.25, 0.5, 1.0, 2.0, 5.0, 10.0, 20.0, 30.0),
     clique_size: int = 10,
     seeds: Sequence[int] = (0, 1),
-    jobs: int = 1,
-    policy: Optional[ResiliencePolicy] = None,
 ) -> TableData:
     """Convergence vs M on a clique Tdown: the Griffin-Premore U-curve."""
-    points = clique_mrai_sweep(mrai_values, clique_size, seeds, jobs, policy)
+    points = mrai_sweep(mrai_values, clique_tdown_trial, clique_size, seeds)
     conv = series(points, "convergence_time")
     updates = series(points, "updates_sent")
     best = conv.index(min(conv))

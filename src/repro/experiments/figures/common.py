@@ -16,18 +16,16 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from ...bgp import BgpConfig, variant
 from ..config import RunSettings
 from ..report import FigureData
-from ..resilience import ResiliencePolicy
-from ..scenarios import clique_tdown_fixed
-from ..spec import constant_config, factory_ref, mrai_config
-from ..sweep import ScenarioFactory, SweepPoint, series, sweep, xs_of
-
-
-def aggregate_telemetry(points: Sequence[SweepPoint]):
-    """One sweep-wide :class:`~repro.telemetry.registry.MetricsSnapshot`
-    combining every point's per-trial snapshots."""
-    from ...telemetry import MetricsSnapshot
-
-    return MetricsSnapshot.aggregate([point.telemetry() for point in points])
+from ..spec import constant_config, factory_ref
+from ..sweep import (
+    ScenarioFactory,
+    SweepPoint,
+    TrialTask,
+    run_trials,
+    series,
+    sweep,
+    xs_of,
+)
 
 
 def metric_sweep_figure(
@@ -41,9 +39,7 @@ def metric_sweep_figure(
     seeds: Sequence[int] = (0,),
     settings: RunSettings = RunSettings(),
     config: Optional[BgpConfig] = None,
-    mrai_is_x: bool = False,
-    jobs: int = 1,
-    policy: Optional[ResiliencePolicy] = None,
+    size: Optional[int] = None,
 ) -> Tuple[FigureData, List[SweepPoint]]:
     """Run one sweep and package the requested metric series as a figure.
 
@@ -52,58 +48,55 @@ def metric_sweep_figure(
     ``settings.traffic_matrix``; asking a single-prefix sweep for one is a
     ``KeyError``, by design.
 
-    ``mrai_is_x`` makes the x value the MRAI setting (Figures 5 and 7);
-    otherwise the MRAI is fixed at ``mrai`` and x parameterizes the scenario
-    (topology size, Figures 4 and 6).  ``jobs`` fans trials out to worker
-    processes (see :func:`~repro.experiments.sweep.sweep`); the config
-    factories here are :class:`~repro.experiments.spec.FactoryRef`\\ s, so
-    any driver whose scenario factory is module-level parallelizes for free.
-    ``policy`` adds resilient execution (worker supervision, per-trial
-    timeouts, retry with backoff) for long parallel figure runs.
+    With ``size`` the x values are MRAI settings over the one topology
+    ``make_scenario(size, seed)`` (Figures 5 and 7, see
+    :func:`mrai_sweep`); otherwise the MRAI is fixed at ``mrai`` and x
+    parameterizes the scenario (topology size, Figures 4 and 6).
     """
     base = config or BgpConfig.standard(mrai)
-    if mrai_is_x:
-        make_config = factory_ref(mrai_config, base=base)
+    if size is None:
+        points = sweep(
+            xs,
+            make_scenario,
+            factory_ref(constant_config, config=base),
+            seeds=seeds,
+            settings=settings,
+        )
     else:
-        make_config = factory_ref(constant_config, config=base)
-
-    points = sweep(
-        xs,
-        make_scenario,
-        make_config,
-        seeds=seeds,
-        settings=settings,
-        jobs=jobs,
-        policy=policy,
-    )
+        points = mrai_sweep(xs, make_scenario, size, seeds, settings, base)
     figure = FigureData(
         figure_id=figure_id,
         title=title,
         x_label=x_label,
         xs=xs_of(points),
         series={name: series(points, name) for name in metrics},
-        telemetry=aggregate_telemetry(points) if settings.telemetry else None,
     )
     return figure, points
 
 
-def clique_mrai_sweep(
+def mrai_sweep(
     mrai_values: Sequence[float],
-    clique_size: int,
+    make_scenario: ScenarioFactory,
+    size: int,
     seeds: Sequence[int],
-    jobs: int = 1,
-    policy: Optional[ResiliencePolicy] = None,
+    settings: RunSettings = RunSettings(),
+    base: BgpConfig = BgpConfig.standard(),
 ) -> List[SweepPoint]:
-    """Standard BGP on one clique's Tdown at every MRAI value (the sweep
-    behind Observations 1-2 and the MRAI optimum)."""
-    return sweep(
-        list(mrai_values),
-        factory_ref(clique_tdown_fixed, size=clique_size),
-        factory_ref(mrai_config, base=BgpConfig.standard()),
-        seeds=seeds,
-        jobs=jobs,
-        policy=policy,
+    """One point per MRAI value: ``make_scenario(size, seed)`` under
+    ``base`` with that MRAI.  Trials are keyed by size, as in the size
+    sweeps, so the two share equal trials; a failed trial raises.
+    """
+    runs = run_trials(
+        [
+            TrialTask(size, seed, make_scenario, base.with_mrai(mrai), settings)
+            for mrai in mrai_values
+            for seed in seeds
+        ]
     )
+    return [
+        SweepPoint(x=mrai, runs=list(group))
+        for mrai, group in zip(mrai_values, in_groups(runs, len(seeds)))
+    ]
 
 
 def variant_comparison_series(
@@ -114,15 +107,11 @@ def variant_comparison_series(
     mrai: float = 30.0,
     seeds: Sequence[int] = (0,),
     settings: RunSettings = RunSettings(),
-    jobs: int = 1,
-    policy: Optional[ResiliencePolicy] = None,
 ) -> Dict[str, List[float]]:
     """One metric's sweep series per protocol variant.
 
     Returns ``{variant_name: [metric at each x]}`` with every variant run on
-    identical scenarios and seeds, making the comparison paired.  ``jobs``
-    parallelizes the trials within each variant's sweep; ``policy`` runs
-    them resiliently (see :func:`~repro.experiments.sweep.sweep`).
+    identical scenarios and seeds, making the comparison paired.
     """
     result: Dict[str, List[float]] = {}
     for name in variant_names:
@@ -133,11 +122,15 @@ def variant_comparison_series(
             factory_ref(constant_config, config=config),
             seeds=seeds,
             settings=settings,
-            jobs=jobs,
-            policy=policy,
         )
         result[name] = series(points, metric)
     return result
+
+
+def in_groups(items: Sequence, size: int) -> List[Sequence]:
+    """``items`` cut into consecutive groups of ``size`` — a driver's runs
+    regrouped per x, when it asked for ``len(xs) × size`` trials at once."""
+    return [items[start : start + size] for start in range(0, len(items), size)]
 
 
 def normalize_to(

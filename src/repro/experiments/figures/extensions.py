@@ -21,16 +21,14 @@
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Sequence, Tuple
 
 from ...bgp import (
     BgpConfig,
     BgpSpeaker,
     DampingConfig,
-    GaoRexfordPolicy,
     combine,
     interning_scope,
-    relationships_from_tiers,
 )
 from ...core import ObservationCheck, UpdateChurn, loop_timeline
 from ...dataplane import FibChangeLog, PacketForwarder, sources_for
@@ -45,7 +43,6 @@ from ...topology import (
 from ...util import mean
 from ..config import RunSettings
 from ..report import TableData
-from ..resilience import ResiliencePolicy
 from ..runner import run_experiment
 from ..scenarios import (
     Scenario,
@@ -56,7 +53,9 @@ from ..scenarios import (
     tlong_bclique,
 )
 from ..spec import constant_config, factory_ref
-from ..sweep import failures_of, sweep
+from ..sweep import TrialTask, failures_of, run_trials, sweep
+from ..unsafe import TieredGaoRexfordFactory
+from .common import in_groups
 
 _COMBINATIONS = (
     ("standard",),
@@ -105,7 +104,10 @@ def _combinations(
 def combinations_clique(
     size: int = 8, mrai: float = 30.0, seeds: Sequence[int] = (0, 1, 2)
 ) -> TableData:
-    """Enhancement combinations on clique Tdown: composing never hurts."""
+    """Enhancement combinations on clique Tdown: composing never hurts.
+
+    Direct (no trial runner): reads the live network's message trace.
+    """
     table, exh = _combinations(
         "combinations_clique",
         f"Enhancement combinations, Tdown clique-{size}",
@@ -130,7 +132,10 @@ def combinations_clique(
 def combinations_internet(
     size: int = 48, mrai: float = 30.0, seeds: Sequence[int] = (0, 1, 2)
 ) -> TableData:
-    """Enhancement combinations on Internet-derived Tdown."""
+    """Enhancement combinations on Internet-derived Tdown.
+
+    Direct (no trial runner): reads the live network's message trace.
+    """
     table, exh = _combinations(
         "combinations_internet",
         f"Enhancement combinations, Tdown internet-{size}",
@@ -160,6 +165,8 @@ def damping(
     With a small MRAI, exploration updates arrive faster than the penalty
     decays, so the dampers suppress merely converging routes; the final
     routing state must still be the undamped one (everyone reachable).
+
+    Direct (no trial runner): reads the live network's dampers and routes.
     """
     config_damping = DampingConfig(half_life=half_life, max_suppress_time=5 * half_life)
     rows = []
@@ -261,7 +268,10 @@ def detection_latency(
     mrai: float = 5.0,
     seed: int = 0,
 ) -> TableData:
-    """Hold time vs packet loss for a silent (hold-timer-detected) failure."""
+    """Hold time vs packet loss for a silent (hold-timer-detected) failure.
+
+    Direct (no trial runner): builds its own network and packet forwarder.
+    """
     rows = []
     for hold in hold_times:
         report = _silent_failure(size, mrai, hold, seed)
@@ -292,8 +302,6 @@ def churn_flap_period(
     count: int = 3,
     mrai: float = 2.0,
     seeds: Sequence[int] = (0, 1, 2),
-    jobs: int = 1,
-    policy: Optional[ResiliencePolicy] = None,
 ) -> TableData:
     """Loops, looping duration and update load per flap period (Tflap).
 
@@ -311,8 +319,6 @@ def churn_flap_period(
         ),
         seeds=seeds,
         settings=RunSettings(packet_rate=5.0, failure_guard=1.0, horizon=500.0),
-        jobs=jobs,
-        policy=policy,
     )
     metrics = [point.metrics() for point in points]
     failures = failures_of(points)
@@ -351,40 +357,53 @@ def churn_flap_period(
     )
 
 
+#: Gao-Rexford needs a genuine tier-1 mesh (peer routes never transit peers).
+_MESHED = InternetShape(core_mesh_probability=1.0)
+
+
+def meshed_internet_tdown_trial(x: float, seed: int) -> Scenario:
+    """Tdown on a tier-meshed Internet-like graph of size x."""
+    n = int(x)
+    topo, _tiers = internet_like_with_tiers(n, seed=seed, shape=_MESHED)
+    return custom_tdown(
+        topo, choose_destination(topo, seed=seed), name=f"gr-{n}-s{seed}"
+    )
+
+
+def meshed_internet_gao_rexford(x: float, seed: int) -> TieredGaoRexfordFactory:
+    """The Gao-Rexford assignment of that graph, from its tiers."""
+    return TieredGaoRexfordFactory(
+        *internet_like_with_tiers(int(x), seed=seed, shape=_MESHED)
+    )
+
+
 def policy_ablation(
     sizes: Sequence[int] = (29, 48, 75),
     mrai: float = 30.0,
     seeds: Sequence[int] = (0, 1),
 ) -> TableData:
-    """Tdown under shortest-path vs Gao-Rexford export policies.
-
-    Gao-Rexford needs a genuine tier-1 mesh (peer routes never transit
-    peers), hence ``core_mesh_probability=1``.
-    """
-    shape = InternetShape(core_mesh_probability=1.0)
+    """Tdown under shortest-path vs Gao-Rexford export policies."""
+    policies = {"shortest-path": None, "gao-rexford": meshed_internet_gao_rexford}
+    config = BgpConfig.standard(mrai)
+    runs = run_trials(
+        [
+            TrialTask(n, seed, meshed_internet_tdown_trial, config, make_policy=make)
+            for n in sizes
+            for make in policies.values()
+            for seed in seeds
+        ]
+    )
+    groups = iter(in_groups(runs, len(seeds)))
     rows: List[list] = []
-    totals = {"shortest-path": [0.0, 0.0], "gao-rexford": [0.0, 0.0]}
+    totals = {name: [0.0, 0.0] for name in policies}
     for n in sizes:
         for policy_name, total in totals.items():
-            conv, exh = [], []
-            for seed in seeds:
-                topo, tiers = internet_like_with_tiers(n, seed=seed, shape=shape)
-                scenario = custom_tdown(
-                    topo, choose_destination(topo, seed=seed), name=f"gr-{n}-s{seed}"
-                )
-                factory = None
-                if policy_name == "gao-rexford":
-                    relationships = relationships_from_tiers(topo, tiers)
-                    factory = lambda nid: GaoRexfordPolicy(relationships[nid])
-                result = run_experiment(
-                    scenario, BgpConfig.standard(mrai), RunSettings(), seed=seed,
-                    policy_factory=factory,
-                ).result
-                conv.append(result.convergence_time)
-                exh.append(float(result.ttl_exhaustions))
-            rows.append([n, policy_name, mean(conv), mean(exh)])
-            total[0] += mean(conv)
-            total[1] += mean(exh)
+            results = [run.result for run in next(groups)]
+            conv = mean([result.convergence_time for result in results])
+            exh = mean([float(result.ttl_exhaustions) for result in results])
+            rows.append([n, policy_name, conv, exh])
+            total[0] += conv
+            total[1] += exh
     (sp_conv, sp_exh), (gr_conv, gr_exh) = totals.values()
     return TableData(
         "policy_ablation",
@@ -444,6 +463,8 @@ def protocol_triangle(
 
     Same ring, same failed link, same processing delays, same loop metrics:
     the only variable is the protocol.
+
+    Direct (no trial runner): builds its own networks of three protocols.
     """
     from ...dv import RipSpeaker  # only this study needs the other protocols
     from ...ls import LinkStateSpeaker

@@ -8,13 +8,12 @@ Tdown, and differ by roughly one MRAI round (30-45 s) for Tlong.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Sequence
 
 from ...core import ObservationCheck, check_duration_coupling
 from ...core.observations import check_tlong_gap
 from ...topology import PAPER_SIZES
 from ..config import RunSettings
-from ..resilience import ResiliencePolicy
 from ..report import FigureData
 from ..scenarios import (
     bclique_tlong_trial,
@@ -41,8 +40,6 @@ def figure4a(
     mrai: float = 30.0,
     seeds: Sequence[int] = (0, 1),
     settings: RunSettings = RunSettings(),
-    jobs: int = 1,
-    policy: Optional[ResiliencePolicy] = None,
 ) -> FigureData:
     """Tdown in Clique topologies: looping duration ≈ convergence time."""
     figure, _points = metric_sweep_figure(
@@ -55,8 +52,6 @@ def figure4a(
         mrai=mrai,
         seeds=seeds,
         settings=settings,
-        jobs=jobs,
-        policy=policy,
     )
     _add_coupling_check(figure, max_gap_fraction=0.35)
     shortest = min(figure.series["convergence_time"])
@@ -75,8 +70,6 @@ def figure4b(
     mrai: float = 30.0,
     seeds: Sequence[int] = (0, 1),
     settings: RunSettings = RunSettings(),
-    jobs: int = 1,
-    policy: Optional[ResiliencePolicy] = None,
 ) -> FigureData:
     """Tlong in B-Clique topologies: gap ≈ one MRAI round (30-45 s)."""
     figure, _points = metric_sweep_figure(
@@ -89,8 +82,6 @@ def figure4b(
         mrai=mrai,
         seeds=seeds,
         settings=settings,
-        jobs=jobs,
-        policy=policy,
     )
     figure.checks.append(
         check_tlong_gap(
@@ -107,8 +98,6 @@ def figure4c(
     mrai: float = 30.0,
     seeds: Sequence[int] = (0, 1, 2),
     settings: RunSettings = RunSettings(),
-    jobs: int = 1,
-    policy: Optional[ResiliencePolicy] = None,
 ) -> FigureData:
     """Tdown in Internet-derived topologies (paper sizes 29/48/75/110)."""
     figure, _points = metric_sweep_figure(
@@ -121,8 +110,6 @@ def figure4c(
         mrai=mrai,
         seeds=seeds,
         settings=settings,
-        jobs=jobs,
-        policy=policy,
     )
     _add_coupling_check(figure, max_gap_fraction=0.6)
     conv = figure.series["convergence_time"]

@@ -8,14 +8,12 @@ in a B-Clique.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Sequence
 
 from ...core import check_linear_in_mrai
 from ..config import RunSettings
-from ..resilience import ResiliencePolicy
 from ..report import FigureData
-from ..scenarios import bclique_tlong_fixed, clique_tdown_fixed
-from ..spec import factory_ref
+from ..scenarios import bclique_tlong_trial, clique_tdown_trial
 from .common import metric_sweep_figure
 
 _METRICS = ("looping_duration", "convergence_time")
@@ -39,8 +37,6 @@ def figure5a(
     clique_size: int = 10,
     seeds: Sequence[int] = (0, 1),
     settings: RunSettings = RunSettings(),
-    jobs: int = 1,
-    policy: Optional[ResiliencePolicy] = None,
 ) -> FigureData:
     """Tdown in a Clique: both curves scale linearly with M."""
     figure, _points = metric_sweep_figure(
@@ -48,13 +44,11 @@ def figure5a(
         f"Tdown metrics vs MRAI (Clique-{clique_size})",
         "mrai",
         list(mrai_values),
-        factory_ref(clique_tdown_fixed, size=clique_size),
+        clique_tdown_trial,
         _METRICS,
         seeds=seeds,
         settings=settings,
-        mrai_is_x=True,
-        jobs=jobs,
-        policy=policy,
+        size=clique_size,
     )
     return _with_linearity_checks(figure)
 
@@ -64,8 +58,6 @@ def figure5b(
     bclique_size: int = 8,
     seeds: Sequence[int] = (0, 1),
     settings: RunSettings = RunSettings(),
-    jobs: int = 1,
-    policy: Optional[ResiliencePolicy] = None,
 ) -> FigureData:
     """Tlong in a B-Clique: both curves scale linearly with M."""
     figure, _points = metric_sweep_figure(
@@ -73,12 +65,10 @@ def figure5b(
         f"Tlong metrics vs MRAI (B-Clique-{bclique_size})",
         "mrai",
         list(mrai_values),
-        factory_ref(bclique_tlong_fixed, size=bclique_size),
+        bclique_tlong_trial,
         _METRICS,
         seeds=seeds,
         settings=settings,
-        mrai_is_x=True,
-        jobs=jobs,
-        policy=policy,
+        size=bclique_size,
     )
     return _with_linearity_checks(figure)

@@ -8,12 +8,11 @@ meet a loop.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Sequence
 
 from ...core import ObservationCheck
 from ...topology import PAPER_SIZES
 from ..config import RunSettings
-from ..resilience import ResiliencePolicy
 from ..report import FigureData
 from ..scenarios import (
     bclique_tlong_trial,
@@ -46,8 +45,6 @@ def figure6a(
     mrai: float = 30.0,
     seeds: Sequence[int] = (0, 1),
     settings: RunSettings = RunSettings(),
-    jobs: int = 1,
-    policy: Optional[ResiliencePolicy] = None,
 ) -> FigureData:
     """Tdown in Cliques: exhaustion counts and a >= 65% looping ratio."""
     figure, _points = metric_sweep_figure(
@@ -60,8 +57,6 @@ def figure6a(
         mrai=mrai,
         seeds=seeds,
         settings=settings,
-        jobs=jobs,
-        policy=policy,
     )
     return _with_ratio_floor(figure, floor=0.65)
 
@@ -71,8 +66,6 @@ def figure6b(
     mrai: float = 30.0,
     seeds: Sequence[int] = (0, 1),
     settings: RunSettings = RunSettings(),
-    jobs: int = 1,
-    policy: Optional[ResiliencePolicy] = None,
 ) -> FigureData:
     """Tlong in B-Cliques: exhaustion counts and a >= 35% looping ratio."""
     figure, _points = metric_sweep_figure(
@@ -85,8 +78,6 @@ def figure6b(
         mrai=mrai,
         seeds=seeds,
         settings=settings,
-        jobs=jobs,
-        policy=policy,
     )
     return _with_ratio_floor(figure, floor=0.25)
 
@@ -96,8 +87,6 @@ def figure6c(
     mrai: float = 30.0,
     seeds: Sequence[int] = (0, 1, 2),
     settings: RunSettings = RunSettings(),
-    jobs: int = 1,
-    policy: Optional[ResiliencePolicy] = None,
 ) -> FigureData:
     """Tdown in Internet-derived topologies (paper: up to 86% at n=110)."""
     figure, _points = metric_sweep_figure(
@@ -110,7 +99,5 @@ def figure6c(
         mrai=mrai,
         seeds=seeds,
         settings=settings,
-        jobs=jobs,
-        policy=policy,
     )
     return _with_ratio_floor(figure, floor=0.6)

@@ -8,14 +8,12 @@ over.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Sequence
 
 from ...core import check_linear_in_mrai, check_ratio_constant
 from ..config import RunSettings
-from ..resilience import ResiliencePolicy
 from ..report import FigureData
-from ..scenarios import bclique_tlong_fixed, clique_tdown_fixed
-from ..spec import factory_ref
+from ..scenarios import bclique_tlong_trial, clique_tdown_trial
 from .common import metric_sweep_figure
 
 _METRICS = ("ttl_exhaustions", "looping_ratio")
@@ -34,8 +32,6 @@ def figure7a(
     clique_size: int = 10,
     seeds: Sequence[int] = (0, 1),
     settings: RunSettings = RunSettings(),
-    jobs: int = 1,
-    policy: Optional[ResiliencePolicy] = None,
 ) -> FigureData:
     """Tdown in a Clique: linear exhaustions, flat ratio."""
     figure, _points = metric_sweep_figure(
@@ -43,13 +39,11 @@ def figure7a(
         f"Tdown TTL exhaustions / looping ratio vs MRAI (Clique-{clique_size})",
         "mrai",
         list(mrai_values),
-        factory_ref(clique_tdown_fixed, size=clique_size),
+        clique_tdown_trial,
         _METRICS,
         seeds=seeds,
         settings=settings,
-        mrai_is_x=True,
-        jobs=jobs,
-        policy=policy,
+        size=clique_size,
     )
     return _with_obs2_checks(figure)
 
@@ -59,8 +53,6 @@ def figure7b(
     bclique_size: int = 8,
     seeds: Sequence[int] = (0, 1),
     settings: RunSettings = RunSettings(),
-    jobs: int = 1,
-    policy: Optional[ResiliencePolicy] = None,
 ) -> FigureData:
     """Tlong in a B-Clique: linear exhaustions, flat ratio."""
     figure, _points = metric_sweep_figure(
@@ -68,12 +60,10 @@ def figure7b(
         f"Tlong TTL exhaustions / looping ratio vs MRAI (B-Clique-{bclique_size})",
         "mrai",
         list(mrai_values),
-        factory_ref(bclique_tlong_fixed, size=bclique_size),
+        bclique_tlong_trial,
         _METRICS,
         seeds=seeds,
         settings=settings,
-        mrai_is_x=True,
-        jobs=jobs,
-        policy=policy,
+        size=bclique_size,
     )
     return _with_obs2_checks(figure)

@@ -10,12 +10,11 @@ cuts looping by >= 80%; SSLD helps modestly; WRATE is mixed-to-harmful.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Sequence
 
 from ...bgp import VARIANT_NAMES
 from ...core import ObservationCheck, check_enhancement_ranking
 from ..config import RunSettings
-from ..resilience import ResiliencePolicy
 from ..report import FigureData
 from ..scenarios import clique_tdown_trial, internet_tdown_trial
 from .common import normalize_to, variant_comparison_series
@@ -74,8 +73,6 @@ def figure8a(
     mrai: float = 30.0,
     seeds: Sequence[int] = (0, 1),
     settings: RunSettings = RunSettings(),
-    jobs: int = 1,
-    policy: Optional[ResiliencePolicy] = None,
 ) -> FigureData:
     """TTL exhaustions normalized by standard BGP, Tdown in Cliques."""
     raw = variant_comparison_series(
@@ -86,8 +83,6 @@ def figure8a(
         mrai=mrai,
         seeds=seeds,
         settings=settings,
-        jobs=jobs,
-        policy=policy,
     )
     figure = _comparison_figure(
         "fig8a",
@@ -113,8 +108,6 @@ def figure8b(
     mrai: float = 30.0,
     seeds: Sequence[int] = (0, 1),
     settings: RunSettings = RunSettings(),
-    jobs: int = 1,
-    policy: Optional[ResiliencePolicy] = None,
 ) -> FigureData:
     """Convergence time per variant, Tdown in Cliques."""
     raw = variant_comparison_series(
@@ -125,8 +118,6 @@ def figure8b(
         mrai=mrai,
         seeds=seeds,
         settings=settings,
-        jobs=jobs,
-        policy=policy,
     )
     figure = _comparison_figure(
         "fig8b",
@@ -153,8 +144,6 @@ def figure8c(
     mrai: float = 30.0,
     seeds: Sequence[int] = (0, 1, 2),
     settings: RunSettings = RunSettings(),
-    jobs: int = 1,
-    policy: Optional[ResiliencePolicy] = None,
 ) -> FigureData:
     """TTL exhaustions per variant, Tdown in Internet-derived graphs."""
     raw = variant_comparison_series(
@@ -165,8 +154,6 @@ def figure8c(
         mrai=mrai,
         seeds=seeds,
         settings=settings,
-        jobs=jobs,
-        policy=policy,
     )
     return _comparison_figure(
         "fig8c",
@@ -185,8 +172,6 @@ def figure8d(
     mrai: float = 30.0,
     seeds: Sequence[int] = (0, 1, 2),
     settings: RunSettings = RunSettings(),
-    jobs: int = 1,
-    policy: Optional[ResiliencePolicy] = None,
 ) -> FigureData:
     """Convergence time per variant, Tdown in Internet-derived graphs."""
     raw = variant_comparison_series(
@@ -197,8 +182,6 @@ def figure8d(
         mrai=mrai,
         seeds=seeds,
         settings=settings,
-        jobs=jobs,
-        policy=policy,
     )
     figure = _comparison_figure(
         "fig8d",

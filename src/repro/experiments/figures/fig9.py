@@ -13,12 +13,11 @@ divergence 1.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Sequence
 
 from ...bgp import VARIANT_NAMES
 from ...core import check_wrate_regression
 from ..config import RunSettings
-from ..resilience import ResiliencePolicy
 from ..report import FigureData
 from ..scenarios import bclique_tlong_trial, internet_tlong_trial
 from .common import variant_comparison_series
@@ -30,8 +29,6 @@ def figure9a(
     mrai: float = 30.0,
     seeds: Sequence[int] = (0, 1),
     settings: RunSettings = RunSettings(),
-    jobs: int = 1,
-    policy: Optional[ResiliencePolicy] = None,
 ) -> FigureData:
     """TTL exhaustions normalized by standard BGP, Tlong in B-Cliques."""
     raw = variant_comparison_series(
@@ -42,8 +39,6 @@ def figure9a(
         mrai=mrai,
         seeds=seeds,
         settings=settings,
-        jobs=jobs,
-        policy=policy,
     )
     figure = _comparison_figure(
         "fig9a",
@@ -69,8 +64,6 @@ def figure9b(
     mrai: float = 30.0,
     seeds: Sequence[int] = (0, 1),
     settings: RunSettings = RunSettings(),
-    jobs: int = 1,
-    policy: Optional[ResiliencePolicy] = None,
 ) -> FigureData:
     """Convergence time per variant, Tlong in B-Cliques."""
     raw = variant_comparison_series(
@@ -81,8 +74,6 @@ def figure9b(
         mrai=mrai,
         seeds=seeds,
         settings=settings,
-        jobs=jobs,
-        policy=policy,
     )
     figure = _comparison_figure(
         "fig9b",
@@ -108,8 +99,6 @@ def figure9c(
     mrai: float = 30.0,
     seeds: Sequence[int] = (0, 1, 2, 3),
     settings: RunSettings = RunSettings(),
-    jobs: int = 1,
-    policy: Optional[ResiliencePolicy] = None,
 ) -> FigureData:
     """TTL exhaustions per variant, Tlong on Internet-derived graphs.
 
@@ -125,8 +114,6 @@ def figure9c(
         mrai=mrai,
         seeds=seeds,
         settings=settings,
-        jobs=jobs,
-        policy=policy,
     )
     figure = _comparison_figure(
         "fig9c",
@@ -155,8 +142,6 @@ def figure9d(
     mrai: float = 30.0,
     seeds: Sequence[int] = (0, 1, 2, 3),
     settings: RunSettings = RunSettings(),
-    jobs: int = 1,
-    policy: Optional[ResiliencePolicy] = None,
 ) -> FigureData:
     """Convergence time per variant, Tlong on Internet-derived graphs."""
     raw = variant_comparison_series(
@@ -167,8 +152,6 @@ def figure9d(
         mrai=mrai,
         seeds=seeds,
         settings=settings,
-        jobs=jobs,
-        policy=policy,
     )
     figure = _comparison_figure(
         "fig9d",

@@ -19,7 +19,7 @@ statistics of individual loops such as the loop size and duration."
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from typing import Sequence
 
 from ...bgp import BgpConfig
 from ...core import (
@@ -31,26 +31,14 @@ from ...core import (
 from ...dataplane import EpochEvaluator, sources_for
 from ...topology import DEFAULT_LINK_DELAY
 from ...util import mean
-from ..config import RunSettings
 from ..report import TableData
-from ..runner import run_experiment
-from ..scenarios import Scenario, tdown_clique, tdown_internet, tlong_bclique
-
-
-def _pooled_loops(
-    make_scenario: Callable[[int], Scenario], mrai: float, seeds: Sequence[int]
-) -> LoopStatistics:
-    parts = []
-    for seed in seeds:
-        run = run_experiment(
-            make_scenario(seed), BgpConfig.standard(mrai), RunSettings(), seed=seed
-        )
-        parts.append(
-            LoopStatistics.from_intervals(
-                run.result.loop_intervals, failure_time=run.failure_time
-            )
-        )
-    return LoopStatistics.merge(parts)
+from ..scenarios import (
+    bclique_tlong_trial,
+    clique_tdown_trial,
+    internet_tdown_trial,
+)
+from ..sweep import TrialTask, run_trials
+from .common import in_groups
 
 
 def loop_statistics(
@@ -66,17 +54,31 @@ def loop_statistics(
     backbone (B-Clique and Internet-derived): dense full meshes grow longer
     cycles.
     """
-    scenarios = (  # (label, resembles a backbone, one trial's scenario)
-        (f"tdown clique-{clique_size}", False, lambda seed: tdown_clique(clique_size)),
-        (f"tlong b-clique-{bclique_size}", True, lambda seed: tlong_bclique(bclique_size)),
-        (
-            f"tdown internet-{internet_size}",
-            True,
-            lambda seed: tdown_internet(internet_size, seed=seed),
-        ),
+    scenarios = (  # (label, resembles a backbone, scenario factory, size)
+        (f"tdown clique-{clique_size}", False, clique_tdown_trial, clique_size),
+        (f"tlong b-clique-{bclique_size}", True, bclique_tlong_trial, bclique_size),
+        (f"tdown internet-{internet_size}", True, internet_tdown_trial, internet_size),
     )
-    pooled = {label: _pooled_loops(make, mrai, seeds) for label, _, make in scenarios}
-    backbone = [(label, pooled[label]) for label, real, _ in scenarios if real]
+    config = BgpConfig.standard(mrai)
+    runs = run_trials(
+        [
+            TrialTask(size, seed, make, config)
+            for _, _, make, size in scenarios
+            for seed in seeds
+        ]
+    )
+    pooled = {
+        label: LoopStatistics.merge(
+            [
+                LoopStatistics.from_intervals(
+                    run.result.loop_intervals, failure_time=run.failure_time
+                )
+                for run in group
+            ]
+        )
+        for (label, *_), group in zip(scenarios, in_groups(runs, len(seeds)))
+    }
+    backbone = [(label, pooled[label]) for label, real, _, _ in scenarios if real]
     rows = [
         [label, stats.count, stats.two_node_share()]
         + (
@@ -133,16 +135,20 @@ def exploration(
     seeds: Sequence[int] = (0, 1),
 ) -> TableData:
     """Exploration depth per clique size, from the route-change traces."""
+    config = BgpConfig.standard(mrai)
+    runs = run_trials(
+        [
+            TrialTask(n, seed, clique_tdown_trial, config)
+            for n in sizes
+            for seed in seeds
+        ]
+    )
     rows = []
-    for n in sizes:
+    for n, group in zip(sizes, in_groups(runs, len(seeds))):
         depth, length, changes, non_shortening = [], [], [], []
-        for seed in seeds:
-            scenario = tdown_clique(n)
-            run = run_experiment(
-                scenario, BgpConfig.standard(mrai), RunSettings(), seed=seed
-            )
+        for run in group:
             report = ExplorationReport.from_log(
-                run.route_log, scenario.prefix, since=run.failure_time
+                run.route_log, run.scenario.prefix, since=run.failure_time
             )
             depth.append(report.mean_depth())
             length.append(float(report.longest_path_explored()))
@@ -180,8 +186,10 @@ def detour_delay(
     size: int = 6, mrai: float = 30.0, seed: int = 0, steady_window: float = 60.0
 ) -> TableData:
     """Delivered-packet hop counts during a Tlong convergence vs after it."""
-    scenario = tlong_bclique(size)
-    run = run_experiment(scenario, BgpConfig.standard(mrai), RunSettings(), seed=seed)
+    [run] = run_trials(
+        [TrialTask(size, seed, bclique_tlong_trial, BgpConfig.standard(mrai))]
+    )
+    scenario = run.scenario
     evaluator = EpochEvaluator(
         run.fib_log,
         scenario.prefix,

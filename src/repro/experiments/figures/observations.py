@@ -13,7 +13,7 @@ line per claim and nothing else:
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Sequence
 
 from ...bgp import VARIANT_NAMES
 from ...core import (
@@ -23,21 +23,18 @@ from ...core import (
     check_ratio_constant,
 )
 from ..report import TableData
-from ..resilience import ResiliencePolicy
-from ..scenarios import internet_tdown_trial
+from ..scenarios import clique_tdown_trial, internet_tdown_trial
 from ..sweep import series, xs_of
-from .common import clique_mrai_sweep, variant_comparison_series
+from .common import mrai_sweep, variant_comparison_series
 
 
 def observation1(
     mrai_values: Sequence[float] = (7.5, 15.0, 30.0, 45.0),
     clique_size: int = 10,
     seeds: Sequence[int] = (0, 1),
-    jobs: int = 1,
-    policy: Optional[ResiliencePolicy] = None,
 ) -> TableData:
     """Looping duration tracks convergence; both are linear in M."""
-    points = clique_mrai_sweep(mrai_values, clique_size, seeds, jobs, policy)
+    points = mrai_sweep(mrai_values, clique_tdown_trial, clique_size, seeds)
     return TableData(
         "observation1",
         checks=[
@@ -56,11 +53,9 @@ def observation2(
     mrai_values: Sequence[float] = (7.5, 15.0, 30.0, 45.0),
     clique_size: int = 10,
     seeds: Sequence[int] = (0, 1),
-    jobs: int = 1,
-    policy: Optional[ResiliencePolicy] = None,
 ) -> TableData:
     """TTL exhaustions are linear in M; the looping ratio stays flat."""
-    points = clique_mrai_sweep(mrai_values, clique_size, seeds, jobs, policy)
+    points = mrai_sweep(mrai_values, clique_tdown_trial, clique_size, seeds)
     return TableData(
         "observation2",
         checks=[
@@ -74,8 +69,6 @@ def observation3(
     internet_size: int = 48,
     mrai: float = 30.0,
     seeds: Sequence[int] = (0, 1, 2),
-    jobs: int = 1,
-    policy: Optional[ResiliencePolicy] = None,
 ) -> TableData:
     """The enhancement ranking on Internet-derived Tdown (seed-mean TTL
     exhaustions per variant, listed under the verdicts)."""
@@ -88,8 +81,6 @@ def observation3(
             VARIANT_NAMES,
             mrai=mrai,
             seeds=seeds,
-            jobs=jobs,
-            policy=policy,
         ).items()
     }
     return TableData(

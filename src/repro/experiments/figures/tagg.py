@@ -19,7 +19,6 @@ from typing import Optional, Sequence
 
 from ..config import RunSettings
 from ..report import FigureData
-from ..resilience import ResiliencePolicy
 from ..scenarios import clique_tagg_trial
 from ..spec import factory_ref
 from .common import metric_sweep_figure
@@ -39,8 +38,6 @@ def figure_tagg(
     mrai: float = 30.0,
     seeds: Sequence[int] = (0,),
     settings: Optional[RunSettings] = None,
-    jobs: int = 1,
-    policy: Optional[ResiliencePolicy] = None,
 ) -> FigureData:
     """Traffic-weighted loop metrics vs prefix-population size (Tagg).
 
@@ -65,7 +62,5 @@ def figure_tagg(
         mrai=mrai,
         seeds=seeds,
         settings=base,
-        jobs=jobs,
-        policy=policy,
     )
     return figure

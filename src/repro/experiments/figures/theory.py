@@ -17,8 +17,18 @@ from ...core import LoopStatistics, ObservationCheck, worst_case_loop_duration
 from ...topology import ring_with_core
 from ..config import RunSettings
 from ..report import FigureData
-from ..runner import run_experiment
-from ..scenarios import custom_tlong
+from ..scenarios import Scenario, custom_tlong
+from ..spec import factory_ref
+from ..sweep import TrialTask, run_trials
+from .common import in_groups
+
+
+def ring_tlong_trial(x: float, seed: int, *, backup_len: int) -> Scenario:
+    """x is the ring size m; the ring's primary link (0, m) fails."""
+    m = int(x)
+    return custom_tlong(
+        ring_with_core(m, backup_len), m, failed_link=(0, m), name=f"ring{m}-tlong"
+    )
 
 
 def theory_bound_figure(
@@ -37,26 +47,24 @@ def theory_bound_figure(
     and each single loop among the m ring members must resolve within
     ``(m - 1) × M`` seconds.
     """
-    measured: List[float] = []
-    bounds: List[float] = []
     slack = 2.0  # processing + propagation allowance beyond the MRAI terms
+    make_scenario = factory_ref(ring_tlong_trial, backup_len=backup_len)
     config = BgpConfig.standard(mrai)
-    for m in ring_sizes:
-        topo = ring_with_core(m, backup_len)
-        destination = m
+    runs = run_trials(
+        [
+            TrialTask(m, seed, make_scenario, config, settings)
+            for m in ring_sizes
+            for seed in seeds
+        ]
+    )
+    measured: List[float] = []
+    for group in in_groups(runs, len(seeds)):
         worst = 0.0
-        for seed in seeds:
-            scenario = custom_tlong(
-                topo,
-                destination,
-                failed_link=(0, m),
-                name=f"ring{m}-tlong",
-            )
-            run = run_experiment(scenario, config, settings=settings, seed=seed)
+        for run in group:
             stats = LoopStatistics.from_intervals(run.result.loop_intervals)
             worst = max([worst, *stats.durations()])
         measured.append(worst)
-        bounds.append(worst_case_loop_duration(m, mrai))
+    bounds = [worst_case_loop_duration(m, mrai) for m in ring_sizes]
 
     figure = FigureData(
         figure_id="theory",

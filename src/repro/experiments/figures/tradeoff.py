@@ -17,7 +17,7 @@ even harder than Ghost Flushing.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Sequence
+from typing import Dict, List, Sequence
 
 from ...bgp import VARIANT_NAMES, variant
 from ...core import ObservationCheck
@@ -25,8 +25,9 @@ from ...errors import AnalysisError
 from ...util import mean
 from ..config import RunSettings
 from ..report import TableData
-from ..runner import run_experiment
-from ..scenarios import Scenario, tlong_bclique, tlong_internet
+from ..scenarios import bclique_tlong_trial, internet_tlong_trial
+from ..sweep import ScenarioFactory, TrialTask, run_trials
+from .common import in_groups
 
 
 @dataclass(frozen=True)
@@ -50,37 +51,38 @@ class FateBreakdown:
 
 
 def packet_fate_breakdown(
-    make_scenario: Callable[[int], Scenario],
+    make_scenario: ScenarioFactory,
+    x: float,
     variant_names: Sequence[str],
     mrai: float = 30.0,
     seeds: Sequence[int] = (0, 1, 2),
     settings: RunSettings = RunSettings(),
 ) -> Dict[str, FateBreakdown]:
-    """Run each variant over the seeded scenarios and pool packet fates."""
+    """Run each variant over the seeded ``make_scenario(x, seed)`` trials
+    and pool packet fates."""
     if not seeds:
         raise AnalysisError("need at least one seed")
+    runs = run_trials(
+        [
+            TrialTask(x, seed, make_scenario, variant(name, mrai=mrai), settings)
+            for name in variant_names
+            for seed in seeds
+        ]
+    )
     result: Dict[str, FateBreakdown] = {}
-    for name in variant_names:
-        config = variant(name, mrai=mrai)
-        sent: List[float] = []
-        delivered: List[float] = []
-        no_route: List[float] = []
-        looped: List[float] = []
-        for seed in seeds:
-            report = run_experiment(
-                make_scenario(seed), config, settings=settings, seed=seed
-            ).result.dataplane
-            sent.append(float(report.packets_sent))
-            total = report.packets_sent or 1
-            delivered.append(report.delivered / total)
-            no_route.append(report.dropped_no_route / total)
-            looped.append(report.ttl_exhaustions / total)
+    for name, group in zip(variant_names, in_groups(runs, len(seeds))):
+        fates = [
+            (run.result.dataplane, run.result.dataplane.packets_sent or 1)
+            for run in group
+        ]
         result[name] = FateBreakdown(
             variant=name,
-            packets_sent=mean(sent),
-            delivered_ratio=mean(delivered),
-            no_route_ratio=mean(no_route),
-            looped_ratio=mean(looped),
+            packets_sent=mean([float(fate.packets_sent) for fate, _ in fates]),
+            delivered_ratio=mean([fate.delivered / total for fate, total in fates]),
+            no_route_ratio=mean(
+                [fate.dropped_no_route / total for fate, total in fates]
+            ),
+            looped_ratio=mean([fate.ttl_exhaustions / total for fate, total in fates]),
         )
     return result
 
@@ -88,14 +90,15 @@ def packet_fate_breakdown(
 def _fate_study(
     figure_id: str,
     title: str,
-    make_scenario: Callable[[int], Scenario],
+    make_scenario: ScenarioFactory,
+    size: int,
     mrai: float,
     seeds: Sequence[int],
     settings: RunSettings,
 ) -> TableData:
     """Every variant's packet fates, checked for the loops-for-drops trade."""
     breakdowns = packet_fate_breakdown(
-        make_scenario, VARIANT_NAMES, mrai=mrai, seeds=seeds, settings=settings
+        make_scenario, size, VARIANT_NAMES, mrai=mrai, seeds=seeds, settings=settings
     )
     standard, flushing = breakdowns["standard"], breakdowns["ghost-flushing"]
     return TableData(
@@ -130,7 +133,8 @@ def tradeoff_bclique(
     return _fate_study(
         "tradeoff_bclique",
         f"Packet fates, Tlong B-Clique-{size}",
-        lambda seed: tlong_bclique(size),
+        bclique_tlong_trial,
+        size,
         mrai,
         seeds,
         settings,
@@ -147,7 +151,8 @@ def tradeoff_internet(
     return _fate_study(
         "tradeoff_internet",
         f"Packet fates, Tlong internet-{size}",
-        lambda seed: tlong_internet(size, seed=seed),
+        internet_tlong_trial,
+        size,
         mrai,
         seeds,
         settings,

@@ -14,15 +14,12 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 from ..core import LoopStatistics, ObservationCheck, UpdateChurn
 from ..errors import AnalysisError
 from ..util.tables import render_series, render_table
 from .runner import ExperimentRun
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard (annotation only)
-    from ..telemetry import MetricsSnapshot
 
 
 @dataclass
@@ -35,9 +32,6 @@ class FigureData:
     xs: List[float]
     series: Dict[str, List[float]]
     checks: List[ObservationCheck] = field(default_factory=list)
-    telemetry: Optional["MetricsSnapshot"] = None
-    """Sweep-wide aggregate of per-trial telemetry snapshots, attached by
-    the figure drivers when the sweep ran with ``settings.telemetry``."""
 
     def __post_init__(self) -> None:
         for name, values in self.series.items():

@@ -1,7 +1,8 @@
 """The trial executor: a supervised worker pool with timeouts and retries.
 
-Every ``sweep(..., jobs > 1)`` runs here — this module is the only code
-that starts a trial worker process.  An anonymous pool loses the whole
+Every trial a :class:`~repro.experiments.sweep.TrialRunner` with
+``jobs > 1`` runs goes through here — this module is the only code that
+starts a trial worker process.  An anonymous pool loses the whole
 sweep when one worker is OOM-killed and lets a hung trial hold its worker
 forever; fleet-scale runs (the always-on sweep service, Internet-scale
 trials) make those events routine, so the pool is *supervised*:
@@ -33,7 +34,7 @@ Retry/timeout/restart counts are accumulated in a
 :class:`~repro.telemetry.registry.MetricsRegistry` and surfaced as a
 :class:`SupervisionReport`, returned by :func:`run_tasks_supervised` and
 threaded to callers through ``sweep(..., on_report=...)`` — one report
-per supervised sweep, owned by that sweep's caller, so a daemon running
+per supervised batch, owned by that sweep's caller, so a daemon running
 many concurrent sweeps never sees another job's counters.
 
 Determinism boundary: this file is harness-side supervision *about* the
@@ -52,7 +53,7 @@ import multiprocessing.connection
 import random
 import time
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..errors import (
     AnalysisError,
@@ -63,7 +64,7 @@ from ..errors import (
 from ..telemetry.registry import MetricsRegistry, MetricsSnapshot
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (annotation only)
-    from .sweep import ProgressCallback, TrialTask
+    from .sweep import TrialTask
 
 #: Supervisor poll tick (seconds): the upper bound on how stale the
 #: watchdog's view of worker liveness/deadlines can be.
@@ -367,23 +368,23 @@ def run_tasks_supervised(
     tasks: Sequence["TrialTask"],
     jobs: int,
     policy: ResiliencePolicy,
-    on_progress: Optional["ProgressCallback"] = None,
-) -> Tuple[Dict[int, object], SupervisionReport]:
+    on_outcome: Callable[["TrialTask", object], None],
+) -> SupervisionReport:
     """Run every task to a final outcome on at most ``jobs`` workers.
 
-    Returns ``(outcomes keyed by task index, report)``.  Outcomes are
-    what :func:`~repro.experiments.sweep.run_trial` returned or, for
-    trials whose transient failures exhausted the retry budget under
+    ``on_outcome(task, outcome)`` hears of each final outcome as it lands
+    (completion order; tasks are handed out in task order, and each
+    task's ``index`` must be its position).  Outcomes are what
+    :func:`~repro.experiments.sweep.run_trial` returned or, for trials
+    whose transient failures exhausted the retry budget under
     ``on_exhausted="record"``, a :class:`~repro.experiments.sweep.
     TrialFailure` / :class:`~repro.experiments.sweep.TrialTimeout`.
-    ``on_progress`` hears of each final outcome as it lands (completion
-    order); tasks are handed out in task order.
 
     A worker that *reports* an exception (rather than dying) aborts the
     whole run — that path carries non-isolated errors such as
     :class:`~repro.errors.SanitizerError`.
     """
-    from .sweep import TrialFailure, TrialProgress
+    from .sweep import TrialFailure
 
     context = _mp_context()
     counters = _Counters()
@@ -423,8 +424,7 @@ def run_tasks_supervised(
     def finish(task: "TrialTask", outcome: object) -> None:
         outcomes[task.index] = outcome
         counters.bump("completed")
-        if on_progress is not None:
-            on_progress(TrialProgress.of(len(outcomes), len(tasks), task, outcome))
+        on_outcome(task, outcome)
 
     def transient_failure(worker: _Worker, error) -> None:
         """Worker death or timeout: retry with backoff, or exhaust."""
@@ -542,13 +542,13 @@ def run_tasks_supervised(
         worker.conn.close()  # EOF tells an idle worker to exit
     for worker in workers:
         _reap(worker)
-    return outcomes, counters.report(len(tasks))
+    return counters.report(len(tasks))
 
 
 def run_trial_resilient(task: "TrialTask"):
     """Execute one trial in-process with attempt/elapsed provenance.
 
-    The ``jobs=1`` runner: no subprocess, so no preemption (an in-process
+    The ``jobs=1`` path: no subprocess, so no preemption (an in-process
     hang cannot be killed; ``policy.trial_timeout`` takes ``jobs > 1``),
     but outcomes carry the same provenance as supervised ones.  It lives
     here, not in :mod:`~repro.experiments.sweep`, because the clock read

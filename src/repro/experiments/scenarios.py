@@ -354,16 +354,6 @@ def internet_tlong_trial(x: float, seed: int) -> Scenario:
     return tlong_internet(int(x), seed=seed)
 
 
-def clique_tdown_fixed(x: float, seed: int, *, size: int) -> Scenario:
-    """Fixed-size clique Tdown for sweeps whose x is something else (MRAI)."""
-    return tdown_clique(size)
-
-
-def bclique_tlong_fixed(x: float, seed: int, *, size: int) -> Scenario:
-    """Fixed-size B-Clique Tlong for MRAI-on-the-x-axis sweeps."""
-    return tlong_bclique(size)
-
-
 def bclique_tflap_trial(x: float, seed: int, *, size: int, count: int = 3) -> Scenario:
     """x is the flap period over a fixed-size B-Clique (churn sweeps)."""
     return tflap_bclique(size, period=x, count=count)

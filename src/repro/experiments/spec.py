@@ -1,10 +1,8 @@
 """Picklable trial specs: factory references that cross process boundaries.
 
-The sweep API takes *factories* — ``make_scenario(x, seed)`` and
-``make_config(x)`` — and almost every call site writes them as closures
-over local state.  Closures cannot be pickled, so they cannot follow a
-trial down the pipe to a sweep worker process
-(:func:`~repro.experiments.resilience.run_tasks_supervised`).
+A :class:`~repro.experiments.sweep.TrialTask` carries *factories* —
+``make_scenario(x, seed)``, optionally ``make_policy(x, seed)`` — down
+the pipe to a worker process, and closures cannot be pickled.
 
 :class:`FactoryRef` is the serializable alternative: a reference to a
 *module-level* factory function (stored as ``"package.module:qualname"``)
@@ -19,9 +17,8 @@ Build one with :func:`factory_ref`::
     make_config = factory_ref(constant_config, config=BgpConfig.standard(30.0))
     sweep(periods, make_scenario, make_config, jobs=4)
 
-The module also hosts the two config-factory shapes every figure driver
-needs (:func:`constant_config`, :func:`mrai_config`) so the drivers stay
-parallel-safe without writing their own adapters.
+The module also hosts :func:`constant_config`, the config-factory shape
+of every sweep whose config does not vary with x.
 """
 
 from __future__ import annotations
@@ -126,15 +123,10 @@ def factory_ref(func: Any, **kwargs: Any) -> FactoryRef:
 
 
 # ----------------------------------------------------------------------
-# Shared config-factory shapes (module-level, hence FactoryRef-able)
+# The shared config-factory shape (module-level, hence FactoryRef-able)
 # ----------------------------------------------------------------------
 
 
 def constant_config(x: float, *, config: BgpConfig) -> BgpConfig:
     """``make_config`` that ignores x: the same config at every point."""
     return config
-
-
-def mrai_config(x: float, *, base: BgpConfig) -> BgpConfig:
-    """``make_config`` for MRAI-on-the-x-axis sweeps (Figures 5 and 7)."""
-    return base.with_mrai(x)

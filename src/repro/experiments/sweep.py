@@ -15,21 +15,21 @@ the runner captured one) and the sweep continues; each
 errors — :class:`~repro.errors.ProtocolError`, bad configuration — still
 propagate: they invalidate the whole sweep, not one trial.
 
-Parallel execution
-------------------
+The trial runner
+----------------
 
-Trials are independent by construction (each builds its own scheduler,
-network, and RNG streams from ``(x, seed)``), which makes the trial the
-natural unit of fan-out.  ``sweep(..., jobs=N)`` runs trials on the one
-executor there is — the supervised pool of ``N`` reused worker processes
-in :mod:`~repro.experiments.resilience` (``jobs=0`` means one per CPU;
-``jobs=1`` runs in-process and is the reference the parallel path is
-compared against); results are reassembled into
-:class:`SweepPoint` lists in deterministic ``(x, seed)`` order no matter
-which worker finished first, so a parallel sweep is *bit-identical* to a
-sequential one — a property the test suite proves with the PR-2
-determinism digests (``digests=True`` attaches a
-:class:`~repro.analysis.determinism.RunFingerprint` to every run).
+Every trial goes through one :class:`TrialRunner`, installed by the
+caller (:func:`trial_runner`: ``repro figure``, a figure job, a test).
+Drivers only say which trials they need, as one list of
+:class:`TrialTask` specs; the runner owns how they run — ``jobs``, the
+resilience policy, the telemetry overlay — and simulates each distinct
+trial once per scope.  With ``jobs=N`` its new trials go to the
+supervised pool of ``N`` reused workers in
+:mod:`~repro.experiments.resilience` (``0``: one per CPU; ``1``:
+in-process, the reference).  Outcomes come back in task order whichever
+worker finished first, so a parallel sweep is *bit-identical* to a
+sequential one (``digests=True`` attaches the
+:class:`~repro.analysis.determinism.RunFingerprint` that proves it).
 
 Crossing the process boundary constrains the factories: closures cannot be
 pickled, so ``jobs > 1`` requires module-level factory functions or
@@ -47,8 +47,11 @@ from __future__ import annotations
 
 import os
 import pickle
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Union
+from contextlib import contextmanager
+from contextvars import ContextVar
+from dataclasses import dataclass, field, replace
+from typing import TYPE_CHECKING, Callable, Dict, Iterator, List, Optional
+from typing import Sequence, Tuple, Union
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (annotation only)
     from ..telemetry import MetricsSnapshot
@@ -64,7 +67,7 @@ from .resilience import (
     run_tasks_supervised,
     run_trial_resilient,
 )
-from .runner import ExperimentRun, run_experiment
+from .runner import ExperimentRun, PolicyFactory, run_experiment
 from .scenarios import Scenario
 
 ScenarioFactory = Callable[[float, int], Scenario]
@@ -151,20 +154,6 @@ class TrialProgress:
     ok: bool
     outcome: Optional["TrialOutcome"] = None
 
-    @classmethod
-    def of(
-        cls, done: int, total: int, task: "TrialTask", outcome: "TrialOutcome"
-    ) -> "TrialProgress":
-        """The report for ``task`` having ended in ``outcome``."""
-        return cls(
-            done=done,
-            total=total,
-            x=task.x,
-            seed=task.seed,
-            ok=not isinstance(outcome, TrialFailure),
-            outcome=outcome,
-        )
-
 
 ProgressCallback = Callable[[TrialProgress], None]
 
@@ -246,39 +235,45 @@ class SweepPoint:
 
 @dataclass(frozen=True)
 class TrialTask:
-    """One ``(x, seed)`` trial, fully specified and (given picklable
-    factories) shippable to a worker process."""
+    """One trial, fully specified: what the runner memoizes and ships.
 
-    index: int
+    ``make_policy(x, seed)``, when set, builds the per-node policy
+    assignment.  Tasks are equal when every field but ``index`` (a slot
+    in one executor batch) is.
+    """
+
     x: float
     seed: int
     make_scenario: ScenarioFactory
-    make_config: ConfigFactory
-    settings: RunSettings
+    config: BgpConfig
+    settings: RunSettings = RunSettings()
+    make_policy: Optional[Callable[[float, int], PolicyFactory]] = None
     digests: bool = False
+    index: int = field(default=0, compare=False)
 
 
 TrialOutcome = Union[ExperimentRun, TrialFailure]
 
 
 def run_trial(task: TrialTask) -> TrialOutcome:
-    """Execute one trial; the worker-side entry point of a parallel sweep.
+    """Execute one trial; the worker-side entry point of a parallel batch.
 
     Module-level (not a closure) so pool workers import it by reference.
     :class:`~repro.errors.SimulationError` — the per-trial fault-isolation
     class — is converted to a :class:`TrialFailure`; everything else
     (sanitizer trips, protocol invariant violations, config errors)
-    propagates and aborts the sweep from whichever process it ran in.
+    propagates and aborts the batch from whichever process it ran in.
     """
     scenario = task.make_scenario(task.x, task.seed)
-    config = task.make_config(task.x)
+    make_policy = task.make_policy
     try:
         run = run_experiment(
             scenario,
-            config,
+            task.config,
             settings=task.settings,
             seed=task.seed,
             keep_network=task.digests,
+            policy_factory=make_policy(task.x, task.seed) if make_policy else None,
         )
     except SimulationError as exc:
         return TrialFailure(x=task.x, seed=task.seed, error=exc)
@@ -295,7 +290,7 @@ def run_trial(task: TrialTask) -> TrialOutcome:
 
 
 #: What ``policy=None`` means to the executor: no retries, no watchdog, and
-#: a dead worker aborts the sweep.
+#: a dead worker aborts the batch.
 _NO_RETRIES = ResiliencePolicy(max_retries=0, on_exhausted="raise")
 
 
@@ -322,6 +317,130 @@ def _check_tasks_picklable(task: TrialTask) -> None:
         ) from exc
 
 
+class TrialRunner:
+    """The one seam between the drivers and :func:`run_experiment`.
+
+    It owns *how* trials run: ``jobs`` (``1`` in-process, ``N > 1`` the
+    supervised pool, ``0`` one worker per CPU), the resilience ``policy``
+    and ``telemetry``, an overlay switching ``settings.telemetry`` on.
+    Each distinct trial runs once per runner; a repeat request gets the
+    stored outcome, a shared object nothing may mutate.  ``outcomes``
+    lists every requested outcome until :meth:`close` drops it.
+    """
+
+    def __init__(
+        self,
+        jobs: int = 1,
+        policy: Optional[ResiliencePolicy] = None,
+        telemetry: bool = False,
+    ) -> None:
+        self.jobs = _resolve_jobs(jobs)
+        self.policy = policy
+        self.telemetry = telemetry
+        self.requested = 0
+        self.simulated = 0
+        self.outcomes: List[TrialOutcome] = []
+        self._memo: Dict[TrialTask, TrialOutcome] = {}
+
+    def run(
+        self,
+        tasks: Sequence[TrialTask],
+        on_progress: Optional[ProgressCallback] = None,
+    ) -> Tuple[List[TrialOutcome], SupervisionReport]:
+        """Every task's outcome in task order, and the supervision report.
+
+        ``on_progress`` hears of each task as its outcome lands: stored
+        outcomes first, then the rest in completion order.
+        """
+        if self.telemetry:
+            tasks = [
+                replace(task, settings=replace(task.settings, telemetry=True))
+                for task in tasks
+            ]
+        fresh = list(dict.fromkeys(task for task in tasks if task not in self._memo))
+        waiting: Dict[TrialTask, List[TrialTask]] = {task: [] for task in fresh}
+        done = 0
+
+        def report(task: TrialTask, outcome: TrialOutcome) -> None:
+            nonlocal done
+            done += 1
+            if on_progress is not None:
+                ok = not isinstance(outcome, TrialFailure)
+                on_progress(
+                    TrialProgress(done, len(tasks), task.x, task.seed, ok, outcome)
+                )
+
+        def land(task: TrialTask, outcome: TrialOutcome) -> None:
+            self._memo[task] = outcome
+            for requester in waiting[task]:
+                report(requester, outcome)
+
+        for task in tasks:
+            if task in waiting:
+                waiting[task].append(task)
+            else:
+                report(task, self._memo[task])
+        if self.jobs == 1 or not fresh:
+            for task in fresh:
+                land(task, run_trial_resilient(task))
+            # In-process: completions only, zero supervision events.
+            supervision = SupervisionReport(trials=len(fresh), completed=len(fresh))
+        else:
+            _check_tasks_picklable(fresh[0])
+            supervision = run_tasks_supervised(
+                [replace(task, index=index) for index, task in enumerate(fresh)],
+                self.jobs,
+                self.policy or _NO_RETRIES,
+                land,
+            )
+        self.simulated += len(fresh)
+        self.requested += len(tasks)
+        outcomes = [self._memo[task] for task in tasks]
+        self.outcomes.extend(outcomes)
+        return outcomes, supervision
+
+    def close(self) -> None:
+        """Drop the memo and the outcome list (the counts stay)."""
+        self._memo.clear()
+        self.outcomes.clear()
+
+
+_INSTALLED: ContextVar[Optional[TrialRunner]] = ContextVar(
+    "repro_trial_runner", default=None
+)
+
+
+@contextmanager
+def trial_runner(
+    jobs: int = 1,
+    policy: Optional[ResiliencePolicy] = None,
+    telemetry: bool = False,
+) -> Iterator[TrialRunner]:
+    """Install a fresh :class:`TrialRunner` for the ``with`` block.
+
+    Every driver and :func:`sweep` inside asks it for trials; it is
+    closed on exit, so nothing it ran outlives the block.
+    """
+    runner = TrialRunner(jobs, policy, telemetry)
+    token = _INSTALLED.set(runner)
+    try:
+        yield runner
+    finally:
+        _INSTALLED.reset(token)
+        runner.close()
+
+
+def run_trials(tasks: Sequence[TrialTask]) -> List[ExperimentRun]:
+    """The installed runner's runs of ``tasks``, in task order; a failed
+    trial raises its error, as a direct :func:`run_experiment` call would.
+    """
+    outcomes, _report = (_INSTALLED.get() or TrialRunner()).run(tasks)
+    for outcome in outcomes:
+        if isinstance(outcome, TrialFailure):
+            raise outcome.error
+    return outcomes
+
+
 def sweep(
     xs: Sequence[float],
     make_scenario: ScenarioFactory,
@@ -330,7 +449,7 @@ def sweep(
     settings: RunSettings = RunSettings(),
     on_error: str = "record",
     on_trial_error: Optional[Callable[[TrialFailure], None]] = None,
-    jobs: int = 1,
+    jobs: Optional[int] = None,
     digests: bool = False,
     on_progress: Optional[ProgressCallback] = None,
     policy: Optional[ResiliencePolicy] = None,
@@ -341,7 +460,7 @@ def sweep(
     The scenario factory receives the trial seed so randomized scenarios
     (Internet-derived destination/link choice) vary across trials, exactly
     as the paper repeats runs "with different destination ASes and failed
-    links".
+    links".  ``make_config(x)`` is called here, once per trial.
 
     ``on_error`` controls trial fault isolation:
 
@@ -350,50 +469,33 @@ def sweep(
       non-convergence) is appended to its point's ``failures`` and the
       sweep continues; ``on_trial_error`` (if given) observes each failure
       in deterministic ``(x, seed)`` order.
-    * ``"raise"`` — a failing trial aborts the sweep (the seed's behavior;
-      useful when any failure means the setup itself is wrong).
-      Sequentially the abort is immediate; with ``jobs > 1`` every trial is
-      attempted first and the task-order-earliest failure is raised, so the
-      raised error is deterministic regardless of completion order.
+    * ``"raise"`` — a failing trial aborts the sweep: once every trial
+      has been attempted the task-order-earliest failure is raised, so
+      the raised error is deterministic regardless of completion order.
 
     Non-simulation errors (protocol invariant violations, sanitizer trips,
     bad configuration) always propagate — from workers too.
 
-    ``jobs``: ``1`` (default) runs in-process — the reference path, and
-    the only one that accepts closures; ``N > 1`` fans trials out to the
-    supervised pool of ``N`` reused worker processes; ``0`` uses one
-    worker per CPU.  Parallel results are reassembled in ``(x, seed)``
-    task order and are digest-identical to sequential runs.
+    ``jobs`` and ``policy`` left at ``None`` run the sweep on the
+    installed runner (:func:`trial_runner`; in-process when none is
+    installed).  Either one set runs it on a private
+    :class:`TrialRunner`: ``jobs=1`` in-process — the reference path, and
+    the only one that accepts closures; ``N > 1`` the supervised pool of
+    ``N`` reused worker processes; ``0`` one worker per CPU.  The
+    ``policy`` (:class:`~repro.experiments.resilience.ResiliencePolicy`)
+    sets the pool's retries and watchdog; without one the first dead
+    worker aborts the sweep with a :class:`~repro.errors.WorkerCrashError`.
+    A retried trial re-runs the identical :class:`TrialTask`, so neither
+    knob changes a digest.
 
     ``digests=True`` attaches a SHA-256
     :class:`~repro.analysis.determinism.RunFingerprint` (trace, FIB log,
-    summary metrics) to each successful ``run.fingerprint`` — the
-    equivalence oracle for the parallel path.
-
+    summary metrics) to each successful ``run.fingerprint``.
     ``on_progress`` observes every completed trial with its outcome
-    (completion order when parallel) — the sweep's outcome stream: wire
-    it to a counter, a log line, or a journal.
-
-    ``policy`` (a :class:`~repro.experiments.resilience.ResiliencePolicy`)
-    sets the executor's retries and timeouts.  With ``jobs > 1`` worker
-    death and watchdog timeouts are retried with capped,
-    deterministically-jittered backoff, and trials that exhaust their
-    retries land in ``failures`` as
-    :class:`TrialFailure`/:class:`TrialTimeout` (or abort the sweep,
-    per ``policy.on_exhausted``).  Without one there are no retries and
-    no watchdog: the first dead worker aborts the sweep with a
-    :class:`~repro.errors.WorkerCrashError` naming the trial.  With
-    ``jobs=1`` the policy changes nothing — an in-process trial cannot
-    be preempted or survive its own crash.  A retried trial re-runs the
-    *identical* :class:`TrialTask`, so resilience never perturbs
-    ``digests=True`` equivalence.
-
-    ``on_report`` receives this sweep's
-    :class:`~repro.experiments.resilience.SupervisionReport` once the
-    sweep finishes (only when ``policy`` is set; the jobs=1 path
-    reports zero supervision activity).  This is the report's home —
-    each sweep's caller owns its own counters, so concurrent sweeps in
-    one process never alias.
+    (completion order when parallel) — the sweep's outcome stream.
+    ``on_report`` receives the sweep's
+    :class:`~repro.experiments.resilience.SupervisionReport` when the
+    runner has a policy; each caller owns its own counters.
     """
     if not xs:
         raise AnalysisError("sweep needs at least one x value")
@@ -401,56 +503,30 @@ def sweep(
         raise AnalysisError("sweep needs at least one seed")
     if on_error not in ("record", "raise"):
         raise AnalysisError(f"on_error must be 'record' or 'raise', got {on_error!r}")
-    jobs = _resolve_jobs(jobs)
+    runner = _INSTALLED.get() or TrialRunner()
+    if jobs is not None or policy is not None:
+        runner = TrialRunner(1 if jobs is None else jobs, policy)
 
     tasks: List[TrialTask] = []
     for x in xs:
+        config = make_config(x)
         for seed in seeds:
             tasks.append(
-                TrialTask(
-                    index=len(tasks),
-                    x=x,
-                    seed=seed,
-                    make_scenario=make_scenario,
-                    make_config=make_config,
-                    settings=settings,
-                    digests=digests,
-                )
+                TrialTask(x, seed, make_scenario, config, settings, digests=digests)
             )
-
-    if jobs == 1:
-        outcomes: Dict[int, TrialOutcome] = {}
-        for task in tasks:
-            outcome = run_trial_resilient(task)
-            if isinstance(outcome, TrialFailure) and on_error == "raise":
-                raise outcome.error
-            outcomes[task.index] = outcome
-            if on_progress is not None:
-                on_progress(
-                    TrialProgress.of(len(outcomes), len(tasks), task, outcome)
-                )
-        # In-process trials cannot be preempted or restarted, so the
-        # report records completions only — zero supervision events.
-        report = SupervisionReport(trials=len(tasks), completed=len(outcomes))
-    else:
-        _check_tasks_picklable(tasks[0])
-        outcomes, report = run_tasks_supervised(
-            tasks, jobs, policy or _NO_RETRIES, on_progress=on_progress
-        )
-    if on_report is not None and policy is not None:
+    outcomes, report = runner.run(tasks, on_progress)
+    if on_report is not None and runner.policy is not None:
         on_report(report)
 
-    # Deterministic reassembly: walk tasks in submission order — the
+    # Deterministic reassembly: walk outcomes in task order — the
     # REP103-clean path that makes jobs=N output identical to jobs=1.
     points: List[SweepPoint] = []
-    cursor = 0
+    remaining = iter(outcomes)
     for x in xs:
         point = SweepPoint(x=x)
         points.append(point)
         for _seed in seeds:
-            task = tasks[cursor]
-            outcome = outcomes[task.index]
-            cursor += 1
+            outcome = next(remaining)
             if isinstance(outcome, TrialFailure):
                 if on_error == "raise":
                     raise outcome.error

@@ -215,21 +215,19 @@ def execute_figure(
     should_cancel: Callable[[], bool] = _never_cancel,
 ) -> ExecutionOutcome:
     """Render one committed result into the job's artifact directory."""
-    import inspect
-
+    from ..experiments import trial_runner
     from ..experiments.figures import CLAIMS
 
-    figure_id = view.spec.params.get("id")
+    params = view.spec.params
+    figure_id = params.get("id")
     if figure_id not in CLAIMS:
         raise ServiceError(f"unknown figure {figure_id!r}")
     if should_cancel():
         raise JobCancelled(f"job {view.job_id} cancelled")
     claim = CLAIMS[figure_id]
-    quick = bool(view.spec.params.get("quick", True))
-    kwargs = dict(claim.quick or {}) if quick else {}
-    if "jobs" in inspect.signature(claim.driver).parameters:
-        kwargs["jobs"] = view.spec.params.get("jobs", 1)
-    figure = claim.driver(**kwargs)
+    kwargs = dict(claim.quick or {}) if params.get("quick", True) else {}
+    with trial_runner(params.get("jobs", 1)):
+        figure = claim.driver(**kwargs)
     rendered = figure.render()
     directory = state.artifact_dir(view.job_id)
     directory.mkdir(parents=True, exist_ok=True)

@@ -43,6 +43,8 @@ JOB_KINDS = ("sweep", "figure", "bench")
 #: Everything a bench spec may carry: ``run.py --repeat`` and the two
 #: deployment paths (``benchmarks/`` and where machine-written files land).
 BENCH_PARAMS = ("repeat", "bench_dir", "results_dir")
+#: Everything a figure spec may carry: the claim id, ``--quick`` and ``--jobs``.
+FIGURE_PARAMS = ("id", "quick", "jobs")
 
 #: Job lifecycle states, in the order a healthy job passes through them.
 QUEUED = "queued"
@@ -200,11 +202,21 @@ def resolve_sweep_plan(params: Dict) -> SweepPlan:
     )
 
 
+def _reject_unknown(kind: str, params: Dict, known: Tuple[str, ...]) -> None:
+    unknown = sorted(set(params) - set(known))
+    if unknown:
+        raise ServiceError(
+            f"unknown {kind} spec parameter(s) {', '.join(unknown)}; "
+            f"expected only {', '.join(known)}"
+        )
+
+
 def validate_spec(spec: JobSpec) -> None:
     """Reject invalid specs at submit time (the daemon's gate).
 
     Sweep specs are fully resolved (factories, config, policy); figure
-    specs are checked against the claims table; bench specs may
+    specs may carry only :data:`FIGURE_PARAMS` — an id from the claims
+    table, a bool ``quick`` and an int ``jobs`` >= 0; bench specs may
     carry only :data:`BENCH_PARAMS` (the directories themselves are
     looked at when the cycle runs, as they exist *then*).
     """
@@ -218,11 +230,21 @@ def validate_spec(spec: JobSpec) -> None:
     elif spec.kind == "figure":
         from ..experiments.figures import CLAIMS
 
-        figure_id = spec.params.get("id")
-        if figure_id not in CLAIMS:
+        params = spec.params
+        if params.get("id") not in CLAIMS:
             raise ServiceError(
-                f"unknown figure {figure_id!r}; expected one of "
+                f"unknown figure {params.get('id')!r}; expected one of "
                 f"{', '.join(sorted(CLAIMS))}"
+            )
+        _reject_unknown("figure", params, FIGURE_PARAMS)
+        if not isinstance(params.get("quick", True), bool):
+            raise ServiceError(
+                f"figure spec 'quick' must be a bool, got {params['quick']!r}"
+            )
+        jobs = params.get("jobs", 1)
+        if isinstance(jobs, bool) or not isinstance(jobs, int) or jobs < 0:
+            raise ServiceError(
+                f"figure spec 'jobs' must be an int >= 0, got {jobs!r}"
             )
     else:  # bench
         params = spec.params
@@ -232,12 +254,7 @@ def validate_spec(spec: JobSpec) -> None:
                 "benchmarks/e2e harness (every workload), there is nothing "
                 "to select"
             )
-        unknown = sorted(set(params) - set(BENCH_PARAMS))
-        if unknown:
-            raise ServiceError(
-                f"unknown bench spec parameter(s) {', '.join(unknown)}; "
-                f"expected only {', '.join(BENCH_PARAMS)}"
-            )
+        _reject_unknown("bench", params, BENCH_PARAMS)
         repeat = params.get("repeat", 1)
         if isinstance(repeat, bool) or not isinstance(repeat, int) or repeat < 1:
             raise ServiceError(

@@ -18,7 +18,6 @@ from repro.experiments import (
     TrialTask,
     RunSettings,
     clique_tdown_trial,
-    constant_config,
     factory_ref,
 )
 from repro.bgp import BgpConfig
@@ -108,9 +107,7 @@ class TestTrialTaskPickle:
             x=5.0,
             seed=1,
             make_scenario=factory_ref(clique_tdown_trial),
-            make_config=factory_ref(
-                constant_config, config=BgpConfig(mrai=1.0)
-            ),
+            config=BgpConfig(mrai=1.0),
             settings=RunSettings(failure_guard=0.5),
             digests=True,
         )
@@ -124,9 +121,7 @@ class TestTrialTaskPickle:
             x=3.0,
             seed=0,
             make_scenario=lambda x, seed: None,
-            make_config=factory_ref(
-                constant_config, config=BgpConfig(mrai=1.0)
-            ),
+            config=BgpConfig(mrai=1.0),
             settings=RunSettings(),
         )
         with pytest.raises(Exception):

@@ -89,14 +89,15 @@ class TestTheoryDriver:
 
 class TestTradeoffDriver:
     def test_fate_breakdown_per_variant(self):
-        from repro.experiments import tlong_bclique
+        from repro.experiments import bclique_tlong_trial
         from repro.experiments.figures.tradeoff import (
             packet_fate_breakdown,
             tradeoff_bclique,
         )
 
         breakdowns = packet_fate_breakdown(
-            lambda seed: tlong_bclique(3),
+            bclique_tlong_trial,
+            3,
             ["standard", "ghost-flushing"],
             mrai=1.0,
             seeds=(0,),
@@ -114,13 +115,11 @@ class TestTradeoffDriver:
 
     def test_requires_seeds(self):
         from repro.errors import AnalysisError
-        from repro.experiments import tlong_bclique
+        from repro.experiments import bclique_tlong_trial
         from repro.experiments.figures.tradeoff import packet_fate_breakdown
 
         with pytest.raises(AnalysisError):
-            packet_fate_breakdown(
-                lambda seed: tlong_bclique(3), ["standard"], seeds=()
-            )
+            packet_fate_breakdown(bclique_tlong_trial, 3, ["standard"], seeds=())
 
 
 class TestCommonHelpers:
@@ -152,10 +151,11 @@ class TestCommonHelpers:
             "title",
             "mrai",
             [1.0, 2.0],
-            lambda x, seed: tdown_clique(3),
+            lambda x, seed: tdown_clique(int(x)),
             ["convergence_time"],
             seeds=(0,),
             settings=SETTINGS,
-            mrai_is_x=True,
+            size=3,
         )
         assert [p.runs[0].bgp_config.mrai for p in points] == [1.0, 2.0]
+        assert {p.runs[0].scenario.name for p in points} == {"tdown-clique-3"}

@@ -7,6 +7,7 @@ a foreground ``checkpointed_sweep`` of the same resolved plan.
 
 import json
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -223,6 +224,16 @@ class TestOtherKinds:
         artifact = state.artifact_dir("job-1") / "theory.txt"
         assert artifact.exists() and artifact.read_text().strip()
         assert any(event["event"] == "log" for event in events)
+
+    def test_full_figure_job_writes_the_committed_result(self, state):
+        outcome = execute_job(
+            make_view("job-1", "figure", {"id": "theory", "quick": False}),
+            state,
+        )
+        assert outcome.state == "done"
+        committed = Path(__file__).resolve().parents[2] / "benchmarks" / "results"
+        artifact = state.artifact_dir("job-1") / "theory.txt"
+        assert artifact.read_text() == (committed / "theory.txt").read_text()
 
     def test_unknown_kind_fails_without_raising(self, state):
         outcome = execute_job(make_view("job-1", "mystery", {}), state)

@@ -119,6 +119,26 @@ class TestValidateSpec:
         with pytest.raises(ServiceError, match="figure"):
             validate_spec(JobSpec(kind="figure", params={"id": "fig99"}))
 
+    def test_figure_accepts_quick_and_jobs(self):
+        validate_spec(
+            JobSpec(kind="figure", params={"id": "fig4a", "quick": False, "jobs": 2})
+        )
+
+    @pytest.mark.parametrize(
+        "params, complaint",
+        [
+            ({"id": "fig4a", "jobs": -3, "quick": "no", "bogus": 1}, "bogus"),
+            ({"id": "fig4a", "quick": "no"}, "quick"),
+            ({"id": "fig4a", "quick": 1}, "quick"),
+            ({"id": "theory", "jobs": "two"}, "jobs"),
+            ({"id": "theory", "jobs": -3}, "jobs"),
+            ({"id": "theory", "jobs": True}, "jobs"),
+        ],
+    )
+    def test_figure_rejects_bad_parameters(self, params, complaint):
+        with pytest.raises(ServiceError, match=complaint):
+            validate_spec(JobSpec(kind="figure", params=params))
+
     def test_bench_accepts_only_its_three_parameters(self):
         validate_spec(JobSpec(kind="bench", params={}))
         validate_spec(

@@ -8,9 +8,9 @@ the same sweep counts.  Best-of-N timings keep scheduler noise out of both
 sides; the ceiling leaves several-fold headroom on a loaded machine.
 """
 
-from repro.experiments import RunSettings
+from repro.experiments import trial_runner
 from repro.experiments.figures import figure4a
-from repro.telemetry import Stopwatch, time_callable
+from repro.telemetry import MetricsSnapshot, Stopwatch, time_callable
 
 DISABLED_OVERHEAD_CEILING = 0.02
 
@@ -35,13 +35,18 @@ def guard_seconds(iterations: int = 200_000) -> float:
     return max(0.0, (guarded - empty) / iterations)
 
 
-def sweep(settings: RunSettings):
-    return figure4a(sizes=(5, 8), mrai=2.0, seeds=(0,), settings=settings)
+def sweep(telemetry: bool) -> MetricsSnapshot:
+    """The figure's trials, on a fresh runner each call; their telemetry."""
+    with trial_runner(telemetry=telemetry) as runner:
+        figure4a(sizes=(5, 8), mrai=2.0, seeds=(0,))
+        return MetricsSnapshot.aggregate(
+            [run.metrics for run in runner.outcomes if run.metrics is not None]
+        )
 
 
 def test_disabled_telemetry_guards_cost_under_two_percent():
-    off_seconds, _ = time_callable(lambda: sweep(RunSettings()), repeats=3)
-    traced = sweep(RunSettings(telemetry=True)).telemetry
+    off_seconds, _ = time_callable(lambda: sweep(False), repeats=3)
+    traced = sweep(True)
     # Counter totals of the enabled run stand in for the guards the
     # disabled run executed.  Byte counters hold byte totals, and the
     # trace/dataplane counters are filled in post-run without a per-event

@@ -1,13 +1,33 @@
 """Tests for the command-line interface."""
 
 import dataclasses
+import importlib
 
 import pytest
+
+from pathlib import Path
 
 from repro.cli import build_parser, main
 from repro.core import ObservationCheck
 from repro.experiments.figures import CLAIMS
 from repro.experiments.report import TableData
+
+RESULTS = Path(__file__).resolve().parents[1] / "benchmarks" / "results"
+#: The module, not the ``sweep`` function the package rebinds its name to.
+SWEEP_MODULE = importlib.import_module("repro.experiments.sweep")
+
+
+def record_pools(monkeypatch):
+    """Every ``(jobs, policy)`` the runner hands to the worker pool."""
+    pools = []
+    supervised = SWEEP_MODULE.run_tasks_supervised
+
+    def recording(tasks, jobs, policy, on_outcome):
+        pools.append((jobs, policy))
+        return supervised(tasks, jobs, policy, on_outcome)
+
+    monkeypatch.setattr(SWEEP_MODULE, "run_tasks_supervised", recording)
+    return pools
 
 
 class TestParser:
@@ -107,6 +127,16 @@ class TestFigureCommand:
         out = capsys.readouterr().out
         assert code == 0
         assert out.strip()
+
+    def test_several_ids_print_the_concatenation(self, capsys):
+        code = main(["figure", "theory", "fig7b"])
+        captured = capsys.readouterr()
+        assert code == 0
+        assert captured.out == "".join(
+            (RESULTS / f"{claim_id}.txt").read_text(encoding="utf-8")
+            for claim_id in ("theory", "fig7b")
+        )
+        assert captured.err.startswith("trials: ")
 
     def test_quick_figure_with_plot(self, capsys):
         code = main(["figure", "fig4a", "--quick", "--plot"])
@@ -454,13 +484,27 @@ class TestJobsFlag:
         assert code == 0
         assert "fig4a" in out
 
-    def test_driver_without_jobs_support_still_runs(self, capsys):
-        # The theory figure has no sweep to parallelize; --jobs is noted
-        # on stderr and ignored rather than crashing the driver.
+    def test_theory_jobs_reach_the_worker_pool(self, capsys, monkeypatch):
+        # theory asks the trial runner for its trials, so --jobs runs them
+        # on the pool, and nothing is noted as ignored.
+        pools = record_pools(monkeypatch)
         code = main(["figure", "theory", "--quick", "--jobs", "2"])
         captured = capsys.readouterr()
         assert code == 0
-        assert "--jobs" in captured.err
+        assert [jobs for jobs, _policy in pools] == [2]
+        assert "ignored" not in captured.err
+
+    def test_direct_row_notes_the_ignored_flag(self, capsys):
+        code = main(["figure", "protocol_triangle", "--jobs", "2"])
+        captured = capsys.readouterr()
+        assert code == 0
+        assert captured.out == (RESULTS / "protocol_triangle.txt").read_text(
+            encoding="utf-8"
+        )
+        assert captured.err == (
+            "note: protocol_triangle runs no trials through the trial "
+            "runner; --jobs ignored\n"
+        )
 
 
 class TestSweepCommand:
@@ -530,11 +574,15 @@ class TestResilienceFlags:
         assert code == 0
         assert "fig4a" in out
 
-    def test_theory_notes_ignored_resilience_flags(self, capsys):
-        code = main(["figure", "theory", "--quick", "--retries", "1"])
+    def test_theory_retries_reach_the_worker_pool(self, capsys, monkeypatch):
+        pools = record_pools(monkeypatch)
+        code = main(
+            ["figure", "theory", "--quick", "--jobs", "2", "--retries", "1"]
+        )
         captured = capsys.readouterr()
         assert code == 0
-        assert "--retries" in captured.err
+        assert [policy.max_retries for _jobs, policy in pools] == [1]
+        assert "ignored" not in captured.err
 
     def test_determinism_with_policy(self, capsys):
         code = main(
