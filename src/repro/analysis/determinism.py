@@ -26,8 +26,7 @@ from ..bgp import BgpConfig
 from ..errors import AnalysisError
 from ..experiments.config import RunSettings
 from ..experiments.scenarios import Scenario
-from ..experiments.spec import constant_config
-from ..experiments.sweep import sweep
+from ..experiments.sweep import TrialTask, run_trials, trial_runner
 
 if TYPE_CHECKING:  # pragma: no cover - annotation only
     from ..experiments.resilience import ResiliencePolicy
@@ -172,10 +171,10 @@ def check_determinism(
     executes under the full sanitizer suite, so the check covers both
     reproducibility and runtime invariants in one pass.
 
-    Every repetition is a ``digests=True`` trial of
-    :func:`~repro.experiments.sweep.sweep`: run 0 in this process — the
-    sequential baseline — and the rest with the caller's ``jobs`` and
-    ``policy``, which mean exactly what they mean there.  ``jobs > 1``
+    Every repetition is a ``digests=True`` trial run by a private
+    :func:`~repro.experiments.sweep.trial_runner`: run 0 in this process —
+    the sequential baseline — and the rest with the caller's ``jobs`` and
+    ``policy``, which mean exactly what they mean to a sweep.  ``jobs > 1``
     (or ``0`` for one per CPU) strengthens the check: identical digests
     then certify that a trial is bit-identical whether it runs in-process
     or in a sweep worker, the guarantee ``sweep(..., jobs=N)`` relies on;
@@ -188,23 +187,20 @@ def check_determinism(
         raise AnalysisError(f"a determinism check needs >= 2 runs, got {runs}")
 
     def repetitions(count: int, workers: int):
-        # One x per repetition; the factories ignore it.
-        return sweep(
-            list(range(count)),
-            functools.partial(_constant_scenario, scenario=scenario),
-            functools.partial(constant_config, config=config),
-            seeds=(seed,),
-            settings=settings,
-            on_error="raise",
-            jobs=workers,
-            digests=True,
-            policy=policy,
-        )
+        # One x per repetition, so the runner cannot merge them; the
+        # scenario factory ignores it.
+        make_scenario = functools.partial(_constant_scenario, scenario=scenario)
+        tasks = [
+            TrialTask(x, seed, make_scenario, config, settings, digests=True)
+            for x in range(count)
+        ]
+        with trial_runner(workers, policy):
+            return run_trials(tasks)
 
     others = repetitions(runs - 1, jobs)  # first: it validates ``jobs``
-    points = repetitions(1, 1) + others
+    trials = repetitions(1, 1) + others
     return DeterminismReport(
         scenario_name=scenario.name,
         seed=seed,
-        fingerprints=tuple(point.runs[0].fingerprint for point in points),
+        fingerprints=tuple(trial.fingerprint for trial in trials),
     )

@@ -26,9 +26,11 @@ a given ``--seed`` — and ``repro determinism`` proves it.  ``figure``,
 set how the supervised worker pool behind ``--jobs N`` treats a dead or hung
 worker (restart and retry with backoff, watchdog timeouts — results
 unchanged; without them the first dead worker aborts the command).
-The service verbs wrap the same machinery: a sweep submitted to the
-daemon produces bit-identical per-trial digests to the equivalent
-foreground ``repro sweep`` — even across a ``kill -9`` and restart.
+The service verbs wrap the same machinery: ``repro sweep`` resolves the
+same sweep spec as ``repro submit --sweep tdown`` (with telemetry off),
+so a sweep submitted to the daemon journals bit-identical per-trial
+digests to the equivalent foreground ``repro sweep`` — even across a
+``kill -9`` and restart.
 """
 
 from __future__ import annotations
@@ -100,6 +102,23 @@ def _policy_of(args):
     if trial_timeout is not None:
         kwargs["trial_timeout"] = trial_timeout
     return ResiliencePolicy(**kwargs)
+
+
+def _sweep_params(args, family: str, xs: List[float]) -> Dict:
+    """The sweep spec params of ``repro sweep`` and ``repro submit
+    --sweep``: one spec, resolved by ``resolve_sweep_plan`` for both."""
+    params: Dict = {
+        "family": family,
+        "xs": xs,
+        "trials": args.trials,
+        "variant": args.variant,
+        "mrai": args.mrai,
+        "jobs": args.jobs,
+    }
+    for key in ("size", "retries", "trial_timeout"):
+        if getattr(args, key, None) is not None:
+            params[key] = getattr(args, key)
+    return params
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -694,34 +713,27 @@ def _figure_row(args, figure_id: str, runner, flags: List[str]) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    from .experiments import (
-        SweepJournal,
-        checkpointed_sweep,
-        clique_tdown_trial,
-        constant_config,
-        factory_ref,
-    )
+    from .experiments import SweepJournal, checkpointed_sweep
+    from .service import resolve_sweep_plan
 
     sizes = [int(value) for value in args.sizes.split(",") if value.strip()]
     if not sizes:
         raise ReproError(f"--sizes needs at least one size, got {args.sizes!r}")
-    if args.trials < 1:
-        raise ReproError(f"--trials must be >= 1, got {args.trials}")
-    seeds = tuple(range(args.trials))
-    config = variant(args.variant, mrai=args.mrai)
-    policy = _policy_of(args)
+    params = dict(_sweep_params(args, "tdown", sizes), telemetry=False)
+    plan = resolve_sweep_plan(params)
     journal = SweepJournal(args.journal)
     reports: List = []
     summaries = checkpointed_sweep(
-        sizes,
-        clique_tdown_trial,
-        factory_ref(constant_config, config=config),
+        plan.xs,
+        plan.make_scenario,
+        plan.make_config,
         journal=journal,
-        seeds=seeds,
-        settings=RunSettings(),
-        jobs=args.jobs,
-        policy=policy,
+        seeds=plan.seeds,
+        settings=plan.settings,
+        jobs=plan.jobs,
+        policy=plan.policy,
         fresh=args.fresh,
+        digests=plan.digests,
         on_report=reports.append,
     )
     journal.close()
@@ -736,11 +748,8 @@ def _cmd_sweep(args) -> int:
             f"{summary.x:>6g} {summary.succeeded:>4} {summary.failed:>5} "
             f"{summary.timeouts:>8}  {metrics or '-'}"
         )
-    if policy is not None and reports:
-        supervision = reports[0]
-        for extra in reports[1:]:
-            supervision = supervision.merged(extra)
-        print(supervision.render())
+    for report in reports:
+        print(report.render())
     if any(summary.succeeded == 0 for summary in summaries):
         return 1
     return 0
@@ -984,22 +993,7 @@ def _cmd_submit(args) -> int:
         if not args.xs:
             raise ReproError("--sweep needs --xs (e.g. --xs 3,4,5)")
         xs = [float(value) for value in args.xs.split(",") if value.strip()]
-        params: Dict = {
-            "family": args.sweep_family,
-            "xs": xs,
-            "trials": args.trials,
-            "variant": args.variant,
-            "mrai": args.mrai,
-            "jobs": args.jobs,
-        }
-        if args.size is not None:
-            params["size"] = args.size
-        retries = getattr(args, "retries", None)
-        trial_timeout = getattr(args, "trial_timeout", None)
-        if retries is not None:
-            params["retries"] = retries
-        if trial_timeout is not None:
-            params["trial_timeout"] = trial_timeout
+        params = _sweep_params(args, args.sweep_family, xs)
         spec = {"kind": "sweep", "params": params}
     elif args.figure_id is not None:
         spec = {

@@ -53,6 +53,7 @@ import threading
 import weakref
 import zlib
 from dataclasses import dataclass, field, replace
+from functools import reduce
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, Optional
 from typing import Sequence, Tuple, TypeVar
@@ -67,7 +68,6 @@ from ..util.stats import mean
 
 if TYPE_CHECKING:  # pragma: no cover - annotation only
     from .resilience import ResiliencePolicy
-    from .sweep import SweepPoint
 
 #: Journal line schema version, embedded in every record.
 SCHEMA_VERSION = 1
@@ -626,9 +626,7 @@ def checkpointed_sweep(
     policy: Optional["ResiliencePolicy"] = None,
     fresh: bool = False,
     digests: bool = False,
-    on_trial_error: Optional[Callable] = None,
-    on_progress: Optional[Callable] = None,
-    on_point: Optional[Callable[[float, "SweepPoint"], None]] = None,
+    on_outcome: Optional[Callable] = None,
     on_report: Optional[Callable] = None,
 ) -> List[PointSummary]:
     """A sweep that journals each finished trial and resumes on rerun.
@@ -638,11 +636,11 @@ def checkpointed_sweep(
     remaining trials go through :func:`~repro.experiments.sweep.sweep`
     one x at a time (with ``jobs``/``policy`` resilience).  Each trial is
     appended durably the moment it finishes — from the sweep's outcome
-    stream, *before* ``on_progress`` hears of it — so whatever a caller
-    was told is done survives a SIGKILL, a cancellation raised from
-    ``on_progress``, or any other abort of the point it belongs to.
-    ``fresh=True`` discards the journal first.  SIGTERM/SIGINT during
-    the run leave a compacted checkpoint behind
+    stream, *before* ``on_outcome(task, outcome)`` hears of it — so
+    whatever a caller was told is done survives a SIGKILL, a
+    cancellation raised from ``on_outcome``, or any other abort of the
+    point it belongs to.  ``fresh=True`` discards the journal first.
+    SIGTERM/SIGINT during the run leave a compacted checkpoint behind
     (:meth:`SweepJournal.guarded`), and the normal exit path writes one
     too.
 
@@ -651,12 +649,9 @@ def checkpointed_sweep(
     resumed run — the sweep service after a daemon crash — can be
     checked bit-for-bit against an undisturbed foreground run.
 
-    ``on_point`` observes each newly-executed x's
-    :class:`~repro.experiments.sweep.SweepPoint` (skipped x values whose
-    trials were all journaled are not re-reported); ``on_report``
-    receives each per-x :class:`~repro.experiments.resilience.
-    SupervisionReport` when a ``policy`` is active — merge them with
-    :meth:`~repro.experiments.resilience.SupervisionReport.merged`.
+    ``on_report`` receives one
+    :class:`~repro.experiments.resilience.SupervisionReport` when a
+    ``policy`` is active and a trial ran: the per-x reports merged.
 
     Returns a :class:`PointSummary` per requested x, in request order.
     A point whose trials all failed summarizes with ``metrics == {}``
@@ -673,15 +668,16 @@ def checkpointed_sweep(
         journal.discard()
     journal.load()
 
-    def journal_then_report(progress) -> None:
-        journal.append(record_of_outcome(progress.x, progress.outcome))
-        if on_progress is not None:
-            on_progress(progress)
+    def journal_then_report(task, outcome) -> None:
+        journal.append(record_of_outcome(task.x, outcome))
+        if on_outcome is not None:
+            on_outcome(task, outcome)
 
+    reports: List = []
     try:
         with journal.guarded():
-            # One x at a time on purpose: it bounds the ExperimentRuns held
-            # here to one point's and gives ``on_point`` its SweepPoint.
+            # One x at a time on purpose: a batch holds its ExperimentRuns
+            # until it returns, so this bounds them to one point's.
             for x in xs:
                 journaled = journal.records
                 missing = [
@@ -689,7 +685,7 @@ def checkpointed_sweep(
                 ]
                 if not missing:
                     continue
-                [point] = sweep(
+                sweep(
                     [x],
                     make_scenario,
                     make_config,
@@ -698,15 +694,14 @@ def checkpointed_sweep(
                     jobs=jobs,
                     policy=policy,
                     digests=digests,
-                    on_trial_error=on_trial_error,
-                    on_progress=journal_then_report,
-                    on_report=on_report,
+                    on_outcome=journal_then_report,
+                    on_report=reports.append,
                 )
-                if on_point is not None:
-                    on_point(x, point)
     finally:
         if owns_journal:
             journal.close()
+    if reports and on_report is not None:
+        on_report(reduce(lambda left, right: left.merged(right), reports))
 
     records = journal.records
     summaries: List[PointSummary] = []

@@ -34,7 +34,8 @@ Retry/timeout/restart counts are accumulated in a
 :class:`~repro.telemetry.registry.MetricsRegistry` and surfaced as a
 :class:`SupervisionReport`, returned by :func:`run_tasks_supervised` and
 threaded to callers through ``sweep(..., on_report=...)`` — one report
-per supervised batch, owned by that sweep's caller, so a daemon running
+per supervised batch (``checkpointed_sweep`` merges its per-x batches
+into one), owned by that sweep's caller, so a daemon running
 many concurrent sweeps never sees another job's counters.
 
 Determinism boundary: this file is harness-side supervision *about* the
@@ -187,9 +188,8 @@ class SupervisionReport:
     def merged(self, other: "SupervisionReport") -> "SupervisionReport":
         """Combine two reports (counts sum, telemetry snapshots aggregate).
 
-        The reduction for callers that supervise several sweeps — the
-        journaled resume loop runs one sweep per x, the service daemon
-        one per job segment — and want a single roll-up.
+        The reduction :func:`~repro.experiments.journal.checkpointed_sweep`
+        applies to its one sweep per x, so its caller gets one roll-up.
         """
         snapshots = [
             snap for snap in (self.metrics, other.metrics) if snap is not None

@@ -7,8 +7,8 @@ captures that pattern once so the per-figure drivers stay declarative.
 
 Churn sweeps add a survivability requirement: a single pathological
 (scenario, seed) pair — a flap period that resonates with MRAI, a crash that
-trips the event budget — must not destroy the other trials' work.  By
-default a failed trial is recorded as a :class:`TrialFailure` (with the
+trips the event budget — must not destroy the other trials' work.  A
+failed trial is recorded as a :class:`TrialFailure` (with the
 post-mortem :class:`~repro.experiments.diagnostics.DiagnosticSnapshot` when
 the runner captured one) and the sweep continues; each
 :class:`SweepPoint` reports how many of its trials succeeded.  Programming
@@ -117,7 +117,7 @@ class TrialTimeout(TrialFailure):
     """A trial killed by the per-trial wall-clock watchdog.
 
     A :class:`TrialFailure` subclass so every existing consumer
-    (``failures_of``, ``SweepPoint.failed``, ``on_trial_error``) sees it
+    (``failures_of``, ``SweepPoint.failed``, a journal record) sees it
     transparently; ``error`` is always a
     :class:`~repro.errors.TrialTimeoutError`.  Only ``jobs > 1`` with a
     :class:`~repro.experiments.resilience.ResiliencePolicy` that sets
@@ -133,29 +133,6 @@ class TrialTimeout(TrialFailure):
             f"TrialTimeout(x={self.x}, seed={self.seed}, "
             f"attempt={self.attempt}, timeout={self.timeout}: {self.error})"
         )
-
-
-@dataclass(frozen=True)
-class TrialProgress:
-    """One completed trial, reported to the sweep's progress callback.
-
-    ``done``/``total`` count attempted trials; in parallel mode callbacks
-    arrive in *completion* order (the only nondeterministic observable —
-    the returned points are always in task order).  ``outcome`` is the
-    finished trial itself, run or failure, so the callback is the sweep's
-    outcome stream: a consumer can journal or publish each trial the
-    moment it lands instead of waiting for the sweep to return.
-    """
-
-    done: int
-    total: int
-    x: float
-    seed: int
-    ok: bool
-    outcome: Optional["TrialOutcome"] = None
-
-
-ProgressCallback = Callable[[TrialProgress], None]
 
 
 @dataclass
@@ -254,6 +231,10 @@ class TrialTask:
 
 TrialOutcome = Union[ExperimentRun, TrialFailure]
 
+OutcomeCallback = Callable[[TrialTask, TrialOutcome], None]
+"""``on_outcome(task, outcome)``: one finished trial, from the pool up to
+the service; the trial is ok when ``outcome`` is not a :class:`TrialFailure`."""
+
 
 def run_trial(task: TrialTask) -> TrialOutcome:
     """Execute one trial; the worker-side entry point of a parallel batch.
@@ -345,12 +326,12 @@ class TrialRunner:
     def run(
         self,
         tasks: Sequence[TrialTask],
-        on_progress: Optional[ProgressCallback] = None,
+        on_outcome: Optional[OutcomeCallback] = None,
     ) -> Tuple[List[TrialOutcome], SupervisionReport]:
         """Every task's outcome in task order, and the supervision report.
 
-        ``on_progress`` hears of each task as its outcome lands: stored
-        outcomes first, then the rest in completion order.
+        ``on_outcome(task, outcome)`` hears of each task as its outcome
+        lands: stored outcomes first, then the rest in completion order.
         """
         if self.telemetry:
             tasks = [
@@ -359,16 +340,7 @@ class TrialRunner:
             ]
         fresh = list(dict.fromkeys(task for task in tasks if task not in self._memo))
         waiting: Dict[TrialTask, List[TrialTask]] = {task: [] for task in fresh}
-        done = 0
-
-        def report(task: TrialTask, outcome: TrialOutcome) -> None:
-            nonlocal done
-            done += 1
-            if on_progress is not None:
-                ok = not isinstance(outcome, TrialFailure)
-                on_progress(
-                    TrialProgress(done, len(tasks), task.x, task.seed, ok, outcome)
-                )
+        report = on_outcome or (lambda task, outcome: None)
 
         def land(task: TrialTask, outcome: TrialOutcome) -> None:
             self._memo[task] = outcome
@@ -447,11 +419,9 @@ def sweep(
     make_config: ConfigFactory,
     seeds: Sequence[int] = (0,),
     settings: RunSettings = RunSettings(),
-    on_error: str = "record",
-    on_trial_error: Optional[Callable[[TrialFailure], None]] = None,
     jobs: Optional[int] = None,
     digests: bool = False,
-    on_progress: Optional[ProgressCallback] = None,
+    on_outcome: Optional[OutcomeCallback] = None,
     policy: Optional[ResiliencePolicy] = None,
     on_report: Optional[Callable[[SupervisionReport], None]] = None,
 ) -> List[SweepPoint]:
@@ -462,19 +432,13 @@ def sweep(
     as the paper repeats runs "with different destination ASes and failed
     links".  ``make_config(x)`` is called here, once per trial.
 
-    ``on_error`` controls trial fault isolation:
-
-    * ``"record"`` (default) — a trial that raises
-      :class:`~repro.errors.SimulationError` (budget exhaustion,
-      non-convergence) is appended to its point's ``failures`` and the
-      sweep continues; ``on_trial_error`` (if given) observes each failure
-      in deterministic ``(x, seed)`` order.
-    * ``"raise"`` — a failing trial aborts the sweep: once every trial
-      has been attempted the task-order-earliest failure is raised, so
-      the raised error is deterministic regardless of completion order.
-
-    Non-simulation errors (protocol invariant violations, sanitizer trips,
-    bad configuration) always propagate — from workers too.
+    A trial that raises :class:`~repro.errors.SimulationError` (budget
+    exhaustion, non-convergence) is appended to its point's ``failures``
+    and the sweep continues (:func:`failures_of` lists them in
+    ``(x, seed)`` order); a caller that wants the first failure raised
+    asks :func:`run_trials` instead.  Non-simulation errors (protocol
+    invariant violations, sanitizer trips, bad configuration) always
+    propagate — from workers too.
 
     ``jobs`` and ``policy`` left at ``None`` run the sweep on the
     installed runner (:func:`trial_runner`; in-process when none is
@@ -491,7 +455,7 @@ def sweep(
     ``digests=True`` attaches a SHA-256
     :class:`~repro.analysis.determinism.RunFingerprint` (trace, FIB log,
     summary metrics) to each successful ``run.fingerprint``.
-    ``on_progress`` observes every completed trial with its outcome
+    ``on_outcome(task, outcome)`` observes every finished trial
     (completion order when parallel) — the sweep's outcome stream.
     ``on_report`` receives the sweep's
     :class:`~repro.experiments.resilience.SupervisionReport` when the
@@ -501,8 +465,6 @@ def sweep(
         raise AnalysisError("sweep needs at least one x value")
     if not seeds:
         raise AnalysisError("sweep needs at least one seed")
-    if on_error not in ("record", "raise"):
-        raise AnalysisError(f"on_error must be 'record' or 'raise', got {on_error!r}")
     runner = _INSTALLED.get() or TrialRunner()
     if jobs is not None or policy is not None:
         runner = TrialRunner(1 if jobs is None else jobs, policy)
@@ -514,7 +476,7 @@ def sweep(
             tasks.append(
                 TrialTask(x, seed, make_scenario, config, settings, digests=digests)
             )
-    outcomes, report = runner.run(tasks, on_progress)
+    outcomes, report = runner.run(tasks, on_outcome)
     if on_report is not None and runner.policy is not None:
         on_report(report)
 
@@ -528,11 +490,7 @@ def sweep(
         for _seed in seeds:
             outcome = next(remaining)
             if isinstance(outcome, TrialFailure):
-                if on_error == "raise":
-                    raise outcome.error
                 point.failures.append(outcome)
-                if on_trial_error is not None:
-                    on_trial_error(outcome)
             else:
                 point.runs.append(outcome)
     return points

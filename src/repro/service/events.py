@@ -12,7 +12,9 @@ Every event carries ``event`` (its type) and ``job`` (the job id):
     completion, so a watcher sees progress trial-by-trial, not just at
     the end.
 ``point``
-    One sweep x-value completed with its aggregated loop statistics.
+    One sweep x-value completed with its aggregated loop statistics,
+    published when the x's last missing trial lands and summarized over
+    every journaled trial of that x (a resumed job's earlier trials too).
 ``snapshot``
     A :class:`~repro.telemetry.MetricsSnapshot` aggregation — the
     rolling union of every finished trial's telemetry.

@@ -14,7 +14,11 @@ checkpointed_sweep` against the job's own journal, with per-trial
 digests on.  That single decision is what buys the service its headline
 property: after ``kill -9``, re-executing the job re-runs only the
 missing ``(x, seed)`` trials, and the journal's digests are directly
-comparable to an undisturbed foreground run of the same plan.
+comparable to an undisturbed foreground run of the same plan.  Each
+finished trial reaches the job through one ``on_outcome(task, outcome)``
+stream, which publishes its ``trial`` event and, once the last missing
+trial of an x lands, that x's ``point`` event, summarized from every
+journaled trial of the x.
 
 Cancellation is cooperative: the daemon's ``should_cancel`` callback is
 polled at every trial completion (about once a second while a bench
@@ -33,7 +37,8 @@ from dataclasses import asdict, dataclass, field
 from typing import Callable, Dict, List, Optional
 
 from ..errors import JobCancelled, ReproError, ServiceError
-from ..experiments import SweepJournal, checkpointed_sweep
+from ..experiments import SweepJournal, TrialFailure, checkpointed_sweep
+from ..experiments.journal import summarize_point
 from ..telemetry import MetricsSnapshot, Timeline
 from .events import log_event, point_event, snapshot_event, trial_event
 from .jobs import JobView, resolve_sweep_plan
@@ -86,44 +91,20 @@ def execute_sweep(
     snapshots: List[MetricsSnapshot] = []
     reports: List = []
     # Progress counts over what this execution runs: a resumed job reads
-    # k/missing, not 1..trials once per x.
+    # k/missing, not 1..trials once per x.  An x's point is published when
+    # its last missing trial lands.
     journaled, recovery = journal.load()
-    total = sum(
-        (x, seed) not in journaled for x in plan.xs for seed in plan.seeds
-    )
+    missing = {
+        x: sum((x, seed) not in journaled for seed in plan.seeds)
+        for x in plan.xs
+    }
+    total = sum(missing.values())
     done = 0
 
-    def on_progress(progress) -> None:
-        nonlocal done
-        if should_cancel():
-            raise JobCancelled(f"job {job_id} cancelled")
-        done += 1
-        outcome = progress.outcome
-        digest = error = ""
-        if not progress.ok:
-            error = f"{type(outcome.error).__name__}: {outcome.error}"
-        elif outcome.fingerprint is not None:
-            digest = outcome.fingerprint.digest
-        timeline.instant(
-            time.monotonic() - started,
-            f"trial x={progress.x:g} seed={progress.seed}",
-            "service.trial",
-            ok=progress.ok,
-            done=done,
-            total=total,
-        )
-        publish(
-            trial_event(
-                job_id, progress.x, progress.seed, progress.ok, digest, error
-            )
-        )
-
-    def on_point(x: float, point) -> None:
-        snapshots.append(point.telemetry())
-        try:
-            stats = point.metrics()
-        except ReproError:
-            stats = {}
+    def publish_point(x: float) -> None:
+        # Every journaled trial of x, the ones an earlier execution ran too.
+        records = journal.records
+        point = summarize_point(x, [records[(x, seed)] for seed in plan.seeds])
         timeline.instant(
             time.monotonic() - started,
             f"point x={x:g}",
@@ -139,10 +120,37 @@ def execute_sweep(
                     "succeeded": point.succeeded,
                     "failed": point.failed,
                     "timeouts": point.timeouts,
-                    "metrics": stats,
+                    "metrics": point.metrics,
                 },
             )
         )
+
+    def on_outcome(task, outcome) -> None:
+        nonlocal done
+        if should_cancel():
+            raise JobCancelled(f"job {job_id} cancelled")
+        done += 1
+        ok = not isinstance(outcome, TrialFailure)
+        digest = error = ""
+        if not ok:
+            error = f"{type(outcome.error).__name__}: {outcome.error}"
+        else:
+            if outcome.fingerprint is not None:
+                digest = outcome.fingerprint.digest
+            if outcome.metrics is not None:
+                snapshots.append(outcome.metrics)
+        timeline.instant(
+            time.monotonic() - started,
+            f"trial x={task.x:g} seed={task.seed}",
+            "service.trial",
+            ok=ok,
+            done=done,
+            total=total,
+        )
+        publish(trial_event(job_id, task.x, task.seed, ok, digest, error))
+        missing[task.x] -= 1
+        if not missing[task.x]:
+            publish_point(task.x)
 
     try:
         summaries = checkpointed_sweep(
@@ -155,8 +163,7 @@ def execute_sweep(
             jobs=plan.jobs,
             policy=plan.policy,
             digests=plan.digests,
-            on_progress=on_progress,
-            on_point=on_point,
+            on_outcome=on_outcome,
             on_report=reports.append,
         )
     finally:
@@ -167,15 +174,10 @@ def execute_sweep(
     records = journal.records
     combined = sweep_digest(records) if plan.digests else ""
 
-    aggregate = MetricsSnapshot.aggregate(snapshots)
-    supervision = None
-    for report in reports:
-        supervision = report if supervision is None else supervision.merged(report)
+    supervision = reports[0] if reports else None
     if supervision is not None and supervision.metrics is not None:
-        aggregate = MetricsSnapshot.aggregate(
-            [aggregate, supervision.metrics]
-        )
-    publish(snapshot_event(job_id, aggregate))
+        snapshots.append(supervision.metrics)
+    publish(snapshot_event(job_id, MetricsSnapshot.aggregate(snapshots)))
 
     state.artifact_dir(job_id).mkdir(parents=True, exist_ok=True)
     timeline.span(

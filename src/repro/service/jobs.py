@@ -45,6 +45,11 @@ JOB_KINDS = ("sweep", "figure", "bench")
 BENCH_PARAMS = ("repeat", "bench_dir", "results_dir")
 #: Everything a figure spec may carry: the claim id, ``--quick`` and ``--jobs``.
 FIGURE_PARAMS = ("id", "quick", "jobs")
+#: Everything a sweep spec may carry (see :func:`resolve_sweep_plan`).
+SWEEP_PARAMS = (
+    "family", "xs", "trials", "variant", "mrai", "size", "jobs",
+    "retries", "trial_timeout", "telemetry", "digests",
+)
 
 #: Job lifecycle states, in the order a healthy job passes through them.
 QUEUED = "queued"
@@ -112,12 +117,16 @@ class SweepPlan:
     digests: bool
 
 
+def _is_number(value) -> bool:
+    return not isinstance(value, bool) and isinstance(value, (int, float))
+
+
 def _require_numbers(values, name: str) -> Tuple[float, ...]:
     if not isinstance(values, (list, tuple)) or not values:
         raise ServiceError(f"sweep spec {name!r} must be a non-empty list")
     out: List[float] = []
     for value in values:
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
+        if not _is_number(value):
             raise ServiceError(
                 f"sweep spec {name!r} must contain numbers, got {value!r}"
             )
@@ -125,25 +134,41 @@ def _require_numbers(values, name: str) -> Tuple[float, ...]:
     return tuple(out)
 
 
+def _require_int(params: Dict, name: str, default, minimum: int):
+    """``params[name]`` (or ``default``) as an int >= ``minimum``; a bool
+    is not an int here."""
+    value = params.get(name, default)
+    if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
+        raise ServiceError(
+            f"sweep spec {name!r} must be an int >= {minimum}, got {value!r}"
+        )
+    return value
+
+
+def _require_bool(params: Dict, name: str, default: bool) -> bool:
+    value = params.get(name, default)
+    if not isinstance(value, bool):
+        raise ServiceError(f"sweep spec {name!r} must be a bool, got {value!r}")
+    return value
+
+
 def resolve_sweep_plan(params: Dict) -> SweepPlan:
     """Validate a sweep job's parameters and build its executable plan.
 
-    Raises :class:`~repro.errors.ServiceError` on any invalid field, so
-    submission fails fast at the socket.
+    Raises :class:`~repro.errors.ServiceError` on any invalid field or a
+    key outside :data:`SWEEP_PARAMS`, so submission fails fast at the
+    socket and a queued job whose spec no longer resolves ends ``failed``.
     """
+    _reject_unknown("sweep", params, SWEEP_PARAMS)
     family = params.get("family", "tdown")
-    if family not in _FAMILIES:
+    if not isinstance(family, str) or family not in _FAMILIES:
         raise ServiceError(
             f"unknown sweep family {family!r}; expected one of "
             f"{', '.join(SWEEP_FAMILIES)}"
         )
     entry = _FAMILIES[family]
     xs = _require_numbers(params.get("xs"), "xs")
-
-    trials = params.get("trials", 1)
-    if isinstance(trials, bool) or not isinstance(trials, int) or trials < 1:
-        raise ServiceError(f"sweep spec 'trials' must be an int >= 1, got {trials!r}")
-    seeds = tuple(range(trials))
+    seeds = tuple(range(_require_int(params, "trials", 1, 1)))
 
     variant_name = params.get("variant", "standard")
     if variant_name not in VARIANT_NAMES:
@@ -152,7 +177,7 @@ def resolve_sweep_plan(params: Dict) -> SweepPlan:
             f"{', '.join(VARIANT_NAMES)}"
         )
     mrai = params.get("mrai", 2.0)
-    if isinstance(mrai, bool) or not isinstance(mrai, (int, float)) or mrai < 0:
+    if not _is_number(mrai) or mrai < 0:
         raise ServiceError(f"sweep spec 'mrai' must be a number >= 0, got {mrai!r}")
     config = variant(variant_name, mrai=float(mrai))
 
@@ -174,9 +199,7 @@ def resolve_sweep_plan(params: Dict) -> SweepPlan:
     if first.needs_sessions:
         config = with_session_timers(config)
 
-    jobs = params.get("jobs", 1)
-    if isinstance(jobs, bool) or not isinstance(jobs, int) or jobs < 0:
-        raise ServiceError(f"sweep spec 'jobs' must be an int >= 0, got {jobs!r}")
+    jobs = _require_int(params, "jobs", 1, 0)
 
     policy: Optional[ResiliencePolicy] = None
     retries = params.get("retries")
@@ -184,12 +207,17 @@ def resolve_sweep_plan(params: Dict) -> SweepPlan:
     if retries is not None or trial_timeout is not None:
         kwargs: Dict = {}
         if retries is not None:
-            kwargs["max_retries"] = retries
+            kwargs["max_retries"] = _require_int(params, "retries", None, 0)
         if trial_timeout is not None:
+            if not _is_number(trial_timeout) or trial_timeout <= 0:
+                raise ServiceError(
+                    f"sweep spec 'trial_timeout' must be a number > 0, "
+                    f"got {trial_timeout!r}"
+                )
             kwargs["trial_timeout"] = trial_timeout
         policy = ResiliencePolicy(**kwargs)
 
-    settings = RunSettings(telemetry=bool(params.get("telemetry", True)))
+    settings = RunSettings(telemetry=_require_bool(params, "telemetry", True))
     return SweepPlan(
         xs=xs,
         seeds=seeds,
@@ -198,7 +226,7 @@ def resolve_sweep_plan(params: Dict) -> SweepPlan:
         settings=settings,
         policy=policy,
         jobs=jobs,
-        digests=bool(params.get("digests", True)),
+        digests=_require_bool(params, "digests", True),
     )
 
 
@@ -220,7 +248,7 @@ def validate_spec(spec: JobSpec) -> None:
     carry only :data:`BENCH_PARAMS` (the directories themselves are
     looked at when the cycle runs, as they exist *then*).
     """
-    if spec.kind not in JOB_KINDS:
+    if not isinstance(spec.kind, str) or spec.kind not in JOB_KINDS:
         raise ServiceError(
             f"unknown job kind {spec.kind!r}; expected one of "
             f"{', '.join(JOB_KINDS)}"
@@ -231,9 +259,10 @@ def validate_spec(spec: JobSpec) -> None:
         from ..experiments.figures import CLAIMS
 
         params = spec.params
-        if params.get("id") not in CLAIMS:
+        figure_id = params.get("id")
+        if not isinstance(figure_id, str) or figure_id not in CLAIMS:
             raise ServiceError(
-                f"unknown figure {params.get('id')!r}; expected one of "
+                f"unknown figure {figure_id!r}; expected one of "
                 f"{', '.join(sorted(CLAIMS))}"
             )
         _reject_unknown("figure", params, FIGURE_PARAMS)

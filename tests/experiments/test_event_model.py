@@ -120,7 +120,7 @@ class TestCompoundSchedules:
     )
     def test_runs_sanitized_and_matches_across_jobs(self, make_scenario, x, config):
         make_config = factory_ref(constant_config, config=config)
-        kwargs = dict(seeds=(0, 1), settings=SANITIZED, digests=True, on_error="raise")
+        kwargs = dict(seeds=(0, 1), settings=SANITIZED, digests=True)
         sequential = sweep([x], make_scenario, make_config, **kwargs)
         parallel = sweep([x], make_scenario, make_config, jobs=2, **kwargs)
         runs = sequential[0].runs

@@ -19,6 +19,7 @@ from repro.experiments import (
     PointSummary,
     RunSettings,
     SweepJournal,
+    TrialFailure,
     TrialRecord,
     checkpointed_sweep,
     clique_tdown_trial,
@@ -273,18 +274,17 @@ class TestCheckpointedSweep:
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_trial_is_journaled_before_it_is_reported(self, tmp_path, jobs):
-        """Per-trial durability: by the time ``on_progress`` hears of a
+        """Per-trial durability: by the time ``on_outcome`` hears of a
         trial — ok or failed — its own record is already on disk, so what
         a caller was told is done survives the very next SIGKILL."""
         path = tmp_path / "sweep.jsonl"
         counts, statuses = [], {}
 
-        def on_progress(progress):
+        def on_outcome(task, outcome):
             on_disk, _ = SweepJournal(path).load()
             counts.append(len(on_disk))
-            statuses[(progress.x, progress.ok)] = on_disk[
-                (progress.x, progress.seed)
-            ].status
+            ok = not isinstance(outcome, TrialFailure)
+            statuses[(task.x, ok)] = on_disk[(task.x, task.seed)].status
 
         checkpointed_sweep(
             [3, 6],
@@ -294,7 +294,7 @@ class TestCheckpointedSweep:
             seeds=(0, 1),
             settings=TIGHT,
             jobs=jobs,
-            on_progress=on_progress,
+            on_outcome=on_outcome,
         )
         assert counts == [1, 2, 3, 4]  # not 0, 0, 2, 2: nothing waits for its point
         assert statuses == {(3, True): "ok", (6, False): "failed"}

@@ -12,15 +12,18 @@ from repro.bgp import BgpConfig
 from repro.errors import AnalysisError, BudgetExceededError, ConfigError
 from repro.experiments import (
     RunSettings,
-    TrialProgress,
+    TrialFailure,
+    TrialTask,
     bclique_tflap_trial,
     clique_tdown_trial,
     constant_config,
     factory_ref,
     failures_of,
     sweep,
+    trial_runner,
     xs_of,
 )
+from repro.experiments.sweep import run_trials
 
 FAST = BgpConfig(mrai=1.0, processing_delay=(0.01, 0.05))
 SETTINGS = RunSettings(failure_guard=0.5)
@@ -201,30 +204,23 @@ class TestFailureEquivalence:
         assert digests(sequential) == digests(parallel)
         assert len(digests(sequential)) == 1
 
-    def test_on_trial_error_called_in_task_order(self):
-        seen = []
-        sweep(
+    def test_failures_of_lists_worker_failures_in_task_order(self):
+        points = sweep(
             [3, 6],
             clique_tdown_trial,
             MAKE_CONFIG,
             seeds=(0,),
             settings=TIGHT,
             jobs=JOBS,
-            on_trial_error=lambda failure: seen.append((failure.x, failure.seed)),
         )
-        assert seen == [(6, 0)]
+        assert [(f.x, f.seed) for f in failures_of(points)] == [(6, 0)]
 
-    def test_on_error_raise_raises_from_workers(self):
-        with pytest.raises(BudgetExceededError) as excinfo:
-            sweep(
-                [3, 6],
-                clique_tdown_trial,
-                MAKE_CONFIG,
-                seeds=(0,),
-                settings=TIGHT,
-                jobs=JOBS,
-                on_error="raise",
-            )
+    def test_run_trials_raises_from_workers(self):
+        tasks = [
+            TrialTask(x, 0, clique_tdown_trial, FAST, TIGHT) for x in (3, 6)
+        ]
+        with trial_runner(JOBS), pytest.raises(BudgetExceededError) as excinfo:
+            run_trials(tasks)
         # The snapshot still rides on the raised error.
         assert excinfo.value.snapshot is not None
 
@@ -276,14 +272,14 @@ class TestExecutorPlumbing:
             seeds=(0, 1),
             settings=SETTINGS,
             jobs=2,
-            on_progress=seen.append,
+            on_outcome=lambda task, outcome: seen.append((task, outcome)),
         )
         assert len(seen) == 4
-        assert [p.done for p in seen] == [1, 2, 3, 4]
-        assert all(isinstance(p, TrialProgress) and p.ok for p in seen)
-        assert {(p.x, p.seed) for p in seen} == {
+        assert not any(isinstance(outcome, TrialFailure) for _, outcome in seen)
+        assert {(task.x, task.seed) for task, _ in seen} == {
             (3, 0), (3, 1), (4, 0), (4, 1),
         }
+        assert all(outcome.seed == task.seed for task, outcome in seen)
 
     def test_progress_callback_sequential_order(self):
         seen = []
@@ -293,11 +289,9 @@ class TestExecutorPlumbing:
             MAKE_CONFIG,
             seeds=(0,),
             settings=SETTINGS,
-            on_progress=seen.append,
+            on_outcome=lambda task, outcome: seen.append((task.x, task.seed)),
         )
-        assert [(p.x, p.seed, p.done, p.total) for p in seen] == [
-            (3, 0, 1, 2), (4, 0, 2, 2),
-        ]
+        assert seen == [(3, 0), (4, 0)]
 
 
 class TestFactoryRef:

@@ -320,15 +320,17 @@ class TestSupervisedExecutor:
             settings=SETTINGS,
             jobs=2,
             policy=ResiliencePolicy(trial_timeout=SLACK),
-            on_progress=seen.append,
+            on_outcome=lambda task, outcome: seen.append((task, outcome)),
         )
         assert len(seen) == 4
-        assert [p.done for p in seen] == [1, 2, 3, 4]
-        assert {(p.x, p.seed) for p in seen} == {
+        assert {(task.x, task.seed) for task, _ in seen} == {
             (3, 0), (3, 1), (4, 0), (4, 1),
         }
-        # The callback is the outcome stream: each report carries its run.
-        assert all((p.outcome.seed, p.outcome.attempt) == (p.seed, 1) for p in seen)
+        # The callback is the outcome stream: each call carries its run.
+        assert all(
+            (outcome.seed, outcome.attempt) == (task.seed, 1)
+            for task, outcome in seen
+        )
 
     def test_workers_are_reused(self, tmp_path):
         reports = []

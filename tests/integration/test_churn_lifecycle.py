@@ -162,26 +162,3 @@ class TestSweepFaultIsolation:
             assert failure.snapshot.pending_events > 0
             assert "pending" in failure.snapshot.render()
         assert len(failures_of(points)) == 2
-
-    def test_on_error_raise_preserves_seed_behavior(self):
-        with pytest.raises(BudgetExceededError):
-            sweep(
-                (5,),
-                make_scenario=lambda x, seed: tdown_clique(int(x)),
-                make_config=lambda x: FAST,
-                seeds=(0,),
-                settings=self.TIGHT,
-                on_error="raise",
-            )
-
-    def test_trial_error_hook_observes_failures(self):
-        seen = []
-        sweep(
-            (5,),
-            make_scenario=lambda x, seed: tdown_clique(int(x)),
-            make_config=lambda x: FAST,
-            seeds=(0, 1),
-            settings=self.TIGHT,
-            on_trial_error=seen.append,
-        )
-        assert [(f.x, f.seed) for f in seen] == [(5, 0), (5, 1)]

@@ -2,12 +2,14 @@
 socket, real client — exactly what a user runs."""
 
 import json
+import socket
 
 import pytest
 
 from repro.cli import main
 from repro.errors import ServiceError
 from repro.service import ServiceClient, ServiceState
+from repro.service.protocol import encode
 
 from daemon_harness import DaemonHarness
 
@@ -25,6 +27,34 @@ CANCELLABLE_SWEEP = {
     "kind": "sweep",
     "params": {"family": "tdown", "xs": [3.0, 10.0, 11.0, 12.0]},
 }
+
+
+#: Specs whose wrongly typed or unknown field once crashed the connection
+#: handler (or slipped through), each with the refusal it must now get.
+MALFORMED_SPECS = [
+    ({"kind": "sweep", "params": {"family": ["x"], "xs": [3]}}, "family"),
+    ({"kind": "sweep", "params": {"xs": [3], "retries": "two"}}, "retries"),
+    ({"kind": "sweep", "params": {"xs": [3], "retries": True}}, "retries"),
+    ({"kind": "sweep", "params": {"xs": [3], "trial_timeout": "x"}}, "trial_timeout"),
+    ({"kind": "sweep", "params": {"xs": [3], "trails": 4}}, "trails"),
+    ({"kind": "figure", "params": {"id": ["fig4a"]}}, "unknown figure"),
+]
+
+
+def exchange(daemon, payload: bytes) -> bytes:
+    """Send raw bytes on one connection, end the write side, and read the
+    daemon's reply until it closes the connection."""
+    with socket.socket(socket.AF_UNIX, socket.SOCK_STREAM) as sock:
+        sock.settimeout(30)
+        sock.connect(str(daemon.client.state.require_socket()))
+        sock.sendall(payload)
+        sock.shutdown(socket.SHUT_WR)
+        chunks = []
+        while True:
+            chunk = sock.recv(1 << 16)
+            if not chunk:
+                return b"".join(chunks)
+            chunks.append(chunk)
 
 
 @pytest.fixture
@@ -96,6 +126,50 @@ class TestProtocolOps:
     def test_shutdown_op_stops_daemon(self, daemon):
         daemon.client.shutdown()
         assert daemon.process.wait(timeout=30) == 0
+
+
+class TestWireRobustness:
+    """Whatever a client sends, it gets a reply or a closed connection,
+    and the daemon goes on answering ``ping``."""
+
+    def test_malformed_specs_are_refused_with_a_reply(self, daemon):
+        for spec, fragment in MALFORMED_SPECS:
+            reply = json.loads(exchange(daemon, encode({"op": "submit", "spec": spec})))
+            assert reply["ok"] is False
+            assert fragment in reply["error"]
+        assert daemon.client.ping()["pong"] is True
+        assert daemon.client.jobs() == []
+        daemon.stop()
+        assert "Unhandled exception" not in daemon.output()
+
+    @pytest.mark.parametrize(
+        "frame",
+        [b'{"op": "pi', b'{"op": "\xff\xfe"}\n', b"\x80\x81\n"],
+        ids=["truncated-then-eof", "non-utf8-in-json", "non-utf8"],
+    )
+    def test_broken_frames_get_an_error_reply(self, daemon, frame):
+        reply = json.loads(exchange(daemon, frame))
+        assert reply["ok"] is False
+        assert "malformed" in reply["error"]
+        assert daemon.client.ping()["pong"] is True
+
+    def test_watcher_disconnecting_mid_stream_leaves_the_job_running(self, daemon):
+        job = daemon.client.submit(CANCELLABLE_SWEEP)
+        with socket.socket(socket.AF_UNIX, socket.SOCK_STREAM) as sock:
+            sock.settimeout(60)
+            sock.connect(str(daemon.client.state.require_socket()))
+            sock.sendall(encode({"op": "watch", "job": job}))
+            with sock.makefile("rb") as stream:
+                assert json.loads(stream.readline())["ok"] is True
+                while json.loads(stream.readline())["event"] != "trial":
+                    pass
+        # Gone after the first trial, with the rest of the sweep to stream.
+        assert list(daemon.client.watch(job))[-1]["state"] == "done"
+        [summary] = daemon.client.jobs()
+        assert summary["state"] == "done" and summary["detail"]["trials"] == 4
+        assert daemon.client.ping()["pong"] is True
+        daemon.stop()
+        assert "Traceback" not in daemon.output()
 
 
 class TestCliVerbs:

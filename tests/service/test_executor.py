@@ -11,7 +11,9 @@ from pathlib import Path
 
 import pytest
 
+from repro.cli import main
 from repro.experiments import SweepJournal, checkpointed_sweep
+from repro.experiments.journal import summarize_point
 from repro.service import executor
 from repro.service import (
     JobSpec,
@@ -203,6 +205,52 @@ class TestSweepExecution:
         final = execute_job(make_view("job-1", "sweep", params), state, events.append)
         assert final.state == "done" and final.detail["trials"] == 8
         assert trials_of(events) == every - set(records)
+
+    def test_resumed_point_event_counts_every_journaled_trial(self, state):
+        """A point half journaled before a cancel publishes the counts of
+        all its trials on resume, not only of the ones re-run."""
+        params = {"family": "tdown", "xs": [3.0], "trials": 4}
+        seen = []
+        execute_job(
+            make_view("job-1", "sweep", params),
+            state,
+            seen.append,
+            lambda: len([e for e in seen if e["event"] == "trial"]) >= 2,
+        )
+        journaled, _ = SweepJournal(state.journal_path("job-1")).load()
+        assert 0 < len(journaled) < 4
+
+        events = []
+        execute_job(make_view("job-1", "sweep", params), state, events.append)
+        assert len([e for e in events if e["event"] == "trial"]) == 4 - len(journaled)
+        [point] = [e for e in events if e["event"] == "point"]
+        assert point["stats"]["succeeded"] == 4
+        assert point["stats"]["failed"] == point["stats"]["timeouts"] == 0
+        records, _ = SweepJournal(state.journal_path("job-1")).load()
+        assert point["stats"]["metrics"] == summarize_point(
+            3.0, list(records.values())
+        ).metrics
+
+    def test_foreground_cli_sweep_equals_the_daemon_sweep(self, state, tmp_path):
+        """``repro sweep`` resolves the spec ``repro submit --sweep tdown``
+        sends, so both journal the same non-empty per-trial digests."""
+        journal = tmp_path / "foreground.jsonl"
+        argv = ["sweep", "--sizes", "3,4", "--trials", "2", "--journal", str(journal)]
+        assert main(argv) == 0
+        foreground, _ = SweepJournal(journal).load()
+        assert len(foreground) == 4
+        assert all(record.digest for record in foreground.values())
+
+        params = {"family": "tdown", "xs": [3.0, 4.0], "trials": 2}
+        outcome = execute_job(make_view("job-1", "sweep", params), state)
+        assert outcome.detail["digest"] == sweep_digest(foreground)
+
+    def test_queued_spec_with_an_unknown_key_fails_with_the_message(self, state):
+        outcome = execute_job(
+            make_view("job-1", "sweep", {"xs": [3.0], "trails": 4}), state
+        )
+        assert outcome.state == "failed"
+        assert "trails" in outcome.detail["error"]
 
     def test_supervised_sweep_reports_supervision(self, state):
         params = dict(SWEEP_PARAMS, jobs=2, retries=1)

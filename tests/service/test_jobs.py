@@ -96,6 +96,28 @@ class TestResolveSweepPlan:
         with pytest.raises(ServiceError, match=fragment):
             resolve_sweep_plan(params)
 
+    @pytest.mark.parametrize(
+        "params, fragment",
+        [
+            ({"family": ["x"], "xs": [3]}, "unknown sweep family"),
+            ({"xs": [3], "retries": "two"}, "'retries' must be an int >= 0"),
+            ({"xs": [3], "retries": True}, "'retries' must be an int >= 0"),
+            ({"xs": [3], "retries": -1}, "'retries' must be an int >= 0"),
+            ({"xs": [3], "trial_timeout": "x"}, "'trial_timeout' must be a number"),
+            ({"xs": [3], "trial_timeout": True}, "'trial_timeout' must be a number"),
+            ({"xs": [3], "trial_timeout": 0}, "'trial_timeout' must be a number"),
+            ({"xs": [3], "telemetry": "no"}, "'telemetry' must be a bool"),
+            ({"xs": [3], "digests": 1}, "'digests' must be a bool"),
+        ],
+    )
+    def test_wrongly_typed_fields_rejected(self, params, fragment):
+        with pytest.raises(ServiceError, match=fragment):
+            resolve_sweep_plan(params)
+
+    def test_unknown_keys_rejected(self):
+        with pytest.raises(ServiceError, match="unknown sweep spec parameter.*trails"):
+            resolve_sweep_plan({"xs": [3], "trails": 4})
+
     def test_every_family_resolves(self):
         for family in SWEEP_FAMILIES:
             params = {"family": family, "xs": [4.0]}
@@ -113,6 +135,12 @@ class TestValidateSpec:
     def test_sweep_delegates_to_plan(self):
         with pytest.raises(ServiceError, match="xs"):
             validate_spec(JobSpec(kind="sweep", params={}))
+
+    def test_wrongly_typed_kind_and_figure_id_rejected(self):
+        with pytest.raises(ServiceError, match="unknown job kind"):
+            validate_spec(JobSpec(kind=["sweep"]))
+        with pytest.raises(ServiceError, match="unknown figure"):
+            validate_spec(JobSpec(kind="figure", params={"id": ["fig4a"]}))
 
     def test_figure_checks_registry(self):
         validate_spec(JobSpec(kind="figure", params={"id": "fig4a"}))
