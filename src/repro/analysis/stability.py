@@ -66,7 +66,6 @@ from ..topology import Topology
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only imports
     from ..experiments.scenarios import Scenario
-    from ..telemetry import MetricsRegistry
 
 PolicyFactory = Callable[[int], RoutingPolicy]
 
@@ -492,9 +491,7 @@ class _WheelSearch:
         return None
 
 
-def find_dispute_wheel(
-    graph: PolicyGraph, limits: SearchLimits = SearchLimits()
-) -> Optional[DisputeWheel]:
+def find_dispute_wheel(graph: PolicyGraph) -> Optional[DisputeWheel]:
     """Search ``graph`` for a dispute wheel; ``None`` when none was found.
 
     The returned wheel always satisfies :meth:`DisputeWheel.validate`.
@@ -502,7 +499,7 @@ def find_dispute_wheel(
     is a *proof* of no-wheel (and hence safety); callers needing to
     distinguish "proved absent" from "gave up" should use :func:`certify`.
     """
-    wheel = _WheelSearch(graph=graph, limits=limits).find()
+    wheel = _WheelSearch(graph=graph, limits=SearchLimits()).find()
     if wheel is not None:
         wheel.validate(graph)
     return wheel
@@ -603,14 +600,12 @@ def certify(
     name: str = "",
     limits: SearchLimits = SearchLimits(),
     structural: bool = True,
-    registry: Optional["MetricsRegistry"] = None,
 ) -> StabilityReport:
     """Prove or refute convergence for one destination, statically.
 
     Tries the structural certificates first (``structural=False`` forces
     the exhaustive lattice route, mainly for tests), then falls back to
-    policy-graph extraction plus dispute-wheel search.  ``registry``, when
-    given, receives the ``stability.*`` telemetry counters.
+    policy-graph extraction plus dispute-wheel search.
     """
     policies: Dict[int, RoutingPolicy] = {}
     default = ShortestPathPolicy()
@@ -724,16 +719,12 @@ def certify(
                 nodes=topology.num_nodes,
                 paths=graph.total_paths,
             )
-    _count(registry, report)
     return report
 
 
 def certify_scenario(
     scenario: "Scenario",
     policy_factory: Optional[PolicyFactory] = None,
-    limits: SearchLimits = SearchLimits(),
-    structural: bool = True,
-    registry: Optional["MetricsRegistry"] = None,
 ) -> StabilityReport:
     """:func:`certify` for an experiment scenario (pre-event topology).
 
@@ -743,6 +734,10 @@ def certify_scenario(
     lattice is wheel-free.  (The converse is not true — a wheel may survive
     or vanish under failure — which is why UNSAFE verdicts are
     cross-checked dynamically by the oscillation runner.)
+
+    This is the one way to ask for a verdict: no run certifies itself, so
+    a caller that cross-checks a simulation against the static analysis
+    (``repro stability --observe``) calls this beside it.
     """
     return certify(
         scenario.topology,
@@ -750,21 +745,5 @@ def certify_scenario(
         policy_factory,
         prefix=scenario.prefix,
         name=scenario.name,
-        limits=limits,
-        structural=structural,
-        registry=registry,
     )
 
-
-def _count(registry: Optional["MetricsRegistry"], report: StabilityReport) -> None:
-    if registry is None:
-        return
-    registry.counter("stability.scenarios_analyzed").inc()
-    if report.verdict is Verdict.SAFE:
-        registry.counter("stability.certified_safe").inc()
-    elif report.verdict is Verdict.UNSAFE:
-        registry.counter("stability.certified_unsafe").inc()
-    else:
-        registry.counter("stability.unknown").inc()
-    if report.wheel is not None:
-        registry.counter("stability.wheels_found").inc()

@@ -33,12 +33,12 @@ from ..prefixes import ADDRESS_BITS, PrefixSpec, parse_prefix
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (speaker uses bgp.*)
     from .speaker import BgpSpeaker
 
-DEFAULT_SPECIFIC_LENGTH = 24
+SPECIFIC_LENGTH = 24
 """Prefix length of the announced specifics (a /24, the Internet's modal
 table entry)."""
 
-DEFAULT_BLOCK_BITS = 2
-"""Specifics per aggregate block = 2^block_bits (default: 4 per cover)."""
+BLOCK_BITS = 2
+"""Specifics per aggregate block = 2^BLOCK_BITS (4 per cover)."""
 
 
 @dataclass(frozen=True)
@@ -73,10 +73,8 @@ def prefix_population(
     count: int,
     origins: Sequence[int],
     seed: int,
-    block_bits: int = DEFAULT_BLOCK_BITS,
-    specific_length: int = DEFAULT_SPECIFIC_LENGTH,
 ) -> List[AggregateBlock]:
-    """A seeded population of ``count`` specifics in aggregatable blocks.
+    """A seeded population of ``count`` /24 specifics in blocks of four.
 
     Blocks are laid out at consecutive cover-aligned addresses (block ``i``
     owns cover ``i << (32 - cover_length)``), so the population is a pure
@@ -89,15 +87,8 @@ def prefix_population(
         raise ConfigError(f"population count must be >= 1, got {count}")
     if not origins:
         raise ConfigError("population needs at least one origin")
-    if block_bits < 1:
-        raise ConfigError(f"block_bits must be >= 1, got {block_bits}")
-    cover_length = specific_length - block_bits
-    if cover_length < 0 or specific_length > ADDRESS_BITS:
-        raise ConfigError(
-            f"invalid geometry: /{specific_length} specifics with "
-            f"{block_bits}-bit blocks"
-        )
-    block_size = 1 << block_bits
+    cover_length = SPECIFIC_LENGTH - BLOCK_BITS
+    block_size = 1 << BLOCK_BITS
     block_count = (count + block_size - 1) // block_size
     if block_count > (1 << cover_length):
         raise ConfigError(
@@ -110,7 +101,7 @@ def prefix_population(
     remaining = count
     for index in range(block_count):
         cover = PrefixSpec(index << (ADDRESS_BITS - cover_length), cover_length)
-        specifics = cover.split(block_bits)[: min(block_size, remaining)]
+        specifics = cover.split(BLOCK_BITS)[: min(block_size, remaining)]
         remaining -= len(specifics)
         origin = ordered_origins[rng.randrange(len(ordered_origins))]
         blocks.append(

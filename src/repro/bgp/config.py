@@ -136,10 +136,6 @@ class BgpConfig:
         """Standard BGP per RFC 1771 (withdrawals not rate-limited)."""
         return cls(mrai=mrai)
 
-    def with_mrai(self, mrai: float) -> "BgpConfig":
-        """This config with a different MRAI value (for MRAI sweeps)."""
-        return replace(self, mrai=mrai)
-
     @property
     def variant_name(self) -> str:
         """Short human-readable name of the enabled enhancement set."""

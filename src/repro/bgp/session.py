@@ -35,7 +35,7 @@ Scope notes:
 from __future__ import annotations
 
 import random
-from typing import Callable, Dict, Optional, Set, Tuple
+from typing import Callable, Dict, Optional, Set
 
 from ..engine import Scheduler, Timer
 from ..errors import ConfigError
@@ -45,7 +45,7 @@ SessionDown = Callable[[int], None]
 SessionUp = Callable[[int], None]
 Connect = Callable[[int], None]
 
-DEFAULT_RETRY_JITTER = (0.75, 1.0)
+RETRY_JITTER = (0.75, 1.0)
 """ConnectRetry jitter range, mirroring the MRAI convention."""
 
 
@@ -95,7 +95,6 @@ class SessionManager:
         on_session_up: Optional[SessionUp] = None,
         retry_base: float = 1.0,
         retry_cap: float = 60.0,
-        retry_jitter: Tuple[float, float] = DEFAULT_RETRY_JITTER,
         rng: Optional[random.Random] = None,
     ) -> None:
         if hold_time <= 0:
@@ -110,9 +109,6 @@ class SessionManager:
                 f"retry backoff must satisfy 0 < base <= cap, got "
                 f"{retry_base} vs {retry_cap}"
             )
-        low, high = retry_jitter
-        if not 0 < low <= high:
-            raise ConfigError(f"retry_jitter must satisfy 0 < low <= high: {retry_jitter}")
         self._scheduler = scheduler
         self._hold_time = hold_time
         self._keepalive_interval = keepalive_interval
@@ -122,7 +118,6 @@ class SessionManager:
         self._on_session_up = on_session_up
         self._retry_base = retry_base
         self._retry_cap = retry_cap
-        self._retry_jitter = retry_jitter
         self._rng = rng
         self._hold_timers: Dict[int, Timer] = {}
         self._keepalive_timers: Dict[int, Timer] = {}
@@ -243,8 +238,7 @@ class SessionManager:
         self._retry_attempts[neighbor] = attempt + 1
         delay = min(self._retry_cap, self._retry_base * (2 ** attempt))
         if self._rng is not None:
-            low, high = self._retry_jitter
-            delay *= self._rng.uniform(low, high)
+            delay *= self._rng.uniform(*RETRY_JITTER)
         timer = self._retry_timers.get(neighbor)
         if timer is None:
             timer = Timer(

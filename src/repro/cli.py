@@ -104,6 +104,17 @@ def _policy_of(args):
     return ResiliencePolicy(**kwargs)
 
 
+def _number_list(text: str, flag: str, parse: Callable[[str], float]) -> List:
+    """The comma-separated numbers given to ``flag``; an entry ``parse``
+    rejects is a usage error, not a traceback."""
+    try:
+        return [parse(value) for value in text.split(",") if value.strip()]
+    except ValueError:
+        raise ReproError(
+            f"{flag} takes comma-separated numbers, got {text!r}"
+        ) from None
+
+
 def _sweep_params(args, family: str, xs: List[float]) -> Dict:
     """The sweep spec params of ``repro sweep`` and ``repro submit
     --sweep``: one spec, resolved by ``resolve_sweep_plan`` for both."""
@@ -716,7 +727,7 @@ def _cmd_sweep(args) -> int:
     from .experiments import SweepJournal, checkpointed_sweep
     from .service import resolve_sweep_plan
 
-    sizes = [int(value) for value in args.sizes.split(",") if value.strip()]
+    sizes = _number_list(args.sizes, "--sizes", int)
     if not sizes:
         raise ReproError(f"--sizes needs at least one size, got {args.sizes!r}")
     params = dict(_sweep_params(args, "tdown", sizes), telemetry=False)
@@ -840,7 +851,7 @@ def _cmd_stability(args) -> int:
         for entry, report in reports:
             if report.verdict is Verdict.UNSAFE:
                 observations[entry.name] = observe_oscillation(
-                    entry, seed=args.seed, certify=False
+                    entry, seed=args.seed
                 )
     if args.format == "json":
         payload = {
@@ -857,8 +868,7 @@ def _cmd_stability(args) -> int:
             print(report.render())
             observed = observations.get(entry.name)
             if observed is not None:
-                for line in observed.render().splitlines():
-                    print(f"  {line}")
+                print(f"  {observed.render()}")
     if args.check:
         expected = json.loads(Path(args.check).read_text())
         mismatches = []
@@ -992,7 +1002,7 @@ def _cmd_submit(args) -> int:
     if args.sweep_family is not None:
         if not args.xs:
             raise ReproError("--sweep needs --xs (e.g. --xs 3,4,5)")
-        xs = [float(value) for value in args.xs.split(",") if value.strip()]
+        xs = _number_list(args.xs, "--xs", float)
         params = _sweep_params(args, args.sweep_family, xs)
         spec = {"kind": "sweep", "params": params}
     elif args.figure_id is not None:

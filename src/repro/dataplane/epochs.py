@@ -144,10 +144,10 @@ class EpochEvaluator:
         The CBR sources (typically one per non-destination AS).
     ttl:
         Initial TTL (the paper's 128).
-    hop_delay:
-        Per-hop forwarding latency used to timestamp TTL deaths; the
-        paper's 2 ms link delay.  Only affects exhaustion timestamps (by at
-        most ``ttl × hop_delay`` = 256 ms), not counts.
+
+    TTL deaths are timestamped with the paper's 2 ms link delay per hop.
+    That only affects exhaustion timestamps (by at most ``ttl × 2 ms`` =
+    256 ms), not counts.
     """
 
     def __init__(
@@ -156,7 +156,6 @@ class EpochEvaluator:
         prefix: Prefix,
         sources: List[CbrSource],
         ttl: int = DEFAULT_TTL,
-        hop_delay: float = DEFAULT_LINK_DELAY,
     ) -> None:
         if not sources:
             raise AnalysisError("need at least one traffic source")
@@ -169,7 +168,7 @@ class EpochEvaluator:
         self._flows = TrafficMatrixEvaluator(
             log, TrafficMatrix(flows), ttl, epoch_rows=False
         )
-        self._death_offset = ttl * hop_delay
+        self._death_offset = ttl * DEFAULT_LINK_DELAY
         # What the last evaluate() did, for telemetry: instants seen (the
         # naive evaluator's epoch count), walks performed, and how many of
         # those re-walked an origin a FIB change had invalidated.
@@ -215,7 +214,7 @@ class EpochEvaluator:
             return
 
         # TTL exhaustion: every one of the source's packets in this epoch
-        # dies ttl × hop_delay after its departure.
+        # dies ttl × DEFAULT_LINK_DELAY after its departure.
         report.ttl_exhaustions += count
         report.per_source_exhaustions[source.node] = (
             report.per_source_exhaustions.get(source.node, 0) + count

@@ -79,7 +79,6 @@ def sources_for(
     nodes: List[int],
     destination: int,
     rate: float = DEFAULT_PACKET_RATE,
-    start: float = 0.0,
     stagger: float = 0.0,
 ) -> List[CbrSource]:
     """One CBR source per non-destination node (the paper's workload).
@@ -93,7 +92,7 @@ def sources_for(
     for position, node in enumerate(sorted(nodes)):
         if node == destination:
             continue
-        sources.append(CbrSource(node=node, rate=rate, start=start + position * stagger))
+        sources.append(CbrSource(node=node, rate=rate, start=position * stagger))
     return sources
 
 
@@ -148,7 +147,6 @@ class TrafficMatrix:
         prefixes: Sequence[str],
         seed: int,
         rate_range: Tuple[float, float] = (1.0, DEFAULT_PACKET_RATE),
-        start: float = 0.0,
         origins: Optional[Mapping[str, Tuple[int, ...]]] = None,
     ) -> "TrafficMatrix":
         """One flow per (source, prefix) with seeded rates and addresses.
@@ -184,7 +182,6 @@ class TrafficMatrix:
                         prefix=prefix,
                         destination=destination,
                         rate=rate,
-                        start=start,
                     )
                 )
         return cls(flows=tuple(flows))

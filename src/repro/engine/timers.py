@@ -29,13 +29,11 @@ class Timer:
         scheduler: Scheduler,
         callback: Callable[[], None],
         name: str = "timer",
-        priority: int = EventPriority.TIMER,
         housekeeping: bool = False,
     ) -> None:
         self._scheduler = scheduler
         self._callback = callback
         self._name = name
-        self._priority = priority
         self._housekeeping = housekeeping
         self._event: Optional[Event] = None
         self._expires_at: Optional[float] = None
@@ -72,7 +70,7 @@ class Timer:
         self._event = self._scheduler.call_after(
             delay,
             self._fire,
-            priority=self._priority,
+            priority=EventPriority.TIMER,
             name=self._name,
             housekeeping=self._housekeeping,
         )

@@ -20,6 +20,11 @@ from ..errors import ConfigError
 class RunSettings:
     """Everything about a run other than topology, event, and protocol.
 
+    Every field changes what a run simulates, measures or records.  Static
+    policy-stability certification is not among them: a run never certifies
+    itself, and a caller that wants the verdict asks
+    :func:`~repro.analysis.stability.certify_scenario` for it.
+
     Attributes
     ----------
     packet_rate:
@@ -51,14 +56,6 @@ class RunSettings:
         exportable as JSONL or Chrome trace JSON).  Implies ``telemetry``
         behavior for the probe; off by default because traced runs hold
         every FIB-change/MRAI instant in memory.
-    certify:
-        Statically certify the scenario's policy stability (dispute-wheel
-        search / structural safety, see :mod:`repro.analysis.stability`)
-        before simulating, and attach the
-        :class:`~repro.analysis.stability.StabilityReport` to the
-        returned run as provenance.  Purely static — zero events are
-        scheduled by certification, and the verdict is outside the
-        determinism fingerprint, so digests are identical on or off.
     traffic_matrix:
         Evaluate a seeded traffic matrix (one CBR weight per
         (source, prefix), see :class:`~repro.dataplane.traffic.
@@ -90,7 +87,6 @@ class RunSettings:
     sanitize: bool = False
     telemetry: bool = False
     timeline: bool = False
-    certify: bool = False
     traffic_matrix: bool = False
     traffic_epoch_rows: bool = False
 

@@ -34,8 +34,8 @@ from typing import Dict, List, Optional, Tuple
 from ..engine import Scheduler
 from ..net import Network
 
-DEFAULT_TRACE_TAIL = 20
-"""How many trailing trace records a snapshot keeps by default."""
+TRACE_TAIL = 20
+"""How many trailing trace records a snapshot keeps."""
 
 
 @dataclass(frozen=True)
@@ -62,10 +62,11 @@ class DiagnosticSnapshot:
     trace_tail: Tuple[str, ...] = ()
     sanitizer_state: Tuple[str, ...] = ()
 
-    def busiest_nodes(self, top: int = 3) -> List[NodeState]:
-        """Nodes with the deepest CPU queues (likely livelock participants)."""
+    def busiest_nodes(self) -> List[NodeState]:
+        """The three nodes with the deepest CPU queues (likely livelock
+        participants)."""
         ranked = sorted(self.nodes, key=lambda n: (-n.cpu_queue, n.node_id))
-        return ranked[:top]
+        return ranked[:3]
 
     def render(self) -> str:
         """A readable multi-line report for logs and error messages."""
@@ -104,7 +105,6 @@ class DiagnosticSnapshot:
 def capture_snapshot(
     scheduler: Scheduler,
     network: Optional[Network] = None,
-    trace_tail: int = DEFAULT_TRACE_TAIL,
 ) -> DiagnosticSnapshot:
     """Freeze the simulation's state for a post-mortem.
 
@@ -124,7 +124,7 @@ def capture_snapshot(
             )
             for node_id, node in sorted(network.nodes.items())
         )
-        records = network.trace.records()[-trace_tail:] if trace_tail > 0 else []
+        records = network.trace.records()[-TRACE_TAIL:]
         tail = tuple(
             f"t={r.time:.3f} {r.src}->{r.dst} {r.message!r}" for r in records
         )

@@ -38,7 +38,6 @@ def metric_sweep_figure(
     mrai: float = 30.0,
     seeds: Sequence[int] = (0,),
     settings: RunSettings = RunSettings(),
-    config: Optional[BgpConfig] = None,
     size: Optional[int] = None,
 ) -> Tuple[FigureData, List[SweepPoint]]:
     """Run one sweep and package the requested metric series as a figure.
@@ -50,20 +49,20 @@ def metric_sweep_figure(
 
     With ``size`` the x values are MRAI settings over the one topology
     ``make_scenario(size, seed)`` (Figures 5 and 7, see
-    :func:`mrai_sweep`); otherwise the MRAI is fixed at ``mrai`` and x
-    parameterizes the scenario (topology size, Figures 4 and 6).
+    :func:`mrai_sweep`, which runs the default :class:`RunSettings`);
+    otherwise the MRAI is fixed at ``mrai`` and x parameterizes the
+    scenario (topology size, Figures 4 and 6).
     """
-    base = config or BgpConfig.standard(mrai)
     if size is None:
         points = sweep(
             xs,
             make_scenario,
-            factory_ref(constant_config, config=base),
+            factory_ref(constant_config, config=BgpConfig.standard(mrai)),
             seeds=seeds,
             settings=settings,
         )
     else:
-        points = mrai_sweep(xs, make_scenario, size, seeds, settings, base)
+        points = mrai_sweep(xs, make_scenario, size, seeds)
     figure = FigureData(
         figure_id=figure_id,
         title=title,
@@ -79,16 +78,14 @@ def mrai_sweep(
     make_scenario: ScenarioFactory,
     size: int,
     seeds: Sequence[int],
-    settings: RunSettings = RunSettings(),
-    base: BgpConfig = BgpConfig.standard(),
 ) -> List[SweepPoint]:
-    """One point per MRAI value: ``make_scenario(size, seed)`` under
-    ``base`` with that MRAI.  Trials are keyed by size, as in the size
-    sweeps, so the two share equal trials; a failed trial raises.
+    """One point per MRAI value: ``make_scenario(size, seed)`` under the
+    standard config with that MRAI.  Trials are keyed by size, as in the
+    size sweeps, so the two share equal trials; a failed trial raises.
     """
     runs = run_trials(
         [
-            TrialTask(size, seed, make_scenario, base.with_mrai(mrai), settings)
+            TrialTask(size, seed, make_scenario, BgpConfig.standard(mrai))
             for mrai in mrai_values
             for seed in seeds
         ]
@@ -106,7 +103,6 @@ def variant_comparison_series(
     variant_names: Sequence[str],
     mrai: float = 30.0,
     seeds: Sequence[int] = (0,),
-    settings: RunSettings = RunSettings(),
 ) -> Dict[str, List[float]]:
     """One metric's sweep series per protocol variant.
 
@@ -121,7 +117,6 @@ def variant_comparison_series(
             make_scenario,
             factory_ref(constant_config, config=config),
             seeds=seeds,
-            settings=settings,
         )
         result[name] = series(points, metric)
     return result

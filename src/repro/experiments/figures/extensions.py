@@ -318,7 +318,7 @@ def churn_flap_period(
             config=BgpConfig(mrai=mrai, processing_delay=(0.05, 0.15)),
         ),
         seeds=seeds,
-        settings=RunSettings(packet_rate=5.0, failure_guard=1.0, horizon=500.0),
+        settings=RunSettings(packet_rate=5.0, horizon=500.0),
     )
     metrics = [point.metrics() for point in points]
     failures = failures_of(points)

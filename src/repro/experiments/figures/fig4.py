@@ -13,7 +13,6 @@ from typing import Sequence
 from ...core import ObservationCheck, check_duration_coupling
 from ...core.observations import check_tlong_gap
 from ...topology import PAPER_SIZES
-from ..config import RunSettings
 from ..report import FigureData
 from ..scenarios import (
     bclique_tlong_trial,
@@ -39,7 +38,6 @@ def figure4a(
     sizes: Sequence[int] = (5, 8, 11, 14, 17),
     mrai: float = 30.0,
     seeds: Sequence[int] = (0, 1),
-    settings: RunSettings = RunSettings(),
 ) -> FigureData:
     """Tdown in Clique topologies: looping duration ≈ convergence time."""
     figure, _points = metric_sweep_figure(
@@ -51,7 +49,6 @@ def figure4a(
         _METRICS,
         mrai=mrai,
         seeds=seeds,
-        settings=settings,
     )
     _add_coupling_check(figure, max_gap_fraction=0.35)
     shortest = min(figure.series["convergence_time"])
@@ -69,7 +66,6 @@ def figure4b(
     sizes: Sequence[int] = (4, 6, 8, 10, 12),
     mrai: float = 30.0,
     seeds: Sequence[int] = (0, 1),
-    settings: RunSettings = RunSettings(),
 ) -> FigureData:
     """Tlong in B-Clique topologies: gap ≈ one MRAI round (30-45 s)."""
     figure, _points = metric_sweep_figure(
@@ -81,7 +77,6 @@ def figure4b(
         _METRICS,
         mrai=mrai,
         seeds=seeds,
-        settings=settings,
     )
     figure.checks.append(
         check_tlong_gap(
@@ -97,7 +92,6 @@ def figure4c(
     sizes: Sequence[int] = PAPER_SIZES,
     mrai: float = 30.0,
     seeds: Sequence[int] = (0, 1, 2),
-    settings: RunSettings = RunSettings(),
 ) -> FigureData:
     """Tdown in Internet-derived topologies (paper sizes 29/48/75/110)."""
     figure, _points = metric_sweep_figure(
@@ -109,7 +103,6 @@ def figure4c(
         _METRICS,
         mrai=mrai,
         seeds=seeds,
-        settings=settings,
     )
     _add_coupling_check(figure, max_gap_fraction=0.6)
     conv = figure.series["convergence_time"]

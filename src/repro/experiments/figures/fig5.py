@@ -11,7 +11,6 @@ from __future__ import annotations
 from typing import Sequence
 
 from ...core import check_linear_in_mrai
-from ..config import RunSettings
 from ..report import FigureData
 from ..scenarios import bclique_tlong_trial, clique_tdown_trial
 from .common import metric_sweep_figure
@@ -36,7 +35,6 @@ def figure5a(
     mrai_values: Sequence[float] = (7.5, 15.0, 30.0, 45.0, 60.0),
     clique_size: int = 10,
     seeds: Sequence[int] = (0, 1),
-    settings: RunSettings = RunSettings(),
 ) -> FigureData:
     """Tdown in a Clique: both curves scale linearly with M."""
     figure, _points = metric_sweep_figure(
@@ -47,7 +45,6 @@ def figure5a(
         clique_tdown_trial,
         _METRICS,
         seeds=seeds,
-        settings=settings,
         size=clique_size,
     )
     return _with_linearity_checks(figure)
@@ -57,7 +54,6 @@ def figure5b(
     mrai_values: Sequence[float] = (7.5, 15.0, 30.0, 45.0, 60.0),
     bclique_size: int = 8,
     seeds: Sequence[int] = (0, 1),
-    settings: RunSettings = RunSettings(),
 ) -> FigureData:
     """Tlong in a B-Clique: both curves scale linearly with M."""
     figure, _points = metric_sweep_figure(
@@ -68,7 +64,6 @@ def figure5b(
         bclique_tlong_trial,
         _METRICS,
         seeds=seeds,
-        settings=settings,
         size=bclique_size,
     )
     return _with_linearity_checks(figure)

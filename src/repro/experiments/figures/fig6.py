@@ -12,7 +12,6 @@ from typing import Sequence
 
 from ...core import ObservationCheck
 from ...topology import PAPER_SIZES
-from ..config import RunSettings
 from ..report import FigureData
 from ..scenarios import (
     bclique_tlong_trial,
@@ -44,7 +43,6 @@ def figure6a(
     sizes: Sequence[int] = (5, 8, 11, 14, 17),
     mrai: float = 30.0,
     seeds: Sequence[int] = (0, 1),
-    settings: RunSettings = RunSettings(),
 ) -> FigureData:
     """Tdown in Cliques: exhaustion counts and a >= 65% looping ratio."""
     figure, _points = metric_sweep_figure(
@@ -56,7 +54,6 @@ def figure6a(
         _METRICS,
         mrai=mrai,
         seeds=seeds,
-        settings=settings,
     )
     return _with_ratio_floor(figure, floor=0.65)
 
@@ -65,7 +62,6 @@ def figure6b(
     sizes: Sequence[int] = (4, 6, 8, 10, 12),
     mrai: float = 30.0,
     seeds: Sequence[int] = (0, 1),
-    settings: RunSettings = RunSettings(),
 ) -> FigureData:
     """Tlong in B-Cliques: exhaustion counts and a >= 35% looping ratio."""
     figure, _points = metric_sweep_figure(
@@ -77,7 +73,6 @@ def figure6b(
         _METRICS,
         mrai=mrai,
         seeds=seeds,
-        settings=settings,
     )
     return _with_ratio_floor(figure, floor=0.25)
 
@@ -86,7 +81,6 @@ def figure6c(
     sizes: Sequence[int] = PAPER_SIZES,
     mrai: float = 30.0,
     seeds: Sequence[int] = (0, 1, 2),
-    settings: RunSettings = RunSettings(),
 ) -> FigureData:
     """Tdown in Internet-derived topologies (paper: up to 86% at n=110)."""
     figure, _points = metric_sweep_figure(
@@ -98,6 +92,5 @@ def figure6c(
         _METRICS,
         mrai=mrai,
         seeds=seeds,
-        settings=settings,
     )
     return _with_ratio_floor(figure, floor=0.6)

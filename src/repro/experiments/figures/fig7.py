@@ -11,7 +11,6 @@ from __future__ import annotations
 from typing import Sequence
 
 from ...core import check_linear_in_mrai, check_ratio_constant
-from ..config import RunSettings
 from ..report import FigureData
 from ..scenarios import bclique_tlong_trial, clique_tdown_trial
 from .common import metric_sweep_figure
@@ -31,7 +30,6 @@ def figure7a(
     mrai_values: Sequence[float] = (7.5, 15.0, 30.0, 45.0, 60.0),
     clique_size: int = 10,
     seeds: Sequence[int] = (0, 1),
-    settings: RunSettings = RunSettings(),
 ) -> FigureData:
     """Tdown in a Clique: linear exhaustions, flat ratio."""
     figure, _points = metric_sweep_figure(
@@ -42,7 +40,6 @@ def figure7a(
         clique_tdown_trial,
         _METRICS,
         seeds=seeds,
-        settings=settings,
         size=clique_size,
     )
     return _with_obs2_checks(figure)
@@ -52,7 +49,6 @@ def figure7b(
     mrai_values: Sequence[float] = (7.5, 15.0, 30.0, 45.0, 60.0),
     bclique_size: int = 8,
     seeds: Sequence[int] = (0, 1),
-    settings: RunSettings = RunSettings(),
 ) -> FigureData:
     """Tlong in a B-Clique: linear exhaustions, flat ratio."""
     figure, _points = metric_sweep_figure(
@@ -63,7 +59,6 @@ def figure7b(
         bclique_tlong_trial,
         _METRICS,
         seeds=seeds,
-        settings=settings,
         size=bclique_size,
     )
     return _with_obs2_checks(figure)

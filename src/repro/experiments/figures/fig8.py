@@ -14,7 +14,6 @@ from typing import Callable, Dict, List, Sequence
 
 from ...bgp import VARIANT_NAMES
 from ...core import ObservationCheck, check_enhancement_ranking
-from ..config import RunSettings
 from ..report import FigureData
 from ..scenarios import clique_tdown_trial, internet_tdown_trial
 from .common import normalize_to, variant_comparison_series
@@ -72,7 +71,6 @@ def figure8a(
     sizes: Sequence[int] = (5, 8, 11, 14),
     mrai: float = 30.0,
     seeds: Sequence[int] = (0, 1),
-    settings: RunSettings = RunSettings(),
 ) -> FigureData:
     """TTL exhaustions normalized by standard BGP, Tdown in Cliques."""
     raw = variant_comparison_series(
@@ -82,7 +80,6 @@ def figure8a(
         VARIANT_NAMES,
         mrai=mrai,
         seeds=seeds,
-        settings=settings,
     )
     figure = _comparison_figure(
         "fig8a",
@@ -107,7 +104,6 @@ def figure8b(
     sizes: Sequence[int] = (5, 8, 11, 14),
     mrai: float = 30.0,
     seeds: Sequence[int] = (0, 1),
-    settings: RunSettings = RunSettings(),
 ) -> FigureData:
     """Convergence time per variant, Tdown in Cliques."""
     raw = variant_comparison_series(
@@ -117,7 +113,6 @@ def figure8b(
         VARIANT_NAMES,
         mrai=mrai,
         seeds=seeds,
-        settings=settings,
     )
     figure = _comparison_figure(
         "fig8b",
@@ -143,7 +138,6 @@ def figure8c(
     sizes: Sequence[int] = (29, 48, 75),
     mrai: float = 30.0,
     seeds: Sequence[int] = (0, 1, 2),
-    settings: RunSettings = RunSettings(),
 ) -> FigureData:
     """TTL exhaustions per variant, Tdown in Internet-derived graphs."""
     raw = variant_comparison_series(
@@ -153,7 +147,6 @@ def figure8c(
         VARIANT_NAMES,
         mrai=mrai,
         seeds=seeds,
-        settings=settings,
     )
     return _comparison_figure(
         "fig8c",
@@ -171,7 +164,6 @@ def figure8d(
     sizes: Sequence[int] = (29, 48, 75),
     mrai: float = 30.0,
     seeds: Sequence[int] = (0, 1, 2),
-    settings: RunSettings = RunSettings(),
 ) -> FigureData:
     """Convergence time per variant, Tdown in Internet-derived graphs."""
     raw = variant_comparison_series(
@@ -181,7 +173,6 @@ def figure8d(
         VARIANT_NAMES,
         mrai=mrai,
         seeds=seeds,
-        settings=settings,
     )
     figure = _comparison_figure(
         "fig8d",

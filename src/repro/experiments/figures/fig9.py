@@ -17,7 +17,6 @@ from typing import Sequence
 
 from ...bgp import VARIANT_NAMES
 from ...core import check_wrate_regression
-from ..config import RunSettings
 from ..report import FigureData
 from ..scenarios import bclique_tlong_trial, internet_tlong_trial
 from .common import variant_comparison_series
@@ -28,7 +27,6 @@ def figure9a(
     sizes: Sequence[int] = (4, 6, 8, 10),
     mrai: float = 30.0,
     seeds: Sequence[int] = (0, 1),
-    settings: RunSettings = RunSettings(),
 ) -> FigureData:
     """TTL exhaustions normalized by standard BGP, Tlong in B-Cliques."""
     raw = variant_comparison_series(
@@ -38,7 +36,6 @@ def figure9a(
         VARIANT_NAMES,
         mrai=mrai,
         seeds=seeds,
-        settings=settings,
     )
     figure = _comparison_figure(
         "fig9a",
@@ -63,7 +60,6 @@ def figure9b(
     sizes: Sequence[int] = (4, 6, 8, 10),
     mrai: float = 30.0,
     seeds: Sequence[int] = (0, 1),
-    settings: RunSettings = RunSettings(),
 ) -> FigureData:
     """Convergence time per variant, Tlong in B-Cliques."""
     raw = variant_comparison_series(
@@ -73,7 +69,6 @@ def figure9b(
         VARIANT_NAMES,
         mrai=mrai,
         seeds=seeds,
-        settings=settings,
     )
     figure = _comparison_figure(
         "fig9b",
@@ -98,7 +93,6 @@ def figure9c(
     sizes: Sequence[int] = (29, 48, 75),
     mrai: float = 30.0,
     seeds: Sequence[int] = (0, 1, 2, 3),
-    settings: RunSettings = RunSettings(),
 ) -> FigureData:
     """TTL exhaustions per variant, Tlong on Internet-derived graphs.
 
@@ -113,7 +107,6 @@ def figure9c(
         VARIANT_NAMES,
         mrai=mrai,
         seeds=seeds,
-        settings=settings,
     )
     figure = _comparison_figure(
         "fig9c",
@@ -141,7 +134,6 @@ def figure9d(
     sizes: Sequence[int] = (29, 48, 75),
     mrai: float = 30.0,
     seeds: Sequence[int] = (0, 1, 2, 3),
-    settings: RunSettings = RunSettings(),
 ) -> FigureData:
     """Convergence time per variant, Tlong on Internet-derived graphs."""
     raw = variant_comparison_series(
@@ -151,7 +143,6 @@ def figure9d(
         VARIANT_NAMES,
         mrai=mrai,
         seeds=seeds,
-        settings=settings,
     )
     figure = _comparison_figure(
         "fig9d",

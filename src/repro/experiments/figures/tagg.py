@@ -15,7 +15,7 @@ to the table-wide traffic view as the population grows.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Sequence
 
 from ..config import RunSettings
 from ..report import FigureData
@@ -37,19 +37,12 @@ def figure_tagg(
     hold: float = 30.0,
     mrai: float = 30.0,
     seeds: Sequence[int] = (0,),
-    settings: Optional[RunSettings] = None,
 ) -> FigureData:
     """Traffic-weighted loop metrics vs prefix-population size (Tagg).
 
-    ``settings`` defaults to :class:`RunSettings` with ``traffic_matrix``
-    forced on — the traffic series cannot be measured without it, so a
-    caller-supplied settings object is rebuilt with the flag set.
+    Runs with ``traffic_matrix`` on: the traffic series cannot be measured
+    without it.
     """
-    base = settings or RunSettings()
-    if not base.traffic_matrix:
-        from dataclasses import replace
-
-        base = replace(base, traffic_matrix=True)
     figure, _points = metric_sweep_figure(
         "tagg",
         "Traffic-weighted looping vs prefix population (Tagg, clique)",
@@ -61,6 +54,6 @@ def figure_tagg(
         _METRICS,
         mrai=mrai,
         seeds=seeds,
-        settings=base,
+        settings=RunSettings(traffic_matrix=True),
     )
     return figure

@@ -15,7 +15,6 @@ from typing import List, Sequence
 from ...bgp import BgpConfig
 from ...core import LoopStatistics, ObservationCheck, worst_case_loop_duration
 from ...topology import ring_with_core
-from ..config import RunSettings
 from ..report import FigureData
 from ..scenarios import Scenario, custom_tlong
 from ..spec import factory_ref
@@ -36,7 +35,6 @@ def theory_bound_figure(
     mrai: float = 10.0,
     backup_len: int = 2,
     seeds: Sequence[int] = (0, 1, 2),
-    settings: RunSettings = RunSettings(),
 ) -> FigureData:
     """Longest measured loop lifetime vs the §3.2 worst-case bound.
 
@@ -52,7 +50,7 @@ def theory_bound_figure(
     config = BgpConfig.standard(mrai)
     runs = run_trials(
         [
-            TrialTask(m, seed, make_scenario, config, settings)
+            TrialTask(m, seed, make_scenario, config)
             for m in ring_sizes
             for seed in seeds
         ]

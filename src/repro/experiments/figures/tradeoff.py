@@ -23,7 +23,6 @@ from ...bgp import VARIANT_NAMES, variant
 from ...core import ObservationCheck
 from ...errors import AnalysisError
 from ...util import mean
-from ..config import RunSettings
 from ..report import TableData
 from ..scenarios import bclique_tlong_trial, internet_tlong_trial
 from ..sweep import ScenarioFactory, TrialTask, run_trials
@@ -56,7 +55,6 @@ def packet_fate_breakdown(
     variant_names: Sequence[str],
     mrai: float = 30.0,
     seeds: Sequence[int] = (0, 1, 2),
-    settings: RunSettings = RunSettings(),
 ) -> Dict[str, FateBreakdown]:
     """Run each variant over the seeded ``make_scenario(x, seed)`` trials
     and pool packet fates."""
@@ -64,7 +62,7 @@ def packet_fate_breakdown(
         raise AnalysisError("need at least one seed")
     runs = run_trials(
         [
-            TrialTask(x, seed, make_scenario, variant(name, mrai=mrai), settings)
+            TrialTask(x, seed, make_scenario, variant(name, mrai=mrai))
             for name in variant_names
             for seed in seeds
         ]
@@ -94,11 +92,10 @@ def _fate_study(
     size: int,
     mrai: float,
     seeds: Sequence[int],
-    settings: RunSettings,
 ) -> TableData:
     """Every variant's packet fates, checked for the loops-for-drops trade."""
     breakdowns = packet_fate_breakdown(
-        make_scenario, size, VARIANT_NAMES, mrai=mrai, seeds=seeds, settings=settings
+        make_scenario, size, VARIANT_NAMES, mrai=mrai, seeds=seeds
     )
     standard, flushing = breakdowns["standard"], breakdowns["ghost-flushing"]
     return TableData(
@@ -127,7 +124,6 @@ def tradeoff_bclique(
     size: int = 8,
     mrai: float = 30.0,
     seeds: Sequence[int] = (0, 1, 2),
-    settings: RunSettings = RunSettings(),
 ) -> TableData:
     """Packet fates per variant, Tlong on a B-Clique."""
     return _fate_study(
@@ -137,7 +133,6 @@ def tradeoff_bclique(
         size,
         mrai,
         seeds,
-        settings,
     )
 
 
@@ -145,7 +140,6 @@ def tradeoff_internet(
     size: int = 48,
     mrai: float = 30.0,
     seeds: Sequence[int] = (0, 1, 2),
-    settings: RunSettings = RunSettings(),
 ) -> TableData:
     """Packet fates per variant, Tlong on an Internet-derived graph."""
     return _fate_study(
@@ -155,5 +149,4 @@ def tradeoff_internet(
         size,
         mrai,
         seeds,
-        settings,
     )

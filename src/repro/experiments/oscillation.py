@@ -16,16 +16,17 @@ and then classifies what it saw:
   divergence regime.
 * ``indeterminate`` — not quiescent but the tail window was silent
   (an MRAI round longer than the window, or a horizon too short to
-  judge); re-run with a wider window before concluding anything.
+  judge); re-run with a longer horizon before concluding anything.
 
-The report carries the static analyzer's verdict for the same
-``(scenario, policies)`` pair, so each dynamic measurement is
-cross-checked against the dispute-wheel certificate in both directions:
-a certified-SAFE scenario must classify ``converged``; a measured
-``persistent-oscillation`` must come with a wheel (no wheel ⇒ safe ⇒
-convergent).  The converse is deliberately *not* asserted — DISAGREE
-carries a wheel yet converges under MRAI-staggered timing (it oscillates
-only when lockstep timing keeps its two nodes phase-locked).
+The report is the dynamic measurement only.  Cross-checking it against
+the static dispute-wheel certificate is the caller's job: ask
+:func:`~repro.analysis.stability.certify_scenario` for the same
+``(scenario, policies)`` pair.  The two must agree in both directions
+that hold: a certified-SAFE scenario must classify ``converged``, and a
+measured ``persistent-oscillation`` must come with a wheel (no wheel ⇒
+safe ⇒ convergent).  The converse is deliberately *not* asserted —
+DISAGREE carries a wheel yet converges under MRAI-staggered timing (it
+oscillates only when lockstep timing keeps its two nodes phase-locked).
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Optional
 
-from ..analysis.stability import StabilityReport, certify_scenario
 from ..bgp import Announcement, BgpConfig, Withdrawal, interning_scope
 from ..core import LoopInterval, loop_timeline
 from ..dataplane import FibChangeLog
@@ -42,7 +42,7 @@ from ..errors import SchedulingError
 from .runner import build_network
 from .unsafe import PolicyScenario
 
-#: Default knobs sized for the 3-4 node gadgets.  MRAI is *disabled* by
+#: Knobs sized for the 3-4 node gadgets.  MRAI is *disabled* by
 #: default: with rate limiting on, BAD-GADGET's oscillation phase-locks
 #: after the initial transient into a control-plane-only orbit (best
 #: routes keep flipping but the forwarding graph never closes a cycle),
@@ -51,7 +51,7 @@ from .unsafe import PolicyScenario
 #: exists to measure.  120 s of horizon is hundreds of oscillation
 #: rounds, far beyond any transient.
 DEFAULT_HORIZON = 120.0
-DEFAULT_EVENT_BUDGET = 2_000_000
+EVENT_BUDGET = 2_000_000
 
 
 @dataclass
@@ -72,8 +72,6 @@ class OscillationReport:
     """Distinct loop lifetimes still open in the trailing window — loops
     that outlived the whole remaining observation, not transients."""
     budget_exhausted: bool = False
-    stability: Optional[StabilityReport] = None
-    """The static analyzer's verdict for the same scenario + policies."""
 
     def to_json(self) -> dict:
         return {
@@ -91,19 +89,13 @@ class OscillationReport:
         }
 
     def render(self) -> str:
-        lines = [
+        return (
             f"{self.name} (seed {self.seed}): {self.classification} — "
             f"{self.total_messages} messages in {self.horizon:g}s, "
             f"{self.updates_in_window} updates in the final {self.window:g}s, "
             f"{len(self.loop_intervals)} loop interval(s), "
             f"{self.persistent_loops} persistent"
-        ]
-        if self.stability is not None:
-            lines.append(
-                f"  static verdict: {self.stability.verdict.value.upper()} "
-                f"[{self.stability.method}]"
-            )
-        return "\n".join(lines)
+        )
 
 
 @interning_scope()
@@ -111,10 +103,7 @@ def observe_oscillation(
     policy_scenario: PolicyScenario,
     config: Optional[BgpConfig] = None,
     horizon: float = DEFAULT_HORIZON,
-    window: Optional[float] = None,
     seed: int = 0,
-    event_budget: int = DEFAULT_EVENT_BUDGET,
-    certify: bool = True,
 ) -> OscillationReport:
     """Run ``policy_scenario`` from cold start to ``horizon`` and classify.
 
@@ -123,16 +112,15 @@ def observe_oscillation(
     when present — begins with the very first announcement wave, so the
     scenario's schedule is not injected (the gadgets' is empty).
 
-    ``window`` is the trailing observation window for the liveness test;
-    it defaults to three MRAI rounds (at least 5 s) so one quiet MRAI gap
-    is never mistaken for convergence.
+    The trailing observation window for the liveness test is three MRAI
+    rounds (at least 5 s), so one quiet MRAI gap is never mistaken for
+    convergence.
 
     Like ``run_experiment``, the whole run executes inside its own
     :func:`~repro.bgp.route.interning_scope`.
     """
     active = config or BgpConfig(mrai=0.0, processing_delay=(0.01, 0.05))
-    if window is None:
-        window = max(5.0, 3.0 * active.mrai)
+    window = max(5.0, 3.0 * active.mrai)
     scenario = policy_scenario.scenario
     streams = RandomStreams(seed)
     scheduler = Scheduler()
@@ -148,7 +136,7 @@ def observe_oscillation(
     network.start()
     budget_exhausted = False
     try:
-        scheduler.run(until=horizon, max_events=event_budget)
+        scheduler.run(until=horizon, max_events=EVENT_BUDGET)
     except SchedulingError:
         budget_exhausted = True
 
@@ -169,12 +157,6 @@ def observe_oscillation(
     else:
         classification = "indeterminate"
 
-    stability = None
-    if certify:
-        stability = certify_scenario(
-            scenario, policy_factory=policy_scenario.policy_factory
-        )
-
     return OscillationReport(
         name=scenario.name,
         seed=seed,
@@ -188,5 +170,4 @@ def observe_oscillation(
         loop_intervals=intervals,
         persistent_loops=persistent,
         budget_exhausted=budget_exhausted,
-        stability=stability,
     )

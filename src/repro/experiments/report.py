@@ -83,7 +83,7 @@ class FigureData:
         }
         return json.dumps(payload, indent=indent)
 
-    def plot(self, width: int = 60, height: int = 14) -> str:
+    def plot(self) -> str:
         """The figure as an ASCII chart (finite points only)."""
         from ..util.plot import ascii_chart
 
@@ -97,8 +97,6 @@ class FigureData:
         return ascii_chart(
             self.xs,
             drawable,
-            width=width,
-            height=height,
             title=f"{self.figure_id}: {self.title}",
         )
 

@@ -33,7 +33,6 @@ from typing import TYPE_CHECKING, Callable, Optional
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (annotation only)
     from ..analysis.determinism import RunFingerprint
-    from ..analysis.stability import StabilityReport
     from ..telemetry import MetricsSnapshot, Timeline
 
 from ..bgp import (
@@ -105,12 +104,6 @@ class ExperimentRun:
     earlier attempts were lost to worker death or watchdog timeout and
     the identical task was re-run).  Provenance, not simulation state —
     deliberately outside the fingerprint."""
-    stability: Optional["StabilityReport"] = None
-    """Static policy-stability verdict when ``settings.certify`` was set
-    (see :mod:`repro.analysis.stability`).  Computed without scheduling a
-    single event, and — like ``metrics`` and ``attempt`` — deliberately
-    outside the fingerprint: digests are identical with certification on
-    or off."""
 
     @property
     def converged(self) -> bool:
@@ -198,18 +191,6 @@ def run_experiment(
             timeline=Timeline() if settings.timeline else None
         )
         scheduler.install_telemetry(probe)
-    # Static pre-flight certification: consult the policy graph only —
-    # the scheduler is untouched, so the simulation below is bit-identical
-    # with certification on or off (the determinism tests pin this).
-    stability = None
-    if settings.certify:
-        from ..analysis.stability import certify_scenario
-
-        stability = certify_scenario(
-            scenario,
-            policy_factory=policy_factory,
-            registry=probe.registry if probe is not None else None,
-        )
     fib_log = FibChangeLog()
     route_log = RouteChangeLog()
     network = build_network(
@@ -378,5 +359,4 @@ def run_experiment(
         network=network if keep_network else None,
         metrics=metrics,
         timeline=timeline,
-        stability=stability,
     )

@@ -39,7 +39,6 @@ from dataclasses import dataclass, replace
 from typing import Optional, Tuple
 
 from ..bgp.aggregation import (
-    DEFAULT_BLOCK_BITS,
     AggregationCycle,
     population_originations,
     prefix_population,
@@ -198,11 +197,11 @@ def tdown_internet(n: int, seed: int = 0) -> Scenario:
     return custom_tdown(topo, destination, name=f"tdown-internet-{n}-s{seed}")
 
 
-def tlong_internet(n: int, seed: int = 0, candidates: int = 8) -> Scenario:
+def tlong_internet(n: int, seed: int = 0) -> Scenario:
     """Tlong in an Internet-like graph: fail the destination's primary link.
 
     Candidate destinations are low-degree nodes whose link can fail without
-    disconnecting them (Tlong's definition).  Among the ``candidates``
+    disconnecting them (Tlong's definition).  Among the eight
     lowest-degree qualifying nodes, the one with the most *dominant* primary
     provider is selected — failing a dominant primary is the event the paper
     studies ("forces the rest of the network to use less preferred paths");
@@ -227,7 +226,7 @@ def tlong_internet(n: int, seed: int = 0, candidates: int = 8) -> Scenario:
         key = (dominance, -destination)
         if best is None or key > best[0:2]:
             best = (dominance, -destination, failed)
-        if examined >= candidates:
+        if examined >= 8:
             break
     if best is None:
         raise ConfigError(f"no Tlong-capable destination in internet_like({n}, {seed})")
@@ -279,22 +278,19 @@ def tagg_clique(
     prefixes: int,
     seed: int = 0,
     origins: int = 1,
-    block_bits: int = DEFAULT_BLOCK_BITS,
     hold: float = 30.0,
 ) -> Scenario:
     """Tagg in an n-clique: a prefix population aggregates and re-splits.
 
     ``prefixes`` specifics (a seeded population across the first
-    ``origins`` nodes, blocks of 2^``block_bits`` under one cover each) are
+    ``origins`` nodes, blocks of four under one cover each) are
     announced at warm-up.  At the event, every origin collapses its blocks
     into covers; ``hold`` seconds later they deaggregate back.  The focus
     pair for legacy per-prefix metrics is the first block's first specific.
     """
     if not 1 <= origins <= n:
         raise ConfigError(f"origin count must be in [1, {n}], got {origins}")
-    blocks = prefix_population(
-        prefixes, list(range(origins)), seed=seed, block_bits=block_bits
-    )
+    blocks = prefix_population(prefixes, list(range(origins)), seed=seed)
     originations = tuple(population_originations(blocks))
     focus = blocks[0]
     return Scenario(
@@ -365,17 +361,11 @@ def clique_tagg_trial(
     *,
     size: int,
     origins: int = 1,
-    block_bits: int = DEFAULT_BLOCK_BITS,
     hold: float = 30.0,
 ) -> Scenario:
     """x is the prefix-population size over a fixed-size clique (Tagg)."""
     return tagg_clique(
-        size,
-        prefixes=int(x),
-        seed=seed,
-        origins=origins,
-        block_bits=block_bits,
-        hold=hold,
+        size, prefixes=int(x), seed=seed, origins=origins, hold=hold
     )
 
 
@@ -392,11 +382,9 @@ def clique_treset_trial(x: float, seed: int) -> Scenario:
     return treset_clique(int(x))
 
 
-def clique_tcrash_trial(
-    x: float, seed: int, *, restart_after: Optional[float] = 30.0
-) -> Scenario:
-    """x is the clique size; transit AS 1 crashes."""
-    return tcrash_clique(int(x), restart_after=restart_after)
+def clique_tcrash_trial(x: float, seed: int) -> Scenario:
+    """x is the clique size; transit AS 1 crashes and restarts 30 s later."""
+    return tcrash_clique(int(x))
 
 
 def custom_tdown(topology: Topology, destination: int, name: str = "") -> Scenario:

@@ -66,22 +66,17 @@ class RankedPolicyFactory:
     originates locally) get the default shortest-path policy.
     """
 
-    def __init__(
-        self,
-        rankings: Mapping[int, Sequence[Sequence[int]]],
-        prefix: str = DEFAULT_PREFIX,
-    ) -> None:
+    def __init__(self, rankings: Mapping[int, Sequence[Sequence[int]]]) -> None:
         self._rankings: Dict[int, Tuple[Tuple[int, ...], ...]] = {
             node: tuple(tuple(int(n) for n in path) for path in paths)
             for node, paths in sorted(rankings.items())
         }
-        self._prefix = prefix
 
     def __call__(self, node: int) -> RoutingPolicy:
         ranked = self._rankings.get(node)
         if ranked is None:
             return ShortestPathPolicy()
-        return PathRankPolicy(node, ranked, prefix=self._prefix)
+        return PathRankPolicy(node, ranked, prefix=DEFAULT_PREFIX)
 
 
 class TieredGaoRexfordFactory:
@@ -182,7 +177,7 @@ def bad_gadget() -> PolicyScenario:
     )
 
 
-def wedgie(flap_period: float = 20.0) -> PolicyScenario:
+def wedgie() -> PolicyScenario:
     """A BGP wedgie: primary/backup intent with two stable states.
 
     Destination 0 is dual-homed: primary provider 3 (direct link) and
@@ -190,7 +185,7 @@ def wedgie(flap_period: float = 20.0) -> PolicyScenario:
     path through 2 and 3 *above* its direct customer link.  Node 2
     prefers routes via 1 over routes via 3.  Intended state: everyone
     reaches 0 through 3, and the 0–1 link idles.  After the primary link
-    (0, 3) fails and recovers (one flap), the system can come back wedged
+    (0, 3) fails and recovers (one 20 s flap), the system can come back wedged
     — 2 riding 1's direct path, 1 unable to return to the long path —
     which is stable and violates the routing intent.
     """
@@ -201,7 +196,7 @@ def wedgie(flap_period: float = 20.0) -> PolicyScenario:
         name="bgp-wedgie",
         topology=topology,
         destination=0,
-        events=(LinkFlap(0, 3, at=0.0, period=flap_period, count=1),),
+        events=(LinkFlap(0, 3, at=0.0, period=20.0, count=1),),
     )
     factory = RankedPolicyFactory({
         1: ((1, 2, 3, 0), (1, 0)),
@@ -223,18 +218,18 @@ def wedgie(flap_period: float = 20.0) -> PolicyScenario:
 # ----------------------------------------------------------------------
 
 
-def _gao_rexford_internet(n: int = 24, seed: int = 3) -> PolicyScenario:
-    """A tiered Internet-like graph under Gao-Rexford policies (safe).
+def _gao_rexford_internet() -> PolicyScenario:
+    """A tiered 24-node Internet-like graph under Gao-Rexford policies (safe).
 
     Mirrors the convergence test's setup: fully-meshed tier-1 core (peer
     routes never re-export to peers, so a partial mesh can legitimately
     strand core nodes) and a stub-AS destination.
     """
     shape = InternetShape(core_mesh_probability=1.0)
-    topology, tiers = internet_like_with_tiers(n, seed=seed, shape=shape)
+    topology, tiers = internet_like_with_tiers(24, seed=3, shape=shape)
     destination = max(topology.nodes)  # a stub AS originates
     scenario = custom_tdown(
-        topology, destination, name=f"gao-rexford-internet-{n}-s{seed}"
+        topology, destination, name="gao-rexford-internet-24-s3"
     )
     return PolicyScenario(
         scenario=scenario,

@@ -100,16 +100,6 @@ class PrefixSpec:
             for index in range(1 << extra_bits)
         ]
 
-    def cover(self, fewer_bits: int = 1) -> "PrefixSpec":
-        """The covering prefix ``fewer_bits`` shorter than this one."""
-        if fewer_bits < 1:
-            raise ConfigError(f"fewer_bits must be >= 1, got {fewer_bits}")
-        new_length = self.length - fewer_bits
-        if new_length < 0:
-            raise ConfigError(f"cannot cover /{self.length} by {fewer_bits} bits")
-        shorter = PrefixSpec(0, new_length)
-        return PrefixSpec(self.value & shorter.network_mask, new_length)
-
     # ------------------------------------------------------------------
     # Serialization
     # ------------------------------------------------------------------

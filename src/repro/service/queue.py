@@ -120,7 +120,6 @@ class DurableJobQueue:
         job_id: str,
         state: str,
         detail: Optional[Dict] = None,
-        now: Optional[float] = None,
     ) -> JobView:
         """Durably record a state change for an existing job."""
         view = self.get(job_id)
@@ -129,8 +128,7 @@ class DurableJobQueue:
                 f"unknown job state {state!r}; expected one of "
                 f"{', '.join(JOB_STATES)}"
             )
-        ts = time.time() if now is None else now
-        self._record(_state(job_id, state, ts, detail))
+        self._record(_state(job_id, state, time.time(), detail))
         return view
 
     # -- reading --------------------------------------------------------

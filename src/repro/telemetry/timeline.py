@@ -104,10 +104,10 @@ class Timeline:
         end: float,
         name: str,
         category: str,
-        track: int = GLOBAL_TRACK,
         **args: Any,
     ) -> None:
-        """Record an interval ``[start, end]`` of simulation time."""
+        """Record an interval ``[start, end]`` of simulation time on the
+        global track."""
         if end < start:
             raise TelemetryError(
                 f"span {name!r} ends at {end} before it starts at {start}"
@@ -117,7 +117,7 @@ class Timeline:
                 time=start,
                 name=name,
                 category=category,
-                track=track,
+                track=GLOBAL_TRACK,
                 duration=end - start,
                 args=tuple(sorted(args.items())),
             )

@@ -158,12 +158,11 @@ class Topology:
         cls,
         edges: Iterable[Tuple[int, int]],
         name: str = "topology",
-        delay: float = DEFAULT_LINK_DELAY,
     ) -> "Topology":
         """Build a topology from an iterable of ``(u, v)`` pairs."""
         topo = cls(name)
         for u, v in edges:
-            topo.add_edge(u, v, delay)
+            topo.add_edge(u, v)
         return topo
 
     def __eq__(self, other: object) -> bool:

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
 from ..errors import TopologyError
-from .graph import DEFAULT_LINK_DELAY, Topology
+from .graph import Topology
 
 #: Sizes simulated by the paper, usable as a ready-made sweep.
 PAPER_SIZES = (29, 48, 75, 110)
@@ -87,7 +87,6 @@ def internet_like_with_tiers(
     n: int,
     seed: int = 0,
     shape: InternetShape = InternetShape(),
-    delay: float = DEFAULT_LINK_DELAY,
 ) -> Tuple[Topology, Dict[int, str]]:
     """Generate an ``n``-node Internet-like AS graph plus its tier map.
 
@@ -115,9 +114,9 @@ def internet_like_with_tiers(
     transit = list(range(num_core, num_core + num_transit))
     stubs = list(range(num_core + num_transit, n))
 
-    _mesh_core(topo, core, shape.core_mesh_probability, rng, delay)
-    _attach_transit(topo, transit, core, shape, rng, delay)
-    _attach_stubs(topo, stubs, transit, shape.stub_multihome_probability, rng, delay)
+    _mesh_core(topo, core, shape.core_mesh_probability, rng)
+    _attach_transit(topo, transit, core, shape, rng)
+    _attach_stubs(topo, stubs, transit, shape.stub_multihome_probability, rng)
 
     assert topo.is_connected(), "generator invariant: graph must be connected"
     tiers = {node: Tier.CORE for node in core}
@@ -130,7 +129,6 @@ def internet_like(
     n: int,
     seed: int = 0,
     shape: InternetShape = InternetShape(),
-    delay: float = DEFAULT_LINK_DELAY,
 ) -> Topology:
     """Generate an ``n``-node Internet-like AS graph (topology only).
 
@@ -138,20 +136,20 @@ def internet_like(
     the core/transit/stub tier assignment (needed to derive Gao-Rexford
     business relationships).
     """
-    topo, _tiers = internet_like_with_tiers(n, seed=seed, shape=shape, delay=delay)
+    topo, _tiers = internet_like_with_tiers(n, seed=seed, shape=shape)
     return topo
 
 
 def _mesh_core(
-    topo: Topology, core: List[int], mesh_p: float, rng: random.Random, delay: float
+    topo: Topology, core: List[int], mesh_p: float, rng: random.Random
 ) -> None:
     """Densely mesh the core, guaranteeing connectivity via a ring."""
     for i, u in enumerate(core):
-        topo.add_edge(u, core[(i + 1) % len(core)], delay)
+        topo.add_edge(u, core[(i + 1) % len(core)])
     for i, u in enumerate(core):
         for v in core[i + 2 :]:
             if not topo.has_edge(u, v) and rng.random() < mesh_p:
-                topo.add_edge(u, v, delay)
+                topo.add_edge(u, v)
 
 
 def _attach_transit(
@@ -160,7 +158,6 @@ def _attach_transit(
     core: List[int],
     shape: InternetShape,
     rng: random.Random,
-    delay: float,
 ) -> None:
     """Home each transit AS either to the core or to an earlier transit AS.
 
@@ -171,11 +168,11 @@ def _attach_transit(
     for idx, node in enumerate(transit):
         chain = idx > 0 and rng.random() < shape.transit_chain_probability
         provider = rng.choice(transit[:idx]) if chain else rng.choice(core)
-        topo.add_edge(node, provider, delay)
+        topo.add_edge(node, provider)
         if rng.random() < shape.transit_multihome_probability:
             second = rng.choice(core + transit[:idx])
             if second != node and not topo.has_edge(node, second):
-                topo.add_edge(node, second, delay)
+                topo.add_edge(node, second)
 
 
 def _attach_stubs(
@@ -184,16 +181,15 @@ def _attach_stubs(
     transit: List[int],
     multihome_p: float,
     rng: random.Random,
-    delay: float,
 ) -> None:
     """Hang each stub off one transit provider, sometimes two."""
     for node in stubs:
         provider = rng.choice(transit)
-        topo.add_edge(node, provider, delay)
+        topo.add_edge(node, provider)
         if rng.random() < multihome_p:
             second = rng.choice(transit)
             if second != provider and not topo.has_edge(node, second):
-                topo.add_edge(node, second, delay)
+                topo.add_edge(node, second)
 
 
 def choose_destination(topo: Topology, seed: int = 0) -> int:

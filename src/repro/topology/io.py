@@ -18,8 +18,11 @@ from .graph import DEFAULT_LINK_DELAY, Topology
 PathOrFile = Union[str, Path, TextIO]
 
 
-def load_edge_list(source: PathOrFile, name: str = "loaded") -> Topology:
+def load_edge_list(source: PathOrFile) -> Topology:
     """Parse an edge-list file or file-like object into a :class:`Topology`.
+
+    A file's topology is named after its path, a file-like object's
+    ``"loaded"``.
 
     Each non-comment line is ``u v`` or ``u v delay_seconds``.  Duplicate
     edges keep the last delay seen.  Raises :class:`TopologyError` with the
@@ -28,7 +31,7 @@ def load_edge_list(source: PathOrFile, name: str = "loaded") -> Topology:
     if isinstance(source, (str, Path)):
         with open(source, "r", encoding="utf-8") as handle:
             return _parse(handle, name=str(source))
-    return _parse(source, name=name)
+    return _parse(source, name="loaded")
 
 
 def _parse(handle: TextIO, name: str) -> Topology:

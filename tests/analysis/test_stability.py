@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import pytest
 
-from repro.analysis import fingerprint_run
 from repro.analysis.stability import (
     DisputeWheel,
     SearchLimits,
@@ -20,7 +19,6 @@ from repro.analysis.stability import (
     find_dispute_wheel,
 )
 from repro.bgp import (
-    BgpConfig,
     GaoRexfordPolicy,
     PathRankPolicy,
     Relationship,
@@ -29,15 +27,12 @@ from repro.bgp import (
 from repro.engine import Scheduler
 from repro.errors import AnalysisError
 from repro.experiments import (
-    RunSettings,
     bad_gadget,
     disagree,
-    run_experiment,
     stability_suite,
     tdown_clique,
     wedgie,
 )
-from repro.telemetry import MetricsRegistry
 from repro.topology import Topology
 
 C, P, E = Relationship.CUSTOMER, Relationship.PROVIDER, Relationship.PEER
@@ -284,9 +279,10 @@ class TestUnknownDegradation:
     def test_wheel_found_despite_truncation_stays_unsafe(self):
         # Evidence of a wheel is valid regardless of truncation elsewhere.
         gadget = bad_gadget()
-        report = certify_scenario(
-            gadget.scenario,
-            policy_factory=gadget.policy_factory,
+        report = certify(
+            gadget.scenario.topology,
+            gadget.scenario.destination,
+            gadget.policy_factory,
             limits=SearchLimits(max_paths_per_node=2),
         )
         assert report.verdict is Verdict.UNSAFE
@@ -317,21 +313,6 @@ class TestCertifier:
         assert "UNSAFE" in report.render()
         assert "dispute wheel" in report.render()
 
-    def test_telemetry_counters_track_verdicts(self):
-        registry = MetricsRegistry()
-        certify_scenario(tdown_clique(4), registry=registry)
-        gadget = bad_gadget()
-        certify_scenario(
-            gadget.scenario,
-            policy_factory=gadget.policy_factory,
-            registry=registry,
-        )
-        snap = registry.snapshot()
-        assert snap.counter("stability.scenarios_analyzed") == 2
-        assert snap.counter("stability.certified_safe") == 1
-        assert snap.counter("stability.certified_unsafe") == 1
-        assert snap.counter("stability.wheels_found") == 1
-
     def test_certification_is_purely_static(self):
         # The analyzer must never touch a scheduler: certifying every
         # bundled scenario schedules zero events.
@@ -342,21 +323,3 @@ class TestCertifier:
                 entry.scenario, policy_factory=entry.policy_factory
             )
         assert scheduler.now == before == 0.0
-
-    def test_certify_flag_leaves_the_digest_bit_identical(self):
-        scenario = tdown_clique(4)
-        config = BgpConfig(mrai=1.0)
-        plain = run_experiment(
-            scenario, config, settings=RunSettings(), seed=7,
-            keep_network=True,
-        )
-        certified = run_experiment(
-            scenario, config, settings=RunSettings(certify=True), seed=7,
-            keep_network=True,
-        )
-        assert certified.stability is not None
-        assert certified.stability.verdict is Verdict.SAFE
-        assert plain.stability is None
-        assert (
-            fingerprint_run(plain).digest == fingerprint_run(certified).digest
-        )

@@ -16,13 +16,6 @@ class TestConfig:
             (config.wrate, config.ssld, config.assertion, config.ghost_flushing)
         )
 
-    def test_with_mrai_returns_new_config(self):
-        base = BgpConfig(ssld=True)
-        changed = base.with_mrai(15.0)
-        assert changed.mrai == 15.0
-        assert changed.ssld
-        assert base.mrai == 30.0
-
     def test_variant_name(self):
         assert BgpConfig().variant_name == "standard"
         assert BgpConfig(ssld=True).variant_name == "ssld"

@@ -15,8 +15,8 @@ def make_log(changes):
     return log
 
 
-def evaluator(log, sources, ttl=128, hop_delay=0.002):
-    return EpochEvaluator(log, P, sources, ttl=ttl, hop_delay=hop_delay)
+def evaluator(log, sources, ttl=128):
+    return EpochEvaluator(log, P, sources, ttl=ttl)
 
 
 class TestStableRouting:
@@ -55,7 +55,7 @@ class TestLoopAccounting:
             [(0.0, 0, 0), (0.0, 1, 2), (0.0, 2, 1), (5.0, 1, 0)]
         )
         source = CbrSource(node=2, rate=10.0)
-        report = evaluator(log, [source], ttl=128, hop_delay=0.002).evaluate(0.0, 10.0)
+        report = evaluator(log, [source], ttl=128).evaluate(0.0, 10.0)
         death_offset = 128 * 0.002
         assert report.first_exhaustion == pytest.approx(0.0 + death_offset)
         assert report.last_exhaustion == pytest.approx(4.9 + death_offset)

@@ -7,7 +7,6 @@ driver runs end to end, returns aligned series, and attaches its checks.
 
 import pytest
 
-from repro.experiments import RunSettings
 from repro.experiments.figures import (
     figure4a,
     figure4b,
@@ -23,8 +22,7 @@ from repro.experiments.figures import (
 )
 from repro.experiments.scenarios import tdown_clique
 
-SETTINGS = RunSettings(failure_guard=0.5)
-TINY = dict(mrai=1.0, seeds=(0,), settings=SETTINGS)
+TINY = dict(mrai=1.0, seeds=(0,))
 
 
 class TestMetricSweepDrivers:
@@ -40,7 +38,7 @@ class TestMetricSweepDrivers:
 
     def test_figure5a(self):
         fig = figure5a(
-            mrai_values=(1.0, 2.0, 3.0), clique_size=4, seeds=(0,), settings=SETTINGS
+            mrai_values=(1.0, 2.0, 3.0), clique_size=4, seeds=(0,)
         )
         assert fig.xs == [1.0, 2.0, 3.0]
         assert len(fig.checks) == 2
@@ -52,7 +50,7 @@ class TestMetricSweepDrivers:
 
     def test_figure7a(self):
         fig = figure7a(
-            mrai_values=(1.0, 2.0, 3.0), clique_size=4, seeds=(0,), settings=SETTINGS
+            mrai_values=(1.0, 2.0, 3.0), clique_size=4, seeds=(0,)
         )
         names = {check.name for check in fig.checks}
         assert "linear-in-mrai" in names
@@ -79,7 +77,7 @@ class TestComparisonDrivers:
 class TestTheoryDriver:
     def test_theory_bound_respected_on_small_rings(self):
         fig = theory_bound_figure(
-            ring_sizes=(3, 4), mrai=2.0, seeds=(0,), settings=SETTINGS
+            ring_sizes=(3, 4), mrai=2.0, seeds=(0,)
         )
         (check,) = fig.checks
         assert check.holds, check.detail
@@ -101,7 +99,6 @@ class TestTradeoffDriver:
             ["standard", "ghost-flushing"],
             mrai=1.0,
             seeds=(0,),
-            settings=SETTINGS,
         )
         assert set(breakdowns) == {"standard", "ghost-flushing"}
         for fate in breakdowns.values():
@@ -109,7 +106,7 @@ class TestTradeoffDriver:
                 fate.delivered_ratio + fate.no_route_ratio + fate.looped_ratio
             )
             assert total == pytest.approx(1.0) or fate.packets_sent == 0
-        table = tradeoff_bclique(size=3, mrai=1.0, seeds=(0,), settings=SETTINGS)
+        table = tradeoff_bclique(size=3, mrai=1.0, seeds=(0,))
         assert [row[0] for row in table.rows][-1] == "ghost-flushing"
         assert "ghost-flushing" in table.render()
 
@@ -140,7 +137,6 @@ class TestCommonHelpers:
             ["standard", "ssld"],
             mrai=1.0,
             seeds=(0,),
-            settings=SETTINGS,
         )
         assert set(table) == {"standard", "ssld"}
         assert all(len(v) == 1 for v in table.values())
@@ -154,7 +150,6 @@ class TestCommonHelpers:
             lambda x, seed: tdown_clique(int(x)),
             ["convergence_time"],
             seeds=(0,),
-            settings=SETTINGS,
             size=3,
         )
         assert [p.runs[0].bgp_config.mrai for p in points] == [1.0, 2.0]

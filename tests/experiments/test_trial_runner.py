@@ -53,7 +53,7 @@ def test_row_renders_the_same_in_the_batch_and_alone(quick_batch, claim_id):
 
 def test_scope_exit_drops_every_stored_outcome():
     with trial_runner() as runner:
-        figure4a(sizes=(3, 4), mrai=1.0, seeds=(0,), settings=SETTINGS)
+        figure4a(sizes=(3, 4), mrai=1.0, seeds=(0,))
         stored = weakref.ref(runner.outcomes[0])
     assert (runner.requested, runner.simulated) == (2, 2)
     assert runner.outcomes == [] and runner._memo == {}

@@ -12,11 +12,10 @@ import pickle
 
 import pytest
 
-from repro.analysis.stability import Verdict
+from repro.analysis.stability import Verdict, certify_scenario
 from repro.bgp import BgpConfig, PathRankPolicy, ShortestPathPolicy
 from repro.errors import ConfigError
 from repro.experiments import (
-    RunSettings,
     bad_gadget,
     disagree,
     observe_oscillation,
@@ -85,8 +84,6 @@ class TestGadgetDefinitions:
         assert isinstance(factory(0), ShortestPathPolicy)
 
     def test_gadgets_certify_unsafe_and_baselines_safe(self):
-        from repro.analysis.stability import certify_scenario
-
         expected = {
             "disagree": Verdict.UNSAFE,
             "bad-gadget": Verdict.UNSAFE,
@@ -113,14 +110,15 @@ class TestObserveOscillation:
         assert len(report.loop_intervals) > 10
         assert report.persistent_loops > 0
         # Cross-check: the measured oscillation comes with a wheel.
-        assert report.stability is not None
-        assert report.stability.verdict is Verdict.UNSAFE
-        assert report.stability.wheel is not None
+        gadget = bad_gadget()
+        static = certify_scenario(gadget.scenario, gadget.policy_factory)
+        assert static.verdict is Verdict.UNSAFE
+        assert static.wheel is not None
 
     def test_bad_gadget_oscillates_across_seeds(self):
         for seed in (1, 2):
             report = observe_oscillation(
-                bad_gadget(), horizon=20.0, seed=seed, certify=False
+                bad_gadget(), horizon=20.0, seed=seed
             )
             assert report.classification == "persistent-oscillation", seed
 
@@ -131,13 +129,15 @@ class TestObserveOscillation:
         assert report.quiescent
         assert report.persistent_loops == 0
         # Wheel present, yet convergent: necessity without sufficiency.
-        assert report.stability.verdict is Verdict.UNSAFE
+        gadget = disagree()
+        static = certify_scenario(gadget.scenario, gadget.policy_factory)
+        assert static.verdict is Verdict.UNSAFE
 
     def test_disagree_oscillates_when_phase_locked(self):
         # mrai=0 keeps the two nodes in lockstep: the divergent execution
         # the dispute wheel admits is actually realized.
         report = observe_oscillation(
-            disagree(), horizon=20.0, seed=0, certify=False
+            disagree(), horizon=20.0, seed=0
         )
         assert report.classification == "persistent-oscillation"
 
@@ -147,7 +147,9 @@ class TestObserveOscillation:
             suite["tdown-clique-5"], horizon=30.0, seed=0
         )
         assert report.classification == "converged"
-        assert report.stability.verdict is Verdict.SAFE
+        baseline = suite["tdown-clique-5"]
+        static = certify_scenario(baseline.scenario, baseline.policy_factory)
+        assert static.verdict is Verdict.SAFE
 
     def test_report_json_and_render(self):
         report = observe_oscillation(bad_gadget(), horizon=10.0, seed=0)
@@ -156,12 +158,11 @@ class TestObserveOscillation:
         assert payload["loop_intervals"] == len(report.loop_intervals)
         text = report.render()
         assert "persistent-oscillation" in text
-        assert "static verdict: UNSAFE" in text
 
     def test_window_defaults_to_three_mrai_rounds(self):
         config = BgpConfig(mrai=30.0, processing_delay=(0.01, 0.05))
         report = observe_oscillation(
-            disagree(), config=config, horizon=100.0, certify=False
+            disagree(), config=config, horizon=100.0
         )
         assert report.window == pytest.approx(90.0)
 
@@ -174,7 +175,6 @@ class TestWedgie:
             config=BgpConfig(mrai=2.0, processing_delay=(0.01, 0.05)),
             horizon=60.0,
             seed=0,
-            certify=False,
         )
         assert report.classification == "converged"
 
@@ -183,7 +183,6 @@ class TestWedgie:
         run = run_experiment(
             gadget.scenario,
             BgpConfig(mrai=2.0),
-            settings=RunSettings(certify=True),
             seed=0,
             keep_network=True,
             policy_factory=gadget.policy_factory,
@@ -196,32 +195,6 @@ class TestWedgie:
         assert tuple(network.node(2).full_path(PREFIX)) == (2, 1, 0)
         # Both states are stable; the analyzer still flags the wheel
         # behind the wedge.
-        assert run.stability.verdict is Verdict.UNSAFE
+        static = certify_scenario(gadget.scenario, gadget.policy_factory)
+        assert static.verdict is Verdict.UNSAFE
 
-
-class TestRunnerIntegration:
-    def test_runner_attaches_stability_provenance(self):
-        from repro.experiments import tdown_clique
-
-        run = run_experiment(
-            tdown_clique(4),
-            BgpConfig(mrai=1.0),
-            settings=RunSettings(certify=True),
-            seed=3,
-        )
-        assert run.stability is not None
-        assert run.stability.verdict is Verdict.SAFE
-        assert run.stability.method == "shortest-path"
-
-    def test_certified_run_with_telemetry_counts_verdicts(self):
-        from repro.experiments import tdown_clique
-
-        run = run_experiment(
-            tdown_clique(4),
-            BgpConfig(mrai=1.0),
-            settings=RunSettings(certify=True, telemetry=True),
-            seed=3,
-        )
-        assert run.metrics.counter("stability.scenarios_analyzed") == 1
-        assert run.metrics.counter("stability.certified_safe") == 1
-        assert run.metrics.counter("stability.certified_unsafe") == 0

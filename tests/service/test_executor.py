@@ -12,8 +12,11 @@ from pathlib import Path
 import pytest
 
 from repro.cli import main
+from repro.core import ObservationCheck
 from repro.experiments import SweepJournal, checkpointed_sweep
+from repro.experiments.figures import CLAIMS
 from repro.experiments.journal import summarize_point
+from repro.experiments.report import TableData
 from repro.service import executor
 from repro.service import (
     JobSpec,
@@ -282,6 +285,40 @@ class TestOtherKinds:
         committed = Path(__file__).resolve().parents[2] / "benchmarks" / "results"
         artifact = state.artifact_dir("job-1") / "theory.txt"
         assert artifact.read_text() == (committed / "theory.txt").read_text()
+
+    @pytest.mark.parametrize(
+        "holds, failures",
+        [
+            (False, []),
+            (
+                True,
+                [
+                    "known divergence 1 (EXPERIMENTS.md) now holds; drop it "
+                    "from the claims table and the docs: stub-check: HOLDS — stub"
+                ],
+            ),
+        ],
+    )
+    def test_full_figure_job_judges_the_row_as_repro_figure_does(
+        self, state, monkeypatch, holds, failures
+    ):
+        def driver():
+            return TableData(
+                "theory", checks=[ObservationCheck("stub-check", holds, "stub")]
+            )
+
+        claim = replace(
+            CLAIMS["theory"], driver=driver, divergences={"stub-check": 1}
+        )
+        monkeypatch.setitem(CLAIMS, "theory", claim)
+        outcome = execute_job(
+            make_view("job-1", "figure", {"id": "theory", "quick": False}),
+            state,
+        )
+        assert outcome.state == "done"
+        assert outcome.detail["shape_failures"] == failures
+        code = main(["figure", "theory"])
+        assert code == (1 if failures else 0)
 
     def test_unknown_kind_fails_without_raising(self, state):
         outcome = execute_job(make_view("job-1", "mystery", {}), state)

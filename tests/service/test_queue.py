@@ -25,7 +25,7 @@ class TestSubmitAndReplay:
         with DurableJobQueue(path) as queue:
             queue.submit(SPEC, now=10.0)
             queue.submit(SPEC, now=11.0)
-            queue.transition("job-1", DONE, {"trials": 4}, now=12.0)
+            queue.transition("job-1", DONE, {"trials": 4})
         with DurableJobQueue(path) as queue:
             jobs = queue.jobs()
             assert [view.job_id for view in jobs] == ["job-1", "job-2"]

@@ -564,6 +564,27 @@ class TestSweepCommand:
         assert code == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_non_numeric_size_is_a_usage_error(self, tmp_path, capsys):
+        code = main(
+            ["sweep", "--sizes", "3x", "--journal", str(tmp_path / "j.jsonl")]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == "error: --sizes takes comma-separated numbers, got '3x'\n"
+
+
+class TestSubmitCommand:
+    def test_non_numeric_x_is_a_usage_error(self, tmp_path, capsys):
+        code = main(
+            [
+                "submit", "--state", str(tmp_path), "--sweep", "tdown",
+                "--xs", "3,a",
+            ]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == "error: --xs takes comma-separated numbers, got '3,a'\n"
+
 
 class TestResilienceFlags:
     def test_figure_accepts_retries(self, capsys):

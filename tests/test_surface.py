@@ -19,12 +19,28 @@ A public def without a caller, or a public constant without a reader,
 must appear in :data:`KEPT` with the test that uses it as an oracle or a
 probe, or the ROADMAP item it waits for.  An entry whose name is gone, or
 has gained a caller, fails too, so the table cannot rot.
+
+The same holds one level down, for settings.  A *setting* is a defaulted
+parameter of a module-level function, or of a method or ``__init__`` of a
+module-level class, under ``src/repro``.  A call in ``src/``,
+``examples/`` or ``benchmarks/`` *passes* it when it sets it by keyword
+or by position, or when ``factory_ref(f, ...)``, ``partial(f, ...)`` or
+``to_thread(f, ...)`` binds it; a call that spreads ``*args`` passes every
+position from there on, and one that spreads ``**kwargs`` passes
+everything.  Calls resolve by name, as for defs: ``f(...)`` or ``x.f(...)``
+for a function, ``x.f(...)`` for a method, ``C(...)`` or a subclass's
+``super().__init__(...)`` for ``C.__init__``; a name defined more than
+once is skipped, and so are the drivers of the claims table, whose
+parameters ``--quick`` sets.  A setting no call passes takes one value
+everywhere, so it must be a constant, or appear in :data:`KEPT_PARAMS`
+with the test that needs another value to reach a behaviour or to stay
+fast, or the ROADMAP item it waits for.
 """
 
 from __future__ import annotations
 
 import ast
-from collections import defaultdict
+from collections import Counter, defaultdict
 from pathlib import Path
 from typing import Dict, Iterator, List, Set, Tuple
 
@@ -159,6 +175,91 @@ KEPT: Dict[str, str] = {
     ),
 }
 
+KEPT_PARAMS: Dict[str, str] = {
+    # Tests need another value to reach a behaviour.
+    "repro.analysis.sanitizers.build_suite(names)": (
+        "tests/analysis/test_sanitizers.py::TestBuildSuite checks that an "
+        "unknown sanitizer name is rejected"
+    ),
+    "repro.analysis.stability.certify(limits)": (
+        "tests/analysis/test_stability.py::TestUnknownDegradation reaches "
+        "the truncated-lattice and search-budget UNKNOWN verdicts"
+    ),
+    "repro.analysis.stability.certify(structural)": (
+        "tests/analysis/test_stability.py forces the exhaustive lattice "
+        "route on scenarios the structural short-cuts would certify"
+    ),
+    "repro.bgp.route.local_route(learned_at)": (
+        "tests/bgp/test_route.py checks that a timed local route is not "
+        "the interned one"
+    ),
+    "repro.core.exploration.RouteChangeLog.changes(node)": (
+        "tests/core/test_exploration.py reads one node's route changes"
+    ),
+    "repro.dataplane.packet.walk_lpm(ttl)": (
+        "oracle: tests/dataplane/test_traffic_eval.py walks with TTL 1 to "
+        "reach exhaustion, and the evaluator properties with the run's TTL"
+    ),
+    "repro.dataplane.traffic.sources_for(stagger)": (
+        "tests/dataplane/test_traffic.py::TestSourcesFor reaches "
+        "staggered source phases"
+    ),
+    "repro.dv.rip.RipSpeaker.__init__(mode)": (
+        "tests/dv/test_rip.py::TestModes checks that an unknown mode is "
+        "rejected"
+    ),
+    "repro.experiments.oscillation.observe_oscillation(config)": (
+        "tests/experiments/test_unsafe.py reaches DISAGREE's convergence "
+        "under MRAI-staggered timing"
+    ),
+    "repro.experiments.scenarios.tcrash_clique(crash)": (
+        "tests/experiments/test_scenarios.py checks that a missing node "
+        "and the destination are rejected as the crashed AS"
+    ),
+    "repro.experiments.scenarios.treset_clique(link)": (
+        "tests/experiments/test_scenarios.py checks that a missing link "
+        "is rejected"
+    ),
+    "repro.service.bench.run_bench_cycle(timeout)": (
+        "tests/service/test_bench.py reaches the timeout path"
+    ),
+    "repro.telemetry.probe.TelemetryProbe.__init__(registry)": (
+        "tests/telemetry/test_probe.py::TestConstruction reads the "
+        "counters through a registry it owns"
+    ),
+    "repro.telemetry.registry.MetricsRegistry.histogram(bounds)": (
+        "tests/telemetry/test_registry.py places observations in known "
+        "buckets and checks that unsorted bounds are rejected"
+    ),
+    "repro.util.plot.ascii_chart(height)": (
+        "tests/util/test_plot.py checks exact layouts on small canvases"
+    ),
+    "repro.util.plot.ascii_chart(width)": (
+        "tests/util/test_plot.py checks exact layouts on small canvases and "
+        "that a too-narrow one is rejected"
+    ),
+    # Tests need another value to stay fast.
+    "repro.core.observations.check_ratio_constant(max_cv)": (
+        "tests/integration/test_paper_behaviors.py checks Observation 2 at "
+        "toy sizes, where the ratio varies more than at claim sizes"
+    ),
+    "repro.experiments.oscillation.observe_oscillation(horizon)": (
+        "tests/experiments/test_unsafe.py observes 10-100 s, not 120 s"
+    ),
+    "repro.service.queue.DurableJobQueue.compact(keep_terminal)": (
+        "tests/service/test_queue.py reaches retention with a few jobs, "
+        "not 50"
+    ),
+    "repro.telemetry.profiler.time_callable(repeats)": (
+        "tests/telemetry/test_overhead.py and test_profiler.py time three "
+        "repeats"
+    ),
+    # Waiting for a ROADMAP item.
+    "repro.topology.internet.internet_like(shape)": (
+        "ROADMAP item 3 (a) sweeps the InternetShape fields"
+    ),
+}
+
 # name -> [(path, line)] for identifiers; attr -> [(path, line)] after a dot.
 Uses = Dict[str, List[Tuple[Path, int]]]
 
@@ -273,6 +374,130 @@ def _uncalled() -> Tuple[Set[str], Set[str]]:
     return uncalled - reflected, defined
 
 
+# Calls that bind their first argument's parameters: the rest of the call
+# is a call of that function.
+BINDERS = ("factory_ref", "partial", "to_thread")
+
+# (positional args, keywords) of one call.
+Call = Tuple[List[ast.expr], List[ast.keyword]]
+
+
+def _settings(func: ast.FunctionDef, bound: bool) -> Iterator[Tuple[str, int]]:
+    """``(name, position)`` of each defaulted parameter; keyword-only ones
+    have position -1.  ``bound`` drops ``self`` or ``cls``."""
+    args = func.args
+    positional = (args.posonlyargs + args.args)[1 if bound else 0 :]
+    first = len(positional) - len(args.defaults)
+    for index, arg in enumerate(positional[first:], start=first):
+        yield arg.arg, index
+    for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+        if default is not None:
+            yield arg.arg, -1
+
+
+def _setting_defs() -> Iterator[Tuple[str, str, ast.FunctionDef, bool]]:
+    """``(qualified name, call key, def, bound)`` for every def that can
+    hold settings; a method's key is ``.name``, ``__init__``'s its class."""
+    for path in sorted(SRC.rglob("*.py")):
+        module = _module_name(path)
+        for node in ast.parse(path.read_text(), str(path)).body:
+            if isinstance(node, ast.FunctionDef):
+                yield f"{module}.{node.name}", node.name, node, False
+            elif isinstance(node, ast.ClassDef):
+                for member in node.body:
+                    if not isinstance(member, ast.FunctionDef):
+                        continue
+                    qualified = f"{module}.{node.name}.{member.name}"
+                    if member.name == "__init__":
+                        yield qualified, node.name, member, True
+                    elif not member.name.startswith("__"):
+                        static = any(
+                            isinstance(d, ast.Name) and d.id == "staticmethod"
+                            for d in member.decorator_list
+                        )
+                        yield qualified, f".{member.name}", member, not static
+
+
+def _callee(node: ast.expr) -> List[str]:
+    """Call keys a callee expression resolves to."""
+    if isinstance(node, ast.Name):
+        return [node.id]
+    if isinstance(node, ast.Attribute):
+        return [node.attr, f".{node.attr}"]
+    if isinstance(node, ast.Constant) and isinstance(node.value, str):
+        # factory_ref("package.module:name")
+        name = node.value.rpartition(":")[2].rpartition(".")[2]
+        return [name, f".{name}"]
+    return []
+
+
+def _calls() -> Dict[str, List[Call]]:
+    """Every call in the caller directories, by call key."""
+    calls: Dict[str, List[Call]] = defaultdict(list)
+    for base in CALLER_DIRS:
+        for path in sorted(base.rglob("*.py")):
+            tree = ast.parse(path.read_text(), str(path))
+            for cls in ast.walk(tree):
+                if not isinstance(cls, ast.ClassDef):
+                    continue
+                for node in ast.walk(cls):
+                    if (
+                        isinstance(node, ast.Call)
+                        and isinstance(node.func, ast.Attribute)
+                        and node.func.attr == "__init__"
+                        and isinstance(node.func.value, ast.Call)
+                        and _callee(node.func.value.func) == ["super"]
+                    ):
+                        for base_class in cls.bases:
+                            for key in _callee(base_class)[:1]:
+                                calls[key].append((node.args, node.keywords))
+            for node in ast.walk(tree):
+                if not isinstance(node, ast.Call):
+                    continue
+                keys = _callee(node.func)
+                if keys and keys[0] in BINDERS and node.args:
+                    call = (node.args[1:], node.keywords)
+                    keys = _callee(node.args[0])
+                else:
+                    call = (node.args, node.keywords)
+                for key in keys:
+                    calls[key].append(call)
+    return calls
+
+
+def _passes(call: Call, name: str, position: int) -> bool:
+    args, keywords = call
+    if any(kw.arg in (None, name) for kw in keywords):
+        return True
+    for index, arg in enumerate(args):
+        if isinstance(arg, ast.Starred):
+            return 0 <= index <= position
+        if index == position:
+            return True
+    return False
+
+
+def _unpassed_settings() -> Tuple[Set[str], Set[str]]:
+    """Settings no call passes, and every setting, as ``qualified(name)``."""
+    from repro.experiments.figures import CLAIMS
+
+    drivers = {claim.driver.__name__ for claim in CLAIMS.values()}
+    defs = list(_setting_defs())
+    defined_once = Counter(key.lstrip(".") for _, key, _, _ in defs)
+    calls = _calls()
+    unpassed: Set[str] = set()
+    settings: Set[str] = set()
+    for qualified, key, func, bound in defs:
+        for name, position in _settings(func, bound):
+            setting = f"{qualified}({name})"
+            settings.add(setting)
+            if defined_once[key.lstrip(".")] > 1 or key in drivers:
+                continue
+            if not any(_passes(call, name, position) for call in calls[key]):
+                unpassed.add(setting)
+    return unpassed, settings
+
+
 def test_every_uncalled_public_def_is_kept_for_a_reason():
     uncalled, _ = _uncalled()
     missing = sorted(uncalled - KEPT.keys())
@@ -301,3 +526,22 @@ def test_benchmark_boundaries_name_existing_methods():
 
 def test_every_kept_entry_has_a_reason():
     assert all(reason.strip() for reason in KEPT.values())
+
+
+def test_every_unpassed_setting_is_kept_for_a_reason():
+    unpassed, _ = _unpassed_settings()
+    missing = sorted(unpassed - KEPT_PARAMS.keys())
+    assert not missing, (
+        "settings that no call in src/, examples/ or benchmarks/ passes; "
+        "make each a constant where it is used, or add it to KEPT_PARAMS "
+        f"with the test or ROADMAP item it is kept for: {missing}"
+    )
+
+
+def test_kept_params_entries_are_live():
+    unpassed, settings = _unpassed_settings()
+    gone = sorted(KEPT_PARAMS.keys() - settings)
+    passed = sorted((KEPT_PARAMS.keys() & settings) - unpassed)
+    assert not gone, f"KEPT_PARAMS names settings that no longer exist: {gone}"
+    assert not passed, f"KEPT_PARAMS names settings that now have a caller: {passed}"
+    assert all(reason.strip() for reason in KEPT_PARAMS.values())

@@ -57,6 +57,7 @@ class TestRoundTrip:
     def test_non_default_delay_round_trips(self):
         from repro.topology import Topology
 
-        original = Topology.from_edges([(0, 1)], delay=0.5)
+        original = Topology()
+        original.add_edge(0, 1, delay=0.5)
         restored = load_edge_list(io.StringIO(dumps_edge_list(original)))
         assert restored.link_delay(0, 1) == 0.5

@@ -68,7 +68,7 @@ class TestFigurePlot:
             xs=[1.0, 2.0, 3.0],
             series={"conv": [10.0, 20.0, 30.0], "bad": [1.0, float("inf"), 2.0]},
         )
-        text = figure.plot(width=20, height=5)
+        text = figure.plot()
         assert "conv" in text
         assert "bad" not in text  # non-finite series skipped
 
