@@ -9,7 +9,8 @@ Two prongs guard the repository's reproducibility contract:
   lint`` and in CI;
 * :mod:`repro.analysis.sanitizers` — opt-in runtime invariant checkers
   (causality, per-channel FIFO, RIB coherence) wired into the engine,
-  net, and BGP layers through a lightweight invariant-hook API; plus
+  net, and BGP layers as observers on the scheduler's one observation
+  seam; plus
   :mod:`repro.analysis.determinism`, the dual-run harness that proves a
   scenario bit-for-bit reproducible under a fixed seed.
 
@@ -28,12 +29,9 @@ from .determinism import (
 )
 from .lint import RULES, LintViolation, lint_paths, lint_source
 from .sanitizers import (
-    SANITIZER_NAMES,
     CausalitySanitizer,
     FifoSanitizer,
-    InvariantHooks,
     RibCoherenceSanitizer,
-    SanitizerSuite,
     build_suite,
 )
 from .stability import (
@@ -54,15 +52,12 @@ __all__ = [
     "DeterminismReport",
     "DisputeWheel",
     "FifoSanitizer",
-    "InvariantHooks",
     "LintViolation",
     "PermittedPath",
     "PolicyGraph",
     "RULES",
     "RibCoherenceSanitizer",
     "RunFingerprint",
-    "SANITIZER_NAMES",
-    "SanitizerSuite",
     "SearchLimits",
     "StabilityReport",
     "Verdict",

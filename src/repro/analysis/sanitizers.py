@@ -2,24 +2,13 @@
 
 The static linter (:mod:`repro.analysis.lint`) catches nondeterminism
 *patterns*; the sanitizers catch invariant *violations* in a live
-simulation.  They hang off a deliberately lightweight hook API so that
-instrumentation points stay cheap when no sanitizer is installed:
-
-* the :class:`~repro.engine.scheduler.Scheduler` owns an optional
-  ``invariants`` object (installed via ``install_invariants``); it calls
-  ``on_schedule`` / ``on_event_fired``,
-* :class:`~repro.net.channel.Channel` stamps every message with a
-  ``(generation, sequence)`` pair and calls ``on_channel_send`` /
-  ``on_channel_deliver`` / ``on_channel_flush`` through the scheduler's
-  hook object,
-* :class:`~repro.bgp.speaker.BgpSpeaker` calls ``on_decision`` after
-  every decision-process run and ``on_announcement`` /
-  ``on_withdrawal`` just before emitting an update.
-
-Every layer guards with ``if hooks is not None``, so the zero-sanitizer
-fast path costs one attribute read.  Future subsystems get invariant
-checking by adding a hook method to :class:`InvariantHooks` (default
-no-op) and calling it from their layer.
+simulation.  Each sanitizer is an :class:`~repro.engine.observer.Observer`
+on the scheduler's one observation seam, overriding only the hooks it
+checks: the scheduler reports schedules and firings, channels report
+sends, deliveries and flushes with their ``(generation, sequence)``
+stamps, and speakers report every decision run and every update just
+before it is emitted.  The runner installs the three of them (and the
+telemetry probe, when asked) with ``scheduler.observe(...)``.
 
 The shipped sanitizers:
 
@@ -44,66 +33,13 @@ must not absorb it as an ordinary trial failure.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
+from ..engine import Observer
 from ..errors import SanitizerError
 
-#: Names accepted by :func:`build_suite`, in canonical order.
-SANITIZER_NAMES = ("causality", "fifo", "rib")
 
-
-class InvariantHooks:
-    """The invariant-hook API: every method is a no-op by default.
-
-    Layers call these at their instrumentation points; subclasses
-    override the ones they care about.  ``describe()`` feeds diagnostic
-    snapshots, so implementations should keep cheap counters.
-    """
-
-    # -- engine --------------------------------------------------------
-
-    def on_schedule(
-        self, now: float, time: float, name: Optional[str], housekeeping: bool
-    ) -> None:
-        """An event is being inserted into the scheduler heap."""
-
-    def on_event_fired(self, now: float, time: float, name: Optional[str]) -> None:
-        """A (non-cancelled) event was popped and is about to run."""
-
-    # -- net -----------------------------------------------------------
-
-    def on_channel_send(
-        self, src: int, dst: int, generation: int, sequence: int, time: float
-    ) -> None:
-        """A message was accepted by channel ``src -> dst``."""
-
-    def on_channel_deliver(
-        self, src: int, dst: int, generation: int, sequence: int, time: float
-    ) -> None:
-        """A message is arriving at ``dst`` from ``src``."""
-
-    def on_channel_flush(self, src: int, dst: int, generation: int) -> None:
-        """The channel destroyed its in-flight messages (reset/link down)."""
-
-    # -- bgp -----------------------------------------------------------
-
-    def on_decision(self, speaker: Any, prefix: str) -> None:
-        """A speaker finished running its decision process for ``prefix``."""
-
-    def on_announcement(self, speaker: Any, peer: int, prefix: str, path: Any) -> None:
-        """A speaker is about to send an announcement to ``peer``."""
-
-    def on_withdrawal(self, speaker: Any, peer: int, prefix: str) -> None:
-        """A speaker is about to send a withdrawal to ``peer``."""
-
-    # -- reporting -----------------------------------------------------
-
-    def describe(self) -> List[str]:
-        """Human-readable state lines for diagnostic snapshots."""
-        return []
-
-
-class CausalitySanitizer(InvariantHooks):
+class CausalitySanitizer(Observer):
     """No time travel: scheduling into the past or firing out of order."""
 
     def __init__(self) -> None:
@@ -121,7 +57,9 @@ class CausalitySanitizer(InvariantHooks):
                 f"t={time} while the clock is at t={now}"
             )
 
-    def on_event_fired(self, now: float, time: float, name: Optional[str]) -> None:
+    def on_event_fired(
+        self, now: float, time: float, name: Optional[str], heap_depth: int
+    ) -> None:
         self.events_checked += 1
         if self._last_fired is not None and time < self._last_fired:
             raise SanitizerError(
@@ -137,7 +75,7 @@ class CausalitySanitizer(InvariantHooks):
         ]
 
 
-class FifoSanitizer(InvariantHooks):
+class FifoSanitizer(Observer):
     """Reliable in-order delivery per channel generation.
 
     A channel generation ends whenever in-flight messages are destroyed
@@ -152,7 +90,13 @@ class FifoSanitizer(InvariantHooks):
         self._state: Dict[Tuple[int, int], Tuple[int, int, float]] = {}
 
     def on_channel_deliver(
-        self, src: int, dst: int, generation: int, sequence: int, time: float
+        self,
+        src: int,
+        dst: int,
+        message: Any,
+        generation: int,
+        sequence: int,
+        time: float,
     ) -> None:
         self.deliveries_checked += 1
         key = (src, dst)
@@ -177,7 +121,9 @@ class FifoSanitizer(InvariantHooks):
             )
         self._state[key] = (gen, sequence, time)
 
-    def on_channel_flush(self, src: int, dst: int, generation: int) -> None:
+    def on_channel_flush(
+        self, src: int, dst: int, generation: int, destroyed: int
+    ) -> None:
         # The flushed generation is over; whatever was undelivered stays
         # undelivered.  Remember the bump so stale deliveries are caught.
         key = (src, dst)
@@ -192,7 +138,7 @@ class FifoSanitizer(InvariantHooks):
         ]
 
 
-class RibCoherenceSanitizer(InvariantHooks):
+class RibCoherenceSanitizer(Observer):
     """Loc-RIB/FIB coherence and MRAI discipline for every speaker."""
 
     def __init__(self) -> None:
@@ -267,64 +213,6 @@ class RibCoherenceSanitizer(InvariantHooks):
         ]
 
 
-class SanitizerSuite(InvariantHooks):
-    """A set of sanitizers dispatched from every instrumentation point."""
-
-    def __init__(self, sanitizers: Sequence[InvariantHooks]) -> None:
-        self.sanitizers: Tuple[InvariantHooks, ...] = tuple(sanitizers)
-
-    def on_schedule(self, now, time, name, housekeeping) -> None:
-        for sanitizer in self.sanitizers:
-            sanitizer.on_schedule(now, time, name, housekeeping)
-
-    def on_event_fired(self, now, time, name) -> None:
-        for sanitizer in self.sanitizers:
-            sanitizer.on_event_fired(now, time, name)
-
-    def on_channel_send(self, src, dst, generation, sequence, time) -> None:
-        for sanitizer in self.sanitizers:
-            sanitizer.on_channel_send(src, dst, generation, sequence, time)
-
-    def on_channel_deliver(self, src, dst, generation, sequence, time) -> None:
-        for sanitizer in self.sanitizers:
-            sanitizer.on_channel_deliver(src, dst, generation, sequence, time)
-
-    def on_channel_flush(self, src, dst, generation) -> None:
-        for sanitizer in self.sanitizers:
-            sanitizer.on_channel_flush(src, dst, generation)
-
-    def on_decision(self, speaker, prefix) -> None:
-        for sanitizer in self.sanitizers:
-            sanitizer.on_decision(speaker, prefix)
-
-    def on_announcement(self, speaker, peer, prefix, path) -> None:
-        for sanitizer in self.sanitizers:
-            sanitizer.on_announcement(speaker, peer, prefix, path)
-
-    def on_withdrawal(self, speaker, peer, prefix) -> None:
-        for sanitizer in self.sanitizers:
-            sanitizer.on_withdrawal(speaker, peer, prefix)
-
-    def describe(self) -> List[str]:
-        lines: List[str] = []
-        for sanitizer in self.sanitizers:
-            lines.extend(sanitizer.describe())
-        return lines
-
-
-def build_suite(names: Sequence[str] = SANITIZER_NAMES) -> SanitizerSuite:
-    """Build a suite from sanitizer names (see :data:`SANITIZER_NAMES`)."""
-    factories = {
-        "causality": CausalitySanitizer,
-        "fifo": FifoSanitizer,
-        "rib": RibCoherenceSanitizer,
-    }
-    chosen: List[InvariantHooks] = []
-    for name in names:
-        try:
-            chosen.append(factories[name]())
-        except KeyError:
-            raise SanitizerError(
-                f"unknown sanitizer {name!r}; known: {', '.join(SANITIZER_NAMES)}"
-            ) from None
-    return SanitizerSuite(chosen)
+def build_suite() -> List[Observer]:
+    """The three sanitizers, in the order they observe."""
+    return [CausalitySanitizer(), FifoSanitizer(), RibCoherenceSanitizer()]

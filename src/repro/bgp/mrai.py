@@ -100,7 +100,6 @@ class MraiManager:
         self._jitter = jitter
         self._rng = rng
         self._on_expiry = on_expiry
-        self._mode = mode
         #: One timer per peer (rather than per (peer, prefix)).
         self.per_peer = mode == MRAI_PER_PEER
         self._timers: Dict[TimerKey, Timer] = {}
@@ -117,10 +116,6 @@ class MraiManager:
     @property
     def enabled(self) -> bool:
         return self._interval > 0
-
-    @property
-    def mode(self) -> str:
-        return self._mode
 
     def _key(self, peer: int, prefix: Prefix) -> TimerKey:
         return (peer, None) if self.per_peer else (peer, prefix)

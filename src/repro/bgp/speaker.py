@@ -284,9 +284,9 @@ class BgpSpeaker(Node):
         if self.node_id in path:
             # Path-based poison reverse: the route is unusable for us, and it
             # *replaces* src's previous announcement (implicit withdrawal).
-            telemetry = self.scheduler.telemetry
-            if telemetry is not None:
-                telemetry.on_variant_extra(self.node_id, "poison_reverse")
+            observer = self.scheduler.observer
+            if observer is not None:
+                observer.on_variant_extra(self.node_id, "poison_reverse")
             self.adj_rib_in.remove(src, prefix)
         else:
             provisional = Route.of(prefix, path, src)
@@ -312,11 +312,11 @@ class BgpSpeaker(Node):
         self, prefix: Prefix, src: int, new_path: Optional[AsPath]
     ) -> None:
         """Invalidate stored routes the update from ``src`` proves stale."""
-        telemetry = self.scheduler.telemetry
+        observer = self.scheduler.observer
         for neighbor in stale_entries(self.adj_rib_in, prefix, src, new_path):
             self.adj_rib_in.remove(neighbor, prefix)
-            if telemetry is not None:
-                telemetry.on_variant_extra(self.node_id, "assertion_removal")
+            if observer is not None:
+                observer.on_variant_extra(self.node_id, "assertion_removal")
 
     # ------------------------------------------------------------------
     # Adjacency changes
@@ -524,10 +524,12 @@ class BgpSpeaker(Node):
 
         Returns True when the best route changed (peers need syncing).
         """
+        observer = self.scheduler.observer
         old_best = self.loc_rib.get(prefix)
         new_best = self._select_best(prefix)
         if new_best == old_best:
-            self._notify_decision(prefix)
+            if observer is not None:
+                observer.on_decision(self, prefix)
             return False
         if new_best is None:
             self.loc_rib.remove(prefix)
@@ -542,17 +544,9 @@ class BgpSpeaker(Node):
                 self._node_path(new_best),
             )
         self._update_fib(prefix, new_best)
-        self._notify_decision(prefix)
+        if observer is not None:
+            observer.on_decision(self, prefix)
         return True
-
-    def _notify_decision(self, prefix: Prefix) -> None:
-        """Report a completed decision run to sanitizers and telemetry."""
-        hooks = self.scheduler.invariants
-        if hooks is not None:
-            hooks.on_decision(self, prefix)
-        telemetry = self.scheduler.telemetry
-        if telemetry is not None:
-            telemetry.on_decision(self.node_id, prefix)
 
     def _node_path(self, route: Optional[Route]) -> Optional[AsPath]:
         """A route's path in the paper's notation (self at the head)."""
@@ -573,9 +567,9 @@ class BgpSpeaker(Node):
         if not had_entry and next_hop is None:
             return  # never had a route and still none: nothing changed
         self.fib[prefix] = next_hop
-        telemetry = self.scheduler.telemetry
-        if telemetry is not None:
-            telemetry.on_fib_change(
+        observer = self.scheduler.observer
+        if observer is not None:
+            observer.on_fib_change(
                 self.scheduler.now, self.node_id, prefix, next_hop
             )
         if self._fib_listener is not None:
@@ -609,7 +603,7 @@ class BgpSpeaker(Node):
         ]
         if not peers:
             return
-        telemetry = self.scheduler.telemetry
+        observer = self.scheduler.observer
         mrai = self.mrai
         wrate = withdrawals_rate_limited(self.config)
         last_sent = self.adj_rib_out.last_sent
@@ -620,16 +614,16 @@ class BgpSpeaker(Node):
                 desired = self._desired_advertisement(peer, best, advertised)
                 last = last_sent(peer, prefix)
                 if desired == last:
-                    if telemetry is not None:
-                        telemetry.on_update_suppressed(
+                    if observer is not None:
+                        observer.on_update_suppressed(
                             self.node_id, peer, prefix, "duplicate"
                         )
                     continue
                 if desired is None:
                     if wrate and mrai.holding(peer, prefix):
                         mrai.hold(peer, prefix)  # WRATE: the expiry sends it
-                        if telemetry is not None:
-                            telemetry.on_update_suppressed(
+                        if observer is not None:
+                            observer.on_update_suppressed(
                                 self.node_id, peer, prefix, "wrate"
                             )
                         continue
@@ -643,12 +637,12 @@ class BgpSpeaker(Node):
                     continue
                 # Announcement held by MRAI until the expiry re-derives it.
                 mrai.hold(peer, prefix)
-                if telemetry is not None:
-                    telemetry.on_update_suppressed(self.node_id, peer, prefix, "mrai")
+                if observer is not None:
+                    observer.on_update_suppressed(self.node_id, peer, prefix, "mrai")
                 if self.config.ghost_flushing and should_flush(last, desired):
                     self._emit(peer, prefix, None)
-                    if telemetry is not None:
-                        telemetry.on_variant_extra(self.node_id, "ghost_flush")
+                    if observer is not None:
+                        observer.on_variant_extra(self.node_id, "ghost_flush")
 
     def _desired_advertisement(
         self, peer: int, best: Optional[Route], advertised: Optional[AsPath]
@@ -660,9 +654,9 @@ class BgpSpeaker(Node):
         if self.config.ssld and converts_to_withdrawal(peer, advertised):
             # SSLD: the peer would poison-reverse this path away; send the
             # equivalent information as an (immediate) withdrawal instead.
-            telemetry = self.scheduler.telemetry
-            if telemetry is not None:
-                telemetry.on_variant_extra(self.node_id, "ssld_conversion")
+            observer = self.scheduler.observer
+            if observer is not None:
+                observer.on_variant_extra(self.node_id, "ssld_conversion")
             return None
         return advertised
 
@@ -670,12 +664,12 @@ class BgpSpeaker(Node):
         """Send one route to ``peer`` (``path is None``: withdraw it) and
         record it in the Adj-RIB-Out — as its own message, or queued for the
         peer's same-instant ``UpdateBatch``."""
-        hooks = self.scheduler.invariants
-        if hooks is not None:
+        observer = self.scheduler.observer
+        if observer is not None:
             if path is None:
-                hooks.on_withdrawal(self, peer, prefix)
+                observer.on_withdrawal(self, peer, prefix)
             else:
-                hooks.on_announcement(self, peer, prefix, path)
+                observer.on_announcement(self, peer, prefix, path)
         if self.config.batch_updates:
             self._queue_update(peer, prefix, path)
         elif path is None:
@@ -725,9 +719,9 @@ class BgpSpeaker(Node):
 
     def _on_mrai_expiry(self, peer: int, held: List[Prefix]) -> None:
         """An MRAI timer toward ``peer`` expired: release what it held."""
-        telemetry = self.scheduler.telemetry
-        if telemetry is not None:
-            telemetry.on_mrai_expiry(
+        observer = self.scheduler.observer
+        if observer is not None:
+            observer.on_mrai_expiry(
                 self.scheduler.now, self.node_id, peer,
                 held[0] if len(held) == 1 else "*",
             )

@@ -710,14 +710,13 @@ def _figure_row(args, figure_id: str, runner, flags: List[str]) -> int:
             print(result.plot())
         else:
             print(f"note: {figure_id} is a table; --plot ignored", file=sys.stderr)
+    problems = claim.judge(result.checks, args.quick)
     if args.quick:
-        failures = [check for check in result.checks if not check.holds]
-        if failures:
+        if problems:
             print("\nshape checks NOT satisfied at these parameters:")
-            for check in failures:
-                print(f"  {check}")
+            for line in problems:
+                print(f"  {line}")
         return 0
-    problems = claim.problems(result.checks)
     for line in problems:
         print(f"{figure_id}: {line}", file=sys.stderr)
     return 1 if problems else 0

@@ -149,9 +149,6 @@ class ExplorationReport:
             return 0.0
         return kept / total
 
-    def nodes(self) -> List[int]:
-        return sorted(self.per_node_sequences)
-
     def longest_path_explored(self) -> int:
         """AS hops of the longest path any node adopted in the window."""
         longest = 0

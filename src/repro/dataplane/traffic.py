@@ -79,21 +79,14 @@ def sources_for(
     nodes: List[int],
     destination: int,
     rate: float = DEFAULT_PACKET_RATE,
-    stagger: float = 0.0,
 ) -> List[CbrSource]:
-    """One CBR source per non-destination node (the paper's workload).
-
-    ``stagger`` optionally offsets each source's phase by
-    ``node_index * stagger`` seconds, which avoids the artificial lockstep of
-    every AS transmitting at identical instants; the default (0) matches the
-    paper's plain setup.
-    """
-    sources = []
-    for position, node in enumerate(sorted(nodes)):
-        if node == destination:
-            continue
-        sources.append(CbrSource(node=node, rate=rate, start=position * stagger))
-    return sources
+    """One CBR source per non-destination node (the paper's workload), all
+    in phase, as in the paper's plain setup."""
+    return [
+        CbrSource(node=node, rate=rate)
+        for node in sorted(nodes)
+        if node != destination
+    ]
 
 
 # ----------------------------------------------------------------------

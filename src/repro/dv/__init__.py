@@ -6,6 +6,6 @@ counting to infinity.
 """
 
 from .messages import INFINITY_METRIC, DvUpdate
-from .rip import DvMode, DvRoute, RipSpeaker
+from .rip import DvRoute, RipSpeaker
 
-__all__ = ["DvMode", "DvRoute", "DvUpdate", "INFINITY_METRIC", "RipSpeaker"]
+__all__ = ["DvRoute", "DvUpdate", "INFINITY_METRIC", "RipSpeaker"]

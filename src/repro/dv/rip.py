@@ -13,34 +13,24 @@ Implementation notes:
 
 * Triggered updates only (no periodic timer): metrics are event-driven just
   like the BGP speaker, which keeps convergence-time comparisons fair.
-* Three loop-mitigation modes (:class:`DvMode`): plain Bellman-Ford,
-  split horizon (never advertise a route back to its next hop), and poison
-  reverse (advertise it back with an infinite metric).  The boolean
-  ``poison_reverse`` parameter remains as a shorthand for the common pair.
+* Two loop-mitigation settings: plain Bellman-Ford, or (the default)
+  poison reverse, which advertises a route back to its next hop with an
+  infinite metric.
 * Metrics count AS hops, capped at :data:`INFINITY_METRIC` (16), at which
   point the route is flushed — the classic counting-to-infinity ceiling.
 """
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 from typing import Callable, Dict, Optional
 
 from ..engine import RandomStreams, Scheduler
-from ..errors import ConfigError, ProtocolError
+from ..errors import ProtocolError
 from ..net import Node
 from .messages import INFINITY_METRIC, DvUpdate
 
 FibListener = Callable[[float, int, str, Optional[int]], None]
-
-
-class DvMode(enum.Enum):
-    """How a route is advertised toward its own next hop."""
-
-    NONE = "none"                      # plain Bellman-Ford
-    SPLIT_HORIZON = "split-horizon"    # say nothing toward the next hop
-    POISON_REVERSE = "poison-reverse"  # say "unreachable" toward the next hop
 
 
 @dataclass
@@ -65,7 +55,6 @@ class RipSpeaker(Node):
         streams: RandomStreams,
         processing_delay: tuple = (0.1, 0.5),
         poison_reverse: bool = True,
-        mode: Optional[DvMode] = None,
         fib_listener: Optional[FibListener] = None,
     ) -> None:
         rng = streams.stream(f"dv-processing:{node_id}")
@@ -75,18 +64,13 @@ class RipSpeaker(Node):
             return rng.uniform(low, high)
 
         super().__init__(node_id, scheduler, service_time)
-        if mode is None:
-            mode = DvMode.POISON_REVERSE if poison_reverse else DvMode.NONE
-        elif not isinstance(mode, DvMode):
-            raise ConfigError(f"mode must be a DvMode, got {mode!r}")
-        self.mode = mode
+        self.poison_reverse = poison_reverse
         self._routes: Dict[str, DvRoute] = {}
         # metric-as-heard per (neighbor, prefix): the DV analogue of the
         # Adj-RIB-In, needed to fail over without waiting for re-advertisement.
         self._heard: Dict[int, Dict[str, int]] = {}
         self._origins: set = set()
         self._fib_listener = fib_listener
-        self.updates_sent = 0
 
     # ------------------------------------------------------------------
 
@@ -179,10 +163,6 @@ class RipSpeaker(Node):
         if route is None:
             return
         metric = route.metric
-        if route.reachable and route.next_hop == neighbor:
-            if self.mode is DvMode.SPLIT_HORIZON:
-                return  # say nothing toward the next hop
-            if self.mode is DvMode.POISON_REVERSE:
-                metric = INFINITY_METRIC
+        if self.poison_reverse and route.reachable and route.next_hop == neighbor:
+            metric = INFINITY_METRIC
         self.send(neighbor, DvUpdate(prefix=prefix, metric=metric))
-        self.updates_sent += 1

@@ -26,10 +26,11 @@ from __future__ import annotations
 
 import heapq
 from collections import Counter
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from ..errors import SchedulingError
 from .event import Event, EventPriority
+from .observer import Observer, Observers
 
 #: Heap entries are ``(time, priority, seq, event)`` tuples rather than bare
 #: events: ``seq`` is unique, so heap comparisons resolve on the first three
@@ -62,13 +63,9 @@ class Scheduler:
         self._last_event_time: Optional[float] = None
         self._last_substantive_time: Optional[float] = None
         self._substantive = 0
-        # Optional invariant-hook object (see repro.analysis.sanitizers);
-        # duck-typed so the engine never imports the analysis layer.
-        self.invariants: Optional[Any] = None
-        # Optional telemetry probe (see repro.telemetry.probe), same
-        # duck-typed pattern: None means disabled and costs one attribute
-        # read per hook site.
-        self.telemetry: Optional[Any] = None
+        #: What watches this run (see :mod:`repro.engine.observer`); ``None``
+        #: means nothing does, and costs one attribute read per hook site.
+        self.observer: Optional[Observer] = None
 
     # ------------------------------------------------------------------
     # Clock
@@ -141,29 +138,16 @@ class Scheduler:
             self._cancelled_pending = 0
 
     # ------------------------------------------------------------------
-    # Invariant hooks
+    # Observation
     # ------------------------------------------------------------------
 
-    def install_invariants(self, hooks: Optional[Any]) -> None:
-        """Install (or, with ``None``, remove) an invariant-hook object.
-
-        The object receives ``on_schedule`` and ``on_event_fired`` calls
-        from this scheduler; other layers holding this scheduler (channels,
-        speakers) dispatch their own hook points through :attr:`invariants`
-        as well.  See :class:`repro.analysis.sanitizers.InvariantHooks`.
-        """
-        self.invariants = hooks
-
-    def install_telemetry(self, probe: Optional[Any]) -> None:
-        """Install (or, with ``None``, remove) a telemetry probe.
-
-        The probe receives ``on_event_scheduled`` and ``on_event_fired``
-        calls from this scheduler; other layers holding this scheduler
-        (channels, speakers) dispatch their own hook points through
-        :attr:`telemetry`.  See
-        :class:`repro.telemetry.probe.TelemetryProbe`.
-        """
-        self.telemetry = probe
+    def observe(self, *observers: Observer) -> None:
+        """Install the observers that watch this run, in call order (none:
+        remove any).  Several share the seam through :class:`Observers`."""
+        if len(observers) > 1:
+            self.observer = Observers(observers)
+        else:
+            self.observer = observers[0] if observers else None
 
     # ------------------------------------------------------------------
     # Scheduling
@@ -184,10 +168,9 @@ class Scheduler:
         Returns the :class:`Event` handle, which supports ``cancel()``.
         Raises :class:`SchedulingError` if ``time`` is in the past.
         """
-        if self.invariants is not None:
-            self.invariants.on_schedule(self._now, time, name, housekeeping)
-        if self.telemetry is not None:
-            self.telemetry.on_event_scheduled(self._now, time, name, housekeeping)
+        observer = self.observer
+        if observer is not None:
+            observer.on_schedule(self._now, time, name, housekeeping)
         if time < self._now:
             raise SchedulingError(
                 f"cannot schedule event {name or action!r} at t={time}; "
@@ -243,11 +226,10 @@ class Scheduler:
                 raise SchedulingError(
                     f"heap returned event {event!r} earlier than clock {self._now}"
                 )
-            if self.invariants is not None:
-                self.invariants.on_event_fired(self._now, event.time, event.name)
-            if self.telemetry is not None:
-                self.telemetry.on_event_fired(
-                    event.time, event.name, len(self._heap)
+            observer = self.observer
+            if observer is not None:
+                observer.on_event_fired(
+                    self._now, event.time, event.name, len(self._heap)
                 )
             self._now = event.time
             self._events_processed += 1

@@ -129,9 +129,8 @@ def capture_snapshot(
             f"t={r.time:.3f} {r.src}->{r.dst} {r.message!r}" for r in records
         )
     sanitizers: Tuple[str, ...] = ()
-    describe = getattr(getattr(scheduler, "invariants", None), "describe", None)
-    if describe is not None:
-        sanitizers = tuple(describe())
+    if scheduler.observer is not None:
+        sanitizers = tuple(scheduler.observer.describe())
     return DiagnosticSnapshot(
         time=scheduler.now,
         events_processed=scheduler.events_processed,

@@ -57,12 +57,15 @@ class Claim:
     quick: Optional[Mapping[str, Any]] = None
     divergences: Mapping[str, int] = field(default_factory=dict)
 
-    def problems(self, checks: Sequence[ObservationCheck]) -> List[str]:
-        """Why the claim is not reproduced at claim parameters (empty: it is).
+    def judge(self, checks: Sequence[ObservationCheck], quick: bool) -> List[str]:
+        """What is wrong with a run of this row (empty: nothing).
 
-        Every check must hold except the listed divergences, which must
-        still fail.
+        At ``--quick`` (toy) parameters, every failing check.  At claim
+        parameters, why the claim is not reproduced: every check must hold
+        except the listed divergences, which must still fail.
         """
+        if quick:
+            return [str(check) for check in checks if not check.holds]
         found = {check.name for check in checks}
         lines = [
             f"known divergence {self.divergences[name]} (EXPERIMENTS.md) "

@@ -179,10 +179,12 @@ def run_experiment(
     paths_at_start, routes_at_start = intern_table_size(), route_intern_table_size()
     streams = RandomStreams(seed)
     scheduler = Scheduler()
+    # The sanitizers observe before the probe, at every hook they share.
+    observers = []
     if settings.sanitize:
         from ..analysis.sanitizers import build_suite
 
-        scheduler.install_invariants(build_suite())
+        observers.extend(build_suite())
     probe = None
     if settings.telemetry or settings.timeline:
         from ..telemetry import TelemetryProbe, Timeline
@@ -190,7 +192,8 @@ def run_experiment(
         probe = TelemetryProbe(
             timeline=Timeline() if settings.timeline else None
         )
-        scheduler.install_telemetry(probe)
+        observers.append(probe)
+    scheduler.observe(*observers)
     fib_log = FibChangeLog()
     route_log = RouteChangeLog()
     network = build_network(
@@ -287,7 +290,7 @@ def run_experiment(
     )
 
     # Telemetry enrichment: lift the post-run analyses (dataplane packet
-    # fates, trace tallies, loop intervals) into the same registry/timeline
+    # fates, loop intervals) into the same registry/timeline
     # as the live instrumentation, then freeze.  Observation only — nothing
     # here can alter the simulation that already happened.
     metrics = None
@@ -321,8 +324,6 @@ def run_experiment(
         registry.counter("dataplane.lpm_resolves").inc(
             traffic_evaluator.lpm_resolves if traffic_evaluator is not None else 0
         )
-        for kind, total in network.trace.kind_counts().items():
-            registry.counter(f"trace.messages.{kind}").inc(total)
         # What this run's scope added to the intern tables, and will pop.
         registry.counter("bgp.paths_interned").inc(
             intern_table_size() - paths_at_start

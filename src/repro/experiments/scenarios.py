@@ -241,25 +241,22 @@ def tlong_internet(n: int, seed: int = 0) -> Scenario:
 # ----------------------------------------------------------------------
 
 
-def treset_clique(n: int, link: Optional[Tuple[int, int]] = None) -> Scenario:
+def treset_clique(n: int) -> Scenario:
     """Treset in an n-clique: reset one session, watch the re-exchange.
 
-    Defaults to the (0, 1) session — destination-adjacent, so the reset
-    peer must re-learn its best (direct) route to the prefix.
+    The reset session is (0, 1) — destination-adjacent, so the reset peer
+    must re-learn its best (direct) route to the prefix.
     """
-    u, v = link or (0, 1)
     return Scenario(
         name=f"treset-clique-{n}",
         topology=clique(n),
         destination=0,
-        events=(SessionReset(u, v, at=0.0),),
+        events=(SessionReset(0, 1, at=0.0),),
     )
 
 
-def tcrash_clique(
-    n: int, crash: int = 1, restart_after: Optional[float] = 30.0
-) -> Scenario:
-    """Tcrash in an n-clique: crash a transit AS, optionally restart it.
+def tcrash_clique(n: int, restart_after: Optional[float] = 30.0) -> Scenario:
+    """Tcrash in an n-clique: crash transit AS 1, optionally restart it.
 
     The destination stays reachable (every survivor keeps a direct link to
     AS 0), so the interesting dynamics are the withdraw wave at the crash
@@ -269,7 +266,7 @@ def tcrash_clique(
         name=f"tcrash-clique-{n}",
         topology=clique(n),
         destination=0,
-        events=(NodeCrash(crash, at=0.0, restart_after=restart_after),),
+        events=(NodeCrash(1, at=0.0, restart_after=restart_after),),
     )
 
 

@@ -50,11 +50,8 @@ import pickle
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Callable, Dict, Iterator, List, Optional
+from typing import Callable, Dict, Iterator, List, Optional
 from typing import Sequence, Tuple, Union
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard (annotation only)
-    from ..telemetry import MetricsSnapshot
 
 from ..bgp import BgpConfig
 from ..core import LoopStudyResult
@@ -192,22 +189,6 @@ class SweepPoint:
             )
         keys = self.results[0].summary_row().keys()
         return {key: self.mean_metric(key) for key in keys}
-
-    def telemetry(self) -> "MetricsSnapshot":
-        """Aggregate of the successful trials' telemetry snapshots.
-
-        Counters sum across trials, gauges keep their maxima, histograms
-        merge bucket-wise (see :meth:`~repro.telemetry.registry.
-        MetricsSnapshot.aggregate`).  Empty when the sweep ran without
-        ``settings.telemetry``; per-trial snapshots are produced inside
-        pool workers and aggregate here identically for ``jobs=1`` and
-        ``jobs=N``.
-        """
-        from ..telemetry import MetricsSnapshot
-
-        return MetricsSnapshot.aggregate(
-            [run.metrics for run in self.runs if run.metrics is not None]
-        )
 
 
 @dataclass(frozen=True)

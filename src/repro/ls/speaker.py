@@ -74,8 +74,6 @@ class LinkStateSpeaker(Node):
         self._sequence = 0
         self.fib: Dict[str, Optional[int]] = {}
         self._fib_listener = fib_listener
-        self.lsas_originated = 0
-        self.lsas_flooded = 0
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -88,7 +86,6 @@ class LinkStateSpeaker(Node):
         """Issue a fresh LSA describing the current adjacencies."""
         self._sequence += 1
         lsa = make_lsa(self.node_id, self._sequence, self.neighbors)
-        self.lsas_originated += 1
         self._install(lsa)
         self._flood(lsa, except_neighbor=None)
 
@@ -111,7 +108,6 @@ class LinkStateSpeaker(Node):
         for neighbor in self.neighbors:
             if neighbor != except_neighbor:
                 self.send(neighbor, lsa)
-                self.lsas_flooded += 1
 
     def _install(self, lsa: LinkStateAd) -> None:
         self._lsdb[lsa.origin] = lsa
@@ -130,7 +126,6 @@ class LinkStateSpeaker(Node):
         self._originate()
         for lsa in sorted(self._lsdb.values(), key=lambda l: l.origin):
             self.send(neighbor, lsa)
-            self.lsas_flooded += 1
 
     # ------------------------------------------------------------------
     # Shortest paths

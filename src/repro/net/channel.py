@@ -57,23 +57,13 @@ class Channel:
         # always the next one to arrive.
         self._pending: Deque[Tuple[Event, Any, int, int]] = deque()
         self._last_arrival = 0.0
-        self._messages_sent = 0
-        self._messages_delivered = 0
-        # FIFO bookkeeping for the sanitizer hooks: sequence numbers are
-        # contiguous within a generation; a generation ends whenever
-        # in-flight messages are destroyed.
+        # The FIFO stamp observers see: sequence numbers are contiguous
+        # within a generation; a generation ends whenever in-flight
+        # messages are destroyed.
         self._generation = 0
         self._generation_seq = 0
 
     # ------------------------------------------------------------------
-
-    @property
-    def messages_sent(self) -> int:
-        return self._messages_sent
-
-    @property
-    def messages_delivered(self) -> int:
-        return self._messages_delivered
 
     @property
     def in_flight(self) -> int:
@@ -97,17 +87,14 @@ class Channel:
         # clamped monotone.
         arrival = max(now + self.delay, self._last_arrival)
         self._last_arrival = arrival
-        self._messages_sent += 1
         self._generation_seq += 1
         generation, sequence = self._generation, self._generation_seq
-        hooks = scheduler.invariants
-        if hooks is not None:
-            hooks.on_channel_send(self.src, self.dst, generation, sequence, now)
-        telemetry = scheduler.telemetry
-        if telemetry is not None:
+        observer = scheduler.observer
+        if observer is not None:
             # The in-flight count includes this message.
-            telemetry.on_message_sent(
-                self.src, self.dst, message, len(self._pending) + 1
+            observer.on_channel_send(
+                self.src, self.dst, message, generation, sequence, now,
+                len(self._pending) + 1,
             )
         event = scheduler.call_at(
             arrival,
@@ -123,15 +110,12 @@ class Channel:
     def _arrive(self) -> None:
         """Delivery event: hand the oldest in-flight message to the far end."""
         _event, message, generation, sequence = self._pending.popleft()
-        self._messages_delivered += 1
-        hooks = self._scheduler.invariants
-        if hooks is not None:
-            hooks.on_channel_deliver(
-                self.src, self.dst, generation, sequence, self._scheduler.now
+        observer = self._scheduler.observer
+        if observer is not None:
+            observer.on_channel_deliver(
+                self.src, self.dst, message, generation, sequence,
+                self._scheduler.now,
             )
-        telemetry = self._scheduler.telemetry
-        if telemetry is not None:
-            telemetry.on_message_delivered(self.src, self.dst, message)
         self._deliver(self.src, message)
 
     def drop_in_flight(self) -> int:
@@ -144,12 +128,11 @@ class Channel:
         for event, _message, _generation, _sequence in self._pending:
             event.cancel()
         self._pending.clear()
-        hooks = self._scheduler.invariants
-        if hooks is not None:
-            hooks.on_channel_flush(self.src, self.dst, self._generation)
-        telemetry = self._scheduler.telemetry
-        if telemetry is not None and destroyed:
-            telemetry.on_in_flight_dropped(self.src, self.dst, destroyed)
+        observer = self._scheduler.observer
+        if observer is not None:
+            observer.on_channel_flush(
+                self.src, self.dst, self._generation, destroyed
+            )
         self._generation += 1
         self._generation_seq = 0
         return destroyed

@@ -78,11 +78,6 @@ class Link:
         self._to_u.bring_up()
         self.up = True
 
-    @property
-    def messages_carried(self) -> int:
-        """Total messages delivered in either direction."""
-        return self._to_v.messages_delivered + self._to_u.messages_delivered
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "up" if self.up else "down"
         return f"<Link {self.u}<->{self.v} {state}>"

@@ -220,10 +220,6 @@ class Network:
         for node_id in sorted(self.nodes):
             self.nodes[node_id].start()
 
-    def total_messages(self) -> int:
-        """Total control-plane messages recorded by the trace."""
-        return len(self.trace)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"<Network n={len(self.nodes)} links={len(self._links)} "

@@ -117,9 +117,9 @@ class Node:
             self.messages_dropped_dead += 1
             return
         self.messages_received += 1
-        telemetry = self.scheduler.telemetry
-        if telemetry is not None:
-            telemetry.on_cpu_enqueue(self.node_id, self.processor.queue_length)
+        observer = self.scheduler.observer
+        if observer is not None:
+            observer.on_cpu_enqueue(self.node_id, self.processor.queue_length)
         self.processor.submit(
             self._service_time(),
             lambda: self.handle_message(src, message),

@@ -28,7 +28,10 @@ Publishing is thread-safe (jobs execute in a worker thread; subscribers
 live on the asyncio loop) via ``loop.call_soon_threadsafe``.  Slow
 subscribers never block the executor: queues are unbounded, and a
 subscriber that disconnects simply stops draining its queue, which the
-daemon then discards.
+daemon then discards.  The bus keeps a bounded history per job for late
+subscribers, for every unfinished job and the newest finished ones
+(:data:`~repro.service.queue.KEEP_FINISHED_JOBS`), so its memory does not
+grow with uptime.
 """
 
 from __future__ import annotations
@@ -37,6 +40,7 @@ import asyncio
 from typing import Dict, List, Optional
 
 from ..telemetry import GaugeSnapshot, HistogramSnapshot, MetricsSnapshot
+from .queue import KEEP_FINISHED_JOBS
 
 
 # -- event builders -----------------------------------------------------
@@ -147,6 +151,9 @@ class EventBus:
         #: Recent events per job so a late subscriber can catch up.
         self._history: Dict[str, List[Dict]] = {}
         self._history_limit = 1000
+        # Jobs whose ``end`` was published, oldest first (a dict as an
+        # ordered set); only the newest KEEP_FINISHED_JOBS keep a history.
+        self._finished: Dict[str, None] = {}
 
     def subscribe(self, job_id: Optional[str] = None) -> asyncio.Queue:
         """Register a subscriber queue; replays the job's history first."""
@@ -172,5 +179,12 @@ class EventBus:
             history.append(event)
             if len(history) > self._history_limit:
                 del history[: len(history) - self._history_limit]
+            if event.get("event") == "end":
+                self._finished.pop(job_id, None)
+                self._finished[job_id] = None
+                if len(self._finished) > KEEP_FINISHED_JOBS:
+                    oldest = next(iter(self._finished))
+                    del self._finished[oldest]
+                    del self._history[oldest]
         for queue in list(self._subscribers):
             queue.put_nowait(event)

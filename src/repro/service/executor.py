@@ -237,19 +237,13 @@ def execute_figure(
     table_path = directory / f"{figure_id}.txt"
     table_path.write_text(rendered + "\n", encoding="utf-8")
     publish(log_event(view.job_id, f"figure artifact: {table_path}"))
-    # What `repro figure` flags for the same row: every failing check at
-    # toy parameters, and at claim parameters the claim's own problems,
-    # which excuse a documented divergence and flag one that now holds.
-    if quick:
-        failures = [str(check) for check in figure.checks if not check.holds]
-    else:
-        failures = claim.problems(figure.checks)
+    # What `repro figure` flags for the same row.
     return ExecutionOutcome(
         state="done",
         detail={
             "figure": figure_id,
             "artifact": str(table_path),
-            "shape_failures": failures,
+            "shape_failures": claim.judge(figure.checks, quick),
         },
     )
 

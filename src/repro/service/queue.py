@@ -35,6 +35,10 @@ from .jobs import (
     job_sort_key,
 )
 
+#: Finished jobs the daemon remembers: compaction keeps the queue records
+#: of the newest this many, and the event bus their event histories.
+KEEP_FINISHED_JOBS = 50
+
 
 def _decode(payload: Dict) -> Tuple[str, str, float, object]:
     """The queue's codec: ``(op, job id, ts, body)``, body a submit's spec or a
@@ -152,7 +156,7 @@ class DurableJobQueue:
 
     # -- compaction -----------------------------------------------------
 
-    def compact(self, keep_terminal: int = 50) -> int:
+    def compact(self, keep_terminal: int = KEEP_FINISHED_JOBS) -> int:
         """Atomically rewrite the log as one submit+state pair per job,
         dropping all but the newest ``keep_terminal`` finished jobs.
 

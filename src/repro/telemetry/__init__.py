@@ -5,8 +5,9 @@ Three layers with a strict determinism boundary:
 * :mod:`~repro.telemetry.registry` — counters, gauges, histograms, and
   their frozen picklable snapshots; pure observation, no clocks.
 * :mod:`~repro.telemetry.timeline` + :mod:`~repro.telemetry.probe` —
-  simulation-time instants/spans and the hook object the simulator
-  layers call; still purely deterministic.
+  simulation-time instants/spans and the observer the simulator layers
+  call through the scheduler's one observation seam; still purely
+  deterministic.
 * :mod:`~repro.telemetry.profiler` — wall-clock phase timing for the
   *harness* side only (the one lint-sanctioned wall-clock module).
 """

@@ -1,14 +1,12 @@
-"""The telemetry probe: the hook object the simulator layers call into.
+"""The telemetry probe: an observer that counts what a run does.
 
 A :class:`TelemetryProbe` bundles a :class:`~repro.telemetry.registry.
 MetricsRegistry` and an optional :class:`~repro.telemetry.timeline.
-Timeline` behind the duck-typed hook methods the engine, net, bgp, and
-dataplane layers invoke.  Installation mirrors the sanitizer hooks:
-:meth:`repro.engine.Scheduler.install_telemetry` sets
-``scheduler.telemetry``, other layers reach it through their scheduler
-reference, and every instrumentation point is guarded by a single
-``if telemetry is not None`` — a run without telemetry pays one
-attribute read per hook site and nothing more.
+Timeline` behind the hooks of :class:`~repro.engine.observer.Observer`,
+the one observation seam the engine, net and bgp layers call into.  The
+runner installs it with ``scheduler.observe(...)``, after the sanitizers
+when those are on too; a run without telemetry pays one attribute read
+per hook site and nothing more.
 
 The probe only *observes*.  It never draws randomness, schedules
 events, or reads the wall clock, so installing it cannot change a run's
@@ -19,6 +17,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, Optional
 
+from ..engine import Observer
 from .registry import Counter, MetricsRegistry
 from .timeline import Timeline
 
@@ -51,14 +50,14 @@ def estimate_wire_size(message: Any) -> int:
     return _HEADER_BYTES  # Keepalive and anything else
 
 
-class TelemetryProbe:
+class TelemetryProbe(Observer):
     """Metrics + timeline recording behind the simulator's hook points.
+
+    The counters, gauges and histograms land in :attr:`registry`, a fresh
+    :class:`MetricsRegistry` per probe.
 
     Parameters
     ----------
-    registry:
-        Destination for counters/gauges/histograms; a fresh
-        :class:`MetricsRegistry` when omitted.
     timeline:
         When given, the probe also records simulation-time instants for
         the sparse, plot-worthy events (MRAI expiries, FIB changes);
@@ -66,12 +65,8 @@ class TelemetryProbe:
         remain loadable.
     """
 
-    def __init__(
-        self,
-        registry: Optional[MetricsRegistry] = None,
-        timeline: Optional[Timeline] = None,
-    ) -> None:
-        self.registry = registry if registry is not None else MetricsRegistry()
+    def __init__(self, timeline: Optional[Timeline] = None) -> None:
+        self.registry = MetricsRegistry()
         self.timeline = timeline
         reg = self.registry
         # Hot-path metrics are bound once here so hook calls do no dict
@@ -98,7 +93,7 @@ class TelemetryProbe:
     # Engine hooks (Scheduler)
     # ------------------------------------------------------------------
 
-    def on_event_scheduled(
+    def on_schedule(
         self, now: float, time: float, name: Optional[str], housekeeping: bool
     ) -> None:
         self._events_scheduled.inc()
@@ -106,7 +101,7 @@ class TelemetryProbe:
             self._housekeeping_scheduled.inc()
 
     def on_event_fired(
-        self, time: float, name: Optional[str], heap_depth: int
+        self, now: float, time: float, name: Optional[str], heap_depth: int
     ) -> None:
         self._events_executed.inc()
         self._heap_depth.set(heap_depth)
@@ -115,8 +110,15 @@ class TelemetryProbe:
     # Net hooks (Channel / Node)
     # ------------------------------------------------------------------
 
-    def on_message_sent(
-        self, src: int, dst: int, message: Any, in_flight: int
+    def on_channel_send(
+        self,
+        src: int,
+        dst: int,
+        message: Any,
+        generation: int,
+        sequence: int,
+        now: float,
+        in_flight: int,
     ) -> None:
         kind = type(message).__name__
         counter = self._sent_by_kind.get(kind)
@@ -133,7 +135,15 @@ class TelemetryProbe:
         by.inc(estimate_wire_size(message))
         self._channel_occupancy.observe(in_flight)
 
-    def on_message_delivered(self, src: int, dst: int, message: Any) -> None:
+    def on_channel_deliver(
+        self,
+        src: int,
+        dst: int,
+        message: Any,
+        generation: int,
+        sequence: int,
+        now: float,
+    ) -> None:
         kind = type(message).__name__
         counter = self._delivered_by_kind.get(kind)
         if counter is None:
@@ -142,8 +152,10 @@ class TelemetryProbe:
             )
         counter.inc()
 
-    def on_in_flight_dropped(self, src: int, dst: int, count: int) -> None:
-        self._in_flight_dropped.inc(count)
+    def on_channel_flush(
+        self, src: int, dst: int, generation: int, destroyed: int
+    ) -> None:
+        self._in_flight_dropped.inc(destroyed)
 
     def on_cpu_enqueue(self, node: int, queue_length: int) -> None:
         self._cpu_queue.observe(queue_length)
@@ -152,7 +164,7 @@ class TelemetryProbe:
     # BGP hooks (Speaker)
     # ------------------------------------------------------------------
 
-    def on_decision(self, node: int, prefix: str) -> None:
+    def on_decision(self, speaker: Any, prefix: str) -> None:
         self._decisions.inc()
 
     def on_mrai_expiry(self, time: float, node: int, peer: int, prefix: str) -> None:
@@ -165,12 +177,6 @@ class TelemetryProbe:
     def on_update_suppressed(
         self, node: int, peer: int, prefix: str, reason: str
     ) -> None:
-        """An update the speaker wanted to send but held.
-
-        ``reason`` is one of ``"mrai"`` (announcement held by the timer),
-        ``"wrate"`` (withdrawal held, WRATE variant), or ``"duplicate"``
-        (Adj-RIB-Out already holds the desired state).
-        """
         counter = self._suppressed_by_reason.get(reason)
         if counter is None:
             counter = self._suppressed_by_reason[reason] = self.registry.counter(
@@ -179,8 +185,6 @@ class TelemetryProbe:
         counter.inc()
 
     def on_variant_extra(self, node: int, kind: str) -> None:
-        """A variant-specific protocol action (``ssld_conversion``,
-        ``ghost_flush``, ``poison_reverse``, ``assertion_removal``)."""
         counter = self._variant_extras.get(kind)
         if counter is None:
             counter = self._variant_extras[kind] = self.registry.counter(

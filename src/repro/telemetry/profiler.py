@@ -67,13 +67,6 @@ class PhaseProfiler:
                 self._order.append(name)
             self._totals[name] += elapsed
 
-    def seconds(self, name: str) -> float:
-        """Total wall seconds accumulated under ``name``."""
-        try:
-            return self._totals[name]
-        except KeyError:
-            raise TelemetryError(f"no phase named {name!r} was recorded") from None
-
     def timings(self) -> Tuple[PhaseTiming, ...]:
         """All completed phases, in first-entered order."""
         if self._active:

@@ -5,10 +5,11 @@ work needs to know *where* a sweep's work goes — so every layer of the
 simulator carries instrumentation points that feed a
 :class:`MetricsRegistry`.  Design constraints, in order:
 
-1. **Zero cost when disabled.**  Layers hold a ``telemetry`` reference
-   that defaults to ``None`` and guard every instrumentation point with
-   one attribute read (the same pattern as the sanitizer hooks), so a
-   run without telemetry pays nothing but that read.
+1. **Zero cost when disabled.**  The registry is filled by the
+   telemetry probe, an observer on the scheduler's one observation seam
+   (:mod:`repro.engine.observer`); every instrumentation point guards
+   with one attribute read, so a run nothing observes pays nothing but
+   that read.
 2. **Determinism.**  Metrics only *observe*: no metric draws randomness,
    schedules events, or reads the wall clock, so a run's event order —
    and therefore its determinism digest — is bit-identical with
@@ -27,7 +28,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..errors import TelemetryError
 
-#: Default histogram bucket upper bounds (values above the last bound land
+#: Every histogram's bucket upper bounds (values above the last bound land
 #: in the overflow bucket).  Chosen for the quantities the simulator
 #: observes: byte counts, queue depths, per-prefix fan-outs.
 DEFAULT_BUCKETS: Tuple[float, ...] = (
@@ -75,15 +76,9 @@ class Histogram:
 
     __slots__ = ("name", "bounds", "bucket_counts", "count", "total", "min", "max")
 
-    def __init__(
-        self, name: str, bounds: Sequence[float] = DEFAULT_BUCKETS
-    ) -> None:
-        if not bounds or list(bounds) != sorted(bounds):
-            raise TelemetryError(
-                f"histogram {name!r} needs ascending bucket bounds, got {bounds!r}"
-            )
+    def __init__(self, name: str) -> None:
         self.name = name
-        self.bounds: Tuple[float, ...] = tuple(bounds)
+        self.bounds: Tuple[float, ...] = DEFAULT_BUCKETS
         # One count per bound plus the overflow bucket.
         self.bucket_counts: List[int] = [0] * (len(self.bounds) + 1)
         self.count = 0
@@ -264,13 +259,11 @@ class MetricsRegistry:
             metric = self._gauges[name] = Gauge(name)
         return metric
 
-    def histogram(
-        self, name: str, bounds: Sequence[float] = DEFAULT_BUCKETS
-    ) -> Histogram:
+    def histogram(self, name: str) -> Histogram:
         metric = self._histograms.get(name)
         if metric is None:
             self._check_fresh(name, "histogram")
-            metric = self._histograms[name] = Histogram(name, bounds)
+            metric = self._histograms[name] = Histogram(name)
         return metric
 
     def _check_fresh(self, name: str, kind: str) -> None:

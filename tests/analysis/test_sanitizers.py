@@ -1,4 +1,4 @@
-"""Tests for the runtime sanitizers and the invariant-hook plumbing."""
+"""Tests for the runtime sanitizers, observers on the one observation seam."""
 
 from __future__ import annotations
 
@@ -8,7 +8,6 @@ from repro.analysis import (
     CausalitySanitizer,
     FifoSanitizer,
     RibCoherenceSanitizer,
-    SanitizerSuite,
     build_suite,
 )
 from repro.bgp import BgpConfig, variant
@@ -20,16 +19,13 @@ from repro.net.channel import Channel
 
 class TestBuildSuite:
     def test_default_suite_has_all_sanitizers(self):
-        suite = build_suite()
-        kinds = {type(s) for s in suite.sanitizers}
-        assert kinds == {CausalitySanitizer, FifoSanitizer, RibCoherenceSanitizer}
-
-    def test_unknown_name_rejected(self):
-        with pytest.raises(SanitizerError, match="unknown sanitizer"):
-            build_suite(["causality", "asan"])
+        kinds = [type(s) for s in build_suite()]
+        assert kinds == [CausalitySanitizer, FifoSanitizer, RibCoherenceSanitizer]
 
     def test_describe_aggregates_all_members(self):
-        lines = build_suite().describe()
+        scheduler = Scheduler()
+        scheduler.observe(*build_suite())
+        lines = scheduler.observer.describe()
         text = "\n".join(lines)
         assert "causality" in text
         assert "fifo" in text
@@ -39,7 +35,7 @@ class TestBuildSuite:
 class TestCausalitySanitizer:
     def test_scheduling_into_the_past_trips(self):
         scheduler = Scheduler()
-        scheduler.install_invariants(SanitizerSuite([CausalitySanitizer()]))
+        scheduler.observe(CausalitySanitizer())
         scheduler.call_at(5.0, lambda: None)
         scheduler.run()
         assert scheduler.now == 5.0
@@ -48,7 +44,7 @@ class TestCausalitySanitizer:
 
     def test_event_scheduled_in_past_from_handler_trips(self):
         scheduler = Scheduler()
-        scheduler.install_invariants(SanitizerSuite([CausalitySanitizer()]))
+        scheduler.observe(CausalitySanitizer())
 
         def misbehave():
             scheduler.call_at(scheduler.now - 0.5, lambda: None)
@@ -59,14 +55,14 @@ class TestCausalitySanitizer:
 
     def test_non_monotone_firing_trips(self):
         sanitizer = CausalitySanitizer()
-        sanitizer.on_event_fired(0.0, 5.0, "a")
+        sanitizer.on_event_fired(0.0, 5.0, "a", 0)
         with pytest.raises(SanitizerError, match="fired at"):
-            sanitizer.on_event_fired(5.0, 3.0, "b")
+            sanitizer.on_event_fired(5.0, 3.0, "b", 0)
 
     def test_clean_run_counts_checks(self):
         scheduler = Scheduler()
         sanitizer = CausalitySanitizer()
-        scheduler.install_invariants(SanitizerSuite([sanitizer]))
+        scheduler.observe(sanitizer)
         for delay in (1.0, 2.0, 3.0):
             scheduler.call_after(delay, lambda: None)
         scheduler.run()
@@ -77,34 +73,34 @@ class TestCausalitySanitizer:
 class TestFifoSanitizer:
     def test_sequence_gap_trips(self):
         sanitizer = FifoSanitizer()
-        sanitizer.on_channel_deliver(0, 1, 0, 1, 0.1)
+        sanitizer.on_channel_deliver(0, 1, None, 0, 1, 0.1)
         with pytest.raises(SanitizerError, match="fifo"):
-            sanitizer.on_channel_deliver(0, 1, 0, 3, 0.2)
+            sanitizer.on_channel_deliver(0, 1, None, 0, 3, 0.2)
 
     def test_reordered_arrival_time_trips(self):
         sanitizer = FifoSanitizer()
-        sanitizer.on_channel_deliver(0, 1, 0, 1, 1.0)
+        sanitizer.on_channel_deliver(0, 1, None, 0, 1, 1.0)
         with pytest.raises(SanitizerError, match="precedes"):
-            sanitizer.on_channel_deliver(0, 1, 0, 2, 0.5)
+            sanitizer.on_channel_deliver(0, 1, None, 0, 2, 0.5)
 
     def test_delivery_from_flushed_generation_trips(self):
         sanitizer = FifoSanitizer()
-        sanitizer.on_channel_deliver(0, 1, 0, 1, 0.1)
-        sanitizer.on_channel_flush(0, 1, 0)
+        sanitizer.on_channel_deliver(0, 1, None, 0, 1, 0.1)
+        sanitizer.on_channel_flush(0, 1, 0, 1)
         with pytest.raises(SanitizerError, match="dead generation"):
-            sanitizer.on_channel_deliver(0, 1, 0, 2, 0.2)
+            sanitizer.on_channel_deliver(0, 1, None, 0, 2, 0.2)
 
     def test_new_generation_restarts_sequence(self):
         sanitizer = FifoSanitizer()
-        sanitizer.on_channel_deliver(0, 1, 0, 1, 0.1)
-        sanitizer.on_channel_flush(0, 1, 0)
-        sanitizer.on_channel_deliver(0, 1, 1, 1, 0.3)
+        sanitizer.on_channel_deliver(0, 1, None, 0, 1, 0.1)
+        sanitizer.on_channel_flush(0, 1, 0, 1)
+        sanitizer.on_channel_deliver(0, 1, None, 1, 1, 0.3)
         assert sanitizer.deliveries_checked == 2
 
     def test_channel_integration_clean(self):
         scheduler = Scheduler()
         sanitizer = FifoSanitizer()
-        scheduler.install_invariants(SanitizerSuite([sanitizer]))
+        scheduler.observe(sanitizer)
         received = []
         channel = Channel(
             scheduler, 0, 1, 0.002, lambda src, msg: received.append(msg)
@@ -118,7 +114,7 @@ class TestFifoSanitizer:
     def test_channel_integration_across_reset(self):
         scheduler = Scheduler()
         sanitizer = FifoSanitizer()
-        scheduler.install_invariants(SanitizerSuite([sanitizer]))
+        scheduler.observe(sanitizer)
         received = []
         channel = Channel(
             scheduler, 0, 1, 0.002, lambda src, msg: received.append(msg)
@@ -234,3 +230,41 @@ class TestRunnerIntegration:
                 scenario, config, settings=RunSettings(event_budget=10), seed=0
             )
         assert excinfo.value.snapshot.sanitizer_state == ()
+
+    def test_sanitize_and_telemetry_share_the_seam(self):
+        """Both observers on one run: the plain run's digest, the
+        telemetry-only run's snapshot, the sanitize-only run's state."""
+        from repro.analysis import fingerprint_run
+
+        scenario = tdown_clique(5)
+        config = variant("standard", mrai=2.0)
+
+        def run(**flags):
+            return run_experiment(
+                scenario,
+                config,
+                settings=RunSettings(**flags),
+                seed=2,
+                keep_network=True,
+            )
+
+        plain = run()
+        telemetry = run(telemetry=True)
+        both = run(sanitize=True, telemetry=True)
+        assert fingerprint_run(both).digest == fingerprint_run(plain).digest
+        assert both.metrics == telemetry.metrics
+        assert not both.metrics.empty
+
+        def sanitizer_lines(**flags):
+            with pytest.raises(BudgetExceededError) as excinfo:
+                run_experiment(
+                    scenario,
+                    config,
+                    settings=RunSettings(event_budget=40, **flags),
+                    seed=2,
+                )
+            return excinfo.value.snapshot.sanitizer_state
+
+        lines = sanitizer_lines(sanitize=True)
+        assert len(lines) == 3
+        assert sanitizer_lines(sanitize=True, telemetry=True) == lines

@@ -58,7 +58,7 @@ class TestExplorationReport:
     def test_since_restricts_window(self, log):
         report = ExplorationReport.from_log(log, P, since=15.0)
         assert report.exploration_depth(5) == 1  # only (5 6 7 0)
-        assert report.nodes() == [5, 6]
+        assert sorted(report.per_node_sequences) == [5, 6]
 
     def test_longest_path_explored(self, log):
         report = ExplorationReport.from_log(log, P)
@@ -70,7 +70,7 @@ class TestExplorationReport:
 
     def test_empty_report(self):
         report = ExplorationReport.from_log(RouteChangeLog(), P)
-        assert report.nodes() == []
+        assert sorted(report.per_node_sequences) == []
         assert report.mean_depth() == 0.0
         assert report.non_shortening_fraction() == 0.0
 
@@ -87,7 +87,7 @@ class TestOnRealRun:
         report = ExplorationReport.from_log(
             run.route_log, "dest", since=run.failure_time
         )
-        assert max(report.exploration_depth(n) for n in report.nodes()) >= 2
+        assert max(report.exploration_depth(n) for n in report.per_node_sequences) >= 2
         # Tdown exploration may sidestep between equal-length obsolete
         # paths but never adopts a strictly shorter one, and it does reach
         # paths longer than the two-hop ones held before the failure.

@@ -67,10 +67,6 @@ class TestSourcesFor:
         sources = sources_for([0, 1, 2, 3], destination=2)
         assert [s.node for s in sources] == [0, 1, 3]
 
-    def test_stagger_offsets_phases(self):
-        sources = sources_for([0, 1, 2], destination=0, stagger=0.01)
-        assert sources[0].start != sources[1].start
-
     def test_rate_passthrough(self):
         sources = sources_for([0, 1], destination=0, rate=25.0)
         assert sources[0].rate == 25.0

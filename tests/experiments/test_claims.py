@@ -39,18 +39,27 @@ class TestProblems:
         return [ObservationCheck(name, ok, "d") for name, ok in holds.items()]
 
     def test_all_holding_is_no_problem(self):
-        assert Claim(print).problems(self._checks(a=True, b=True)) == []
+        assert Claim(print).judge(self._checks(a=True, b=True), quick=False) == []
 
     def test_failing_check_is_a_problem(self):
-        (line,) = Claim(print).problems(self._checks(a=True, b=False))
+        (line,) = Claim(print).judge(self._checks(a=True, b=False), quick=False)
         assert line == "claim not reproduced: b: VIOLATED — d"
 
     def test_documented_divergence_must_keep_failing(self):
         claim = Claim(print, divergences={"b": 2})
-        assert claim.problems(self._checks(a=True, b=False)) == []
-        (line,) = claim.problems(self._checks(a=True, b=True))
+        assert claim.judge(self._checks(a=True, b=False), quick=False) == []
+        (line,) = claim.judge(self._checks(a=True, b=True), quick=False)
         assert line.startswith("known divergence 2 (EXPERIMENTS.md) now holds")
 
     def test_divergence_without_its_check_is_a_problem(self):
-        (line,) = Claim(print, divergences={"gone": 1}).problems(self._checks(a=True))
+        claim = Claim(print, divergences={"gone": 1})
+        (line,) = claim.judge(self._checks(a=True), quick=False)
         assert "'gone' is missing" in line
+
+    def test_quick_lists_every_failing_check_divergence_or_not(self):
+        claim = Claim(print, divergences={"b": 2})
+        checks = self._checks(a=True, b=False, c=False)
+        assert claim.judge(checks, quick=True) == [
+            "b: VIOLATED — d",
+            "c: VIOLATED — d",
+        ]

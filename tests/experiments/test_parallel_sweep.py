@@ -24,6 +24,7 @@ from repro.experiments import (
     xs_of,
 )
 from repro.experiments.sweep import run_trials
+from repro.telemetry import MetricsSnapshot
 
 FAST = BgpConfig(mrai=1.0, processing_delay=(0.01, 0.05))
 SETTINGS = RunSettings(failure_guard=0.5)
@@ -155,7 +156,7 @@ class TestTelemetryEquivalence:
     def test_point_aggregation(self, traced_pair):
         _, parallel = traced_pair
         point = parallel[0]
-        aggregate = point.telemetry()
+        aggregate = MetricsSnapshot.aggregate([run.metrics for run in point.runs])
         per_run = sum(
             run.metrics.counter("engine.events_executed") for run in point.runs
         )

@@ -99,7 +99,12 @@ class TestChurnScenarios:
 
     def test_treset_requires_a_link(self):
         with pytest.raises(ConfigError, match=r"link \(0, 9\) not in topology"):
-            treset_clique(3, link=(0, 9))
+            Scenario(
+                name="x",
+                topology=clique(3),
+                destination=0,
+                events=(SessionReset(0, 9, at=0.0),),
+            )
 
     def test_tcrash_clique_defaults(self):
         scenario = tcrash_clique(5)
@@ -108,11 +113,21 @@ class TestChurnScenarios:
 
     def test_tcrash_requires_crash_node(self):
         with pytest.raises(ConfigError, match="crash node 9 not in topology"):
-            tcrash_clique(3, crash=9)
+            Scenario(
+                name="x",
+                topology=clique(3),
+                destination=0,
+                events=(NodeCrash(9, at=0.0),),
+            )
 
     def test_tcrash_rejects_crashing_the_destination(self):
         with pytest.raises(ConfigError, match="Tdown"):
-            tcrash_clique(4, crash=0)
+            Scenario(
+                name="x",
+                topology=clique(4),
+                destination=0,
+                events=(NodeCrash(0, at=0.0),),
+            )
 
     def test_tcrash_rejects_nonpositive_restart(self):
         with pytest.raises(ConfigError, match="restart_after"):

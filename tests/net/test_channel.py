@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from repro.engine import Scheduler
 from repro.errors import NetworkError
 from repro.net import Channel
+from repro.telemetry import TelemetryProbe
 
 
 @pytest.fixture
@@ -35,12 +36,14 @@ class TestDelivery:
         assert [msg for _t, _s, msg in inbox] == ["a", "b"]
 
     def test_counters(self, scheduler, channel):
+        probe = TelemetryProbe()
+        scheduler.observe(probe)
         channel.send("x")
         channel.send("y")
-        assert channel.messages_sent == 2
-        assert channel.messages_delivered == 0
+        assert probe.snapshot().counter("net.messages_sent.str") == 2
+        assert probe.snapshot().counter("net.messages_delivered.str") == 0
         scheduler.run()
-        assert channel.messages_delivered == 2
+        assert probe.snapshot().counter("net.messages_delivered.str") == 2
 
     def test_in_flight_count(self, scheduler, channel):
         channel.send("x")
@@ -149,4 +152,3 @@ def test_in_flight_queue_under_interleaved_operations(ops):
     assert inbox == survivors
     assert destroyed.isdisjoint(inbox)
     assert channel.in_flight == 0 and not channel._pending
-    assert channel.messages_delivered == len(inbox)

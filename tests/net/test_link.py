@@ -5,6 +5,7 @@ import pytest
 from repro.engine import Scheduler
 from repro.errors import NetworkError
 from repro.net import Link
+from repro.telemetry import TelemetryProbe
 
 
 @pytest.fixture
@@ -76,7 +77,9 @@ class TestFailure:
         assert boxes["v"] == [(1, "x")]
 
     def test_messages_carried_counter(self, scheduler, link):
+        probe = TelemetryProbe()
+        scheduler.observe(probe)
         link.send(1, "a")
         link.send(2, "b")
         scheduler.run()
-        assert link.messages_carried == 2
+        assert probe.snapshot().counter("net.messages_delivered.str") == 2

@@ -54,41 +54,3 @@ class TestQueries:
         assert len(trace) == 0
         assert trace.last_time() is None
 
-
-class TestKindTallies:
-    """The incremental per-kind counts agree with a full rescan."""
-
-    def test_count_kind(self, trace):
-        assert trace.count_kind("Ping") == 2
-        assert trace.count_kind("Pong") == 1
-
-    def test_count_kind_unknown_is_zero(self, trace):
-        assert trace.count_kind("Open") == 0
-
-    def test_count_with_kind_keyword(self, trace):
-        assert trace.count(kind="Ping") == 2
-        assert trace.count(kind="Open") == 0
-
-    def test_count_rejects_predicate_plus_kind(self, trace):
-        with pytest.raises(ValueError, match="not both"):
-            trace.count(lambda r: True, kind="Ping")
-
-    def test_kind_counts_sorted_copy(self, trace):
-        counts = trace.kind_counts()
-        assert counts == {"Ping": 2, "Pong": 1}
-        assert list(counts) == sorted(counts)
-        counts["Ping"] = 99
-        assert trace.count_kind("Ping") == 2
-
-    def test_tallies_match_predicate_scan(self, trace):
-        for kind in ("Ping", "Pong"):
-            assert trace.count_kind(kind) == trace.count(
-                lambda r, k=kind: r.kind == k
-            )
-
-    def test_clear_resets_tallies(self, trace):
-        trace.clear()
-        assert trace.kind_counts() == {}
-        assert trace.count_kind("Ping") == 0
-        trace.record(4.0, 2, 0, Pong())
-        assert trace.kind_counts() == {"Pong": 1}

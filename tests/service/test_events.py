@@ -156,3 +156,28 @@ class TestEventBus:
             return queue.qsize()
 
         assert asyncio.run(scenario()) == 10
+
+    def test_history_kept_for_unfinished_and_newest_finished_jobs(self):
+        from repro.service.queue import KEEP_FINISHED_JOBS
+
+        async def scenario():
+            bus = EventBus(asyncio.get_running_loop())
+            bus.publish(trial_event("running", 3.0, 0, True))
+            for index in range(KEEP_FINISHED_JOBS + 1):
+                bus.publish(trial_event(f"job-{index}", 3.0, 0, True))
+                bus.publish(end_event(f"job-{index}", "done"))
+            await asyncio.sleep(0)
+            return {
+                job: bus.subscribe(job).qsize()
+                for job in ("running", "job-0", "job-1", f"job-{KEEP_FINISHED_JOBS}")
+            }
+
+        sizes = asyncio.run(scenario())
+        # The oldest finished job's history is gone: a watch of it gets
+        # only the daemon's state reply and ``end``.
+        assert sizes == {
+            "running": 1,
+            "job-0": 0,
+            "job-1": 2,
+            f"job-{KEEP_FINISHED_JOBS}": 2,
+        }

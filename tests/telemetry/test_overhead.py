@@ -1,7 +1,7 @@
 """Telemetry is free when off: the disabled-path guard estimate stays < 2 %.
 
-The cost of the ``if scheduler.telemetry is not None`` guard every hook
-site executes cannot be A/B-tested against a guard-free build, so it is
+The cost of the ``if observer is not None`` guard every hook site
+executes cannot be A/B-tested against a guard-free build, so it is
 estimated: a microbenchmark times one attribute read plus None check, and
 that cost is multiplied by the number of hook fires a telemetry-on run of
 the same sweep counts.  Best-of-N timings keep scheduler noise out of both
@@ -19,7 +19,7 @@ def guard_seconds(iterations: int = 200_000) -> float:
     """Wall seconds one disabled-path guard costs (clamped at zero)."""
 
     class Holder:
-        telemetry = None
+        observer = None
 
     holder = Holder()
     indices = range(iterations)
@@ -29,7 +29,7 @@ def guard_seconds(iterations: int = 200_000) -> float:
     empty = watch.elapsed()
     watch = Stopwatch.start()
     for _ in indices:
-        if holder.telemetry is not None:
+        if holder.observer is not None:
             raise AssertionError("unreachable")
     guarded = watch.elapsed()
     return max(0.0, (guarded - empty) / iterations)
@@ -49,12 +49,12 @@ def test_disabled_telemetry_guards_cost_under_two_percent():
     traced = sweep(True)
     # Counter totals of the enabled run stand in for the guards the
     # disabled run executed.  Byte counters hold byte totals, and the
-    # trace/dataplane counters are filled in post-run without a per-event
+    # dataplane counters are filled in post-run without a per-event
     # guard.  Still conservative: one hook fire can bump several counters.
     hook_fires = sum(
         value
         for name, value in traced.counters.items()
-        if not name.startswith(("net.bytes_sent.", "trace.", "dataplane."))
+        if not name.startswith(("net.bytes_sent.", "dataplane."))
     )
     assert hook_fires > 0
     guard = min(guard_seconds() for _ in range(3))

@@ -4,7 +4,7 @@ import pytest
 
 from repro.bgp import AsPath
 from repro.bgp.messages import Announcement, Keepalive, Open, Withdrawal
-from repro.telemetry import MetricsRegistry, TelemetryProbe, Timeline, estimate_wire_size
+from repro.telemetry import TelemetryProbe, Timeline, estimate_wire_size
 
 
 class TestWireSize:
@@ -37,15 +37,15 @@ def probe():
 
 class TestEngineHooks:
     def test_scheduled_and_housekeeping(self, probe):
-        probe.on_event_scheduled(0.0, 1.0, "deliver", False)
-        probe.on_event_scheduled(0.0, 2.0, "keepalive", True)
+        probe.on_schedule(0.0, 1.0, "deliver", False)
+        probe.on_schedule(0.0, 2.0, "keepalive", True)
         snap = probe.snapshot()
         assert snap.counter("engine.events_scheduled") == 2
         assert snap.counter("engine.housekeeping_scheduled") == 1
 
     def test_fired_tracks_heap_high_water(self, probe):
-        probe.on_event_fired(1.0, "a", heap_depth=5)
-        probe.on_event_fired(2.0, "b", heap_depth=2)
+        probe.on_event_fired(0.0, 1.0, "a", heap_depth=5)
+        probe.on_event_fired(1.0, 2.0, "b", heap_depth=2)
         snap = probe.snapshot()
         assert snap.counter("engine.events_executed") == 2
         gauge = snap.gauges["engine.heap_depth"]
@@ -55,10 +55,10 @@ class TestEngineHooks:
 class TestNetHooks:
     def test_per_kind_message_and_byte_counts(self, probe):
         announcement = Announcement(prefix="d0", path=AsPath([2, 1]))
-        probe.on_message_sent(0, 1, announcement, in_flight=1)
-        probe.on_message_sent(0, 1, announcement, in_flight=2)
-        probe.on_message_sent(1, 0, Withdrawal(prefix="d0"), in_flight=1)
-        probe.on_message_delivered(0, 1, announcement)
+        probe.on_channel_send(0, 1, announcement, 0, 1, 0.0, in_flight=1)
+        probe.on_channel_send(0, 1, announcement, 0, 2, 0.0, in_flight=2)
+        probe.on_channel_send(1, 0, Withdrawal(prefix="d0"), 0, 1, 0.0, in_flight=1)
+        probe.on_channel_deliver(0, 1, announcement, 0, 1, 0.1)
         snap = probe.snapshot()
         assert snap.counter("net.messages_sent.Announcement") == 2
         assert snap.counter("net.messages_sent.Withdrawal") == 1
@@ -68,7 +68,7 @@ class TestNetHooks:
         assert snap.histograms["net.channel_occupancy"].max == 2
 
     def test_in_flight_drops_and_cpu_queue(self, probe):
-        probe.on_in_flight_dropped(0, 1, count=3)
+        probe.on_channel_flush(0, 1, 0, destroyed=3)
         probe.on_cpu_enqueue(2, queue_length=4)
         snap = probe.snapshot()
         assert snap.counter("net.in_flight_dropped") == 3
@@ -77,7 +77,7 @@ class TestNetHooks:
 
 class TestBgpHooks:
     def test_decisions_and_suppressions(self, probe):
-        probe.on_decision(1, "d0")
+        probe.on_decision(None, "d0")
         probe.on_update_suppressed(1, 2, "d0", "mrai")
         probe.on_update_suppressed(1, 2, "d0", "duplicate")
         probe.on_update_suppressed(1, 3, "d0", "mrai")
@@ -107,11 +107,10 @@ class TestDataplaneHooks:
 
 
 class TestConstruction:
-    def test_external_registry_is_used(self):
-        registry = MetricsRegistry()
-        probe = TelemetryProbe(registry=registry)
-        probe.on_decision(0, "d0")
-        assert registry.snapshot().counter("bgp.decision_runs") == 1
+    def test_counters_land_in_its_registry(self):
+        probe = TelemetryProbe()
+        probe.on_decision(None, "d0")
+        assert probe.registry.snapshot().counter("bgp.decision_runs") == 1
 
     def test_timeline_optional(self):
         probe = TelemetryProbe()

@@ -18,7 +18,6 @@ class TestPhaseProfiler:
         timings = profiler.timings()
         assert [t.name for t in timings] == ["a", "b"]
         assert all(t.seconds >= 0 for t in timings)
-        assert profiler.seconds("a") >= 0
         assert profiler.total_seconds == pytest.approx(
             sum(t.seconds for t in timings)
         )
@@ -29,10 +28,6 @@ class TestPhaseProfiler:
             with profiler.phase("inner"):
                 pass
         assert {t.name for t in profiler.timings()} == {"outer", "inner"}
-
-    def test_unknown_phase_rejected(self):
-        with pytest.raises(TelemetryError, match="no phase named"):
-            PhaseProfiler().seconds("missing")
 
     def test_summary_while_active_rejected(self):
         profiler = PhaseProfiler()

@@ -39,20 +39,17 @@ class TestGauge:
 
 class TestHistogram:
     def test_observations_land_in_buckets(self):
-        hist = MetricsRegistry().histogram("h", bounds=(1.0, 10.0))
-        for value in (0.5, 5.0, 100.0):
+        hist = MetricsRegistry().histogram("h")
+        for value in (0.5, 5.0, 5000.0):
             hist.observe(value)
-        assert hist.bucket_counts == [1, 1, 1]  # <=1, <=10, overflow
+        # <=1, <=5 and the overflow bucket past the last bound (1000).
+        assert hist.bucket_counts == [1, 0, 1, 0, 0, 0, 0, 0, 0, 0, 1]
         assert hist.count == 3
-        assert hist.min == 0.5 and hist.max == 100.0
-        assert hist.mean == pytest.approx(105.5 / 3)
+        assert hist.min == 0.5 and hist.max == 5000.0
+        assert hist.mean == pytest.approx(5005.5 / 3)
 
     def test_empty_mean_is_zero(self):
         assert MetricsRegistry().histogram("h").mean == 0.0
-
-    def test_unsorted_bounds_rejected(self):
-        with pytest.raises(TelemetryError, match="ascending"):
-            MetricsRegistry().histogram("h", bounds=(5.0, 1.0))
 
     def test_default_bounds(self):
         hist = MetricsRegistry().histogram("h")
@@ -102,12 +99,12 @@ class TestAggregate:
         first = MetricsRegistry()
         first.counter("c").inc(2)
         first.gauge("g").set(5.0)
-        first.histogram("h", bounds=(1.0, 10.0)).observe(0.5)
+        first.histogram("h").observe(0.5)
         second = MetricsRegistry()
         second.counter("c").inc(3)
         second.counter("only_second").inc(1)
         second.gauge("g").set(2.0)
-        second.histogram("h", bounds=(1.0, 10.0)).observe(50.0)
+        second.histogram("h").observe(50.0)
         return first.snapshot(), second.snapshot()
 
     def test_counters_sum_and_names_union(self):
@@ -122,7 +119,7 @@ class TestAggregate:
     def test_histograms_merge_bucketwise(self):
         combined = MetricsSnapshot.aggregate(self.two_snapshots())
         merged = combined.histograms["h"]
-        assert merged.bucket_counts == (1, 0, 1)
+        assert merged.bucket_counts == (1, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0)
         assert merged.count == 2
         assert merged.min == 0.5 and merged.max == 50.0
 

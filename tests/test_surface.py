@@ -4,7 +4,10 @@ A *public def* is a top-level function or class whose name has no leading
 underscore, or such a method of a public class.  Its *caller* is its name
 as a code token (an identifier, or an attribute after a ``.``) anywhere
 in ``src/``, ``examples/`` or ``benchmarks/`` outside the def's own body.
-Methods count only after a ``.``.  Imports and ``__all__`` strings are not
+Methods count only after a ``.``.  A method that is not a property and
+shares its name with an attribute or field assigned anywhere in ``src/``
+is *ambiguous*: a ``.name`` read may be that attribute, so only a
+``.name(`` call counts for it.  Imports and ``__all__`` strings are not
 code tokens, so a package ``__init__`` that re-exports a name does not
 call it.  The benchmark's staged replica reaches methods by reflection:
 each ``(Class, "method", "span")`` tuple of ``benchmarks/e2e/layers.py``'s
@@ -148,21 +151,11 @@ KEPT: Dict[str, str] = {
     "repro.net.channel.Channel.in_flight": (
         "probe: tests/net/test_channel.py"
     ),
-    "repro.net.channel.Channel.messages_sent": (
-        "probe: tests/net/test_channel.py::TestDelivery::test_counters"
-    ),
-    "repro.net.link.Link.messages_carried": (
-        "probe: tests/net/test_link.py::TestFailure"
-    ),
     "repro.net.network.Network.links": (
         "probe: tests/net/test_network.py::TestConstruction"
     ),
     "repro.net.network.Network.node_is_up": (
         "probe: tests/net/test_fault_injection.py::TestNodeCrash"
-    ),
-    "repro.net.trace.MessageTrace.count_kind": (
-        "probe: tests/net/test_trace.py::TestKindTallies checks the O(1) "
-        "tallies against a rescan"
     ),
     "repro.telemetry.profiler.time_callable": (
         "probe: tests/telemetry/test_overhead.py times the disabled "
@@ -177,10 +170,6 @@ KEPT: Dict[str, str] = {
 
 KEPT_PARAMS: Dict[str, str] = {
     # Tests need another value to reach a behaviour.
-    "repro.analysis.sanitizers.build_suite(names)": (
-        "tests/analysis/test_sanitizers.py::TestBuildSuite checks that an "
-        "unknown sanitizer name is rejected"
-    ),
     "repro.analysis.stability.certify(limits)": (
         "tests/analysis/test_stability.py::TestUnknownDegradation reaches "
         "the truncated-lattice and search-budget UNKNOWN verdicts"
@@ -200,36 +189,12 @@ KEPT_PARAMS: Dict[str, str] = {
         "oracle: tests/dataplane/test_traffic_eval.py walks with TTL 1 to "
         "reach exhaustion, and the evaluator properties with the run's TTL"
     ),
-    "repro.dataplane.traffic.sources_for(stagger)": (
-        "tests/dataplane/test_traffic.py::TestSourcesFor reaches "
-        "staggered source phases"
-    ),
-    "repro.dv.rip.RipSpeaker.__init__(mode)": (
-        "tests/dv/test_rip.py::TestModes checks that an unknown mode is "
-        "rejected"
-    ),
     "repro.experiments.oscillation.observe_oscillation(config)": (
         "tests/experiments/test_unsafe.py reaches DISAGREE's convergence "
         "under MRAI-staggered timing"
     ),
-    "repro.experiments.scenarios.tcrash_clique(crash)": (
-        "tests/experiments/test_scenarios.py checks that a missing node "
-        "and the destination are rejected as the crashed AS"
-    ),
-    "repro.experiments.scenarios.treset_clique(link)": (
-        "tests/experiments/test_scenarios.py checks that a missing link "
-        "is rejected"
-    ),
     "repro.service.bench.run_bench_cycle(timeout)": (
         "tests/service/test_bench.py reaches the timeout path"
-    ),
-    "repro.telemetry.probe.TelemetryProbe.__init__(registry)": (
-        "tests/telemetry/test_probe.py::TestConstruction reads the "
-        "counters through a registry it owns"
-    ),
-    "repro.telemetry.registry.MetricsRegistry.histogram(bounds)": (
-        "tests/telemetry/test_registry.py places observations in known "
-        "buckets and checks that unsorted bounds are rejected"
     ),
     "repro.util.plot.ascii_chart(height)": (
         "tests/util/test_plot.py checks exact layouts on small canvases"
@@ -264,9 +229,12 @@ KEPT_PARAMS: Dict[str, str] = {
 Uses = Dict[str, List[Tuple[Path, int]]]
 
 
-def _code_tokens() -> Tuple[Uses, Uses]:
+def _code_tokens() -> Tuple[Uses, Uses, Uses]:
+    """Identifier uses, attribute uses, and the attribute uses that are
+    the callee of a call (``x.name(...)``)."""
     names: Uses = defaultdict(list)
     attrs: Uses = defaultdict(list)
+    calls: Uses = defaultdict(list)
     for base in CALLER_DIRS:
         for path in sorted(base.rglob("*.py")):
             for node in ast.walk(ast.parse(path.read_text(), str(path))):
@@ -274,7 +242,33 @@ def _code_tokens() -> Tuple[Uses, Uses]:
                     names[node.id].append((path, node.lineno))
                 elif isinstance(node, ast.Attribute):
                     attrs[node.attr].append((path, node.lineno))
-    return names, attrs
+                elif isinstance(node, ast.Call) and isinstance(
+                    node.func, ast.Attribute
+                ):
+                    calls[node.func.attr].append((path, node.lineno))
+    return names, attrs, calls
+
+
+def _assigned_attributes() -> Set[str]:
+    """Names assigned as an attribute (``x.name = ...``) or declared as a
+    class-body field anywhere in ``src/``."""
+    assigned: Set[str] = set()
+    for path in sorted(SRC.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
+                assigned.add(node.attr)
+            elif isinstance(node, ast.ClassDef):
+                for member in node.body:
+                    assigned.update(_assigned_names(member))
+    return assigned
+
+
+def _is_property(node: ast.AST) -> bool:
+    return any(
+        (isinstance(d, ast.Name) and d.id in ("property", "cached_property"))
+        or (isinstance(d, ast.Attribute) and d.attr in ("setter", "cached_property"))
+        for d in getattr(node, "decorator_list", ())
+    )
 
 
 def _module_name(path: Path) -> str:
@@ -356,12 +350,16 @@ def _reflected(defined: Set[str]) -> Tuple[Set[str], List[str]]:
 
 def _uncalled() -> Tuple[Set[str], Set[str]]:
     """Public names without a caller, and every public name."""
-    names, attrs = _code_tokens()
+    names, attrs, calls = _code_tokens()
+    assigned = _assigned_attributes()
     uncalled: Set[str] = set()
     defined: Set[str] = set()
     for qualified, name, node, path, is_method in _public_defs():
         defined.add(qualified)
-        uses = list(attrs.get(name, ()))
+        if is_method and name in assigned and not _is_property(node):
+            uses = list(calls.get(name, ()))
+        else:
+            uses = list(attrs.get(name, ()))
         if not is_method:
             uses += names.get(name, ())
         outside = [
