@@ -18,7 +18,6 @@ import sys
 from repro.core import check_linear_in_mrai, check_ratio_constant
 from repro.experiments import clique_tdown_trial
 from repro.experiments.figures.common import mrai_sweep
-from repro.experiments.sweep import series, xs_of
 from repro.util import render_series
 
 
@@ -33,14 +32,18 @@ def main() -> None:
     )
     points = mrai_sweep(mrai_values, clique_tdown_trial, clique_size, seeds)
 
+    def series(metric: str):
+        """The metric's trial mean at each MRAI value."""
+        return [point.metrics[metric] for point in points]
+
     table = render_series(
         "mrai",
-        xs_of(points),
+        mrai_values,
         [
-            ("convergence_s", series(points, "convergence_time")),
-            ("looping_s", series(points, "looping_duration")),
-            ("ttl_exhaustions", series(points, "ttl_exhaustions")),
-            ("looping_ratio", series(points, "looping_ratio")),
+            ("convergence_s", series("convergence_time")),
+            ("looping_s", series("looping_duration")),
+            ("ttl_exhaustions", series("ttl_exhaustions")),
+            ("looping_ratio", series("looping_ratio")),
         ],
         title=f"Tdown on clique-{clique_size}, metrics vs MRAI",
     )
@@ -51,9 +54,9 @@ def main() -> None:
         ("looping_duration", "looping duration"),
         ("ttl_exhaustions", "TTL exhaustions"),
     ]:
-        check = check_linear_in_mrai(xs_of(points), series(points, metric))
+        check = check_linear_in_mrai(mrai_values, series(metric))
         print(f"  {label:18s}: {check}")
-    ratio_check = check_ratio_constant(series(points, "looping_ratio"))
+    ratio_check = check_ratio_constant(series("looping_ratio"))
     print(f"  {'looping ratio':18s}: {ratio_check}")
 
 

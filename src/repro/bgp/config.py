@@ -9,7 +9,7 @@ described by ``(topology, event, BgpConfig, seed)``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional, Tuple
 
 from ..errors import ConfigError

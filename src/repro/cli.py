@@ -87,23 +87,6 @@ def _add_resilience_arguments(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _policy_of(args):
-    """A :class:`ResiliencePolicy` from CLI flags, or ``None`` when the
-    resilience flags were not used (no retries, no supervision report)."""
-    retries = getattr(args, "retries", None)
-    trial_timeout = getattr(args, "trial_timeout", None)
-    if retries is None and trial_timeout is None:
-        return None
-    from .experiments import ResiliencePolicy
-
-    kwargs = {}
-    if retries is not None:
-        kwargs["max_retries"] = retries
-    if trial_timeout is not None:
-        kwargs["trial_timeout"] = trial_timeout
-    return ResiliencePolicy(**kwargs)
-
-
 def _number_list(text: str, flag: str, parse: Callable[[str], float]) -> List:
     """The comma-separated numbers given to ``flag``; an entry ``parse``
     rejects is a usage error, not a traceback."""
@@ -659,11 +642,12 @@ def _print_traced_run(args, run, profiler) -> None:
 
 def _cmd_figure(args) -> int:
     from .experiments import trial_runner
+    from .experiments.resilience import policy_of
 
     unknown = [figure_id for figure_id in args.more if figure_id not in CLAIMS]
     if unknown:
         raise ReproError(f"unknown result identifier(s): {', '.join(unknown)}")
-    policy = _policy_of(args)
+    policy = policy_of(args.retries, args.trial_timeout)
     used = {
         "--jobs": args.jobs != 1,
         "--retries/--trial-timeout": policy is not None,
@@ -895,11 +879,12 @@ def _cmd_stability(args) -> int:
 
 def _cmd_determinism(args) -> int:
     from .analysis import check_determinism
+    from .experiments.resilience import policy_of
 
     scenario = tdown_clique(args.size)
     config = variant(args.variant, mrai=args.mrai)
     settings = RunSettings(sanitize=args.sanitize)
-    policy = _policy_of(args)
+    policy = policy_of(args.retries, args.trial_timeout)
     report = check_determinism(
         scenario,
         config,

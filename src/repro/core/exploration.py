@@ -22,7 +22,6 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from ..bgp.path import AsPath
-from ..errors import AnalysisError
 from ..util.stats import mean
 
 

@@ -10,7 +10,7 @@ One evaluator and one oracle:
   evaluator is checked against (use for validation and small scenarios).
 """
 
-from .epochs import DataPlaneReport, EpochEvaluator, LoopSighting
+from .epochs import DataPlaneReport, EpochEvaluator
 from .fib import FibChange, FibChangeLog, ForwardingGraph, MultiPrefixFib
 from .packet import (
     DEFAULT_TTL,
@@ -43,7 +43,6 @@ __all__ = [
     "Flow",
     "ForwardingGraph",
     "ForwardingTracker",
-    "LoopSighting",
     "MultiPrefixFib",
     "PacketFate",
     "PacketForwarder",

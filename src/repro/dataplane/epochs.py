@@ -38,21 +38,6 @@ from .traffic_eval import TrafficMatrixEvaluator
 
 
 @dataclass
-class LoopSighting:
-    """Aggregate statistics for one distinct forwarding cycle."""
-
-    cycle: Tuple[int, ...]
-    packets_lost: int = 0
-    first_seen: float = float("inf")
-    last_seen: float = float("-inf")
-
-    @property
-    def size(self) -> int:
-        """Number of nodes in the cycle."""
-        return len(self.cycle)
-
-
-@dataclass
 class DataPlaneReport:
     """Packet-fate totals over an evaluation window (§4.2's metrics).
 
@@ -69,8 +54,6 @@ class DataPlaneReport:
     ttl_exhaustions: int = 0
     first_exhaustion: Optional[float] = None
     last_exhaustion: Optional[float] = None
-    loops: Dict[Tuple[int, ...], LoopSighting] = field(default_factory=dict)
-    per_source_exhaustions: Dict[int, int] = field(default_factory=dict)
     delivered_hops: Dict[int, int] = field(default_factory=dict)
 
     @property
@@ -216,9 +199,6 @@ class EpochEvaluator:
         # TTL exhaustion: every one of the source's packets in this epoch
         # dies ttl × DEFAULT_LINK_DELAY after its departure.
         report.ttl_exhaustions += count
-        report.per_source_exhaustions[source.node] = (
-            report.per_source_exhaustions.get(source.node, 0) + count
-        )
         death_offset = self._death_offset
         first_departure = source.departure_time(source.first_index_at_or_after(t0))
         last_departure = source.departure_time(
@@ -226,12 +206,3 @@ class EpochEvaluator:
         )
         report._note_exhaustion(first_departure + death_offset)
         report._note_exhaustion(last_departure + death_offset)
-
-        if result.loop is not None:
-            sighting = report.loops.get(result.loop)
-            if sighting is None:
-                sighting = LoopSighting(cycle=result.loop)
-                report.loops[result.loop] = sighting
-            sighting.packets_lost += count
-            sighting.first_seen = min(sighting.first_seen, first_departure + death_offset)
-            sighting.last_seen = max(sighting.last_seen, last_departure + death_offset)

@@ -23,7 +23,7 @@ from functools import lru_cache
 from typing import Dict, FrozenSet, Iterator, List, Optional, Tuple, Union
 
 from ..errors import AnalysisError
-from ..prefixes import PrefixSpec, parse_prefix
+from ..prefixes import parse_prefix
 from ..prefixes.trie import RadixTrie
 
 Prefix = str

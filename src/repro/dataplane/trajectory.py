@@ -74,7 +74,7 @@ class PacketForwarder:
                 self._report.packets_sent += 1
                 self._scheduler.call_at(
                     departure,
-                    lambda node=source.node: self._arrive(node, node, self._ttl),
+                    lambda node=source.node: self._arrive(node, self._ttl),
                     priority=EventPriority.MONITOR,
                     name=f"packet:{source.node}",
                 )
@@ -88,8 +88,8 @@ class PacketForwarder:
 
     # ------------------------------------------------------------------
 
-    def _arrive(self, source: int, node: int, ttl_remaining: int) -> None:
-        """The packet from ``source`` is at ``node`` with TTL left."""
+    def _arrive(self, node: int, ttl_remaining: int) -> None:
+        """A packet is at ``node`` with ``ttl_remaining`` hops left."""
         assert self._report is not None
         next_hop = self._fib_lookup(node)
         if next_hop == node:
@@ -100,15 +100,12 @@ class PacketForwarder:
             return
         if ttl_remaining == 0:
             self._report.ttl_exhaustions += 1
-            self._report.per_source_exhaustions[source] = (
-                self._report.per_source_exhaustions.get(source, 0) + 1
-            )
             self._report._note_exhaustion(self._scheduler.now)
             return
         delay = self._topology.link_delay(node, next_hop)
         self._scheduler.call_at(
             self._scheduler.now + delay,
-            lambda: self._arrive(source, next_hop, ttl_remaining - 1),
+            lambda: self._arrive(next_hop, ttl_remaining - 1),
             priority=EventPriority.MONITOR,
             name="packet-hop",
         )

@@ -25,7 +25,7 @@ from ..config import RunSettings
 from ..report import TableData
 from ..runner import run_experiment
 from ..scenarios import clique_tdown_trial, tdown_clique
-from ..sweep import TrialTask, run_trials, series
+from ..sweep import TrialTask, run_trials
 from .common import mrai_sweep
 
 
@@ -207,8 +207,8 @@ def mrai_optimum(
 ) -> TableData:
     """Convergence vs M on a clique Tdown: the Griffin-Premore U-curve."""
     points = mrai_sweep(mrai_values, clique_tdown_trial, clique_size, seeds)
-    conv = series(points, "convergence_time")
-    updates = series(points, "updates_sent")
+    conv = [point.metrics["convergence_time"] for point in points]
+    updates = [point.metrics["updates_sent"] for point in points]
     best = conv.index(min(conv))
     return TableData(
         "mrai_optimum",

@@ -11,20 +11,17 @@ Every figure in §4-§5 is one of two shapes:
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 from ...bgp import BgpConfig, variant
 from ..config import RunSettings
 from ..report import FigureData
-from ..spec import constant_config, factory_ref
 from ..sweep import (
+    PointSummary,
     ScenarioFactory,
-    SweepPoint,
     TrialTask,
     run_trials,
-    series,
-    sweep,
-    xs_of,
+    summarize_points,
 )
 
 
@@ -39,13 +36,13 @@ def metric_sweep_figure(
     seeds: Sequence[int] = (0,),
     settings: RunSettings = RunSettings(),
     size: Optional[int] = None,
-) -> Tuple[FigureData, List[SweepPoint]]:
+) -> FigureData:
     """Run one sweep and package the requested metric series as a figure.
 
     ``metrics`` are :meth:`~repro.core.loop_metrics.LoopStudyResult.summary_row`
     keys.  The ``traffic_*`` keys exist only on runs with
     ``settings.traffic_matrix``; asking a single-prefix sweep for one is a
-    ``KeyError``, by design.
+    ``KeyError``, by design.  A failed trial raises (:func:`run_trials`).
 
     With ``size`` the x values are MRAI settings over the one topology
     ``make_scenario(size, seed)`` (Figures 5 and 7, see
@@ -54,23 +51,26 @@ def metric_sweep_figure(
     scenario (topology size, Figures 4 and 6).
     """
     if size is None:
-        points = sweep(
+        config = BgpConfig.standard(mrai)
+        points = summarize_points(
             xs,
-            make_scenario,
-            factory_ref(constant_config, config=BgpConfig.standard(mrai)),
-            seeds=seeds,
-            settings=settings,
+            run_trials(
+                [
+                    TrialTask(x, seed, make_scenario, config, settings)
+                    for x in xs
+                    for seed in seeds
+                ]
+            ),
         )
     else:
         points = mrai_sweep(xs, make_scenario, size, seeds)
-    figure = FigureData(
+    return FigureData(
         figure_id=figure_id,
         title=title,
         x_label=x_label,
-        xs=xs_of(points),
-        series={name: series(points, name) for name in metrics},
+        xs=list(xs),
+        series={name: [point.metrics[name] for point in points] for name in metrics},
     )
-    return figure, points
 
 
 def mrai_sweep(
@@ -78,7 +78,7 @@ def mrai_sweep(
     make_scenario: ScenarioFactory,
     size: int,
     seeds: Sequence[int],
-) -> List[SweepPoint]:
+) -> List[PointSummary]:
     """One point per MRAI value: ``make_scenario(size, seed)`` under the
     standard config with that MRAI.  Trials are keyed by size, as in the
     size sweeps, so the two share equal trials; a failed trial raises.
@@ -90,10 +90,7 @@ def mrai_sweep(
             for seed in seeds
         ]
     )
-    return [
-        SweepPoint(x=mrai, runs=list(group))
-        for mrai, group in zip(mrai_values, in_groups(runs, len(seeds)))
-    ]
+    return summarize_points(mrai_values, runs)
 
 
 def variant_comparison_series(
@@ -107,18 +104,16 @@ def variant_comparison_series(
     """One metric's sweep series per protocol variant.
 
     Returns ``{variant_name: [metric at each x]}`` with every variant run on
-    identical scenarios and seeds, making the comparison paired.
+    identical scenarios and seeds, making the comparison paired.  A failed
+    trial raises (:func:`run_trials`).
     """
     result: Dict[str, List[float]] = {}
     for name in variant_names:
         config = variant(name, mrai=mrai)
-        points = sweep(
-            xs,
-            make_scenario,
-            factory_ref(constant_config, config=config),
-            seeds=seeds,
+        runs = run_trials(
+            [TrialTask(x, seed, make_scenario, config) for x in xs for seed in seeds]
         )
-        result[name] = series(points, metric)
+        result[name] = [point.metrics[metric] for point in summarize_points(xs, runs)]
     return result
 
 

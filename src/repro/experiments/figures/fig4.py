@@ -40,7 +40,7 @@ def figure4a(
     seeds: Sequence[int] = (0, 1),
 ) -> FigureData:
     """Tdown in Clique topologies: looping duration ≈ convergence time."""
-    figure, _points = metric_sweep_figure(
+    figure = metric_sweep_figure(
         "fig4a",
         "Tdown looping duration vs convergence time (Clique)",
         "clique_size",
@@ -68,7 +68,7 @@ def figure4b(
     seeds: Sequence[int] = (0, 1),
 ) -> FigureData:
     """Tlong in B-Clique topologies: gap ≈ one MRAI round (30-45 s)."""
-    figure, _points = metric_sweep_figure(
+    figure = metric_sweep_figure(
         "fig4b",
         "Tlong looping duration vs convergence time (B-Clique)",
         "bclique_size",
@@ -94,7 +94,7 @@ def figure4c(
     seeds: Sequence[int] = (0, 1, 2),
 ) -> FigureData:
     """Tdown in Internet-derived topologies (paper sizes 29/48/75/110)."""
-    figure, _points = metric_sweep_figure(
+    figure = metric_sweep_figure(
         "fig4c",
         "Tdown looping duration vs convergence time (Internet-derived)",
         "internet_size",

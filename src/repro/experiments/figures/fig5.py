@@ -37,7 +37,7 @@ def figure5a(
     seeds: Sequence[int] = (0, 1),
 ) -> FigureData:
     """Tdown in a Clique: both curves scale linearly with M."""
-    figure, _points = metric_sweep_figure(
+    figure = metric_sweep_figure(
         "fig5a",
         f"Tdown metrics vs MRAI (Clique-{clique_size})",
         "mrai",
@@ -56,7 +56,7 @@ def figure5b(
     seeds: Sequence[int] = (0, 1),
 ) -> FigureData:
     """Tlong in a B-Clique: both curves scale linearly with M."""
-    figure, _points = metric_sweep_figure(
+    figure = metric_sweep_figure(
         "fig5b",
         f"Tlong metrics vs MRAI (B-Clique-{bclique_size})",
         "mrai",

@@ -45,7 +45,7 @@ def figure6a(
     seeds: Sequence[int] = (0, 1),
 ) -> FigureData:
     """Tdown in Cliques: exhaustion counts and a >= 65% looping ratio."""
-    figure, _points = metric_sweep_figure(
+    figure = metric_sweep_figure(
         "fig6a",
         "Tdown TTL exhaustions and looping ratio (Clique)",
         "clique_size",
@@ -64,7 +64,7 @@ def figure6b(
     seeds: Sequence[int] = (0, 1),
 ) -> FigureData:
     """Tlong in B-Cliques: exhaustion counts and a >= 35% looping ratio."""
-    figure, _points = metric_sweep_figure(
+    figure = metric_sweep_figure(
         "fig6b",
         "Tlong TTL exhaustions and looping ratio (B-Clique)",
         "bclique_size",
@@ -83,7 +83,7 @@ def figure6c(
     seeds: Sequence[int] = (0, 1, 2),
 ) -> FigureData:
     """Tdown in Internet-derived topologies (paper: up to 86% at n=110)."""
-    figure, _points = metric_sweep_figure(
+    figure = metric_sweep_figure(
         "fig6c",
         "Tdown TTL exhaustions and looping ratio (Internet-derived)",
         "internet_size",

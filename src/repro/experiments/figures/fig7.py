@@ -32,7 +32,7 @@ def figure7a(
     seeds: Sequence[int] = (0, 1),
 ) -> FigureData:
     """Tdown in a Clique: linear exhaustions, flat ratio."""
-    figure, _points = metric_sweep_figure(
+    figure = metric_sweep_figure(
         "fig7a",
         f"Tdown TTL exhaustions / looping ratio vs MRAI (Clique-{clique_size})",
         "mrai",
@@ -51,7 +51,7 @@ def figure7b(
     seeds: Sequence[int] = (0, 1),
 ) -> FigureData:
     """Tlong in a B-Clique: linear exhaustions, flat ratio."""
-    figure, _points = metric_sweep_figure(
+    figure = metric_sweep_figure(
         "fig7b",
         f"Tlong TTL exhaustions / looping ratio vs MRAI (B-Clique-{bclique_size})",
         "mrai",

@@ -24,7 +24,6 @@ from ...core import (
 )
 from ..report import TableData
 from ..scenarios import clique_tdown_trial, internet_tdown_trial
-from ..sweep import series, xs_of
 from .common import mrai_sweep, variant_comparison_series
 
 
@@ -35,16 +34,14 @@ def observation1(
 ) -> TableData:
     """Looping duration tracks convergence; both are linear in M."""
     points = mrai_sweep(mrai_values, clique_tdown_trial, clique_size, seeds)
+    looping = [point.metrics["looping_duration"] for point in points]
+    convergence = [point.metrics["convergence_time"] for point in points]
     return TableData(
         "observation1",
         checks=[
-            check_duration_coupling(
-                series(points, "looping_duration"),
-                series(points, "convergence_time"),
-                max_gap_fraction=0.35,
-            ),
-            check_linear_in_mrai(xs_of(points), series(points, "looping_duration")),
-            check_linear_in_mrai(xs_of(points), series(points, "convergence_time")),
+            check_duration_coupling(looping, convergence, max_gap_fraction=0.35),
+            check_linear_in_mrai(mrai_values, looping),
+            check_linear_in_mrai(mrai_values, convergence),
         ],
     )
 
@@ -56,11 +53,13 @@ def observation2(
 ) -> TableData:
     """TTL exhaustions are linear in M; the looping ratio stays flat."""
     points = mrai_sweep(mrai_values, clique_tdown_trial, clique_size, seeds)
+    exhaustions = [point.metrics["ttl_exhaustions"] for point in points]
+    ratios = [point.metrics["looping_ratio"] for point in points]
     return TableData(
         "observation2",
         checks=[
-            check_linear_in_mrai(xs_of(points), series(points, "ttl_exhaustions")),
-            check_ratio_constant(series(points, "looping_ratio")),
+            check_linear_in_mrai(mrai_values, exhaustions),
+            check_ratio_constant(ratios),
         ],
     )
 

@@ -43,7 +43,7 @@ def figure_tagg(
     Runs with ``traffic_matrix`` on: the traffic series cannot be measured
     without it.
     """
-    figure, _points = metric_sweep_figure(
+    return metric_sweep_figure(
         "tagg",
         "Traffic-weighted looping vs prefix population (Tagg, clique)",
         "prefix_count",
@@ -56,4 +56,3 @@ def figure_tagg(
         seeds=seeds,
         settings=RunSettings(traffic_matrix=True),
     )
-    return figure

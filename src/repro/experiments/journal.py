@@ -52,7 +52,7 @@ import signal
 import threading
 import weakref
 import zlib
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import reduce
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, Optional
@@ -63,74 +63,14 @@ try:  # pragma: no cover - always present on POSIX
 except ImportError:  # pragma: no cover - non-POSIX fallback: no locking
     fcntl = None  # type: ignore[assignment]
 
-from ..errors import AnalysisError, JournalError
-from ..util.stats import mean
+from ..errors import JournalError
+from .sweep import PointSummary, TrialRecord, record_of_outcome, summarize_point
 
 if TYPE_CHECKING:  # pragma: no cover - annotation only
     from .resilience import ResiliencePolicy
 
-#: Journal line schema version, embedded in every record.
-SCHEMA_VERSION = 1
-
 Key = Tuple[float, int]
 T = TypeVar("T")
-
-
-@dataclass(frozen=True)
-class TrialRecord:
-    """One finished trial reduced to journal-able plain data.
-
-    ``status`` is ``"ok"``, ``"failed"``, or ``"timeout"``; ``metrics``
-    is the successful trial's ``summary_row()`` (empty otherwise);
-    ``error``/``kind`` preserve the failure message and exception class
-    name for post-mortems; ``attempt`` is the retry provenance;
-    ``digest`` is the trial's SHA-256 run fingerprint when the sweep ran
-    with ``digests=True`` (empty otherwise) — the equivalence oracle a
-    resumed service job is checked against.
-    """
-
-    x: float
-    seed: int
-    status: str
-    attempt: int = 1
-    metrics: Dict[str, float] = field(default_factory=dict)
-    error: str = ""
-    kind: str = ""
-    digest: str = ""
-
-    @property
-    def key(self) -> Key:
-        return (self.x, self.seed)
-
-    @property
-    def ok(self) -> bool:
-        return self.status == "ok"
-
-    def payload(self) -> Dict:
-        return {
-            "schema": SCHEMA_VERSION,
-            "x": self.x,
-            "seed": self.seed,
-            "status": self.status,
-            "attempt": self.attempt,
-            "metrics": dict(self.metrics),
-            "error": self.error,
-            "kind": self.kind,
-            "digest": self.digest,
-        }
-
-    @classmethod
-    def from_payload(cls, data: Dict) -> "TrialRecord":
-        return cls(
-            x=data["x"],
-            seed=data["seed"],
-            status=data["status"],
-            attempt=data.get("attempt", 1),
-            metrics=dict(data.get("metrics", {})),
-            error=data.get("error", ""),
-            kind=data.get("kind", ""),
-            digest=data.get("digest", ""),
-        )
 
 
 def _canonical(payload: Dict) -> str:
@@ -542,76 +482,6 @@ class _SignalGuard:
 # ----------------------------------------------------------------------
 # Checkpointed sweeps over the journal
 # ----------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class PointSummary:
-    """One x value's trials reduced to resumable summary data."""
-
-    x: float
-    succeeded: int
-    failed: int
-    timeouts: int
-    metrics: Dict[str, float]
-
-    @property
-    def trials(self) -> int:
-        return self.succeeded + self.failed
-
-
-def summarize_point(x: float, records: Sequence[TrialRecord]) -> PointSummary:
-    """Aggregate one x value's trial records (mean over the ok trials)."""
-    ok = [record for record in records if record.ok]
-    failed = [record for record in records if not record.ok]
-    timeouts = sum(1 for record in failed if record.status == "timeout")
-    metrics: Dict[str, float] = {}
-    if ok:
-        keys = sorted(ok[0].metrics)
-        metrics = {
-            key: mean([record.metrics.get(key, 0.0) for record in ok])
-            for key in keys
-        }
-    return PointSummary(
-        x=x,
-        succeeded=len(ok),
-        failed=len(failed),
-        timeouts=timeouts,
-        metrics=metrics,
-    )
-
-
-def record_of_outcome(x: float, outcome) -> TrialRecord:
-    """Reduce one finished trial at ``x`` — an :class:`~repro.experiments.
-    runner.ExperimentRun` or a :class:`~repro.experiments.sweep.
-    TrialFailure` (:class:`~repro.experiments.sweep.TrialTimeout`
-    included) — to its journal record."""
-    from .sweep import TrialFailure, TrialTimeout
-
-    if isinstance(outcome, TrialFailure):
-        return TrialRecord(
-            x=x,
-            seed=outcome.seed,
-            status="timeout" if isinstance(outcome, TrialTimeout) else "failed",
-            attempt=outcome.attempt,
-            error=str(outcome.error),
-            kind=type(outcome.error).__name__,
-        )
-    try:
-        metrics = {
-            key: float(value)
-            for key, value in outcome.result.summary_row().items()
-        }
-    except AnalysisError:  # pragma: no cover - defensive
-        metrics = {}
-    fingerprint = outcome.fingerprint
-    return TrialRecord(
-        x=x,
-        seed=outcome.seed,
-        status="ok",
-        attempt=outcome.attempt,
-        metrics=metrics,
-        digest=fingerprint.digest if fingerprint is not None else "",
-    )
 
 
 def checkpointed_sweep(

@@ -71,6 +71,17 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (annotation only)
 #: watchdog's view of worker liveness/deadlines can be.
 _TICK = 0.05
 
+#: Re-submission of attempt ``n`` (n >= 2) waits
+#: ``min(BACKOFF_CAP, BACKOFF_BASE * 2**(n-2))`` seconds, stretched by up
+#: to ``JITTER`` of itself.  The wait is a *cooldown*: other trials keep
+#: the workers busy while a flaky one sits out its backoff.
+BACKOFF_BASE = 0.05
+BACKOFF_CAP = 2.0
+#: The stretch is drawn from a ``random.Random`` seeded by ``(task.index,
+#: task.seed, attempt)``: deterministic for a given sweep shape, so reruns
+#: schedule identically.
+JITTER = 0.25
+
 
 @dataclass(frozen=True)
 class ResiliencePolicy:
@@ -82,16 +93,7 @@ class ResiliencePolicy:
         first transient failure is then terminal for that trial.
         Deterministic simulation failures (budget exhaustion,
         non-convergence) are never retried — they would fail identically.
-    ``backoff_base`` / ``backoff_cap``
-        Re-submission of attempt ``n`` (n >= 2) waits
-        ``min(cap, base * 2**(n-2))`` seconds, stretched by the jitter
-        below.  The wait is a *cooldown* — other trials keep the workers
-        busy while a flaky one sits out its backoff.
-    ``jitter``
-        Fractional stretch applied to each backoff delay, drawn from a
-        ``random.Random`` seeded by ``(task.index, task.seed, attempt)``
-        — deterministic for a given sweep shape, so reruns schedule
-        identically.
+        A retry first waits out :meth:`backoff_delay`.
     ``trial_timeout``
         Wall-clock seconds one attempt may run before the watchdog kills
         its worker (``None`` disables the watchdog).  Only enforceable
@@ -104,9 +106,6 @@ class ResiliencePolicy:
     """
 
     max_retries: int = 2
-    backoff_base: float = 0.05
-    backoff_cap: float = 2.0
-    jitter: float = 0.25
     trial_timeout: Optional[float] = None
     on_exhausted: str = "record"
 
@@ -115,13 +114,6 @@ class ResiliencePolicy:
             raise ConfigError(
                 f"max_retries must be >= 0, got {self.max_retries}"
             )
-        if self.backoff_base < 0 or self.backoff_cap < 0:
-            raise ConfigError(
-                f"backoff_base/backoff_cap must be >= 0, got "
-                f"{self.backoff_base}/{self.backoff_cap}"
-            )
-        if not 0 <= self.jitter <= 1:
-            raise ConfigError(f"jitter must be in [0, 1], got {self.jitter}")
         if self.trial_timeout is not None and self.trial_timeout <= 0:
             raise ConfigError(
                 f"trial_timeout must be positive seconds or None, got "
@@ -148,14 +140,25 @@ class ResiliencePolicy:
         """
         if attempt < 2:
             return 0.0
-        base = min(self.backoff_cap, self.backoff_base * (2 ** (attempt - 2)))
-        if self.jitter == 0 or base == 0:
-            return base
+        base = min(BACKOFF_CAP, BACKOFF_BASE * (2 ** (attempt - 2)))
         stream = random.Random(
             ((index + 1) * 2654435761 + seed * 40503 + attempt * 97)
             & 0xFFFFFFFF
         )
-        return base * (1.0 + self.jitter * stream.random())
+        return base * (1.0 + JITTER * stream.random())
+
+
+def policy_of(
+    retries: Optional[int], trial_timeout: Optional[float]
+) -> Optional[ResiliencePolicy]:
+    """The policy that ``retries`` and ``trial_timeout`` ask for — the
+    flags of ``repro figure``/``determinism`` and the keys of a sweep spec —
+    or ``None`` when neither is set (no retries, no supervision report)."""
+    if retries is None and trial_timeout is None:
+        return None
+    if retries is None:
+        return ResiliencePolicy(trial_timeout=trial_timeout)
+    return ResiliencePolicy(max_retries=retries, trial_timeout=trial_timeout)
 
 
 @dataclass(frozen=True)

@@ -2,16 +2,20 @@
 
 Every figure in the paper is a sweep: an x-axis (topology size or MRAI
 value), one or more measured series, each point averaged over repeated runs
-("the simulation were repeated for a number of times").  :func:`sweep`
-captures that pattern once so the per-figure drivers stay declarative.
+("the simulation were repeated for a number of times").  Each point is one
+:class:`PointSummary`, reduced from the trials' outcomes by
+:func:`record_of_outcome` and :func:`summarize_point` — whether a figure
+driver asked :func:`run_trials` for the trials or :func:`sweep` ran them.
 
 Churn sweeps add a survivability requirement: a single pathological
 (scenario, seed) pair — a flap period that resonates with MRAI, a crash that
 trips the event budget — must not destroy the other trials' work.  A
 failed trial is recorded as a :class:`TrialFailure` (with the
 post-mortem :class:`~repro.experiments.diagnostics.DiagnosticSnapshot` when
-the runner captured one) and the sweep continues; each
-:class:`SweepPoint` reports how many of its trials succeeded.  Programming
+the runner captured one) and the sweep continues; each x's
+:class:`PointSummary` counts the trials that succeeded and failed, and
+averages the metrics of the ones that succeeded.  A claim driver asks
+:func:`run_trials` instead, so one failed trial fails its row.  Programming
 errors — :class:`~repro.errors.ProtocolError`, bad configuration — still
 propagate: they invalidate the whole sweep, not one trial.
 
@@ -54,7 +58,6 @@ from typing import Callable, Dict, Iterator, List, Optional
 from typing import Sequence, Tuple, Union
 
 from ..bgp import BgpConfig
-from ..core import LoopStudyResult
 from ..errors import AnalysisError, SimulationError
 from ..util.stats import mean
 from .config import RunSettings
@@ -113,8 +116,8 @@ class TrialFailure:
 class TrialTimeout(TrialFailure):
     """A trial killed by the per-trial wall-clock watchdog.
 
-    A :class:`TrialFailure` subclass so every existing consumer
-    (``failures_of``, ``SweepPoint.failed``, a journal record) sees it
+    A :class:`TrialFailure` subclass so every consumer (a
+    :class:`PointSummary`'s ``failed``, a journal record) sees it
     transparently; ``error`` is always a
     :class:`~repro.errors.TrialTimeoutError`.  Only ``jobs > 1`` with a
     :class:`~repro.experiments.resilience.ResiliencePolicy` that sets
@@ -132,63 +135,152 @@ class TrialTimeout(TrialFailure):
         )
 
 
-@dataclass
-class SweepPoint:
-    """All trials at one x value, successful and failed."""
+#: Journal line schema version, embedded in every :class:`TrialRecord`.
+SCHEMA_VERSION = 1
+
+
+@dataclass(frozen=True)
+class TrialRecord:
+    """One finished trial reduced to journal-able plain data.
+
+    ``status`` is ``"ok"``, ``"failed"``, or ``"timeout"``; ``metrics``
+    is the successful trial's ``summary_row()`` (empty otherwise);
+    ``error``/``kind`` preserve the failure message and exception class
+    name for post-mortems; ``attempt`` is the retry provenance;
+    ``digest`` is the trial's SHA-256 run fingerprint when the sweep ran
+    with ``digests=True`` (empty otherwise) — the equivalence oracle a
+    resumed service job is checked against.
+    """
 
     x: float
-    runs: List[ExperimentRun] = field(default_factory=list)
-    failures: List[TrialFailure] = field(default_factory=list)
+    seed: int
+    status: str
+    attempt: int = 1
+    metrics: Dict[str, float] = field(default_factory=dict)
+    error: str = ""
+    kind: str = ""
+    digest: str = ""
 
     @property
-    def results(self) -> List[LoopStudyResult]:
-        return [run.result for run in self.runs]
+    def key(self) -> Tuple[float, int]:
+        return (self.x, self.seed)
+
+    @property
+    def ok(self) -> bool:
+        return self.status == "ok"
+
+    def payload(self) -> Dict:
+        return {
+            "schema": SCHEMA_VERSION,
+            "x": self.x,
+            "seed": self.seed,
+            "status": self.status,
+            "attempt": self.attempt,
+            "metrics": dict(self.metrics),
+            "error": self.error,
+            "kind": self.kind,
+            "digest": self.digest,
+        }
+
+    @classmethod
+    def from_payload(cls, data: Dict) -> "TrialRecord":
+        return cls(
+            x=data["x"],
+            seed=data["seed"],
+            status=data["status"],
+            attempt=data.get("attempt", 1),
+            metrics=dict(data.get("metrics", {})),
+            error=data.get("error", ""),
+            kind=data.get("kind", ""),
+            digest=data.get("digest", ""),
+        )
+
+
+@dataclass(frozen=True)
+class PointSummary:
+    """One x value's trials: how many succeeded, failed and timed out, and
+    the trial mean of every ``summary_row()`` metric over the ok trials
+    (``{}`` when none succeeded)."""
+
+    x: float
+    succeeded: int
+    failed: int
+    timeouts: int
+    metrics: Dict[str, float]
 
     @property
     def trials(self) -> int:
-        """Trials attempted at this point."""
-        return len(self.runs) + len(self.failures)
+        return self.succeeded + self.failed
 
-    @property
-    def succeeded(self) -> int:
-        """Trials that completed and were measured."""
-        return len(self.runs)
 
-    @property
-    def failed(self) -> int:
-        """Trials that died (recorded in :attr:`failures`)."""
-        return len(self.failures)
+def summarize_point(x: float, records: Sequence[TrialRecord]) -> PointSummary:
+    """Aggregate one x value's trial records (mean over the ok trials)."""
+    ok = [record for record in records if record.ok]
+    failed = [record for record in records if not record.ok]
+    timeouts = sum(1 for record in failed if record.status == "timeout")
+    metrics: Dict[str, float] = {}
+    if ok:
+        keys = sorted(ok[0].metrics)
+        metrics = {
+            key: mean([record.metrics.get(key, 0.0) for record in ok])
+            for key in keys
+        }
+    return PointSummary(
+        x=x,
+        succeeded=len(ok),
+        failed=len(failed),
+        timeouts=timeouts,
+        metrics=metrics,
+    )
 
-    @property
-    def timeouts(self) -> int:
-        """Failed trials that were watchdog-killed (:class:`TrialTimeout`)."""
-        return sum(
-            1 for failure in self.failures if isinstance(failure, TrialTimeout)
+
+def record_of_outcome(x: float, outcome: TrialOutcome) -> TrialRecord:
+    """Reduce one finished trial at ``x`` — an :class:`~repro.experiments.
+    runner.ExperimentRun` or a :class:`TrialFailure` (:class:`TrialTimeout`
+    included) — to its journal record."""
+    if isinstance(outcome, TrialFailure):
+        return TrialRecord(
+            x=x,
+            seed=outcome.seed,
+            status="timeout" if isinstance(outcome, TrialTimeout) else "failed",
+            attempt=outcome.attempt,
+            error=str(outcome.error),
+            kind=type(outcome.error).__name__,
         )
+    try:
+        metrics = {
+            key: float(value)
+            for key, value in outcome.result.summary_row().items()
+        }
+    except AnalysisError:  # pragma: no cover - defensive
+        metrics = {}
+    fingerprint = outcome.fingerprint
+    return TrialRecord(
+        x=x,
+        seed=outcome.seed,
+        status="ok",
+        attempt=outcome.attempt,
+        metrics=metrics,
+        digest=fingerprint.digest if fingerprint is not None else "",
+    )
 
-    def mean_metric(self, name: str) -> float:
-        """Trial-mean of one ``LoopStudyResult.summary_row()`` metric.
 
-        Computed over the *successful* trials; raises :class:`AnalysisError`
-        (never ``ZeroDivisionError``) when none survived.
-        """
-        values = [result.summary_row()[name] for result in self.results]
-        if not values:
-            raise AnalysisError(
-                f"no successful runs at x={self.x} "
-                f"({self.failed} of {self.trials} trials failed)"
-            )
-        return mean(values)
-
-    def metrics(self) -> Dict[str, float]:
-        """Trial-mean of every summary metric (successful trials only)."""
-        if not self.runs:
-            raise AnalysisError(
-                f"no successful runs at x={self.x} "
-                f"({self.failed} of {self.trials} trials failed)"
-            )
-        keys = self.results[0].summary_row().keys()
-        return {key: self.mean_metric(key) for key in keys}
+def summarize_points(
+    xs: Sequence[float], outcomes: Sequence[TrialOutcome]
+) -> List[PointSummary]:
+    """One :class:`PointSummary` per x of ``outcomes`` listed x-major, the
+    same number of trials at every x."""
+    per_x = len(outcomes) // len(xs)
+    return [
+        summarize_point(
+            x,
+            [
+                record_of_outcome(x, outcome)
+                for outcome in outcomes[index * per_x : (index + 1) * per_x]
+            ],
+        )
+        for index, x in enumerate(xs)
+    ]
 
 
 @dataclass(frozen=True)
@@ -405,19 +497,20 @@ def sweep(
     on_outcome: Optional[OutcomeCallback] = None,
     policy: Optional[ResiliencePolicy] = None,
     on_report: Optional[Callable[[SupervisionReport], None]] = None,
-) -> List[SweepPoint]:
+) -> List[PointSummary]:
     """Run ``len(xs) × len(seeds)`` experiments and group them by x.
 
     The scenario factory receives the trial seed so randomized scenarios
     (Internet-derived destination/link choice) vary across trials, exactly
     as the paper repeats runs "with different destination ASes and failed
-    links".  ``make_config(x)`` is called here, once per trial.
+    links".  ``make_config(x)`` is called here, once per x.  Returns one
+    :class:`PointSummary` per x, in ``xs`` order.
 
     A trial that raises :class:`~repro.errors.SimulationError` (budget
-    exhaustion, non-convergence) is appended to its point's ``failures``
-    and the sweep continues (:func:`failures_of` lists them in
-    ``(x, seed)`` order); a caller that wants the first failure raised
-    asks :func:`run_trials` instead.  Non-simulation errors (protocol
+    exhaustion, non-convergence) counts in its point's ``failed`` and the
+    sweep continues (``on_outcome`` hears of the :class:`TrialFailure`
+    itself); a caller that wants the first failure raised asks
+    :func:`run_trials` instead.  Non-simulation errors (protocol
     invariant violations, sanitizer trips, bad configuration) always
     propagate — from workers too.
 
@@ -461,39 +554,6 @@ def sweep(
     if on_report is not None and runner.policy is not None:
         on_report(report)
 
-    # Deterministic reassembly: walk outcomes in task order — the
-    # REP103-clean path that makes jobs=N output identical to jobs=1.
-    points: List[SweepPoint] = []
-    remaining = iter(outcomes)
-    for x in xs:
-        point = SweepPoint(x=x)
-        points.append(point)
-        for _seed in seeds:
-            outcome = next(remaining)
-            if isinstance(outcome, TrialFailure):
-                point.failures.append(outcome)
-            else:
-                point.runs.append(outcome)
-    return points
-
-
-def failures_of(points: Sequence[SweepPoint]) -> List[TrialFailure]:
-    """Every recorded trial failure across the sweep, sorted by ``(x, seed)``.
-
-    Sorted explicitly (not just "appended in task order") so the output
-    is deterministic even for failure lists assembled out of order — e.g.
-    by the supervised executor's retry scheduling or by callers merging
-    points from resumed journal segments.
-    """
-    failures = [failure for point in points for failure in point.failures]
-    return sorted(failures, key=lambda failure: (failure.x, failure.seed))
-
-
-def series(points: Sequence[SweepPoint], metric: str) -> List[float]:
-    """Extract one metric's trial-mean series across the sweep."""
-    return [point.mean_metric(metric) for point in points]
-
-
-def xs_of(points: Sequence[SweepPoint]) -> List[float]:
-    """The sweep's x values, in run order."""
-    return [point.x for point in points]
+    # Outcomes come back in task order whichever worker finished first:
+    # the REP103-clean path that makes jobs=N output identical to jobs=1.
+    return summarize_points(xs, outcomes)

@@ -194,13 +194,17 @@ class NodeCrash:
             )
 
 
+#: The share of each flap period a :class:`LinkFlap` holds its link down.
+FLAP_DUTY = 0.5
+
+
 @dataclass(frozen=True)
 class LinkFlap:
     """Fail and restore link ``{u, v}`` repeatedly, starting at ``at``.
 
     Flap ``k`` (0-based) fails the link at ``at + k*period`` and restores it
-    ``duty * period`` seconds later, so consecutive failures are spaced one
-    ``period`` apart and the link ends the sequence *up*.
+    ``FLAP_DUTY * period`` seconds later, so consecutive failures are spaced
+    one ``period`` apart and the link ends the sequence *up*.
     """
 
     kind: ClassVar[Optional[EventKind]] = EventKind.TFLAP
@@ -211,23 +215,21 @@ class LinkFlap:
     at: float
     period: float
     count: int = 1
-    duty: float = 0.5
 
     def __post_init__(self) -> None:
         if self.period <= 0:
             raise ConfigError(f"flap_period must be positive, got {self.period}")
         if self.count < 1:
             raise ConfigError(f"flap_count must be >= 1, got {self.count}")
-        if not 0 < self.duty < 1:
-            raise ConfigError(f"flap duty must be in (0, 1), got {self.duty}")
 
     def events(self) -> List[object]:
         """The failure/restore pairs this flap expands to, in time order."""
         expanded: List[object] = []
         for k in range(self.count):
             down_at = self.at + k * self.period
+            up_at = down_at + FLAP_DUTY * self.period
             expanded.append(LinkFailure(self.u, self.v, down_at))
-            expanded.append(LinkRestore(self.u, self.v, down_at + self.duty * self.period))
+            expanded.append(LinkRestore(self.u, self.v, up_at))
         return expanded
 
     def check(self, scenario) -> None:

@@ -34,11 +34,11 @@ from __future__ import annotations
 import hashlib
 import time
 from dataclasses import asdict, dataclass, field
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List
 
 from ..errors import JobCancelled, ReproError, ServiceError
 from ..experiments import SweepJournal, TrialFailure, checkpointed_sweep
-from ..experiments.journal import summarize_point
+from ..experiments.sweep import summarize_point
 from ..telemetry import MetricsSnapshot, Timeline
 from .events import log_event, point_event, snapshot_event, trial_event
 from .jobs import JobView, resolve_sweep_plan

@@ -21,7 +21,7 @@ simulation.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from ..bgp import VARIANT_NAMES, variant
 from ..errors import ReproError, ServiceError
@@ -37,6 +37,7 @@ from ..experiments import (
     factory_ref,
     with_session_timers,
 )
+from ..experiments.resilience import policy_of
 
 #: Job kinds the executor knows how to run.
 JOB_KINDS = ("sweep", "figure", "bench")
@@ -201,21 +202,18 @@ def resolve_sweep_plan(params: Dict) -> SweepPlan:
 
     jobs = _require_int(params, "jobs", 1, 0)
 
-    policy: Optional[ResiliencePolicy] = None
     retries = params.get("retries")
+    if retries is not None:
+        _require_int(params, "retries", None, 0)
     trial_timeout = params.get("trial_timeout")
-    if retries is not None or trial_timeout is not None:
-        kwargs: Dict = {}
-        if retries is not None:
-            kwargs["max_retries"] = _require_int(params, "retries", None, 0)
-        if trial_timeout is not None:
-            if not _is_number(trial_timeout) or trial_timeout <= 0:
-                raise ServiceError(
-                    f"sweep spec 'trial_timeout' must be a number > 0, "
-                    f"got {trial_timeout!r}"
-                )
-            kwargs["trial_timeout"] = trial_timeout
-        policy = ResiliencePolicy(**kwargs)
+    if trial_timeout is not None and (
+        not _is_number(trial_timeout) or trial_timeout <= 0
+    ):
+        raise ServiceError(
+            f"sweep spec 'trial_timeout' must be a number > 0, "
+            f"got {trial_timeout!r}"
+        )
+    policy = policy_of(retries, trial_timeout)
 
     settings = RunSettings(telemetry=_require_bool(params, "telemetry", True))
     return SweepPlan(

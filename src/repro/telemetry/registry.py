@@ -156,8 +156,8 @@ class MetricsSnapshot:
     """One registry frozen to plain data: picklable, mergeable, renderable.
 
     Produced by :meth:`MetricsRegistry.snapshot`; this is the form that
-    crosses process boundaries in parallel sweeps and aggregates into
-    :class:`~repro.experiments.sweep.SweepPoint` summaries.
+    crosses process boundaries in parallel sweeps and aggregates, per
+    service job or per ``repro figure`` batch, through :meth:`aggregate`.
     """
 
     counters: Dict[str, int] = field(default_factory=dict)

@@ -5,7 +5,6 @@ import pytest
 from repro.bgp import BgpConfig, DampingConfig, RouteFlapDamper
 from repro.engine import Scheduler
 from repro.errors import ConfigError
-from repro.experiments import RunSettings, run_experiment, tdown_clique
 from repro.net import LinkFailure, LinkRestore
 from repro.topology import chain
 

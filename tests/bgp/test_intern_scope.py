@@ -162,17 +162,16 @@ def test_observe_oscillation_leaves_the_tables_unchanged():
 def test_a_parallel_sweep_leaves_the_callers_tables_unchanged():
     before = table_sizes()
     # Fresh graphs, so the results carry paths no earlier test interned.
-    points = sweep(
+    runs = []
+    sweep(
         [30, 40],
         internet_tdown_trial,
         factory_ref(constant_config, config=FAST),
         seeds=(7001, 7002),
         settings=SETTINGS,
         jobs=2,
+        on_outcome=lambda task, run: runs.append(run),
     )
     assert table_sizes() == before
     # The results did bring paths home: the parent unpickled them by value.
-    assert any(
-        change.new_path for point in points for run in point.runs
-        for change in run.route_log
-    )
+    assert any(change.new_path for run in runs for change in run.route_log)

@@ -5,7 +5,6 @@ import random
 import pytest
 
 from repro.bgp import MraiManager
-from repro.engine import Scheduler
 
 
 @pytest.fixture

@@ -1,7 +1,5 @@
 """Unit tests for routing policies."""
 
-import pytest
-
 from repro.bgp import (
     AsPath,
     Route,

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.bgp import BgpConfig, BgpSpeaker, Open, SessionManager
-from repro.engine import RandomStreams, Scheduler
+from repro.engine import RandomStreams
 from repro.errors import ConfigError
 from repro.net import Network
 from repro.topology import chain, clique

@@ -1,7 +1,5 @@
 """Unit tests for the three RIBs."""
 
-import pytest
-
 from repro.bgp import (
     AdjRibIn,
     AdjRibOut,

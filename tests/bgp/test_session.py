@@ -4,13 +4,12 @@ failures)."""
 import pytest
 
 from repro.bgp import (
-    AsPath,
     BgpConfig,
     BgpSpeaker,
     Keepalive,
     SessionManager,
 )
-from repro.engine import RandomStreams, Scheduler
+from repro.engine import RandomStreams
 from repro.errors import ConfigError
 from repro.net import Network
 from repro.topology import chain, ring

@@ -6,8 +6,8 @@ the paper's Figure 1 transient-loop scenario.
 
 import pytest
 
-from repro.bgp import Announcement, AsPath, BgpConfig, BgpSpeaker, Withdrawal
-from repro.core import find_loops, is_loop_free, loop_timeline
+from repro.bgp import Announcement, AsPath
+from repro.core import is_loop_free, loop_timeline
 from repro.dataplane import ForwardingGraph
 from repro.errors import ProtocolError
 from repro.net import LinkFailure, LinkRestore

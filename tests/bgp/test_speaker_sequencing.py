@@ -14,8 +14,6 @@ Topology (destination behind node 0):
     3--   5 --- 4 --- 0 (via 4)
 """
 
-import pytest
-
 from repro.bgp import Announcement, AsPath, BgpConfig, BgpSpeaker, Withdrawal
 from repro.engine import RandomStreams, Scheduler
 from repro.net import LinkFailure, Network

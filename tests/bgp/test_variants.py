@@ -5,8 +5,6 @@ tests run real simulations and assert the variant's defining property on the
 message trace.
 """
 
-import pytest
-
 from repro.bgp import (
     AdjRibIn,
     Announcement,

@@ -1,7 +1,5 @@
 """Unit tests for convergence measurement."""
 
-import pytest
-
 from repro.bgp import Announcement, AsPath, Withdrawal
 from repro.core import UpdateChurn, measure_convergence
 from repro.net import MessageTrace

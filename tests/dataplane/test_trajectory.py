@@ -36,7 +36,6 @@ class TestForwarding:
         scheduler.run()
         report = forwarder.report
         assert report.ttl_exhaustions == 5
-        assert report.per_source_exhaustions == {0: 5}
         assert report.first_exhaustion is not None
 
     def test_fib_change_mid_flight_redirects_packet(self, scheduler):

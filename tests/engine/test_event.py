@@ -1,7 +1,5 @@
 """Unit tests for repro.engine.event."""
 
-import pytest
-
 from repro.engine import Event, EventPriority
 
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.engine import Scheduler, SerialProcessor, Timer
+from repro.engine import SerialProcessor, Timer
 
 
 class TestQuiescence:

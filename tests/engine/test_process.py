@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.engine import Scheduler, SerialProcessor
+from repro.engine import SerialProcessor
 
 
 @pytest.fixture

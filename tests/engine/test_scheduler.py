@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.engine import EventPriority, Scheduler
+from repro.engine import EventPriority
 from repro.errors import SchedulingError
 
 

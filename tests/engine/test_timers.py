@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.engine import Scheduler, Timer
+from repro.engine import Timer
 from repro.errors import SimulationError
 
 

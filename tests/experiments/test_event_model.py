@@ -29,7 +29,6 @@ from repro.experiments import (
     Scenario,
     factory_ref,
     run_experiment,
-    sweep,
     with_session_timers,
 )
 from repro.experiments.report import describe_run
@@ -57,6 +56,7 @@ from repro.net import (
     SessionReset,
 )
 from repro.topology import b_clique, chain, clique
+from sweep_outcomes import sweep_outcomes
 
 MRAI = 1.0
 FAST = BgpConfig(mrai=MRAI, processing_delay=(0.01, 0.05))
@@ -121,13 +121,14 @@ class TestCompoundSchedules:
     def test_runs_sanitized_and_matches_across_jobs(self, make_scenario, x, config):
         make_config = factory_ref(constant_config, config=config)
         kwargs = dict(seeds=(0, 1), settings=SANITIZED, digests=True)
-        sequential = sweep([x], make_scenario, make_config, **kwargs)
-        parallel = sweep([x], make_scenario, make_config, jobs=2, **kwargs)
-        runs = sequential[0].runs
+        _, runs = sweep_outcomes([x], make_scenario, make_config, **kwargs)
+        _, parallel = sweep_outcomes(
+            [x], make_scenario, make_config, jobs=2, **kwargs
+        )
         assert len(runs) == 2
         assert all(run.converged for run in runs)
         assert [run.fingerprint.digest for run in runs] == [
-            run.fingerprint.digest for run in parallel[0].runs
+            run.fingerprint.digest for run in parallel
         ]
 
     def test_second_event_changes_the_run(self):

@@ -7,6 +7,15 @@ driver runs end to end, returns aligned series, and attaches its checks.
 
 import pytest
 
+from repro.bgp import BgpConfig
+from repro.errors import BudgetExceededError
+from repro.experiments import (
+    RunSettings,
+    TrialFailure,
+    TrialTask,
+    clique_tdown_trial,
+    trial_runner,
+)
 from repro.experiments.figures import (
     figure4a,
     figure4b,
@@ -142,15 +151,43 @@ class TestCommonHelpers:
         assert all(len(v) == 1 for v in table.values())
 
     def test_metric_sweep_mrai_is_x(self):
-        fig, points = metric_sweep_figure(
-            "t",
-            "title",
-            "mrai",
-            [1.0, 2.0],
-            lambda x, seed: tdown_clique(int(x)),
-            ["convergence_time"],
-            seeds=(0,),
-            size=3,
-        )
-        assert [p.runs[0].bgp_config.mrai for p in points] == [1.0, 2.0]
-        assert {p.runs[0].scenario.name for p in points} == {"tdown-clique-3"}
+        with trial_runner() as runner:
+            fig = metric_sweep_figure(
+                "t",
+                "title",
+                "mrai",
+                [1.0, 2.0],
+                lambda x, seed: tdown_clique(int(x)),
+                ["convergence_time"],
+                seeds=(0,),
+                size=3,
+            )
+            runs = list(runner.outcomes)
+        assert fig.xs == [1.0, 2.0]
+        assert [run.bgp_config.mrai for run in runs] == [1.0, 2.0]
+        assert {run.scenario.name for run in runs} == {"tdown-clique-3"}
+
+    def test_a_failed_trial_fails_the_row(self):
+        """Seven of these eight trials exhaust the event budget: the size
+        sweep raises the first failure instead of averaging the survivor."""
+        settings = RunSettings(event_budget=125)
+        seeds = range(8)
+        config = BgpConfig.standard(2.0)
+        with trial_runner() as runner:
+            outcomes, _report = runner.run(
+                [TrialTask(5, s, clique_tdown_trial, config, settings) for s in seeds]
+            )
+            failed = [isinstance(outcome, TrialFailure) for outcome in outcomes]
+            assert 0 < sum(failed) < len(failed)
+            with pytest.raises(BudgetExceededError):
+                metric_sweep_figure(
+                    "t",
+                    "title",
+                    "clique_size",
+                    [5],
+                    clique_tdown_trial,
+                    ["convergence_time"],
+                    mrai=2.0,
+                    seeds=seeds,
+                    settings=settings,
+                )

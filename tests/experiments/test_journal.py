@@ -26,11 +26,8 @@ from repro.experiments import (
     constant_config,
     factory_ref,
 )
-from repro.experiments.journal import (
-    decode_record,
-    encode_record,
-    summarize_point,
-)
+from repro.experiments.journal import decode_record, encode_record
+from repro.experiments.sweep import summarize_point
 
 FAST = BgpConfig(mrai=1.0, processing_delay=(0.01, 0.05))
 SETTINGS = RunSettings(failure_guard=0.5)

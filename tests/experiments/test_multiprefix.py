@@ -16,7 +16,7 @@ from repro.analysis.determinism import fingerprint_run
 from repro.bgp import BgpConfig
 from repro.bgp.aggregation import AggregationCycle
 from repro.errors import ConfigError
-from repro.experiments import RunSettings, factory_ref, sweep
+from repro.experiments import RunSettings, factory_ref
 from repro.experiments.runner import run_experiment
 from repro.experiments.scenarios import (
     Scenario,
@@ -28,6 +28,7 @@ from repro.experiments.scenarios import (
 )
 from repro.experiments.spec import constant_config
 from repro.topology import clique
+from sweep_outcomes import sweep_outcomes
 
 FAST = BgpConfig(mrai=1.0, processing_delay=(0.01, 0.05))
 SETTINGS = RunSettings(failure_guard=0.5)
@@ -156,29 +157,27 @@ class TestCrossProcessDeterminism:
         )
         make_config = factory_ref(constant_config, config=FAST)
         kwargs = dict(seeds=(0, 1), settings=TRAFFIC, digests=True)
-        sequential = sweep([4, 8], make_scenario, make_config, **kwargs)
-        parallel = sweep(
+        sequential = sweep_outcomes([4, 8], make_scenario, make_config, **kwargs)
+        parallel = sweep_outcomes(
             [4, 8], make_scenario, make_config, jobs=JOBS, **kwargs
         )
         return sequential, parallel
 
     def test_digests_identical(self, pair):
-        sequential, parallel = pair
-        seq = [r.fingerprint.digest for p in sequential for r in p.runs]
-        par = [r.fingerprint.digest for p in parallel for r in p.runs]
+        (_, sequential), (_, parallel) = pair
+        seq = [run.fingerprint.digest for run in sequential]
+        par = [run.fingerprint.digest for run in parallel]
         assert seq == par
         assert len(seq) == 4
 
     def test_traffic_metrics_in_summary_lines(self, pair):
-        sequential, _ = pair
-        line = sequential[0].runs[0].fingerprint.summary_line
+        (_, sequential), _ = pair
+        line = sequential[0].fingerprint.summary_line
         assert "traffic_looped_fraction=" in line
 
     def test_aggregate_metrics_identical(self, pair):
-        sequential, parallel = pair
-        assert [p.metrics() for p in sequential] == [
-            p.metrics() for p in parallel
-        ]
+        (sequential, _), (parallel, _) = pair
+        assert [p.metrics for p in sequential] == [p.metrics for p in parallel]
 
 
 class TestAcceptance256:
@@ -190,17 +189,15 @@ class TestAcceptance256:
         )
         make_config = factory_ref(constant_config, config=FAST)
         kwargs = dict(seeds=(0,), settings=TRAFFIC, digests=True)
-        sequential = sweep([256], make_scenario, make_config, **kwargs)
-        parallel = sweep(
+        _, [seq_run] = sweep_outcomes([256], make_scenario, make_config, **kwargs)
+        _, [par_run] = sweep_outcomes(
             [256], make_scenario, make_config, jobs=JOBS, **kwargs
         )
-        seq_run = sequential[0].runs[0]
-        par_run = parallel[0].runs[0]
         assert seq_run.fingerprint.digest == par_run.fingerprint.digest
         assert "traffic_looped_fraction=" in seq_run.fingerprint.summary_line
         # Repeat the sequential sweep: byte-identical again.
-        again = sweep([256], make_scenario, make_config, **kwargs)
-        assert again[0].runs[0].fingerprint.digest == seq_run.fingerprint.digest
+        _, [again] = sweep_outcomes([256], make_scenario, make_config, **kwargs)
+        assert again.fingerprint.digest == seq_run.fingerprint.digest
 
 
 class TestDecisionCacheUnderMultiPrefixChurn:

@@ -2,8 +2,8 @@
 
 The contract under test: ``sweep(..., jobs=N)`` is *bit-identical* to
 ``sweep(..., jobs=1)`` — same per-trial trace/FIB/summary SHA-256
-fingerprints, same aggregate point metrics, same failures in the same
-order — with fault isolation preserved across the process boundary.
+fingerprints, same aggregate point metrics, same failures — with fault
+isolation preserved across the process boundary.
 """
 
 import pytest
@@ -18,13 +18,12 @@ from repro.experiments import (
     clique_tdown_trial,
     constant_config,
     factory_ref,
-    failures_of,
     sweep,
     trial_runner,
-    xs_of,
 )
-from repro.experiments.sweep import run_trials
+from repro.experiments.sweep import record_of_outcome, run_trials, summarize_point
 from repro.telemetry import MetricsSnapshot
+from sweep_outcomes import sweep_outcomes
 
 FAST = BgpConfig(mrai=1.0, processing_delay=(0.01, 0.05))
 SETTINGS = RunSettings(failure_guard=0.5)
@@ -38,8 +37,19 @@ MAKE_CONFIG = factory_ref(constant_config, config=FAST)
 JOBS = 4
 
 
-def digests(points):
-    return [run.fingerprint.digest for point in points for run in point.runs]
+def digests(swept):
+    """The fingerprint digest of every trial that ran to the end."""
+    _points, outcomes = swept
+    return [
+        outcome.fingerprint.digest
+        for outcome in outcomes
+        if not isinstance(outcome, TrialFailure)
+    ]
+
+
+def failures(swept):
+    _points, outcomes = swept
+    return [outcome for outcome in outcomes if isinstance(outcome, TrialFailure)]
 
 
 class TestGoldenEquivalence:
@@ -48,8 +58,8 @@ class TestGoldenEquivalence:
     @pytest.fixture(scope="class")
     def tdown_pair(self):
         kwargs = dict(seeds=(0, 1), settings=SETTINGS, digests=True)
-        sequential = sweep([3, 4], clique_tdown_trial, MAKE_CONFIG, **kwargs)
-        parallel = sweep(
+        sequential = sweep_outcomes([3, 4], clique_tdown_trial, MAKE_CONFIG, **kwargs)
+        parallel = sweep_outcomes(
             [3, 4], clique_tdown_trial, MAKE_CONFIG, jobs=JOBS, **kwargs
         )
         return sequential, parallel
@@ -58,8 +68,8 @@ class TestGoldenEquivalence:
     def tflap_pair(self):
         make_scenario = factory_ref(bclique_tflap_trial, size=3, count=2)
         kwargs = dict(seeds=(0, 1), settings=SETTINGS, digests=True)
-        sequential = sweep([5.0, 9.0], make_scenario, MAKE_CONFIG, **kwargs)
-        parallel = sweep(
+        sequential = sweep_outcomes([5.0, 9.0], make_scenario, MAKE_CONFIG, **kwargs)
+        parallel = sweep_outcomes(
             [5.0, 9.0], make_scenario, MAKE_CONFIG, jobs=JOBS, **kwargs
         )
         return sequential, parallel
@@ -70,17 +80,16 @@ class TestGoldenEquivalence:
         assert len(digests(sequential)) == 4
 
     def test_tdown_aggregate_metrics_identical(self, tdown_pair):
-        sequential, parallel = tdown_pair
-        assert [p.metrics() for p in sequential] == [
-            p.metrics() for p in parallel
-        ]
+        (sequential, _), (parallel, _) = tdown_pair
+        assert [p.metrics for p in sequential] == [p.metrics for p in parallel]
 
     def test_tdown_point_order_is_task_order(self, tdown_pair):
-        _, parallel = tdown_pair
-        assert xs_of(parallel) == [3, 4]
-        assert [run.seed for point in parallel for run in point.runs] == [
-            0, 1, 0, 1,
-        ]
+        _, (points, runs) = tdown_pair
+        assert [point.x for point in points] == [3, 4]
+        # Each point summarizes exactly its own x's trials.
+        for point, group in zip(points, (runs[:2], runs[2:])):
+            records = [record_of_outcome(point.x, run) for run in group]
+            assert point == summarize_point(point.x, records)
 
     def test_tflap_trial_digests_identical(self, tflap_pair):
         sequential, parallel = tflap_pair
@@ -88,22 +97,19 @@ class TestGoldenEquivalence:
         assert len(digests(sequential)) == 4
 
     def test_tflap_aggregate_metrics_identical(self, tflap_pair):
-        sequential, parallel = tflap_pair
-        assert [p.metrics() for p in sequential] == [
-            p.metrics() for p in parallel
-        ]
+        (sequential, _), (parallel, _) = tflap_pair
+        assert [p.metrics for p in sequential] == [p.metrics for p in parallel]
 
     def test_fingerprints_cover_trace_fib_and_summary(self, tdown_pair):
-        sequential, _ = tdown_pair
-        fingerprint = sequential[0].runs[0].fingerprint
+        (_, runs), _ = tdown_pair
+        fingerprint = runs[0].fingerprint
         assert fingerprint.messages > 0
         assert fingerprint.fib_changes > 0
         assert "convergence_time=" in fingerprint.summary_line
 
     def test_networks_dropped_in_both_modes(self, tdown_pair):
-        sequential, parallel = tdown_pair
-        assert all(r.network is None for p in sequential for r in p.runs)
-        assert all(r.network is None for p in parallel for r in p.runs)
+        (_, sequential), (_, parallel) = tdown_pair
+        assert all(run.network is None for run in sequential + parallel)
 
 
 class TestTelemetryEquivalence:
@@ -112,15 +118,15 @@ class TestTelemetryEquivalence:
     @pytest.fixture(scope="class")
     def traced_pair(self):
         kwargs = dict(seeds=(0, 1), settings=TRACED, digests=True)
-        sequential = sweep([3, 4], clique_tdown_trial, MAKE_CONFIG, **kwargs)
-        parallel = sweep(
+        sequential = sweep_outcomes([3, 4], clique_tdown_trial, MAKE_CONFIG, **kwargs)
+        parallel = sweep_outcomes(
             [3, 4], clique_tdown_trial, MAKE_CONFIG, jobs=JOBS, **kwargs
         )
         return sequential, parallel
 
     @pytest.fixture(scope="class")
     def plain(self):
-        return sweep(
+        return sweep_outcomes(
             [3, 4],
             clique_tdown_trial,
             MAKE_CONFIG,
@@ -140,31 +146,29 @@ class TestTelemetryEquivalence:
         assert len(digests(sequential)) == 4
 
     def test_snapshots_pickle_across_workers(self, traced_pair):
-        _, parallel = traced_pair
-        for point in parallel:
-            for run in point.runs:
-                assert run.metrics is not None
-                assert run.metrics.counter("engine.events_executed") > 0
-                assert run.metrics.counter("bgp.decision_runs") > 0
+        _, (_, runs) = traced_pair
+        for run in runs:
+            assert run.metrics is not None
+            assert run.metrics.counter("engine.events_executed") > 0
+            assert run.metrics.counter("bgp.decision_runs") > 0
 
     def test_worker_snapshots_equal_sequential(self, traced_pair):
-        sequential, parallel = traced_pair
-        seq_runs = [run for point in sequential for run in point.runs]
-        par_runs = [run for point in parallel for run in point.runs]
+        (_, seq_runs), (_, par_runs) = traced_pair
         assert [r.metrics for r in seq_runs] == [r.metrics for r in par_runs]
 
     def test_point_aggregation(self, traced_pair):
-        _, parallel = traced_pair
-        point = parallel[0]
-        aggregate = MetricsSnapshot.aggregate([run.metrics for run in point.runs])
+        _, (_, runs) = traced_pair
+        point_runs = runs[:2]  # x = 3
+        aggregate = MetricsSnapshot.aggregate([run.metrics for run in point_runs])
         per_run = sum(
-            run.metrics.counter("engine.events_executed") for run in point.runs
+            run.metrics.counter("engine.events_executed") for run in point_runs
         )
         assert aggregate.counter("engine.events_executed") == per_run
 
     def test_plain_runs_carry_no_snapshots(self, plain):
-        assert all(run.metrics is None for p in plain for run in p.runs)
-        assert all(run.timeline is None for p in plain for run in p.runs)
+        _, runs = plain
+        assert all(run.metrics is None for run in runs)
+        assert all(run.timeline is None for run in runs)
 
 
 class TestFailureEquivalence:
@@ -173,28 +177,28 @@ class TestFailureEquivalence:
     @pytest.fixture(scope="class")
     def pair(self):
         kwargs = dict(seeds=(0,), settings=TIGHT, digests=True)
-        sequential = sweep([3, 6], clique_tdown_trial, MAKE_CONFIG, **kwargs)
-        parallel = sweep(
+        sequential = sweep_outcomes([3, 6], clique_tdown_trial, MAKE_CONFIG, **kwargs)
+        parallel = sweep_outcomes(
             [3, 6], clique_tdown_trial, MAKE_CONFIG, jobs=JOBS, **kwargs
         )
         return sequential, parallel
 
     def test_failure_is_injected(self, pair):
-        sequential, _ = pair
+        (sequential, _), _ = pair
         assert [(p.succeeded, p.failed) for p in sequential] == [(1, 0), (0, 1)]
 
     def test_failures_match_sequential(self, pair):
         sequential, parallel = pair
-        seq_failure = failures_of(sequential)[0]
-        par_failure = failures_of(parallel)[0]
+        [seq_failure] = failures(sequential)
+        [par_failure] = failures(parallel)
         assert (par_failure.x, par_failure.seed) == (seq_failure.x, seq_failure.seed)
         assert isinstance(par_failure.error, BudgetExceededError)
         assert str(par_failure.error) == str(seq_failure.error)
 
     def test_snapshot_survives_worker_boundary(self, pair):
         sequential, parallel = pair
-        seq_snapshot = failures_of(sequential)[0].snapshot
-        par_snapshot = failures_of(parallel)[0].snapshot
+        seq_snapshot = failures(sequential)[0].snapshot
+        par_snapshot = failures(parallel)[0].snapshot
         assert par_snapshot is not None
         assert par_snapshot == seq_snapshot
         assert par_snapshot.events_processed > 0
@@ -205,16 +209,11 @@ class TestFailureEquivalence:
         assert digests(sequential) == digests(parallel)
         assert len(digests(sequential)) == 1
 
-    def test_failures_of_lists_worker_failures_in_task_order(self):
-        points = sweep(
-            [3, 6],
-            clique_tdown_trial,
-            MAKE_CONFIG,
-            seeds=(0,),
-            settings=TIGHT,
-            jobs=JOBS,
-        )
-        assert [(f.x, f.seed) for f in failures_of(points)] == [(6, 0)]
+    def test_worker_failures_counted(self, pair):
+        _, (points, _) = pair
+        assert [(p.x, p.succeeded, p.failed) for p in points] == [
+            (3, 1, 0), (6, 0, 1),
+        ]
 
     def test_run_trials_raises_from_workers(self):
         tasks = [

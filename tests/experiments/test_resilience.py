@@ -8,6 +8,7 @@ kind's bookkeeping in (mostly) isolation.
 
 import os
 import pickle
+import random
 from functools import partial
 
 import pytest
@@ -18,15 +19,16 @@ from repro.errors import ConfigError, TrialTimeoutError, WorkerCrashError
 from repro.experiments import (
     ResiliencePolicy,
     RunSettings,
-    SweepPoint,
     TrialFailure,
     TrialTimeout,
     clique_tdown_trial,
     constant_config,
     factory_ref,
-    failures_of,
     sweep,
 )
+from repro.experiments.resilience import BACKOFF_BASE, BACKOFF_CAP, JITTER
+from repro.experiments.sweep import record_of_outcome, summarize_point
+from sweep_outcomes import sweep_outcomes
 
 FAST = BgpConfig(mrai=1.0, processing_delay=(0.01, 0.05))
 SETTINGS = RunSettings(failure_guard=0.5)
@@ -51,10 +53,6 @@ class TestPolicyValidation:
         "kwargs",
         [
             dict(max_retries=-1),
-            dict(backoff_base=-0.1),
-            dict(backoff_cap=-1.0),
-            dict(jitter=1.5),
-            dict(jitter=-0.1),
             dict(trial_timeout=0.0),
             dict(trial_timeout=-5.0),
             dict(on_exhausted="explode"),
@@ -66,9 +64,11 @@ class TestPolicyValidation:
 
 
 class TestBackoff:
+    """``min(BACKOFF_CAP, BACKOFF_BASE * 2**(n-2))``, stretched by up to
+    ``JITTER`` of itself from a stream seeded by ``(index, seed, attempt)``."""
+
     def test_first_attempt_never_waits(self):
-        policy = ResiliencePolicy(backoff_base=1.0)
-        assert policy.backoff_delay(0, 0, 1) == 0.0
+        assert ResiliencePolicy().backoff_delay(0, 0, 1) == 0.0
 
     def test_deterministic_across_calls(self):
         a = ResiliencePolicy()
@@ -79,24 +79,29 @@ class TestBackoff:
             )
 
     def test_jitter_streams_differ_by_task(self):
-        policy = ResiliencePolicy(backoff_base=1.0, jitter=1.0)
+        policy = ResiliencePolicy()
         delays = {policy.backoff_delay(i, 0, 2) for i in range(8)}
         assert len(delays) > 1
 
     def test_exponential_growth_and_cap(self):
-        policy = ResiliencePolicy(
-            backoff_base=0.1, backoff_cap=0.4, jitter=0.0
-        )
-        assert policy.backoff_delay(0, 0, 2) == pytest.approx(0.1)
-        assert policy.backoff_delay(0, 0, 3) == pytest.approx(0.2)
-        assert policy.backoff_delay(0, 0, 4) == pytest.approx(0.4)
-        assert policy.backoff_delay(0, 0, 7) == pytest.approx(0.4)  # capped
+        policy = ResiliencePolicy()
+        for attempt in range(2, 12):
+            base = min(BACKOFF_CAP, BACKOFF_BASE * 2 ** (attempt - 2))
+            stream = random.Random(
+                (2654435761 + 3 * 40503 + attempt * 97) & 0xFFFFFFFF
+            )
+            assert policy.backoff_delay(0, 3, attempt) == pytest.approx(
+                base * (1.0 + JITTER * stream.random())
+            )
+        # Attempt 8 is the first whose uncapped base passes the cap.
+        assert BACKOFF_BASE * 2 ** 5 < BACKOFF_CAP < BACKOFF_BASE * 2 ** 6
+        assert policy.backoff_delay(0, 3, 11) <= BACKOFF_CAP * (1 + JITTER)
 
     def test_jitter_bounded_by_fraction(self):
-        policy = ResiliencePolicy(backoff_base=1.0, backoff_cap=1.0, jitter=0.25)
+        policy = ResiliencePolicy()
         for index in range(16):
             delay = policy.backoff_delay(index, 1, 2)
-            assert 1.0 <= delay <= 1.25
+            assert BACKOFF_BASE <= delay <= BACKOFF_BASE * (1 + JITTER)
 
 
 class TestFailureTypes:
@@ -129,29 +134,20 @@ class TestFailureTypes:
         assert (clone.exitcode, clone.attempts) == (-9, 2)
 
     def test_sweep_point_counts_timeouts(self):
-        point = SweepPoint(x=3)
-        point.failures.append(
-            TrialFailure(x=3, seed=0, error=TrialTimeoutError("x"))
-        )
-        point.failures.append(
-            TrialTimeout(x=3, seed=1, error=TrialTimeoutError("y"))
+        failures = [
+            TrialFailure(x=3, seed=0, error=TrialTimeoutError("x")),
+            TrialTimeout(x=3, seed=1, error=TrialTimeoutError("y")),
+        ]
+        point = summarize_point(
+            3, [record_of_outcome(3, failure) for failure in failures]
         )
         assert point.failed == 2
         assert point.timeouts == 1
 
-    def test_failures_of_sorts_by_x_then_seed(self):
-        def failure(x, seed):
-            return TrialFailure(x=x, seed=seed, error=TrialTimeoutError("e"))
-
-        late = SweepPoint(x=9, failures=[failure(9, 1), failure(9, 0)])
-        early = SweepPoint(x=2, failures=[failure(2, 5)])
-        ordered = failures_of([late, early])
-        assert [(f.x, f.seed) for f in ordered] == [(2, 5), (9, 0), (9, 1)]
-
 
 class TestInProcessPolicy:
     def test_jobs1_policy_adds_provenance(self):
-        points = sweep(
+        _points, [run] = sweep_outcomes(
             [3],
             clique_tdown_trial,
             MAKE_CONFIG,
@@ -159,10 +155,10 @@ class TestInProcessPolicy:
             settings=SETTINGS,
             policy=ResiliencePolicy(),
         )
-        assert points[0].runs[0].attempt == 1
+        assert run.attempt == 1
 
     def test_jobs1_failure_carries_attempt_and_elapsed(self):
-        points = sweep(
+        _points, [failure] = sweep_outcomes(
             [6],
             clique_tdown_trial,
             MAKE_CONFIG,
@@ -170,7 +166,6 @@ class TestInProcessPolicy:
             settings=TIGHT,
             policy=ResiliencePolicy(),
         )
-        failure = points[0].failures[0]
         assert failure.attempt == 1
         assert failure.elapsed > 0
 
@@ -183,7 +178,7 @@ class TestSupervisedExecutor:
             kill_key=(3, 0),
         )
         reports = []
-        points = sweep(
+        points, runs = sweep_outcomes(
             [3],
             make_scenario,
             MAKE_CONFIG,
@@ -194,9 +189,8 @@ class TestSupervisedExecutor:
             on_report=reports.append,
         )
         assert points[0].succeeded == 2
-        attempts = {run.seed: run.attempt for run in points[0].runs}
-        assert attempts[0] == 2  # the killed trial was re-run
-        assert attempts[1] == 1
+        # The killed trial (seed 0) was re-run.
+        assert [run.attempt for run in runs] == [2, 1]
         [report] = reports
         assert report.worker_deaths == 1
         assert report.worker_restarts == 1
@@ -206,21 +200,18 @@ class TestSupervisedExecutor:
 
     def test_hung_trial_times_out_and_is_recorded(self):
         reports = []
-        points = sweep(
+        points, [failure] = sweep_outcomes(
             [3],
             chaos_helpers.hang_always_tdown,
             MAKE_CONFIG,
             seeds=(0,),
             settings=SETTINGS,
             jobs=2,
-            policy=ResiliencePolicy(
-                max_retries=0, trial_timeout=SNAP, backoff_base=0.01
-            ),
+            policy=ResiliencePolicy(max_retries=0, trial_timeout=SNAP),
             on_report=reports.append,
         )
         assert points[0].succeeded == 0
         assert points[0].timeouts == 1
-        failure = points[0].failures[0]
         assert isinstance(failure, TrialTimeout)
         assert isinstance(failure.error, TrialTimeoutError)
         assert failure.timeout == SNAP
@@ -235,20 +226,18 @@ class TestSupervisedExecutor:
             marker_dir=str(tmp_path),
             hang_key=(3, 0),
         )
-        points = sweep(
+        points, [run] = sweep_outcomes(
             [3],
             make_scenario,
             MAKE_CONFIG,
             seeds=(0,),
             settings=SETTINGS,
             jobs=2,
-            policy=ResiliencePolicy(
-                max_retries=1, trial_timeout=SNAP, backoff_base=0.01
-            ),
+            policy=ResiliencePolicy(max_retries=1, trial_timeout=SNAP),
             on_report=reports.append,
         )
         assert points[0].succeeded == 1
-        assert points[0].runs[0].attempt == 2
+        assert run.attempt == 2
         [report] = reports
         assert report.timeouts == 1
         assert report.retries == 1
@@ -256,19 +245,16 @@ class TestSupervisedExecutor:
 
     def test_exhausted_worker_crash_recorded(self):
         reports = []
-        points = sweep(
+        _points, [failure] = sweep_outcomes(
             [3],
             chaos_helpers.kill_always_tdown,
             MAKE_CONFIG,
             seeds=(0,),
             settings=SETTINGS,
             jobs=2,
-            policy=ResiliencePolicy(
-                max_retries=1, backoff_base=0.01, trial_timeout=SLACK
-            ),
+            policy=ResiliencePolicy(max_retries=1, trial_timeout=SLACK),
             on_report=reports.append,
         )
-        failure = points[0].failures[0]
         assert isinstance(failure.error, WorkerCrashError)
         assert failure.error.exitcode == -9
         assert failure.attempt == 2
@@ -295,7 +281,7 @@ class TestSupervisedExecutor:
         plain first-attempt TrialFailures — retrying them would waste
         the whole backoff budget failing identically."""
         reports = []
-        points = sweep(
+        points, [_run, failure] = sweep_outcomes(
             [3, 6],
             clique_tdown_trial,
             MAKE_CONFIG,
@@ -306,7 +292,6 @@ class TestSupervisedExecutor:
             on_report=reports.append,
         )
         assert [(p.succeeded, p.failed) for p in points] == [(1, 0), (0, 1)]
-        failure = points[1].failures[0]
         assert failure.attempt == 1
         assert reports[-1].retries == 0
 
@@ -392,7 +377,7 @@ class TestSupervisedExecutor:
         worker runs trial after trial for longer than SNAP in all, and the
         hung trial's retry starts on a fresh clock — one timeout, no more."""
         reports = []
-        points = sweep(
+        points, runs = sweep_outcomes(
             [3],
             partial(
                 chaos_helpers.logged,
@@ -408,13 +393,11 @@ class TestSupervisedExecutor:
             seeds=tuple(range(5)),
             settings=SETTINGS,
             jobs=2,
-            policy=ResiliencePolicy(
-                max_retries=1, trial_timeout=SNAP, backoff_base=0.01
-            ),
+            policy=ResiliencePolicy(max_retries=1, trial_timeout=SNAP),
             on_report=reports.append,
         )
         assert points[0].succeeded == 5
-        assert {run.seed: run.attempt for run in points[0].runs}[0] == 2
+        assert runs[0].attempt == 2
         assert (reports[0].timeouts, reports[0].retries) == (1, 1)
         log = chaos_helpers.trial_log(tmp_path)
         survivor = next(pid for pid, _x, seed in log if seed == 1)

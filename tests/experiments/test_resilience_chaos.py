@@ -3,12 +3,11 @@ subprocess drivers killed (worker and driver) mid-sweep.
 
 The first class is the PR's acceptance scenario: a sweep that loses one
 worker to ``kill -9`` and one trial to a hang must still return complete
-SweepPoints whose digests are bit-identical to an undisturbed ``jobs=1``
+points whose digests are bit-identical to an undisturbed ``jobs=1``
 sweep.  The subprocess classes exercise the same guarantees from outside
 the process boundary, the way a batch host actually fails.
 """
 
-import json
 import os
 import signal
 import subprocess
@@ -28,8 +27,8 @@ from repro.experiments import (
     clique_tdown_trial,
     constant_config,
     factory_ref,
-    sweep,
 )
+from sweep_outcomes import sweep_outcomes
 
 FAST = BgpConfig(mrai=1.0, processing_delay=(0.01, 0.05))
 SETTINGS = RunSettings(failure_guard=0.5)
@@ -39,17 +38,13 @@ SRC = str(Path(__file__).resolve().parents[2] / "src")
 HELPERS = str(Path(__file__).resolve().parent)
 
 
-def digests(points):
-    return [run.fingerprint.digest for point in points for run in point.runs]
-
-
 class TestChaoticDigestEquivalence:
     """The acceptance criterion, verbatim from the issue."""
 
     def test_sigkill_and_hang_match_undisturbed_jobs1(self, tmp_path):
         xs = [3, 4]
         seeds = (0, 1)
-        baseline = sweep(
+        _points, baseline = sweep_outcomes(
             xs,
             clique_tdown_trial,
             MAKE_CONFIG,
@@ -58,7 +53,7 @@ class TestChaoticDigestEquivalence:
             digests=True,
         )
         reports = []
-        chaotic = sweep(
+        chaotic, runs = sweep_outcomes(
             xs,
             partial(
                 chaos_helpers.chaotic_tdown,
@@ -71,24 +66,17 @@ class TestChaoticDigestEquivalence:
             settings=SETTINGS,
             jobs=2,
             digests=True,
-            policy=ResiliencePolicy(
-                max_retries=2, trial_timeout=1.5, backoff_base=0.01
-            ),
+            policy=ResiliencePolicy(max_retries=2, trial_timeout=1.5),
             on_report=reports.append,
         )
         assert all(point.succeeded == 2 for point in chaotic)
         assert all(point.failed == 0 for point in chaotic)
-        assert digests(chaotic) == digests(baseline)
-
-        attempts = {
-            (point.x, run.seed): run.attempt
-            for point in chaotic
-            for run in point.runs
-        }
-        assert attempts[(3, 0)] == 2  # worker was SIGKILLed once
-        assert attempts[(4, 1)] == 2  # trial hung past the watchdog once
-        assert attempts[(3, 1)] == 1
-        assert attempts[(4, 0)] == 1
+        assert [run.fingerprint.digest for run in runs] == [
+            run.fingerprint.digest for run in baseline
+        ]
+        # (3, 0): the worker was SIGKILLed once; (4, 1): the trial hung
+        # past the watchdog once.
+        assert [run.attempt for run in runs] == [2, 1, 1, 2]
 
         [report] = reports
         assert report.worker_deaths >= 1
@@ -126,9 +114,7 @@ summaries = checkpointed_sweep(
     seeds=seeds,
     settings=RunSettings(failure_guard=0.5),
     jobs=2,
-    policy=ResiliencePolicy(
-        max_retries=3, backoff_base=0.01, trial_timeout=60.0
-    ),
+    policy=ResiliencePolicy(max_retries=3, trial_timeout=60.0),
 )
 assert all(s.succeeded == len(seeds) for s in summaries), summaries
 print("DRIVER-OK")

@@ -4,24 +4,17 @@ import pytest
 
 from repro.bgp import BgpConfig
 from repro.errors import AnalysisError, SimulationError
-from repro.experiments import (
-    RunSettings,
-    SweepPoint,
-    TrialFailure,
-    failures_of,
-    series,
-    sweep,
-    tdown_clique,
-    xs_of,
-)
+from repro.experiments import RunSettings, TrialFailure, sweep, tdown_clique
+from repro.experiments.sweep import summarize_points
+from sweep_outcomes import sweep_outcomes
 
 FAST = BgpConfig(mrai=1.0, processing_delay=(0.01, 0.05))
 SETTINGS = RunSettings(failure_guard=0.5)
 
 
 @pytest.fixture(scope="module")
-def points():
-    return sweep(
+def swept():
+    return sweep_outcomes(
         [3, 4],
         lambda x, seed: tdown_clique(int(x)),
         lambda x: FAST,
@@ -31,26 +24,32 @@ def points():
 
 
 class TestSweep:
-    def test_one_point_per_x(self, points):
-        assert xs_of(points) == [3, 4]
+    def test_one_point_per_x(self, swept):
+        points, _ = swept
+        assert [point.x for point in points] == [3, 4]
 
-    def test_trials_per_point(self, points):
-        assert all(len(point.runs) == 2 for point in points)
+    def test_trials_per_point(self, swept):
+        points, _ = swept
+        assert all(
+            (point.trials, point.succeeded) == (2, 2) for point in points
+        )
 
-    def test_series_extraction(self, points):
-        conv = series(points, "convergence_time")
+    def test_series_extraction(self, swept):
+        points, _ = swept
+        conv = [point.metrics["convergence_time"] for point in points]
         assert len(conv) == 2
         assert all(value > 0 for value in conv)
 
-    def test_mean_metric_is_trial_mean(self, points):
-        point = points[0]
-        values = [r.summary_row()["convergence_time"] for r in point.results]
-        assert point.mean_metric("convergence_time") == pytest.approx(
+    def test_mean_metric_is_trial_mean(self, swept):
+        points, runs = swept
+        values = [run.result.summary_row()["convergence_time"] for run in runs[:2]]
+        assert points[0].metrics["convergence_time"] == pytest.approx(
             sum(values) / len(values)
         )
 
-    def test_metrics_dict(self, points):
-        metrics = points[0].metrics()
+    def test_metrics_dict(self, swept):
+        points, _ = swept
+        metrics = points[0].metrics
         assert "looping_ratio" in metrics and "ttl_exhaustions" in metrics
 
     def test_config_factory_receives_x(self):
@@ -75,10 +74,6 @@ class TestSweep:
         with pytest.raises(AnalysisError):
             sweep([3], lambda x, s: tdown_clique(3), lambda x: FAST, seeds=())
 
-    def test_empty_point_raises_on_aggregation(self):
-        with pytest.raises(AnalysisError):
-            SweepPoint(x=1.0).mean_metric("convergence_time")
-
 
 class _StubResult:
     def __init__(self, row):
@@ -89,7 +84,11 @@ class _StubResult:
 
 
 class _StubRun:
-    """Just enough of an ExperimentRun for SweepPoint statistics."""
+    """Just enough of an ExperimentRun for a point summary."""
+
+    seed = 0
+    attempt = 1
+    fingerprint = None
 
     def __init__(self, **row):
         self.result = _StubResult(row)
@@ -100,63 +99,28 @@ def _failure(x, seed):
 
 
 class TestSweepPointStatistics:
-    """Aggregation edge cases: failed trials must degrade loudly, not by
-    dividing by zero or silently skewing means."""
+    """Aggregation edge cases: failed trials are counted, never averaged."""
 
-    def test_all_failed_point_raises_analysis_error_not_zero_division(self):
-        point = SweepPoint(
-            x=6.0, failures=[_failure(6.0, 0), _failure(6.0, 1)]
-        )
-        with pytest.raises(AnalysisError) as excinfo:
-            point.mean_metric("convergence_time")
-        assert not isinstance(excinfo.value, ZeroDivisionError)
-        assert "2 of 2 trials failed" in str(excinfo.value)
-
-    def test_all_failed_point_metrics_raises_with_counts(self):
-        point = SweepPoint(x=6.0, failures=[_failure(6.0, 0)])
-        with pytest.raises(AnalysisError, match="1 of 1 trials failed"):
-            point.metrics()
+    def test_all_failed_point_has_no_metrics(self):
+        [point] = summarize_points([6.0], [_failure(6.0, 0), _failure(6.0, 1)])
+        assert (point.trials, point.failed, point.metrics) == (2, 2, {})
 
     def test_mixed_point_counts(self):
-        point = SweepPoint(
-            x=5.0,
-            runs=[_StubRun(m=1.0), _StubRun(m=3.0)],
-            failures=[_failure(5.0, 2)],
+        [point] = summarize_points(
+            [5.0], [_StubRun(m=1.0), _StubRun(m=3.0), _failure(5.0, 2)]
         )
         assert point.trials == 3
         assert point.succeeded == 2
         assert point.failed == 1
 
     def test_mixed_point_mean_uses_only_successes(self):
-        point = SweepPoint(
-            x=5.0,
-            runs=[_StubRun(m=1.0), _StubRun(m=3.0)],
-            failures=[_failure(5.0, 2), _failure(5.0, 3)],
+        [point] = summarize_points(
+            [5.0],
+            [_StubRun(m=1.0), _StubRun(m=3.0), _failure(5.0, 2), _failure(5.0, 3)],
         )
-        assert point.mean_metric("m") == pytest.approx(2.0)
-
-    def test_failures_of_preserves_x_major_seed_minor_order(self):
-        points = [
-            SweepPoint(x=3.0, failures=[_failure(3.0, 0), _failure(3.0, 2)]),
-            SweepPoint(x=4.0, runs=[_StubRun(m=1.0)]),
-            SweepPoint(x=5.0, failures=[_failure(5.0, 1)]),
-        ]
-        assert [(f.x, f.seed) for f in failures_of(points)] == [
-            (3.0, 0), (3.0, 2), (5.0, 1),
-        ]
+        assert point.metrics == {"m": pytest.approx(2.0)}
 
     def test_series_preserves_point_order(self):
-        points = [
-            SweepPoint(x=4.0, runs=[_StubRun(m=4.5)]),
-            SweepPoint(x=3.0, runs=[_StubRun(m=3.5)]),
-        ]
-        assert series(points, "m") == [4.5, 3.5]
-        assert xs_of(points) == [4.0, 3.0]
-
-    def test_series_propagates_dead_point_error(self):
-        points = [
-            SweepPoint(x=3.0, runs=[_StubRun(m=1.0)]),
-            SweepPoint(x=4.0, failures=[_failure(4.0, 0)]),
-        ]
-        with pytest.raises(AnalysisError, match="x=4.0"):
-            series(points, "m")
+        points = summarize_points([4.0, 3.0], [_StubRun(m=4.5), _StubRun(m=3.5)])
+        assert [point.metrics["m"] for point in points] == [4.5, 3.5]
+        assert [point.x for point in points] == [4.0, 3.0]

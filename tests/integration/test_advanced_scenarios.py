@@ -2,14 +2,12 @@
 multiple prefixes, anycast origination, link flaps, and cascading failures.
 """
 
-import pytest
-
-from repro.bgp import AsPath, BgpConfig, BgpSpeaker
-from repro.core import find_loops, is_loop_free, loop_timeline
+from repro.bgp import BgpConfig, BgpSpeaker
+from repro.core import is_loop_free
 from repro.dataplane import FibChangeLog, ForwardingGraph, PacketFate, walk
 from repro.engine import RandomStreams, Scheduler
 from repro.net import LinkFailure, LinkRestore, Network
-from repro.topology import Topology, chain, clique, grid, ring
+from repro.topology import chain, clique, grid, ring
 
 FAST = BgpConfig(mrai=1.0, processing_delay=(0.01, 0.05))
 

@@ -9,7 +9,7 @@ from repro.errors import BudgetExceededError
 from repro.experiments import (
     DiagnosticSnapshot,
     RunSettings,
-    failures_of,
+    TrialFailure,
     run_experiment,
     sweep,
     tcrash_clique,
@@ -143,22 +143,24 @@ class TestSweepFaultIsolation:
     TIGHT = RunSettings(event_budget=30)  # clique-2 fits, clique-5 cannot
 
     def test_failed_trials_recorded_and_survivors_measured(self):
-        points = sweep(
+        heard = []
+        ok, dead = sweep(
             (2, 5),
             make_scenario=lambda x, seed: tdown_clique(int(x)),
             make_config=lambda x: FAST,
             seeds=(0, 1),
             settings=self.TIGHT,
+            on_outcome=lambda task, outcome: heard.append(outcome),
         )
-        ok, dead = points
         assert ok.succeeded == 2 and ok.failed == 0
         assert dead.succeeded == 0 and dead.failed == 2
         # Survivors still produce metrics.
-        assert ok.metrics()["convergence_time"] >= 0.0
+        assert ok.metrics["convergence_time"] >= 0.0
         # Failures carry the post-mortem snapshot.
-        for failure in dead.failures:
+        failures = [o for o in heard if isinstance(o, TrialFailure)]
+        assert [(failure.x, failure.seed) for failure in failures] == [(5, 0), (5, 1)]
+        for failure in failures:
             assert isinstance(failure.error, BudgetExceededError)
             assert isinstance(failure.snapshot, DiagnosticSnapshot)
             assert failure.snapshot.pending_events > 0
             assert "pending" in failure.snapshot.render()
-        assert len(failures_of(points)) == 2

@@ -2,8 +2,6 @@
 scale (``repro figure <id>`` reruns the full-size reproductions and checks
 them against ``benchmarks/results/``)."""
 
-import pytest
-
 from repro.bgp import BgpConfig, variant
 from repro.core import check_linear_in_mrai, check_ratio_constant
 from repro.experiments import (

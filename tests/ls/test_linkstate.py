@@ -4,11 +4,11 @@ import pytest
 
 from repro.core import is_loop_free, loop_timeline
 from repro.dataplane import FibChangeLog, ForwardingGraph, PacketFate, walk
-from repro.engine import RandomStreams, Scheduler
+from repro.engine import RandomStreams
 from repro.errors import ProtocolError
-from repro.ls import LinkStateAd, LinkStateSpeaker, make_lsa
+from repro.ls import LinkStateSpeaker, make_lsa
 from repro.net import LinkFailure, Network
-from repro.topology import Topology, chain, clique, grid, ring
+from repro.topology import chain, clique, grid, ring
 
 PREFIX = "dest"
 

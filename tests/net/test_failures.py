@@ -64,5 +64,5 @@ class TestSchedule:
         assert net.link_is_up(0, 1)
 
     def test_flap_rejects_bad_window(self):
-        with pytest.raises(ConfigError, match="duty"):
-            LinkFlap(0, 1, at=1.0, period=2.0, duty=1.5)
+        with pytest.raises(ConfigError, match="flap_period"):
+            LinkFlap(0, 1, at=1.0, period=-2.0)

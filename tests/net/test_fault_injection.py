@@ -172,8 +172,6 @@ class TestLinkFlap:
             LinkFlap(0, 1, at=0.0, period=0.0)
         with pytest.raises(ConfigError, match="flap_count"):
             LinkFlap(0, 1, at=0.0, period=1.0, count=0)
-        with pytest.raises(ConfigError, match="duty"):
-            LinkFlap(0, 1, at=0.0, period=1.0, duty=1.0)
 
 
 def _record_schedule(scheduler, monkeypatch):

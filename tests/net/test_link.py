@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.engine import Scheduler
 from repro.errors import NetworkError
 from repro.net import Link
 from repro.telemetry import TelemetryProbe

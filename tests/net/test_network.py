@@ -2,10 +2,9 @@
 
 import pytest
 
-from repro.engine import Scheduler
 from repro.errors import NetworkError
 from repro.net import LinkFailure, Network, Node
-from repro.topology import Topology, clique
+from repro.topology import clique
 
 
 class Recorder(Node):

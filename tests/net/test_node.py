@@ -2,10 +2,9 @@
 
 import pytest
 
-from repro.engine import Scheduler
 from repro.errors import NetworkError
 from repro.net import Network, Node
-from repro.topology import Topology, chain
+from repro.topology import chain
 
 
 class EchoNode(Node):

@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.engine import Scheduler
 from repro.net import LinkFailure, Network, Node
 from repro.topology import chain
 

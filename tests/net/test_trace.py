@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.net import MessageTrace, TraceRecord
+from repro.net import MessageTrace
 
 
 class Ping:

@@ -1,6 +1,6 @@
 """Property-based tests for the simulation engine."""
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 
 from repro.engine import Scheduler, SerialProcessor
 

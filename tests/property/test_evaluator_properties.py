@@ -22,7 +22,6 @@ from repro.dataplane import (
     EpochEvaluator,
     FibChangeLog,
     Flow,
-    LoopSighting,
     PacketFate,
     TrafficMatrix,
     TrafficMatrixEvaluator,
@@ -198,19 +197,9 @@ def naive_dataplane_report(log, sources, ttl, start, end):
                 report.dropped_no_route += count
                 continue
             report.ttl_exhaustions += count
-            report.per_source_exhaustions[source.node] = (
-                report.per_source_exhaustions.get(source.node, 0) + count
-            )
             first = source.departure_time(source.first_index_at_or_after(t0)) + death
             last = source.departure_time(source.first_index_at_or_after(t1) - 1) + death
             stamps += [first, last]
-            if result.loop is not None:
-                sighting = report.loops.setdefault(
-                    result.loop, LoopSighting(cycle=result.loop)
-                )
-                sighting.packets_lost += count
-                sighting.first_seen = min(sighting.first_seen, first)
-                sighting.last_seen = max(sighting.last_seen, last)
     if stamps:
         report.first_exhaustion, report.last_exhaustion = min(stamps), max(stamps)
     return report

@@ -1,6 +1,5 @@
 """Property tests for Gao-Rexford routing on random tiered topologies."""
 
-import networkx as nx
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.bgp import (

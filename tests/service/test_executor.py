@@ -15,7 +15,7 @@ from repro.cli import main
 from repro.core import ObservationCheck
 from repro.experiments import SweepJournal, checkpointed_sweep
 from repro.experiments.figures import CLAIMS
-from repro.experiments.journal import summarize_point
+from repro.experiments.sweep import summarize_point
 from repro.experiments.report import TableData
 from repro.service import executor
 from repro.service import (

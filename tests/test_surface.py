@@ -38,6 +38,12 @@ parameters ``--quick`` sets.  A setting no call passes takes one value
 everywhere, so it must be a constant, or appear in :data:`KEPT_PARAMS`
 with the test that needs another value to reach a behaviour or to stay
 fast, or the ROADMAP item it waits for.
+
+Every name an import binds in a module under ``src/``, ``tests/`` or
+``examples/`` is read in that module: as an identifier, or inside a
+string annotation.  A package ``__init__`` (whose imports are its
+re-exports) and ``from __future__`` are exempt.  An import kept for its
+side effect must appear in :data:`SIDE_EFFECT_IMPORTS` with the reason.
 """
 
 from __future__ import annotations
@@ -51,6 +57,7 @@ ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "repro"
 CALLER_DIRS = (ROOT / "src", ROOT / "examples", ROOT / "benchmarks")
 LAYERS = ROOT / "benchmarks" / "e2e" / "layers.py"
+IMPORT_DIRS = (ROOT / "src", ROOT / "tests", ROOT / "examples")
 
 KEPT: Dict[str, str] = {
     # Oracles: independent reference computations tests compare against.
@@ -224,6 +231,10 @@ KEPT_PARAMS: Dict[str, str] = {
         "ROADMAP item 3 (a) sweeps the InternetShape fields"
     ),
 }
+
+#: ``"<path from the repo root>:<bound name>"`` -> why the import stays
+#: although the module never reads the name.
+SIDE_EFFECT_IMPORTS: Dict[str, str] = {}
 
 # name -> [(path, line)] for identifiers; attr -> [(path, line)] after a dot.
 Uses = Dict[str, List[Tuple[Path, int]]]
@@ -543,3 +554,60 @@ def test_kept_params_entries_are_live():
     assert not gone, f"KEPT_PARAMS names settings that no longer exist: {gone}"
     assert not passed, f"KEPT_PARAMS names settings that now have a caller: {passed}"
     assert all(reason.strip() for reason in KEPT_PARAMS.values())
+
+
+def _annotation_names(tree: ast.AST) -> Iterator[str]:
+    """Identifiers inside the string annotations of ``tree``."""
+    annotations: List[ast.expr] = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            arguments = node.args
+            every = [*arguments.posonlyargs, *arguments.args, *arguments.kwonlyargs]
+            every += [arg for arg in (arguments.vararg, arguments.kwarg) if arg]
+            annotations += [arg.annotation for arg in every if arg.annotation]
+            annotations += [node.returns] if node.returns else []
+        elif isinstance(node, ast.AnnAssign):
+            annotations.append(node.annotation)
+    for annotation in annotations:
+        for sub in ast.walk(annotation):
+            if isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+                try:
+                    parsed = ast.parse(sub.value, mode="eval")
+                except SyntaxError:
+                    continue
+                for name in ast.walk(parsed):
+                    if isinstance(name, ast.Name):
+                        yield name.id
+
+
+def _unread_imports() -> Set[str]:
+    """``"<path>:<name>"`` for every imported name its module never reads."""
+    unread: Set[str] = set()
+    for base in IMPORT_DIRS:
+        for path in sorted(base.rglob("*.py")):
+            if path.name == "__init__.py":
+                continue
+            tree = ast.parse(path.read_text(), str(path))
+            bound: Set[str] = set()
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Import):
+                    bound.update(a.asname or a.name.split(".")[0] for a in node.names)
+                elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                    bound.update(a.asname or a.name for a in node.names)
+            read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+            read.update(_annotation_names(tree))
+            where = path.relative_to(ROOT).as_posix()
+            unread.update(f"{where}:{name}" for name in bound - read - {"*"})
+    return unread
+
+
+def test_every_import_is_read():
+    unread = _unread_imports()
+    missing = sorted(unread - SIDE_EFFECT_IMPORTS.keys())
+    assert not missing, (
+        "imported names their module never reads; delete the import, or "
+        f"add it to SIDE_EFFECT_IMPORTS with the reason it stays: {missing}"
+    )
+    stale = sorted(SIDE_EFFECT_IMPORTS.keys() - unread)
+    assert not stale, f"SIDE_EFFECT_IMPORTS entries read or gone: {stale}"
+    assert all(reason.strip() for reason in SIDE_EFFECT_IMPORTS.values())
