@@ -295,7 +295,7 @@ def _route_for(
 
     ``nodes[0]`` owns the route; the stored path is what its neighbor
     advertised — everything after the owner — with the policy's LOCAL_PREF
-    hook applied, exactly as :meth:`BgpSpeaker._apply_announcement` does.
+    hook applied, exactly as :meth:`BgpSpeaker._apply_run` does.
     """
     if len(nodes) == 1:
         return local_route(prefix)

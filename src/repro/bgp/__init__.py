@@ -32,6 +32,7 @@ from .policy import (
     PathRankPolicy,
     RoutingPolicy,
     ShortestPathPolicy,
+    prefix_blind,
 )
 from .relationships import (
     GaoRexfordPolicy,
@@ -92,6 +93,7 @@ __all__ = [
     "interning_scope",
     "local_route",
     "route_intern_table_size",
+    "prefix_blind",
     "prefix_population",
     "relationships_from_tiers",
     "variant",

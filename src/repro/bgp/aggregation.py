@@ -131,20 +131,12 @@ def apply_aggregate(speaker: "BgpSpeaker", block: AggregateBlock) -> None:
     after convergence is fully covered; any looping observed is transient
     mixed-state forwarding, not a configuration hole.
     """
-    if block.cover not in speaker.origins:
-        speaker.originate(block.cover)
-    for specific in block.specifics:
-        if specific in speaker.origins:
-            speaker.withdraw_origin(specific)
+    speaker.update_origins([block.cover], block.specifics)
 
 
 def apply_deaggregate(speaker: "BgpSpeaker", block: AggregateBlock) -> None:
     """Re-split the block at its origin: announce specifics, pull the cover."""
-    for specific in block.specifics:
-        if specific not in speaker.origins:
-            speaker.originate(specific)
-    if block.cover in speaker.origins:
-        speaker.withdraw_origin(block.cover)
+    speaker.update_origins(block.specifics, [block.cover])
 
 
 @dataclass(frozen=True)

@@ -25,10 +25,6 @@ class DecisionProcess:
     def __init__(self, policy: RoutingPolicy) -> None:
         self._policy = policy
 
-    @property
-    def policy(self) -> RoutingPolicy:
-        return self._policy
-
     def candidates(
         self,
         prefix: Prefix,

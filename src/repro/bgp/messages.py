@@ -16,6 +16,7 @@ all three UPDATE forms through one ``(withdrawn, nlri)`` handler: an
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import lt
 from typing import Tuple
 
 from .path import AsPath
@@ -110,20 +111,24 @@ class UpdateBatch:
     def __post_init__(self) -> None:
         if not self.withdrawn and not self.nlri:
             raise ValueError("an update batch must carry at least one route")
-        nlri_prefixes = tuple(prefix for prefix, _path in self.nlri)
-        if list(self.withdrawn) != sorted(set(self.withdrawn)):
-            raise ValueError(f"withdrawn list not canonical: {self.withdrawn!r}")
-        if list(nlri_prefixes) != sorted(set(nlri_prefixes)):
-            raise ValueError(f"nlri list not canonical: {nlri_prefixes!r}")
-        overlap = set(self.withdrawn) & set(nlri_prefixes)
+        nlri_prefixes = [prefix for prefix, _path in self.nlri]
+        # Strictly ascending: sorted and duplicate-free in one pass.
+        withdrawn = self.withdrawn
+        if not all(map(lt, withdrawn, withdrawn[1:])):
+            raise ValueError(f"withdrawn list not canonical: {withdrawn!r}")
+        if not all(map(lt, nlri_prefixes, nlri_prefixes[1:])):
+            raise ValueError(f"nlri list not canonical: {tuple(nlri_prefixes)!r}")
+        overlap = set(withdrawn).intersection(nlri_prefixes)
         if overlap:
             raise ValueError(f"prefixes both withdrawn and announced: {sorted(overlap)}")
-        heads = {path.head for _prefix, path in self.nlri}
+        # Routes share few paths: check each distinct path object once.
+        paths = [path for _prefix, path in self.nlri]
+        distinct = dict(zip(map(id, paths), paths)).values()
+        heads = {path.head for path in distinct}
         if len(heads) > 1:
             raise ValueError(f"nlri paths name different senders: {sorted(heads)}")
-        for _prefix, path in self.nlri:
-            if path.is_empty:
-                raise ValueError("an update batch NLRI path must be non-empty")
+        if any(path.is_empty for path in distinct):
+            raise ValueError("an update batch NLRI path must be non-empty")
 
     @property
     def size(self) -> int:

@@ -30,7 +30,17 @@ from __future__ import annotations
 import random
 from collections import defaultdict
 from contextlib import contextmanager, nullcontext
-from typing import Callable, ContextManager, Dict, Iterator, List, Optional, Set, Tuple
+from typing import (
+    Callable,
+    ContextManager,
+    Dict,
+    Iterator,
+    Iterable,
+    List,
+    Optional,
+    Set,
+    Tuple,
+)
 
 from ..engine import Scheduler, Timer
 from .messages import Prefix
@@ -48,6 +58,8 @@ MRAI_PER_PEER = "per-peer"
 """One timer per peer, shared by every prefix."""
 
 MRAI_MODES = frozenset({MRAI_PER_PREFIX, MRAI_PER_PEER})
+
+_NO_WINDOW = nullcontext()  # stateless, so one serves every call
 
 TimerKey = Tuple[int, Optional[Prefix]]
 """``(peer, prefix)`` for a per-prefix timer, ``(peer, None)`` for a per-peer one."""
@@ -113,35 +125,30 @@ class MraiManager:
 
     # ------------------------------------------------------------------
 
-    @property
-    def enabled(self) -> bool:
-        return self._interval > 0
-
-    def _key(self, peer: int, prefix: Prefix) -> TimerKey:
-        return (peer, None) if self.per_peer else (peer, prefix)
-
     def can_send_now(self, peer: int, prefix: Prefix) -> bool:
         """True when no MRAI hold is in effect for ``(peer, prefix)``."""
-        if not self.enabled:
+        if self._interval <= 0 or peer in self._flushing:
             return True
-        if peer in self._flushing:
-            return True
-        timer = self._timers.get(self._key(peer, prefix))
+        timer = self._timers.get((peer, None) if self.per_peer else (peer, prefix))
         return timer is None or not timer.running
 
     def mark_sent(self, peer: int, prefix: Prefix) -> None:
         """Record that a rate-limited update was just sent; arm the timer."""
-        if not self.enabled:
+        if self._interval <= 0:
             return
         if peer in self._flushing:
             self._flush_sent.add(peer)
             return
-        self._arm(self._key(peer, prefix))
+        self._arm((peer, None) if self.per_peer else (peer, prefix))
 
-    def hold(self, peer: int, prefix: Prefix) -> None:
-        """Record an update for ``(peer, prefix)`` suppressed while its timer
-        runs: the timer's expiry hands ``prefix`` back to the speaker."""
-        self._held[self._key(peer, prefix)].add(prefix)
+    def hold(self, pairs: Iterable[Tuple[int, Prefix]]) -> None:
+        """Record updates suppressed while their timers run, as ``(peer,
+        prefix)`` pairs: each timer's expiry hands its prefixes back to the
+        speaker."""
+        held = self._held
+        per_peer = self.per_peer
+        for peer, prefix in pairs:
+            held[(peer, None) if per_peer else (peer, prefix)].add(prefix)
 
     def _arm(self, key: TimerKey) -> None:
         timer = self._timers.get(key)
@@ -166,8 +173,8 @@ class MraiManager:
         once at exit — and only if something was actually sent, so an empty
         round leaves the peer unthrottled.  A no-op in per-prefix mode.
         """
-        if not self.per_peer or not self.enabled:
-            return nullcontext()
+        if not self.per_peer or self._interval <= 0:
+            return _NO_WINDOW
         return self._flush_round(peer)
 
     @contextmanager
@@ -181,10 +188,6 @@ class MraiManager:
             if peer in self._flush_sent:
                 self._flush_sent.discard(peer)
                 self._arm((peer, None))
-
-    def holding(self, peer: int, prefix: Prefix) -> bool:
-        """True while updates for the pair are being held by the timer."""
-        return not self.can_send_now(peer, prefix)
 
     def cancel_peer(self, peer: int) -> None:
         """Drop all timers and held sets toward ``peer`` (session went down)."""

@@ -9,11 +9,36 @@ the library is usable beyond the paper's scenarios.
 
 from __future__ import annotations
 
-from typing import Sequence, Tuple
+from typing import Callable, Sequence, Tuple, TypeVar
 
 from ..errors import ConfigError
 from .messages import Prefix
 from .route import DEFAULT_LOCAL_PREF, Route
+
+Hook = TypeVar("Hook", bound=Callable)
+
+_HOOKS = ("accept_import", "local_pref", "preference_key", "accept_export")
+
+
+def prefix_blind(hook: Hook) -> Hook:
+    """Mark a policy hook that never reads ``route.prefix``.
+
+    Prefixes that share a state group (:class:`~repro.bgp.rib.AdjRibIn`)
+    share their decision inputs only if the policy cannot tell them apart,
+    so the speaker evaluates a hook once for many prefixes only when every
+    hook carries this mark (:func:`reads_prefix`).  An override without it
+    is assumed to read the prefix, and the speaker then evaluates the
+    policy per prefix: same results, less sharing.
+    """
+    hook.prefix_blind = True  # type: ignore[attr-defined]
+    return hook
+
+
+def reads_prefix(policy: "RoutingPolicy") -> bool:
+    """True unless every hook of ``policy`` is marked :func:`prefix_blind`."""
+    return not all(
+        getattr(getattr(policy, name), "prefix_blind", False) for name in _HOOKS
+    )
 
 
 class RoutingPolicy:
@@ -21,13 +46,16 @@ class RoutingPolicy:
 
     Subclass and override any hook.  All hooks are pure functions of their
     arguments; policies must not keep per-call mutable state, because the
-    speaker may re-evaluate routes at any time.
+    speaker may re-evaluate routes at any time.  Mark an override that
+    ignores ``route.prefix`` with :func:`prefix_blind` to keep the
+    speaker's per-group evaluation (see there).
     """
 
     # ------------------------------------------------------------------
     # Import side
     # ------------------------------------------------------------------
 
+    @prefix_blind
     def accept_import(self, neighbor: int, route: Route) -> bool:
         """Whether to store ``route`` learned from ``neighbor``.
 
@@ -37,6 +65,7 @@ class RoutingPolicy:
         del neighbor, route
         return True
 
+    @prefix_blind
     def local_pref(self, neighbor: int, route: Route) -> int:
         """LOCAL_PREF to assign to a route learned from ``neighbor``."""
         del neighbor, route
@@ -46,6 +75,7 @@ class RoutingPolicy:
     # Selection
     # ------------------------------------------------------------------
 
+    @prefix_blind
     def preference_key(self, route: Route) -> Tuple:
         """Total-order key; the *smallest* key wins.
 
@@ -60,6 +90,7 @@ class RoutingPolicy:
     # Export side
     # ------------------------------------------------------------------
 
+    @prefix_blind
     def accept_export(self, neighbor: int, route: Route) -> bool:
         """Whether to advertise ``route`` to ``neighbor``.
 

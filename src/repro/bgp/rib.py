@@ -14,11 +14,22 @@
 from __future__ import annotations
 
 from bisect import insort
-from typing import Callable, Dict, Iterator, List, Optional, Set, Tuple
+from types import MappingProxyType
+from typing import (
+    Callable,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
 from .messages import Prefix
 from .path import AsPath
-from .policy import RoutingPolicy
 from .route import Route, intern_route
 
 PreferenceKey = Callable[[Route], object]
@@ -31,9 +42,27 @@ PreferenceKey = Callable[[Route], object]
 _Stored = Tuple[AsPath, Optional[int], int]
 
 
+class _Signature:
+    """A candidate set as a sharing key: its sorted ``(neighbor, stored)``
+    items, hashed once (hashing the items hashes every path in them)."""
+
+    __slots__ = ("items", "_hash")
+
+    def __init__(self, routes: Dict[int, _Stored]) -> None:
+        self.items = tuple(sorted(routes.items()))
+        self._hash = hash(self.items)
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, _Signature) and self.items == other.items
+
+
 class _StateGroup:
     """One per-prefix candidate set, shared by every prefix whose state is
-    identical (copy-on-write: the first diverging mutation splits)."""
+    identical (copy-on-write: a transition that moves only some of the
+    members gives them a group of their own)."""
 
     __slots__ = ("routes", "ranked", "members", "sig")
 
@@ -41,13 +70,14 @@ class _StateGroup:
         self,
         routes: Dict[int, _Stored],
         ranked: Optional[List[Tuple[object, int]]],
-        sig: Optional[Tuple],
+        sig: Optional[_Signature],
     ) -> None:
         self.routes = routes
         #: Sorted [(preference key, neighbor), ...] — None when unranked.
         self.ranked = ranked
-        self.members = 1
-        #: Cached sharing signature; None when sharing is disabled.
+        #: How many prefixes point at this group.
+        self.members = 0
+        #: Registered sharing signature; None when sharing is disabled.
         self.sig = sig
 
 
@@ -70,32 +100,36 @@ class AdjRibIn:
     ``(path, next_hop, local_pref)`` plus the ranking), and prefixes whose
     candidate sets are identical share one group.  At routing-table scale
     most prefixes march through the same announcement sequence, so a
-    10k-prefix Adj-RIB-In collapses to a handful of live groups.  A
-    mutation on a shared group copies it first (copy-on-write) and then
-    re-merges with any existing group its new signature matches.  Stored
-    routes are materialized on read through the :func:`~repro.bgp.route.
-    intern_route` table, so reads hand back the canonical shared instances
-    (``learned_at`` is normalized to ``0.0`` — it is diagnostics-only).
+    10k-prefix Adj-RIB-In collapses to a handful of live groups.  Every
+    mutation is one :meth:`assign` — one neighbor's route for many
+    prefixes — applied as one transition per distinct source group: the
+    new candidate set, its ranking and its signature are computed once,
+    the group is updated in place when all its members move, and otherwise
+    the movers repoint to the group with that signature (a new one if none
+    exists).  Stored routes are materialized on read through the
+    :func:`~repro.bgp.route.intern_route` table, so reads hand back the
+    canonical shared instances (``learned_at`` is normalized to ``0.0`` —
+    it is diagnostics-only).  Because a group's members have identical
+    candidates, a decision that reads only the group is theirs in common
+    (:meth:`groups`).
 
     Sharing is enabled only when the preference key is known to be
-    **prefix-independent** — the base
-    :meth:`~repro.bgp.policy.RoutingPolicy.preference_key` (which every
-    shipped policy inherits) or no key at all.  A custom override might
-    rank by prefix, so it degrades to one group per prefix, same public
-    behavior.
+    **prefix-blind** — marked with :func:`~repro.bgp.policy.prefix_blind`,
+    as the base :meth:`~repro.bgp.policy.RoutingPolicy.preference_key`
+    (which every shipped policy inherits) is — or absent.  A custom key
+    might rank by prefix, so it degrades to one group per prefix, same
+    public behavior.
     """
 
     def __init__(self, preference_key: Optional[PreferenceKey] = None) -> None:
         self._key = preference_key
-        self._share = (
-            preference_key is None
-            or getattr(preference_key, "__func__", None)
-            is RoutingPolicy.preference_key
+        self._share = preference_key is None or getattr(
+            preference_key, "prefix_blind", False
         )
         # prefix -> its (possibly shared) state group.
         self._groups: Dict[Prefix, _StateGroup] = {}
         # signature -> the group holding that exact candidate set.
-        self._shared: Dict[Tuple, _StateGroup] = {}
+        self._shared: Dict[_Signature, _StateGroup] = {}
         # neighbor -> prefixes it currently contributes a route for
         # (reverse index: drop_neighbor and deterministic iteration).
         self._neighbor_prefixes: Dict[int, Set[Prefix]] = {}
@@ -117,125 +151,123 @@ class AdjRibIn:
     def _key_of(self, prefix: Prefix, neighbor: int, stored: _Stored) -> object:
         return self._key(self._materialize(prefix, neighbor, stored))
 
-    @staticmethod
-    def _signature(routes: Dict[int, _Stored]) -> Tuple:
-        return tuple(sorted(routes.items()))
-
-    def _detach(self, group: Optional[_StateGroup]) -> None:
-        """Drop one membership; unregister the group when it empties."""
-        if group is None:
-            return
-        group.members -= 1
-        if group.members == 0 and group.sig is not None:
-            del self._shared[group.sig]
-
-    def _writable(
-        self, prefix: Prefix, group: Optional[_StateGroup]
-    ) -> _StateGroup:
-        """A group for ``prefix`` that is safe to mutate in place.
-
-        Sole-member groups are unregistered from the sharing table (the
-        caller re-registers under the post-mutation signature); shared
-        groups are split copy-on-write.
-        """
-        if group is None:
-            fresh = _StateGroup({}, [] if self._key is not None else None, None)
-            self._groups[prefix] = fresh
-            return fresh
-        if group.members == 1:
-            if group.sig is not None:
-                del self._shared[group.sig]
-                group.sig = None
-            return group
-        group.members -= 1
-        split = _StateGroup(
-            dict(group.routes),
-            list(group.ranked) if group.ranked is not None else None,
-            None,
-        )
-        self._groups[prefix] = split
-        return split
-
-    def _register(self, group: _StateGroup) -> None:
-        """Cache the (sole-member) group's signature for future sharing."""
-        if self._share:
-            sig = self._signature(group.routes)
-            group.sig = sig
-            self._shared[sig] = group
-
-    def _adopt(
-        self, prefix: Prefix, group: Optional[_StateGroup], target: _StateGroup
+    def _transition(
+        self,
+        neighbor: int,
+        group: Optional[_StateGroup],
+        members: List[Prefix],
+        stored: Optional[_Stored],
     ) -> None:
-        """Repoint ``prefix`` at an existing identical group."""
-        self._detach(group)
-        target.members += 1
-        self._groups[prefix] = target
+        """Set ``neighbor``'s entry to ``stored`` for ``members``, the
+        prefixes of this call that point at ``group``."""
+        old = group.routes.get(neighbor) if group is not None else None
+        if old == stored:
+            return  # value-identical: state unchanged
+        index = self._neighbor_prefixes
+        if old is None:
+            contributed = index.get(neighbor)
+            if contributed is None:
+                index[neighbor] = set(members)
+            else:
+                contributed.update(members)
+        elif stored is None:
+            contributed = index[neighbor]
+            contributed.difference_update(members)
+            if not contributed:
+                del index[neighbor]
+        routes = dict(group.routes) if group is not None else {}
+        if stored is None:
+            del routes[neighbor]
+        else:
+            routes[neighbor] = stored
+        target: Optional[_StateGroup] = None
+        if routes:
+            sig = _Signature(routes) if self._share else None
+            target = self._shared.get(sig) if sig is not None else None
+            if target is None:
+                # No group holds the new set yet: this group becomes it when
+                # every member moves, a fresh one otherwise.
+                whole = group is not None and group.members == len(members)
+                if whole:
+                    assert group is not None
+                    ranked = group.ranked
+                    if group.sig is not None:
+                        del self._shared[group.sig]
+                else:
+                    ranked = [] if self._key is not None else None
+                    if group is not None and group.ranked is not None:
+                        ranked = list(group.ranked)
+                if ranked is not None:
+                    prefix = members[0]  # the key is prefix-blind when shared
+                    if old is not None:
+                        ranked.remove((self._key_of(prefix, neighbor, old), neighbor))
+                    if stored is not None:
+                        insort(ranked, (self._key_of(prefix, neighbor, stored), neighbor))
+                if whole:
+                    assert group is not None
+                    group.routes, group.sig = routes, sig
+                    if sig is not None:
+                        self._shared[sig] = group
+                    return
+                target = _StateGroup(routes, ranked, sig)
+                if sig is not None:
+                    self._shared[sig] = target
+        if group is not None:
+            group.members -= len(members)
+            if group.members == 0 and group.sig is not None:
+                del self._shared[group.sig]
+        groups = self._groups
+        if target is None:
+            for prefix in members:
+                del groups[prefix]
+            return
+        target.members += len(members)
+        for prefix in members:
+            groups[prefix] = target
 
     # ------------------------------------------------------------------
     # Mutation
     # ------------------------------------------------------------------
 
+    def assign(
+        self, neighbor: int, prefixes: Sequence[Prefix], stored: Optional[_Stored]
+    ) -> None:
+        """Set ``neighbor``'s route for every prefix in ``prefixes`` (distinct)
+        to ``stored`` — ``(path, next_hop, local_pref)`` — or, with ``None``,
+        remove it: one transition per distinct source group (per prefix
+        when sharing is off)."""
+        share = self._share
+        group_of = self._groups.get
+        # source group (the prefix itself when unshared) -> (group, members)
+        moves: Dict[object, Tuple[Optional[_StateGroup], List[Prefix]]] = {}
+        last: object = moves  # no group is the dict: the first prefix misses
+        members: List[Prefix] = []
+        for prefix in prefixes:
+            group = group_of(prefix)
+            if group is not last or not share:
+                # Neighboring prefixes mostly share a group: look up only
+                # when it changes.
+                last = group
+                move = moves.get(group if share else prefix)
+                if move is None:
+                    move = moves[group if share else prefix] = (group, [])
+                members = move[1]
+            members.append(prefix)
+        for group, members in moves.values():
+            self._transition(neighbor, group, members, stored)
+
     def put(self, neighbor: int, route: Route) -> None:
         """Store/replace the route from ``neighbor`` for ``route.prefix``."""
-        prefix = route.prefix
-        stored: _Stored = (route.path, route.next_hop, route.local_pref)
-        group = self._groups.get(prefix)
-        old = group.routes.get(neighbor) if group is not None else None
-        if old == stored:
-            return  # value-identical replacement: state unchanged
-        self._neighbor_prefixes.setdefault(neighbor, set()).add(prefix)
-        if self._share:
-            routes = dict(group.routes) if group is not None else {}
-            routes[neighbor] = stored
-            target = self._shared.get(self._signature(routes))
-            if target is not None:
-                self._adopt(prefix, group, target)
-                return
-        group = self._writable(prefix, group)
-        group.routes[neighbor] = stored
-        if group.ranked is not None:
-            if old is not None:
-                group.ranked.remove(
-                    (self._key_of(prefix, neighbor, old), neighbor)
-                )
-            insort(group.ranked, (self._key(route), neighbor))
-        self._register(group)
+        self.assign(
+            neighbor, (route.prefix,), (route.path, route.next_hop, route.local_pref)
+        )
 
     def remove(self, neighbor: int, prefix: Prefix) -> Optional[Route]:
         """Drop and return the stored route, or ``None`` if absent."""
-        group = self._groups.get(prefix)
-        stored = group.routes.get(neighbor) if group is not None else None
-        if stored is None:
-            return None
-        result = self._materialize(prefix, neighbor, stored)
-        self._discard(neighbor, prefix, group, stored)
-        prefixes = self._neighbor_prefixes.get(neighbor)
-        if prefixes is not None:
-            prefixes.discard(prefix)
-            if not prefixes:
-                del self._neighbor_prefixes[neighbor]
-        return result
-
-    def _discard(
-        self, neighbor: int, prefix: Prefix, group: _StateGroup, stored: _Stored
-    ) -> None:
-        """Remove ``neighbor``'s contribution (reverse index untouched)."""
-        if len(group.routes) == 1:
-            self._detach(group)
-            del self._groups[prefix]
-            return
-        if self._share:
-            routes = dict(group.routes)
-            del routes[neighbor]
-            target = self._shared.get(self._signature(routes))
-            if target is not None:
-                self._adopt(prefix, group, target)
-                return
-        group = self._writable(prefix, group)
-        del group.routes[neighbor]
-        if group.ranked is not None:
-            group.ranked.remove((self._key_of(prefix, neighbor, stored), neighbor))
-        self._register(group)
+        route = self.get(neighbor, prefix)
+        if route is not None:
+            self.assign(neighbor, (prefix,), None)
+        return route
 
     def drop_neighbor(self, neighbor: int) -> List[Prefix]:
         """Forget everything from ``neighbor`` (session down).
@@ -243,15 +275,20 @@ class AdjRibIn:
         Returns the prefixes that lost a candidate, so the caller can re-run
         the decision process for exactly those.
         """
-        affected = sorted(self._neighbor_prefixes.pop(neighbor, ()))
-        for prefix in affected:
-            group = self._groups[prefix]
-            self._discard(neighbor, prefix, group, group.routes[neighbor])
+        affected = sorted(self._neighbor_prefixes.get(neighbor, ()))
+        self.assign(neighbor, affected, None)
         return affected
 
     # ------------------------------------------------------------------
     # Reads
     # ------------------------------------------------------------------
+
+    def groups(self, prefixes: Iterable[Prefix]) -> Iterator[Optional[object]]:
+        """Each prefix's state group (``None``: no stored route), as an
+        opaque token, read as the iterator advances: prefixes with the same
+        token hold the same candidates in the same ranking until the next
+        mutation."""
+        return map(self._groups.get, prefixes)
 
     def get(self, neighbor: int, prefix: Prefix) -> Optional[Route]:
         group = self._groups.get(prefix)
@@ -276,8 +313,8 @@ class AdjRibIn:
         if group is None or not group.ranked:
             return None
         if usable is None:
-            neighbor = group.ranked[0][1]
-            return self._materialize(prefix, neighbor, group.routes[neighbor])
+            path, next_hop, local_pref = group.routes[group.ranked[0][1]]
+            return intern_route(prefix, path, next_hop, local_pref)
         for _key, neighbor in group.ranked:
             route = self._materialize(prefix, neighbor, group.routes[neighbor])
             if usable(route):
@@ -316,51 +353,47 @@ class AdjRibIn:
         return len({id(g) for g in self._groups.values()})
 
 
-class LocRib:
-    """The best route per prefix, as selected by the decision process."""
+class LocRib(Dict[Prefix, Route]):
+    """The best route per prefix, as selected by the decision process.
 
-    def __init__(self) -> None:
-        self._best: Dict[Prefix, Route] = {}
-
-    def get(self, prefix: Prefix) -> Optional[Route]:
-        return self._best.get(prefix)
+    A ``prefix -> Route`` dict, read with the dict's own methods (the
+    speaker's per-prefix loops call ``get`` directly) and written through
+    :meth:`set` and :meth:`remove`.
+    """
 
     def set(self, route: Route) -> None:
-        self._best[route.prefix] = route
+        self[route.prefix] = route
 
     def remove(self, prefix: Prefix) -> Optional[Route]:
-        return self._best.pop(prefix, None)
+        return self.pop(prefix, None)
 
     def prefixes(self) -> List[Prefix]:
-        return sorted(self._best)
-
-    def __len__(self) -> int:
-        return len(self._best)
-
-    def __contains__(self, prefix: Prefix) -> bool:
-        return prefix in self._best
+        return sorted(self)
 
 
-class AdjRibOut:
-    """Last advertisement per ``(neighbor, prefix)``."""
+EMPTY_VIEW: Mapping[Prefix, Optional[AsPath]] = MappingProxyType({})
+"""The :class:`AdjRibOut` view of a neighbor sent nothing yet."""
 
-    def __init__(self) -> None:
-        self._sent: Dict[int, Dict[Prefix, Optional[AsPath]]] = {}
 
-    def last_sent(self, neighbor: int, prefix: Prefix) -> Optional[AsPath]:
-        """The path the neighbor currently believes we advertised (our AS
-        at the head), or ``None`` when it holds nothing from us.
+class AdjRibOut(Dict[int, Dict[Prefix, Optional[AsPath]]]):
+    """Last advertisement per ``(neighbor, prefix)``.
 
-        Before any message this is ``None``, the same as after an explicit
-        withdrawal — correctly so, since in both cases the neighbor holds
-        no route from us.
-        """
-        return self._sent.get(neighbor, {}).get(prefix)
+    A ``neighbor -> view`` dict, written only through :meth:`record`; a
+    view maps each prefix to the path the neighbor currently believes we
+    advertised (our AS at the head), or ``None`` when it holds nothing from
+    us (read one with ``get(neighbor, EMPTY_VIEW)``).  A prefix never sent
+    is absent from the view, which reads the same as ``None`` after an
+    explicit withdrawal — correctly so, since in both cases the neighbor
+    holds no route from us.
+    """
 
     def record(self, neighbor: int, prefix: Prefix, path: Optional[AsPath]) -> None:
         """Note what was just sent: ``path``, or ``None`` for a withdrawal."""
-        self._sent.setdefault(neighbor, {})[prefix] = path
+        try:
+            self[neighbor][prefix] = path
+        except KeyError:
+            self[neighbor] = {prefix: path}
 
     def drop_neighbor(self, neighbor: int) -> None:
         """Forget the neighbor entirely (session down)."""
-        self._sent.pop(neighbor, None)
+        self.pop(neighbor, None)

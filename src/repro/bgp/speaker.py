@@ -20,14 +20,20 @@ implements, per §3:
   liveness, ConnectRetry re-establishment after a session loss via an OPEN
   handshake, and the RFC 1771 initial table exchange on session-up.
 
-There is one path through it, the many-prefix one.  Every UPDATE form
-enters one ``(withdrawn, nlri)`` handler (a single announcement or
-withdrawal is a batch of one); :meth:`BgpSpeaker._run_decisions` decides
-the prefixes it named; :meth:`BgpSpeaker._sync` syncs peers prefix-outer,
-peer-inner, and holds every rate-limiting, duplicate-suppression and
-enhancement rule; an MRAI expiry and the full-table exchanges both sync
-their prefixes to one peer in one MRAI round (:meth:`BgpSpeaker._release`);
-one emit step sends or queues each route for a batched UPDATE.
+There is one path through it, the many-prefix one, and its unit of work
+is the route-state group: the prefixes whose decision inputs are equal.
+Every UPDATE form enters one ``(withdrawn, nlri)`` handler (a single
+announcement or withdrawal is a batch of one), which applies each run of
+routes sharing a path to the Adj-RIB-In as one transition per state group;
+:meth:`BgpSpeaker._run_decisions` decides once per group;
+:meth:`BgpSpeaker._sync` plans each peer's update once per outcome, syncs
+peers prefix-outer, peer-inner, and holds every rate-limiting,
+duplicate-suppression and enhancement rule; an MRAI expiry and the
+full-table exchanges both sync their prefixes to one peer in one MRAI
+round (:meth:`BgpSpeaker._release`); one emit step sends or queues each
+route for a batched UPDATE.  What stays per prefix is what the outputs are
+made of: each NLRI entry and Adj-RIB-Out record, each Loc-RIB and FIB
+change with its listener records, and every observer hook.
 
 The speaker maintains a one-prefix-deep FIB (``prefix -> next hop``); every
 FIB change is reported to an optional listener, which is how the data plane
@@ -37,6 +43,8 @@ reconstructs the forwarding graph over time.
 from __future__ import annotations
 
 from contextlib import ExitStack
+from itertools import repeat
+from operator import itemgetter
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from ..engine import RandomStreams, Scheduler
@@ -49,15 +57,18 @@ from .messages import Announcement, Keepalive, Open, Prefix, UpdateBatch, Withdr
 from .mrai import MraiManager
 from .session import SessionManager
 from .path import AsPath
-from .policy import RoutingPolicy, ShortestPathPolicy
-from .rib import AdjRibIn, AdjRibOut, LocRib
-from .route import Route
+from .policy import RoutingPolicy, ShortestPathPolicy, reads_prefix
+from .rib import EMPTY_VIEW, AdjRibIn, AdjRibOut, LocRib
+from .route import Route, intern_route
 from .variants import (
     converts_to_withdrawal,
     should_flush,
     stale_entries,
     withdrawals_rate_limited,
 )
+
+_FIRST = itemgetter(0)
+_PENDING = object()  # a value not computed yet
 
 FibListener = Callable[[float, int, Prefix, Optional[int]], None]
 """``listener(time, node, prefix, next_hop)``; ``next_hop is None`` = no route,
@@ -109,6 +120,9 @@ class BgpSpeaker(Node):
         super().__init__(node_id, scheduler, service_time)
         self.config = config
         self.policy = policy or ShortestPathPolicy()
+        # A policy that may read the prefix is evaluated per prefix.
+        self._reads_prefix = reads_prefix(self.policy)
+        self._wrate = withdrawals_rate_limited(config)
         self.decision = DecisionProcess(self.policy)
         self.adj_rib_in = AdjRibIn(preference_key=self.policy.preference_key)
         self.loc_rib = LocRib()
@@ -164,10 +178,7 @@ class BgpSpeaker(Node):
 
     def originate(self, prefix: Prefix) -> None:
         """Start originating ``prefix`` (the destination AS's role)."""
-        if prefix in self._origins:
-            return
-        self._origins.add(prefix)
-        self._run_decisions([prefix])
+        self.update_origins([prefix], [])
 
     def withdraw_origin(self, prefix: Prefix) -> None:
         """Stop originating ``prefix`` — the Tdown trigger.
@@ -178,8 +189,24 @@ class BgpSpeaker(Node):
         """
         if prefix not in self._origins:
             raise ProtocolError(f"node {self.node_id} does not originate {prefix!r}")
-        self._origins.discard(prefix)
-        self._run_decisions([prefix])
+        self.update_origins([], [prefix])
+
+    def update_origins(self, add: Sequence[Prefix], remove: Sequence[Prefix]) -> None:
+        """Start originating ``add`` and stop originating ``remove``
+        (disjoint), then decide them in one pass, ``add`` first.  A prefix
+        already in the wanted state is left alone.
+
+        Each decision reads only its own prefix's state, so one pass is
+        outcome-identical to originating and withdrawing one prefix at a
+        time in that order (:meth:`originate` and :meth:`withdraw_origin`
+        are the one-prefix cases).
+        """
+        origins = self._origins
+        added = [prefix for prefix in dict.fromkeys(add) if prefix not in origins]
+        origins.update(added)
+        removed = [prefix for prefix in dict.fromkeys(remove) if prefix in origins]
+        origins.difference_update(removed)
+        self._run_decisions(added + removed)
 
     def start(self) -> None:
         """Bring up sessions and advertise pre-configured originations.
@@ -239,12 +266,12 @@ class BgpSpeaker(Node):
                 return
         elif not self.link_is_up(src):
             return  # stale delivery from an adjacency that has since died
-        if isinstance(message, UpdateBatch):
-            self._handle_update(src, message.withdrawn, message.nlri)
-        elif isinstance(message, Announcement):
+        if isinstance(message, Announcement):
             self._handle_update(src, (), ((message.prefix, message.path),))
         elif isinstance(message, Withdrawal):
             self._handle_update(src, (message.prefix,), ())
+        elif isinstance(message, UpdateBatch):
+            self._handle_update(src, message.withdrawn, message.nlri)
         else:
             raise ProtocolError(f"unexpected message {message!r} from {src}")
 
@@ -256,57 +283,74 @@ class BgpSpeaker(Node):
     ) -> None:
         """One UPDATE: withdrawn routes first, then NLRI — RFC 4271's
         processing order — then one decision pass over every prefix it
-        named.  A single announcement or withdrawal is a batch of one."""
-        dirtied = list(withdrawn)
-        for prefix in withdrawn:
-            self._apply_withdrawal(src, prefix)
-        for prefix, path in nlri:
-            self._apply_announcement(src, prefix, path)
-            dirtied.append(prefix)
-        self._run_decisions(dirtied)
+        named.  A single announcement or withdrawal is a batch of one.
 
-    def _apply_announcement(self, src: int, prefix: Prefix, path: AsPath) -> None:
-        """Adj-RIB-In effects of one announced route (no decision run)."""
-        if path.head != src:
+        The routes carrying one path (or none: the withdrawn) are applied
+        as one run; an UPDATE names each prefix once, so applying run by
+        run is applying route by route.
+        """
+        runs: Dict[Optional[AsPath], List[Prefix]] = {}
+        if withdrawn:
+            runs[None] = list(withdrawn)
+        last: Optional[AsPath] = None
+        run: List[Prefix] = []
+        for prefix, path in nlri:
+            if path is not last:
+                # Neighboring prefixes mostly share a path: look up only
+                # when it changes.
+                last = path
+                run = runs.setdefault(path, [])
+            run.append(prefix)
+        for path, prefixes in runs.items():
+            self._apply_run(src, path, prefixes)
+        self._run_decisions([*withdrawn, *map(_FIRST, nlri)])
+
+    def _apply_run(self, src: int, path: Optional[AsPath], prefixes: List[Prefix]) -> None:
+        """Adj-RIB-In effects of ``src``'s routes for ``prefixes``, all
+        carrying ``path`` (``None``: withdrawn); no decision run.
+
+        The import policy is evaluated once for the run (per prefix when it
+        may read the prefix) and the result applied as one
+        :meth:`~repro.bgp.rib.AdjRibIn.assign`.
+        """
+        if path is not None and path.head != src:
             raise ProtocolError(
                 f"announcement head {path.head} does not match sender {src}"
             )
         if self.config.assertion:
-            self._apply_assertion(prefix, src, path)
+            for prefix in prefixes:
+                self._apply_assertion(prefix, src, path)
+        rib = self.adj_rib_in
+        # Path-based poison reverse: a path through us is unusable, and it
+        # *replaces* src's previous announcement (implicit withdrawal).
+        unusable = path is None or self.node_id in path
         if self.damper is not None:
-            previous = self.adj_rib_in.get(src, prefix)
-            if self.node_id in path:
-                if previous is not None:
+            for prefix in prefixes:
+                previous = rib.get(src, prefix)
+                if previous is None:
+                    continue
+                if unusable:
                     self.damper.record_withdrawal(src, prefix)
-            elif previous is not None and previous.path != path:
-                self.damper.record_change(src, prefix)
-
-        if self.node_id in path:
-            # Path-based poison reverse: the route is unusable for us, and it
-            # *replaces* src's previous announcement (implicit withdrawal).
+                elif previous.path != path:
+                    self.damper.record_change(src, prefix)
+        if unusable:
             observer = self.scheduler.observer
-            if observer is not None:
-                observer.on_variant_extra(self.node_id, "poison_reverse")
-            self.adj_rib_in.remove(src, prefix)
-        else:
-            provisional = Route.of(prefix, path, src)
+            if path is not None and observer is not None:
+                for _prefix in prefixes:
+                    observer.on_variant_extra(self.node_id, "poison_reverse")
+            rib.assign(src, prefixes, None)
+            return
+        assert path is not None
+        units = [[prefix] for prefix in prefixes] if self._reads_prefix else [prefixes]
+        for unit in units:
+            provisional = intern_route(unit[0], path, src)
             local_pref = self.policy.local_pref(src, provisional)
             if local_pref == provisional.local_pref:
                 route = provisional  # default pref: already the shared instance
             else:
-                route = Route.of(prefix, path, src, local_pref)
-            if self.policy.accept_import(src, route):
-                self.adj_rib_in.put(src, route)
-            else:
-                self.adj_rib_in.remove(src, prefix)
-
-    def _apply_withdrawal(self, src: int, prefix: Prefix) -> None:
-        """Adj-RIB-In effects of one withdrawn route (no decision run)."""
-        if self.config.assertion:
-            self._apply_assertion(prefix, src, None)
-        if self.damper is not None and self.adj_rib_in.get(src, prefix) is not None:
-            self.damper.record_withdrawal(src, prefix)
-        self.adj_rib_in.remove(src, prefix)
+                route = intern_route(unit[0], path, src, local_pref)
+            accepted = self.policy.accept_import(src, route)
+            rib.assign(src, unit, (route.path, src, local_pref) if accepted else None)
 
     def _apply_assertion(
         self, prefix: Prefix, src: int, new_path: Optional[AsPath]
@@ -506,47 +550,85 @@ class BgpSpeaker(Node):
         """A suppressed (peer, prefix) decayed below reuse: reconsider it."""
         self._run_decisions([prefix])
 
+    def _decision_keys(self, prefixes: Sequence[Prefix]) -> Iterable[Tuple]:
+        """Per prefix, everything its decision reads: its Adj-RIB-In state
+        group (candidates and ranking), whether we originate it, and —
+        with damping — which of its candidates are suppressed.  Equal keys,
+        equal winners; a custom preference key keeps groups one prefix
+        wide (:class:`~repro.bgp.rib.AdjRibIn`)."""
+        groups = self.adj_rib_in.groups(prefixes)
+        originated = map(self._origins.__contains__, prefixes)
+        damper = self.damper
+        if damper is None:
+            return zip(groups, originated)
+        neighbors_with = self.adj_rib_in.neighbors_with
+        suppressed = [
+            tuple(
+                peer for peer in neighbors_with(prefix) if damper.is_suppressed(peer, prefix)
+            )
+            for prefix in prefixes
+        ]
+        return zip(groups, originated, suppressed)
+
     def _run_decisions(self, prefixes: Sequence[Prefix]) -> None:
         """Re-select every prefix's best route, then sync the changed ones.
 
-        Each decision reads and writes only its own prefix's state, so
-        deciding every prefix before any send is outcome-identical to
-        interleaving, and the sync keeps the prefix-outer, peer-inner send
-        order.
+        The decision process runs once per decision key
+        (:meth:`_decision_keys`) and each prefix takes its key's winner;
+        the Loc-RIB and FIB changes, the route-listener records and
+        ``on_decision`` are made per prefix, in order.  Each decision reads
+        and writes only its own prefix's state, so deciding every prefix
+        before any send is outcome-identical to interleaving, and the sync
+        keeps the prefix-outer, peer-inner send order.
         """
-        changed = [prefix for prefix in prefixes if self._decide(prefix)]
+        observer = self.scheduler.observer
+        loc_rib = self.loc_rib
+        listener = self._route_listener
+        # key -> [winner as (next_hop, local_pref, path) or None, and its
+        # path in node notation once a change needs it]
+        winners: Dict[Tuple, List[object]] = {}
+        changed = []
+        best_of = loc_rib.get
+        for prefix, key in zip(prefixes, self._decision_keys(prefixes)):
+            old = best_of(prefix)
+            if key in winners:
+                winner = winners[key]
+            else:
+                best = self._select_best(prefix)
+                winner = winners[key] = [
+                    None if best is None else (best.next_hop, best.local_pref, best.path),
+                    _PENDING,
+                ]
+            stored = winner[0]
+            # Next hop and preference first: a changed route mostly differs
+            # there, before its path is compared.
+            if (None if old is None else (old.next_hop, old.local_pref, old.path)) != stored:
+                new = (
+                    None
+                    if stored is None
+                    else intern_route(prefix, stored[2], stored[0], stored[1])
+                )
+                if new is None:
+                    loc_rib.remove(prefix)
+                else:
+                    loc_rib.set(new)
+                if listener is not None:
+                    if winner[1] is _PENDING:
+                        winner[1] = self._node_path(new)
+                    listener(
+                        self.scheduler.now,
+                        self.node_id,
+                        prefix,
+                        self._node_path(old),
+                        winner[1],
+                    )
+                self._update_fib(prefix, new)
+                changed.append(prefix)
+            if observer is not None:
+                observer.on_decision(self, prefix)
         if changed:
             # Every adjacency; _sync keeps the ones that can receive.
             self._sync(self._ports, changed)
-
-    def _decide(self, prefix: Prefix) -> bool:
-        """Re-select ``prefix``'s best route and update the FIB.
-
-        Returns True when the best route changed (peers need syncing).
-        """
-        observer = self.scheduler.observer
-        old_best = self.loc_rib.get(prefix)
-        new_best = self._select_best(prefix)
-        if new_best == old_best:
-            if observer is not None:
-                observer.on_decision(self, prefix)
-            return False
-        if new_best is None:
-            self.loc_rib.remove(prefix)
-        else:
-            self.loc_rib.set(new_best)
-        if self._route_listener is not None:
-            self._route_listener(
-                self.scheduler.now,
-                self.node_id,
-                prefix,
-                self._node_path(old_best),
-                self._node_path(new_best),
-            )
-        self._update_fib(prefix, new_best)
-        if observer is not None:
-            observer.on_decision(self, prefix)
-        return True
 
     def _node_path(self, route: Optional[Route]) -> Optional[AsPath]:
         """A route's path in the paper's notation (self at the head)."""
@@ -557,16 +639,17 @@ class BgpSpeaker(Node):
     def _update_fib(self, prefix: Prefix, best: Optional[Route]) -> None:
         if best is None:
             next_hop: Optional[int] = None
-        elif best.is_local:
-            next_hop = self.node_id
+        elif best.next_hop is None:
+            next_hop = self.node_id  # a local route: deliver here
         else:
             next_hop = best.next_hop
-        if self.fib.get(prefix, None) == next_hop and prefix in self.fib:
-            return
-        had_entry = prefix in self.fib
-        if not had_entry and next_hop is None:
+        fib = self.fib
+        if prefix in fib:
+            if fib[prefix] == next_hop:
+                return
+        elif next_hop is None:
             return  # never had a route and still none: nothing changed
-        self.fib[prefix] = next_hop
+        fib[prefix] = next_hop
         observer = self.scheduler.observer
         if observer is not None:
             observer.on_fib_change(
@@ -590,9 +673,11 @@ class BgpSpeaker(Node):
         Adj-RIB-Out recorded it as sent, and the re-exchange at session-up
         would skip routes the peer never saw.  Sends cannot change link or
         session state, so eligibility is checked once per call, on the
-        port table.  The best route and the path it re-advertises are
-        looked up once per prefix; only export, SSLD, the Adj-RIB-Out
-        comparison and MRAI are per peer.
+        port table.  Export, SSLD and the desired path are planned once per
+        (peer, outcome) (:meth:`_plan`), and a per-peer MRAI timer's state
+        is read once per peer and updated as sends arm it; per (peer,
+        prefix) remain the Adj-RIB-Out read, the per-prefix MRAI test in
+        per-prefix mode, and the emit or hold.
         """
         ports = self._ports
         sessions = self.sessions
@@ -604,66 +689,118 @@ class BgpSpeaker(Node):
         if not peers:
             return
         observer = self.scheduler.observer
+        node_id = self.node_id
         mrai = self.mrai
-        wrate = withdrawals_rate_limited(self.config)
-        last_sent = self.adj_rib_out.last_sent
+        emit = self._emit
+        ghost_flushing = self.config.ghost_flushing
+        held: List[Tuple[int, Prefix]] = []
+        # Per-peer mode: one gate per peer (its timer serves every prefix),
+        # 0 closed, 1 open, 2 open with this round's send already recorded
+        # (a flush window).
+        gates = (
+            {peer: int(mrai.can_send_now(peer, None)) for peer in peers}
+            if mrai.per_peer
+            else None
+        )
+        reads_prefix = self._reads_prefix
+        best_of = self.loc_rib.get
+        # outcome -> plan; the path by identity (every Loc-RIB path is
+        # alive throughout, so equal ids are one path)
+        plans: Dict[Optional[Tuple], List[Tuple]] = {}
         for prefix in prefixes:
-            best = self.loc_rib.get(prefix)
-            advertised = None if best is None else best.advertised_by(self.node_id)
-            for peer in peers:
-                desired = self._desired_advertisement(peer, best, advertised)
-                last = last_sent(peer, prefix)
-                if desired == last:
+            best = best_of(prefix)
+            outcome = (
+                None
+                if best is None
+                else (
+                    id(best.path),
+                    best.next_hop,
+                    best.local_pref,
+                    prefix if reads_prefix else None,
+                )
+            )
+            plan = plans.get(outcome)
+            if plan is None:
+                plan = plans[outcome] = self._plan(peers, best)
+            for peer, sent, desired, limited, extra in plan:
+                if extra is not None and observer is not None:
+                    observer.on_variant_extra(node_id, extra)
+                last = sent[prefix] if prefix in sent else None
+                if desired is last or (
+                    desired is not None and last is not None and desired == last
+                ):
                     if observer is not None:
                         observer.on_update_suppressed(
-                            self.node_id, peer, prefix, "duplicate"
+                            node_id, peer, prefix, "duplicate"
                         )
                     continue
-                if desired is None:
-                    if wrate and mrai.holding(peer, prefix):
-                        mrai.hold(peer, prefix)  # WRATE: the expiry sends it
+                if limited:
+                    gate = mrai.can_send_now(peer, prefix) if gates is None else gates[peer]
+                    if not gate:
+                        # Held until the expiry re-derives it (WRATE holds
+                        # withdrawals too).
+                        held.append((peer, prefix))
                         if observer is not None:
                             observer.on_update_suppressed(
-                                self.node_id, peer, prefix, "wrate"
+                                node_id, peer, prefix, "wrate" if desired is None else "mrai"
                             )
+                        if (
+                            ghost_flushing
+                            and desired is not None
+                            and should_flush(last, desired)
+                        ):
+                            emit(peer, prefix, None)
+                            if observer is not None:
+                                observer.on_variant_extra(node_id, "ghost_flush")
                         continue
-                    self._emit(peer, prefix, None)
-                    if wrate:
+                emit(peer, prefix, desired)
+                if limited:
+                    if gates is None:
                         mrai.mark_sent(peer, prefix)
-                    continue
-                if mrai.can_send_now(peer, prefix):
-                    self._emit(peer, prefix, desired)
-                    mrai.mark_sent(peer, prefix)
-                    continue
-                # Announcement held by MRAI until the expiry re-derives it.
-                mrai.hold(peer, prefix)
-                if observer is not None:
-                    observer.on_update_suppressed(self.node_id, peer, prefix, "mrai")
-                if self.config.ghost_flushing and should_flush(last, desired):
-                    self._emit(peer, prefix, None)
-                    if observer is not None:
-                        observer.on_variant_extra(self.node_id, "ghost_flush")
+                    elif gate == 1:
+                        mrai.mark_sent(peer, prefix)
+                        gates[peer] = 2 if mrai.can_send_now(peer, prefix) else 0
+        if held:
+            mrai.hold(held)
 
-    def _desired_advertisement(
-        self, peer: int, best: Optional[Route], advertised: Optional[AsPath]
-    ) -> Optional[AsPath]:
-        """The path ``peer`` should hold from us right now (None = nothing),
-        given our best route and the path it re-advertises."""
-        if best is None or not self.policy.accept_export(peer, best):
-            return None
-        if self.config.ssld and converts_to_withdrawal(peer, advertised):
-            # SSLD: the peer would poison-reverse this path away; send the
-            # equivalent information as an (immediate) withdrawal instead.
-            observer = self.scheduler.observer
-            if observer is not None:
-                observer.on_variant_extra(self.node_id, "ssld_conversion")
-            return None
-        return advertised
+    def _plan(self, peers: List[int], best: Optional[Route]) -> List[Tuple]:
+        """Per eligible peer, what it should hold from us given ``best``:
+        ``(peer, sent, desired, limited, extra)``.  ``sent`` is the peer's
+        Adj-RIB-Out view (a view this sync's first send creates is not it,
+        which reads the same: each (peer, prefix) is synced once per call);
+        ``desired`` the path (None = nothing); ``limited`` whether sending
+        it waits for MRAI (announcements always, withdrawals under WRATE);
+        ``extra`` the variant event each of its prefixes reports."""
+        wrate = self._wrate
+        views = zip(peers, map(self.adj_rib_out.get, peers, repeat(EMPTY_VIEW)))
+        if best is None:
+            return [(peer, sent, None, wrate, None) for peer, sent in views]
+        advertised = best.advertised_by(self.node_id)
+        accept_export = self.policy.accept_export
+        # SSLD: a peer that would poison-reverse the path away gets the
+        # equivalent information as an (immediate) withdrawal instead.
+        ssld = self.config.ssld
+        return [
+            (peer, sent, None, wrate, None)
+            if not accept_export(peer, best)
+            else (peer, sent, None, wrate, "ssld_conversion")
+            if ssld and converts_to_withdrawal(peer, advertised)
+            else (peer, sent, advertised, True, None)
+            for peer, sent in views
+        ]
 
     def _emit(self, peer: int, prefix: Prefix, path: Optional[AsPath]) -> None:
         """Send one route to ``peer`` (``path is None``: withdraw it) and
         record it in the Adj-RIB-Out — as its own message, or queued for the
-        peer's same-instant ``UpdateBatch``."""
+        peer's same-instant ``UpdateBatch``.
+
+        A queued route joins the peer's pending map (last write wins).  The
+        first one queued for a peer schedules a same-instant flush event;
+        every further same-instant update for the peer — including later
+        events at this timestamp — joins the same batch.  Because the flush
+        fires at the same simulation time the individual messages would
+        have been sent, batching only changes packing, never timing.
+        """
         observer = self.scheduler.observer
         if observer is not None:
             if path is None:
@@ -671,35 +808,26 @@ class BgpSpeaker(Node):
             else:
                 observer.on_announcement(self, peer, prefix, path)
         if self.config.batch_updates:
-            self._queue_update(peer, prefix, path)
+            try:
+                self._pending_updates[peer][prefix] = path
+            except KeyError:
+                self._pending_updates[peer] = {prefix: path}
+            if peer not in self._flush_scheduled:
+                self._flush_scheduled.add(peer)
+                self.scheduler.call_at(
+                    self.scheduler.now,
+                    lambda p=peer: self._flush_updates(p),
+                    name=f"batch-flush:{self.node_id}->{peer}",
+                )
         elif path is None:
-            self.send(peer, Withdrawal(prefix=prefix))
+            self.send(peer, Withdrawal(prefix))
         else:
-            self.send(peer, Announcement(prefix=prefix, path=path))
+            self.send(peer, Announcement(prefix, path))
         self.adj_rib_out.record(peer, prefix, path)
 
     # ------------------------------------------------------------------
     # Batched-UPDATE packing (config.batch_updates)
     # ------------------------------------------------------------------
-
-    def _queue_update(self, peer: int, prefix: Prefix, path: Optional[AsPath]) -> None:
-        """Queue one route for the peer's next batch (last write wins).
-
-        The first queued route for a peer schedules a same-instant flush
-        event; every further same-instant update for the peer — including
-        later events at this timestamp — joins the same batch.  Because the
-        flush fires at the same simulation time the individual messages
-        would have been sent, batching only changes packing, never timing.
-        """
-        pending = self._pending_updates.setdefault(peer, {})
-        pending[prefix] = path
-        if peer not in self._flush_scheduled:
-            self._flush_scheduled.add(peer)
-            self.scheduler.call_at(
-                self.scheduler.now,
-                lambda p=peer: self._flush_updates(p),
-                name=f"batch-flush:{self.node_id}->{peer}",
-            )
 
     def _flush_updates(self, peer: int) -> None:
         """Drain the peer's queue into one canonical UpdateBatch."""
@@ -711,10 +839,9 @@ class BgpSpeaker(Node):
             return  # adjacency died this instant; the purge re-syncs later
         if self.sessions is not None and not self.sessions.established(peer):
             return
-        withdrawn = tuple(sorted(p for p, path in pending.items() if path is None))
-        nlri = tuple(
-            sorted((p, path) for p, path in pending.items() if path is not None)
-        )
+        order = sorted(pending)
+        withdrawn = tuple([p for p in order if pending[p] is None])
+        nlri = tuple([(p, pending[p]) for p in order if pending[p] is not None])
         self.send(peer, UpdateBatch(withdrawn=withdrawn, nlri=nlri))
 
     def _on_mrai_expiry(self, peer: int, held: List[Prefix]) -> None:

@@ -19,14 +19,13 @@ the macro metrics (convergence time ≈ exploration rounds × MRAI).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, NamedTuple, Optional
 
 from ..bgp.path import AsPath
 from ..util.stats import mean
 
 
-@dataclass(frozen=True)
-class RouteChange:
+class RouteChange(NamedTuple):
     """One best-path change at one node."""
 
     time: float

@@ -18,9 +18,8 @@ Next-hop encoding, shared with :class:`~repro.bgp.speaker.BgpSpeaker`:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict, FrozenSet, Iterator, List, Optional, Tuple, Union
+from typing import Dict, FrozenSet, Iterator, List, NamedTuple, Optional, Tuple, Union
 
 from ..errors import AnalysisError
 from ..prefixes import parse_prefix
@@ -36,8 +35,7 @@ itself, matched exactly."""
 _parse = lru_cache(maxsize=None)(parse_prefix)
 
 
-@dataclass(frozen=True, slots=True)
-class FibChange:
+class FibChange(NamedTuple):
     """One next-hop change at one node."""
 
     time: float

@@ -16,8 +16,7 @@ read has changed — share that one loop.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from .fib import Destination, ForwardingGraph, MultiPrefixFib
 
@@ -33,8 +32,7 @@ class PacketFate(enum.Enum):
     TTL_EXPIRED = "ttl-expired"
 
 
-@dataclass(frozen=True)
-class WalkResult:
+class WalkResult(NamedTuple):
     """The outcome of forwarding one packet through a static graph.
 
     Attributes
@@ -55,10 +53,6 @@ class WalkResult:
     fate: PacketFate
     hops: int
     loop: Optional[Tuple[int, ...]] = None
-
-    @property
-    def looped(self) -> bool:
-        return self.loop is not None
 
 
 def canonical_cycle(cycle: Tuple[int, ...]) -> Tuple[int, ...]:

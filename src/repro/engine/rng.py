@@ -31,11 +31,6 @@ class RandomStreams:
         self._seed = int(seed)
         self._streams: Dict[str, random.Random] = {}
 
-    @property
-    def seed(self) -> int:
-        """The root seed this factory was created with."""
-        return self._seed
-
     def stream(self, name: str) -> random.Random:
         """Return the named stream, creating it on first use.
 

@@ -29,6 +29,8 @@ simulation, so sweeps can record the post-mortem and continue.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from itertools import groupby
+from operator import itemgetter
 from typing import TYPE_CHECKING, Callable, Optional
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (annotation only)
@@ -58,6 +60,8 @@ from ..net import Network
 from .config import RunSettings
 from .diagnostics import capture_snapshot
 from .scenarios import Scenario
+
+_FIRST = itemgetter(0)
 
 PolicyFactory = Callable[[int], RoutingPolicy]
 """``factory(node_id) -> RoutingPolicy`` for per-node policies (e.g. a
@@ -134,12 +138,12 @@ def build_network(
         )
 
     network = Network(scenario.topology, scheduler, factory)
-    # Legacy single-prefix scenarios yield exactly ((destination, prefix),)
-    # here, so this loop is the historical code path bit-for-bit.
-    for node_id, prefix in scenario.effective_originations:
+    # Each run of consecutive originations at one node is one decision pass,
+    # outcome-identical to originating them one at a time in list order.
+    for node_id, pairs in groupby(scenario.effective_originations, key=_FIRST):
         origin = network.node(node_id)
         assert isinstance(origin, BgpSpeaker)
-        origin.originate(prefix)
+        origin.update_origins([prefix for _node, prefix in pairs], [])
     return network
 
 

@@ -43,10 +43,6 @@ class Link:
         """The (low, high) node-id pair of this link."""
         return (self.u, self.v)
 
-    @property
-    def delay(self) -> float:
-        return self._to_v.delay
-
     def channel_from(self, node: int) -> Channel:
         """The outbound channel as seen from ``node``."""
         if node == self.u:

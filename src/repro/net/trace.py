@@ -11,12 +11,10 @@ keeps the records and answers predicate queries over them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Callable, Iterator, List, Optional
+from typing import Any, Callable, Iterator, List, NamedTuple, Optional
 
 
-@dataclass(frozen=True)
-class TraceRecord:
+class TraceRecord(NamedTuple):
     """One control-plane message send."""
 
     time: float

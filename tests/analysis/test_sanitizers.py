@@ -10,11 +10,13 @@ from repro.analysis import (
     RibCoherenceSanitizer,
     build_suite,
 )
-from repro.bgp import BgpConfig, variant
-from repro.engine import Scheduler
+from repro.bgp import BgpConfig, BgpSpeaker, DampingConfig, variant
+from repro.engine import RandomStreams, Scheduler
 from repro.errors import BudgetExceededError, SanitizerError
 from repro.experiments import RunSettings, run_experiment, tdown_clique
+from repro.net import Network
 from repro.net.channel import Channel
+from repro.topology import chain
 
 
 class TestBuildSuite:
@@ -165,7 +167,7 @@ class TestRibCoherenceSanitizer:
         speaker = converged_network.node(1)
         path = speaker.full_path("d0/8")
         speaker.mrai.mark_sent(2, "d0/8")
-        assert speaker.mrai.holding(2, "d0/8")
+        assert not speaker.mrai.can_send_now(2, "d0/8")
         with pytest.raises(SanitizerError, match="MRAI"):
             RibCoherenceSanitizer().on_announcement(speaker, 2, "d0/8", path)
 
@@ -174,6 +176,61 @@ class TestRibCoherenceSanitizer:
         foreign = speaker.full_path("d0/8").prepend(9)
         with pytest.raises(SanitizerError, match="headed by"):
             RibCoherenceSanitizer().on_announcement(speaker, 2, "d0/8", foreign)
+
+
+class TestGroupDecisionMutation:
+    """The speaker decides once per decision key; a key that forgets the
+    damping-suppressed candidates shares one prefix's winner with another
+    whose winner is suppressed, and the sanitizer catches it."""
+
+    DAMPING = DampingConfig(
+        withdrawal_penalty=1000.0,
+        attribute_change_penalty=500.0,
+        suppress_threshold=2000.0,
+        reuse_threshold=750.0,
+        half_life=10.0,
+        max_suppress_time=60.0,
+    )
+
+    def decide_with_one_prefix_suppressed(self):
+        """Two prefixes sharing one state group at node 2 of a chain, one of
+        them suppressed toward its only candidate: decide both at once."""
+        config = BgpConfig(mrai=1.0, damping=self.DAMPING)
+        scheduler = Scheduler()
+        streams = RandomStreams(4)
+        network = Network(
+            chain(3),
+            scheduler,
+            lambda node, sched: BgpSpeaker(node, sched, config=config, streams=streams),
+        )
+        for prefix in ("a", "b"):
+            network.node(0).originate(prefix)
+        network.start()
+        scheduler.run(max_events=10_000)
+        speaker = network.node(2)
+        group_a, group_b = speaker.adj_rib_in.groups(["a", "b"])
+        assert group_a is group_b
+        speaker.damper.record_withdrawal(1, "b")
+        speaker.damper.record_withdrawal(1, "b")
+        scheduler.observe(RibCoherenceSanitizer())
+        speaker._run_decisions(["a", "b"])
+        return speaker
+
+    def test_suppressed_prefix_decides_apart(self):
+        speaker = self.decide_with_one_prefix_suppressed()
+        assert speaker.best_route("a") is not None
+        assert speaker.best_route("b") is None
+
+    def test_a_key_without_the_suppressed_set_trips(self, monkeypatch):
+        """Mutation: the decision key drops the damping-suppressed set."""
+        keys = BgpSpeaker._decision_keys
+        monkeypatch.setattr(
+            BgpSpeaker,
+            "_decision_keys",
+            lambda self, prefixes: [key[:2] for key in keys(self, prefixes)],
+        )
+        with pytest.raises(SanitizerError, match="decision process selects"):
+            self.decide_with_one_prefix_suppressed()
 
 
 class TestRunnerIntegration:

@@ -26,13 +26,12 @@ class TestHoldRelease:
     def test_can_send_initially(self, scheduler, expiries):
         mrai = make_manager(scheduler, expiries)
         assert mrai.can_send_now(1, "d")
-        assert not mrai.holding(1, "d")
 
     def test_mark_sent_holds_until_expiry(self, scheduler, expiries):
         mrai = make_manager(scheduler, expiries)
         mrai.mark_sent(1, "d")
         assert not mrai.can_send_now(1, "d")
-        mrai.hold(1, "d")  # an update suppressed meanwhile
+        mrai.hold([(1, "d")])  # an update suppressed meanwhile
         scheduler.run()
         assert expiries == [(10.0, 1, ["d"])]
         assert mrai.can_send_now(1, "d")
@@ -62,7 +61,6 @@ class TestHoldRelease:
 class TestDisabled:
     def test_zero_interval_disables_holding(self, scheduler, expiries):
         mrai = make_manager(scheduler, expiries, interval=0.0)
-        assert not mrai.enabled
         mrai.mark_sent(1, "d")
         assert mrai.can_send_now(1, "d")
         scheduler.run()
@@ -93,7 +91,7 @@ class TestSessionDown:
         mrai.mark_sent(1, "b")
         mrai.mark_sent(2, "a")
         for peer, prefix in ((1, "a"), (1, "b"), (2, "a")):
-            mrai.hold(peer, prefix)
+            mrai.hold([(peer, prefix)])
         mrai.cancel_peer(1)
         assert mrai.can_send_now(1, "a")
         assert mrai.can_send_now(1, "b")

@@ -160,12 +160,12 @@ class TestLocRib:
 class TestAdjRibOut:
     def test_nothing_sent_initially(self):
         rib = AdjRibOut()
-        assert rib.last_sent(5, "d") is None
+        assert rib.get(5, {}).get("d") is None
 
     def test_record_announcement(self):
         rib = AdjRibOut()
         rib.record(5, "d", AsPath((1, 0)))
-        assert rib.last_sent(5, "d") == AsPath((1, 0))
+        assert rib.get(5, {}).get("d") == AsPath((1, 0))
 
     def test_withdrawal_equals_nothing_sent(self):
         """Explicit withdrawal and never-sent must compare equal: in both
@@ -173,10 +173,10 @@ class TestAdjRibOut:
         rib = AdjRibOut()
         rib.record(5, "d", AsPath((1, 0)))
         rib.record(5, "d", None)
-        assert rib.last_sent(5, "d") is None
+        assert rib.get(5, {}).get("d") is None
 
     def test_drop_neighbor(self):
         rib = AdjRibOut()
         rib.record(5, "d", AsPath((1, 0)))
         rib.drop_neighbor(5)
-        assert rib.last_sent(5, "d") is None
+        assert rib.get(5, {}).get("d") is None

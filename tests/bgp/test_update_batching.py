@@ -103,8 +103,8 @@ class TestPerPeerMrai:
         mrai.mark_sent(1, "d")
         assert not mrai.can_send_now(1, "e")  # other prefix, same timer
         assert mrai.can_send_now(2, "d")      # other peer unaffected
-        mrai.hold(1, "e")
-        mrai.hold(1, "b")
+        mrai.hold([(1, "e")])
+        mrai.hold([(1, "b")])
         scheduler.run()
         assert expiries == [(10.0, 1, ["b", "e"])]  # one expiry, its held set
 

@@ -15,7 +15,7 @@ class TestDelivery:
         result = walk(graph, 1)
         assert result.fate is PacketFate.DELIVERED
         assert result.hops == 1
-        assert not result.looped
+        assert result.loop is None
 
     def test_multi_hop_delivery(self):
         graph = graph_of({0: 0, 1: 0, 2: 1, 3: 2})

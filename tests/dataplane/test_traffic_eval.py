@@ -102,7 +102,7 @@ class TestWalkLpm:
         fib.set_entry(2, SPEC_A, 1)
         result = walk_lpm(fib, 1, 0x00000050)
         assert result.fate is PacketFate.TTL_EXPIRED
-        assert result.looped
+        assert result.loop is not None
         assert result.loop == (1, 2)
 
     def test_withdrawn_specific_falls_back_to_cover(self):

@@ -48,7 +48,7 @@ def test_mrai_restart_churn_keeps_heap_small():
         mrai.mark_sent(1, "d0")
     assert mrai.active_timers() == 1
     assert scheduler.pending < 128
-    mrai.hold(1, "d0")
+    mrai.hold([(1, "d0")])
     scheduler.run()
     assert fired == [(1, ["d0"])]
 

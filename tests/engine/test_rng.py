@@ -38,6 +38,3 @@ class TestUniformHelper:
         for _ in range(100):
             value = streams.uniform("proc", 0.1, 0.5)
             assert 0.1 <= value <= 0.5
-
-    def test_seed_property(self):
-        assert RandomStreams(9).seed == 9

@@ -74,6 +74,13 @@ class ReferenceSpeaker(Node):
         self.origins.discard(prefix)
         self.decide(prefix)
 
+    def update_origins(self, add, remove):
+        for prefix in add:
+            self.originate(prefix)
+        for prefix in remove:
+            if prefix in self.origins:
+                self.withdraw_origin(prefix)
+
     def start(self):
         peers = self.neighbors
         for peer in peers:

@@ -11,6 +11,10 @@ compared:
 
 * at quiescence, every node's Loc-RIB and FIB are equal, for every variant
   × MRAI mode × packing (one named exception below);
+* every decision of the fast speaker, in every drawn run, equals the
+  naive full scan's (the RIB-coherence sanitizer's decision check watches
+  the run): a decision shared by a state group holds for each member
+  prefix;
 * with plain (one-route) UPDATEs the two runs are equal event for event,
   in either MRAI mode and with jitter drawn or pinned to ``(1.0, 1.0)``:
   the same ``FibChangeLog`` (instants, nodes, prefixes, next hops — so
@@ -32,7 +36,7 @@ and assert that a property then fails, so neither can pass vacuously.  The
 reference imports only the wire types from ``repro.bgp``; this module
 reaches the fast speaker through the top-level ``repro`` package.
 
-The properties run 100 examples each in tier-1 (≈3 s together);
+The properties run 100 examples each in tier-1 (≈5 s together);
 ``--hypothesis-profile=deep`` (``tests/conftest.py``) runs 2 000 nightly.
 """
 
@@ -46,8 +50,10 @@ from hypothesis import Phase, given, settings, strategies as st
 
 from reference_speaker import ReferenceSpeaker
 from repro import BgpConfig, BgpSpeaker
+from repro.analysis import RibCoherenceSanitizer
 from repro.dataplane import FibChangeLog
-from repro.engine import RandomStreams, Scheduler
+from repro.engine import Observer, RandomStreams, Scheduler
+from repro.errors import SanitizerError
 from repro.experiments import Scenario
 from repro.experiments.scenarios import tagg_clique
 from repro.net import LinkFailure, Network, OriginWithdrawal
@@ -132,12 +138,14 @@ def timing_independent(run) -> bool:
     return not (config.assertion and config.wrate and config.batch_updates)
 
 
-def simulate(make_node, scenario, config, seed):
+def simulate(make_node, scenario, config, seed, *observers):
     """Warm up, inject the schedule one second after quiescence, run out.
 
-    ``make_node(node_id, scheduler, config, streams, fib_listener)``.
+    ``make_node(node_id, scheduler, config, streams, fib_listener)``;
+    ``observers`` watch the run.
     """
     scheduler = Scheduler()
+    scheduler.observe(*observers)
     streams = RandomStreams(seed)
     fib_log = FibChangeLog()
     network = Network(
@@ -197,6 +205,25 @@ def check_quiescent_state(run):
         assert routed(mine.fib) == routed(theirs.fib), f"FIB of {node}"
 
 
+class DecisionCoherence(Observer):
+    """The RIB-coherence sanitizer's decision check alone: after every
+    decision, the Loc-RIB and FIB equal the naive scan's choice."""
+
+    def __init__(self) -> None:
+        self._sanitizer = RibCoherenceSanitizer()
+
+    def on_decision(self, speaker, prefix):
+        self._sanitizer.on_decision(speaker, prefix)
+
+
+def check_decision_coherence(run):
+    """The fast speaker alone, every decision checked as it is made."""
+    try:
+        simulate(fast_speaker, *run, DecisionCoherence())
+    except SanitizerError as error:
+        raise AssertionError(str(error)) from error
+
+
 def trace(network):
     return [(r.time, r.src, r.dst, repr(r.message)) for r in network.trace]
 
@@ -217,6 +244,12 @@ def test_quiescent_loc_rib_and_fib_match_the_reference(run):
 @given(runs(batch_updates=False))
 def test_plain_runs_match_the_reference_event_for_event(run):
     check_event_for_event(run)
+
+
+@settings(deadline=None)
+@given(runs())
+def test_every_decision_matches_the_naive_scan(run):
+    check_decision_coherence(run)
 
 
 def test_assertion_and_wrate_fixed_point_depends_on_packing():
@@ -292,21 +325,15 @@ def falsified(check, strategy, examples=150):
 def test_event_property_catches_ssld_withdrawals_held_by_mrai(monkeypatch):
     """Mutation: SSLD's withdrawals lose their MRAI exemption — a converted
     announcement waits for the timer like the announcement it replaces."""
-    desired = BgpSpeaker._desired_advertisement
+    plan = BgpSpeaker._plan
 
-    def rate_limited_ssld(self, peer, best, advertised):
-        path = desired(self, peer, best, advertised)
-        converted = path is None and best is not None
-        if not converted:
-            return path
-        prefix = best.prefix
-        last = self.adj_rib_out.last_sent(peer, prefix)
-        if last is not None and not self.mrai.can_send_now(peer, prefix):
-            self.mrai.hold(peer, prefix)
-            return last  # "nothing new" until the expiry re-derives it
-        return path
+    def rate_limited_ssld(self, peers, best):
+        return [
+            (peer, sent, desired, limited or extra == "ssld_conversion", extra)
+            for peer, sent, desired, limited, extra in plan(self, peers, best)
+        ]
 
-    monkeypatch.setattr(BgpSpeaker, "_desired_advertisement", rate_limited_ssld)
+    monkeypatch.setattr(BgpSpeaker, "_plan", rate_limited_ssld)
     assert falsified(check_event_for_event, runs(batch_updates=False, ssld=True))
 
 
@@ -343,3 +370,16 @@ def test_quiescence_property_catches_a_prefix_dropped_from_a_held_set(monkeypatc
     assert falsified(
         check_quiescent_state, runs(mrai_mode=PER_PEER).filter(timing_independent)
     )
+
+
+def test_rib_sanitizer_catches_a_decision_shared_across_origination(monkeypatch):
+    """Mutation: the decision key drops the origination flag, so when one
+    UPDATE names a prefix we originate and one we do not, and neither has a
+    usable stored route, the first one's winner becomes the other's."""
+    keys = BgpSpeaker._decision_keys
+    monkeypatch.setattr(
+        BgpSpeaker,
+        "_decision_keys",
+        lambda self, prefixes: [key[:1] for key in keys(self, prefixes)],
+    )
+    assert falsified(check_decision_coherence, runs(batch_updates=True))

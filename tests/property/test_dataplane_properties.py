@@ -20,9 +20,9 @@ def test_walk_fates_are_consistent(mapping, source):
     result = walk(graph, source, ttl=64)
     if result.fate is PacketFate.DELIVERED:
         assert result.hops <= 64
-        assert not result.looped
+        assert result.loop is None
     elif result.fate is PacketFate.DROPPED_NO_ROUTE:
-        assert not result.looped
+        assert result.loop is None
     else:
         assert result.hops == 64
         # In a <=10-node graph a 64-hop walk must have entered a cycle, and

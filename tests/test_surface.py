@@ -4,10 +4,14 @@ A *public def* is a top-level function or class whose name has no leading
 underscore, or such a method of a public class.  Its *caller* is its name
 as a code token (an identifier, or an attribute after a ``.``) anywhere
 in ``src/``, ``examples/`` or ``benchmarks/`` outside the def's own body.
-Methods count only after a ``.``.  A method that is not a property and
-shares its name with an attribute or field assigned anywhere in ``src/``
-is *ambiguous*: a ``.name`` read may be that attribute, so only a
-``.name(`` call counts for it.  Imports and ``__all__`` strings are not
+Methods count only after a ``.``.  A method that shares its name with an
+attribute or field assigned anywhere in ``src/`` is *ambiguous*: a
+``.name`` read may be that attribute, so only a ``.name(`` call counts
+for it.  An ambiguous property is read, never called, so a ``.name`` read
+counts for it only when the receiver fits its class: every attribute the
+same function reads or writes on that receiver expression is a member of
+the property's class (a method, a class-body field or a ``self.``
+attribute), and the read is not a store.  Imports and ``__all__`` strings are not
 code tokens, so a package ``__init__`` that re-exports a name does not
 call it.  The benchmark's staged replica reaches methods by reflection:
 each ``(Class, "method", "span")`` tuple of ``benchmarks/e2e/layers.py``'s
@@ -51,7 +55,7 @@ from __future__ import annotations
 import ast
 from collections import Counter, defaultdict
 from pathlib import Path
-from typing import Dict, Iterator, List, Set, Tuple
+from typing import Dict, FrozenSet, Iterator, List, Set, Tuple
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "repro"
@@ -106,6 +110,11 @@ KEPT: Dict[str, str] = {
     "repro.bgp.rib.AdjRibIn.group_count": (
         "probe: tests/bgp/test_rib.py::TestAdjRibInSharing observes "
         "copy-on-write group sharing"
+    ),
+    "repro.bgp.speaker.BgpSpeaker.origins": (
+        "probe: tests/experiments/test_multiprefix.py::TestTaggRun::"
+        "test_aggregation_round_trips_origins reads what each origin "
+        "originates after an aggregation cycle"
     ),
     "repro.bgp.session.SessionManager.established_count": (
         "probe: tests/bgp/test_session.py::TestSessionManager"
@@ -260,6 +269,65 @@ def _code_tokens() -> Tuple[Uses, Uses, Uses]:
     return names, attrs, calls
 
 
+# name -> [(path, line, attributes the enclosing function uses on the same
+# receiver expression)] for every ``.name`` that is not a store.
+Reads = Dict[str, List[Tuple[Path, int, FrozenSet[str]]]]
+
+
+def _receiver_reads() -> Reads:
+    """Each attribute read with the attributes used on its receiver."""
+    reads: Reads = defaultdict(list)
+    for base in CALLER_DIRS:
+        for path in sorted(base.rglob("*.py")):
+            tree = ast.parse(path.read_text(), str(path))
+            # ast.walk is breadth-first: an outer function claims the
+            # attributes of the functions nested in it.
+            scopes = [
+                node
+                for node in ast.walk(tree)
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))
+            ]
+            claimed: Set[int] = set()
+            for scope in scopes + [tree]:
+                used: Dict[str, Set[str]] = defaultdict(set)
+                found = []
+                for node in ast.walk(scope):
+                    if isinstance(node, ast.Attribute) and id(node) not in claimed:
+                        claimed.add(id(node))
+                        receiver = ast.dump(node.value)
+                        used[receiver].add(node.attr)
+                        found.append((node, receiver))
+                for node, receiver in found:
+                    if not isinstance(node.ctx, ast.Store):
+                        reads[node.attr].append(
+                            (path, node.lineno, frozenset(used[receiver]))
+                        )
+    return reads
+
+
+def _class_members() -> Dict[str, Set[str]]:
+    """Class name -> its methods, class-body fields and ``self.`` attributes
+    (a name defined by two classes gets both sets)."""
+    members: Dict[str, Set[str]] = defaultdict(set)
+    for path in sorted(SRC.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if not isinstance(node, ast.ClassDef):
+                continue
+            for member in node.body:
+                if isinstance(member, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    members[node.name].add(member.name)
+                members[node.name].update(_assigned_names(member))
+            for sub in ast.walk(node):
+                if (
+                    isinstance(sub, ast.Attribute)
+                    and isinstance(sub.ctx, ast.Store)
+                    and isinstance(sub.value, ast.Name)
+                    and sub.value.id == "self"
+                ):
+                    members[node.name].add(sub.attr)
+    return members
+
+
 def _assigned_attributes() -> Set[str]:
     """Names assigned as an attribute (``x.name = ...``) or declared as a
     class-body field anywhere in ``src/``."""
@@ -363,11 +431,20 @@ def _uncalled() -> Tuple[Set[str], Set[str]]:
     """Public names without a caller, and every public name."""
     names, attrs, calls = _code_tokens()
     assigned = _assigned_attributes()
+    reads = _receiver_reads()
+    members = _class_members()
     uncalled: Set[str] = set()
     defined: Set[str] = set()
     for qualified, name, node, path, is_method in _public_defs():
         defined.add(qualified)
-        if is_method and name in assigned and not _is_property(node):
+        if is_method and name in assigned and _is_property(node):
+            owner = members[qualified.split(".")[-2]]
+            uses = [
+                (where, line)
+                for where, line, used in reads.get(name, ())
+                if used <= owner
+            ]
+        elif is_method and name in assigned:
             uses = list(calls.get(name, ()))
         else:
             uses = list(attrs.get(name, ()))
