@@ -197,13 +197,35 @@ class RibCoherenceSanitizer(Observer):
         self.updates_checked += 1
         from ..bgp.variants import withdrawals_rate_limited
 
-        if withdrawals_rate_limited(speaker.config) and not speaker.mrai.can_send_now(
-            peer, prefix
+        if (
+            withdrawals_rate_limited(speaker.config)
+            and not speaker.mrai.can_send_now(peer, prefix)
+            and not self._ghost_flush(speaker, peer, prefix)
         ):
             raise SanitizerError(
                 f"rib: node {speaker.node_id} sent a WRATE-limited withdrawal "
                 f"for {prefix!r} to {peer} while its MRAI timer was running"
             )
+
+    @staticmethod
+    def _ghost_flush(speaker: Any, peer: int, prefix: str) -> bool:
+        """Whether the withdrawal is Ghost Flushing's, sent at once by design:
+        ``peer`` was told a shorter path than the best route we would export
+        to it unconverted."""
+        from ..bgp.variants import converts_to_withdrawal, should_flush
+
+        config = speaker.config
+        best = speaker.loc_rib.get(prefix)
+        if (
+            not config.ghost_flushing
+            or best is None
+            or not speaker.policy.accept_export(peer, best)
+        ):
+            return False
+        advertised = best.advertised_by(speaker.node_id)
+        if config.ssld and converts_to_withdrawal(peer, advertised):
+            return False
+        return should_flush(speaker.adj_rib_out.get(peer, {}).get(prefix), advertised)
 
     def describe(self) -> List[str]:
         return [

@@ -53,7 +53,6 @@ import threading
 import weakref
 import zlib
 from dataclasses import dataclass, replace
-from functools import reduce
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, Optional
 from typing import Sequence, Tuple, TypeVar
@@ -503,32 +502,34 @@ def checkpointed_sweep(
 
     ``journal`` is a path or :class:`SweepJournal`.  Trials whose
     ``(x, seed)`` keys are already journaled are loaded, not re-run; the
-    remaining trials go through :func:`~repro.experiments.sweep.sweep`
-    one x at a time (with ``jobs``/``policy`` resilience).  Each trial is
-    appended durably the moment it finishes — from the sweep's outcome
-    stream, *before* ``on_outcome(task, outcome)`` hears of it — so
-    whatever a caller was told is done survives a SIGKILL, a
-    cancellation raised from ``on_outcome``, or any other abort of the
-    point it belongs to.  ``fresh=True`` discards the journal first.
+    remaining trials, x-major, stream through one
+    :func:`~repro.experiments.sweep.dispatch` batch (with ``jobs``/
+    ``policy`` resilience).  Each trial is appended durably the moment it
+    finishes, *before* ``on_outcome(task, outcome)`` hears of it, and then
+    dropped, so whatever a caller was told is done survives a SIGKILL, a
+    cancellation raised from ``on_outcome``, or any other abort.
+    ``fresh=True`` discards the journal first.
     SIGTERM/SIGINT during the run leave a compacted checkpoint behind
     (:meth:`SweepJournal.guarded`), and the normal exit path writes one
     too.
 
-    ``digests=True`` fingerprints every trial (``sweep(..., digests=
-    True)``) and stores the SHA-256 digest in its journal record, so a
-    resumed run — the sweep service after a daemon crash — can be
-    checked bit-for-bit against an undisturbed foreground run.
+    ``digests=True`` fingerprints every trial and stores the SHA-256
+    digest in its journal record, so a resumed run — the sweep service
+    after a daemon crash — can be checked bit-for-bit against an
+    undisturbed foreground run.
 
-    ``on_report`` receives one
+    ``on_report`` receives the batch's
     :class:`~repro.experiments.resilience.SupervisionReport` when a
-    ``policy`` is active and a trial ran: the per-x reports merged.
+    ``policy`` is active and a trial ran.
 
     Returns a :class:`PointSummary` per requested x, in request order.
     A point whose trials all failed summarizes with ``metrics == {}``
     rather than raising, so one dead point cannot wedge the resume loop.
     """
     from .config import RunSettings
-    from .sweep import sweep
+    # Resolved at call time, so a wrapper installed on the sweep module
+    # (a tracer's boundary, a test's recorder) sees the batch.
+    from .sweep import TrialTask, dispatch
 
     if settings is None:
         settings = RunSettings()
@@ -538,40 +539,31 @@ def checkpointed_sweep(
         journal.discard()
     journal.load()
 
+    journaled = journal.records
+    tasks = []
+    for x in dict.fromkeys(xs):
+        missing = [seed for seed in seeds if (x, seed) not in journaled]
+        if missing:
+            config = make_config(x)
+            tasks.extend(
+                TrialTask(x, seed, make_scenario, config, settings, digests=digests)
+                for seed in missing
+            )
+
     def journal_then_report(task, outcome) -> None:
         journal.append(record_of_outcome(task.x, outcome))
         if on_outcome is not None:
             on_outcome(task, outcome)
 
-    reports: List = []
     try:
-        with journal.guarded():
-            # One x at a time on purpose: a batch holds its ExperimentRuns
-            # until it returns, so this bounds them to one point's.
-            for x in xs:
-                journaled = journal.records
-                missing = [
-                    seed for seed in seeds if (x, seed) not in journaled
-                ]
-                if not missing:
-                    continue
-                sweep(
-                    [x],
-                    make_scenario,
-                    make_config,
-                    seeds=missing,
-                    settings=settings,
-                    jobs=jobs,
-                    policy=policy,
-                    digests=digests,
-                    on_outcome=journal_then_report,
-                    on_report=reports.append,
-                )
+        if tasks:
+            with journal.guarded():
+                report = dispatch(tasks, jobs, policy, journal_then_report)
+            if policy is not None and on_report is not None:
+                on_report(report)
     finally:
         if owns_journal:
             journal.close()
-    if reports and on_report is not None:
-        on_report(reduce(lambda left, right: left.merged(right), reports))
 
     records = journal.records
     summaries: List[PointSummary] = []

@@ -30,13 +30,12 @@ A :class:`ResiliencePolicy` does not select this executor, it sets its
 retries and timeouts; a sweep without one runs with no retries and
 aborts on the first dead worker.
 
-Retry/timeout/restart counts are accumulated in a
-:class:`~repro.telemetry.registry.MetricsRegistry` and surfaced as a
-:class:`SupervisionReport`, returned by :func:`run_tasks_supervised` and
-threaded to callers through ``sweep(..., on_report=...)`` — one report
-per supervised batch (``checkpointed_sweep`` merges its per-x batches
-into one), owned by that sweep's caller, so a daemon running
-many concurrent sweeps never sees another job's counters.
+Retry/timeout/restart counts are tallied per batch and returned as a
+:class:`SupervisionReport` by :func:`run_tasks_supervised`, through
+:func:`~repro.experiments.sweep.dispatch`, to the one caller that asked
+for the batch, so a daemon running many concurrent sweeps never sees
+another job's counters.  The supervisor keeps no outcome: it counts each
+one and hands it on.
 
 Determinism boundary: this file is harness-side supervision *about* the
 simulation, never inside it — like :mod:`repro.telemetry.profiler` it is
@@ -53,8 +52,8 @@ import multiprocessing
 import multiprocessing.connection
 import random
 import time
-from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
+from dataclasses import asdict, dataclass, replace
+from typing import TYPE_CHECKING, Callable, List, Optional, Sequence, Tuple
 
 from ..errors import (
     AnalysisError,
@@ -62,7 +61,7 @@ from ..errors import (
     TrialTimeoutError,
     WorkerCrashError,
 )
-from ..telemetry.registry import MetricsRegistry, MetricsSnapshot
+from ..telemetry.registry import MetricsSnapshot
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (annotation only)
     from .sweep import TrialTask
@@ -163,12 +162,13 @@ def policy_of(
 
 @dataclass(frozen=True)
 class SupervisionReport:
-    """What the supervised executor observed during one sweep.
+    """What the supervised executor observed during one batch.
 
     ``metrics`` is a frozen :class:`~repro.telemetry.registry.
-    MetricsSnapshot` carrying the same counts under the
+    MetricsSnapshot` carrying the nonzero counts under the
     ``resilience.*`` names, so sweep-level telemetry aggregation can fold
-    supervision activity in alongside simulation metrics.
+    supervision activity in alongside simulation metrics; ``None`` for an
+    in-process batch.
     """
 
     trials: int = 0
@@ -186,28 +186,6 @@ class SupervisionReport:
             f"{self.retries} retries, {self.timeouts} timeouts, "
             f"{self.worker_deaths} worker deaths "
             f"({self.worker_restarts} restarts), {self.exhausted} exhausted"
-        )
-
-    def merged(self, other: "SupervisionReport") -> "SupervisionReport":
-        """Combine two reports (counts sum, telemetry snapshots aggregate).
-
-        The reduction :func:`~repro.experiments.journal.checkpointed_sweep`
-        applies to its one sweep per x, so its caller gets one roll-up.
-        """
-        snapshots = [
-            snap for snap in (self.metrics, other.metrics) if snap is not None
-        ]
-        return SupervisionReport(
-            trials=self.trials + other.trials,
-            completed=self.completed + other.completed,
-            retries=self.retries + other.retries,
-            timeouts=self.timeouts + other.timeouts,
-            worker_deaths=self.worker_deaths + other.worker_deaths,
-            worker_restarts=self.worker_restarts + other.worker_restarts,
-            exhausted=self.exhausted + other.exhausted,
-            metrics=(
-                MetricsSnapshot.aggregate(snapshots) if snapshots else None
-            ),
         )
 
 
@@ -283,9 +261,8 @@ class _Worker:
 
 @dataclass
 class _Counters:
-    """Mutable supervision tallies, mirrored into a telemetry registry."""
+    """Mutable supervision tallies of one batch."""
 
-    registry: MetricsRegistry = field(default_factory=MetricsRegistry)
     retries: int = 0
     timeouts: int = 0
     worker_deaths: int = 0
@@ -295,18 +272,19 @@ class _Counters:
 
     def bump(self, name: str) -> None:
         setattr(self, name, getattr(self, name) + 1)
-        self.registry.counter(f"resilience.{name}").inc()
 
     def report(self, trials: int) -> SupervisionReport:
+        counts = asdict(self)
         return SupervisionReport(
             trials=trials,
-            completed=self.completed,
-            retries=self.retries,
-            timeouts=self.timeouts,
-            worker_deaths=self.worker_deaths,
-            worker_restarts=self.worker_restarts,
-            exhausted=self.exhausted,
-            metrics=self.registry.snapshot(),
+            metrics=MetricsSnapshot(
+                counters={
+                    f"resilience.{name}": value
+                    for name, value in sorted(counts.items())
+                    if value
+                }
+            ),
+            **counts,
         )
 
 
@@ -391,7 +369,6 @@ def run_tasks_supervised(
 
     context = _mp_context()
     counters = _Counters()
-    outcomes: Dict[int, object] = {}
     #: (task, attempt) ready to start now, in deterministic task order.
     pending: List[Tuple["TrialTask", int]] = [(task, 1) for task in tasks]
     #: (ready_at, task, attempt) sitting out a backoff cooldown.
@@ -425,7 +402,6 @@ def run_tasks_supervised(
             pass  # died while idle: the liveness check reports the death
 
     def finish(task: "TrialTask", outcome: object) -> None:
-        outcomes[task.index] = outcome
         counters.bump("completed")
         on_outcome(task, outcome)
 
@@ -445,7 +421,7 @@ def run_tasks_supervised(
         finish(task, _exhausted_failure(task, error, attempt, elapsed))
 
     try:
-        while len(outcomes) < len(tasks):
+        while counters.completed < len(tasks):
             now = time.monotonic()
             # Cooldowns that elapsed rejoin the queue in task order.
             ready = [item for item in cooling if item[0] <= now]
@@ -537,6 +513,7 @@ def run_tasks_supervised(
                     # this outcome is reported (journaled, fsync'd, published).
                     assign(worker, *pending.pop(0))
                 finish(task, payload)
+                del result, payload  # the outcome is the caller's now
     except BaseException:
         _kill_workers(workers)
         raise

@@ -22,18 +22,19 @@ propagate: they invalidate the whole sweep, not one trial.
 The trial runner
 ----------------
 
-Every trial goes through one :class:`TrialRunner`, installed by the
-caller (:func:`trial_runner`: ``repro figure``, a figure job, a test).
-Drivers only say which trials they need, as one list of
+Every trial a driver asks for goes through one :class:`TrialRunner`,
+installed by the caller (:func:`trial_runner`: ``repro figure``, a figure
+job, a test).  Drivers only say which trials they need, as one list of
 :class:`TrialTask` specs; the runner owns how they run — ``jobs``, the
 resilience policy, the telemetry overlay — and simulates each distinct
-trial once per scope.  With ``jobs=N`` its new trials go to the
-supervised pool of ``N`` reused workers in
+trial once per scope.  Its new trials go through :func:`dispatch`: with
+``jobs=N`` to the supervised pool of ``N`` reused workers in
 :mod:`~repro.experiments.resilience` (``0``: one per CPU; ``1``:
 in-process, the reference).  Outcomes come back in task order whichever
 worker finished first, so a parallel sweep is *bit-identical* to a
 sequential one (``digests=True`` attaches the
-:class:`~repro.analysis.determinism.RunFingerprint` that proves it).
+:class:`~repro.analysis.determinism.RunFingerprint` that proves it).  A
+journaled sweep calls :func:`dispatch` itself and keeps no run.
 
 Crossing the process boundary constrains the factories: closures cannot be
 pickled, so ``jobs > 1`` requires module-level factory functions or
@@ -371,6 +372,31 @@ def _check_tasks_picklable(task: TrialTask) -> None:
         ) from exc
 
 
+def dispatch(
+    tasks: Sequence[TrialTask],
+    jobs: int,
+    policy: Optional[ResiliencePolicy],
+    on_outcome: OutcomeCallback,
+) -> SupervisionReport:
+    """Run every task once, hand each outcome to ``on_outcome(task,
+    outcome)`` as it lands, keep none, and return the supervision report:
+    in-process in task order when ``jobs == 1`` (the only path that takes
+    closures), else on the supervised pool of at most ``jobs`` workers."""
+    jobs = _resolve_jobs(jobs)
+    if jobs == 1 or not tasks:
+        for task in tasks:
+            on_outcome(task, run_trial_resilient(task))
+        # In-process: completions only, zero supervision events.
+        return SupervisionReport(trials=len(tasks), completed=len(tasks))
+    _check_tasks_picklable(tasks[0])
+    return run_tasks_supervised(
+        [replace(task, index=index) for index, task in enumerate(tasks)],
+        jobs,
+        policy or _NO_RETRIES,
+        on_outcome,
+    )
+
+
 class TrialRunner:
     """The one seam between the drivers and :func:`run_experiment`.
 
@@ -425,19 +451,7 @@ class TrialRunner:
                 waiting[task].append(task)
             else:
                 report(task, self._memo[task])
-        if self.jobs == 1 or not fresh:
-            for task in fresh:
-                land(task, run_trial_resilient(task))
-            # In-process: completions only, zero supervision events.
-            supervision = SupervisionReport(trials=len(fresh), completed=len(fresh))
-        else:
-            _check_tasks_picklable(fresh[0])
-            supervision = run_tasks_supervised(
-                [replace(task, index=index) for index, task in enumerate(fresh)],
-                self.jobs,
-                self.policy or _NO_RETRIES,
-                land,
-            )
+        supervision = dispatch(fresh, self.jobs, self.policy, land)
         self.simulated += len(fresh)
         self.requested += len(tasks)
         outcomes = [self._memo[task] for task in tasks]
@@ -494,9 +508,7 @@ def sweep(
     settings: RunSettings = RunSettings(),
     jobs: Optional[int] = None,
     digests: bool = False,
-    on_outcome: Optional[OutcomeCallback] = None,
     policy: Optional[ResiliencePolicy] = None,
-    on_report: Optional[Callable[[SupervisionReport], None]] = None,
 ) -> List[PointSummary]:
     """Run ``len(xs) × len(seeds)`` experiments and group them by x.
 
@@ -508,8 +520,7 @@ def sweep(
 
     A trial that raises :class:`~repro.errors.SimulationError` (budget
     exhaustion, non-convergence) counts in its point's ``failed`` and the
-    sweep continues (``on_outcome`` hears of the :class:`TrialFailure`
-    itself); a caller that wants the first failure raised asks
+    sweep continues; a caller that wants the first failure raised asks
     :func:`run_trials` instead.  Non-simulation errors (protocol
     invariant violations, sanitizer trips, bad configuration) always
     propagate — from workers too.
@@ -529,11 +540,6 @@ def sweep(
     ``digests=True`` attaches a SHA-256
     :class:`~repro.analysis.determinism.RunFingerprint` (trace, FIB log,
     summary metrics) to each successful ``run.fingerprint``.
-    ``on_outcome(task, outcome)`` observes every finished trial
-    (completion order when parallel) — the sweep's outcome stream.
-    ``on_report`` receives the sweep's
-    :class:`~repro.experiments.resilience.SupervisionReport` when the
-    runner has a policy; each caller owns its own counters.
     """
     if not xs:
         raise AnalysisError("sweep needs at least one x value")
@@ -550,9 +556,7 @@ def sweep(
             tasks.append(
                 TrialTask(x, seed, make_scenario, config, settings, digests=digests)
             )
-    outcomes, report = runner.run(tasks, on_outcome)
-    if on_report is not None and runner.policy is not None:
-        on_report(report)
+    outcomes, _report = runner.run(tasks)
 
     # Outcomes come back in task order whichever worker finished first:
     # the REP103-clean path that makes jobs=N output identical to jobs=1.

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import itertools
+
 import pytest
 
 from repro.analysis import (
@@ -10,7 +12,7 @@ from repro.analysis import (
     RibCoherenceSanitizer,
     build_suite,
 )
-from repro.bgp import BgpConfig, BgpSpeaker, DampingConfig, variant
+from repro.bgp import BgpConfig, BgpSpeaker, DampingConfig, combine, variant
 from repro.engine import RandomStreams, Scheduler
 from repro.errors import BudgetExceededError, SanitizerError
 from repro.experiments import RunSettings, run_experiment, tdown_clique
@@ -176,6 +178,85 @@ class TestRibCoherenceSanitizer:
         foreign = speaker.full_path("d0/8").prepend(9)
         with pytest.raises(SanitizerError, match="headed by"):
             RibCoherenceSanitizer().on_announcement(speaker, 2, "d0/8", foreign)
+
+
+ENHANCEMENTS = ("ssld", "wrate", "assertion", "ghost-flushing")
+#: Every combination of two or more enhancements (11 of them).
+COMBINATIONS = [
+    combo
+    for size in range(2, len(ENHANCEMENTS) + 1)
+    for combo in itertools.combinations(ENHANCEMENTS, size)
+]
+
+
+class TestWrateWithdrawals:
+    """Under WRATE a withdrawal waits for MRAI, except Ghost Flushing's:
+    it withdraws a route the speaker would export, longer than the one
+    the peer holds, at once by design."""
+
+    @pytest.mark.parametrize("names", COMBINATIONS, ids="+".join)
+    def test_every_combination_runs_sanitized(self, names):
+        for seed in range(8):
+            run = run_experiment(
+                tdown_clique(4),
+                combine(names, mrai=1.0),
+                settings=RunSettings(sanitize=True),
+                seed=seed,
+            )
+            assert run.converged
+
+    @pytest.fixture
+    def held_peer(self, bgp_network_factory):
+        """Node 1 of a converged 4-clique under WRATE and Ghost Flushing,
+        its MRAI timer toward node 2 running."""
+        from repro.topology import clique
+
+        network, _fib_log = bgp_network_factory(
+            clique(4), config=combine(["wrate", "ghost-flushing"], mrai=1.0)
+        )
+        network.node(0).originate("d0/8")
+        network.scheduler.run()
+        speaker = network.node(1)
+        speaker.mrai.mark_sent(2, "d0/8")
+        assert not speaker.mrai.can_send_now(2, "d0/8")
+        return speaker
+
+    def test_flush_of_a_ghost_passes(self, held_peer):
+        # Node 2 was told a path shorter than the one node 1 now exports.
+        held_peer.adj_rib_out.record(2, "d0/8", held_peer.full_path("d0/8")[1:])
+        RibCoherenceSanitizer().on_withdrawal(held_peer, 2, "d0/8")
+
+    def test_withdrawal_of_a_route_no_longer_than_the_peers_trips(self, held_peer):
+        with pytest.raises(SanitizerError, match="WRATE-limited"):
+            RibCoherenceSanitizer().on_withdrawal(held_peer, 2, "d0/8")
+
+    def test_withdrawal_with_no_route_trips(self, held_peer):
+        held_peer.loc_rib.remove("d0/8")
+        with pytest.raises(SanitizerError, match="WRATE-limited"):
+            RibCoherenceSanitizer().on_withdrawal(held_peer, 2, "d0/8")
+
+    @pytest.mark.parametrize(
+        "names", [("wrate",), ("wrate", "ghost-flushing")], ids="+".join
+    )
+    def test_withdrawals_sent_through_a_closed_gate_trip(self, monkeypatch, names):
+        """Mutation: ``_sync`` sends every withdrawal at once, WRATE or not."""
+        plan = BgpSpeaker._plan
+        monkeypatch.setattr(
+            BgpSpeaker,
+            "_plan",
+            lambda self, peers, best: [
+                (peer, sent, desired, limited and desired is not None, extra)
+                for peer, sent, desired, limited, extra in plan(self, peers, best)
+            ],
+        )
+        with pytest.raises(SanitizerError, match="WRATE-limited"):
+            for seed in range(8):
+                run_experiment(
+                    tdown_clique(4),
+                    combine(names, mrai=1.0),
+                    settings=RunSettings(sanitize=True),
+                    seed=seed,
+                )
 
 
 class TestGroupDecisionMutation:

@@ -20,16 +20,15 @@ from repro.bgp import (
 from repro.bgp.path import intern_table_size
 from repro.experiments import (
     RunSettings,
-    constant_config,
-    factory_ref,
+    TrialTask,
     internet_tdown_trial,
     observe_oscillation,
     run_experiment,
-    sweep,
     tdown_clique,
     tdown_internet,
 )
 from repro.experiments.scenarios import DEFAULT_PREFIX
+from repro.experiments.sweep import TrialRunner
 from repro.experiments.unsafe import disagree
 
 FAST = BgpConfig(mrai=1.0, processing_delay=(0.01, 0.05))
@@ -162,15 +161,12 @@ def test_observe_oscillation_leaves_the_tables_unchanged():
 def test_a_parallel_sweep_leaves_the_callers_tables_unchanged():
     before = table_sizes()
     # Fresh graphs, so the results carry paths no earlier test interned.
-    runs = []
-    sweep(
-        [30, 40],
-        internet_tdown_trial,
-        factory_ref(constant_config, config=FAST),
-        seeds=(7001, 7002),
-        settings=SETTINGS,
-        jobs=2,
-        on_outcome=lambda task, run: runs.append(run),
+    runs, _report = TrialRunner(2).run(
+        [
+            TrialTask(x, seed, internet_tdown_trial, FAST, SETTINGS)
+            for x in (30, 40)
+            for seed in (7001, 7002)
+        ]
     )
     assert table_sizes() == before
     # The results did bring paths home: the parent unpickled them by value.

@@ -5,14 +5,18 @@ record was truncated mid-write — lives in
 ``TestCheckpointedSweep.test_resume_from_truncated_final_record``.
 """
 
+import gc
 import json
 import os
 import signal
 import sys
+import weakref
 import zlib
+from functools import partial
 
 import pytest
 
+import chaos_helpers
 from repro.bgp import BgpConfig
 from repro.errors import JournalError
 from repro.experiments import (
@@ -244,30 +248,83 @@ class TestCheckpointedSweep:
         assert recovery.clean
 
     def test_rerun_executes_nothing(self, tmp_path, monkeypatch):
-        # The library resolves ``sweep`` lazily from its defining module
-        # (the package attribute is shadowed by the function itself).
+        # The in-process executor resolves ``run_trial`` from its defining
+        # module at call time (the package attribute is the same function).
         module = sys.modules["repro.experiments.sweep"]
-        real_sweep, executed = module.sweep, []
+        real_run_trial, executed = module.run_trial, []
 
-        def recording_sweep(xs, *args, seeds, **kwargs):
-            executed.extend((x, seed) for x in xs for seed in seeds)
-            return real_sweep(xs, *args, seeds=seeds, **kwargs)
+        def recording_run_trial(task):
+            executed.append((task.x, task.seed))
+            return real_run_trial(task)
 
-        monkeypatch.setattr(module, "sweep", recording_sweep)
+        monkeypatch.setattr(module, "run_trial", recording_run_trial)
         path = tmp_path / "sweep.jsonl"
         # "Interrupted": the first invocation only got through x=3 ...
-        partial = self.run_sweep(path, xs=(3,))
+        interrupted = self.run_sweep(path, xs=(3,))
+        assert executed == [(3, 0), (3, 1)]
         del executed[:]
         # ... so the resumed one executes x=4 alone and loads x=3.
         first = self.run_sweep(path)
         assert executed == [(4, 0), (4, 1)]
-        assert first[0] == partial[0]
+        assert first[0] == interrupted[0]
         before = path.read_text(encoding="utf-8")
         del executed[:]
         again = self.run_sweep(path)
         assert executed == []
         assert [s.metrics for s in again] == [s.metrics for s in first]
         assert path.read_text(encoding="utf-8") == before
+
+    def test_one_batch_for_every_missing_trial(self, tmp_path):
+        """Three xs on ``jobs=2`` share one pool: at most two worker
+        processes run all six trials, and ``make_config`` builds each x's
+        configuration once."""
+        configs = []
+
+        def make_config(x):
+            configs.append(x)
+            return FAST
+
+        summaries = checkpointed_sweep(
+            [3, 4, 5],
+            partial(chaos_helpers.logged, log_dir=str(tmp_path)),
+            make_config,
+            journal=tmp_path / "sweep.jsonl",
+            seeds=(0, 1),
+            settings=SETTINGS,
+            jobs=2,
+        )
+        assert [s.succeeded for s in summaries] == [2, 2, 2]
+        assert configs == [3, 4, 5]
+        log = chaos_helpers.trial_log(tmp_path)
+        assert sorted((x, seed) for _pid, x, seed in log) == [
+            (x, seed) for x in (3, 4, 5) for seed in (0, 1)
+        ]
+        assert len({pid for pid, _x, _seed in log}) <= 2
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_no_run_outlives_its_callback(self, tmp_path, jobs):
+        """The sweep streams: each run it hands ``on_outcome`` is garbage
+        by the time the next one lands, and none outlives the sweep."""
+        runs = []
+
+        def on_outcome(task, outcome):
+            gc.collect()
+            assert [run() for run in runs] == [None] * len(runs)
+            runs.append(weakref.ref(outcome))
+
+        checkpointed_sweep(
+            [3, 4],
+            clique_tdown_trial,
+            MAKE_CONFIG,
+            journal=tmp_path / "sweep.jsonl",
+            seeds=(0, 1),
+            settings=SETTINGS,
+            jobs=jobs,
+            on_outcome=on_outcome,
+        )
+        gc.collect()
+        assert len(runs) == 4
+        assert [run() for run in runs] == [None] * 4
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_trial_is_journaled_before_it_is_reported(self, tmp_path, jobs):

@@ -21,7 +21,12 @@ from repro.experiments import (
     sweep,
     trial_runner,
 )
-from repro.experiments.sweep import record_of_outcome, run_trials, summarize_point
+from repro.experiments.sweep import (
+    TrialRunner,
+    record_of_outcome,
+    run_trials,
+    summarize_point,
+)
 from repro.telemetry import MetricsSnapshot
 from sweep_outcomes import sweep_outcomes
 
@@ -265,14 +270,13 @@ class TestExecutorPlumbing:
 
     def test_progress_callback_sees_every_trial(self):
         seen = []
-        sweep(
-            [3, 4],
-            clique_tdown_trial,
-            MAKE_CONFIG,
-            seeds=(0, 1),
-            settings=SETTINGS,
-            jobs=2,
-            on_outcome=lambda task, outcome: seen.append((task, outcome)),
+        TrialRunner(2).run(
+            [
+                TrialTask(x, seed, clique_tdown_trial, FAST, SETTINGS)
+                for x in (3, 4)
+                for seed in (0, 1)
+            ],
+            lambda task, outcome: seen.append((task, outcome)),
         )
         assert len(seen) == 4
         assert not any(isinstance(outcome, TrialFailure) for _, outcome in seen)
@@ -283,13 +287,9 @@ class TestExecutorPlumbing:
 
     def test_progress_callback_sequential_order(self):
         seen = []
-        sweep(
-            [3, 4],
-            clique_tdown_trial,
-            MAKE_CONFIG,
-            seeds=(0,),
-            settings=SETTINGS,
-            on_outcome=lambda task, outcome: seen.append((task.x, task.seed)),
+        TrialRunner().run(
+            [TrialTask(x, 0, clique_tdown_trial, FAST, SETTINGS) for x in (3, 4)],
+            lambda task, outcome: seen.append((task.x, task.seed)),
         )
         assert seen == [(3, 0), (4, 0)]
 

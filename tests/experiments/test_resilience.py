@@ -21,14 +21,16 @@ from repro.experiments import (
     RunSettings,
     TrialFailure,
     TrialTimeout,
+    TrialTask,
+    checkpointed_sweep,
     clique_tdown_trial,
     constant_config,
     factory_ref,
     sweep,
 )
 from repro.experiments.resilience import BACKOFF_BASE, BACKOFF_CAP, JITTER
-from repro.experiments.sweep import record_of_outcome, summarize_point
-from sweep_outcomes import sweep_outcomes
+from repro.experiments.sweep import TrialRunner, record_of_outcome, summarize_point
+from sweep_outcomes import sweep_batch, sweep_outcomes
 
 FAST = BgpConfig(mrai=1.0, processing_delay=(0.01, 0.05))
 SETTINGS = RunSettings(failure_guard=0.5)
@@ -177,8 +179,7 @@ class TestSupervisedExecutor:
             marker_dir=str(tmp_path),
             kill_key=(3, 0),
         )
-        reports = []
-        points, runs = sweep_outcomes(
+        points, runs, report = sweep_batch(
             [3],
             make_scenario,
             MAKE_CONFIG,
@@ -186,21 +187,23 @@ class TestSupervisedExecutor:
             settings=SETTINGS,
             jobs=2,
             policy=ResiliencePolicy(max_retries=2, trial_timeout=SLACK),
-            on_report=reports.append,
         )
         assert points[0].succeeded == 2
         # The killed trial (seed 0) was re-run.
         assert [run.attempt for run in runs] == [2, 1]
-        [report] = reports
         assert report.worker_deaths == 1
         assert report.worker_restarts == 1
         assert report.retries == 1
         assert report.exhausted == 0
-        assert report.metrics.counter("resilience.worker_deaths") == 1
+        assert report.metrics.counters == {
+            "resilience.completed": 2,
+            "resilience.retries": 1,
+            "resilience.worker_deaths": 1,
+            "resilience.worker_restarts": 1,
+        }
 
     def test_hung_trial_times_out_and_is_recorded(self):
-        reports = []
-        points, [failure] = sweep_outcomes(
+        points, [failure], report = sweep_batch(
             [3],
             chaos_helpers.hang_always_tdown,
             MAKE_CONFIG,
@@ -208,7 +211,6 @@ class TestSupervisedExecutor:
             settings=SETTINGS,
             jobs=2,
             policy=ResiliencePolicy(max_retries=0, trial_timeout=SNAP),
-            on_report=reports.append,
         )
         assert points[0].succeeded == 0
         assert points[0].timeouts == 1
@@ -217,16 +219,15 @@ class TestSupervisedExecutor:
         assert failure.timeout == SNAP
         assert failure.attempt == 1
         assert failure.elapsed >= SNAP
-        assert reports[-1].timeouts == 1
+        assert report.timeouts == 1
 
     def test_hang_once_then_success(self, tmp_path):
-        reports = []
         make_scenario = partial(
             chaos_helpers.hang_once_tdown,
             marker_dir=str(tmp_path),
             hang_key=(3, 0),
         )
-        points, [run] = sweep_outcomes(
+        points, [run], report = sweep_batch(
             [3],
             make_scenario,
             MAKE_CONFIG,
@@ -234,18 +235,15 @@ class TestSupervisedExecutor:
             settings=SETTINGS,
             jobs=2,
             policy=ResiliencePolicy(max_retries=1, trial_timeout=SNAP),
-            on_report=reports.append,
         )
         assert points[0].succeeded == 1
         assert run.attempt == 2
-        [report] = reports
         assert report.timeouts == 1
         assert report.retries == 1
         assert report.completed == 1
 
     def test_exhausted_worker_crash_recorded(self):
-        reports = []
-        _points, [failure] = sweep_outcomes(
+        _points, [failure], report = sweep_batch(
             [3],
             chaos_helpers.kill_always_tdown,
             MAKE_CONFIG,
@@ -253,12 +251,10 @@ class TestSupervisedExecutor:
             settings=SETTINGS,
             jobs=2,
             policy=ResiliencePolicy(max_retries=1, trial_timeout=SLACK),
-            on_report=reports.append,
         )
         assert isinstance(failure.error, WorkerCrashError)
         assert failure.error.exitcode == -9
         assert failure.attempt == 2
-        [report] = reports
         assert report.worker_deaths == 2
         assert report.exhausted == 1
 
@@ -280,8 +276,7 @@ class TestSupervisedExecutor:
         """Deterministic failures (budget exhaustion) must come back as
         plain first-attempt TrialFailures — retrying them would waste
         the whole backoff budget failing identically."""
-        reports = []
-        points, [_run, failure] = sweep_outcomes(
+        points, [_run, failure], report = sweep_batch(
             [3, 6],
             clique_tdown_trial,
             MAKE_CONFIG,
@@ -289,23 +284,20 @@ class TestSupervisedExecutor:
             settings=TIGHT,
             jobs=2,
             policy=ResiliencePolicy(max_retries=3, trial_timeout=SLACK),
-            on_report=reports.append,
         )
         assert [(p.succeeded, p.failed) for p in points] == [(1, 0), (0, 1)]
         assert failure.attempt == 1
-        assert reports[-1].retries == 0
+        assert report.retries == 0
 
     def test_progress_callback_sees_every_trial(self):
         seen = []
-        sweep(
-            [3, 4],
-            clique_tdown_trial,
-            MAKE_CONFIG,
-            seeds=(0, 1),
-            settings=SETTINGS,
-            jobs=2,
-            policy=ResiliencePolicy(trial_timeout=SLACK),
-            on_outcome=lambda task, outcome: seen.append((task, outcome)),
+        TrialRunner(2, ResiliencePolicy(trial_timeout=SLACK)).run(
+            [
+                TrialTask(x, seed, clique_tdown_trial, FAST, SETTINGS)
+                for x in (3, 4)
+                for seed in (0, 1)
+            ],
+            lambda task, outcome: seen.append((task, outcome)),
         )
         assert len(seen) == 4
         assert {(task.x, task.seed) for task, _ in seen} == {
@@ -318,8 +310,7 @@ class TestSupervisedExecutor:
         )
 
     def test_workers_are_reused(self, tmp_path):
-        reports = []
-        points = sweep(
+        points, _runs, report = sweep_batch(
             [3],
             partial(chaos_helpers.logged, log_dir=str(tmp_path)),
             MAKE_CONFIG,
@@ -327,7 +318,6 @@ class TestSupervisedExecutor:
             settings=SETTINGS,
             jobs=2,
             policy=ResiliencePolicy(trial_timeout=SLACK),
-            on_report=reports.append,
         )
         assert points[0].succeeded == 6
         log = chaos_helpers.trial_log(tmp_path)
@@ -337,11 +327,10 @@ class TestSupervisedExecutor:
         pids = {pid for pid, _x, _seed in log}
         assert 1 <= len(pids) <= 2  # six trials, two processes: no fork per trial
         assert os.getpid() not in pids
-        assert reports[0].worker_restarts == 0
+        assert report.worker_restarts == 0
 
     def test_dead_worker_is_replaced_and_the_survivor_kept(self, tmp_path):
-        reports = []
-        points = sweep(
+        points, _runs, report = sweep_batch(
             [3],
             partial(
                 chaos_helpers.logged,
@@ -358,7 +347,6 @@ class TestSupervisedExecutor:
             settings=SETTINGS,
             jobs=2,
             policy=ResiliencePolicy(max_retries=1, trial_timeout=SLACK),
-            on_report=reports.append,
         )
         assert points[0].succeeded == 6
         log = chaos_helpers.trial_log(tmp_path)
@@ -370,14 +358,13 @@ class TestSupervisedExecutor:
         [survivor] = before - {victim}
         assert survivor in after  # kept its PID, and kept working
         assert len(after - before) == 1  # exactly one replacement
-        assert (reports[0].worker_deaths, reports[0].worker_restarts) == (1, 1)
+        assert (report.worker_deaths, report.worker_restarts) == (1, 1)
 
     def test_deadline_belongs_to_the_assignment_not_the_process(self, tmp_path):
         """One trial hangs and is killed at SNAP; meanwhile the surviving
         worker runs trial after trial for longer than SNAP in all, and the
         hung trial's retry starts on a fresh clock — one timeout, no more."""
-        reports = []
-        points, runs = sweep_outcomes(
+        points, runs, report = sweep_batch(
             [3],
             partial(
                 chaos_helpers.logged,
@@ -394,11 +381,10 @@ class TestSupervisedExecutor:
             settings=SETTINGS,
             jobs=2,
             policy=ResiliencePolicy(max_retries=1, trial_timeout=SNAP),
-            on_report=reports.append,
         )
         assert points[0].succeeded == 5
         assert runs[0].attempt == 2
-        assert (reports[0].timeouts, reports[0].retries) == (1, 1)
+        assert (report.timeouts, report.retries) == (1, 1)
         log = chaos_helpers.trial_log(tmp_path)
         survivor = next(pid for pid, _x, seed in log if seed == 1)
         assert sum(pid == survivor for pid, _x, _seed in log) >= 3  # > SNAP
@@ -424,57 +410,48 @@ class TestSupervisedExecutor:
 
 
 class TestReportThreading:
-    """SupervisionReports travel through return values, not globals."""
+    """SupervisionReports travel through return values, not globals: one
+    report per journaled sweep, to its caller."""
 
-    def test_jobs1_resilient_sweep_reports_zero_supervision(self):
+    def journaled(self, tmp_path, **kwargs):
         reports = []
-        sweep(
+        checkpointed_sweep(
             [3],
             clique_tdown_trial,
             MAKE_CONFIG,
+            journal=tmp_path / "sweep.jsonl",
             seeds=(0, 1),
             settings=SETTINGS,
-            jobs=1,
-            policy=ResiliencePolicy(),
             on_report=reports.append,
+            **kwargs,
         )
-        [report] = reports
+        return reports
+
+    def test_jobs1_resilient_sweep_reports_zero_supervision(self, tmp_path):
+        [report] = self.journaled(tmp_path, jobs=1, policy=ResiliencePolicy())
         assert report.trials == 2
         assert report.completed == 2
         assert (report.retries, report.timeouts, report.worker_deaths) == (
             0, 0, 0,
         )
+        assert report.metrics is None
 
-    def test_no_policy_means_no_report(self):
-        reports = []
-        sweep(
+    def test_no_policy_means_no_report(self, tmp_path):
+        assert self.journaled(tmp_path, jobs=1) == []
+
+    def test_nothing_run_means_no_report(self, tmp_path):
+        self.journaled(tmp_path, jobs=1)
+        assert self.journaled(tmp_path, jobs=2, policy=ResiliencePolicy()) == []
+
+    def test_pool_report_snapshots_its_nonzero_counts(self):
+        _points, _runs, report = sweep_batch(
             [3],
             clique_tdown_trial,
             MAKE_CONFIG,
-            seeds=(0,),
+            seeds=(0, 1),
             settings=SETTINGS,
-            jobs=1,
-            on_report=reports.append,
+            jobs=2,
+            policy=ResiliencePolicy(),
         )
-        assert reports == []
-
-    def test_merged_sums_counts_and_aggregates_metrics(self):
-        from repro.experiments import SupervisionReport
-        from repro.telemetry import MetricsSnapshot
-
-        left = SupervisionReport(
-            trials=2, completed=2, retries=1, timeouts=1,
-            metrics=MetricsSnapshot(counters={"resilience.retries": 1}),
-        )
-        right = SupervisionReport(
-            trials=3, completed=2, worker_deaths=1, exhausted=1,
-            metrics=MetricsSnapshot(counters={"resilience.retries": 2}),
-        )
-        merged = left.merged(right)
-        assert merged.trials == 5
-        assert merged.completed == 4
-        assert merged.retries == 1
-        assert merged.timeouts == 1
-        assert merged.worker_deaths == 1
-        assert merged.exhausted == 1
-        assert merged.metrics.counter("resilience.retries") == 3
+        assert (report.trials, report.completed) == (2, 2)
+        assert report.metrics.counters == {"resilience.completed": 2}

@@ -28,7 +28,7 @@ from repro.experiments import (
     constant_config,
     factory_ref,
 )
-from sweep_outcomes import sweep_outcomes
+from sweep_outcomes import sweep_batch, sweep_outcomes
 
 FAST = BgpConfig(mrai=1.0, processing_delay=(0.01, 0.05))
 SETTINGS = RunSettings(failure_guard=0.5)
@@ -52,8 +52,7 @@ class TestChaoticDigestEquivalence:
             settings=SETTINGS,
             digests=True,
         )
-        reports = []
-        chaotic, runs = sweep_outcomes(
+        chaotic, runs, report = sweep_batch(
             xs,
             partial(
                 chaos_helpers.chaotic_tdown,
@@ -67,7 +66,6 @@ class TestChaoticDigestEquivalence:
             jobs=2,
             digests=True,
             policy=ResiliencePolicy(max_retries=2, trial_timeout=1.5),
-            on_report=reports.append,
         )
         assert all(point.succeeded == 2 for point in chaotic)
         assert all(point.failed == 0 for point in chaotic)
@@ -78,7 +76,6 @@ class TestChaoticDigestEquivalence:
         # past the watchdog once.
         assert [run.attempt for run in runs] == [2, 1, 1, 2]
 
-        [report] = reports
         assert report.worker_deaths >= 1
         assert report.timeouts >= 1
         assert report.retries >= 2

@@ -10,8 +10,8 @@ from repro.experiments import (
     DiagnosticSnapshot,
     RunSettings,
     TrialFailure,
+    checkpointed_sweep,
     run_experiment,
-    sweep,
     tcrash_clique,
     tdown_clique,
     tflap_bclique,
@@ -142,12 +142,13 @@ class TestSweepFaultIsolation:
 
     TIGHT = RunSettings(event_budget=30)  # clique-2 fits, clique-5 cannot
 
-    def test_failed_trials_recorded_and_survivors_measured(self):
+    def test_failed_trials_recorded_and_survivors_measured(self, tmp_path):
         heard = []
-        ok, dead = sweep(
+        ok, dead = checkpointed_sweep(
             (2, 5),
             make_scenario=lambda x, seed: tdown_clique(int(x)),
             make_config=lambda x: FAST,
+            journal=tmp_path / "sweep.jsonl",
             seeds=(0, 1),
             settings=self.TIGHT,
             on_outcome=lambda task, outcome: heard.append(outcome),

@@ -18,15 +18,17 @@ SWEEP_MODULE = importlib.import_module("repro.experiments.sweep")
 
 
 def record_pools(monkeypatch):
-    """Every ``(jobs, policy)`` the runner hands to the worker pool."""
+    """The ``(jobs, policy)`` of every batch of trials handed to the
+    worker pool (``jobs != 1``)."""
     pools = []
-    supervised = SWEEP_MODULE.run_tasks_supervised
+    dispatch = SWEEP_MODULE.dispatch
 
     def recording(tasks, jobs, policy, on_outcome):
-        pools.append((jobs, policy))
-        return supervised(tasks, jobs, policy, on_outcome)
+        if tasks and jobs != 1:
+            pools.append((jobs, policy))
+        return dispatch(tasks, jobs, policy, on_outcome)
 
-    monkeypatch.setattr(SWEEP_MODULE, "run_tasks_supervised", recording)
+    monkeypatch.setattr(SWEEP_MODULE, "dispatch", recording)
     return pools
 
 
@@ -556,6 +558,27 @@ class TestSweepCommand:
         out = capsys.readouterr().out
         assert code == 0
         assert "resilience:" in out
+
+    def test_one_pool_batch_and_one_report_per_request(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        """Every missing trial of every size goes to the pool in one batch,
+        and the supervision line counts the trials this request ran."""
+        journal = tmp_path / "sweep.jsonl"
+        flags = [
+            "--trials", "2", "--mrai", "1.0", "--journal", str(journal),
+            "--jobs", "2", "--retries", "1",
+        ]
+        assert main(["sweep", "--sizes", "3", *flags]) == 0
+        capsys.readouterr()
+        pools = record_pools(monkeypatch)
+        assert main(["sweep", "--sizes", "3,4,5,6", *flags]) == 0
+        out = capsys.readouterr().out
+        assert [jobs for jobs, _policy in pools] == [2]
+        assert [line for line in out.splitlines() if "resilience:" in line] == [
+            "resilience: 6/6 trials completed, 0 retries, 0 timeouts, "
+            "0 worker deaths (0 restarts), 0 exhausted"
+        ]
 
     def test_bad_sizes_rejected(self, tmp_path, capsys):
         code = main(

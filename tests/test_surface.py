@@ -33,9 +33,12 @@ module-level class, under ``src/repro``.  A call in ``src/``,
 ``examples/`` or ``benchmarks/`` *passes* it when it sets it by keyword
 or by position, or when ``factory_ref(f, ...)``, ``partial(f, ...)`` or
 ``to_thread(f, ...)`` binds it; a call that spreads ``*args`` passes every
-position from there on, and one that spreads ``**kwargs`` passes
-everything.  Calls resolve by name, as for defs: ``f(...)`` or ``x.f(...)``
-for a function, ``x.f(...)`` for a method, ``C(...)`` or a subclass's
+position from there on.  One that spreads ``**name`` passes the keys of
+``name`` when the innermost function around the call that binds ``name``
+binds it once, to ``dict(k=...)`` with keywords only or to a dict literal
+with constant string keys, and everything otherwise.  Calls resolve by
+name, as for defs: ``f(...)`` or ``x.f(...)`` for a function,
+``x.f(...)`` for a method, ``C(...)`` or a subclass's
 ``super().__init__(...)`` for ``C.__init__``; a name defined more than
 once is skipped, and so are the drivers of the claims table, whose
 parameters ``--quick`` sets.  A setting no call passes takes one value
@@ -55,7 +58,7 @@ from __future__ import annotations
 import ast
 from collections import Counter, defaultdict
 from pathlib import Path
-from typing import Dict, FrozenSet, Iterator, List, Set, Tuple
+from typing import Dict, FrozenSet, Iterator, List, Optional, Set, Tuple
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "repro"
@@ -464,8 +467,9 @@ def _uncalled() -> Tuple[Set[str], Set[str]]:
 # is a call of that function.
 BINDERS = ("factory_ref", "partial", "to_thread")
 
-# (positional args, keywords) of one call.
-Call = Tuple[List[ast.expr], List[ast.keyword]]
+# (positional args, keyword names) of one call; None names a ``**`` spread
+# that may pass any keyword.
+Call = Tuple[List[ast.expr], List[Optional[str]]]
 
 
 def _settings(func: ast.FunctionDef, bound: bool) -> Iterator[Tuple[str, int]]:
@@ -517,12 +521,88 @@ def _callee(node: ast.expr) -> List[str]:
     return []
 
 
+def _spread_keys(
+    value: ast.expr, call: ast.Call, owner: Dict[ast.AST, ast.AST]
+) -> Optional[List[str]]:
+    """The keywords a ``**value`` spread passes: the keys of ``dict(k=...)``
+    (keywords only) or of a dict literal with constant string keys, when
+    ``value`` is a name bound once, to one of them, in the innermost
+    function around ``call`` that binds it; ``None`` (any keyword)
+    otherwise."""
+    if not isinstance(value, ast.Name):
+        return None
+    name = value.id
+    func = owner.get(call)
+    while func is not None:
+        arguments = func.args
+        parameters = arguments.posonlyargs + arguments.args + arguments.kwonlyargs
+        parameters += [arg for arg in (arguments.vararg, arguments.kwarg) if arg]
+        stores = [
+            node
+            for node in ast.walk(func)
+            if isinstance(node, ast.Name)
+            and node.id == name
+            and not isinstance(node.ctx, ast.Load)
+        ]
+        if any(arg.arg == name for arg in parameters):
+            return None
+        if stores:
+            break
+        func = owner.get(func)
+    else:
+        return None
+    if len(stores) != 1:
+        return None
+    bound = next(
+        (
+            node.value
+            for node in ast.walk(func)
+            if isinstance(node, ast.Assign) and node.targets == stores
+        ),
+        None,
+    )
+    if (
+        isinstance(bound, ast.Call)
+        and _callee(bound.func) == ["dict"]
+        and not bound.args
+        and all(kw.arg is not None for kw in bound.keywords)
+    ):
+        return [kw.arg for kw in bound.keywords]
+    if isinstance(bound, ast.Dict) and all(
+        isinstance(key, ast.Constant) and isinstance(key.value, str)
+        for key in bound.keys
+    ):
+        return [key.value for key in bound.keys]
+    return None
+
+
+def _keywords(call: ast.Call, owner: Dict[ast.AST, ast.AST]) -> List[Optional[str]]:
+    """The keyword names ``call`` passes (:data:`Call`)."""
+    names: List[Optional[str]] = []
+    for kw in call.keywords:
+        if kw.arg is not None:
+            names.append(kw.arg)
+        else:
+            keys = _spread_keys(kw.value, call, owner)
+            names.extend([None] if keys is None else keys)
+    return names
+
+
 def _calls() -> Dict[str, List[Call]]:
     """Every call in the caller directories, by call key."""
     calls: Dict[str, List[Call]] = defaultdict(list)
     for base in CALLER_DIRS:
         for path in sorted(base.rglob("*.py")):
             tree = ast.parse(path.read_text(), str(path))
+            # Each node's innermost enclosing function (walk is outer-first).
+            owner: Dict[ast.AST, ast.AST] = {}
+            for func in ast.walk(tree):
+                if isinstance(
+                    func, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
+                ):
+                    for node in ast.walk(func):
+                        if node is not func:
+                            owner[node] = func
             for cls in ast.walk(tree):
                 if not isinstance(cls, ast.ClassDef):
                     continue
@@ -536,16 +616,19 @@ def _calls() -> Dict[str, List[Call]]:
                     ):
                         for base_class in cls.bases:
                             for key in _callee(base_class)[:1]:
-                                calls[key].append((node.args, node.keywords))
+                                calls[key].append(
+                                    (node.args, _keywords(node, owner))
+                                )
             for node in ast.walk(tree):
                 if not isinstance(node, ast.Call):
                     continue
+                keywords = _keywords(node, owner)
                 keys = _callee(node.func)
                 if keys and keys[0] in BINDERS and node.args:
-                    call = (node.args[1:], node.keywords)
+                    call = (node.args[1:], keywords)
                     keys = _callee(node.args[0])
                 else:
-                    call = (node.args, node.keywords)
+                    call = (node.args, keywords)
                 for key in keys:
                     calls[key].append(call)
     return calls
@@ -553,7 +636,7 @@ def _calls() -> Dict[str, List[Call]]:
 
 def _passes(call: Call, name: str, position: int) -> bool:
     args, keywords = call
-    if any(kw.arg in (None, name) for kw in keywords):
+    if any(keyword in (None, name) for keyword in keywords):
         return True
     for index, arg in enumerate(args):
         if isinstance(arg, ast.Starred):
