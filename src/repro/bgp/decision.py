@@ -55,24 +55,22 @@ class DecisionProcess:
     ) -> Optional[Route]:
         """The best route for ``prefix``, or ``None`` when unreachable.
 
-        On a ranked Adj-RIB-In (one keeping the incremental per-prefix
-        ranking, see :class:`~repro.bgp.rib.AdjRibIn`) the winner is read
-        off the ranking instead of re-keying every candidate.  Both paths
-        pick the same route: the ranking tie-breaks by neighbor id exactly
-        like the first-encountered ``min`` over :meth:`candidates`, and the
-        local route wins ties against peers just as it does when listed
-        first in the naive scan.
+        The peers' winner is read off the Adj-RIB-In's incremental
+        per-prefix ranking (see :class:`~repro.bgp.rib.AdjRibIn`) instead
+        of re-keying every candidate.  It is the route :meth:`select_naive`
+        picks: the ranking tie-breaks by neighbor id exactly like the
+        first-encountered ``min`` over :meth:`candidates`, and the local
+        route wins ties against peers just as it does when listed first in
+        the naive scan.
         """
-        if adj_rib_in.ranked:
-            best_peer = adj_rib_in.best(prefix, usable)
-            if not originated:
-                return best_peer
-            local = local_route(prefix)
-            if best_peer is None:
-                return local
-            key = self._policy.preference_key
-            return local if key(local) <= key(best_peer) else best_peer
-        return self.select_naive(prefix, adj_rib_in, originated, usable)
+        best_peer = adj_rib_in.best(prefix, usable)
+        if not originated:
+            return best_peer
+        local = local_route(prefix)
+        if best_peer is None:
+            return local
+        key = self._policy.preference_key
+        return local if key(local) <= key(best_peer) else best_peer
 
     def select_naive(
         self,

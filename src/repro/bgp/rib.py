@@ -69,11 +69,11 @@ class _StateGroup:
     def __init__(
         self,
         routes: Dict[int, _Stored],
-        ranked: Optional[List[Tuple[object, int]]],
+        ranked: List[Tuple[object, int]],
         sig: Optional[_Signature],
     ) -> None:
         self.routes = routes
-        #: Sorted [(preference key, neighbor), ...] — None when unranked.
+        #: Sorted [(preference key, neighbor), ...].
         self.ranked = ranked
         #: How many prefixes point at this group.
         self.members = 0
@@ -84,8 +84,8 @@ class _StateGroup:
 class AdjRibIn:
     """Routes received from neighbors, keyed ``(neighbor, prefix)``.
 
-    When constructed with a ``preference_key`` the RIB additionally keeps an
-    **incremental ranking** per prefix: ``(key, neighbor)`` entries held
+    Alongside the routes the RIB keeps an **incremental ranking** per
+    prefix under its ``preference_key``: ``(key, neighbor)`` entries held
     sorted across mutations, so the decision process reads its winner off
     the front instead of re-scanning and re-keying every candidate on every
     UPDATE.  Only the changed peer's entry is re-ranked (one removal plus
@@ -108,24 +108,21 @@ class AdjRibIn:
     the movers repoint to the group with that signature (a new one if none
     exists).  Stored routes are materialized on read through the
     :func:`~repro.bgp.route.intern_route` table, so reads hand back the
-    canonical shared instances (``learned_at`` is normalized to ``0.0`` —
-    it is diagnostics-only).  Because a group's members have identical
+    canonical shared instances.  Because a group's members have identical
     candidates, a decision that reads only the group is theirs in common
     (:meth:`groups`).
 
     Sharing is enabled only when the preference key is known to be
     **prefix-blind** — marked with :func:`~repro.bgp.policy.prefix_blind`,
     as the base :meth:`~repro.bgp.policy.RoutingPolicy.preference_key`
-    (which every shipped policy inherits) is — or absent.  A custom key
+    (which every shipped policy inherits) is.  A custom key
     might rank by prefix, so it degrades to one group per prefix, same
     public behavior.
     """
 
-    def __init__(self, preference_key: Optional[PreferenceKey] = None) -> None:
+    def __init__(self, preference_key: PreferenceKey) -> None:
         self._key = preference_key
-        self._share = preference_key is None or getattr(
-            preference_key, "prefix_blind", False
-        )
+        self._share = getattr(preference_key, "prefix_blind", False)
         # prefix -> its (possibly shared) state group.
         self._groups: Dict[Prefix, _StateGroup] = {}
         # signature -> the group holding that exact candidate set.
@@ -133,11 +130,6 @@ class AdjRibIn:
         # neighbor -> prefixes it currently contributes a route for
         # (reverse index: drop_neighbor and deterministic iteration).
         self._neighbor_prefixes: Dict[int, Set[Prefix]] = {}
-
-    @property
-    def ranked(self) -> bool:
-        """True when the incremental per-prefix ranking is maintained."""
-        return self._key is not None
 
     # ------------------------------------------------------------------
     # Group plumbing
@@ -194,15 +186,12 @@ class AdjRibIn:
                     if group.sig is not None:
                         del self._shared[group.sig]
                 else:
-                    ranked = [] if self._key is not None else None
-                    if group is not None and group.ranked is not None:
-                        ranked = list(group.ranked)
-                if ranked is not None:
-                    prefix = members[0]  # the key is prefix-blind when shared
-                    if old is not None:
-                        ranked.remove((self._key_of(prefix, neighbor, old), neighbor))
-                    if stored is not None:
-                        insort(ranked, (self._key_of(prefix, neighbor, stored), neighbor))
+                    ranked = list(group.ranked) if group is not None else []
+                prefix = members[0]  # the key is prefix-blind when shared
+                if old is not None:
+                    ranked.remove((self._key_of(prefix, neighbor, old), neighbor))
+                if stored is not None:
+                    insort(ranked, (self._key_of(prefix, neighbor, stored), neighbor))
                 if whole:
                     assert group is not None
                     group.routes, group.sig = routes, sig
@@ -306,11 +295,11 @@ class AdjRibIn:
     ) -> Optional[Route]:
         """The highest-ranked (usable) route for ``prefix``, or ``None``.
 
-        Only available on a ranked RIB; O(1) without a ``usable`` filter,
-        O(suppressed prefix-candidates) with one.
+        O(1) without a ``usable`` filter, O(suppressed prefix-candidates)
+        with one.
         """
         group = self._groups.get(prefix)
-        if group is None or not group.ranked:
+        if group is None:
             return None
         if usable is None:
             path, next_hop, local_pref = group.routes[group.ranked[0][1]]

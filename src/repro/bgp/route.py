@@ -14,10 +14,6 @@ local_pref)`` key.  Simulator code obtains routes through
 construction stays valid (tests, ad-hoc analysis) and compares equal to
 its canonical twin, it just does not share storage.
 
-Interned routes always carry ``learned_at == 0.0`` — the field is
-diagnostics-only (``compare=False``, outside every digest), and folding it
-into the key would defeat sharing entirely.
-
 Both tables are scoped to one simulation by :func:`interning_scope`, which
 ``run_experiment`` and ``observe_oscillation`` run their whole bodies in:
 a run's routes and paths outlive it only as long as its result refers to
@@ -60,17 +56,12 @@ class Route:
         Policy preference; higher wins (standard BGP semantics).  The
         paper's experiments leave every route at the default, making the
         decision purely shortest-path.
-    learned_at:
-        Simulation time the route entered the RIB (diagnostics only; not
-        part of equality so RIB comparisons stay value-based).  Always
-        ``0.0`` on interned routes.
     """
 
     prefix: Prefix
     path: AsPath
     next_hop: Optional[int]
     local_pref: int = DEFAULT_LOCAL_PREF
-    learned_at: float = field(default=0.0, compare=False)
     _hash: int = field(init=False, repr=False, compare=False, default=0)
 
     def __post_init__(self) -> None:
@@ -90,7 +81,6 @@ class Route:
         if self is other:
             return True
         if isinstance(other, Route):
-            # learned_at deliberately excluded (diagnostics only).
             return (
                 self.prefix == other.prefix
                 and self.local_pref == other.local_pref
@@ -104,10 +94,7 @@ class Route:
 
     def __reduce__(self):
         # By value, like AsPath: loading never touches the intern tables.
-        return (
-            Route,
-            (self.prefix, self.path, self.next_hop, self.local_pref, self.learned_at),
-        )
+        return (Route, (self.prefix, self.path, self.next_hop, self.local_pref))
 
     @property
     def is_local(self) -> bool:
@@ -204,17 +191,10 @@ def interning_scope() -> Iterator[None]:
             _PATH_TABLE.popitem()
 
 
-def local_route(prefix: Prefix, learned_at: float = 0.0) -> Route:
+def local_route(prefix: Prefix) -> Route:
     """The route a speaker installs when it originates ``prefix``.
 
-    The default (timestamp-free) form is interned — it is rebuilt on every
-    decision-process pass for an originated prefix, so the dict hit matters.
+    Interned — it is rebuilt on every decision-process pass for an
+    originated prefix, so the dict hit matters.
     """
-    if learned_at == 0.0:
-        return intern_route(prefix, AsPath.empty(), LOCAL_NEXT_HOP)
-    return Route(
-        prefix=prefix,
-        path=AsPath.empty(),
-        next_hop=LOCAL_NEXT_HOP,
-        learned_at=learned_at,
-    )
+    return intern_route(prefix, AsPath.empty(), LOCAL_NEXT_HOP)

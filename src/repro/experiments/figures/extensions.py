@@ -21,6 +21,7 @@
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Callable, Dict, List, Sequence, Tuple
 
 from ...bgp import (
@@ -53,8 +54,7 @@ from ..scenarios import (
     tdown_internet,
     tlong_bclique,
 )
-from ..spec import constant_config, factory_ref
-from ..sweep import TrialTask, run_trials, sweep
+from ..sweep import TrialTask, constant_config, run_trials, sweep
 from ..unsafe import TieredGaoRexfordFactory
 from .common import in_groups
 
@@ -313,8 +313,8 @@ def churn_flap_period(
     """
     points = sweep(
         list(periods),
-        factory_ref(bclique_tflap_trial, size=size, count=count),
-        factory_ref(
+        partial(bclique_tflap_trial, size=size, count=count),
+        partial(
             constant_config,
             config=BgpConfig(mrai=mrai, processing_delay=(0.05, 0.15)),
         ),

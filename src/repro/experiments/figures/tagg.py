@@ -15,12 +15,12 @@ to the table-wide traffic view as the population grows.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Sequence
 
 from ..config import RunSettings
 from ..report import FigureData
 from ..scenarios import clique_tagg_trial
-from ..spec import factory_ref
 from .common import metric_sweep_figure
 
 _METRICS = (
@@ -48,9 +48,7 @@ def figure_tagg(
         "Traffic-weighted looping vs prefix population (Tagg, clique)",
         "prefix_count",
         [int(x) for x in prefix_counts],
-        factory_ref(
-            clique_tagg_trial, size=clique_size, origins=origins, hold=hold
-        ),
+        partial(clique_tagg_trial, size=clique_size, origins=origins, hold=hold),
         _METRICS,
         mrai=mrai,
         seeds=seeds,

@@ -10,6 +10,7 @@ value here, since jitter factors are <= 1).
 
 from __future__ import annotations
 
+from functools import partial
 from typing import List, Sequence
 
 from ...bgp import BgpConfig
@@ -17,7 +18,6 @@ from ...core import LoopStatistics, ObservationCheck, worst_case_loop_duration
 from ...topology import ring_with_core
 from ..report import FigureData
 from ..scenarios import Scenario, custom_tlong
-from ..spec import factory_ref
 from ..sweep import TrialTask, run_trials
 from .common import in_groups
 
@@ -46,7 +46,7 @@ def theory_bound_figure(
     ``(m - 1) × M`` seconds.
     """
     slack = 2.0  # processing + propagation allowance beyond the MRAI terms
-    make_scenario = factory_ref(ring_tlong_trial, backup_len=backup_len)
+    make_scenario = partial(ring_tlong_trial, backup_len=backup_len)
     config = BgpConfig.standard(mrai)
     runs = run_trials(
         [

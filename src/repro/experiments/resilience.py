@@ -97,16 +97,15 @@ class ResiliencePolicy:
         Wall-clock seconds one attempt may run before the watchdog kills
         its worker (``None`` disables the watchdog).  Only enforceable
         with ``jobs > 1``: an in-process trial cannot be preempted.
-    ``on_exhausted``
-        ``"record"`` (default) — a trial whose retries are exhausted is
-        recorded as a :class:`~repro.experiments.sweep.TrialTimeout` /
-        :class:`~repro.experiments.sweep.TrialFailure` and the sweep
-        continues; ``"raise"`` — it aborts the sweep.
+
+    A trial whose retries are exhausted is recorded as a
+    :class:`~repro.experiments.sweep.TrialTimeout` /
+    :class:`~repro.experiments.sweep.TrialFailure` and the sweep
+    continues; with no policy at all it aborts the sweep.
     """
 
     max_retries: int = 2
     trial_timeout: Optional[float] = None
-    on_exhausted: str = "record"
 
     def __post_init__(self) -> None:
         if self.max_retries < 0:
@@ -117,11 +116,6 @@ class ResiliencePolicy:
             raise ConfigError(
                 f"trial_timeout must be positive seconds or None, got "
                 f"{self.trial_timeout}"
-            )
-        if self.on_exhausted not in ("record", "raise"):
-            raise ConfigError(
-                f"on_exhausted must be 'record' or 'raise', got "
-                f"{self.on_exhausted!r}"
             )
 
     @property
@@ -348,7 +342,7 @@ def _exhausted_failure(task: "TrialTask", error, attempt: int, elapsed: float):
 def run_tasks_supervised(
     tasks: Sequence["TrialTask"],
     jobs: int,
-    policy: ResiliencePolicy,
+    policy: Optional[ResiliencePolicy],
     on_outcome: Callable[["TrialTask", object], None],
 ) -> SupervisionReport:
     """Run every task to a final outcome on at most ``jobs`` workers.
@@ -357,9 +351,11 @@ def run_tasks_supervised(
     (completion order; tasks are handed out in task order, and each
     task's ``index`` must be its position).  Outcomes are what
     :func:`~repro.experiments.sweep.run_trial` returned or, for trials
-    whose transient failures exhausted the retry budget under
-    ``on_exhausted="record"``, a :class:`~repro.experiments.sweep.
-    TrialFailure` / :class:`~repro.experiments.sweep.TrialTimeout`.
+    whose transient failures exhausted the retry budget, a
+    :class:`~repro.experiments.sweep.TrialFailure` /
+    :class:`~repro.experiments.sweep.TrialTimeout`.  With ``policy=None``
+    there are no retries and no watchdog, and a dead worker's error
+    aborts the run instead.
 
     A worker that *reports* an exception (rather than dying) aborts the
     whole run — that path carries non-isolated errors such as
@@ -367,6 +363,7 @@ def run_tasks_supervised(
     """
     from .sweep import TrialFailure
 
+    limits = policy or ResiliencePolicy(max_retries=0)
     context = _mp_context()
     counters = _Counters()
     #: (task, attempt) ready to start now, in deterministic task order.
@@ -392,8 +389,8 @@ def run_tasks_supervised(
         worker.task, worker.attempt = task, attempt
         worker.started = time.monotonic()
         worker.deadline = (
-            worker.started + policy.trial_timeout
-            if policy.trial_timeout is not None
+            worker.started + limits.trial_timeout
+            if limits.trial_timeout is not None
             else None
         )
         try:
@@ -409,14 +406,14 @@ def run_tasks_supervised(
         """Worker death or timeout: retry with backoff, or exhaust."""
         task, attempt = worker.task, worker.attempt
         elapsed = time.monotonic() - worker.started
-        if attempt < policy.max_attempts:
+        if attempt < limits.max_attempts:
             counters.bump("retries")
             counters.bump("worker_restarts")
-            delay = policy.backoff_delay(task.index, task.seed, attempt + 1)
+            delay = limits.backoff_delay(task.index, task.seed, attempt + 1)
             cooling.append((time.monotonic() + delay, task, attempt + 1))
             return
         counters.bump("exhausted")
-        if policy.on_exhausted == "raise":
+        if policy is None:
             raise error
         finish(task, _exhausted_failure(task, error, attempt, elapsed))
 
@@ -473,9 +470,9 @@ def run_tasks_supervised(
                             TrialTimeoutError(
                                 f"trial (x={worker.task.x}, "
                                 f"seed={worker.task.seed}) exceeded its "
-                                f"{policy.trial_timeout}s wall-clock budget "
+                                f"{limits.trial_timeout}s wall-clock budget "
                                 f"on attempt {worker.attempt} and was killed",
-                                timeout=policy.trial_timeout or 0.0,
+                                timeout=limits.trial_timeout or 0.0,
                                 attempts=worker.attempt,
                             ),
                         )

@@ -321,10 +321,10 @@ def tflap_bclique(n: int, period: float, count: int = 3) -> Scenario:
 #
 # Sweeps call ``make_scenario(x, seed)``; the family constructors above
 # take domain parameters (clique size, flap period...).  These adapters fix
-# the translation once, at module scope, so parallel sweeps can ship them
-# to worker processes by reference (see repro.experiments.spec).  Fixed
-# parameters (a constant topology size under an MRAI sweep, a flap count)
-# are bound with ``factory_ref(adapter, size=...)``.
+# the translation once, at module scope, so parallel sweeps can pickle them
+# to worker processes by reference.  Fixed parameters (a constant topology
+# size under an MRAI sweep, a flap count) are bound with
+# ``functools.partial(adapter, size=...)``.
 
 
 def clique_tdown_trial(x: float, seed: int) -> Scenario:

@@ -37,11 +37,13 @@ sequential one (``digests=True`` attaches the
 journaled sweep calls :func:`dispatch` itself and keeps no run.
 
 Crossing the process boundary constrains the factories: closures cannot be
-pickled, so ``jobs > 1`` requires module-level factory functions or
-:func:`~repro.experiments.spec.factory_ref` wrappers (the built-in figure
-drivers already comply).  Fault isolation survives the boundary — a worker
-trial that raises :class:`~repro.errors.SimulationError` comes back as a
-picklable :class:`TrialFailure` carrying its diagnostic snapshot, while
+pickled, so ``jobs > 1`` requires module-level factory functions, bound to
+their fixed parameters with :func:`functools.partial` (the built-in figure
+drivers already comply).  A ``partial`` equals only itself, so tasks meet
+in the runner's memo only when they share one bound factory object.
+Fault isolation survives the boundary — a worker trial that raises
+:class:`~repro.errors.SimulationError` comes back as a picklable
+:class:`TrialFailure` carrying its diagnostic snapshot, while
 :class:`~repro.errors.SanitizerError` (the simulator itself is wrong)
 still aborts the whole sweep from any worker, and so does a worker that
 dies (:class:`~repro.errors.WorkerCrashError`) unless a
@@ -76,6 +78,12 @@ ScenarioFactory = Callable[[float, int], Scenario]
 
 ConfigFactory = Callable[[float], BgpConfig]
 """``factory(x) -> BgpConfig`` for the sweep's x value."""
+
+
+def constant_config(x: float, *, config: BgpConfig) -> BgpConfig:
+    """``make_config`` that ignores x: bind ``config`` with
+    ``functools.partial(constant_config, config=...)``."""
+    return config
 
 
 @dataclass(frozen=True)
@@ -344,11 +352,6 @@ def run_trial(task: TrialTask) -> TrialOutcome:
     return run
 
 
-#: What ``policy=None`` means to the executor: no retries, no watchdog, and
-#: a dead worker aborts the batch.
-_NO_RETRIES = ResiliencePolicy(max_retries=0, on_exhausted="raise")
-
-
 def _resolve_jobs(jobs: int) -> int:
     if not isinstance(jobs, int) or isinstance(jobs, bool):
         raise AnalysisError(f"jobs must be an int, got {jobs!r}")
@@ -359,17 +362,22 @@ def _resolve_jobs(jobs: int) -> int:
     return jobs
 
 
-def _check_tasks_picklable(task: TrialTask) -> None:
-    """Fail fast, with a remedy, before sending closures to a worker."""
-    try:
-        pickle.dumps(task)
-    except Exception as exc:
-        raise AnalysisError(
-            f"sweep factories cannot cross the process boundary ({exc}); "
-            f"jobs > 1 needs module-level factories or "
-            f"repro.experiments.factory_ref(...) wrappers — closures and "
-            f"lambdas only work with jobs=1"
-        ) from exc
+def _check_tasks_picklable(tasks: Sequence[TrialTask]) -> None:
+    """Fail fast, with a remedy, before sending closures to a worker: one
+    task per distinct ``(make_scenario, make_policy)`` pair is pickled."""
+    firsts: Dict[Tuple[object, object], TrialTask] = {}
+    for task in tasks:
+        firsts.setdefault((task.make_scenario, task.make_policy), task)
+    for task in firsts.values():
+        try:
+            pickle.dumps(task)
+        except Exception as exc:
+            raise AnalysisError(
+                f"sweep factories cannot cross the process boundary ({exc}); "
+                f"jobs > 1 needs module-level factories, with fixed "
+                f"parameters bound by functools.partial(fn, **kwargs) — "
+                f"closures and lambdas only work with jobs=1"
+            ) from exc
 
 
 def dispatch(
@@ -388,11 +396,11 @@ def dispatch(
             on_outcome(task, run_trial_resilient(task))
         # In-process: completions only, zero supervision events.
         return SupervisionReport(trials=len(tasks), completed=len(tasks))
-    _check_tasks_picklable(tasks[0])
+    _check_tasks_picklable(tasks)
     return run_tasks_supervised(
         [replace(task, index=index) for index, task in enumerate(tasks)],
         jobs,
-        policy or _NO_RETRIES,
+        policy,
         on_outcome,
     )
 

@@ -9,9 +9,8 @@ rejected at the socket instead of failing hours later when the job is
 dequeued.
 
 Sweep jobs reuse the module-level trial adapters from
-:mod:`repro.experiments.scenarios` and :func:`~repro.experiments.spec.
-factory_ref` wrappers — the same picklable factory layer every parallel
-sweep uses — so a service job's trials are *by construction* the same
+:mod:`repro.experiments.scenarios`, bound with :func:`functools.partial` —
+the same picklable factory layer every parallel sweep uses — so a service job's trials are *by construction* the same
 ``TrialTask`` objects a foreground ``sweep(jobs=1)`` would run.  That is
 what makes the digest-equality acceptance check meaningful: the service
 adds scheduling and durability around the trials, never a different
@@ -21,6 +20,7 @@ simulation.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Dict, List, Optional, Tuple
 
 from ..bgp import VARIANT_NAMES, variant
@@ -34,7 +34,6 @@ from ..experiments import (
     clique_tdown_trial,
     clique_treset_trial,
     constant_config,
-    factory_ref,
     with_session_timers,
 )
 from ..experiments.resilience import policy_of
@@ -188,7 +187,7 @@ def resolve_sweep_plan(params: Dict) -> SweepPlan:
             raise ServiceError(
                 f"sweep family {family!r} needs an int 'size' >= 3, got {size!r}"
             )
-        make_scenario = factory_ref(entry["adapter"], size=size)
+        make_scenario = partial(entry["adapter"], size=size)
     else:
         make_scenario = entry["adapter"]
     # The first trial's scenario decides the session timers; building it is
@@ -220,7 +219,7 @@ def resolve_sweep_plan(params: Dict) -> SweepPlan:
         xs=xs,
         seeds=seeds,
         make_scenario=make_scenario,
-        make_config=factory_ref(constant_config, config=config),
+        make_config=partial(constant_config, config=config),
         settings=settings,
         policy=policy,
         jobs=jobs,

@@ -16,7 +16,7 @@ def decision():
 
 @pytest.fixture
 def rib():
-    return AdjRibIn()
+    return AdjRibIn(ShortestPathPolicy().preference_key)
 
 
 class TestSelect:

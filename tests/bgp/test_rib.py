@@ -7,7 +7,10 @@ from repro.bgp import (
     LocRib,
     Route,
     RoutingPolicy,
+    ShortestPathPolicy,
 )
+
+SHORTEST = ShortestPathPolicy().preference_key
 
 
 def route_via(neighbor, *path_tail, prefix="d"):
@@ -16,28 +19,28 @@ def route_via(neighbor, *path_tail, prefix="d"):
 
 class TestAdjRibIn:
     def test_put_get(self):
-        rib = AdjRibIn()
+        rib = AdjRibIn(SHORTEST)
         rib.put(5, route_via(5, 0))
         assert rib.get(5, "d") == route_via(5, 0)
         assert rib.get(5, "x") is None
         assert rib.get(9, "d") is None
 
     def test_put_replaces(self):
-        rib = AdjRibIn()
+        rib = AdjRibIn(SHORTEST)
         rib.put(5, route_via(5, 0))
         rib.put(5, route_via(5, 4, 0))
         assert rib.get(5, "d") == route_via(5, 4, 0)
         assert len(rib) == 1
 
     def test_remove(self):
-        rib = AdjRibIn()
+        rib = AdjRibIn(SHORTEST)
         rib.put(5, route_via(5, 0))
         assert rib.remove(5, "d") == route_via(5, 0)
         assert rib.remove(5, "d") is None
         assert len(rib) == 0
 
     def test_drop_neighbor_returns_affected_prefixes(self):
-        rib = AdjRibIn()
+        rib = AdjRibIn(SHORTEST)
         rib.put(5, route_via(5, 0, prefix="a"))
         rib.put(5, route_via(5, 0, prefix="b"))
         rib.put(6, route_via(6, 0, prefix="a"))
@@ -46,19 +49,19 @@ class TestAdjRibIn:
         assert rib.get(6, "a") is not None
 
     def test_candidates_in_neighbor_order(self):
-        rib = AdjRibIn()
+        rib = AdjRibIn(SHORTEST)
         rib.put(9, route_via(9, 0))
         rib.put(2, route_via(2, 0))
         assert [r.next_hop for r in rib.candidates("d")] == [2, 9]
 
     def test_neighbors_with(self):
-        rib = AdjRibIn()
+        rib = AdjRibIn(SHORTEST)
         rib.put(9, route_via(9, 0))
         rib.put(2, route_via(2, 0, prefix="other"))
         assert rib.neighbors_with("d") == [9]
 
     def test_entries_iteration(self):
-        rib = AdjRibIn()
+        rib = AdjRibIn(SHORTEST)
         rib.put(5, route_via(5, 0, prefix="b"))
         rib.put(5, route_via(5, 0, prefix="a"))
         rib.put(3, route_via(3, 0, prefix="a"))
@@ -76,7 +79,7 @@ class TestAdjRibInSharing:
             rib.put(6, route_via(6, 4, 0, prefix=prefix))
 
     def test_identical_candidate_sets_share_one_group(self):
-        rib = AdjRibIn()
+        rib = AdjRibIn(SHORTEST)
         self.fill(rib, ("a", "b", "c"))
         assert len(rib) == 6
         assert rib.group_count() == 1
@@ -86,7 +89,7 @@ class TestAdjRibInSharing:
         ]
 
     def test_diverging_prefix_splits_its_group(self):
-        rib = AdjRibIn()
+        rib = AdjRibIn(SHORTEST)
         self.fill(rib, ("a", "b"))
         rib.put(5, route_via(5, 9, 0, prefix="b"))
         assert rib.group_count() == 2
@@ -94,14 +97,14 @@ class TestAdjRibInSharing:
         assert rib.get(5, "b") == route_via(5, 9, 0, prefix="b")
 
     def test_reconverging_prefix_remerges(self):
-        rib = AdjRibIn()
+        rib = AdjRibIn(SHORTEST)
         self.fill(rib, ("a", "b"))
         rib.put(5, route_via(5, 9, 0, prefix="b"))  # diverge
         rib.put(5, route_via(5, 0, prefix="b"))  # converge back
         assert rib.group_count() == 1
 
     def test_remove_splits_then_remerges(self):
-        rib = AdjRibIn()
+        rib = AdjRibIn(SHORTEST)
         self.fill(rib, ("a", "b"))
         assert rib.remove(5, "b") == route_via(5, 0, prefix="b")
         assert rib.group_count() == 2
@@ -110,14 +113,14 @@ class TestAdjRibInSharing:
         assert rib.neighbors_with("a") == [6]
 
     def test_drop_neighbor_with_shared_groups(self):
-        rib = AdjRibIn()
+        rib = AdjRibIn(SHORTEST)
         self.fill(rib, ("a", "b"))
         assert rib.drop_neighbor(5) == ["a", "b"]
         assert rib.group_count() == 1
         assert rib.candidates("a") == [route_via(6, 4, 0, prefix="a")]
 
     def test_reads_hand_back_interned_instances(self):
-        rib = AdjRibIn()
+        rib = AdjRibIn(SHORTEST)
         rib.put(5, route_via(5, 0))
         route = rib.get(5, "d")
         assert route is Route.of("d", AsPath((5, 0)), 5)

@@ -33,11 +33,6 @@ class TestBehavior:
         route = Route(prefix="d", path=AsPath((5, 0)), next_hop=5)
         assert route.advertised_by(7) == AsPath((7, 5, 0))
 
-    def test_equality_ignores_learned_at(self):
-        a = Route(prefix="d", path=AsPath((5, 0)), next_hop=5, learned_at=1.0)
-        b = Route(prefix="d", path=AsPath((5, 0)), next_hop=5, learned_at=9.0)
-        assert a == b
-
     def test_equality_respects_local_pref(self):
         a = Route(prefix="d", path=AsPath((5, 0)), next_hop=5, local_pref=100)
         b = Route(prefix="d", path=AsPath((5, 0)), next_hop=5, local_pref=200)
@@ -63,11 +58,8 @@ class TestInterning:
         assert a is b
         assert a.path is AsPath.of((5, 0))
 
-    def test_interned_routes_carry_no_timestamp(self):
-        assert intern_route("d", AsPath((5, 0)), 5).learned_at == 0.0
-
     def test_direct_construction_compares_equal_to_canonical(self):
-        direct = Route(prefix="d", path=AsPath((5, 0)), next_hop=5, learned_at=3.0)
+        direct = Route(prefix="d", path=AsPath((5, 0)), next_hop=5)
         canonical = intern_route("d", AsPath((5, 0)), 5)
         assert direct == canonical
         assert hash(direct) == hash(canonical)
@@ -75,9 +67,6 @@ class TestInterning:
 
     def test_local_route_default_is_interned(self):
         assert local_route("d") is local_route("d")
-        timed = local_route("d", learned_at=4.0)
-        assert timed is not local_route("d")
-        assert timed == local_route("d")
 
     def test_pickle_round_trips_by_value(self):
         route = intern_route("d", AsPath((5, 0)), 5)
@@ -85,10 +74,3 @@ class TestInterning:
         assert clone == route
         assert hash(clone) == hash(route)
         assert clone is not route
-
-    def test_pickle_preserves_timestamp_uninterned(self):
-        timed = Route(prefix="d", path=AsPath((5, 0)), next_hop=5, learned_at=2.5)
-        clone = pickle.loads(pickle.dumps(timed))
-        assert clone == timed
-        assert clone.learned_at == 2.5
-        assert clone is not intern_route("d", AsPath((5, 0)), 5)

@@ -11,6 +11,7 @@ from repro.bgp import (
     AsPath,
     BgpConfig,
     Route,
+    ShortestPathPolicy,
     Withdrawal,
 )
 from repro.bgp.variants import (
@@ -71,7 +72,7 @@ class TestGhostFlushingUnit:
 
 class TestAssertionUnit:
     def make_rib(self):
-        rib = AdjRibIn()
+        rib = AdjRibIn(ShortestPathPolicy().preference_key)
         # Neighbor 6's path goes through 4; neighbor 7's does not.
         rib.put(6, Route(prefix=PREFIX, path=AsPath((6, 4, 0)), next_hop=6))
         rib.put(7, Route(prefix=PREFIX, path=AsPath((7, 8, 0)), next_hop=7))

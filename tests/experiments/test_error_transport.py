@@ -7,6 +7,7 @@ for every object that crosses the worker boundary.
 """
 
 import pickle
+from functools import partial
 
 import pytest
 
@@ -17,8 +18,7 @@ from repro.experiments import (
     TrialFailure,
     TrialTask,
     RunSettings,
-    clique_tdown_trial,
-    factory_ref,
+    bclique_tflap_trial,
 )
 from repro.bgp import BgpConfig
 
@@ -106,14 +106,24 @@ class TestTrialTaskPickle:
             index=3,
             x=5.0,
             seed=1,
-            make_scenario=factory_ref(clique_tdown_trial),
+            make_scenario=partial(bclique_tflap_trial, size=3, count=2),
             config=BgpConfig(mrai=1.0),
             settings=RunSettings(failure_guard=0.5),
             digests=True,
         )
         clone = pickle.loads(pickle.dumps(task))
-        assert clone == task
-        assert clone.make_scenario(5.0, 1).name == "tdown-clique-5"
+        # A partial equals only itself: compare what it binds instead.
+        assert clone.make_scenario.func is bclique_tflap_trial
+        assert clone.make_scenario.keywords == {"size": 3, "count": 2}
+        assert clone.make_scenario.args == ()
+        assert (clone.index, clone.x, clone.seed) == (3, 5.0, 1)
+        assert clone.config == task.config
+        assert clone.settings == task.settings
+        assert clone.make_policy is None
+        assert clone.digests is True
+        assert (
+            clone.make_scenario(5.0, 1).name == task.make_scenario(5.0, 1).name
+        )
 
     def test_closure_task_fails_to_pickle(self):
         task = TrialTask(

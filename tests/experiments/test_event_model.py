@@ -16,6 +16,7 @@ Contracts pinned here:
 
 import pickle
 from dataclasses import replace
+from functools import partial
 
 import pytest
 
@@ -27,7 +28,7 @@ from repro.experiments import (
     EventKind,
     RunSettings,
     Scenario,
-    factory_ref,
+    constant_config,
     run_experiment,
     with_session_timers,
 )
@@ -45,7 +46,6 @@ from repro.experiments.scenarios import (
     treset_clique,
     with_explicit_originations,
 )
-from repro.experiments.spec import constant_config
 from repro.experiments.unsafe import bad_gadget, disagree, wedgie
 from repro.net import (
     LinkFailure,
@@ -119,7 +119,7 @@ class TestCompoundSchedules:
         ids=["tlong-during-tdown", "flap-under-tagg"],
     )
     def test_runs_sanitized_and_matches_across_jobs(self, make_scenario, x, config):
-        make_config = factory_ref(constant_config, config=config)
+        make_config = partial(constant_config, config=config)
         kwargs = dict(seeds=(0, 1), settings=SANITIZED, digests=True)
         _, runs = sweep_outcomes([x], make_scenario, make_config, **kwargs)
         _, parallel = sweep_outcomes(

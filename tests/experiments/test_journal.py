@@ -28,7 +28,6 @@ from repro.experiments import (
     checkpointed_sweep,
     clique_tdown_trial,
     constant_config,
-    factory_ref,
 )
 from repro.experiments.journal import decode_record, encode_record
 from repro.experiments.sweep import summarize_point
@@ -38,7 +37,7 @@ SETTINGS = RunSettings(failure_guard=0.5)
 #: Budget that kills a 6-clique but lets a 3-clique finish (see
 #: tests/experiments/test_parallel_sweep.py for the calibration).
 TIGHT = RunSettings(failure_guard=0.5, event_budget=200)
-MAKE_CONFIG = factory_ref(constant_config, config=FAST)
+MAKE_CONFIG = partial(constant_config, config=FAST)
 
 
 def ok_record(x, seed, attempt=1, **metrics):

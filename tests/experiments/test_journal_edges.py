@@ -10,6 +10,7 @@ import os
 import signal
 import subprocess
 import sys
+from functools import partial
 from pathlib import Path
 
 import pytest
@@ -23,7 +24,6 @@ from repro.experiments import (
     checkpointed_sweep,
     clique_tdown_trial,
     constant_config,
-    factory_ref,
 )
 from repro.experiments.journal import WriterLock, encode_record
 
@@ -31,7 +31,7 @@ SRC_DIR = Path(__file__).resolve().parents[2] / "src"
 
 FAST = BgpConfig(mrai=1.0, processing_delay=(0.01, 0.05))
 SETTINGS = RunSettings(failure_guard=0.5)
-MAKE_CONFIG = factory_ref(constant_config, config=FAST)
+MAKE_CONFIG = partial(constant_config, config=FAST)
 
 
 def ok_record(x, seed):

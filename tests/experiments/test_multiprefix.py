@@ -10,13 +10,15 @@ Three contracts pin the prefix dimension as a *strict generalization*:
   speaker after multi-prefix aggregation churn.
 """
 
+from functools import partial
+
 import pytest
 
 from repro.analysis.determinism import fingerprint_run
 from repro.bgp import BgpConfig
 from repro.bgp.aggregation import AggregationCycle
 from repro.errors import ConfigError
-from repro.experiments import RunSettings, factory_ref
+from repro.experiments import RunSettings, constant_config
 from repro.experiments.runner import run_experiment
 from repro.experiments.scenarios import (
     Scenario,
@@ -26,7 +28,6 @@ from repro.experiments.scenarios import (
     tflap_bclique,
     with_explicit_originations,
 )
-from repro.experiments.spec import constant_config
 from repro.topology import clique
 from sweep_outcomes import sweep_outcomes
 
@@ -152,10 +153,10 @@ class TestCrossProcessDeterminism:
 
     @pytest.fixture(scope="class")
     def pair(self):
-        make_scenario = factory_ref(
+        make_scenario = partial(
             clique_tagg_trial, size=4, origins=2, hold=5.0
         )
-        make_config = factory_ref(constant_config, config=FAST)
+        make_config = partial(constant_config, config=FAST)
         kwargs = dict(seeds=(0, 1), settings=TRAFFIC, digests=True)
         sequential = sweep_outcomes([4, 8], make_scenario, make_config, **kwargs)
         parallel = sweep_outcomes(
@@ -184,10 +185,10 @@ class TestAcceptance256:
     """The acceptance bar: >= 256 prefixes, bit-identical across jobs."""
 
     def test_256_prefix_sweep_digest_identical_across_jobs(self):
-        make_scenario = factory_ref(
+        make_scenario = partial(
             clique_tagg_trial, size=4, origins=2, hold=5.0
         )
-        make_config = factory_ref(constant_config, config=FAST)
+        make_config = partial(constant_config, config=FAST)
         kwargs = dict(seeds=(0,), settings=TRAFFIC, digests=True)
         _, [seq_run] = sweep_outcomes([256], make_scenario, make_config, **kwargs)
         _, [par_run] = sweep_outcomes(

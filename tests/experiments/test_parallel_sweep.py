@@ -5,11 +5,12 @@ The contract under test: ``sweep(..., jobs=N)`` is *bit-identical* to
 fingerprints, same aggregate point metrics, same failures — with fault
 isolation preserved across the process boundary.
 """
+from functools import partial
 
 import pytest
 
 from repro.bgp import BgpConfig
-from repro.errors import AnalysisError, BudgetExceededError, ConfigError
+from repro.errors import AnalysisError, BudgetExceededError
 from repro.experiments import (
     RunSettings,
     TrialFailure,
@@ -17,7 +18,6 @@ from repro.experiments import (
     bclique_tflap_trial,
     clique_tdown_trial,
     constant_config,
-    factory_ref,
     sweep,
     trial_runner,
 )
@@ -37,7 +37,7 @@ TRACED = RunSettings(failure_guard=0.5, telemetry=True)
 #: (calibrated: the 6-clique needs > 200 events, the 3-clique far fewer).
 TIGHT = RunSettings(failure_guard=0.5, event_budget=200)
 
-MAKE_CONFIG = factory_ref(constant_config, config=FAST)
+MAKE_CONFIG = partial(constant_config, config=FAST)
 
 JOBS = 4
 
@@ -57,6 +57,15 @@ def failures(swept):
     return [outcome for outcome in outcomes if isinstance(outcome, TrialFailure)]
 
 
+def inner_factory():
+    """A factory defined inside a function: pickle cannot find it by name."""
+
+    def make_scenario(x, seed):
+        return None
+
+    return make_scenario
+
+
 class TestGoldenEquivalence:
     """jobs=1 and jobs=4 must be indistinguishable, digest by digest."""
 
@@ -71,7 +80,7 @@ class TestGoldenEquivalence:
 
     @pytest.fixture(scope="class")
     def tflap_pair(self):
-        make_scenario = factory_ref(bclique_tflap_trial, size=3, count=2)
+        make_scenario = partial(bclique_tflap_trial, size=3, count=2)
         kwargs = dict(seeds=(0, 1), settings=SETTINGS, digests=True)
         sequential = sweep_outcomes([5.0, 9.0], make_scenario, MAKE_CONFIG, **kwargs)
         parallel = sweep_outcomes(
@@ -247,7 +256,7 @@ class TestExecutorPlumbing:
             sweep([3], clique_tdown_trial, MAKE_CONFIG, jobs=-1)
 
     def test_closures_rejected_with_remedy(self):
-        with pytest.raises(AnalysisError, match="factory_ref"):
+        with pytest.raises(AnalysisError, match="functools.partial"):
             sweep(
                 [3],
                 lambda x, seed: None,
@@ -255,6 +264,23 @@ class TestExecutorPlumbing:
                 settings=SETTINGS,
                 jobs=2,
             )
+
+    @pytest.mark.parametrize(
+        "factory",
+        [
+            lambda x, seed: None,
+            inner_factory(),
+            partial(clique_tdown_trial, hook=lambda: None),
+        ],
+        ids=["lambda", "inner-function", "unpicklable-bound-value"],
+    )
+    def test_every_factory_of_a_batch_is_checked(self, factory):
+        tasks = [
+            TrialTask(3, 0, clique_tdown_trial, FAST, SETTINGS),
+            TrialTask(3, 0, factory, FAST, SETTINGS),
+        ]
+        with pytest.raises(AnalysisError, match="functools.partial"):
+            TrialRunner(2).run(tasks)
 
     def test_closures_still_fine_sequentially(self):
         from repro.experiments import tdown_clique
@@ -292,48 +318,3 @@ class TestExecutorPlumbing:
             lambda task, outcome: seen.append((task.x, task.seed)),
         )
         assert seen == [(3, 0), (4, 0)]
-
-
-class TestFactoryRef:
-    def test_ref_is_callable_like_the_function(self):
-        ref = factory_ref(clique_tdown_trial)
-        assert ref(4, 0).name == "tdown-clique-4"
-
-    def test_kwargs_are_bound(self):
-        ref = factory_ref(bclique_tflap_trial, size=3, count=2)
-        scenario = ref(5.0, 1)
-        assert scenario.flap_period == 5.0
-        assert scenario.flap_count == 2
-
-    def test_string_target_resolves(self):
-        ref = factory_ref(
-            "repro.experiments.scenarios:clique_tdown_trial"
-        )
-        assert ref(3, 0).name == "tdown-clique-3"
-
-    def test_lambda_rejected(self):
-        with pytest.raises(ConfigError, match="module-level"):
-            factory_ref(lambda x, seed: None)
-
-    def test_inner_function_rejected(self):
-        def inner(x, seed):
-            return None
-
-        with pytest.raises(ConfigError, match="module-level"):
-            factory_ref(inner)
-
-    def test_unknown_target_rejected(self):
-        with pytest.raises(ConfigError):
-            factory_ref("repro.experiments.scenarios:does_not_exist")
-
-    def test_unpicklable_kwargs_rejected(self):
-        with pytest.raises(ConfigError, match="picklable"):
-            factory_ref(clique_tdown_trial, hook=lambda: None)
-
-    def test_ref_round_trips_through_pickle(self):
-        import pickle
-
-        ref = factory_ref(bclique_tflap_trial, size=3)
-        clone = pickle.loads(pickle.dumps(ref))
-        assert clone == ref
-        assert clone(5.0, 0).name == ref(5.0, 0).name

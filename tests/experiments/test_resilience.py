@@ -25,7 +25,6 @@ from repro.experiments import (
     checkpointed_sweep,
     clique_tdown_trial,
     constant_config,
-    factory_ref,
     sweep,
 )
 from repro.experiments.resilience import BACKOFF_BASE, BACKOFF_CAP, JITTER
@@ -37,7 +36,7 @@ SETTINGS = RunSettings(failure_guard=0.5)
 #: Kills the 6-clique's warm-up while the 3-clique sails through.
 TIGHT = RunSettings(failure_guard=0.5, event_budget=200)
 
-MAKE_CONFIG = factory_ref(constant_config, config=FAST)
+MAKE_CONFIG = partial(constant_config, config=FAST)
 
 #: Generous watchdog budget for trials expected to finish normally.
 SLACK = 60.0
@@ -49,7 +48,6 @@ class TestPolicyValidation:
     def test_defaults_are_valid(self):
         policy = ResiliencePolicy()
         assert policy.max_attempts == policy.max_retries + 1
-        assert policy.on_exhausted == "record"
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -57,7 +55,6 @@ class TestPolicyValidation:
             dict(max_retries=-1),
             dict(trial_timeout=0.0),
             dict(trial_timeout=-5.0),
-            dict(on_exhausted="explode"),
         ],
     )
     def test_bad_values_rejected(self, kwargs):
@@ -257,20 +254,6 @@ class TestSupervisedExecutor:
         assert failure.attempt == 2
         assert report.worker_deaths == 2
         assert report.exhausted == 1
-
-    def test_on_exhausted_raise_aborts_the_sweep(self):
-        with pytest.raises(TrialTimeoutError):
-            sweep(
-                [3],
-                chaos_helpers.hang_always_tdown,
-                MAKE_CONFIG,
-                seeds=(0,),
-                settings=SETTINGS,
-                jobs=2,
-                policy=ResiliencePolicy(
-                    max_retries=0, trial_timeout=SNAP, on_exhausted="raise"
-                ),
-            )
 
     def test_simulation_failures_are_not_retried(self):
         """Deterministic failures (budget exhaustion) must come back as

@@ -26,13 +26,12 @@ from repro.experiments import (
     SweepJournal,
     clique_tdown_trial,
     constant_config,
-    factory_ref,
 )
 from sweep_outcomes import sweep_batch, sweep_outcomes
 
 FAST = BgpConfig(mrai=1.0, processing_delay=(0.01, 0.05))
 SETTINGS = RunSettings(failure_guard=0.5)
-MAKE_CONFIG = factory_ref(constant_config, config=FAST)
+MAKE_CONFIG = partial(constant_config, config=FAST)
 
 SRC = str(Path(__file__).resolve().parents[2] / "src")
 HELPERS = str(Path(__file__).resolve().parent)
@@ -96,14 +95,13 @@ from repro.experiments import (
     RunSettings,
     checkpointed_sweep,
     constant_config,
-    factory_ref,
 )
 
 seeds = {seeds!r}
 summaries = checkpointed_sweep(
     [3, 4],
     partial(chaos_helpers.logged, log_dir={log_dir!r}, delay_s={delay!r}),
-    factory_ref(
+    partial(
         constant_config,
         config=BgpConfig(mrai=1.0, processing_delay=(0.01, 0.05)),
     ),

@@ -8,6 +8,7 @@ memo dies with its scope.
 
 import gc
 import weakref
+from functools import partial
 
 import pytest
 
@@ -16,6 +17,7 @@ from repro.errors import BudgetExceededError
 from repro.experiments import (
     RunSettings,
     TrialTask,
+    bclique_tflap_trial,
     clique_tdown_trial,
     trial_runner,
 )
@@ -69,6 +71,19 @@ def test_equal_trials_run_once_and_share_the_outcome():
     (again,), _report = runner.run([task])
     assert first[0] is first[1] is again
     assert (runner.requested, runner.simulated) == (3, 1)
+
+
+def test_bound_factories_meet_in_the_memo_only_by_identity():
+    bound = partial(bclique_tflap_trial, size=3, count=2)
+    twin = partial(bclique_tflap_trial, size=3, count=2)
+    shared = TrialRunner()
+    shared.run([TrialTask(5.0, 0, bound, FAST, SETTINGS)] * 2)
+    assert (shared.requested, shared.simulated) == (2, 1)
+    separate = TrialRunner()
+    separate.run(
+        [TrialTask(5.0, 0, factory, FAST, SETTINGS) for factory in (bound, twin)]
+    )
+    assert (separate.requested, separate.simulated) == (2, 2)
 
 
 def test_parallel_runner_dedups_and_matches_in_process():

@@ -31,9 +31,9 @@ The same holds one level down, for settings.  A *setting* is a defaulted
 parameter of a module-level function, or of a method or ``__init__`` of a
 module-level class, under ``src/repro``.  A call in ``src/``,
 ``examples/`` or ``benchmarks/`` *passes* it when it sets it by keyword
-or by position, or when ``factory_ref(f, ...)``, ``partial(f, ...)`` or
-``to_thread(f, ...)`` binds it; a call that spreads ``*args`` passes every
-position from there on.  One that spreads ``**name`` passes the keys of
+or by position, or when ``partial(f, ...)`` or ``to_thread(f, ...)``
+binds it; a call that spreads ``*args`` passes every position from
+there on.  One that spreads ``**name`` passes the keys of
 ``name`` when the innermost function around the call that binds ``name``
 binds it once, to ``dict(k=...)`` with keywords only or to a dict literal
 with constant string keys, and everything otherwise.  Calls resolve by
@@ -196,10 +196,6 @@ KEPT_PARAMS: Dict[str, str] = {
     "repro.analysis.stability.certify(structural)": (
         "tests/analysis/test_stability.py forces the exhaustive lattice "
         "route on scenarios the structural short-cuts would certify"
-    ),
-    "repro.bgp.route.local_route(learned_at)": (
-        "tests/bgp/test_route.py checks that a timed local route is not "
-        "the interned one"
     ),
     "repro.core.exploration.RouteChangeLog.changes(node)": (
         "tests/core/test_exploration.py reads one node's route changes"
@@ -465,7 +461,7 @@ def _uncalled() -> Tuple[Set[str], Set[str]]:
 
 # Calls that bind their first argument's parameters: the rest of the call
 # is a call of that function.
-BINDERS = ("factory_ref", "partial", "to_thread")
+BINDERS = ("partial", "to_thread")
 
 # (positional args, keyword names) of one call; None names a ``**`` spread
 # that may pass any keyword.
@@ -514,10 +510,6 @@ def _callee(node: ast.expr) -> List[str]:
         return [node.id]
     if isinstance(node, ast.Attribute):
         return [node.attr, f".{node.attr}"]
-    if isinstance(node, ast.Constant) and isinstance(node.value, str):
-        # factory_ref("package.module:name")
-        name = node.value.rpartition(":")[2].rpartition(".")[2]
-        return [name, f".{name}"]
     return []
 
 
