@@ -111,16 +111,14 @@ RULE_EXEMPT_SUFFIXES: Dict[str, Tuple[str, ...]] = {
     # resilience.py is harness-side supervision *about* the simulation
     # (watchdog deadlines, backoff cooldowns) — wall clock is its job,
     # exactly like the profiler's.  The service modules sit entirely on
-    # the harness side of the boundary too: job timestamps, bench
-    # provenance, and execution timelines are wall-clock by nature, and
-    # nothing under engine/net/bgp/dataplane may import them.
+    # the harness side of the boundary too: job timestamps and execution
+    # timelines are wall-clock by nature, and nothing under
+    # engine/net/bgp/dataplane may import them.
     "wall-clock": (
         "telemetry/profiler.py",
         "experiments/resilience.py",
         "service/queue.py",
         "service/executor.py",
-        "service/bench.py",
-        "service/daemon.py",
     ),
     # path.py is the intern table's home: its factories construct the
     # canonical instances everyone else must obtain via AsPath.of().

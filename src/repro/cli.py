@@ -15,7 +15,7 @@ Batch subcommands::
 Service subcommands (the always-on sweep job service)::
 
     repro serve        # run the daemon for one state directory
-    repro submit       # queue a sweep / figure / bench job
+    repro submit       # queue a sweep or figure job
     repro jobs         # list the queue's jobs and their states
     repro watch        # stream one job's per-trial progress live
     repro cancel       # cancel a queued or running job
@@ -389,18 +389,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--state", required=True, metavar="DIR",
         help="service state directory (socket, job queue, journals, artifacts)",
     )
-    serve.add_argument(
-        "--bench-interval", type=float, default=None, metavar="SECONDS",
-        help=(
-            "submit a benchmarks/e2e bench job every N seconds (skipped while "
-            "one is still queued or running), recording the per-commit perf "
-            "trajectory under benchmarks/results/"
-        ),
-    )
-    serve.add_argument(
-        "--bench-repeat", type=int, default=1, metavar="N",
-        help="run.py --repeat of each scheduled bench cycle (default: 1)",
-    )
 
     submit = commands.add_parser(
         "submit", help="queue a job on the sweep service daemon"
@@ -417,13 +405,6 @@ def build_parser() -> argparse.ArgumentParser:
     what.add_argument(
         "--figure", metavar="ID", dest="figure_id",
         help="render one paper figure into the job's artifact directory",
-    )
-    what.add_argument(
-        "--bench", action="store_true",
-        help=(
-            "run one benchmarks/e2e cycle, gated against this machine's "
-            "last passing cycle"
-        ),
     )
     submit.add_argument(
         "--xs", default=None, metavar="X,X,...",
@@ -451,10 +432,6 @@ def build_parser() -> argparse.ArgumentParser:
     submit.add_argument(
         "--quick", action="store_true",
         help="figure jobs: tiny sizes and short MRAI",
-    )
-    submit.add_argument(
-        "--repeat", type=int, default=1, metavar="N",
-        help="bench jobs: run.py --repeat, runs per workload (default: 1)",
     )
     submit.add_argument(
         "--follow", action="store_true",
@@ -927,13 +904,7 @@ def _cmd_serve(args) -> int:
 
     state = ServiceState(args.state)
     print(f"sweep service: state {state.root}, socket {state.socket_path}")
-    if args.bench_interval:
-        print(f"bench scheduler: every {args.bench_interval:g}s")
-    serve(
-        args.state,
-        bench_interval=args.bench_interval,
-        bench_repeat=args.bench_repeat,
-    )
+    serve(args.state)
     print("sweep service stopped")
     return 0
 
@@ -989,7 +960,7 @@ def _cmd_submit(args) -> int:
         xs = _number_list(args.xs, "--xs", float)
         params = _sweep_params(args, args.sweep_family, xs)
         spec = {"kind": "sweep", "params": params}
-    elif args.figure_id is not None:
+    else:
         spec = {
             "kind": "figure",
             "params": {
@@ -998,8 +969,6 @@ def _cmd_submit(args) -> int:
                 "jobs": args.jobs,
             },
         }
-    else:
-        spec = {"kind": "bench", "params": {"repeat": args.repeat}}
 
     client = ServiceClient(args.state)
     job_id = client.submit(spec)

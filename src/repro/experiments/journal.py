@@ -1,9 +1,8 @@
 """Crash-safe durable logs: one framing, one replay rule, one compaction.
 
-Every durable JSONL file the system writes — a sweep's trial journal
-(:class:`SweepJournal`), the service's job queue
-(:class:`~repro.service.queue.DurableJobQueue`) and the perf trajectory
-(:class:`~repro.service.bench.TrajectoryStore`) — is a :class:`DurableLog`
+Both durable JSONL files the system writes — a sweep's trial journal
+(:class:`SweepJournal`) and the service's job queue
+(:class:`~repro.service.queue.DurableJobQueue`) — are a :class:`DurableLog`
 plus a record codec and a fold over what it replays.  The log is the only
 code that opens, appends to, replays, truncates or rewrites such a file:
 

@@ -1,11 +1,11 @@
 """The always-on sweep job service.
 
 ``repro.service`` turns the batch machinery — journaled sweeps, the
-supervised resilient executor, telemetry snapshots, the ``benchmarks/e2e``
-harness — into a long-lived local service:
+supervised resilient executor, telemetry snapshots — into a long-lived
+local service:
 
 * :mod:`~repro.service.daemon` — the asyncio daemon: Unix-socket
-  protocol server, serial job worker, bench scheduler;
+  protocol server and serial job worker;
 * :mod:`~repro.service.client` — the blocking client the CLI verbs use;
 * :mod:`~repro.service.queue` — the durable (CRC-framed, fsync'd,
   ``flock``-guarded) job queue that survives ``kill -9``;
@@ -13,12 +13,9 @@ harness — into a long-lived local service:
   sweep-spec → executable-plan resolver;
 * :mod:`~repro.service.executor` — runs one job: sweeps through
   :func:`~repro.experiments.journal.checkpointed_sweep` with per-trial
-  digests, figures into artifact tables, bench cycles through
-  ``benchmarks/e2e``;
+  digests, figures into artifact tables;
 * :mod:`~repro.service.events` — the event vocabulary and asyncio fan-out
   ``repro watch`` streams;
-* :mod:`~repro.service.bench` — continuous benchmarking and the
-  per-commit perf trajectory;
 * :mod:`~repro.service.state` — the on-disk layout of one state
   directory;
 * :mod:`~repro.service.protocol` — the wire format.
@@ -29,7 +26,6 @@ and the resumed job's per-trial digests are bit-identical to an
 undisturbed foreground run of the same plan.
 """
 
-from .bench import TrajectoryStore, run_bench_cycle
 from .client import ServiceClient
 from .daemon import ServiceDaemon, serve
 from .events import (
@@ -75,10 +71,8 @@ __all__ = [
     "ServiceDaemon",
     "ServiceState",
     "SweepPlan",
-    "TrajectoryStore",
     "execute_job",
     "resolve_sweep_plan",
-    "run_bench_cycle",
     "serve",
     "snapshot_from_json",
     "snapshot_to_json",

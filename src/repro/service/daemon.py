@@ -10,9 +10,6 @@ One asyncio process per state directory:
   (its ``jobs``/``policy`` sweep settings), not across jobs, because two
   concurrent sweeps would fight for the same cores and wreck both their
   benchmark numbers;
-* an optional bench scheduler that submits a ``bench`` job every
-  ``bench_interval`` seconds — unless one is still queued or running —
-  building the per-commit perf trajectory;
 * an :class:`~repro.service.events.EventBus` fanning per-trial progress,
   metrics snapshots, and lifecycle events out to ``watch`` subscribers.
 
@@ -40,7 +37,7 @@ from typing import Dict, Optional, Set
 
 from .. import __version__
 from ..errors import ReproError, ServiceError
-from .events import EventBus, end_event, log_event, state_event
+from .events import EventBus, end_event, state_event
 from .executor import execute_job
 from .jobs import CANCELLED, QUEUED, RUNNING, JobSpec, validate_spec
 from .protocol import MAX_LINE, encode, error, ok, parse_request
@@ -51,16 +48,8 @@ from .state import ServiceState
 class ServiceDaemon:
     """One service instance bound to one state directory."""
 
-    def __init__(
-        self,
-        state_dir,
-        bench_interval: Optional[float] = None,
-        bench_repeat: int = 1,
-    ) -> None:
+    def __init__(self, state_dir) -> None:
         self.state = ServiceState(state_dir)
-        self.bench_interval = bench_interval
-        self.bench_spec = JobSpec(kind="bench", params={"repeat": bench_repeat})
-        validate_spec(self.bench_spec)  # a bad --bench-repeat fails at start
         self.queue: Optional[DurableJobQueue] = None
         self.bus: Optional[EventBus] = None
         self._pending: Optional[asyncio.Queue] = None
@@ -81,7 +70,6 @@ class ServiceDaemon:
         lock.acquire()  # JournalError when another daemon owns the state dir
         server = None
         worker = None
-        bench_task = None
         try:
             self.queue = DurableJobQueue(self.state.queue_path)
             if not self.queue.recovery.clean:
@@ -109,17 +97,12 @@ class ServiceDaemon:
                 except (NotImplementedError, RuntimeError):  # pragma: no cover
                     pass
             worker = asyncio.create_task(self._worker())
-            if self.bench_interval:
-                bench_task = asyncio.create_task(self._bench_loop())
-
             await self._stop.wait()
         finally:
             self._stopping = True
             if server is not None:
                 server.close()
                 await server.wait_closed()
-            if bench_task is not None:
-                bench_task.cancel()
             if worker is not None and self._pending is not None:
                 # Sentinel unblocks an idle worker; a busy worker sees
                 # _stopping via should_cancel and re-queues its job.
@@ -211,39 +194,6 @@ class ServiceDaemon:
                 self.bus.publish(end_event(job_id, outcome.state))
             if self._stopping:
                 return
-
-    async def _bench_loop(self) -> None:
-        assert self.queue is not None and self._pending is not None
-        waiting_on = None
-        while not self._stopping:
-            await asyncio.sleep(self.bench_interval or 0)
-            if self._stopping:
-                return
-            # A cycle outlasts any short interval; piling jobs onto the
-            # durable queue would only measure the same commit again.
-            unfinished = [
-                view.job_id
-                for view in self.queue.pending()
-                if view.spec.kind == "bench"
-            ]
-            if unfinished:
-                if waiting_on != unfinished[0] and self.bus is not None:
-                    self.bus.publish(
-                        log_event(
-                            unfinished[0],
-                            "bench scheduler: no new cycle while this one "
-                            "is unfinished",
-                        )
-                    )
-                waiting_on = unfinished[0]
-                continue
-            view = self.queue.submit(self.bench_spec)
-            if self.bus is not None:
-                self.bus.publish(
-                    log_event(view.job_id, "scheduled bench cycle")
-                )
-                self.bus.publish(state_event(view.job_id, QUEUED))
-            self._pending.put_nowait(view.job_id)
 
     # ------------------------------------------------------------------
     # Protocol server
@@ -381,13 +331,6 @@ class ServiceDaemon:
         return None
 
 
-def serve(
-    state_dir,
-    bench_interval: Optional[float] = None,
-    bench_repeat: int = 1,
-) -> None:
+def serve(state_dir) -> None:
     """Run a daemon in the foreground until signalled to stop."""
-    daemon = ServiceDaemon(
-        state_dir, bench_interval=bench_interval, bench_repeat=bench_repeat
-    )
-    asyncio.run(daemon.run())
+    asyncio.run(ServiceDaemon(state_dir).run())

@@ -19,7 +19,7 @@ Every event carries ``event`` (its type) and ``job`` (the job id):
     A :class:`~repro.telemetry.MetricsSnapshot` aggregation — the
     rolling union of every finished trial's telemetry.
 ``log``
-    Free-form daemon commentary (resume notices, bench cycle results).
+    Free-form daemon commentary (where a job wrote its artifacts).
 ``end``
     Stream terminator; the daemon closes the watch connection after it.
 

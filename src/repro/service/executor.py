@@ -20,9 +20,9 @@ stream, which publishes its ``trial`` event and, once the last missing
 trial of an x lands, that x's ``point`` event, summarized from every
 journaled trial of the x.
 
-Cancellation is cooperative: the daemon's ``should_cancel`` callback is
-polled at every trial completion (about once a second while a bench
-job's harness runs), and a positive answer raises :class:`JobCancelled`.
+Cancellation is cooperative: a sweep polls the daemon's ``should_cancel``
+callback at every trial completion, a figure job once, before its driver
+runs; a positive answer raises :class:`JobCancelled`.
 A trial is journaled before its completion is reported, so every trial
 whose ``trial`` event was published is in the job's journal — finished
 trials of a half-done point included — and a cancelled job resubmitted
@@ -248,32 +248,9 @@ def execute_figure(
     )
 
 
-def execute_bench(
-    view: JobView,
-    state: ServiceState,
-    publish: Callable[[Dict], None],
-    should_cancel: Callable[[], bool],
-) -> ExecutionOutcome:
-    """Run one ``benchmarks/e2e`` cycle; the trajectory record is the detail."""
-    from .bench import run_bench_cycle
-
-    params = view.spec.params
-    record = run_bench_cycle(
-        repeat=params.get("repeat", 1),
-        bench_dir=params.get("bench_dir"),
-        results_dir=params.get("results_dir"),
-        publish=lambda message: publish(log_event(view.job_id, message)),
-        should_cancel=should_cancel,
-    )
-    return ExecutionOutcome(
-        state="done" if record["ok"] else "failed", detail=record
-    )
-
-
 _EXECUTORS = {
     "sweep": execute_sweep,
     "figure": execute_figure,
-    "bench": execute_bench,
 }
 
 

@@ -39,10 +39,7 @@ from ..experiments import (
 from ..experiments.resilience import policy_of
 
 #: Job kinds the executor knows how to run.
-JOB_KINDS = ("sweep", "figure", "bench")
-#: Everything a bench spec may carry: ``run.py --repeat`` and the two
-#: deployment paths (``benchmarks/`` and where machine-written files land).
-BENCH_PARAMS = ("repeat", "bench_dir", "results_dir")
+JOB_KINDS = ("sweep", "figure")
 #: Everything a figure spec may carry: the claim id, ``--quick`` and ``--jobs``.
 FIGURE_PARAMS = ("id", "quick", "jobs")
 #: Everything a sweep spec may carry (see :func:`resolve_sweep_plan`).
@@ -241,9 +238,7 @@ def validate_spec(spec: JobSpec) -> None:
 
     Sweep specs are fully resolved (factories, config, policy); figure
     specs may carry only :data:`FIGURE_PARAMS` — an id from the claims
-    table, a bool ``quick`` and an int ``jobs`` >= 0; bench specs may
-    carry only :data:`BENCH_PARAMS` (the directories themselves are
-    looked at when the cycle runs, as they exist *then*).
+    table, a bool ``quick`` and an int ``jobs`` >= 0.
     """
     if not isinstance(spec.kind, str) or spec.kind not in JOB_KINDS:
         raise ServiceError(
@@ -252,7 +247,7 @@ def validate_spec(spec: JobSpec) -> None:
         )
     if spec.kind == "sweep":
         resolve_sweep_plan(spec.params)
-    elif spec.kind == "figure":
+    else:  # figure
         from ..experiments.figures import CLAIMS
 
         params = spec.params
@@ -272,26 +267,6 @@ def validate_spec(spec: JobSpec) -> None:
             raise ServiceError(
                 f"figure spec 'jobs' must be an int >= 0, got {jobs!r}"
             )
-    else:  # bench
-        params = spec.params
-        if "targets" in params:
-            raise ServiceError(
-                "bench spec 'targets' is retired: a bench job runs the whole "
-                "benchmarks/e2e harness (every workload), there is nothing "
-                "to select"
-            )
-        _reject_unknown("bench", params, BENCH_PARAMS)
-        repeat = params.get("repeat", 1)
-        if isinstance(repeat, bool) or not isinstance(repeat, int) or repeat < 1:
-            raise ServiceError(
-                f"bench spec 'repeat' must be an int >= 1, got {repeat!r}"
-            )
-        for key in ("bench_dir", "results_dir"):
-            if not isinstance(params.get(key, ""), str):
-                raise ServiceError(
-                    f"bench spec {key!r} must be a path string, "
-                    f"got {params[key]!r}"
-                )
 
 
 @dataclass

@@ -12,7 +12,7 @@ Everything the sweep service persists lives under one *state directory*:
         journals/
             <job-id>.trials.jsonl   # per-job crash-safe trial journal
         artifacts/
-            <job-id>/               # figure tables, bench documents, traces
+            <job-id>/               # figure tables, timeline traces
 
 The trial journals are ordinary :class:`~repro.experiments.journal.
 SweepJournal` files — the same system of record a foreground

@@ -7,6 +7,7 @@ import textwrap
 from pathlib import Path
 
 from repro.analysis import RULES, lint_paths, lint_source
+from repro.analysis.lint import RULE_EXEMPT_SUFFIXES
 
 SRC_ROOT = Path(__file__).resolve().parents[2] / "src" / "repro"
 
@@ -120,6 +121,16 @@ class TestWallClockRule:
             "src/repro/engine/scheduler.py",
         ):
             assert rules_of(lint(code, path)) == ["wall-clock"], path
+
+    def test_every_exemption_covers_a_clock_read(self):
+        """A wall-clock exemption names a module that exists and reads the
+        clock: linted under a non-exempt path, its source trips REP101."""
+        for suffix in RULE_EXEMPT_SUFFIXES["wall-clock"]:
+            source_path = SRC_ROOT / suffix
+            assert source_path.is_file(), f"stale exemption {suffix}"
+            source = source_path.read_text(encoding="utf-8")
+            violations = lint_source(source, "src/repro/not_exempt.py")
+            assert "wall-clock" in rules_of(violations), f"stale exemption {suffix}"
 
 
 class TestUnseededRandomRule:

@@ -1,10 +1,11 @@
 """One durable log under three codecs.
 
-The trial journal, the job queue and the perf trajectory are each a record
-codec over :class:`~repro.experiments.journal.DurableLog`, so they share one
-replay rule, one writer and one compaction, and are tested together here:
+The trial journal and the job queue are each a record codec over
+:class:`~repro.experiments.journal.DurableLog`, so they share one replay
+rule, one writer and one compaction, and are tested together here, beside
+the bare log of JSON objects:
 
-* plain regressions, one per damage case the three logs used to handle
+* plain regressions, one per damage case the logs used to handle
   differently (a flipped byte, a torn tail, a non-UTF-8 byte, a reader
   beside a live writer, a lost ``submit``);
 * a fault-injecting stand-in for ``os`` inside the journal module: the k-th
@@ -32,7 +33,6 @@ from repro.service import (
     JobSpec,
     JobView,
     ServiceState,
-    TrajectoryStore,
     execute_job,
 )
 from repro.service.jobs import RUNNING
@@ -88,30 +88,29 @@ class Jobs:
         return {view.spec.params["i"] for view in queue.jobs()}, queue.recovery
 
 
-class Cycles:
-    """The perf trajectory; record ``i`` is a cycle record carrying ``i``."""
+class Dicts:
+    """The bare log; record ``i`` is the payload ``{"i": i}``."""
 
-    name = "trajectory"
+    name = "log"
 
     def open(self, path):
-        return TrajectoryStore(path)
+        return DurableLog(path)
 
     def append(self, log, i):
-        log.append({"ts": float(i), "i": i, "ok": True, "rows": []})
+        log.append({"i": i})
 
     def compact(self, log):
-        pass  # the trajectory is never compacted
+        log.rewrite(log.replay(dict)[0])
 
     def close(self, log):
-        pass  # every append releases the log again
+        log.close()
 
     def replay(self, path):
-        records = TrajectoryStore(path).records()
-        _, recovery = DurableLog(path).replay(dict)
+        records, recovery = DurableLog(path).replay(dict)
         return {record["i"] for record in records}, recovery
 
 
-CODECS = [Trials(), Jobs(), Cycles()]
+CODECS = [Trials(), Jobs(), Dicts()]
 
 
 def write(codec, path, count):

@@ -23,10 +23,8 @@ SRC_DIR = Path(__file__).resolve().parents[2] / "src"
 class DaemonHarness:
     """One ``repro serve`` child bound to one state directory."""
 
-    def __init__(self, state_dir, bench_interval=None, src_dir=SRC_DIR) -> None:
+    def __init__(self, state_dir) -> None:
         self.state_dir = Path(state_dir)
-        self.bench_interval = bench_interval
-        self.src_dir = src_dir
         self.process = None
         self.client = ServiceClient(self.state_dir, timeout=120.0)
 
@@ -39,13 +37,11 @@ class DaemonHarness:
             "--state",
             str(self.state_dir),
         ]
-        if self.bench_interval is not None:
-            command += ["--bench-interval", str(self.bench_interval)]
         env = dict(os.environ)
         env["PYTHONPATH"] = (
-            f"{self.src_dir}{os.pathsep}{env['PYTHONPATH']}"
+            f"{SRC_DIR}{os.pathsep}{env['PYTHONPATH']}"
             if env.get("PYTHONPATH")
-            else str(self.src_dir)
+            else str(SRC_DIR)
         )
         self.process = subprocess.Popen(
             command,

@@ -217,6 +217,17 @@ class TestCliVerbs:
         assert code == 2
         assert "--xs" in capsys.readouterr().err
 
+    def test_bench_flags_are_refused(self, tmp_path):
+        """The daemon runs sweeps and figures; argparse refuses the flags
+        of the retired bench cycle before anything starts."""
+        for argv in (
+            ["submit", "--state", str(tmp_path), "--bench"],
+            ["serve", "--state", str(tmp_path), "--bench-interval", "1"],
+        ):
+            with pytest.raises(SystemExit) as refusal:
+                main(argv)
+            assert refusal.value.code == 2, argv
+
     def test_figure_submission(self, daemon, capsys):
         state = str(daemon.state_dir)
         code = main(

@@ -32,7 +32,7 @@ class TestJobSpec:
             JobSpec.from_json({"kind": "sweep", "params": [1, 2]})
 
     def test_params_default_empty(self):
-        assert JobSpec.from_json({"kind": "bench"}).params == {}
+        assert JobSpec.from_json({"kind": "figure"}).params == {}
 
 
 class TestResolveSweepPlan:
@@ -167,32 +167,12 @@ class TestValidateSpec:
         with pytest.raises(ServiceError, match=complaint):
             validate_spec(JobSpec(kind="figure", params=params))
 
-    def test_bench_accepts_only_its_three_parameters(self):
-        validate_spec(JobSpec(kind="bench", params={}))
-        validate_spec(
-            JobSpec(
-                kind="bench",
-                params={"repeat": 3, "bench_dir": "b", "results_dir": "r"},
-            )
-        )
-        for params, complaint in (
-            ({"targets": ["hotpath"]}, "retired.*benchmarks/e2e"),
-            ({"repeats": 3}, "unknown bench spec parameter.*repeats"),
-            ({"repeat": 0}, "'repeat' must be an int >= 1"),
-            ({"repeat": 2.0}, "'repeat' must be an int >= 1"),
-            ({"repeat": True}, "'repeat' must be an int >= 1"),
-            ({"repeat": "3"}, "'repeat' must be an int >= 1"),
-            ({"results_dir": 7}, "'results_dir' must be a path string"),
-        ):
-            with pytest.raises(ServiceError, match=complaint):
-                validate_spec(JobSpec(kind="bench", params=params))
-
 
 class TestJobView:
     def test_summary_shape(self):
         view = JobView(
             job_id="job-1",
-            spec=JobSpec(kind="bench"),
+            spec=JobSpec(kind="figure"),
             state=DONE,
             submitted=1.0,
             updated=2.0,
@@ -200,12 +180,12 @@ class TestJobView:
         )
         summary = view.summary()
         assert summary["job"] == "job-1"
-        assert summary["kind"] == "bench"
+        assert summary["kind"] == "figure"
         assert summary["state"] == DONE
         assert summary["detail"] == {"ok": True}
 
     def test_terminal_states(self):
-        view = JobView(job_id="job-1", spec=JobSpec(kind="bench"))
+        view = JobView(job_id="job-1", spec=JobSpec(kind="figure"))
         assert view.state == QUEUED and not view.terminal
         for state in JOB_STATES:
             view.state = state

@@ -16,7 +16,7 @@ from repro.service.protocol import (
 
 class TestFraming:
     def test_round_trip(self):
-        message = {"op": "submit", "spec": {"kind": "bench", "params": {}}}
+        message = {"op": "submit", "spec": {"kind": "figure", "params": {}}}
         assert decode(encode(message)) == message
 
     def test_encode_ends_with_newline(self):
@@ -42,7 +42,7 @@ class TestParseRequest:
             if op in ("watch", "cancel"):
                 request["job"] = "job-1"
             if op == "submit":
-                request["spec"] = {"kind": "bench"}
+                request["spec"] = {"kind": "figure"}
             assert parse_request(encode(request))["op"] == op
 
     def test_unknown_op_rejected(self):

@@ -6,12 +6,12 @@ import pytest
 
 from repro.errors import JournalError, ServiceError
 from repro.service import DurableJobQueue, JobSpec, ServiceState
-from repro.service.jobs import CANCELLED, DONE, QUEUED, RUNNING
+from repro.service.jobs import CANCELLED, DONE, FAILED, QUEUED, RUNNING
 
 from daemon_harness import DaemonHarness
 
 
-SPEC = JobSpec(kind="bench", params={"repeat": 1})
+SPEC = JobSpec(kind="figure", params={"id": "theory", "quick": True})
 
 
 class TestSubmitAndReplay:
@@ -107,6 +107,24 @@ class TestDurability:
                 daemon.stop()
             output = daemon.output().splitlines()
             assert [line for line in output if "journal:" in line] == expected
+
+    def test_older_daemons_job_kind_fails_and_the_queue_serves_on(self, tmp_path):
+        """A state directory written by a daemon that still ran ``bench``
+        jobs: the queued one ends ``failed`` and the queue keeps serving."""
+        state = ServiceState(tmp_path / "state")
+        state.ensure_layout()
+        with DurableJobQueue(state.queue_path) as queue:
+            queue.submit(JobSpec(kind="bench", params={"repeat": 1}))
+        daemon = DaemonHarness(state.root).start()
+        try:
+            figure = daemon.client.submit(SPEC.to_json())
+            assert list(daemon.client.watch(figure))[-1]["state"] == DONE
+            jobs = {job["job"]: job for job in daemon.client.jobs()}
+        finally:
+            daemon.stop()
+        assert jobs["job-1"]["state"] == FAILED
+        assert jobs["job-1"]["detail"] == {"error": "unknown job kind 'bench'"}
+        assert jobs[figure]["state"] == DONE
 
     def test_two_writers_fail_fast(self, tmp_path):
         path = tmp_path / "jobs.jsonl"

@@ -208,9 +208,6 @@ KEPT_PARAMS: Dict[str, str] = {
         "tests/experiments/test_unsafe.py reaches DISAGREE's convergence "
         "under MRAI-staggered timing"
     ),
-    "repro.service.bench.run_bench_cycle(timeout)": (
-        "tests/service/test_bench.py reaches the timeout path"
-    ),
     "repro.util.plot.ascii_chart(height)": (
         "tests/util/test_plot.py checks exact layouts on small canvases"
     ),
