@@ -49,6 +49,10 @@ Rules (each violation carries the rule's short name):
     static stability analyzer (which assumes re-querying a hook is
     side-effect free), and cross-run determinism.  Configure state in
     ``__init__`` instead.
+``prefix-reading-hook`` (REP108)
+    No read of ``<route>.prefix`` (the hook's route parameter) inside
+    those hooks.  The speaker evaluates each hook once per route-state
+    group (prefixes with equal candidates) and applies the answer to all.
 
 A line may opt out with a justification comment::
 
@@ -93,6 +97,11 @@ RULES: Dict[str, Tuple[str, str]] = {
         "REP107",
         "policy decision hook mutates state; hooks must be pure functions "
         "of their arguments (configure in __init__)",
+    ),
+    "prefix-reading-hook": (
+        "REP108",
+        "policy decision hook reads route.prefix; hooks are prefix-blind "
+        "(evaluated once per route-state group)",
     ),
 }
 
@@ -157,10 +166,11 @@ _MUTABLE_CONSTRUCTORS = frozenset({
     "list", "dict", "set", "defaultdict", "Counter", "deque", "OrderedDict",
 })
 
-#: The RoutingPolicy decision hooks bound by the purity contract (REP107).
-_POLICY_HOOKS = frozenset({
-    "accept_import", "local_pref", "preference_key", "accept_export",
-})
+#: The RoutingPolicy decision hooks bound by the purity contract (REP107,
+#: REP108), each with the position of its route parameter (``self`` is 0).
+_POLICY_HOOKS = {
+    "accept_import": 2, "local_pref": 2, "preference_key": 1, "accept_export": 2,
+}
 
 _TIMEY_NAME = re.compile(r"^(now|_now|time|timestamp|.*_time|.*_now)$")
 
@@ -538,7 +548,7 @@ class _Linter(ast.NodeVisitor):
         self.generic_visit(node)
 
     # ------------------------------------------------------------------
-    # Policy-hook purity (REP107)
+    # Policy-hook purity (REP107) and prefix-blindness (REP108)
     # ------------------------------------------------------------------
 
     @staticmethod
@@ -565,9 +575,25 @@ class _Linter(ast.NodeVisitor):
                     self._check_policy_hook(node.name, item)
         self.generic_visit(node)
 
-    def _check_policy_hook(self, class_name: str, func: ast.AST) -> None:
+    def _check_policy_hook(self, class_name: str, func: ast.FunctionDef) -> None:
         hook = f"{class_name}.{func.name}()"
+        params = [*func.args.posonlyargs, *func.args.args]
+        position = _POLICY_HOOKS[func.name]
+        route = params[position].arg if position < len(params) else None
         for sub in ast.walk(func):
+            if (
+                isinstance(sub, ast.Attribute)
+                and sub.attr == "prefix"
+                and isinstance(sub.value, ast.Name)
+                and sub.value.id == route
+            ):
+                self.report(
+                    "prefix-reading-hook",
+                    sub,
+                    f"{hook} reads {route}.prefix; policy hooks are "
+                    f"prefix-blind (rank by path, next hop, LOCAL_PREF)",
+                )
+                continue
             if isinstance(sub, ast.Global):
                 self.report(
                     "stateful-policy-hook",

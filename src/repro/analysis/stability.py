@@ -77,24 +77,27 @@ class Verdict(enum.Enum):
     UNKNOWN = "unknown"
 
 
+#: Permitted paths enumerated across all nodes before the lattice is
+#: truncated (a :class:`SearchLimits` cap that no caller varies).
+MAX_PATHS_TOTAL = 8192
+
+
 @dataclass(frozen=True)
 class SearchLimits:
     """Caps keeping the exhaustive analysis bounded on large instances.
 
-    Exceeding any cap never produces a wrong answer — it downgrades the
-    verdict to ``UNKNOWN`` (unless a wheel was already found, which stays
-    valid evidence regardless of truncation).
+    Exceeding any cap (these and :data:`MAX_PATHS_TOTAL`) never produces a
+    wrong answer — it downgrades the verdict to ``UNKNOWN`` (unless a
+    wheel was already found, which stays valid evidence regardless of
+    truncation).
     """
 
     max_paths_per_node: int = 128
-    max_paths_total: int = 8192
     max_search_steps: int = 250_000
 
     def __post_init__(self) -> None:
         if self.max_paths_per_node < 1:
             raise AnalysisError("max_paths_per_node must be >= 1")
-        if self.max_paths_total < 1:
-            raise AnalysisError("max_paths_total must be >= 1")
         if self.max_search_steps < 1:
             raise AnalysisError("max_search_steps must be >= 1")
 
@@ -357,7 +360,7 @@ def extract_policy_graph(
                     continue
                 if (
                     len(found[neighbor]) >= limits.max_paths_per_node
-                    or total >= limits.max_paths_total
+                    or total >= MAX_PATHS_TOTAL
                 ):
                     complete = False
                     if neighbor not in truncated:
@@ -681,7 +684,7 @@ def certify(
                     f"path enumeration truncated at nodes "
                     f"{list(graph.truncated_nodes)} "
                     f"(> {limits.max_paths_per_node}/node or "
-                    f"> {limits.max_paths_total} total); no wheel found in "
+                    f"> {MAX_PATHS_TOTAL} total); no wheel found in "
                     f"the enumerated fragment"
                 ),
                 nodes=topology.num_nodes,

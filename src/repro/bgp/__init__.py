@@ -28,12 +28,7 @@ from .mrai import (
     MraiManager,
 )
 from .path import AsPath, intern_path
-from .policy import (
-    PathRankPolicy,
-    RoutingPolicy,
-    ShortestPathPolicy,
-    prefix_blind,
-)
+from .policy import PathRankPolicy, RoutingPolicy, ShortestPathPolicy
 from .relationships import (
     GaoRexfordPolicy,
     Relationship,
@@ -93,7 +88,6 @@ __all__ = [
     "interning_scope",
     "local_route",
     "route_intern_table_size",
-    "prefix_blind",
     "prefix_population",
     "relationships_from_tiers",
     "variant",

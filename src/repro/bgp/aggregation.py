@@ -164,8 +164,6 @@ class AggregationCycle:
             )
 
     def check(self, scenario) -> None:
-        if not scenario.originations:
-            raise ConfigError("a Tagg scenario must list its originations")
         originated = set(scenario.originations)
         for block in self.blocks:
             if not scenario.topology.has_node(block.origin):

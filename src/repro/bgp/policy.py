@@ -9,36 +9,10 @@ the library is usable beyond the paper's scenarios.
 
 from __future__ import annotations
 
-from typing import Callable, Sequence, Tuple, TypeVar
+from typing import Sequence, Tuple
 
 from ..errors import ConfigError
-from .messages import Prefix
 from .route import DEFAULT_LOCAL_PREF, Route
-
-Hook = TypeVar("Hook", bound=Callable)
-
-_HOOKS = ("accept_import", "local_pref", "preference_key", "accept_export")
-
-
-def prefix_blind(hook: Hook) -> Hook:
-    """Mark a policy hook that never reads ``route.prefix``.
-
-    Prefixes that share a state group (:class:`~repro.bgp.rib.AdjRibIn`)
-    share their decision inputs only if the policy cannot tell them apart,
-    so the speaker evaluates a hook once for many prefixes only when every
-    hook carries this mark (:func:`reads_prefix`).  An override without it
-    is assumed to read the prefix, and the speaker then evaluates the
-    policy per prefix: same results, less sharing.
-    """
-    hook.prefix_blind = True  # type: ignore[attr-defined]
-    return hook
-
-
-def reads_prefix(policy: "RoutingPolicy") -> bool:
-    """True unless every hook of ``policy`` is marked :func:`prefix_blind`."""
-    return not all(
-        getattr(getattr(policy, name), "prefix_blind", False) for name in _HOOKS
-    )
 
 
 class RoutingPolicy:
@@ -46,16 +20,20 @@ class RoutingPolicy:
 
     Subclass and override any hook.  All hooks are pure functions of their
     arguments; policies must not keep per-call mutable state, because the
-    speaker may re-evaluate routes at any time.  Mark an override that
-    ignores ``route.prefix`` with :func:`prefix_blind` to keep the
-    speaker's per-group evaluation (see there).
+    speaker may re-evaluate routes at any time (``repro lint`` REP107).
+
+    Hooks are **prefix-blind**: they rank and filter a route by its path,
+    next hop and LOCAL_PREF, never by ``route.prefix`` (REP108).  The
+    speaker relies on it: prefixes whose candidate routes are equal share
+    one Adj-RIB-In state group (:class:`~repro.bgp.rib.AdjRibIn`), and
+    each hook is evaluated once per group and its answer applied to every
+    member.
     """
 
     # ------------------------------------------------------------------
     # Import side
     # ------------------------------------------------------------------
 
-    @prefix_blind
     def accept_import(self, neighbor: int, route: Route) -> bool:
         """Whether to store ``route`` learned from ``neighbor``.
 
@@ -65,7 +43,6 @@ class RoutingPolicy:
         del neighbor, route
         return True
 
-    @prefix_blind
     def local_pref(self, neighbor: int, route: Route) -> int:
         """LOCAL_PREF to assign to a route learned from ``neighbor``."""
         del neighbor, route
@@ -75,7 +52,6 @@ class RoutingPolicy:
     # Selection
     # ------------------------------------------------------------------
 
-    @prefix_blind
     def preference_key(self, route: Route) -> Tuple:
         """Total-order key; the *smallest* key wins.
 
@@ -90,7 +66,6 @@ class RoutingPolicy:
     # Export side
     # ------------------------------------------------------------------
 
-    @prefix_blind
     def accept_export(self, neighbor: int, route: Route) -> bool:
         """Whether to advertise ``route`` to ``neighbor``.
 
@@ -119,22 +94,16 @@ class PathRankPolicy(RoutingPolicy):
     ``ranked`` is the permitted list in *node-path* notation, best first:
     each entry starts at ``node`` itself and ends at the destination, e.g.
     ``PathRankPolicy(1, [(1, 2, 0), (1, 0)])`` — node 1 prefers the route
-    through 2 over its direct route to 0.  Routes for other prefixes are
-    untouched (accepted, default preference).
+    through 2 over its direct route to 0.  Like every policy it is
+    prefix-blind: the list ranks paths to one destination, and a gadget
+    originates one prefix, so it applies to every route the node learns.
 
     All hooks are pure lookups into state fixed at construction (REP107).
     """
 
     _RANK_STRIDE = 10_000
 
-    def __init__(
-        self,
-        node: int,
-        ranked: Sequence[Sequence[int]],
-        prefix: Prefix = "dest",
-    ) -> None:
-        self._node = node
-        self._prefix = prefix
+    def __init__(self, node: int, ranked: Sequence[Sequence[int]]) -> None:
         rank_of = {}
         for rank, node_path in enumerate(ranked):
             steps = tuple(int(n) for n in node_path)
@@ -157,14 +126,10 @@ class PathRankPolicy(RoutingPolicy):
 
     def accept_import(self, neighbor: int, route: Route) -> bool:
         del neighbor
-        if route.prefix != self._prefix:
-            return True
         return route.path.ases in self._rank_of
 
     def local_pref(self, neighbor: int, route: Route) -> int:
         del neighbor
-        if route.prefix != self._prefix:
-            return DEFAULT_LOCAL_PREF
         rank = self._rank_of.get(route.path.ases)
         if rank is None:
             return DEFAULT_LOCAL_PREF

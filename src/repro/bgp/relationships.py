@@ -32,7 +32,7 @@ from typing import Dict, List, Sequence
 from ..errors import ConfigError, ProtocolError
 from ..topology import Topology
 from ..topology.internet import Tier
-from .policy import RoutingPolicy, prefix_blind
+from .policy import RoutingPolicy
 from .route import Route
 
 
@@ -79,11 +79,9 @@ class GaoRexfordPolicy(RoutingPolicy):
     # Hooks
     # ------------------------------------------------------------------
 
-    @prefix_blind
     def local_pref(self, neighbor: int, route: Route) -> int:
         return RELATIONSHIP_LOCAL_PREF[self.relationship(neighbor)]
 
-    @prefix_blind
     def accept_export(self, neighbor: int, route: Route) -> bool:
         """Own + customer routes to everyone; peer/provider routes to
         customers only."""

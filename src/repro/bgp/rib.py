@@ -70,14 +70,14 @@ class _StateGroup:
         self,
         routes: Dict[int, _Stored],
         ranked: List[Tuple[object, int]],
-        sig: Optional[_Signature],
+        sig: _Signature,
     ) -> None:
         self.routes = routes
         #: Sorted [(preference key, neighbor), ...].
         self.ranked = ranked
         #: How many prefixes point at this group.
         self.members = 0
-        #: Registered sharing signature; None when sharing is disabled.
+        #: The signature it is registered under.
         self.sig = sig
 
 
@@ -110,23 +110,18 @@ class AdjRibIn:
     :func:`~repro.bgp.route.intern_route` table, so reads hand back the
     canonical shared instances.  Because a group's members have identical
     candidates, a decision that reads only the group is theirs in common
-    (:meth:`groups`).
-
-    Sharing is enabled only when the preference key is known to be
-    **prefix-blind** — marked with :func:`~repro.bgp.policy.prefix_blind`,
-    as the base :meth:`~repro.bgp.policy.RoutingPolicy.preference_key`
-    (which every shipped policy inherits) is.  A custom key
-    might rank by prefix, so it degrades to one group per prefix, same
-    public behavior.
+    (:meth:`groups`).  Sharing is sound because ``preference_key`` is
+    prefix-blind, as every policy hook is by contract
+    (:class:`~repro.bgp.policy.RoutingPolicy`): a group's ranking is keyed
+    from any one member's routes.
     """
 
     def __init__(self, preference_key: PreferenceKey) -> None:
         self._key = preference_key
-        self._share = getattr(preference_key, "prefix_blind", False)
         # prefix -> its (possibly shared) state group.
         self._groups: Dict[Prefix, _StateGroup] = {}
         # signature -> the group holding that exact candidate set.
-        self._shared: Dict[_Signature, _StateGroup] = {}
+        self._by_signature: Dict[_Signature, _StateGroup] = {}
         # neighbor -> prefixes it currently contributes a route for
         # (reverse index: drop_neighbor and deterministic iteration).
         self._neighbor_prefixes: Dict[int, Set[Prefix]] = {}
@@ -174,8 +169,8 @@ class AdjRibIn:
             routes[neighbor] = stored
         target: Optional[_StateGroup] = None
         if routes:
-            sig = _Signature(routes) if self._share else None
-            target = self._shared.get(sig) if sig is not None else None
+            sig = _Signature(routes)
+            target = self._by_signature.get(sig)
             if target is None:
                 # No group holds the new set yet: this group becomes it when
                 # every member moves, a fresh one otherwise.
@@ -183,11 +178,10 @@ class AdjRibIn:
                 if whole:
                     assert group is not None
                     ranked = group.ranked
-                    if group.sig is not None:
-                        del self._shared[group.sig]
+                    del self._by_signature[group.sig]
                 else:
                     ranked = list(group.ranked) if group is not None else []
-                prefix = members[0]  # the key is prefix-blind when shared
+                prefix = members[0]  # the key is prefix-blind
                 if old is not None:
                     ranked.remove((self._key_of(prefix, neighbor, old), neighbor))
                 if stored is not None:
@@ -195,16 +189,13 @@ class AdjRibIn:
                 if whole:
                     assert group is not None
                     group.routes, group.sig = routes, sig
-                    if sig is not None:
-                        self._shared[sig] = group
+                    self._by_signature[sig] = group
                     return
-                target = _StateGroup(routes, ranked, sig)
-                if sig is not None:
-                    self._shared[sig] = target
+                target = self._by_signature[sig] = _StateGroup(routes, ranked, sig)
         if group is not None:
             group.members -= len(members)
-            if group.members == 0 and group.sig is not None:
-                del self._shared[group.sig]
+            if group.members == 0:
+                del self._by_signature[group.sig]
         groups = self._groups
         if target is None:
             for prefix in members:
@@ -223,26 +214,21 @@ class AdjRibIn:
     ) -> None:
         """Set ``neighbor``'s route for every prefix in ``prefixes`` (distinct)
         to ``stored`` — ``(path, next_hop, local_pref)`` — or, with ``None``,
-        remove it: one transition per distinct source group (per prefix
-        when sharing is off)."""
-        share = self._share
+        remove it: one transition per distinct source group."""
         group_of = self._groups.get
-        # source group (the prefix itself when unshared) -> (group, members)
-        moves: Dict[object, Tuple[Optional[_StateGroup], List[Prefix]]] = {}
+        # source group -> its members among ``prefixes``
+        moves: Dict[Optional[_StateGroup], List[Prefix]] = {}
         last: object = moves  # no group is the dict: the first prefix misses
         members: List[Prefix] = []
         for prefix in prefixes:
             group = group_of(prefix)
-            if group is not last or not share:
+            if group is not last:
                 # Neighboring prefixes mostly share a group: look up only
                 # when it changes.
                 last = group
-                move = moves.get(group if share else prefix)
-                if move is None:
-                    move = moves[group if share else prefix] = (group, [])
-                members = move[1]
+                members = moves.setdefault(group, [])
             members.append(prefix)
-        for group, members in moves.values():
+        for group, members in moves.items():
             self._transition(neighbor, group, members, stored)
 
     def put(self, neighbor: int, route: Route) -> None:

@@ -57,7 +57,7 @@ from .messages import Announcement, Keepalive, Open, Prefix, UpdateBatch, Withdr
 from .mrai import MraiManager
 from .session import SessionManager
 from .path import AsPath
-from .policy import RoutingPolicy, ShortestPathPolicy, reads_prefix
+from .policy import RoutingPolicy, ShortestPathPolicy
 from .rib import EMPTY_VIEW, AdjRibIn, AdjRibOut, LocRib
 from .route import Route, intern_route
 from .variants import (
@@ -120,8 +120,6 @@ class BgpSpeaker(Node):
         super().__init__(node_id, scheduler, service_time)
         self.config = config
         self.policy = policy or ShortestPathPolicy()
-        # A policy that may read the prefix is evaluated per prefix.
-        self._reads_prefix = reads_prefix(self.policy)
         self._wrate = withdrawals_rate_limited(config)
         self.decision = DecisionProcess(self.policy)
         self.adj_rib_in = AdjRibIn(preference_key=self.policy.preference_key)
@@ -211,10 +209,12 @@ class BgpSpeaker(Node):
     def start(self) -> None:
         """Bring up sessions and advertise pre-configured originations.
 
-        The whole origination burst runs under per-peer MRAI flush windows
-        (no-ops in per-prefix mode): the initial table exchange goes out in
-        one round with the shared timer armed once, as deployed peer-based
-        implementations do, instead of one prefix per MRAI interval.
+        The burst runs under per-peer MRAI flush windows (no-ops in
+        per-prefix mode), as deployed peer-based implementations do.  But
+        :meth:`update_origins` before this call already decided and synced,
+        outside any window: one prefix per peer went out and armed its
+        timer, the rest were held.  This call decides again, sends the rest
+        and re-arms each timer; the held pairs later release as no-ops.
         """
         if self.sessions is not None:
             for peer in self.neighbors:
@@ -309,8 +309,8 @@ class BgpSpeaker(Node):
         """Adj-RIB-In effects of ``src``'s routes for ``prefixes``, all
         carrying ``path`` (``None``: withdrawn); no decision run.
 
-        The import policy is evaluated once for the run (per prefix when it
-        may read the prefix) and the result applied as one
+        The import policy, prefix-blind by contract, is evaluated once for
+        the run and the result applied as one
         :meth:`~repro.bgp.rib.AdjRibIn.assign`.
         """
         if path is not None and path.head != src:
@@ -341,16 +341,14 @@ class BgpSpeaker(Node):
             rib.assign(src, prefixes, None)
             return
         assert path is not None
-        units = [[prefix] for prefix in prefixes] if self._reads_prefix else [prefixes]
-        for unit in units:
-            provisional = intern_route(unit[0], path, src)
-            local_pref = self.policy.local_pref(src, provisional)
-            if local_pref == provisional.local_pref:
-                route = provisional  # default pref: already the shared instance
-            else:
-                route = intern_route(unit[0], path, src, local_pref)
-            accepted = self.policy.accept_import(src, route)
-            rib.assign(src, unit, (route.path, src, local_pref) if accepted else None)
+        provisional = intern_route(prefixes[0], path, src)
+        local_pref = self.policy.local_pref(src, provisional)
+        if local_pref == provisional.local_pref:
+            route = provisional  # default pref: already the shared instance
+        else:
+            route = intern_route(prefixes[0], path, src, local_pref)
+        accepted = self.policy.accept_import(src, route)
+        rib.assign(src, prefixes, (route.path, src, local_pref) if accepted else None)
 
     def _apply_assertion(
         self, prefix: Prefix, src: int, new_path: Optional[AsPath]
@@ -554,8 +552,8 @@ class BgpSpeaker(Node):
         """Per prefix, everything its decision reads: its Adj-RIB-In state
         group (candidates and ranking), whether we originate it, and —
         with damping — which of its candidates are suppressed.  Equal keys,
-        equal winners; a custom preference key keeps groups one prefix
-        wide (:class:`~repro.bgp.rib.AdjRibIn`)."""
+        equal winners, because the policy is prefix-blind
+        (:class:`~repro.bgp.policy.RoutingPolicy`)."""
         groups = self.adj_rib_in.groups(prefixes)
         originated = map(self._origins.__contains__, prefixes)
         damper = self.damper
@@ -702,7 +700,6 @@ class BgpSpeaker(Node):
             if mrai.per_peer
             else None
         )
-        reads_prefix = self._reads_prefix
         best_of = self.loc_rib.get
         # outcome -> plan; the path by identity (every Loc-RIB path is
         # alive throughout, so equal ids are one path)
@@ -712,12 +709,7 @@ class BgpSpeaker(Node):
             outcome = (
                 None
                 if best is None
-                else (
-                    id(best.path),
-                    best.next_hop,
-                    best.local_pref,
-                    prefix if reads_prefix else None,
-                )
+                else (id(best.path), best.next_hop, best.local_pref)
             )
             plan = plans.get(outcome)
             if plan is None:

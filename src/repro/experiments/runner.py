@@ -140,7 +140,10 @@ def build_network(
     network = Network(scenario.topology, scheduler, factory)
     # Each run of consecutive originations at one node is one decision pass,
     # outcome-identical to originating them one at a time in list order.
-    for node_id, pairs in groupby(scenario.effective_originations, key=_FIRST):
+    # The pass also syncs at once, before ``network.start()`` and outside
+    # its flush windows, and start() decides and syncs the origins again
+    # (see BgpSpeaker.start); the pinned digests include both rounds.
+    for node_id, pairs in groupby(scenario.originations, key=_FIRST):
         origin = network.node(node_id)
         assert isinstance(origin, BgpSpeaker)
         origin.update_origins([prefix for _node, prefix in pairs], [])
@@ -273,7 +276,7 @@ def run_experiment(
     if settings.traffic_matrix:
         matrix = TrafficMatrix.seeded(
             nodes=scenario.topology.nodes,
-            prefixes=sorted({p for _n, p in scenario.effective_originations}),
+            prefixes=sorted({p for _n, p in scenario.originations}),
             seed=seed,
             rate_range=(min(1.0, settings.packet_rate), settings.packet_rate),
             origins=scenario.origins_by_prefix(),

@@ -35,7 +35,7 @@ family builds a one-entry schedule; a schedule may hold any number of entries
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional, Tuple
 
 from ..bgp.aggregation import (
@@ -75,13 +75,12 @@ class Scenario:
     entry checks itself against the scenario on construction
     (``check(scenario)``), so a scenario that exists is one that can run.
 
-    **Multi-prefix workloads.**  ``originations`` generalizes the
-    single-destination model: when non-empty, each ``(node, prefix)`` pair
-    is originated at warm-up *instead of* the implicit
-    ``(destination, prefix)`` origination.  ``destination``/``prefix`` name
-    the origination the per-prefix metrics focus on, and must appear in the
-    list.  An empty ``originations`` is the legacy single-prefix path,
-    byte-for-byte.
+    **Originations.**  Warm-up originates each ``(node, prefix)`` pair of
+    ``originations``; ``destination``/``prefix`` name the pair the
+    per-prefix metrics focus on, and must appear in the list.  Left empty,
+    it is filled with that one pair, so the single-prefix scenario is the
+    N = 1 case of the multi-prefix one and the rest of the code sees one
+    form.
     """
 
     name: str
@@ -96,19 +95,20 @@ class Scenario:
             raise ConfigError(
                 f"destination {self.destination} not in topology {self.topology.name!r}"
             )
-        if self.originations:
-            for node, prefix in self.originations:
-                if not self.topology.has_node(node):
-                    raise ConfigError(
-                        f"origination node {node} (for {prefix!r}) not in topology"
-                    )
-            if (self.destination, self.prefix) not in self.originations:
+        if not self.originations:
+            object.__setattr__(self, "originations", ((self.destination, self.prefix),))
+        for node, prefix in self.originations:
+            if not self.topology.has_node(node):
                 raise ConfigError(
-                    f"originations must include the focus pair "
-                    f"({self.destination}, {self.prefix!r})"
+                    f"origination node {node} (for {prefix!r}) not in topology"
                 )
-            if len(set(self.originations)) != len(self.originations):
-                raise ConfigError("originations contain duplicates")
+        if (self.destination, self.prefix) not in self.originations:
+            raise ConfigError(
+                f"originations must include the focus pair "
+                f"({self.destination}, {self.prefix!r})"
+            )
+        if len(set(self.originations)) != len(self.originations):
+            raise ConfigError("originations contain duplicates")
         for entry in self.events:
             if entry.at < 0:
                 raise ConfigError(
@@ -119,15 +119,13 @@ class Scenario:
 
     @property
     def effective_originations(self) -> Tuple[Tuple[int, str], ...]:
-        """What warm-up originates: the explicit list, or the legacy pair."""
-        if self.originations:
-            return self.originations
-        return ((self.destination, self.prefix),)
+        """Alias of ``originations``, kept for ``benchmarks/e2e``."""
+        return self.originations
 
     def origins_by_prefix(self) -> dict:
-        """``prefix -> (origin nodes...)`` over the effective originations."""
+        """``prefix -> (origin nodes...)`` over the originations."""
         table: dict = {}
-        for node, prefix in self.effective_originations:
+        for node, prefix in self.originations:
             table.setdefault(prefix, []).append(node)
         return {prefix: tuple(sorted(nodes)) for prefix, nodes in table.items()}
 
@@ -363,14 +361,6 @@ def clique_tagg_trial(
     """x is the prefix-population size over a fixed-size clique (Tagg)."""
     return tagg_clique(
         size, prefixes=int(x), seed=seed, origins=origins, hold=hold
-    )
-
-
-def with_explicit_originations(scenario: Scenario) -> Scenario:
-    """The same scenario with its origination made explicit (N=1 list)."""
-    return replace(
-        scenario,
-        originations=((scenario.destination, scenario.prefix),),
     )
 
 

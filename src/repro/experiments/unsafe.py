@@ -50,7 +50,6 @@ from ..bgp import (
 from ..net import LinkFlap
 from ..topology import InternetShape, Topology, internet_like_with_tiers
 from .scenarios import (
-    DEFAULT_PREFIX,
     Scenario,
     custom_tdown,
     tdown_clique,
@@ -76,7 +75,7 @@ class RankedPolicyFactory:
         ranked = self._rankings.get(node)
         if ranked is None:
             return ShortestPathPolicy()
-        return PathRankPolicy(node, ranked, prefix=DEFAULT_PREFIX)
+        return PathRankPolicy(node, ranked)
 
 
 class TieredGaoRexfordFactory:

@@ -31,7 +31,7 @@ Each injector class declares its :class:`EventKind` label and whether it
 the keepalive/hold-timer session layer — and ``check(scenario)`` validates
 it against the scenario it is scheduled in, raising
 :class:`~repro.errors.ConfigError`.  ``scenario`` is anything with a
-``topology``, a ``destination`` and ``effective_originations``.
+``topology``, a ``destination`` and ``originations``.
 """
 
 from __future__ import annotations
@@ -256,7 +256,7 @@ class OriginWithdrawal:
     at: float
 
     def check(self, scenario) -> None:
-        if (self.node, self.prefix) not in scenario.effective_originations:
+        if (self.node, self.prefix) not in scenario.originations:
             raise ConfigError(
                 f"origin withdrawal ({self.node}, {self.prefix!r}) is not "
                 "originated at warm-up"

@@ -56,7 +56,6 @@ class ServiceDaemon:
         self._stop: Optional[asyncio.Event] = None
         self._stopping = False
         self._cancelled: Set[str] = set()
-        self._running_job: Optional[str] = None
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -162,17 +161,13 @@ class ServiceDaemon:
                 continue  # cancelled while waiting in line
             self.queue.transition(job_id, RUNNING)
             self.bus.publish(state_event(job_id, RUNNING))
-            self._running_job = job_id
-            try:
-                outcome = await asyncio.to_thread(
-                    execute_job,
-                    view,
-                    self.state,
-                    self.bus.publish,
-                    lambda: self._should_cancel(job_id),
-                )
-            finally:
-                self._running_job = None
+            outcome = await asyncio.to_thread(
+                execute_job,
+                view,
+                self.state,
+                self.bus.publish,
+                lambda: self._should_cancel(job_id),
+            )
             interrupted = (
                 outcome.state == CANCELLED
                 and self._stopping

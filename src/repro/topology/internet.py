@@ -30,6 +30,17 @@ from .graph import Topology
 #: Sizes simulated by the paper, usable as a ready-made sweep.
 PAPER_SIZES = (29, 48, 75, 110)
 
+#: Hierarchy depth: with this probability a transit AS homes to an
+#: *earlier transit AS* instead of the core, producing the chained
+#: regional-provider trees that 2001-era AS graphs exhibit.  Those chains
+#: are what make Tlong events interesting — a destination whose backup
+#: provider sits deep in a chain has a dominant primary, and failing the
+#: primary forces genuine path exploration.
+TRANSIT_CHAIN_PROBABILITY = 0.55
+
+#: Probability that a transit AS takes a second provider.
+TRANSIT_MULTIHOME_PROBABILITY = 0.3
+
 
 @dataclass(frozen=True)
 class InternetShape:
@@ -37,20 +48,11 @@ class InternetShape:
 
     Fractions are of the total node count; the remainder becomes stubs.
     Defaults approximate measured AS-graph proportions at small scale.
-
-    ``transit_chain_probability`` controls hierarchy depth: with that
-    probability a transit AS homes to an *earlier transit AS* instead of the
-    core, producing the chained regional-provider trees that 2001-era AS
-    graphs exhibit.  Those chains are what make Tlong events interesting —
-    a destination whose backup provider sits deep in a chain has a dominant
-    primary, and failing the primary forces genuine path exploration.
     """
 
     core_fraction: float = 0.10
     transit_fraction: float = 0.30
     core_mesh_probability: float = 0.7
-    transit_chain_probability: float = 0.55
-    transit_multihome_probability: float = 0.3
     stub_multihome_probability: float = 0.35
 
     def validate(self) -> None:
@@ -62,13 +64,8 @@ class InternetShape:
             raise TopologyError("core + transit fractions must leave room for stubs")
         if not 0 < self.core_mesh_probability <= 1:
             raise TopologyError("core_mesh_probability must be in (0, 1]")
-        for name, value in (
-            ("transit_chain_probability", self.transit_chain_probability),
-            ("transit_multihome_probability", self.transit_multihome_probability),
-            ("stub_multihome_probability", self.stub_multihome_probability),
-        ):
-            if not 0 <= value <= 1:
-                raise TopologyError(f"{name} must be in [0, 1], got {value}")
+        if not 0 <= self.stub_multihome_probability <= 1:
+            raise TopologyError("stub_multihome_probability must be in [0, 1]")
 
 
 class Tier:
@@ -115,7 +112,7 @@ def internet_like_with_tiers(
     stubs = list(range(num_core + num_transit, n))
 
     _mesh_core(topo, core, shape.core_mesh_probability, rng)
-    _attach_transit(topo, transit, core, shape, rng)
+    _attach_transit(topo, transit, core, rng)
     _attach_stubs(topo, stubs, transit, shape.stub_multihome_probability, rng)
 
     assert topo.is_connected(), "generator invariant: graph must be connected"
@@ -156,7 +153,6 @@ def _attach_transit(
     topo: Topology,
     transit: List[int],
     core: List[int],
-    shape: InternetShape,
     rng: random.Random,
 ) -> None:
     """Home each transit AS either to the core or to an earlier transit AS.
@@ -166,10 +162,10 @@ def _attach_transit(
     paths run.
     """
     for idx, node in enumerate(transit):
-        chain = idx > 0 and rng.random() < shape.transit_chain_probability
+        chain = idx > 0 and rng.random() < TRANSIT_CHAIN_PROBABILITY
         provider = rng.choice(transit[:idx]) if chain else rng.choice(core)
         topo.add_edge(node, provider)
-        if rng.random() < shape.transit_multihome_probability:
+        if rng.random() < TRANSIT_MULTIHOME_PROBABILITY:
             second = rng.choice(core + transit[:idx])
             if second != node and not topo.has_edge(node, second):
                 topo.add_edge(node, second)

@@ -495,7 +495,7 @@ class TestStatefulPolicyHookRule:
                     return 100
 
                 def accept_export(self, neighbor, route):
-                    self._cache[route.prefix] = route
+                    self._cache[route.path] = route
                     return True
             """
         )
@@ -518,14 +518,14 @@ class TestStatefulPolicyHookRule:
         violations = lint(
             """
             class P(RoutingPolicy):
-                def __init__(self, prefix):
-                    self._prefix = prefix
+                def __init__(self, peer):
+                    self._peer = peer
 
                 def rebuild(self):
                     self._table = {}
 
                 def accept_import(self, neighbor, route):
-                    return route.prefix == self._prefix
+                    return route.next_hop == self._peer
             """
         )
         assert violations == []
@@ -559,6 +559,69 @@ class TestStatefulPolicyHookRule:
                 def accept_import(self, neighbor, route):
                     self._n = 1  # lint: allow(stateful-policy-hook) -- test double
                     return True
+            """
+        )
+        assert violations == []
+
+
+class TestPrefixReadingHookRule:
+    def test_every_hook_flags_a_route_prefix_read(self):
+        for hook, params in (
+            ("accept_import", "neighbor, route"),
+            ("local_pref", "neighbor, route"),
+            ("preference_key", "route"),
+            ("accept_export", "neighbor, route"),
+        ):
+            violations = lint(
+                f"""
+                class P(RoutingPolicy):
+                    def {hook}(self, {params}):
+                        return route.prefix == "d"
+                """
+            )
+            assert rules_of(violations) == ["prefix-reading-hook"], hook
+            assert violations[0].code == "REP108"
+
+    def test_the_route_parameter_is_found_by_position(self):
+        violations = lint(
+            """
+            class P(GaoRexfordPolicy):
+                def local_pref(self, peer, candidate):
+                    return 200 if candidate.prefix.startswith("10") else 100
+            """
+        )
+        assert rules_of(violations) == ["prefix-reading-hook"]
+
+    def test_other_fields_and_other_names_are_not_flagged(self):
+        violations = lint(
+            """
+            class P(RoutingPolicy):
+                def preference_key(self, route):
+                    return (route.hop_count, self.prefix, ORIGIN.prefix)
+            """
+        )
+        assert violations == []
+
+    def test_helpers_and_non_policy_classes_are_not_bound(self):
+        violations = lint(
+            """
+            class P(RoutingPolicy):
+                def describe(self, route):
+                    return route.prefix
+
+            class Recorder:
+                def accept_import(self, neighbor, route):
+                    return route.prefix == "d"
+            """
+        )
+        assert violations == []
+
+    def test_allow_comment_suppresses(self):
+        violations = lint(
+            """
+            class P(RoutingPolicy):
+                def accept_export(self, neighbor, route):
+                    return route.prefix != "x"  # lint: allow(prefix-reading-hook) -- fixture
             """
         )
         assert violations == []
@@ -660,4 +723,6 @@ class TestLintPaths:
             assert description
 
     def test_shipped_tree_is_clean(self):
-        assert lint_paths([str(SRC_ROOT)]) == []
+        # The examples too: users copy their policies from there.
+        examples = SRC_ROOT.parents[1] / "examples"
+        assert lint_paths([str(SRC_ROOT), str(examples)]) == []

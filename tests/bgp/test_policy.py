@@ -1,21 +1,6 @@
 """Unit tests for routing policies."""
 
-from repro.bgp import (
-    AsPath,
-    BgpConfig,
-    BgpSpeaker,
-    GaoRexfordPolicy,
-    PathRankPolicy,
-    Relationship,
-    Route,
-    RoutingPolicy,
-    ShortestPathPolicy,
-    local_route,
-)
-from repro.bgp.policy import reads_prefix
-from repro.engine import RandomStreams, Scheduler
-from repro.net import Network
-from repro.topology import chain
+from repro.bgp import AsPath, Route, ShortestPathPolicy, local_route
 
 
 def route_via(neighbor, *tail, prefix="d", local_pref=100):
@@ -56,46 +41,3 @@ class TestShortestPathPolicy:
         policy = ShortestPathPolicy()
         assert policy.accept_import(5, route_via(5, 0))
         assert policy.accept_export(5, route_via(9, 0))
-
-
-class PreferB(RoutingPolicy):
-    """Reads the prefix: routes for ``b`` get a higher LOCAL_PREF."""
-
-    def local_pref(self, neighbor, route):
-        return 200 if route.prefix == "b" else super().local_pref(neighbor, route)
-
-
-class TestPrefixBlindHooks:
-    def test_shipped_policies(self):
-        assert not reads_prefix(ShortestPathPolicy())
-        assert not reads_prefix(GaoRexfordPolicy({1: Relationship.PEER}))
-        assert reads_prefix(PathRankPolicy(1, [(1, 0)]))
-
-    def test_an_unmarked_override_reads_the_prefix(self):
-        assert reads_prefix(PreferB())
-
-    def test_one_update_imports_each_prefix_under_its_own_policy(self):
-        """Both prefixes reach node 1 in one batched UPDATE with the same
-        path; a policy that reads the prefix still sees each one."""
-        config = BgpConfig(mrai_mode="per-peer", batch_updates=True)
-        scheduler = Scheduler()
-        streams = RandomStreams(0)
-        network = Network(
-            chain(2),
-            scheduler,
-            lambda node, sched: BgpSpeaker(
-                node,
-                sched,
-                config=config,
-                streams=streams,
-                policy=PreferB() if node == 1 else None,
-            ),
-        )
-        for prefix in ("a", "b"):
-            network.node(0).originate(prefix)
-        network.start()
-        scheduler.run(max_events=10_000)
-        speaker = network.node(1)
-        assert speaker.best_route("a").local_pref == 100
-        assert speaker.best_route("b").local_pref == 200
-        speaker.check_invariants()

@@ -134,13 +134,6 @@ class TestAdjRibInSharing:
         assert rib.best("a") == route_via(5, 0, prefix="a")
         assert rib.best("b") == route_via(5, 0, prefix="b")
 
-    def test_custom_preference_key_disables_sharing(self):
-        # A prefix-dependent ranking must not be shared across prefixes.
-        rib = AdjRibIn(lambda route: (route.prefix, route.hop_count))
-        self.fill(rib, ("a", "b"))
-        assert rib.group_count() == 2
-        assert rib.best("a") == route_via(5, 0, prefix="a")
-
 
 class TestLocRib:
     def test_set_get_remove(self):

@@ -44,7 +44,6 @@ from repro.experiments.scenarios import (
     tlong_bclique,
     tlong_internet,
     treset_clique,
-    with_explicit_originations,
 )
 from repro.experiments.unsafe import bad_gadget, disagree, wedgie
 from repro.net import (
@@ -157,7 +156,9 @@ FAMILIES = {
     "tagg_clique": lambda: tagg_clique(4, prefixes=8, origins=2),
     "custom_tdown": lambda: custom_tdown(chain(4), destination=3),
     "custom_tlong": lambda: custom_tlong(clique(4), 0, (0, 1)),
-    "explicit_originations": lambda: with_explicit_originations(tdown_clique(4)),
+    "explicit_originations": lambda: replace(
+        tdown_clique(4), originations=((0, "dest"), (1, "other"))
+    ),
     "disagree": lambda: disagree().scenario,
     "bad_gadget": lambda: bad_gadget().scenario,
     "wedgie": lambda: wedgie().scenario,
@@ -226,7 +227,7 @@ class TestInjectorValidation:
         [cycle] = good.events
         with pytest.raises(ConfigError, match="agg_hold"):
             replace(cycle, hold=0.0)
-        with pytest.raises(ConfigError, match="must list its originations"):
+        with pytest.raises(ConfigError, match="not originated at warm-up"):
             replace(good, originations=(), events=(cycle,))
         stray = replace(cycle, blocks=(replace(cycle.blocks[0], origin=3),))
         with pytest.raises(ConfigError, match="not originated at warm-up"):

@@ -2,14 +2,15 @@
 
 Three contracts pin the prefix dimension as a *strict generalization*:
 
-* an N=1 multi-prefix run (explicit ``originations``) is bit-identical —
-  same trace/FIB/summary digest — to the legacy single-destination path;
+* an explicit N=1 ``originations`` list is the default scenario itself,
+  so its run is the single-destination run;
 * a multi-prefix Tagg sweep with the traffic matrix on is digest-identical
   under ``jobs=1`` and ``jobs=4``, and across repeat runs;
 * the incremental decision cache agrees with the naive full scan at every
   speaker after multi-prefix aggregation churn.
 """
 
+from dataclasses import replace
 from functools import partial
 
 import pytest
@@ -26,7 +27,6 @@ from repro.experiments.scenarios import (
     tagg_clique,
     tdown_clique,
     tflap_bclique,
-    with_explicit_originations,
 )
 from repro.topology import clique
 from sweep_outcomes import sweep_outcomes
@@ -45,18 +45,20 @@ def digest_of(scenario, config=FAST, settings=SETTINGS, seed=0):
 
 
 class TestGoldenEquivalence:
-    """Explicit N=1 originations reproduce the legacy digest bit-for-bit."""
+    """An explicit N=1 originations list equals the default scenario, so
+    the single-prefix run is the N=1 multi-prefix run."""
 
     def test_tdown_digest_identical(self):
-        legacy = tdown_clique(5)
-        multi = with_explicit_originations(legacy)
-        assert multi.effective_originations == legacy.effective_originations
-        assert digest_of(legacy) == digest_of(multi)
+        default = tdown_clique(5)
+        explicit = replace(default, originations=((0, "dest"),))
+        assert default.originations == ((0, "dest"),)
+        assert explicit == default
+        assert digest_of(explicit) == digest_of(default)
 
     def test_tflap_digest_identical(self):
-        legacy = tflap_bclique(4, period=3.0, count=2)
-        multi = with_explicit_originations(legacy)
-        assert digest_of(legacy) == digest_of(multi)
+        default = tflap_bclique(4, period=3.0, count=2)
+        explicit = replace(default, originations=((0, "dest"),))
+        assert explicit == default
 
     def test_legacy_summary_has_no_traffic_keys(self):
         run = run_experiment(tdown_clique(4), FAST, SETTINGS, seed=0)
@@ -90,16 +92,16 @@ class TestScenarioValidation:
 
     def test_tagg_family_is_well_formed(self):
         scenario = tagg_clique(4, prefixes=8, origins=2, seed=1)
-        assert len(scenario.effective_originations) == 8
+        assert len(scenario.originations) == 8
         assert len(scenario.agg_blocks) == 2
         origins = {block.origin for block in scenario.agg_blocks}
         assert origins <= {0, 1}
         # Focus pair: first block's first specific at its origin.
         assert (scenario.destination, scenario.prefix) in (
-            scenario.effective_originations
+            scenario.originations
         )
         by_prefix = scenario.origins_by_prefix()
-        for node, prefix in scenario.effective_originations:
+        for node, prefix in scenario.originations:
             assert node in by_prefix[prefix]
 
 
@@ -216,7 +218,7 @@ class TestDecisionCacheUnderMultiPrefixChurn:
         assert run.converged
         network = run.network
         scenario = run.scenario
-        prefixes = {prefix for _node, prefix in scenario.effective_originations}
+        prefixes = {prefix for _node, prefix in scenario.originations}
         prefixes.update(block.cover for block in scenario.agg_blocks)
         for node_id in sorted(network.nodes):
             speaker = network.nodes[node_id]

@@ -44,14 +44,15 @@ class TestPathRankPolicy:
         )
         assert policy.preference_key(long) < policy.preference_key(short)
 
-    def test_unranked_paths_rejected_for_the_prefix_only(self):
+    def test_unranked_paths_rejected_for_every_prefix(self):
         policy = PathRankPolicy(1, [(1, 0)])
         from repro.bgp import AsPath, Route
 
-        unranked = Route(prefix=PREFIX, path=AsPath.of((2, 0)), next_hop=2)
-        other = Route(prefix="other", path=AsPath.of((2, 0)), next_hop=2)
-        assert not policy.accept_import(2, unranked)
-        assert policy.accept_import(2, other)
+        for prefix in (PREFIX, "other"):
+            ranked = Route(prefix=prefix, path=AsPath.of((0,)), next_hop=0)
+            unranked = Route(prefix=prefix, path=AsPath.of((2, 0)), next_hop=2)
+            assert policy.accept_import(0, ranked)
+            assert not policy.accept_import(2, unranked)
 
     def test_ranked_path_must_start_at_the_owner(self):
         with pytest.raises(ConfigError, match="must start at node"):

@@ -153,7 +153,7 @@ def simulate(make_node, scenario, config, seed, *observers):
         scheduler,
         lambda node, sched: make_node(node, sched, config, streams, fib_log.record),
     )
-    for node, prefix in scenario.effective_originations:
+    for node, prefix in scenario.originations:
         network.node(node).originate(prefix)
     network.start()
     scheduler.run(max_events=EVENT_BUDGET)

@@ -41,7 +41,10 @@ name, as for defs: ``f(...)`` or ``x.f(...)`` for a function,
 ``x.f(...)`` for a method, ``C(...)`` or a subclass's
 ``super().__init__(...)`` for ``C.__init__``; a name defined more than
 once is skipped, and so are the drivers of the claims table, whose
-parameters ``--quick`` sets.  A setting no call passes takes one value
+parameters ``--quick`` sets.  A defaulted field of a frozen dataclass is
+a setting too: a ``C(...)`` call (or one of a subclass, or ``cls(...)``
+in its class body) passes it by keyword or position, and
+``replace(x, ...)`` by keyword.  A setting no call passes takes one value
 everywhere, so it must be a constant, or appear in :data:`KEPT_PARAMS`
 with the test that needs another value to reach a behaviour or to stay
 fast, or the ROADMAP item it waits for.
@@ -163,10 +166,6 @@ KEPT: Dict[str, str] = {
         "probe: the journal, durable-log and recovery tests write raw, "
         "torn and corrupt journal lines with it"
     ),
-    "repro.experiments.scenarios.with_explicit_originations": (
-        "probe: tests/experiments/test_multiprefix.py::TestGoldenEquivalence "
-        "pins the explicit N = 1 origination form against the legacy digest"
-    ),
     "repro.net.channel.Channel.in_flight": (
         "probe: tests/net/test_channel.py"
     ),
@@ -196,6 +195,52 @@ KEPT_PARAMS: Dict[str, str] = {
     "repro.analysis.stability.certify(structural)": (
         "tests/analysis/test_stability.py forces the exhaustive lattice "
         "route on scenarios the structural short-cuts would certify"
+    ),
+    "repro.analysis.stability.SearchLimits(max_paths_per_node)": (
+        "tests/analysis/test_stability.py::TestUnknownDegradation truncates "
+        "the lattice at 2-3 paths per node"
+    ),
+    "repro.analysis.stability.SearchLimits(max_search_steps)": (
+        "tests/analysis/test_stability.py::TestUnknownDegradation exhausts "
+        "the wheel search in 5 steps"
+    ),
+    "repro.bgp.damping.DampingConfig(attribute_change_penalty)": (
+        "tests/bgp/test_damping.py and test_sanitizers.py::"
+        "TestGroupDecisionMutation spell out the penalties their expected "
+        "values are computed from"
+    ),
+    "repro.bgp.damping.DampingConfig(reuse_threshold)": (
+        "tests/bgp/test_damping.py::TestConfig::test_validation rejects a "
+        "zero and an inverted reuse threshold"
+    ),
+    "repro.bgp.damping.DampingConfig(suppress_threshold)": (
+        "tests/bgp/test_damping.py::TestConfig::test_validation rejects a "
+        "suppress threshold below the reuse threshold"
+    ),
+    "repro.bgp.damping.DampingConfig(withdrawal_penalty)": (
+        "tests/bgp/test_damping.py::TestConfig::test_validation rejects a "
+        "negative penalty"
+    ),
+    "repro.experiments.config.RunSettings(event_budget)": (
+        "tests/integration/test_churn_lifecycle.py::TestSweepFaultIsolation "
+        "and the journal, sweep and resilience tests exhaust a 30-200 event "
+        "budget to reach a failed trial"
+    ),
+    "repro.net.failures.NodeCrash(silent)": (
+        "tests/net/test_fault_injection.py::TestInjectedSchedule schedules "
+        "a silent crash (node_crash_silent)"
+    ),
+    "repro.topology.internet.InternetShape(core_fraction)": (
+        "tests/topology/test_internet.py::TestGenerator::test_shape_validation "
+        "rejects an empty core and one that leaves no stubs"
+    ),
+    "repro.topology.internet.InternetShape(stub_multihome_probability)": (
+        "tests/topology/test_internet.py::TestGenerator::test_shape_validation "
+        "rejects a probability above 1"
+    ),
+    "repro.topology.internet.InternetShape(transit_fraction)": (
+        "tests/topology/test_internet.py::TestGenerator::test_shape_validation "
+        "rejects fractions that leave no stubs"
     ),
     "repro.core.exploration.RouteChangeLog.changes(node)": (
         "tests/core/test_exploration.py reads one node's route changes"
@@ -230,6 +275,10 @@ KEPT_PARAMS: Dict[str, str] = {
     "repro.telemetry.profiler.time_callable(repeats)": (
         "tests/telemetry/test_overhead.py and test_profiler.py time three "
         "repeats"
+    ),
+    "repro.experiments.config.RunSettings(failure_guard)": (
+        "tests across experiments/, bgp/, core/ and integration/ fail the "
+        "network 0.5 s after quiescence instead of 1 s"
     ),
     # Waiting for a ROADMAP item.
     "repro.topology.internet.internet_like(shape)": (
@@ -478,27 +527,83 @@ def _settings(func: ast.FunctionDef, bound: bool) -> Iterator[Tuple[str, int]]:
             yield arg.arg, -1
 
 
-def _setting_defs() -> Iterator[Tuple[str, str, ast.FunctionDef, bool]]:
-    """``(qualified name, call key, def, bound)`` for every def that can
-    hold settings; a method's key is ``.name``, ``__init__``'s its class."""
+def _passes_constant(
+    node: Optional[ast.expr], callee: str, keyword: str, value: object
+) -> bool:
+    """Whether ``node`` is a ``callee(...)`` call with ``keyword=value``."""
+    return (
+        isinstance(node, ast.Call)
+        and _callee(node.func)[:1] == [callee]
+        and any(
+            kw.arg == keyword
+            and isinstance(kw.value, ast.Constant)
+            and kw.value.value is value
+            for kw in node.keywords
+        )
+    )
+
+
+def _fields(cls: ast.ClassDef) -> Iterator[Tuple[str, bool]]:
+    """``(name, defaulted)`` of each ``__init__`` field a dataclass body
+    declares, in order (``ClassVar`` and ``field(init=False)`` excluded)."""
+    for node in cls.body:
+        if (
+            isinstance(node, ast.AnnAssign)
+            and isinstance(node.target, ast.Name)
+            and "ClassVar" not in ast.unparse(node.annotation)
+            and not _passes_constant(node.value, "field", "init", False)
+        ):
+            yield node.target.id, node.value is not None
+
+
+def _setting_defs() -> Iterator[Tuple[str, List[str], List[Tuple[str, int]], bool]]:
+    """``(qualified name, call keys, settings, is a dataclass)`` for every
+    def that can hold settings (``(name, position)`` pairs); a method's key
+    is ``.name``, ``__init__``'s its class.  A frozen dataclass holds its
+    defaulted fields, called by its own name and its subclasses'; a field's
+    position counts the fields it inherits from a frozen dataclass base."""
+    frozen: Dict[str, Tuple[ast.ClassDef, str]] = {}
     for path in sorted(SRC.rglob("*.py")):
         module = _module_name(path)
         for node in ast.parse(path.read_text(), str(path)).body:
             if isinstance(node, ast.FunctionDef):
-                yield f"{module}.{node.name}", node.name, node, False
+                settings = list(_settings(node, False))
+                yield f"{module}.{node.name}", [node.name], settings, False
             elif isinstance(node, ast.ClassDef):
+                if any(
+                    _passes_constant(d, "dataclass", "frozen", True)
+                    for d in node.decorator_list
+                ):
+                    frozen[node.name] = (node, module)
                 for member in node.body:
                     if not isinstance(member, ast.FunctionDef):
                         continue
                     qualified = f"{module}.{node.name}.{member.name}"
                     if member.name == "__init__":
-                        yield qualified, node.name, member, True
+                        settings = list(_settings(member, True))
+                        yield qualified, [node.name], settings, False
                     elif not member.name.startswith("__"):
                         static = any(
                             isinstance(d, ast.Name) and d.id == "staticmethod"
                             for d in member.decorator_list
                         )
-                        yield qualified, f".{member.name}", member, not static
+                        settings = list(_settings(member, not static))
+                        yield qualified, [f".{member.name}"], settings, False
+
+    def ancestors(name: str) -> List[str]:
+        bases = [_callee(b)[:1] for b in frozen[name][0].bases]
+        parent = next((b[0] for b in bases if b and b[0] in frozen), None)
+        return [] if parent is None else [*ancestors(parent), parent]
+
+    for name, (cls, module) in frozen.items():
+        inherited = sum(len(list(_fields(frozen[a][0]))) for a in ancestors(name))
+        callers = [name, *(sub for sub in frozen if name in ancestors(sub))]
+        settings = [
+            (field, inherited + index)
+            for index, (field, defaulted) in enumerate(_fields(cls))
+            if defaulted
+        ]
+        yield f"{module}.{name}", callers, settings, True
 
 
 def _callee(node: ast.expr) -> List[str]:
@@ -598,6 +703,13 @@ def _calls() -> Dict[str, List[Call]]:
                 for node in ast.walk(cls):
                     if (
                         isinstance(node, ast.Call)
+                        and isinstance(node.func, ast.Name)
+                        and node.func.id == "cls"
+                    ):
+                        # A classmethod's ``cls(...)`` builds this class.
+                        calls[cls.name].append((node.args, _keywords(node, owner)))
+                    elif (
+                        isinstance(node, ast.Call)
                         and isinstance(node.func, ast.Attribute)
                         and node.func.attr == "__init__"
                         and isinstance(node.func.value, ast.Call)
@@ -641,19 +753,24 @@ def _unpassed_settings() -> Tuple[Set[str], Set[str]]:
 
     drivers = {claim.driver.__name__ for claim in CLAIMS.values()}
     defs = list(_setting_defs())
-    defined_once = Counter(key.lstrip(".") for _, key, _, _ in defs)
+    defined_once = Counter(keys[0].lstrip(".") for _, keys, _, _ in defs)
     calls = _calls()
     unpassed: Set[str] = set()
-    settings: Set[str] = set()
-    for qualified, key, func, bound in defs:
-        for name, position in _settings(func, bound):
+    every: Set[str] = set()
+    for qualified, keys, settings, is_dataclass in defs:
+        key = keys[0]
+        for name, position in settings:
             setting = f"{qualified}({name})"
-            settings.add(setting)
+            every.add(setting)
             if defined_once[key.lstrip(".")] > 1 or key in drivers:
                 continue
-            if not any(_passes(call, name, position) for call in calls[key]):
+            passing = [(call, position) for k in keys for call in calls[k]]
+            if is_dataclass:
+                # ``replace(x, field=...)`` sets it by keyword only.
+                passing += [(call, -1) for call in calls["replace"]]
+            if not any(_passes(call, name, at) for call, at in passing):
                 unpassed.add(setting)
-    return unpassed, settings
+    return unpassed, every
 
 
 def test_every_uncalled_public_def_is_kept_for_a_reason():
